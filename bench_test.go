@@ -10,6 +10,7 @@ package diesel
 //	go test -bench=. -benchmem
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -237,7 +238,7 @@ func BenchmarkFig11aReadAPI(b *testing.B) {
 	b.SetBytes(4096)
 	b.ResetTimer()
 	for i := 0; b.Loop(); i++ {
-		if _, err := cl.Get(names[i%len(names)]); err != nil {
+		if _, err := cl.DefaultDataset().Get(context.Background(), names[i%len(names)]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -275,7 +276,7 @@ func benchTask(b *testing.B, n, fileSize int) (*core.Deployment, *core.Task, []s
 	data := randBytes(fileSize, 6)
 	for i := range n {
 		names[i] = fmt.Sprintf("c%02d/f%05d", i%10, i)
-		if err := w.Put(names[i], data); err != nil {
+		if err := w.DefaultDataset().Put(names[i], data); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -658,7 +659,7 @@ func BenchmarkEpochRead(b *testing.B) {
 	const files, fileSize = 256, 2048
 	data := randBytes(fileSize, 12)
 	for i := range files {
-		if err := w.Put(fmt.Sprintf("c%02d/f%05d", i%8, i), data); err != nil {
+		if err := w.DefaultDataset().Put(fmt.Sprintf("c%02d/f%05d", i%8, i), data); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -671,7 +672,7 @@ func BenchmarkEpochRead(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer cl.Close()
-	snap, err := cl.DownloadSnapshot()
+	snap, err := cl.DefaultDataset().DownloadSnapshot()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -679,7 +680,7 @@ func BenchmarkEpochRead(b *testing.B) {
 		b.Run(fmt.Sprintf("window=%d", window), func(b *testing.B) {
 			b.SetBytes(files * fileSize)
 			for i := 0; b.Loop(); i++ {
-				plan, err := cl.ShufflePlan(int64(i), 4)
+				plan, err := cl.DefaultDataset().ShufflePlan(int64(i), 4)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -712,11 +713,12 @@ func BenchmarkLoaderEpoch(b *testing.B) {
 	dep, task, names := benchTask(b, 512, 2048)
 	defer dep.Close()
 	defer task.Close()
-	cl := task.Clients[1]
+	ds := task.Clients[1].DefaultDataset()
+	fetch := train.FetchFunc(func(p string) ([]byte, error) { return ds.Get(context.Background(), p) })
 	b.SetBytes(int64(len(names)) * 2048)
 	b.ResetTimer()
 	for i := 0; b.Loop(); i++ {
-		l := train.NewLoader(cl.Get, names, train.LoaderConfig{Workers: 8, BatchSize: 32})
+		l := train.New(fetch, names, train.WithWorkers(8), train.WithBatchSize(32))
 		for {
 			_, ok, err := l.Next()
 			if err != nil {

@@ -106,7 +106,7 @@ func allocExp(cluster.Params) {
 		data := make([]byte, fileSize)
 		for i := range nFiles {
 			names[i] = fmt.Sprintf("cls%02d/img%05d.jpg", i%5, i)
-			if err := w.Put(names[i], data); err != nil {
+			if err := w.DefaultDataset().Put(names[i], data); err != nil {
 				log.Fatalf("alloc: put: %v", err)
 			}
 		}
@@ -118,7 +118,7 @@ func allocExp(cluster.Params) {
 			log.Fatalf("alloc: connect reader: %v", err)
 		}
 		defer cl.Close()
-		if _, err := cl.DownloadSnapshot(); err != nil {
+		if _, err := cl.DefaultDataset().DownloadSnapshot(); err != nil {
 			log.Fatalf("alloc: snapshot: %v", err)
 		}
 		p, err := dcache.Join(cl.DefaultDataset(), etcd.InProcess{R: etcd.NewRegistry()}, dcache.Config{
@@ -193,7 +193,7 @@ func allocExp(cluster.Params) {
 		const files, fileSize = 128, 2 << 10
 		data := make([]byte, fileSize)
 		for i := range files {
-			if err := w.Put(fmt.Sprintf("c%02d/f%05d", i%8, i), data); err != nil {
+			if err := w.DefaultDataset().Put(fmt.Sprintf("c%02d/f%05d", i%8, i), data); err != nil {
 				log.Fatalf("alloc: put: %v", err)
 			}
 		}
@@ -205,14 +205,14 @@ func allocExp(cluster.Params) {
 			log.Fatalf("alloc: connect reader: %v", err)
 		}
 		defer cl.Close()
-		snap, err := cl.DownloadSnapshot()
+		snap, err := cl.DefaultDataset().DownloadSnapshot()
 		if err != nil {
 			log.Fatalf("alloc: snapshot: %v", err)
 		}
 		publishAllocs("epoch-read", testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; b.Loop(); i++ {
-				plan, err := cl.ShufflePlan(int64(i), 4)
+				plan, err := cl.DefaultDataset().ShufflePlan(int64(i), 4)
 				if err != nil {
 					b.Fatal(err)
 				}

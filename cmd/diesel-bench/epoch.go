@@ -40,11 +40,11 @@ func epochExp(cluster.Params) {
 	}
 	payload := make([]byte, fileSize)
 	for i := range numFiles {
-		if err := wcl.Put(fmt.Sprintf("cls%02d/img%04d.jpg", i%8, i), payload); err != nil {
+		if err := wcl.DefaultDataset().Put(fmt.Sprintf("cls%02d/img%04d.jpg", i%8, i), payload); err != nil {
 			log.Fatalf("epoch: put: %v", err)
 		}
 	}
-	if err := wcl.Flush(); err != nil {
+	if err := wcl.DefaultDataset().Flush(); err != nil {
 		log.Fatalf("epoch: flush: %v", err)
 	}
 	wcl.Close()
@@ -56,7 +56,7 @@ func epochExp(cluster.Params) {
 		log.Fatalf("epoch: connect: %v", err)
 	}
 	defer cl.Close()
-	snap, err := cl.DownloadSnapshot()
+	snap, err := cl.DefaultDataset().DownloadSnapshot()
 	if err != nil {
 		log.Fatalf("epoch: snapshot: %v", err)
 	}
@@ -64,7 +64,7 @@ func epochExp(cluster.Params) {
 	fmt.Printf("%-10s %12s %12s %10s\n", "window", "epoch time", "files/s", "MB/s")
 	var base time.Duration
 	for _, window := range []int{0, 2, 4} {
-		plan, err := cl.ShufflePlan(int64(window), 4)
+		plan, err := cl.DefaultDataset().ShufflePlan(int64(window), 4)
 		if err != nil {
 			log.Fatalf("epoch: shuffle: %v", err)
 		}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -48,17 +49,17 @@ func live(cluster.Params) {
 	paths := make([]string, numFiles)
 	for i := range numFiles {
 		paths[i] = fmt.Sprintf("cls%02d/img%04d.jpg", i%8, i)
-		if err := wcl.Put(paths[i], payload); err != nil {
+		if err := wcl.DefaultDataset().Put(paths[i], payload); err != nil {
 			log.Fatalf("live: put: %v", err)
 		}
 	}
-	if err := wcl.Flush(); err != nil {
+	if err := wcl.DefaultDataset().Flush(); err != nil {
 		log.Fatalf("live: flush: %v", err)
 	}
 
 	// One batched read against the request executor, then two cached
 	// epochs through the task-grained distributed cache.
-	if _, err := wcl.GetBatch(paths[:64]); err != nil {
+	if _, err := wcl.DefaultDataset().GetBatch(context.Background(), paths[:64]); err != nil {
 		log.Fatalf("live: getbatch: %v", err)
 	}
 	wcl.Close()
@@ -72,13 +73,13 @@ func live(cluster.Params) {
 	// Epoch 0: each client reads its rank's stripe of the shuffled order,
 	// as a DLT data loader would, filling the cache.
 	for rank, cl := range task.Clients {
-		plan, err := cl.ShufflePlan(int64(rank), 4)
+		plan, err := cl.DefaultDataset().ShufflePlan(int64(rank), 4)
 		if err != nil {
 			log.Fatalf("live: shuffle: %v", err)
 		}
-		order := plan.Paths(cl.Snapshot())
+		order := plan.Paths(cl.DefaultDataset().Snapshot())
 		for i := rank; i < len(order); i += len(task.Clients) {
-			if _, err := cl.Get(order[i]); err != nil {
+			if _, err := cl.DefaultDataset().Get(context.Background(), order[i]); err != nil {
 				log.Fatalf("live: get %s: %v", order[i], err)
 			}
 		}
@@ -87,11 +88,11 @@ func live(cluster.Params) {
 	// pipelined reader over the warm cache (diesel_epoch_* metrics fire).
 	{
 		cl := task.Clients[0]
-		plan, err := cl.ShufflePlan(int64(len(task.Clients)), 4)
+		plan, err := cl.DefaultDataset().ShufflePlan(int64(len(task.Clients)), 4)
 		if err != nil {
 			log.Fatalf("live: shuffle: %v", err)
 		}
-		snap := cl.Snapshot()
+		snap := cl.DefaultDataset().Snapshot()
 		r := epoch.NewReader(plan, snap, epoch.NewCacheSource(task.Peers[0], snap, 0),
 			epoch.WithWindow(2))
 		for {

@@ -57,14 +57,14 @@ func spillExp(cluster.Params) {
 	names := make([]string, numFiles)
 	for i := range numFiles {
 		names[i] = fmt.Sprintf("cls%02d/img%04d.jpg", i%8, i)
-		if err := wcl.Put(names[i], payload); err != nil {
+		if err := wcl.DefaultDataset().Put(names[i], payload); err != nil {
 			log.Fatalf("spill: put: %v", err)
 		}
 	}
-	if err := wcl.Flush(); err != nil {
+	if err := wcl.DefaultDataset().Flush(); err != nil {
 		log.Fatalf("spill: flush: %v", err)
 	}
-	snap, err := wcl.DownloadSnapshot()
+	snap, err := wcl.DefaultDataset().DownloadSnapshot()
 	if err != nil {
 		log.Fatalf("spill: snapshot: %v", err)
 	}

@@ -47,11 +47,11 @@ func tailExp(cluster.Params) {
 	}
 	payload := make([]byte, fileSize)
 	for i := range numFiles {
-		if err := wcl.Put(fmt.Sprintf("cls%02d/img%04d.jpg", i%8, i), payload); err != nil {
+		if err := wcl.DefaultDataset().Put(fmt.Sprintf("cls%02d/img%04d.jpg", i%8, i), payload); err != nil {
 			log.Fatalf("tail: put: %v", err)
 		}
 	}
-	if err := wcl.Flush(); err != nil {
+	if err := wcl.DefaultDataset().Flush(); err != nil {
 		log.Fatalf("tail: flush: %v", err)
 	}
 	wcl.Close()
@@ -63,7 +63,7 @@ func tailExp(cluster.Params) {
 		log.Fatalf("tail: connect: %v", err)
 	}
 	defer cl.Close()
-	snap, err := cl.DownloadSnapshot()
+	snap, err := cl.DefaultDataset().DownloadSnapshot()
 	if err != nil {
 		log.Fatalf("tail: snapshot: %v", err)
 	}
@@ -84,7 +84,7 @@ func tailExp(cluster.Params) {
 			throttle.SetSlowEvery(slowEvery, slowExtra)
 			defer throttle.SetSlowEvery(0, 0)
 		}
-		plan, err := cl.ShufflePlan(7, 1)
+		plan, err := cl.DefaultDataset().ShufflePlan(7, 1)
 		if err != nil {
 			log.Fatalf("tail: shuffle: %v", err)
 		}

@@ -91,7 +91,7 @@ func main() {
 		objects = objstore.NewMemory()
 	}
 	if *ssdCache > 0 {
-		tiered := objstore.NewTiered(objstore.NewMemory(), objects, *ssdCache)
+		tiered := objstore.NewTiered(nil, objects, *ssdCache)
 		if *cacheSpillDir != "" {
 			rec, err := tiered.EnableSpill(*cacheSpillDir, *cacheSpillBytes)
 			if err != nil {

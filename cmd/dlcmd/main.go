@@ -151,7 +151,7 @@ func main() {
 
 	args := flag.Args()
 	cmd, args := args[0], args[1:]
-	if err := run(c, *dataset, cmd, args); err != nil {
+	if err := run(c, cmd, args); err != nil {
 		log.Fatalf("dlcmd %s: %v", cmd, err)
 	}
 }
@@ -185,7 +185,8 @@ func runJobs(servers []string, callTimeout time.Duration) error {
 	return lastErr
 }
 
-func run(c *client.Client, dataset, cmd string, args []string) error {
+func run(c *client.Client, cmd string, args []string) error {
+	ds := c.DefaultDataset()
 	switch cmd {
 	case "put":
 		if len(args) != 2 {
@@ -195,10 +196,10 @@ func run(c *client.Client, dataset, cmd string, args []string) error {
 		if err != nil {
 			return err
 		}
-		if err := c.Put(args[1], b); err != nil {
+		if err := ds.Put(args[1], b); err != nil {
 			return err
 		}
-		return c.Flush()
+		return ds.Flush()
 
 	case "put-dir":
 		if len(args) < 1 {
@@ -222,12 +223,12 @@ func run(c *client.Client, dataset, cmd string, args []string) error {
 				return err
 			}
 			n++
-			return c.Put(prefix+filepath.ToSlash(rel), b)
+			return ds.Put(prefix+filepath.ToSlash(rel), b)
 		})
 		if err != nil {
 			return err
 		}
-		if err := c.Flush(); err != nil {
+		if err := ds.Flush(); err != nil {
 			return err
 		}
 		fmt.Printf("uploaded %d files\n", n)
@@ -237,7 +238,7 @@ func run(c *client.Client, dataset, cmd string, args []string) error {
 		if len(args) < 1 {
 			return fmt.Errorf("usage: get <remote> [local]")
 		}
-		b, err := c.Get(args[0])
+		b, err := ds.Get(context.Background(), args[0])
 		if err != nil {
 			return err
 		}
@@ -252,7 +253,7 @@ func run(c *client.Client, dataset, cmd string, args []string) error {
 		if len(args) > 0 {
 			dir = args[0]
 		}
-		ents, err := c.Ls(dir)
+		ents, err := ds.Ls(dir)
 		if err != nil {
 			return err
 		}
@@ -269,7 +270,7 @@ func run(c *client.Client, dataset, cmd string, args []string) error {
 		if len(args) != 1 {
 			return fmt.Errorf("usage: stat <remote>")
 		}
-		si, err := c.Stat(args[0])
+		si, err := ds.Stat(args[0])
 		if err != nil {
 			return err
 		}
@@ -280,15 +281,15 @@ func run(c *client.Client, dataset, cmd string, args []string) error {
 		if len(args) != 1 {
 			return fmt.Errorf("usage: rm <remote>")
 		}
-		return c.Delete(args[0])
+		return ds.Delete(args[0])
 
 	case "info":
-		rec, err := c.DatasetRecord()
+		rec, err := ds.DatasetRecord()
 		if err != nil {
 			return err
 		}
 		fmt.Printf("dataset: %s\nfiles:   %d\nchunks:  %d\nbytes:   %d\nupdated: %s\n",
-			dataset, rec.FileCount, rec.ChunkCount, rec.TotalBytes,
+			ds.Name(), rec.FileCount, rec.ChunkCount, rec.TotalBytes,
 			time.Unix(0, rec.UpdatedNS).Format(time.RFC3339))
 		return nil
 
@@ -296,14 +297,14 @@ func run(c *client.Client, dataset, cmd string, args []string) error {
 		if len(args) != 1 {
 			return fmt.Errorf("usage: save-meta <file>")
 		}
-		if err := c.SaveMeta(args[0]); err != nil {
+		if err := ds.SaveMeta(args[0]); err != nil {
 			return err
 		}
 		fmt.Printf("snapshot saved to %s\n", args[0])
 		return nil
 
 	case "purge":
-		return c.Purge()
+		return ds.Purge()
 
 	case "recover":
 		fromSec := uint32(0)
@@ -314,7 +315,7 @@ func run(c *client.Client, dataset, cmd string, args []string) error {
 			}
 			fromSec = uint32(v)
 		}
-		scanned, skipped, pairs, err := c.Recover(fromSec)
+		scanned, skipped, pairs, err := ds.Recover(fromSec)
 		if err != nil {
 			return err
 		}
@@ -323,7 +324,7 @@ func run(c *client.Client, dataset, cmd string, args []string) error {
 		return nil
 
 	case "rm-dataset":
-		return c.DeleteDataset()
+		return ds.DeleteDataset()
 
 	case "read-epoch":
 		fs := flag.NewFlagSet("read-epoch", flag.ContinueOnError)
@@ -356,7 +357,7 @@ func run(c *client.Client, dataset, cmd string, args []string) error {
 			}
 			window = v
 		}
-		return readEpoch(c, seed, group, window, *hedge, *reorder, *deadline)
+		return readEpoch(ds, seed, group, window, *hedge, *reorder, *deadline)
 
 	case "gen":
 		if len(args) != 2 {
@@ -371,11 +372,11 @@ func run(c *client.Client, dataset, cmd string, args []string) error {
 			return err
 		}
 		spec := trace.Spec{
-			Name: dataset, NumFiles: n, Classes: max(1, n/50),
+			Name: ds.Name(), NumFiles: n, Classes: max(1, n/50),
 			MeanFileSize: sz, SizeSpread: 0.4, Seed: 11,
 		}
 		start := time.Now()
-		if err := trace.Write(spec, func(int) (trace.Putter, error) { return c, nil }, 1); err != nil {
+		if err := trace.Write(spec, func(int) (trace.Putter, error) { return ds, nil }, 1); err != nil {
 			return err
 		}
 		fmt.Printf("generated %d files (%d bytes) in %v\n", n, spec.TotalBytes(), time.Since(start))
@@ -391,12 +392,12 @@ func run(c *client.Client, dataset, cmd string, args []string) error {
 // Interrupting cancels the context, which unwinds every in-flight RPC.
 // hedge/reorder/deadline switch on the reader's tail-latency controls;
 // hedged reissues go through the same servers with a fresh context.
-func readEpoch(c *client.Client, seed int64, group, window int, hedge bool, reorder int, deadline time.Duration) error {
-	snap, err := c.DownloadSnapshot()
+func readEpoch(ds *client.Dataset, seed int64, group, window int, hedge bool, reorder int, deadline time.Duration) error {
+	snap, err := ds.DownloadSnapshot()
 	if err != nil {
 		return err
 	}
-	plan, err := c.ShufflePlan(seed, group)
+	plan, err := ds.ShufflePlan(seed, group)
 	if err != nil {
 		return err
 	}
@@ -414,7 +415,7 @@ func readEpoch(c *client.Client, seed int64, group, window int, hedge bool, reor
 	if deadline > 0 {
 		opts = append(opts, epoch.WithGroupDeadline(deadline))
 	}
-	r := epoch.NewReader(plan, snap, epoch.NewClientSource(c.DefaultDataset(), snap, 0), opts...)
+	r := epoch.NewReader(plan, snap, epoch.NewClientSource(ds, snap, 0), opts...)
 	defer r.Close()
 	start := time.Now()
 	files, bytes := 0, uint64(0)

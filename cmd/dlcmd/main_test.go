@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -32,30 +33,30 @@ func TestDlcmdPutGetStatLsRm(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := run(c, "ds", "put", []string{local, "docs/hello.txt"}); err != nil {
+	if err := run(c, "put", []string{local, "docs/hello.txt"}); err != nil {
 		t.Fatal(err)
 	}
 	out := filepath.Join(dir, "out.txt")
-	if err := run(c, "ds", "get", []string{"docs/hello.txt", out}); err != nil {
+	if err := run(c, "get", []string{"docs/hello.txt", out}); err != nil {
 		t.Fatal(err)
 	}
 	b, err := os.ReadFile(out)
 	if err != nil || string(b) != "hello diesel" {
 		t.Fatalf("round trip = %q, %v", b, err)
 	}
-	if err := run(c, "ds", "stat", []string{"docs/hello.txt"}); err != nil {
+	if err := run(c, "stat", []string{"docs/hello.txt"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(c, "ds", "ls", []string{"docs"}); err != nil {
+	if err := run(c, "ls", []string{"docs"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(c, "ds", "info", nil); err != nil {
+	if err := run(c, "info", nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(c, "ds", "rm", []string{"docs/hello.txt"}); err != nil {
+	if err := run(c, "rm", []string{"docs/hello.txt"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(c, "ds", "get", []string{"docs/hello.txt", out}); err == nil {
+	if err := run(c, "get", []string{"docs/hello.txt", out}); err == nil {
 		t.Fatal("get after rm succeeded")
 	}
 }
@@ -67,10 +68,10 @@ func TestDlcmdPutDir(t *testing.T) {
 	os.WriteFile(filepath.Join(dir, "a.bin"), []byte("a"), 0o644)
 	os.WriteFile(filepath.Join(dir, "sub", "b.bin"), []byte("b"), 0o644)
 
-	if err := run(c, "ds", "put-dir", []string{dir, "up"}); err != nil {
+	if err := run(c, "put-dir", []string{dir, "up"}); err != nil {
 		t.Fatal(err)
 	}
-	b, err := c.Get("up/sub/b.bin")
+	b, err := c.DefaultDataset().Get(context.Background(), "up/sub/b.bin")
 	if err != nil || string(b) != "b" {
 		t.Fatalf("uploaded tree: %q, %v", b, err)
 	}
@@ -78,23 +79,23 @@ func TestDlcmdPutDir(t *testing.T) {
 
 func TestDlcmdGenSaveMetaPurge(t *testing.T) {
 	c := testClient(t)
-	if err := run(c, "ds", "gen", []string{"50", "256"}); err != nil {
+	if err := run(c, "gen", []string{"50", "256"}); err != nil {
 		t.Fatal(err)
 	}
 	snap := filepath.Join(t.TempDir(), "ds.snap")
-	if err := run(c, "ds", "save-meta", []string{snap}); err != nil {
+	if err := run(c, "save-meta", []string{snap}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(snap); err != nil {
 		t.Fatal("snapshot file missing")
 	}
-	if err := run(c, "ds", "purge", nil); err != nil {
+	if err := run(c, "purge", nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(c, "ds", "rm-dataset", nil); err != nil {
+	if err := run(c, "rm-dataset", nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(c, "ds", "info", nil); err == nil {
+	if err := run(c, "info", nil); err == nil {
 		t.Fatal("info after rm-dataset succeeded")
 	}
 }
@@ -113,7 +114,7 @@ func TestDlcmdErrors(t *testing.T) {
 		{"gen", []string{"x", "y"}},
 		{"no-such-command", nil},
 	} {
-		if err := run(c, "ds", tc.cmd, tc.args); err == nil {
+		if err := run(c, tc.cmd, tc.args); err == nil {
 			t.Errorf("%s %v: expected error", tc.cmd, tc.args)
 		}
 	}
@@ -130,19 +131,19 @@ func TestDlcmdRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	if err := run(c, "ds", "gen", []string{"30", "128"}); err != nil {
+	if err := run(c, "gen", []string{"30", "128"}); err != nil {
 		t.Fatal(err)
 	}
 	for _, kv := range dep.KVServers() {
 		kv.Wipe()
 	}
-	if err := run(c, "ds", "recover", nil); err != nil {
+	if err := run(c, "recover", nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(c, "ds", "info", nil); err != nil {
+	if err := run(c, "info", nil); err != nil {
 		t.Fatalf("info after recover: %v", err)
 	}
-	if err := run(c, "ds", "recover", []string{"not-a-number"}); err == nil {
+	if err := run(c, "recover", []string{"not-a-number"}); err == nil {
 		t.Fatal("bad timestamp accepted")
 	}
 }

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -35,7 +36,11 @@ func main() {
 
 	spec := trace.Spec{Name: "ds", NumFiles: 400, Classes: 8, MeanFileSize: 4 << 10, Seed: 3}
 	if err := trace.Write(spec, func(w int) (trace.Putter, error) {
-		return dep.NewClient("ds", w)
+		c, err := dep.NewClient("ds", w)
+		if err != nil {
+			return nil, err
+		}
+		return c.DefaultDataset(), nil
 	}, 2); err != nil {
 		log.Fatal(err)
 	}
@@ -50,8 +55,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	late.Put("late/extra.bin", []byte("written after the cutoff"))
-	late.Flush()
+	lateDS := late.DefaultDataset()
+	lateDS.Put("late/extra.bin", []byte("written after the cutoff"))
+	lateDS.Flush()
 	late.Close()
 
 	// Lose the new file's record (a KV node lost its recent writes).
@@ -63,7 +69,8 @@ func main() {
 		log.Fatal(err)
 	}
 	defer r.Close()
-	if _, err := r.Get("late/extra.bin"); err == nil {
+	rds, ctx := r.DefaultDataset(), context.Background()
+	if _, err := rds.Get(ctx, "late/extra.bin"); err == nil {
 		log.Fatal("lost record still served?")
 	}
 	st, err := srv.RecoverMetadata("ds", cutoff)
@@ -72,7 +79,7 @@ func main() {
 	}
 	fmt.Printf("scenario (a): scanned %d recent chunks (skipped %d older), rewrote %d pairs\n",
 		st.ChunksScanned, st.ChunksSkipped, st.PairsWritten)
-	if b, err := r.Get("late/extra.bin"); err != nil || string(b) != "written after the cutoff" {
+	if b, err := rds.Get(ctx, "late/extra.bin"); err != nil || string(b) != "written after the cutoff" {
 		log.Fatalf("recovery (a) failed: %v", err)
 	}
 	fmt.Println("scenario (a): lost record recovered ✓")
@@ -93,7 +100,7 @@ func main() {
 	fmt.Printf("scenario (b): full scan of %d chunks rebuilt %d keys in %v (before: %d)\n",
 		st.ChunksScanned, kvAfter, time.Since(start), kvBefore)
 	order := []int{0, 99, 199, 299, 399}
-	if err := trace.ReadOrder(spec, func(int) (trace.Getter, error) { return r, nil }, 1, order); err != nil {
+	if err := trace.ReadOrder(spec, func(int) (trace.Getter, error) { return rds, nil }, 1, order); err != nil {
 		log.Fatalf("post-recovery verification failed: %v", err)
 	}
 	fmt.Println("scenario (b): all sampled files verified after full rebuild ✓")
@@ -121,10 +128,10 @@ func main() {
 	victim.Close()
 	fmt.Println("killed one cache master")
 
-	reader := task.Clients[1] // a non-master on the surviving node
+	reader := task.Clients[1].DefaultDataset() // a non-master on the surviving node
 	ok := 0
 	for i := 0; i < spec.NumFiles; i += 10 {
-		b, err := reader.Get(spec.FileName(i))
+		b, err := reader.Get(ctx, spec.FileName(i))
 		if err != nil {
 			log.Fatalf("read failed after master death: %v", err)
 		}

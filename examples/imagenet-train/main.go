@@ -47,7 +47,11 @@ func main() {
 	// Data preparation: 4 concurrent writers pack files into chunks.
 	start := time.Now()
 	err = trace.Write(spec, func(w int) (trace.Putter, error) {
-		return dep.NewClient(spec.Name, 1000+w)
+		c, err := dep.NewClient(spec.Name, 1000+w)
+		if err != nil {
+			return nil, err
+		}
+		return c.DefaultDataset(), nil
 	}, 4)
 	if err != nil {
 		log.Fatal(err)
@@ -78,10 +82,10 @@ func main() {
 	// shuffle plan, and the pipelined epoch reader prefetches whole chunk
 	// groups through the distributed cache while the "training loop" (here:
 	// verification) consumes batches in plan order.
-	cl := task.Clients[0]
-	snap := cl.Snapshot()
+	ds := task.Clients[0].DefaultDataset()
+	snap := ds.Snapshot()
 	for ep := range epochs {
-		plan, err := cl.ShufflePlan(int64(ep), groupSize)
+		plan, err := ds.ShufflePlan(int64(ep), groupSize)
 		if err != nil {
 			log.Fatal(err)
 		}

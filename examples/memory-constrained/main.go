@@ -31,6 +31,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -62,10 +63,14 @@ func main() {
 	spec := trace.Spec{Name: "big", NumFiles: 1600, Classes: 16, MeanFileSize: 1 << 10, Seed: 9}
 	if err := trace.Write(spec, func(w int) (trace.Putter, error) {
 		// Small chunk target so the example has many chunks to shuffle.
-		return client.Connect(client.Options{
+		c, err := client.Connect(client.Options{
 			Servers: dep.ServerAddrs(), Dataset: spec.Name,
 			Rank: 100 + w, ChunkTarget: 64 << 10,
 		})
+		if err != nil {
+			return nil, err
+		}
+		return c.DefaultDataset(), nil
 	}, 1); err != nil {
 		log.Fatal(err)
 	}
@@ -79,8 +84,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cl, peer := task.Clients[0], task.Peers[0]
-	snap := cl.Snapshot()
+	ds, peer := task.Clients[0].DefaultDataset(), task.Peers[0]
+	snap, ctx := ds.Snapshot(), context.Background()
 	fmt.Printf("dataset: %d files in %d chunks (%.1f MB); cache capacity: %d chunks\n",
 		snap.NumFiles(), len(snap.Chunks), float64(snap.TotalBytes())/1e6, 3)
 
@@ -95,7 +100,7 @@ func main() {
 	// even one group ahead would evict the group being consumed — the
 	// reader's knob exists precisely to match the window to cache headroom.
 	{
-		plan, err := cl.ShufflePlan(42, 2)
+		plan, err := ds.ShufflePlan(42, 2)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -123,7 +128,7 @@ func main() {
 		before := peer.Stats.ChunkLoads.Load()
 		start := time.Now()
 		for _, path := range order {
-			if _, err := cl.Get(path); err != nil {
+			if _, err := ds.Get(ctx, path); err != nil {
 				log.Fatalf("full shuffle: %v", err)
 			}
 		}
@@ -164,13 +169,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	scl, speer := spilled.Clients[0], spilled.Peers[0]
-	epochReads := func(cl *client.Client, p *dcache.Peer, seed int64) (loads uint64, dur time.Duration, reads int) {
+	scl, speer := spilled.Clients[0].DefaultDataset(), spilled.Peers[0]
+	epochReads := func(ds *client.Dataset, p *dcache.Peer, seed int64) (loads uint64, dur time.Duration, reads int) {
 		order := shuffle.Dataset(snap, seed)
 		before := p.Stats.ChunkLoads.Load()
 		start := time.Now()
 		for _, path := range order {
-			if _, err := cl.Get(path); err != nil {
+			if _, err := ds.Get(ctx, path); err != nil {
 				log.Fatalf("spill epoch: %v", err)
 			}
 		}
@@ -207,7 +212,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer restarted.Close()
-	rcl, rpeer := restarted.Clients[0], restarted.Peers[0]
+	rcl, rpeer := restarted.Clients[0].DefaultDataset(), restarted.Peers[0]
 	chunks, bytes := rpeer.Rewarmed()
 	fmt.Printf("\nrestarted over the same spill dir: rewarmed %d chunks (%.1f MB) from local disk\n",
 		chunks, float64(bytes)/1e6)

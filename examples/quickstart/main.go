@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io/fs"
 	"log"
@@ -35,19 +36,20 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	wds := w.DefaultDataset() // the handle Connect opened on "demo"
 	for class := range 3 {
 		for i := range 40 {
 			path := fmt.Sprintf("train/class%d/img%03d.jpg", class, i)
 			data := fmt.Appendf(nil, "image bytes for %s", path)
-			if err := w.Put(path, data); err != nil {
+			if err := wds.Put(path, data); err != nil {
 				log.Fatal(err)
 			}
 		}
 	}
-	if err := w.Flush(); err != nil {
+	if err := wds.Flush(); err != nil {
 		log.Fatal(err)
 	}
-	rec, err := w.DatasetRecord()
+	rec, err := wds.DatasetRecord()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -57,7 +59,7 @@ func main() {
 	// 3. Save the metadata snapshot to disk (DL_save_meta), then load it
 	//    in a fresh client (DL_load_meta): all metadata ops become local.
 	snapPath := filepath.Join(mustTempDir(), "demo.snap")
-	if err := w.SaveMeta(snapPath); err != nil {
+	if err := wds.SaveMeta(snapPath); err != nil {
 		log.Fatal(err)
 	}
 	w.Close()
@@ -67,41 +69,43 @@ func main() {
 		log.Fatal(err)
 	}
 	defer r.Close()
-	if err := r.LoadMeta(snapPath); err != nil {
+	ds := r.DefaultDataset()
+	if err := ds.LoadMeta(snapPath); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("loaded snapshot: %s\n", r.Snapshot())
+	fmt.Printf("loaded snapshot: %s\n", ds.Snapshot())
 
 	// 4. Metadata from the snapshot (DL_ls, DL_stat) — no server traffic.
-	ents, err := r.Ls("train")
+	ents, err := ds.Ls("train")
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("train/ contains %d class directories\n", len(ents))
-	si, err := r.Stat("train/class1/img007.jpg")
+	si, err := ds.Stat("train/class1/img007.jpg")
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("stat train/class1/img007.jpg: %d bytes in chunk %s\n", si.Size, si.ChunkID)
 
 	// 5. Read through the API (DL_get) and the batched request executor.
-	b, err := r.Get("train/class2/img011.jpg")
+	ctx := context.Background()
+	b, err := ds.Get(ctx, "train/class2/img011.jpg")
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("DL_get: %q\n", b)
-	batch, err := r.GetBatch([]string{"train/class0/img000.jpg", "train/class0/img001.jpg", "train/class0/img002.jpg"})
+	batch, err := ds.GetBatch(ctx, []string{"train/class0/img000.jpg", "train/class0/img001.jpg", "train/class0/img002.jpg"})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("batched read returned %d files\n", len(batch))
 
 	// 6. Chunk-wise shuffled epoch order (DL_shuffle).
-	plan, err := r.ShufflePlan(1, 2)
+	plan, err := ds.ShufflePlan(1, 2)
 	if err != nil {
 		log.Fatal(err)
 	}
-	order := plan.Paths(r.Snapshot())
+	order := plan.Paths(ds.Snapshot())
 	fmt.Printf("chunk-wise shuffle: %d files in %d groups, first 3: %v\n",
 		len(order), len(plan.Groups), order[:3])
 

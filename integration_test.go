@@ -6,6 +6,7 @@ package diesel
 // injection on the metadata database and a cache master, and recovery.
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io/fs"
@@ -37,7 +38,11 @@ func TestEndToEndTrainingPipeline(t *testing.T) {
 	// 1. Data preparation: concurrent writers, verified contents.
 	spec := trace.Spec{Name: "e2e", NumFiles: 600, Classes: 12, MeanFileSize: 2048, SizeSpread: 0.5, Seed: 13}
 	if err := trace.Write(spec, func(w int) (trace.Putter, error) {
-		return dep.NewClient(spec.Name, 100+w)
+		c, err := dep.NewClient(spec.Name, 100+w)
+		if err != nil {
+			return nil, err
+		}
+		return c.DefaultDataset(), nil
 	}, 4); err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +65,7 @@ func TestEndToEndTrainingPipeline(t *testing.T) {
 
 	// 3. Two chunk-wise shuffled epochs with different seeds, all workers
 	//    reading their stride, every byte verified.
-	snap := task.Clients[0].Snapshot()
+	snap := task.Clients[0].DefaultDataset().Snapshot()
 	for epoch := range 2 {
 		plan := shuffle.ChunkWisePlan(snap, int64(epoch), 3)
 		order := make([]int, len(plan.Files))
@@ -73,7 +78,7 @@ func TestEndToEndTrainingPipeline(t *testing.T) {
 			order[i] = idx
 		}
 		if err := trace.ReadOrder(spec, func(w int) (trace.Getter, error) {
-			return task.Clients[w%len(task.Clients)], nil
+			return task.Clients[w%len(task.Clients)].DefaultDataset(), nil
 		}, len(task.Clients), order); err != nil {
 			t.Fatalf("epoch %d: %v", epoch, err)
 		}
@@ -115,10 +120,10 @@ func TestEndToEndTrainingPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fresh.Close()
-	if _, err := fresh.DownloadSnapshot(); err != nil {
+	if _, err := fresh.DefaultDataset().DownloadSnapshot(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := fresh.Get(spec.FileName(123))
+	got, err := fresh.DefaultDataset().Get(context.Background(), spec.FileName(123))
 	if err != nil || spec.Verify(123, got) != nil {
 		t.Fatalf("post-recovery read: %v", err)
 	}
@@ -132,7 +137,7 @@ func TestEndToEndTrainingPipeline(t *testing.T) {
 	}
 	dead.Close()
 	for i := 0; i < spec.NumFiles; i += 37 {
-		b, err := task.Clients[0].Get(spec.FileName(i))
+		b, err := task.Clients[0].DefaultDataset().Get(context.Background(), spec.FileName(i))
 		if err != nil {
 			t.Fatalf("read after master death: %v", err)
 		}
@@ -161,7 +166,11 @@ func TestSnapshotDistributionViaSharedFS(t *testing.T) {
 	defer dep.Close()
 	spec := trace.Spec{Name: "ds", NumFiles: 200, Classes: 4, MeanFileSize: 512, Seed: 4}
 	if err := trace.Write(spec, func(w int) (trace.Putter, error) {
-		return dep.NewClient("ds", w)
+		c, err := dep.NewClient("ds", w)
+		if err != nil {
+			return nil, err
+		}
+		return c.DefaultDataset(), nil
 	}, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +179,7 @@ func TestSnapshotDistributionViaSharedFS(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer builder.Close()
-	snap, err := builder.DownloadSnapshot()
+	snap, err := builder.DefaultDataset().DownloadSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +256,7 @@ func TestTrainModelFromDieselStorage(t *testing.T) {
 	}
 	for i := range samples {
 		// Class-sorted names in write order: the adversarial layout.
-		if err := w.Put(fmt.Sprintf("c%d/s%06d", ds.Y[i], i), encode(i)); err != nil {
+		if err := w.DefaultDataset().Put(fmt.Sprintf("c%d/s%06d", ds.Y[i], i), encode(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -261,18 +270,20 @@ func TestTrainModelFromDieselStorage(t *testing.T) {
 	}
 	defer task.Close()
 	cl := task.Clients[0]
-	snap := cl.Snapshot()
+	snap := cl.DefaultDataset().Snapshot()
 
 	m := train.NewMLP(dim, 16, classes, 7)
 	decoded := &train.SynthDataset{Classes: classes, Dim: dim}
 	decodedIdx := map[string]int32{}
 	for epoch := range 6 {
-		plan, err := cl.ShufflePlan(int64(epoch), 3)
+		plan, err := cl.DefaultDataset().ShufflePlan(int64(epoch), 3)
 		if err != nil {
 			t.Fatal(err)
 		}
 		order := plan.Paths(snap)
-		loader := train.NewLoader(cl.Get, order, train.LoaderConfig{Workers: 4, BatchSize: 32})
+		loader := train.New(train.FetchFunc(func(p string) ([]byte, error) {
+			return cl.DefaultDataset().Get(context.Background(), p)
+		}), order, train.WithWorkers(4), train.WithBatchSize(32))
 		for {
 			b, ok, err := loader.Next()
 			if err != nil {

@@ -8,8 +8,7 @@
 // pluggable reader (the task-grained distributed cache of §4.2 plugs in
 // there), and generates chunk-wise shuffled plans (§4.3).
 //
-// Paper API ↔ methods (on the Dataset handle; the *Client methods with
-// the same names are deprecated shims over the default handle):
+// Paper API ↔ methods (dataset operations live on the Dataset handle):
 //
 //	DL_connect    Connect (returns the connection; Dataset opens handles)
 //	DL_put        Dataset.Put
@@ -50,7 +49,6 @@ import (
 	"diesel/internal/meta"
 	"diesel/internal/obs"
 	"diesel/internal/server"
-	"diesel/internal/shuffle"
 	"diesel/internal/wire"
 )
 
@@ -63,8 +61,8 @@ type Options struct {
 	// them (the paper runs 1, 3 or 5 interchangeable servers).
 	Servers []string
 	// Dataset is the default dataset of this connection: Connect opens a
-	// handle on it, and the deprecated *Client dataset methods operate on
-	// that handle. Further handles come from Client.Dataset.
+	// handle on it (DefaultDataset), and a job registration binds to it.
+	// Further handles come from Client.Dataset.
 	Dataset string
 	// JobID, when non-empty, registers this connection as a training job
 	// in the server's job registry: the identity rides every wire
@@ -130,7 +128,7 @@ type Client struct {
 
 	dsMu    sync.Mutex
 	handles map[string]*Dataset
-	def     *Dataset // handle on Options.Dataset; target of the deprecated shims
+	def     *Dataset // handle on Options.Dataset
 
 	// Job lease machinery (nil/zero when Options.JobID is empty or the
 	// server predates the job registry).
@@ -158,8 +156,7 @@ var ErrNoSnapshot = errors.New("client: no metadata snapshot loaded")
 
 // ErrNoDataset is returned by Connect when Options.Dataset is empty:
 // DIESEL is dataset-based, and a connection without a default dataset has
-// nothing for the deprecated context methods (or the job registration) to
-// bind to.
+// nothing for DefaultDataset or the job registration to bind to.
 var ErrNoDataset = errors.New("client: Options.Dataset is empty")
 
 // Connect dials the DIESEL servers and returns a connection (DL_connect)
@@ -440,8 +437,7 @@ func retryDelay(base time.Duration, attempt int) time.Duration {
 // Rank returns the client's rank among the task's I/O workers.
 func (c *Client) Rank() int { return c.opts.Rank }
 
-// DefaultDataset returns the handle Connect opened on Options.Dataset —
-// the one the deprecated *Client dataset methods operate on.
+// DefaultDataset returns the handle Connect opened on Options.Dataset.
 func (c *Client) DefaultDataset() *Dataset { return c.def }
 
 // JobID returns the job identity this connection registered under, or ""
@@ -485,149 +481,3 @@ func (c *Client) Close() error {
 	}
 	return first
 }
-
-// --- deprecated shims over the default dataset handle ---
-//
-// These keep the pre-handle API compiling. Each delegates to the handle
-// Connect opened on Options.Dataset; new code should open handles with
-// Client.Dataset and use the context-first methods on them.
-
-// SetReader installs a read interceptor on the default handle.
-//
-// Deprecated: use Dataset.SetReader.
-func (c *Client) SetReader(r Reader) { c.def.SetReader(r) }
-
-// Snapshot returns the default handle's metadata snapshot, or nil.
-//
-// Deprecated: use Dataset.Snapshot.
-func (c *Client) Snapshot() *meta.Snapshot { return c.def.Snapshot() }
-
-// Put buffers one file for writing on the default handle.
-//
-// Deprecated: use Dataset.Put.
-func (c *Client) Put(path string, data []byte) error { return c.def.Put(path, data) }
-
-// Flush seals and ships the default handle's buffered files.
-//
-// Deprecated: use Dataset.Flush.
-func (c *Client) Flush() error {
-	if c.def == nil {
-		return nil // Connect failed before the default handle existed
-	}
-	return c.def.Flush()
-}
-
-// Get reads one file from the default handle.
-//
-// Deprecated: use Dataset.Get, which is context-first.
-func (c *Client) Get(path string) ([]byte, error) {
-	return c.def.Get(context.Background(), path)
-}
-
-// GetContext reads one file from the default handle under a context.
-//
-// Deprecated: use Dataset.Get.
-func (c *Client) GetContext(ctx context.Context, path string) ([]byte, error) {
-	return c.def.Get(ctx, path)
-}
-
-// GetDirect reads one file from a server, bypassing any installed cache.
-//
-// Deprecated: use Dataset.GetDirect, which is context-first.
-func (c *Client) GetDirect(path string) ([]byte, error) {
-	return c.def.GetDirect(context.Background(), path)
-}
-
-// GetDirectContext is GetDirect under a caller deadline/cancellation.
-//
-// Deprecated: use Dataset.GetDirect.
-func (c *Client) GetDirectContext(ctx context.Context, path string) ([]byte, error) {
-	return c.def.GetDirect(ctx, path)
-}
-
-// GetBatch reads many files in one server round trip.
-//
-// Deprecated: use Dataset.GetBatch, which is context-first.
-func (c *Client) GetBatch(paths []string) ([][]byte, error) {
-	return c.def.GetBatch(context.Background(), paths)
-}
-
-// GetBatchContext is GetBatch under a caller deadline/cancellation.
-//
-// Deprecated: use Dataset.GetBatch.
-func (c *Client) GetBatchContext(ctx context.Context, paths []string) ([][]byte, error) {
-	return c.def.GetBatch(ctx, paths)
-}
-
-// GetChunk fetches one whole encoded chunk from a server.
-//
-// Deprecated: use Dataset.GetChunk, which is context-first.
-func (c *Client) GetChunk(chunkID string) ([]byte, error) {
-	return c.def.GetChunk(context.Background(), chunkID)
-}
-
-// GetChunkContext is GetChunk under a caller deadline/cancellation.
-//
-// Deprecated: use Dataset.GetChunk.
-func (c *Client) GetChunkContext(ctx context.Context, chunkID string) ([]byte, error) {
-	return c.def.GetChunk(ctx, chunkID)
-}
-
-// Stat returns a file's metadata from the default handle.
-//
-// Deprecated: use Dataset.Stat.
-func (c *Client) Stat(path string) (StatInfo, error) { return c.def.Stat(path) }
-
-// Ls lists a directory on the default handle.
-//
-// Deprecated: use Dataset.Ls.
-func (c *Client) Ls(dir string) ([]Entry, error) { return c.def.Ls(dir) }
-
-// Delete removes a file on the default handle.
-//
-// Deprecated: use Dataset.Delete.
-func (c *Client) Delete(path string) error { return c.def.Delete(path) }
-
-// DatasetRecord fetches the default dataset's summary.
-//
-// Deprecated: use Dataset.DatasetRecord.
-func (c *Client) DatasetRecord() (meta.DatasetRecord, error) { return c.def.DatasetRecord() }
-
-// DownloadSnapshot downloads a fresh snapshot into the default handle.
-//
-// Deprecated: use Dataset.DownloadSnapshot.
-func (c *Client) DownloadSnapshot() (*meta.Snapshot, error) { return c.def.DownloadSnapshot() }
-
-// SaveMeta downloads the default dataset's snapshot to a local file.
-//
-// Deprecated: use Dataset.SaveMeta.
-func (c *Client) SaveMeta(path string) error { return c.def.SaveMeta(path) }
-
-// LoadMeta loads a snapshot from local disk into the default handle.
-//
-// Deprecated: use Dataset.LoadMeta.
-func (c *Client) LoadMeta(path string) error { return c.def.LoadMeta(path) }
-
-// ShufflePlan generates the default dataset's shuffled epoch plan.
-//
-// Deprecated: use Dataset.ShufflePlan.
-func (c *Client) ShufflePlan(seed int64, groupSize int) (*shuffle.Plan, error) {
-	return c.def.ShufflePlan(seed, groupSize)
-}
-
-// Recover rebuilds the default dataset's metadata from its chunks.
-//
-// Deprecated: use Dataset.Recover.
-func (c *Client) Recover(fromSec uint32) (scanned, skipped, pairs uint64, err error) {
-	return c.def.Recover(fromSec)
-}
-
-// Purge runs server-side housekeeping on the default dataset.
-//
-// Deprecated: use Dataset.Purge.
-func (c *Client) Purge() error { return c.def.Purge() }
-
-// DeleteDataset removes the default dataset entirely.
-//
-// Deprecated: use Dataset.DeleteDataset.
-func (c *Client) DeleteDataset() error { return c.def.DeleteDataset() }

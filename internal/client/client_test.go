@@ -2,6 +2,7 @@ package client
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -52,11 +53,11 @@ func writeDataset(t *testing.T, c *Client, n, sz int) map[string][]byte {
 		data := make([]byte, sz)
 		rng.Read(data)
 		files[name] = data
-		if err := c.Put(name, data); err != nil {
+		if err := c.DefaultDataset().Put(name, data); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := c.Flush(); err != nil {
+	if err := c.DefaultDataset().Flush(); err != nil {
 		t.Fatal(err)
 	}
 	return files
@@ -80,7 +81,7 @@ func TestPutFlushGet(t *testing.T) {
 	c := connect(t, addrs, "imagenet")
 	files := writeDataset(t, c, 100, 300)
 	for name, want := range files {
-		got, err := c.Get(name)
+		got, err := c.DefaultDataset().Get(context.Background(), name)
 		if err != nil {
 			t.Fatalf("Get(%q): %v", name, err)
 		}
@@ -88,7 +89,7 @@ func TestPutFlushGet(t *testing.T) {
 			t.Fatalf("Get(%q): mismatch", name)
 		}
 	}
-	if _, err := c.Get("train/none.jpg"); err == nil {
+	if _, err := c.DefaultDataset().Get(context.Background(), "train/none.jpg"); err == nil {
 		t.Error("missing file read succeeded")
 	}
 }
@@ -102,7 +103,7 @@ func TestGetBatch(t *testing.T) {
 		paths = append(paths, n)
 	}
 	paths = append(paths, "nope")
-	out, err := c.GetBatch(paths)
+	out, err := c.DefaultDataset().GetBatch(context.Background(), paths)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestMultiServerRoundRobin(t *testing.T) {
 	c := connect(t, addrs, "ds")
 	files := writeDataset(t, c, 90, 128)
 	for name, want := range files {
-		got, err := c.Get(name)
+		got, err := c.DefaultDataset().Get(context.Background(), name)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("multi-server Get(%q): %v", name, err)
 		}
@@ -137,14 +138,14 @@ func TestStatAndLs(t *testing.T) {
 	writeDataset(t, c, 32, 100)
 
 	// Without snapshot: server path.
-	si, err := c.Stat("train/cls03/img0003.jpg")
+	si, err := c.DefaultDataset().Stat("train/cls03/img0003.jpg")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if si.Size != 100 || si.ChunkID == "" {
 		t.Errorf("Stat = %+v", si)
 	}
-	ents, err := c.Ls("train")
+	ents, err := c.DefaultDataset().Ls("train")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,15 +157,15 @@ func TestStatAndLs(t *testing.T) {
 	}
 
 	// With snapshot: local path.
-	if _, err := c.DownloadSnapshot(); err != nil {
+	if _, err := c.DefaultDataset().DownloadSnapshot(); err != nil {
 		t.Fatal(err)
 	}
 	before := c.Stats.LocalMetaHits.Load()
-	si2, err := c.Stat("train/cls03/img0003.jpg")
+	si2, err := c.DefaultDataset().Stat("train/cls03/img0003.jpg")
 	if err != nil || si2.Size != 100 {
 		t.Fatalf("snapshot Stat: %+v, %v", si2, err)
 	}
-	ents2, err := c.Ls("train")
+	ents2, err := c.DefaultDataset().Ls("train")
 	if err != nil || len(ents2) != len(ents) {
 		t.Fatalf("snapshot Ls: %d entries, %v", len(ents2), err)
 	}
@@ -179,28 +180,28 @@ func TestSaveLoadMeta(t *testing.T) {
 	files := writeDataset(t, c, 40, 200)
 
 	snapPath := filepath.Join(t.TempDir(), "ds.snap")
-	if err := c.SaveMeta(snapPath); err != nil {
+	if err := c.DefaultDataset().SaveMeta(snapPath); err != nil {
 		t.Fatal(err)
 	}
 
 	// A second client loads the snapshot from disk.
 	c2 := connect(t, addrs, "ds")
-	if err := c2.LoadMeta(snapPath); err != nil {
+	if err := c2.DefaultDataset().LoadMeta(snapPath); err != nil {
 		t.Fatal(err)
 	}
-	if c2.Snapshot() == nil || c2.Snapshot().NumFiles() != len(files) {
+	if c2.DefaultDataset().Snapshot() == nil || c2.DefaultDataset().Snapshot().NumFiles() != len(files) {
 		t.Fatal("snapshot not installed")
 	}
 
 	// Mutating the dataset makes the snapshot stale.
-	if err := c.Put("extra/file.bin", []byte("new")); err != nil {
+	if err := c.DefaultDataset().Put("extra/file.bin", []byte("new")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Flush(); err != nil {
+	if err := c.DefaultDataset().Flush(); err != nil {
 		t.Fatal(err)
 	}
 	c3 := connect(t, addrs, "ds")
-	if err := c3.LoadMeta(snapPath); !errors.Is(err, meta.ErrStaleSnapshot) {
+	if err := c3.DefaultDataset().LoadMeta(snapPath); !errors.Is(err, meta.ErrStaleSnapshot) {
 		t.Fatalf("stale snapshot accepted: %v", err)
 	}
 }
@@ -210,11 +211,11 @@ func TestLoadMetaWrongDataset(t *testing.T) {
 	c := connect(t, addrs, "ds")
 	writeDataset(t, c, 5, 50)
 	p := filepath.Join(t.TempDir(), "s.snap")
-	if err := c.SaveMeta(p); err != nil {
+	if err := c.DefaultDataset().SaveMeta(p); err != nil {
 		t.Fatal(err)
 	}
 	other := connect(t, addrs, "different")
-	if err := other.LoadMeta(p); err == nil {
+	if err := other.DefaultDataset().LoadMeta(p); err == nil {
 		t.Fatal("snapshot for wrong dataset accepted")
 	}
 }
@@ -224,17 +225,17 @@ func TestShuffle(t *testing.T) {
 	c := connect(t, addrs, "ds")
 	files := writeDataset(t, c, 80, 100)
 
-	if _, err := c.ShufflePlan(1, 3); !errors.Is(err, ErrNoSnapshot) {
+	if _, err := c.DefaultDataset().ShufflePlan(1, 3); !errors.Is(err, ErrNoSnapshot) {
 		t.Fatalf("shuffle without snapshot: %v", err)
 	}
-	if _, err := c.DownloadSnapshot(); err != nil {
+	if _, err := c.DefaultDataset().DownloadSnapshot(); err != nil {
 		t.Fatal(err)
 	}
-	plan, err := c.ShufflePlan(1, 3)
+	plan, err := c.DefaultDataset().ShufflePlan(1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	order := plan.Paths(c.Snapshot())
+	order := plan.Paths(c.DefaultDataset().Snapshot())
 	if len(order) != len(files) {
 		t.Fatalf("order has %d files, want %d", len(order), len(files))
 	}
@@ -246,7 +247,7 @@ func TestShuffle(t *testing.T) {
 		seen[f] = true
 	}
 	// Reading in shuffled order returns correct contents.
-	out, err := c.GetBatch(order[:20])
+	out, err := c.DefaultDataset().GetBatch(context.Background(), order[:20])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,20 +263,20 @@ func TestDeleteAndPurge(t *testing.T) {
 	c := connect(t, addrs, "ds")
 	files := writeDataset(t, c, 30, 100)
 	victim := "train/cls01/img0001.jpg"
-	if err := c.Delete(victim); err != nil {
+	if err := c.DefaultDataset().Delete(victim); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Get(victim); err == nil {
+	if _, err := c.DefaultDataset().Get(context.Background(), victim); err == nil {
 		t.Error("deleted file readable")
 	}
-	if err := c.Purge(); err != nil {
+	if err := c.DefaultDataset().Purge(); err != nil {
 		t.Fatal(err)
 	}
 	for name, want := range files {
 		if name == victim {
 			continue
 		}
-		got, err := c.Get(name)
+		got, err := c.DefaultDataset().Get(context.Background(), name)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("post-purge Get(%q): %v", name, err)
 		}
@@ -286,10 +287,10 @@ func TestDeleteDataset(t *testing.T) {
 	addrs := startServers(t, 1)
 	c := connect(t, addrs, "ds")
 	writeDataset(t, c, 10, 64)
-	if err := c.DeleteDataset(); err != nil {
+	if err := c.DefaultDataset().DeleteDataset(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.DatasetRecord(); err == nil {
+	if _, err := c.DefaultDataset().DatasetRecord(); err == nil {
 		t.Error("dataset record survived DeleteDataset")
 	}
 }
@@ -300,14 +301,14 @@ func TestCloseFlushesPending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Put("small.bin", []byte("pending")); err != nil {
+	if err := c.DefaultDataset().Put("small.bin", []byte("pending")); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
 	c2 := connect(t, addrs, "ds")
-	got, err := c2.Get("small.bin")
+	got, err := c2.DefaultDataset().Get(context.Background(), "small.bin")
 	if err != nil || string(got) != "pending" {
 		t.Fatalf("pending write lost: %q, %v", got, err)
 	}
@@ -328,7 +329,7 @@ func TestConcurrentReaders(t *testing.T) {
 			defer wg.Done()
 			for i := range 50 {
 				name := names[(w*13+i)%len(names)]
-				got, err := c.Get(name)
+				got, err := c.DefaultDataset().Get(context.Background(), name)
 				if err != nil || !bytes.Equal(got, files[name]) {
 					t.Errorf("concurrent Get(%q): %v", name, err)
 					return
@@ -352,8 +353,8 @@ func TestReaderInterception(t *testing.T) {
 	c := connect(t, addrs, "ds")
 	writeDataset(t, c, 4, 32)
 	fr := &fakeReader{}
-	c.SetReader(fr)
-	got, err := c.Get("any/path")
+	c.DefaultDataset().SetReader(fr)
+	got, err := c.DefaultDataset().Get(context.Background(), "any/path")
 	if err != nil || string(got) != "from-cache:any/path" {
 		t.Fatalf("reader not used: %q, %v", got, err)
 	}
@@ -361,7 +362,7 @@ func TestReaderInterception(t *testing.T) {
 		t.Errorf("hits = %d", fr.hits)
 	}
 	// GetDirect bypasses the reader.
-	if _, err := c.GetDirect("train/cls00/img0000.jpg"); err != nil {
+	if _, err := c.DefaultDataset().GetDirect(context.Background(), "train/cls00/img0000.jpg"); err != nil {
 		t.Errorf("GetDirect through reader: %v", err)
 	}
 	if fr.hits != 1 {
@@ -382,7 +383,7 @@ func TestConcurrentWriters(t *testing.T) {
 			defer wg.Done()
 			for i := range per {
 				name := fmt.Sprintf("w%d/f%03d", w, i)
-				if err := c.Put(name, []byte(name)); err != nil {
+				if err := c.DefaultDataset().Put(name, []byte(name)); err != nil {
 					t.Errorf("Put(%q): %v", name, err)
 					return
 				}
@@ -390,17 +391,17 @@ func TestConcurrentWriters(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if err := c.Flush(); err != nil {
+	if err := c.DefaultDataset().Flush(); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := c.DatasetRecord()
+	rec, err := c.DefaultDataset().DatasetRecord()
 	if err != nil || rec.FileCount != workers*per {
 		t.Fatalf("record = %+v, %v", rec, err)
 	}
 	for w := range workers {
 		for i := range per {
 			name := fmt.Sprintf("w%d/f%03d", w, i)
-			b, err := c.Get(name)
+			b, err := c.DefaultDataset().Get(context.Background(), name)
 			if err != nil || string(b) != name {
 				t.Fatalf("Get(%q) = %q, %v", name, b, err)
 			}
@@ -415,27 +416,27 @@ func TestSameRankClientsDoNotCollide(t *testing.T) {
 	addrs := startServers(t, 1)
 	a := connect(t, addrs, "ds")
 	b := connect(t, addrs, "ds") // same Rank (0)
-	if err := a.Put("from-a", []byte("AAAA")); err != nil {
+	if err := a.DefaultDataset().Put("from-a", []byte("AAAA")); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Put("from-b", []byte("BBBB")); err != nil {
+	if err := b.DefaultDataset().Put("from-b", []byte("BBBB")); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Flush(); err != nil {
+	if err := a.DefaultDataset().Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Flush(); err != nil {
+	if err := b.DefaultDataset().Flush(); err != nil {
 		t.Fatal(err)
 	}
-	ga, err := a.Get("from-a")
+	ga, err := a.DefaultDataset().Get(context.Background(), "from-a")
 	if err != nil || string(ga) != "AAAA" {
 		t.Fatalf("from-a = %q, %v (chunk overwritten?)", ga, err)
 	}
-	gb, err := a.Get("from-b")
+	gb, err := a.DefaultDataset().Get(context.Background(), "from-b")
 	if err != nil || string(gb) != "BBBB" {
 		t.Fatalf("from-b = %q, %v", gb, err)
 	}
-	rec, _ := a.DatasetRecord()
+	rec, _ := a.DefaultDataset().DatasetRecord()
 	if rec.ChunkCount != 2 {
 		t.Errorf("ChunkCount = %d, want 2 distinct chunks", rec.ChunkCount)
 	}
@@ -450,10 +451,10 @@ func TestReservedCharacterValidation(t *testing.T) {
 		t.Error("dataset with '/' accepted")
 	}
 	c := connect(t, addrs, "ds")
-	if err := c.Put("weird|file.jpg", []byte("x")); err == nil {
+	if err := c.DefaultDataset().Put("weird|file.jpg", []byte("x")); err == nil {
 		t.Error("path with '|' accepted")
 	}
-	if err := c.Put("///", []byte("x")); err == nil {
+	if err := c.DefaultDataset().Put("///", []byte("x")); err == nil {
 		t.Error("empty-after-clean path accepted")
 	}
 }

@@ -73,13 +73,13 @@ func TestJobRegistrationOnConnect(t *testing.T) {
 func TestAnonymousClientStillWorks(t *testing.T) {
 	addrs := startServers(t, 1)
 	c := connect(t, addrs, "ds")
-	if err := c.Put("a.jpg", []byte("x")); err != nil {
+	if err := c.DefaultDataset().Put("a.jpg", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Flush(); err != nil {
+	if err := c.DefaultDataset().Flush(); err != nil {
 		t.Fatal(err)
 	}
-	b, err := c.Get("a.jpg")
+	b, err := c.DefaultDataset().Get(context.Background(), "a.jpg")
 	if err != nil {
 		t.Fatal(err)
 	}

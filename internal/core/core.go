@@ -109,7 +109,7 @@ func Deploy(cfg Config) (*Deployment, error) {
 		objects = cfg.Throttle
 	}
 	if cfg.SSDCacheBytes > 0 {
-		d.tiered = objstore.NewTiered(objstore.NewMemory(), objects, cfg.SSDCacheBytes)
+		d.tiered = objstore.NewTiered(nil, objects, cfg.SSDCacheBytes)
 		if cfg.CacheSpillDir != "" {
 			if _, err := d.tiered.EnableSpill(cfg.CacheSpillDir, cfg.CacheSpillBytes); err != nil {
 				return fail(fmt.Errorf("core: cache spill tier: %w", err))
@@ -284,7 +284,7 @@ func (d *Deployment) StartTask(cfg TaskConfig) (*Task, error) {
 			t.Close()
 			return nil, err
 		}
-		if _, err := cl.DownloadSnapshot(); err != nil {
+		if _, err := cl.DefaultDataset().DownloadSnapshot(); err != nil {
 			cl.Close()
 			t.Close()
 			return nil, err
@@ -321,7 +321,7 @@ func (d *Deployment) StartTask(cfg TaskConfig) (*Task, error) {
 			return nil, fmt.Errorf("core: join rank %d: %w", r.rank, r.err)
 		}
 		t.Peers[r.rank] = r.peer
-		t.Clients[r.rank].SetReader(r.peer)
+		t.Clients[r.rank].DefaultDataset().SetReader(r.peer)
 	}
 	return t, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -49,7 +50,7 @@ func TestEndToEndWriteReadThroughDeployment(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return c, nil
+		return c.DefaultDataset(), nil
 	}, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -64,10 +65,10 @@ func TestEndToEndWriteReadThroughDeployment(t *testing.T) {
 	for i := range order {
 		order[i] = i
 	}
-	if err := trace.ReadOrder(spec, func(int) (trace.Getter, error) { return reader, nil }, 3, order); err != nil {
+	if err := trace.ReadOrder(spec, func(int) (trace.Getter, error) { return reader.DefaultDataset(), nil }, 3, order); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := reader.DatasetRecord()
+	rec, err := reader.DefaultDataset().DatasetRecord()
 	if err != nil || rec.FileCount != uint64(spec.NumFiles) {
 		t.Fatalf("record = %+v, %v", rec, err)
 	}
@@ -81,7 +82,7 @@ func TestStartTaskFullPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range spec.NumFiles {
-		if err := w.Put(spec.FileName(i), spec.FileData(i)); err != nil {
+		if err := w.DefaultDataset().Put(spec.FileName(i), spec.FileData(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -109,13 +110,13 @@ func TestStartTaskFullPipeline(t *testing.T) {
 	}
 
 	// Shuffled epoch through the cache, verified.
-	plan, err := task.Clients[0].ShufflePlan(1, 2)
+	plan, err := task.Clients[0].DefaultDataset().ShufflePlan(1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	order := plan.Paths(task.Clients[0].Snapshot())
+	order := plan.Paths(task.Clients[0].DefaultDataset().Snapshot())
 	for _, path := range order {
-		b, err := task.Clients[3].Get(path)
+		b, err := task.Clients[3].DefaultDataset().Get(context.Background(), path)
 		if err != nil {
 			t.Fatalf("Get(%q): %v", path, err)
 		}
@@ -145,11 +146,11 @@ func TestDeployWithDiskAndSSDTier(t *testing.T) {
 	defer cl.Close()
 	content := bytes.Repeat([]byte("x"), 2000)
 	for i := range 10 {
-		if err := cl.Put(fmt.Sprintf("f%02d", i), content); err != nil {
+		if err := cl.DefaultDataset().Put(fmt.Sprintf("f%02d", i), content); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := cl.Flush(); err != nil {
+	if err := cl.DefaultDataset().Flush(); err != nil {
 		t.Fatal(err)
 	}
 	// A batched read merges into a whole-chunk fetch, which promotes the
@@ -158,13 +159,13 @@ func TestDeployWithDiskAndSSDTier(t *testing.T) {
 	for i := range paths {
 		paths[i] = fmt.Sprintf("f%02d", i)
 	}
-	if _, err := cl.GetBatch(paths); err != nil {
+	if _, err := cl.DefaultDataset().GetBatch(context.Background(), paths); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.GetBatch(paths); err != nil {
+	if _, err := cl.DefaultDataset().GetBatch(context.Background(), paths); err != nil {
 		t.Fatal(err)
 	}
-	if d.Tiered().Hits == 0 {
+	if d.Tiered().HitCount() == 0 {
 		t.Error("SSD tier never hit")
 	}
 }

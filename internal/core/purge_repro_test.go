@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -24,7 +25,7 @@ func TestPurgeAfterFullyDeletedChunk(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range 500 {
-		if err := w.Put(fmt.Sprintf("train/c%02d/f%04d.bin", i%10, i), []byte("datadata")); err != nil {
+		if err := w.DefaultDataset().Put(fmt.Sprintf("train/c%02d/f%04d.bin", i%10, i), []byte("datadata")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -38,7 +39,7 @@ func TestPurgeAfterFullyDeletedChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w2.Put("docs/hello.txt", []byte("hello from verify")); err != nil {
+	if err := w2.DefaultDataset().Put("docs/hello.txt", []byte("hello from verify")); err != nil {
 		t.Fatal(err)
 	}
 	w2.Close()
@@ -49,32 +50,32 @@ func TestPurgeAfterFullyDeletedChunk(t *testing.T) {
 	}
 	defer c.Close()
 
-	if err := c.Delete("docs/hello.txt"); err != nil {
+	if err := c.DefaultDataset().Delete("docs/hello.txt"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Purge(); err != nil {
+	if err := c.DefaultDataset().Purge(); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := c.DatasetRecord()
+	rec, err := c.DefaultDataset().DatasetRecord()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rec.FileCount != 500 || rec.ChunkCount != 1 {
 		t.Fatalf("after purge: %+v", rec)
 	}
-	if _, err := c.Get("train/c07/f0007.bin"); err != nil {
+	if _, err := c.DefaultDataset().Get(context.Background(), "train/c07/f0007.bin"); err != nil {
 		t.Fatalf("read after purge: %v", err)
 	}
 
 	// Now the second deletion (probe 4 in the CLI session).
-	if err := c.Delete("train/c01/f0011.bin"); err != nil {
+	if err := c.DefaultDataset().Delete("train/c01/f0011.bin"); err != nil {
 		t.Fatal(err)
 	}
-	rec, _ = c.DatasetRecord()
+	rec, _ = c.DefaultDataset().DatasetRecord()
 	if rec.FileCount != 499 || rec.ChunkCount != 1 {
 		t.Fatalf("after rm: %+v", rec)
 	}
-	if _, err := c.Get("train/c07/f0007.bin"); err != nil {
+	if _, err := c.DefaultDataset().Get(context.Background(), "train/c07/f0007.bin"); err != nil {
 		t.Fatalf("read after rm: %v", err)
 	}
 	_ = objstore.Memory{}

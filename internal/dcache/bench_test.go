@@ -43,7 +43,7 @@ func benchPeerShared(b *testing.B, nFiles, fileSize int, shared *SharedCache) (*
 	for i := range nFiles {
 		rng.Read(data)
 		names[i] = fmt.Sprintf("cls%02d/img%05d.jpg", i%5, i)
-		if err := w.Put(names[i], data); err != nil {
+		if err := w.DefaultDataset().Put(names[i], data); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -56,7 +56,7 @@ func benchPeerShared(b *testing.B, nFiles, fileSize int, shared *SharedCache) (*
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { cl.Close() })
-	if _, err := cl.DownloadSnapshot(); err != nil {
+	if _, err := cl.DefaultDataset().DownloadSnapshot(); err != nil {
 		b.Fatal(err)
 	}
 	reg := etcd.InProcess{R: etcd.NewRegistry()}

@@ -33,6 +33,7 @@ import (
 	"diesel/internal/meta"
 	"diesel/internal/obs"
 	"diesel/internal/spill"
+	"diesel/internal/tier"
 	"diesel/internal/tracing"
 	"diesel/internal/wire"
 )
@@ -148,11 +149,10 @@ type Peer struct {
 	pools map[string]*wire.Pool // master addr → pool
 	pmu   sync.Mutex
 
-	store  *chunkStore  // non-nil on masters; the shared cache's store when Config.Shared is set
+	store  *tier.Store  // non-nil on masters; the shared cache's store when Config.Shared is set
 	shared *SharedCache // non-nil when this peer joined a shared cache
 
-	ownsSpill bool            // this peer opened its private store's spill log (Close closes it)
-	rewarmed  spill.Recovered // what the spill manifest replayed at Join
+	rewarmed spill.Recovered // what the private store's spill manifest replayed at Join
 
 	// inflight deduplicates concurrent loads of the same chunk: the
 	// Oneshot prefetch, peer requests and local reads may race on a chunk,
@@ -174,9 +174,9 @@ type Peer struct {
 
 // inflightLoad carries one in-progress chunk fetch and its outcome.
 type inflightLoad struct {
-	done chan struct{}
-	cc   *cachedChunk
-	err  error
+	done    chan struct{}
+	payload []byte
+	err     error
 }
 
 // masterHealth is a tiny per-remote-master circuit breaker: DeadAfter
@@ -382,16 +382,14 @@ func Join(ds *client.Dataset, reg Registrar, cfg Config) (*Peer, error) {
 		if p.shared != nil {
 			p.store = p.shared.store
 		} else {
-			p.store = newChunkStore(cfg.CapacityBytes)
+			p.store = newStore(cfg.CapacityBytes)
 			if cfg.SpillDir != "" {
-				rec, err := p.store.enableSpill(spill.Config{
-					Dir: cfg.SpillDir, CapacityBytes: cfg.SpillBytes,
-				})
+				rec, err := p.store.EnableSpill(cfg.SpillDir, cfg.SpillBytes)
 				if err != nil {
+					p.store.Close()
 					p.srv.Close()
 					return nil, fmt.Errorf("dcache: spill: %w", err)
 				}
-				p.ownsSpill = true
 				p.rewarmed = rec
 			}
 		}
@@ -466,14 +464,14 @@ func (p *Peer) LoadOwned() error {
 }
 
 // loadChunk ensures chunk ci is cached locally, fetching it from a DIESEL
-// server if needed, and returns it. Concurrent loads of the same chunk
-// coalesce into a single server fetch whose result — success or failure —
-// is shared with every waiter; a failed fetch therefore costs one RPC, not
-// one per blocked reader.
-func (p *Peer) loadChunk(ctx context.Context, ci int) (*cachedChunk, error) {
+// server if needed, and returns its payload. Concurrent loads of the same
+// chunk coalesce into a single server fetch whose result — success or
+// failure — is shared with every waiter; a failed fetch therefore costs
+// one RPC, not one per blocked reader.
+func (p *Peer) loadChunk(ctx context.Context, ci int) ([]byte, error) {
 	key := p.storeKeys[ci]
-	if cc := p.store.get(key); cc != nil {
-		return cc, nil
+	if payload, ok := p.store.Get(key); ok {
+		return payload, nil
 	}
 	p.inflight.mu.Lock()
 	fl, loading := p.inflight.m[key]
@@ -484,7 +482,7 @@ func (p *Peer) loadChunk(ctx context.Context, ci int) (*cachedChunk, error) {
 	p.inflight.mu.Unlock()
 	if loading {
 		<-fl.done
-		return fl.cc, fl.err
+		return fl.payload, fl.err
 	}
 	id := p.chunkIDs[ci]
 	sp := tracing.ChildOf(ctx, "dcache.loadChunk")
@@ -495,11 +493,12 @@ func (p *Peer) loadChunk(ctx context.Context, ci int) (*cachedChunk, error) {
 	// Promotion beats a server fetch: a chunk demoted to the spill tier
 	// (or left there by a previous incarnation of this trainer) comes
 	// back checksum-verified at local-disk bandwidth.
-	if cc, ok := p.promoteFromSpill(key); ok {
+	if payload, ok := p.store.LoadSpill(key); ok {
 		sp.SetAttr("source", "spill")
-		fl.cc, fl.err = cc, nil
+		p.cache(key, payload)
+		fl.payload = payload
 	} else {
-		fl.cc, fl.err = p.fetchChunk(ctx, key, id)
+		fl.payload, fl.err = p.fetchChunk(ctx, key, id)
 	}
 	sp.SetError(fl.err)
 	sp.End()
@@ -507,7 +506,7 @@ func (p *Peer) loadChunk(ctx context.Context, ci int) (*cachedChunk, error) {
 	delete(p.inflight.m, key)
 	p.inflight.mu.Unlock()
 	close(fl.done)
-	return fl.cc, fl.err
+	return fl.payload, fl.err
 }
 
 // fetchChunk pulls one chunk from a DIESEL server into the store. A chunk
@@ -516,7 +515,7 @@ func (p *Peer) loadChunk(ctx context.Context, ci int) (*cachedChunk, error) {
 // The fetcher's context governs the server RPC; coalesced waiters share
 // its outcome, so a cancelled fetcher fails its waiters once and the next
 // read starts a fresh fetch.
-func (p *Peer) fetchChunk(ctx context.Context, key, id string) (*cachedChunk, error) {
+func (p *Peer) fetchChunk(ctx context.Context, key, id string) ([]byte, error) {
 	blob, err := p.ds.GetChunk(ctx, id)
 	if err != nil {
 		return nil, fmt.Errorf("dcache: load chunk %s: %w", id, err)
@@ -525,22 +524,33 @@ func (p *Peer) fetchChunk(ctx context.Context, key, id string) (*cachedChunk, er
 	if err != nil {
 		return nil, fmt.Errorf("dcache: chunk %s corrupt: %w", id, err)
 	}
-	cc := newCachedChunk(ck)
+	// Only the payload is kept: file extraction needs nothing else (offsets
+	// come from the metadata snapshot), and payload-only is exactly what
+	// the spill tier stores, so demotion and promotion move no header bytes.
+	payload := ck.Payload()
+	p.Stats.ChunkLoads.Add(1)
+	p.Stats.BytesLoaded.Add(uint64(len(blob)))
+	mChunkLoads.Inc()
+	mBytesLoaded.Add(uint64(len(blob)))
+	if !p.cache(key, payload) {
+		mOversized.Inc()
+	}
+	return payload, nil
+}
+
+// cache inserts a loaded or promoted payload into the RAM store,
+// reporting whether it fit. The store never invalidates chunk keys
+// (chunks are immutable), so the insert carries the key's current
+// generation. On a shared cache, eviction prefers cold datasets.
+func (p *Peer) cache(key string, payload []byte) bool {
 	var prefer func(string) bool
 	if p.shared != nil {
 		prefer = p.shared.coldMemo()
 	}
-	evicted, cached := p.store.put(key, p.dataset, cc, prefer)
-	p.Stats.ChunkLoads.Add(1)
-	p.Stats.BytesLoaded.Add(uint64(len(blob)))
+	evicted, cached := p.store.Put(key, payload, p.store.Gen(key), prefer)
 	p.Stats.Evictions.Add(evicted)
-	mChunkLoads.Inc()
-	mBytesLoaded.Add(uint64(len(blob)))
 	mEvictions.Add(evicted)
-	if !cached {
-		mOversized.Inc()
-	}
-	return cc, nil
+	return cached
 }
 
 // notePrefetchError records a background Oneshot prefetch failure so it is
@@ -584,27 +594,6 @@ func (p *Peer) handleCacheGet(ctx context.Context, payload []byte) ([]byte, erro
 	return e.Bytes(), nil
 }
 
-// promoteFromSpill pulls a whole chunk payload back out of the spill
-// tier into the RAM store (the checksum-verified promotion read). The
-// spill entry stays behind: chunks are immutable, so if the promoted
-// copy is evicted again the demotion is index-only, no second write.
-func (p *Peer) promoteFromSpill(key string) (*cachedChunk, bool) {
-	payload, ok := p.store.spillLoad(key)
-	if !ok {
-		p.store.spillMissed()
-		return nil, false
-	}
-	cc := &cachedChunk{payload: payload}
-	var prefer func(string) bool
-	if p.shared != nil {
-		prefer = p.shared.coldMemo()
-	}
-	evicted, _ := p.store.put(key, p.dataset, cc, prefer)
-	p.Stats.Evictions.Add(evicted)
-	mEvictions.Add(evicted)
-	return cc, true
-}
-
 // readLocal serves a path from this master's own cache. With view set the
 // returned slice is a read-only window into the cached chunk; otherwise
 // it is an owned copy.
@@ -621,31 +610,22 @@ func (p *Peer) readLocal(ctx context.Context, path string, view bool) ([]byte, e
 		return nil, err
 	}
 	key := p.storeKeys[m.ChunkIdx]
-	if cc := p.store.get(key); cc != nil {
-		if view {
-			return cc.fileView(m)
-		}
-		return cc.file(m)
+	if payload, ok := p.store.Get(key); ok {
+		return fileOf(payload, m, view)
 	}
-	if b, hits, ok := p.store.spillRead(key, m.Offset, m.Length); ok {
+	if b, hits, ok := p.store.ReadSpill(key, int64(m.Offset), int64(m.Length)); ok {
 		if p.cfg.SpillPromoteAfter > 0 && hits >= p.cfg.SpillPromoteAfter {
-			if cc, err := p.loadChunk(ctx, m.ChunkIdx); err == nil {
-				if view {
-					return cc.fileView(m)
-				}
-				return cc.file(m)
+			if payload, err := p.loadChunk(ctx, m.ChunkIdx); err == nil {
+				return fileOf(payload, m, view)
 			}
 		}
 		return b, nil
 	}
-	cc, err := p.loadChunk(ctx, m.ChunkIdx)
+	payload, err := p.loadChunk(ctx, m.ChunkIdx)
 	if err != nil {
 		return nil, err
 	}
-	if view {
-		return cc.fileView(m)
-	}
-	return cc.file(m)
+	return fileOf(payload, m, view)
 }
 
 // ReadFile implements client.Reader: the read flow of Figure 4. The
@@ -808,7 +788,7 @@ func (p *Peer) CachedBytes() int64 {
 	if p.store == nil {
 		return 0
 	}
-	return p.store.bytes()
+	return p.store.Bytes()
 }
 
 // CachedChunks reports how many chunks this master holds.
@@ -816,14 +796,14 @@ func (p *Peer) CachedChunks() int {
 	if p.store == nil {
 		return 0
 	}
-	return p.store.count()
+	return p.store.Count()
 }
 
 // DropAll empties this master's cache (failure injection for recovery
 // experiments).
 func (p *Peer) DropAll() {
 	if p.store != nil {
-		p.store.clear()
+		p.store.Clear()
 	}
 }
 
@@ -837,8 +817,8 @@ func (p *Peer) Close() error {
 	if p.shared != nil {
 		p.shared.Release(p.dataset)
 	}
-	if p.ownsSpill {
-		p.store.closeSpill()
+	if p.store != nil && p.shared == nil {
+		p.store.Close()
 	}
 	var first error
 	if p.srv != nil {
@@ -853,45 +833,22 @@ func (p *Peer) Close() error {
 	return first
 }
 
-// --- cached chunks: the unit the sharded store (store.go) holds ---
-
-// cachedChunk holds one chunk's payload bytes. Only the payload is kept:
-// file extraction needs nothing else (offsets come from the metadata
-// snapshot), and payload-only is exactly what the spill tier stores, so
-// demotion writes and promotion reads move no header bytes.
-type cachedChunk struct {
-	// payload is a plain GC-owned slice — never pooled, never unmapped.
-	// That is the PR 6 ownership rule that keeps FileViews valid across
-	// eviction, demotion and promotion: each of those only drops or
-	// creates *references*; the GC frees the bytes once the last view is
-	// gone.
-	payload []byte
-}
-
-func newCachedChunk(ck *chunk.Chunk) *cachedChunk { return &cachedChunk{payload: ck.Payload()} }
-
-func (cc *cachedChunk) size() int64 { return int64(len(cc.payload)) }
-
-// fileView extracts one file's bytes as a read-only window into the
-// cached chunk — no copy. Chunk buffers are plain GC-owned slices (never
-// pooled), so a view stays valid even after its chunk is evicted from the
-// store: eviction drops the store's reference, and the GC frees the chunk
-// only once the last view is gone.
-func (cc *cachedChunk) fileView(m meta.FileMeta) ([]byte, error) {
+// fileOf extracts one file's bytes from a cached chunk payload: with view
+// set a read-only window into it — no copy — otherwise an owned copy, the
+// mutable-slice contract of the public ReadFile API.
+//
+// Payloads are plain GC-owned slices — never pooled, never unmapped. That
+// is the PR 6 ownership rule that keeps views valid across eviction,
+// demotion and promotion: each of those only drops or creates
+// *references*; the GC frees the bytes once the last view is gone.
+func fileOf(payload []byte, m meta.FileMeta, view bool) ([]byte, error) {
 	end := m.Offset + m.Length
-	if end < m.Offset || end > uint64(len(cc.payload)) {
+	if end < m.Offset || end > uint64(len(payload)) {
 		return nil, fmt.Errorf("dcache: file range [%d,%d) outside chunk payload %d",
-			m.Offset, end, len(cc.payload))
+			m.Offset, end, len(payload))
 	}
-	return cc.payload[m.Offset:end:end], nil
-}
-
-// file extracts one file's bytes as an owned copy — the mutable-slice
-// contract of the public ReadFile API.
-func (cc *cachedChunk) file(m meta.FileMeta) ([]byte, error) {
-	v, err := cc.fileView(m)
-	if err != nil {
-		return nil, err
+	if view {
+		return payload[m.Offset:end:end], nil
 	}
-	return append([]byte(nil), v...), nil
+	return append([]byte(nil), payload[m.Offset:end]...), nil
 }

@@ -2,6 +2,7 @@ package dcache
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -45,7 +46,7 @@ func newFixture(t *testing.T, nFiles, fileSize int, layout []string, policy Poli
 		data := make([]byte, fileSize)
 		rng.Read(data)
 		files[name] = data
-		if err := w.Put(name, data); err != nil {
+		if err := w.DefaultDataset().Put(name, data); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -64,7 +65,7 @@ func newFixture(t *testing.T, nFiles, fileSize int, layout []string, policy Poli
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := cl.DownloadSnapshot(); err != nil {
+		if _, err := cl.DefaultDataset().DownloadSnapshot(); err != nil {
 			t.Fatal(err)
 		}
 		f.cls[rank] = cl
@@ -81,7 +82,7 @@ func newFixture(t *testing.T, nFiles, fileSize int, layout []string, policy Poli
 				return
 			}
 			f.peers[rank] = p
-			cl.SetReader(p)
+			cl.DefaultDataset().SetReader(p)
 		}(rank, node)
 	}
 	wg.Wait()
@@ -145,7 +146,7 @@ func TestReadThroughCacheCorrectness(t *testing.T) {
 	f := newFixture(t, 100, 256, []string{"nodeA", "nodeA", "nodeB"}, OnDemand, 0)
 	for name, want := range f.files {
 		for rank := range f.peers {
-			got, err := f.cls[rank].Get(name)
+			got, err := f.cls[rank].DefaultDataset().Get(context.Background(), name)
 			if err != nil {
 				t.Fatalf("rank %d Get(%q): %v", rank, name, err)
 			}
@@ -185,7 +186,7 @@ func TestOneshotPrefetch(t *testing.T) {
 	// Reads are all hits now: no further chunk loads.
 	loadsBefore := f.peers[0].Stats.ChunkLoads.Load() + f.peers[1].Stats.ChunkLoads.Load()
 	for name := range f.files {
-		if _, err := f.cls[0].Get(name); err != nil {
+		if _, err := f.cls[0].DefaultDataset().Get(context.Background(), name); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -208,7 +209,7 @@ func TestMasterFailureContained(t *testing.T) {
 	// Rank 0 can still read everything: chunks owned by the dead master
 	// fall back to the DIESEL server.
 	for name, want := range f.files {
-		got, err := f.cls[0].Get(name)
+		got, err := f.cls[0].DefaultDataset().Get(context.Background(), name)
 		if err != nil {
 			t.Fatalf("Get(%q) after master death: %v", name, err)
 		}
@@ -252,7 +253,7 @@ func TestCapacityEviction(t *testing.T) {
 	// Capacity of ~2 chunks: reads must still be correct, with evictions.
 	f := newFixture(t, 100, 256, []string{"a"}, OnDemand, 2*4096+100)
 	for name, want := range f.files {
-		got, err := f.cls[0].Get(name)
+		got, err := f.cls[0].DefaultDataset().Get(context.Background(), name)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("Get(%q) under memory pressure: %v", name, err)
 		}
@@ -286,11 +287,11 @@ func TestJoinBarrierTimeout(t *testing.T) {
 	rpc, _ := server.NewRPC(core, "127.0.0.1:0")
 	defer rpc.Close()
 	w, _ := client.Connect(client.Options{Servers: []string{rpc.Addr()}, Dataset: "ds"})
-	w.Put("f", []byte("x"))
+	w.DefaultDataset().Put("f", []byte("x"))
 	w.Close()
 	cl, _ := client.Connect(client.Options{Servers: []string{rpc.Addr()}, Dataset: "ds"})
 	defer cl.Close()
-	cl.DownloadSnapshot()
+	cl.DefaultDataset().DownloadSnapshot()
 	reg := etcd.InProcess{R: etcd.NewRegistry()}
 	_, err := Join(cl.DefaultDataset(), reg, Config{
 		TaskID: "t", NodeID: "n", Rank: 0, TotalClients: 3,
@@ -314,7 +315,7 @@ func TestConcurrentReadersThroughCache(t *testing.T) {
 			defer wg.Done()
 			for i := range 100 {
 				name := names[(rank*31+i)%len(names)]
-				got, err := f.cls[rank].Get(name)
+				got, err := f.cls[rank].DefaultDataset().Get(context.Background(), name)
 				if err != nil || !bytes.Equal(got, f.files[name]) {
 					t.Errorf("rank %d concurrent Get(%q): %v", rank, name, err)
 					return
@@ -334,7 +335,7 @@ func TestTopologyPeersDialOnlyMasters(t *testing.T) {
 	f := newFixture(t, 90, 128, layout, OnDemand, 0)
 	for name := range f.files {
 		for rank := range f.peers {
-			if _, err := f.cls[rank].Get(name); err != nil {
+			if _, err := f.cls[rank].DefaultDataset().Get(context.Background(), name); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -372,7 +373,7 @@ func TestJoinThroughNetworkedRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range 40 {
-		w.Put(fmt.Sprintf("f%03d", i), bytes.Repeat([]byte{byte(i)}, 64))
+		w.DefaultDataset().Put(fmt.Sprintf("f%03d", i), bytes.Repeat([]byte{byte(i)}, 64))
 	}
 	w.Close()
 
@@ -391,7 +392,7 @@ func TestJoinThroughNetworkedRegistry(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer cl.Close()
-		if _, err := cl.DownloadSnapshot(); err != nil {
+		if _, err := cl.DefaultDataset().DownloadSnapshot(); err != nil {
 			t.Fatal(err)
 		}
 		rc, err := etcd.Dial(reg.Addr())
@@ -407,7 +408,7 @@ func TestJoinThroughNetworkedRegistry(t *testing.T) {
 			})
 			peers[rank], errs[rank] = p, err
 			if err == nil {
-				cl.SetReader(p)
+				cl.DefaultDataset().SetReader(p)
 			}
 		}(rank, cl, rc)
 	}

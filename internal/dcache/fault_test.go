@@ -10,62 +10,11 @@ import (
 	"testing"
 	"time"
 
-	"diesel/internal/chunk"
 	"diesel/internal/client"
 	"diesel/internal/etcd"
 	"diesel/internal/server"
 	"diesel/internal/wire"
 )
-
-// buildTestCachedChunk seals payloadSize bytes into a parsed chunk, the
-// unit chunkStore caches.
-func buildTestCachedChunk(t *testing.T, payloadSize int) *cachedChunk {
-	t.Helper()
-	gen := chunk.NewIDGenerator(func() uint32 { return 1 })
-	b := chunk.NewBuilder(1<<30, gen, func() int64 { return 1 })
-	if _, err := b.Add("f", make([]byte, payloadSize)); err != nil {
-		t.Fatal(err)
-	}
-	// Seal already returns the fully encoded chunk bytes.
-	_, encoded, err := b.Seal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck, err := chunk.Parse(encoded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return newCachedChunk(ck)
-}
-
-// TestChunkStoreRejectsOversized is the regression test for the
-// accounting bug where a chunk larger than the whole capacity evicted
-// everything and was inserted anyway, leaving used > capacity forever.
-func TestChunkStoreRejectsOversized(t *testing.T) {
-	s := newChunkStore(1000)
-	small := buildTestCachedChunk(t, 100)
-	if _, cached := s.put("small", "", small, nil); !cached {
-		t.Fatal("chunk within capacity refused")
-	}
-	big := buildTestCachedChunk(t, 5000)
-	evicted, cached := s.put("big", "", big, nil)
-	if cached {
-		t.Error("chunk larger than the whole capacity was cached")
-	}
-	if evicted != 0 {
-		t.Errorf("oversized insert evicted %d resident chunks for nothing", evicted)
-	}
-	// The resident chunk survived and accounting is intact.
-	if s.get("small") == nil {
-		t.Error("oversized insert destroyed the resident chunk")
-	}
-	if got := s.bytes(); got != small.size() {
-		t.Errorf("used = %d, want %d", got, small.size())
-	}
-	if s.bytes() > 1000 {
-		t.Errorf("store over capacity: %d > 1000", s.bytes())
-	}
-}
 
 // TestOversizedChunkReadThrough verifies reads stay correct when every
 // chunk is bigger than the cache: they are served read-through, the store
@@ -74,7 +23,7 @@ func TestOversizedChunkReadThrough(t *testing.T) {
 	// ~4096-byte chunks against a 1000-byte cache.
 	f := newFixture(t, 60, 256, []string{"a"}, OnDemand, 1000)
 	for name, want := range f.files {
-		got, err := f.cls[0].Get(name)
+		got, err := f.cls[0].DefaultDataset().Get(context.Background(), name)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("Get(%q) with oversized chunks: %v", name, err)
 		}
@@ -119,7 +68,7 @@ func newFaultFixture(t *testing.T, nFiles, fileSize int, layout []string, base C
 		data := make([]byte, fileSize)
 		rng.Read(data)
 		files[name] = data
-		if err := w.Put(name, data); err != nil {
+		if err := w.DefaultDataset().Put(name, data); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -139,7 +88,7 @@ func newFaultFixture(t *testing.T, nFiles, fileSize int, layout []string, base C
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := cl.DownloadSnapshot(); err != nil {
+		if _, err := cl.DefaultDataset().DownloadSnapshot(); err != nil {
 			t.Fatal(err)
 		}
 		f.cls[rank] = cl
@@ -155,7 +104,7 @@ func newFaultFixture(t *testing.T, nFiles, fileSize int, layout []string, base C
 				return
 			}
 			f.peers[rank] = p
-			cl.SetReader(p)
+			cl.DefaultDataset().SetReader(p)
 		}(rank, node)
 	}
 	wg.Wait()
@@ -189,7 +138,7 @@ func TestCoalescedFetchSharesError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := del.DeleteDataset(); err != nil {
+	if err := del.DefaultDataset().DeleteDataset(); err != nil {
 		t.Fatal(err)
 	}
 	del.Close()
@@ -237,7 +186,7 @@ func TestPrefetchErrorRecorded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range 30 {
-		if err := w.Put(fmt.Sprintf("f%03d", i), bytes.Repeat([]byte{byte(i)}, 128)); err != nil {
+		if err := w.DefaultDataset().Put(fmt.Sprintf("f%03d", i), bytes.Repeat([]byte{byte(i)}, 128)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -250,7 +199,7 @@ func TestPrefetchErrorRecorded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if _, err := cl.DownloadSnapshot(); err != nil {
+	if _, err := cl.DefaultDataset().DownloadSnapshot(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -260,7 +209,7 @@ func TestPrefetchErrorRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := del.DeleteDataset(); err != nil {
+	if err := del.DefaultDataset().DeleteDataset(); err != nil {
 		t.Fatal(err)
 	}
 	del.Close()
@@ -305,7 +254,7 @@ func TestDeadMasterFallbackAndRevival(t *testing.T) {
 
 	// Healthy epoch: peer reads work, nothing falls back.
 	for name, want := range f.files {
-		got, err := f.cls[0].Get(name)
+		got, err := f.cls[0].DefaultDataset().Get(context.Background(), name)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("healthy Get(%q): %v", name, err)
 		}
@@ -326,7 +275,7 @@ func TestDeadMasterFallbackAndRevival(t *testing.T) {
 	fallbackGlobalBefore := mFallbacks.Load()
 	localBefore := p0.Stats.LocalHits.Load()
 	for name, want := range f.files {
-		got, err := f.cls[0].Get(name)
+		got, err := f.cls[0].DefaultDataset().Get(context.Background(), name)
 		if err != nil {
 			t.Fatalf("Get(%q) with dead master: %v", name, err)
 		}
@@ -398,7 +347,7 @@ func TestDeadMasterFallbackAndRevival(t *testing.T) {
 	peerBefore := p0.Stats.PeerReads.Load()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		got, err := f.cls[0].Get(probePath)
+		got, err := f.cls[0].DefaultDataset().Get(context.Background(), probePath)
 		if err != nil || !bytes.Equal(got, f.files[probePath]) {
 			t.Fatalf("Get(%q) during rejoin: %v", probePath, err)
 		}

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"diesel/internal/obs"
+	"diesel/internal/tier"
 )
 
 // Process-wide cache metrics on the default registry. Read-outcome
@@ -48,41 +49,11 @@ var (
 		"Background Oneshot prefetch runs that failed.")
 )
 
-// Spill-tier counters (see store.go / spill.go): the RAM → local-SSD
-// demotion pipeline and the warm-restart rewarm path.
-//
-//	diesel_dcache_spill_demotions_total       evicted chunks demoted to local SSD
-//	diesel_dcache_spill_demoted_bytes_total   payload bytes physically written by demotions
-//	diesel_dcache_spill_promotions_total      chunks promoted back to RAM from the spill tier
-//	diesel_dcache_spill_hits_total            reads answered by the spill tier
-//	diesel_dcache_spill_misses_total          reads that missed RAM and spill (went to a server)
-//	diesel_dcache_spill_dropped_total         spilled chunks lost to segment retirement
-//	diesel_dcache_spill_dropped_bytes_total   bytes those retirements dropped
-//	diesel_dcache_spill_rewarmed_chunks_total chunks rewarmed from a spill manifest at Join
-//	diesel_dcache_spill_rewarmed_bytes_total  bytes those rewarmed chunks cover
-//	diesel_dcache_spill_bytes                 payload bytes resident in spill (live peers)
-//	diesel_dcache_spill_chunks                chunks resident in spill (live peers)
-//	diesel_dcache_spill_disk_bytes            segment bytes on disk incl. dead space (live peers)
-var (
-	mSpillDemotions = obs.Default().Counter("diesel_dcache_spill_demotions_total",
-		"LRU-evicted chunks demoted to the local-SSD spill tier instead of dropped.")
-	mSpillDemotedBytes = obs.Default().Counter("diesel_dcache_spill_demoted_bytes_total",
-		"Payload bytes physically written by spill demotions (re-demotions write nothing).")
-	mSpillPromotions = obs.Default().Counter("diesel_dcache_spill_promotions_total",
-		"Chunks promoted back from the spill tier into RAM, checksum-verified.")
-	mSpillHits = obs.Default().Counter("diesel_dcache_spill_hits_total",
-		"Cache reads answered by the local-SSD spill tier (preads and promotions).")
-	mSpillMisses = obs.Default().Counter("diesel_dcache_spill_misses_total",
-		"Cache reads that missed both RAM and spill while a spill tier was enabled.")
-	mSpillDropped = obs.Default().Counter("diesel_dcache_spill_dropped_total",
-		"Spilled chunks dropped by segment retirement under the spill disk budget.")
-	mSpillDroppedBytes = obs.Default().Counter("diesel_dcache_spill_dropped_bytes_total",
-		"Payload bytes dropped by spill segment retirement.")
-	mSpillRewarmChunks = obs.Default().Counter("diesel_dcache_spill_rewarmed_chunks_total",
-		"Chunks rewarmed from a spill manifest at Join (restart recovery at disk bandwidth).")
-	mSpillRewarmBytes = obs.Default().Counter("diesel_dcache_spill_rewarmed_bytes_total",
-		"Payload bytes rewarmed from spill manifests at Join.")
-)
+// tierSite carries the two-level store's signals — demotions, promotions,
+// spill hits/misses, drops, rewarm, spill occupancy — for every master
+// store and shared cache in the process, as diesel_tier_*{site="dcache"}
+// (see internal/tier).
+var tierSite = tier.NewSite(obs.Default(), "dcache")
 
 // livePeers tracks every open Peer so the gauges below can sum over
 // them. Join adds, Close removes; a closed peer contributes nothing.
@@ -115,15 +86,6 @@ func init() {
 	obs.Default().Func("diesel_dcache_dead_masters",
 		"Remote masters currently marked dead across this process's live peers.",
 		sumOver(func(p *Peer) float64 { return float64(p.DeadMasters()) }))
-	obs.Default().Func("diesel_dcache_spill_bytes",
-		"Payload bytes resident in the spill tier across this process's live cache masters.",
-		sumOver(func(p *Peer) float64 { return float64(p.SpillStats().Bytes) }))
-	obs.Default().Func("diesel_dcache_spill_chunks",
-		"Chunks resident in the spill tier across this process's live cache masters.",
-		sumOver(func(p *Peer) float64 { return float64(p.SpillStats().Chunks) }))
-	obs.Default().Func("diesel_dcache_spill_disk_bytes",
-		"Spill segment bytes on disk (dead space included) across this process's live cache masters.",
-		sumOver(func(p *Peer) float64 { return float64(p.SpillStats().DiskBytes) }))
 }
 
 func trackPeer(p *Peer) {

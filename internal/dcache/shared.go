@@ -3,6 +3,8 @@ package dcache
 import (
 	"sync"
 	"time"
+
+	"diesel/internal/tier"
 )
 
 // RefSource supplies authoritative per-dataset refcounts — how many live
@@ -32,7 +34,7 @@ const DefaultGrace = 30 * time.Second
 // Pass one SharedCache to every task's Config.Shared; the zero of
 // everything else in Config still applies per task.
 type SharedCache struct {
-	store    *chunkStore
+	store    *tier.Store
 	inflight *inflightTable // cross-job fetch coalescing: one server fetch per (dataset, chunk)
 
 	mu       sync.Mutex
@@ -55,7 +57,7 @@ func NewSharedCache(capacityBytes int64, grace time.Duration, nowNS func() int64
 		nowNS = func() int64 { return time.Now().UnixNano() }
 	}
 	return &SharedCache{
-		store:    newChunkStore(capacityBytes),
+		store:    newStore(capacityBytes),
 		inflight: newInflightTable(),
 		local:    make(map[string]int),
 		lastLive: make(map[string]int64),
@@ -161,14 +163,14 @@ func (s *SharedCache) coldMemo() func(string) bool {
 // Capacity-pressure eviction already prefers cold chunks; ReclaimCold is
 // for housekeeping sweeps that want the memory back before pressure hits.
 func (s *SharedCache) ReclaimCold() (chunks int, bytes int64) {
-	return s.store.evictDatasets(s.coldMemo())
+	return s.store.EvictGroups(s.coldMemo())
 }
 
 // Bytes reports the cached payload bytes across all datasets.
-func (s *SharedCache) Bytes() int64 { return s.store.bytes() }
+func (s *SharedCache) Bytes() int64 { return s.store.Bytes() }
 
 // Chunks reports how many chunks the cache holds across all datasets.
-func (s *SharedCache) Chunks() int { return s.store.count() }
+func (s *SharedCache) Chunks() int { return s.store.Count() }
 
 // inflightTable deduplicates concurrent loads of the same (dataset,
 // chunk) key. On a SharedCache it is process-wide, so two jobs missing on

@@ -15,10 +15,12 @@ type fakeClock struct{ ns int64 }
 
 func (c *fakeClock) now() int64 { return c.ns }
 
+// putTestChunk inserts a payload the way a peer's chunk load does, with
+// the shared cache's cold-dataset eviction preference.
 func putTestChunk(t *testing.T, sc *SharedCache, dataset, id string, size int) {
 	t.Helper()
-	cc := buildPatternedChunk(t, size, 0xAB)
-	if _, cached := sc.store.put(dataset+"\x00"+id, dataset, cc, nil); !cached {
+	key := dataset + "\x00" + id
+	if _, cached := sc.store.Put(key, make([]byte, size), sc.store.Gen(key), sc.coldMemo()); !cached {
 		t.Fatalf("chunk %s/%s not cached", dataset, id)
 	}
 }
@@ -89,14 +91,13 @@ func TestSharedCacheRefcountGrace(t *testing.T) {
 func TestSharedCacheEvictionPrefersCold(t *testing.T) {
 	clk := &fakeClock{ns: 1}
 	const grace = time.Second
-	sc := NewSharedCache(0, grace, clk.now)
+	sc := NewSharedCache(10000, grace, clk.now) // fits 2 of the 3 chunks
 
 	sc.Acquire("live")
 	// "cold" was never acquired; its grace clock starts at first
 	// observation, so step past it before applying pressure.
 	putTestChunk(t, sc, "cold", "c1", 4096)
 	putTestChunk(t, sc, "live", "c2", 4096)
-	putTestChunk(t, sc, "live", "c3", 4096)
 	if sc.cold("cold", clk.now()) {
 		t.Fatal("first observation at zero refcount must start the grace clock, not evict")
 	}
@@ -104,18 +105,15 @@ func TestSharedCacheEvictionPrefersCold(t *testing.T) {
 
 	// Touch the cold chunk so it is the most recently used — LRU alone
 	// would evict a live chunk; the preference must override that.
-	if sc.store.get("cold\x00c1") == nil {
+	if _, ok := sc.store.Get("cold\x00c1"); !ok {
 		t.Fatal("cold chunk missing")
 	}
-	evicted := sc.store.evictOver(10000, "", sc.coldMemo()) // fits 2 of the 3 chunks
-	if evicted != 1 {
-		t.Fatalf("evicted %d chunks, want 1", evicted)
+	putTestChunk(t, sc, "live", "c3", 4096)
+	if got := sc.Chunks(); got != 2 {
+		t.Fatalf("%d chunks resident, want 2 after one eviction", got)
 	}
-	if sc.store.get("cold\x00c1") != nil {
+	if _, ok := sc.store.Get("cold\x00c1"); ok {
 		t.Fatal("cold dataset's chunk survived; a live chunk was evicted instead")
-	}
-	if sc.store.get("live\x00c2") == nil || sc.store.get("live\x00c3") == nil {
-		t.Fatal("live dataset lost a chunk under preference eviction")
 	}
 }
 
@@ -201,7 +199,7 @@ func TestSharedCacheAcrossTasks(t *testing.T) {
 	names := make([]string, nFiles)
 	for i := range nFiles {
 		names[i] = fmt.Sprintf("img%04d.jpg", i)
-		if err := w.Put(names[i], make([]byte, fileSize)); err != nil {
+		if err := w.DefaultDataset().Put(names[i], make([]byte, fileSize)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -217,7 +215,7 @@ func TestSharedCacheAcrossTasks(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { cl.Close() })
-		if _, err := cl.DownloadSnapshot(); err != nil {
+		if _, err := cl.DefaultDataset().DownloadSnapshot(); err != nil {
 			t.Fatal(err)
 		}
 		p, err := Join(cl.DefaultDataset(), reg, Config{

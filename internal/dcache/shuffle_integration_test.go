@@ -2,6 +2,7 @@ package dcache
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"diesel/internal/shuffle"
@@ -17,7 +18,7 @@ func TestChunkWiseOrderBoundsCacheThrash(t *testing.T) {
 	f := newFixture(t, 400, 256, []string{"solo"}, OnDemand, 3*4096+512)
 	p := f.peers[0]
 	cl := f.cls[0]
-	snap := cl.Snapshot()
+	snap := cl.DefaultDataset().Snapshot()
 	if len(snap.Chunks) < 15 {
 		t.Fatalf("dataset packed into only %d chunks", len(snap.Chunks))
 	}
@@ -25,7 +26,7 @@ func TestChunkWiseOrderBoundsCacheThrash(t *testing.T) {
 	readAll := func(order []string) uint64 {
 		before := p.Stats.ChunkLoads.Load()
 		for _, path := range order {
-			b, err := cl.Get(path)
+			b, err := cl.DefaultDataset().Get(context.Background(), path)
 			if err != nil {
 				t.Fatalf("Get(%q): %v", path, err)
 			}
@@ -63,16 +64,16 @@ func TestChunkWiseOrderFullyCachedEquivalence(t *testing.T) {
 	p := f.peers[0]
 	p.LoadOwned()
 	cl := f.cls[0]
-	snap := cl.Snapshot()
+	snap := cl.DefaultDataset().Snapshot()
 
 	before := p.Stats.ChunkLoads.Load()
 	for _, path := range shuffle.ChunkWise(snap, 3, 4) {
-		if _, err := cl.Get(path); err != nil {
+		if _, err := cl.DefaultDataset().Get(context.Background(), path); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, path := range shuffle.Dataset(snap, 3) {
-		if _, err := cl.Get(path); err != nil {
+		if _, err := cl.DefaultDataset().Get(context.Background(), path); err != nil {
 			t.Fatal(err)
 		}
 	}

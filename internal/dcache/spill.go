@@ -1,30 +1,27 @@
 package dcache
 
 import (
-	"errors"
+	"strings"
 
 	"diesel/internal/spill"
+	"diesel/internal/tier"
 )
-
-var errSpillEnabled = errors.New("spill tier already enabled on this store")
 
 // SpillStats snapshots a master's local-SSD spill tier. The zero value
 // (Enabled false) means the tier is off.
-type SpillStats struct {
-	Enabled      bool   `json:"enabled"`
-	Chunks       int    `json:"chunks"`     // chunks resident in the spill tier
-	Bytes        int64  `json:"bytes"`      // payload bytes reachable via the manifest index
-	DiskBytes    int64  `json:"disk_bytes"` // segment bytes on disk (dead space included)
-	Segments     int    `json:"segments"`
-	ManifestRecs int    `json:"manifest_records"`
-	Hits         uint64 `json:"hits"`   // reads answered by the spill tier (preads + promotions)
-	Misses       uint64 `json:"misses"` // reads that missed both tiers and went to a server
-	Demotions    uint64 `json:"demotions"`
-	DemotedBytes uint64 `json:"demoted_bytes"` // bytes physically written (re-demotions are free)
-	Promotions   uint64 `json:"promotions"`
-	Dropped      uint64 `json:"dropped"`       // entries lost to segment retirement (disk budget)
-	RewarmChunks int    `json:"rewarm_chunks"` // manifest entries replayed at Join
-	RewarmBytes  int64  `json:"rewarm_bytes"`
+type SpillStats = tier.Stats
+
+// newStore builds a master-side chunk store: internal/tier over whole
+// chunk payloads, keyed and accounted by dataset ("dataset\x00chunkID",
+// see Peer.storeKeys), reporting into the diesel_tier_*{site="dcache"}
+// series.
+func newStore(capacityBytes int64) *tier.Store {
+	s := tier.New(capacityBytes, func(key string) string {
+		ds, _, _ := strings.Cut(key, "\x00")
+		return ds
+	})
+	tierSite.Add(s)
+	return s
 }
 
 // SpillStats snapshots this master's spill tier (zero value on workers
@@ -33,7 +30,7 @@ func (p *Peer) SpillStats() SpillStats {
 	if p.store == nil {
 		return SpillStats{}
 	}
-	return p.store.spillStats()
+	return p.store.Stats()
 }
 
 // Rewarmed reports what the spill manifest replayed when this peer
@@ -50,10 +47,9 @@ func (p *Peer) Rewarmed() (chunks int, bytes int64) {
 // pressure already demoted — survives on local SSD and the restarted
 // task rewarms at disk bandwidth.
 func (p *Peer) DemoteAll() {
-	if p.store == nil || p.store.spill.Load() == nil {
-		return
+	if p.store != nil {
+		p.store.DemoteAll()
 	}
-	p.store.evictOver(0, "", nil)
 }
 
 // EnableSpill opens the local-SSD spill tier under the shared cache:
@@ -63,12 +59,12 @@ func (p *Peer) DemoteAll() {
 // bytes (0 = unlimited). Call once, before (or while) tasks use the
 // cache; a second call fails.
 func (s *SharedCache) EnableSpill(dir string, capacityBytes int64) (spill.Recovered, error) {
-	return s.store.enableSpill(spill.Config{Dir: dir, CapacityBytes: capacityBytes})
+	return s.store.EnableSpill(dir, capacityBytes)
 }
 
 // SpillStats snapshots the shared cache's spill tier.
-func (s *SharedCache) SpillStats() SpillStats { return s.store.spillStats() }
+func (s *SharedCache) SpillStats() SpillStats { return s.store.Stats() }
 
 // Close closes the shared cache's spill log, if any, leaving its on-disk
 // state for the next incarnation. The RAM store needs no teardown.
-func (s *SharedCache) Close() { s.store.closeSpill() }
+func (s *SharedCache) Close() { s.store.Close() }

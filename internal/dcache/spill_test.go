@@ -39,7 +39,7 @@ func spillPeer(t testing.TB, nFiles, fileSize, chunkTarget int, mut func(*Config
 		rng.Read(data)
 		contents[i] = data
 		names[i] = fmt.Sprintf("cls%02d/img%05d.jpg", i%5, i)
-		if err := w.Put(names[i], data); err != nil {
+		if err := w.DefaultDataset().Put(names[i], data); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -54,7 +54,7 @@ func spillPeer(t testing.TB, nFiles, fileSize, chunkTarget int, mut func(*Config
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { cl.Close() })
-		if _, err := cl.DownloadSnapshot(); err != nil {
+		if _, err := cl.DefaultDataset().DownloadSnapshot(); err != nil {
 			t.Fatal(err)
 		}
 		task++
@@ -104,7 +104,7 @@ func TestSpillServesEvictedChunks(t *testing.T) {
 		t.Fatal("first epoch loaded nothing from the servers")
 	}
 	st := p.SpillStats()
-	if !st.Enabled || st.Demotions == 0 || st.Chunks == 0 {
+	if !st.Enabled || st.Demotions == 0 || st.Entries == 0 {
 		t.Fatalf("nothing demoted: %+v", st)
 	}
 	readAll() // epoch 2: spill hits
@@ -150,41 +150,6 @@ func TestSpillPromotionReturnsChunkToRAM(t *testing.T) {
 	}
 }
 
-// TestFileViewValidAcrossDemotionAndPromotion extends the PR 6 GC-owned
-// buffer regression tests across the new tier transitions: a view handed
-// out of RAM must survive its chunk's demotion to SSD, and a view handed
-// out of a promoted copy must survive that copy's re-demotion.
-func TestFileViewValidAcrossDemotionAndPromotion(t *testing.T) {
-	const nFiles, fileSize, chunkTarget = 16, 4 << 10, 64 << 10
-	p, names, contents, _ := spillPeer(t, nFiles, fileSize, chunkTarget, func(c *Config) {
-		c.SpillDir = t.TempDir()
-		c.SpillPromoteAfter = 1 // first spill read promotes
-	})
-	ctx := context.Background()
-	if err := p.LoadOwned(); err != nil {
-		t.Fatal(err)
-	}
-	view, err := p.ReadFileViewContext(ctx, names[3])
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.DemoteAll() // the chunk behind view is now only on SSD
-	if !bytes.Equal(view, contents[3]) {
-		t.Fatal("view corrupted by demotion")
-	}
-	view2, err := p.ReadFileViewContext(ctx, names[3]) // promotes a fresh copy
-	if err != nil || !bytes.Equal(view2, contents[3]) {
-		t.Fatalf("read after demotion: %v", err)
-	}
-	if p.SpillStats().Promotions == 0 {
-		t.Fatal("read after demotion did not promote")
-	}
-	p.DemoteAll() // re-demote the promoted copy
-	if !bytes.Equal(view, contents[3]) || !bytes.Equal(view2, contents[3]) {
-		t.Fatal("view corrupted by re-demotion")
-	}
-}
-
 // TestSpillRewarmAcrossRestart is the Fig. 11b recovery story at the
 // cache layer: a restarted trainer (new peer, same spill directory)
 // serves its whole working set from local disk — zero server chunk
@@ -199,7 +164,7 @@ func TestSpillRewarmAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.DemoteAll() // graceful stop: push the whole working set to SSD
-	wantChunks := p.SpillStats().Chunks
+	wantChunks := p.SpillStats().Entries
 	if wantChunks == 0 {
 		t.Fatal("nothing spilled before restart")
 	}

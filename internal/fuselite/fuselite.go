@@ -19,6 +19,7 @@ package fuselite
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -72,7 +73,7 @@ func Mount(cfg Config) (*FS, error) {
 		return nil, errors.New("fuselite: at least one client required")
 	}
 	for i, c := range cfg.Clients {
-		if c.Snapshot() == nil {
+		if c.DefaultDataset().Snapshot() == nil {
 			return nil, fmt.Errorf("fuselite: client %d has no snapshot loaded", i)
 		}
 	}
@@ -88,7 +89,7 @@ func (f *FS) client() *client.Client {
 	return f.cfg.Clients[i%uint64(len(f.cfg.Clients))]
 }
 
-func (f *FS) snapshot() *meta.Snapshot { return f.cfg.Clients[0].Snapshot() }
+func (f *FS) snapshot() *meta.Snapshot { return f.cfg.Clients[0].DefaultDataset().Snapshot() }
 
 // dispatch charges one FUSE request's overhead.
 func (f *FS) dispatch() {
@@ -183,12 +184,12 @@ func (f *FS) ReadFile(name string) ([]byte, error) {
 // as newline-separated paths, as if read from a virtual list file.
 func (f *FS) ShuffleList(seed int64, groupSize int) ([]byte, error) {
 	cl := f.cfg.Clients[0]
-	plan, err := cl.ShufflePlan(seed, groupSize)
+	plan, err := cl.DefaultDataset().ShufflePlan(seed, groupSize)
 	if err != nil {
 		return nil, err
 	}
 	var buf bytes.Buffer
-	for _, p := range plan.Paths(cl.Snapshot()) {
+	for _, p := range plan.Paths(cl.DefaultDataset().Snapshot()) {
 		buf.WriteString(p)
 		buf.WriteByte('\n')
 	}
@@ -239,7 +240,7 @@ func (h *fileHandle) ensure() error {
 	if h.data != nil {
 		return nil
 	}
-	b, err := h.fs.client().Get(h.path)
+	b, err := h.fs.client().DefaultDataset().Get(context.Background(), h.path)
 	if err != nil {
 		return &fs.PathError{Op: "read", Path: h.path, Err: err}
 	}

@@ -36,7 +36,7 @@ func mount(t *testing.T, nFiles, fileSize, nClients int, overhead time.Duration)
 		data := make([]byte, fileSize)
 		rng.Read(data)
 		files[name] = data
-		if err := w.Put(name, data); err != nil {
+		if err := w.DefaultDataset().Put(name, data); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -50,7 +50,7 @@ func mount(t *testing.T, nFiles, fileSize, nClients int, overhead time.Duration)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.DownloadSnapshot(); err != nil {
+		if _, err := c.DefaultDataset().DownloadSnapshot(); err != nil {
 			t.Fatal(err)
 		}
 		clients[i] = c

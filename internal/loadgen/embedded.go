@@ -171,6 +171,7 @@ func StartStack(cfg StackConfig) (*Stack, error) {
 	if err != nil {
 		return fail(err)
 	}
+	wds := wcl.DefaultDataset()
 	payload := make([]byte, cfg.FileSizeB)
 	for i := range payload {
 		payload[i] = byte(i * 131)
@@ -178,16 +179,16 @@ func StartStack(cfg StackConfig) (*Stack, error) {
 	st.Paths = make([]string, cfg.Files)
 	for i := range cfg.Files {
 		st.Paths[i] = fmt.Sprintf("cls%02d/img%05d.jpg", i%16, i)
-		if err := wcl.Put(st.Paths[i], payload); err != nil {
+		if err := wds.Put(st.Paths[i], payload); err != nil {
 			wcl.Close()
 			return fail(fmt.Errorf("loadgen: put: %w", err))
 		}
 	}
-	if err := wcl.Flush(); err != nil {
+	if err := wds.Flush(); err != nil {
 		wcl.Close()
 		return fail(fmt.Errorf("loadgen: flush: %w", err))
 	}
-	snap, err := wcl.DownloadSnapshot()
+	snap, err := wds.DownloadSnapshot()
 	if err != nil {
 		wcl.Close()
 		return fail(err)
@@ -217,7 +218,7 @@ func StartStack(cfg StackConfig) (*Stack, error) {
 		if err != nil {
 			return fail(err)
 		}
-		if _, err := cl.DownloadSnapshot(); err != nil {
+		if _, err := cl.DefaultDataset().DownloadSnapshot(); err != nil {
 			cl.Close()
 			return fail(err)
 		}
@@ -293,7 +294,7 @@ func ConnectStack(addrs []string, dataset string, cfg StackConfig) (*Stack, erro
 			st.Close()
 			return nil, err
 		}
-		snap, err := cl.DownloadSnapshot()
+		snap, err := cl.DefaultDataset().DownloadSnapshot()
 		if err != nil {
 			cl.Close()
 			st.Close()
@@ -336,8 +337,8 @@ func (s *Stack) Close() {
 	}
 }
 
-func (s *Stack) client(rng *rand.Rand) *client.Client {
-	return s.Clients[rng.Intn(len(s.Clients))]
+func (s *Stack) client(rng *rand.Rand) *client.Dataset {
+	return s.Clients[rng.Intn(len(s.Clients))].DefaultDataset()
 }
 
 func (s *Stack) path(rng *rand.Rand) string {
@@ -372,12 +373,12 @@ func (s *Stack) Ops(spec string) ([]WeightedOp, error) {
 		switch name {
 		case "get":
 			do = func(ctx context.Context, rng *rand.Rand) error {
-				_, err := s.client(rng).GetContext(ctx, s.path(rng))
+				_, err := s.client(rng).Get(ctx, s.path(rng))
 				return err
 			}
 		case "direct":
 			do = func(ctx context.Context, rng *rand.Rand) error {
-				_, err := s.client(rng).GetDirectContext(ctx, s.path(rng))
+				_, err := s.client(rng).GetDirect(ctx, s.path(rng))
 				return err
 			}
 		case "batch":
@@ -387,19 +388,19 @@ func (s *Stack) Ops(spec string) ([]WeightedOp, error) {
 				for i := range paths {
 					paths[i] = s.path(rng)
 				}
-				_, err := s.client(rng).GetBatchContext(ctx, paths)
+				_, err := s.client(rng).GetBatch(ctx, paths)
 				return err
 			}
 		case "chunk":
 			do = func(ctx context.Context, rng *rand.Rand) error {
 				id := s.ChunkIDs[rng.Intn(len(s.ChunkIDs))]
-				_, err := s.client(rng).GetChunkContext(ctx, id)
+				_, err := s.client(rng).GetChunk(ctx, id)
 				return err
 			}
 		case "view":
 			if s.Task == nil {
 				do = func(ctx context.Context, rng *rand.Rand) error {
-					_, err := s.client(rng).GetContext(ctx, s.path(rng))
+					_, err := s.client(rng).Get(ctx, s.path(rng))
 					return err
 				}
 			} else {
@@ -577,10 +578,10 @@ var trackedCounters = []string{
 	"diesel_wire_call_timeouts_total",
 	"diesel_dcache_master_deaths_total",
 	"diesel_dcache_master_revivals_total",
-	"diesel_dcache_spill_demotions_total",
-	"diesel_dcache_spill_hits_total",
-	"diesel_dcache_spill_promotions_total",
-	"diesel_dcache_spill_rewarmed_chunks_total",
+	"diesel_tier_demotions_total", // the four tier families: summed over sites
+	"diesel_tier_spill_hits_total",
+	"diesel_tier_promotions_total",
+	"diesel_tier_rewarmed_total",
 	"diesel_epoch_hedges_total",
 	"diesel_epoch_hedge_wins_total",
 	"diesel_epoch_deadline_trips_total",
@@ -636,11 +637,11 @@ func (s *Stack) RunEmbedded(ctx context.Context, cfg Config) (*Report, error) {
 		go func(i int, cl *client.Client) {
 			defer epochWG.Done()
 			for epochCtx.Err() == nil {
-				plan, err := cl.ShufflePlan(int64(i)+int64(epochs.Load()), 4)
+				plan, err := cl.DefaultDataset().ShufflePlan(int64(i)+int64(epochs.Load()), 4)
 				if err != nil {
 					return
 				}
-				snap := cl.Snapshot()
+				snap := cl.DefaultDataset().Snapshot()
 				r := epoch.NewReader(plan, snap, epoch.NewClientSource(cl.DefaultDataset(), snap, 2), eopts...)
 				for {
 					if _, err := r.Next(); err != nil {

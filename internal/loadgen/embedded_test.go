@@ -212,7 +212,7 @@ func TestServerKillFailover(t *testing.T) {
 	}
 	// The revived server must answer again.
 	cl := st.Clients[0]
-	if _, err := cl.GetContext(context.Background(), st.Paths[0]); err != nil {
+	if _, err := cl.DefaultDataset().Get(context.Background(), st.Paths[0]); err != nil {
 		t.Errorf("read after restart: %v", err)
 	}
 }

@@ -113,7 +113,16 @@ func TestDiskContract(t *testing.T) {
 }
 
 func TestTieredContract(t *testing.T) {
-	storeContract(t, NewTiered(NewMemory(), NewMemory(), 1<<20))
+	storeContract(t, NewTiered(nil, NewMemory(), 1<<20))
+	// A fast tier smaller than any object caches nothing and is still a
+	// correct Store, with or without a spill level under it.
+	storeContract(t, NewTiered(nil, NewMemory(), 1))
+	spilled := NewTiered(nil, NewMemory(), 1)
+	if _, err := spilled.EnableSpill(t.TempDir(), 0); err != nil {
+		t.Fatal(err)
+	}
+	defer spilled.Close()
+	storeContract(t, spilled)
 }
 
 func TestThrottledContract(t *testing.T) {
@@ -173,47 +182,57 @@ func TestMemoryIsolation(t *testing.T) {
 	}
 }
 
+// slowReads reports which keys reach the slow tier when each is read
+// once, in order — the outside view of what the fast tier holds.
+func slowReads(t *testing.T, tr *Tiered, slow *Memory, keys ...string) (missed []string) {
+	t.Helper()
+	for _, k := range keys {
+		before := slow.Snapshot().Gets
+		if _, err := tr.Get(k); err != nil {
+			t.Fatalf("Get(%s): %v", k, err)
+		}
+		if slow.Snapshot().Gets != before {
+			missed = append(missed, k)
+		}
+	}
+	return missed
+}
+
 func TestTieredPromotionAndEviction(t *testing.T) {
-	fast, slow := NewMemory(), NewMemory()
-	tr := NewTiered(fast, slow, 100)
+	slow := NewMemory()
+	tr := NewTiered(nil, slow, 100)
 
 	obj := func(i int) string { return fmt.Sprintf("o%d", i) }
 	for i := range 5 {
 		tr.Put(obj(i), bytes.Repeat([]byte{byte(i)}, 40))
 	}
-	if fast.Len() != 0 {
-		t.Fatalf("writes populated fast tier: %d objects", fast.Len())
+	if tr.FastBytes() != 0 {
+		t.Fatalf("writes populated fast tier: %d bytes", tr.FastBytes())
 	}
-	// Read 0 and 1: both promoted (80 <= 100).
-	tr.Get(obj(0))
-	tr.Get(obj(1))
-	if fast.Len() != 2 {
-		t.Fatalf("fast tier has %d objects, want 2", fast.Len())
-	}
-	// Read 2: evicts LRU (0).
-	tr.Get(obj(2))
-	if _, err := fast.Get(obj(0)); !errors.Is(err, ErrNotFound) {
-		t.Error("LRU object not evicted")
-	}
-	if _, err := fast.Get(obj(1)); err != nil {
-		t.Error("recently used object evicted")
-	}
+	// Read 0 and 1: both promoted (80 <= 100). Read 2: evicts LRU (0).
 	// Touch 1 to refresh, read 3: eviction should now take 2, not 1.
-	tr.Get(obj(1))
-	tr.Get(obj(3))
-	if _, err := fast.Get(obj(2)); !errors.Is(err, ErrNotFound) {
-		t.Error("expected 2 evicted after touching 1")
+	slowReads(t, tr, slow, obj(0), obj(1))
+	if tr.FastBytes() != 80 {
+		t.Fatalf("fast tier holds %d bytes, want 2 objects", tr.FastBytes())
 	}
-	if _, err := fast.Get(obj(1)); err != nil {
-		t.Error("touched object was evicted")
-	}
+	slowReads(t, tr, slow, obj(2), obj(1), obj(3))
 	if tr.FastBytes() > 100 {
 		t.Errorf("fast tier over capacity: %d", tr.FastBytes())
+	}
+	// Now resident: 1 and 3. Probing 1, 3 hits; 0 and 2 were evicted.
+	if missed := slowReads(t, tr, slow, obj(1), obj(3)); len(missed) != 0 {
+		t.Errorf("recently used objects evicted: %v", missed)
+	}
+	if missed := slowReads(t, tr, slow, obj(0)); len(missed) != 1 {
+		t.Error("LRU object 0 not evicted")
+	}
+	if got := tr.HitCount(); got != 3 {
+		t.Errorf("HitCount = %d, want 3 (the touch and the two probes)", got)
 	}
 }
 
 func TestTieredHitRate(t *testing.T) {
-	tr := NewTiered(NewMemory(), NewMemory(), 1000)
+	tr := NewTiered(nil, NewMemory(), 1000)
 	tr.Put("a", []byte("data"))
 	tr.Get("a") // miss + promote
 	tr.Get("a") // hit
@@ -224,19 +243,18 @@ func TestTieredHitRate(t *testing.T) {
 }
 
 func TestTieredOversizeObjectNotCached(t *testing.T) {
-	fast := NewMemory()
-	tr := NewTiered(fast, NewMemory(), 10)
+	tr := NewTiered(nil, NewMemory(), 10)
 	tr.Put("big", make([]byte, 100))
 	if _, err := tr.Get("big"); err != nil {
 		t.Fatal(err)
 	}
-	if fast.Len() != 0 {
+	if tr.FastBytes() != 0 {
 		t.Error("oversize object cached")
 	}
 }
 
 func TestTieredPutInvalidatesFastCopy(t *testing.T) {
-	tr := NewTiered(NewMemory(), NewMemory(), 1000)
+	tr := NewTiered(nil, NewMemory(), 1000)
 	tr.Put("k", []byte("v1"))
 	tr.Get("k") // promote v1
 	tr.Put("k", []byte("v2"))
@@ -247,7 +265,7 @@ func TestTieredPutInvalidatesFastCopy(t *testing.T) {
 }
 
 func TestTieredConcurrent(t *testing.T) {
-	tr := NewTiered(NewMemory(), NewMemory(), 512)
+	tr := NewTiered(nil, NewMemory(), 512)
 	for i := range 20 {
 		tr.Put(fmt.Sprintf("o%d", i), bytes.Repeat([]byte{byte(i)}, 64))
 	}

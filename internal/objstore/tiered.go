@@ -1,101 +1,81 @@
 package objstore
 
 import (
-	"container/list"
-	"errors"
-	"sync"
+	"bytes"
+	"strings"
 	"sync/atomic"
+
+	"diesel/internal/obs"
+	"diesel/internal/spill"
+	"diesel/internal/tier"
 )
 
-var errSpillEnabled = errors.New("objstore: spill tier already enabled")
-
-// Tiered layers a bounded fast store (SSD) over a slow store (HDD),
+// Tiered layers a bounded fast tier (SSD) over a slow store (HDD),
 // implementing the DIESEL server cache of Figure 4: reads check the fast
 // tier first; on a miss the object is served from the slow tier and
 // promoted, evicting least-recently-used objects when the fast tier's
 // capacity is exceeded. Writes go to the slow tier (the durable home) and
 // the fast tier is populated only by reads, matching a cache — not a
 // write buffer.
+//
+// The fast tier is an internal/tier store — the same RAM → local-disk
+// spill stack the dcache masters use, one level down the storage
+// hierarchy: with EnableSpill, eviction victims demote to a spill log
+// that is consulted before the slow tier and rewarmed after a restart.
 type Tiered struct {
-	fast, slow Store
-
-	mu       sync.Mutex
-	capacity int64
-	used     int64
-	lru      *list.List // front = most recent; values are *tieredEntry
-	index    map[string]*list.Element
-
-	// Hits and Misses count fast-tier outcomes for experiments.
-	Hits, Misses uint64
-
-	// spill, when set (EnableSpill), is the local-disk tier under the
-	// fast tier: eviction victims demote there and are served back by
-	// pread before the slow tier is consulted. See spill.go.
-	spill atomic.Pointer[tieredSpill]
-}
-
-type tieredEntry struct {
-	key  string
-	size int64
+	slow         Store
+	fast         *tier.Store
+	hits, misses atomic.Uint64 // fast-tier outcomes
 }
 
 // NewTiered builds a tiered store with the given fast-tier byte capacity.
-func NewTiered(fast, slow Store, capacity int64) *Tiered {
-	return &Tiered{
-		fast:     fast,
-		slow:     slow,
-		capacity: capacity,
-		lru:      list.New(),
-		index:    make(map[string]*list.Element),
-	}
+// The first parameter is unused (the fast tier is always a tier.Store);
+// it stays because bench/ compiles against this signature.
+func NewTiered(_ Store, slow Store, capacity int64) *Tiered {
+	// tier reads 0 as unlimited; here no budget means nothing is cached.
+	return &Tiered{slow: slow, fast: tier.New(max(capacity, 1), datasetOf)}
 }
 
-// Put implements Store: writes land in the slow tier; a stale fast copy is
-// invalidated so readers never see old data.
+// datasetOf is the dataset prefix of an object key (server.ObjectKey
+// shape: "dataset/chunkID") — the group the fast tier accounts under.
+func datasetOf(key string) string {
+	ds, _, _ := strings.Cut(key, "/")
+	return ds
+}
+
+// Put implements Store: writes land in the slow tier, then any cached
+// copy is invalidated — persisted in the spill log, so an overwrite is
+// never resurrected by a later rewarm. Invalidating after the write is
+// what lets it win over a concurrent Get that read the old object (see
+// tier.Store.Gen).
 func (t *Tiered) Put(key string, data []byte) error {
-	if err := t.slow.Put(key, data); err != nil {
-		return err
-	}
-	t.mu.Lock()
-	if el, ok := t.index[key]; ok {
-		t.removeLocked(el)
-	}
-	t.mu.Unlock()
-	t.spillRemove(key)
-	return t.fast.Delete(key)
+	err := t.slow.Put(key, data)
+	t.fast.Remove(key)
+	return err
 }
 
 // Get implements Store.
 func (t *Tiered) Get(key string) ([]byte, error) {
-	t.mu.Lock()
-	el, ok := t.index[key]
-	if ok {
-		t.lru.MoveToFront(el)
-		t.Hits++
-	} else {
-		t.Misses++
+	if b, ok := t.fast.Get(key); ok {
+		t.hits.Add(1)
+		return bytes.Clone(b), nil
 	}
-	t.mu.Unlock()
-
-	if ok {
-		b, err := t.fast.Get(key)
-		if err == nil {
-			return b, nil
-		}
-		// Fast tier lied (e.g. wiped externally); fall through to slow.
-	}
-	// The spill tier answers before the slow tier pays HDD latency: a
+	t.misses.Add(1)
+	gen := t.fast.Gen(key)
+	// The spill level answers before the slow tier pays HDD latency: a
 	// previously evicted (or pre-restart) object comes back checksum-
-	// verified from local disk and is re-promoted into the fast tier.
-	if b, ok := t.spillGet(key); ok {
-		t.promote(key, b)
-		return b, nil
+	// verified from local disk.
+	b, ok := t.fast.LoadSpill(key)
+	if !ok {
+		var err error
+		if b, err = t.slow.Get(key); err != nil {
+			return nil, err
+		}
 	}
-	b, err := t.slow.Get(key)
-	if err != nil {
-		return nil, err
+	// The fast tier retains b, so the caller gets its own copy.
+	if _, cached := t.fast.Put(key, b, gen, nil); cached {
+		return bytes.Clone(b), nil
 	}
-	t.promote(key, b)
 	return b, nil
 }
 
@@ -103,86 +83,27 @@ func (t *Tiered) Get(key string) ([]byte, error) {
 // the object; range reads do not promote, since promotion would read the
 // whole object and defeat the point of a partial read.
 func (t *Tiered) GetRange(key string, off, n int64) ([]byte, error) {
-	t.mu.Lock()
-	el, ok := t.index[key]
-	if ok {
-		t.lru.MoveToFront(el)
-		t.Hits++
-	} else {
-		t.Misses++
+	if b, ok := t.fast.Get(key); ok {
+		t.hits.Add(1)
+		return sliceRange(b, off, n)
 	}
-	t.mu.Unlock()
-	if ok {
-		if b, err := t.fast.GetRange(key, off, n); err == nil {
-			return b, nil
+	t.misses.Add(1)
+	if size, ok := t.fast.SpillSize(key); ok {
+		if start, end, err := clampRange(size, off, n); err == nil {
+			if b, _, ok := t.fast.ReadSpill(key, start, end-start); ok {
+				return b, nil
+			}
 		}
-	}
-	// Like the fast tier, the spill tier serves ranges without promoting.
-	if b, ok := t.spillGetRange(key, off, n); ok {
-		return b, nil
 	}
 	return t.slow.GetRange(key, off, n)
 }
 
-// promote copies an object into the fast tier, evicting LRU entries to
-// make room. Objects larger than the whole capacity are not cached.
-func (t *Tiered) promote(key string, data []byte) {
-	size := int64(len(data))
-	if size > t.capacity {
-		return
-	}
-	t.mu.Lock()
-	if _, dup := t.index[key]; dup {
-		t.mu.Unlock()
-		return
-	}
-	var evict []string
-	for t.used+size > t.capacity {
-		back := t.lru.Back()
-		if back == nil {
-			break
-		}
-		e := back.Value.(*tieredEntry)
-		evict = append(evict, e.key)
-		t.removeLocked(back)
-	}
-	el := t.lru.PushFront(&tieredEntry{key: key, size: size})
-	t.index[key] = el
-	t.used += size
-	t.mu.Unlock()
-
-	for _, k := range evict {
-		// Demote-on-evict: hand the victim's bytes to the spill tier
-		// before they leave the fast tier (a no-op without one, and a
-		// write-free index touch when the key was spilled before).
-		if t.spill.Load() != nil {
-			if b, err := t.fast.Get(k); err == nil {
-				t.spillDemote(k, b)
-			}
-		}
-		t.fast.Delete(k)
-	}
-	t.fast.Put(key, data)
-}
-
-// removeLocked unlinks an LRU element; caller holds t.mu.
-func (t *Tiered) removeLocked(el *list.Element) {
-	e := el.Value.(*tieredEntry)
-	t.lru.Remove(el)
-	delete(t.index, e.key)
-	t.used -= e.size
-}
-
-// Delete implements Store: removes from both tiers.
+// Delete implements Store: removes from the slow tier, then invalidates
+// the cached copies (the same order as Put, for the same reason).
 func (t *Tiered) Delete(key string) error {
-	t.mu.Lock()
-	if el, ok := t.index[key]; ok {
-		t.removeLocked(el)
-	}
-	t.mu.Unlock()
-	t.spillRemove(key)
-	t.fast.Delete(key)
-	return t.slow.Delete(key)
+	err := t.slow.Delete(key)
+	t.fast.Remove(key)
+	return err
 }
 
 // List implements Store, listing the durable (slow) tier.
@@ -191,36 +112,55 @@ func (t *Tiered) List(prefix string) ([]string, error) { return t.slow.List(pref
 // Size implements Store.
 func (t *Tiered) Size(key string) (int64, error) { return t.slow.Size(key) }
 
+// EnableSpill opens the spill level under the fast tier in dir, bounded
+// to capacityBytes on disk (0 = unlimited), replaying any manifest a
+// previous server process left there. Call once, at deploy time.
+func (t *Tiered) EnableSpill(dir string, capacityBytes int64) (spill.Recovered, error) {
+	return t.fast.EnableSpill(dir, capacityBytes)
+}
+
+// Close closes the spill log (if any), leaving its on-disk state for the
+// next incarnation to rewarm from.
+func (t *Tiered) Close() error { return t.fast.Close() }
+
+// SpillStats snapshots the spill level (Enabled false when off).
+func (t *Tiered) SpillStats() tier.Stats { return t.fast.Stats() }
+
+// PerDatasetBytes folds resident bytes by dataset — the per-dataset view
+// the /debug/cache handler serves.
+func (t *Tiered) PerDatasetBytes() map[string]tier.GroupBytes { return t.fast.PerGroup() }
+
 // FastBytes reports the bytes currently cached in the fast tier.
-func (t *Tiered) FastBytes() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.used
-}
+func (t *Tiered) FastBytes() int64 { return t.fast.Bytes() }
 
-// HitCount returns the fast-tier hit count under the lock; the public
-// Hits field stays for callers that read it while holding no lock (tests
-// do so after quiescing).
-func (t *Tiered) HitCount() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.Hits
-}
+// HitCount returns the fast-tier hit count.
+func (t *Tiered) HitCount() uint64 { return t.hits.Load() }
 
-// MissCount returns the fast-tier miss count under the lock.
-func (t *Tiered) MissCount() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.Misses
-}
+// MissCount returns the fast-tier miss count.
+func (t *Tiered) MissCount() uint64 { return t.misses.Load() }
 
 // HitRate returns fast-tier hits / (hits+misses), or 0 before any reads.
 func (t *Tiered) HitRate() float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	total := t.Hits + t.Misses
-	if total == 0 {
+	h, m := t.hits.Load(), t.misses.Load()
+	if h+m == 0 {
 		return 0
 	}
-	return float64(t.Hits) / float64(total)
+	return float64(h) / float64(h+m)
+}
+
+// RegisterMetrics registers scrape-time views of the fast tier (SSD
+// cache) — the server-side cache of Figure 4 and the hit-rate axis of
+// the paper's Figures 9–12 — and attaches its spill level to the
+// diesel_tier_*{site="objstore"} series.
+func (t *Tiered) RegisterMetrics(reg *obs.Registry) {
+	reg.FuncCounter("diesel_objstore_fast_hits_total",
+		"Reads answered by the fast tier (SSD cache).",
+		func() float64 { return float64(t.HitCount()) })
+	reg.FuncCounter("diesel_objstore_fast_misses_total",
+		"Reads that fell through to the slow tier (HDD).",
+		func() float64 { return float64(t.MissCount()) })
+	reg.Func("diesel_objstore_fast_bytes",
+		"Bytes currently resident in the fast tier.",
+		func() float64 { return float64(t.FastBytes()) })
+	tier.NewSite(reg, "objstore").Add(t.fast)
 }

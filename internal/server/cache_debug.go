@@ -5,16 +5,17 @@ import (
 	"net/http"
 
 	"diesel/internal/objstore"
+	"diesel/internal/tier"
 )
 
 // CacheDebug is the /debug/cache response: the server-side cache
 // picture across the fast (SSD) tier and the local-disk spill tier.
 type CacheDebug struct {
-	FastBytes  int64                         `json:"fast_bytes"`
-	FastHits   uint64                        `json:"fast_hits"`
-	FastMisses uint64                        `json:"fast_misses"`
-	Spill      objstore.TieredSpillStats     `json:"spill"`
-	Datasets   map[string]objstore.TierBytes `json:"datasets"`
+	FastBytes  int64                      `json:"fast_bytes"`
+	FastHits   uint64                     `json:"fast_hits"`
+	FastMisses uint64                     `json:"fast_misses"`
+	Spill      tier.Stats                 `json:"spill"`
+	Datasets   map[string]tier.GroupBytes `json:"datasets"`
 }
 
 // CacheHandler serves the tiered store's occupancy as JSON on

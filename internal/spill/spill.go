@@ -82,10 +82,6 @@ type Config struct {
 	// SegmentBytes is the target size of one segment file (0 = 64 MiB,
 	// clamped to CapacityBytes/4 when a capacity is set).
 	SegmentBytes int64
-	// OnDrop, when non-nil, is called with the number of entries and live
-	// bytes dropped by each segment retirement (capacity enforcement).
-	// Called with the log's lock held: it must not call back into the Log.
-	OnDrop func(entries int, bytes int64)
 }
 
 // Recovered reports what Open replayed from a previous incarnation.
@@ -105,7 +101,6 @@ type Stats struct {
 	ManifestRecords int   `json:"manifest_records"`
 	DroppedEntries  uint64
 	DroppedBytes    uint64
-	Rewarmed        Recovered `json:"-"`
 }
 
 type entry struct {
@@ -130,7 +125,6 @@ type Log struct {
 	dir      string
 	capacity int64
 	segBytes int64
-	onDrop   func(int, int64)
 
 	mu        sync.Mutex
 	closed    bool
@@ -171,7 +165,6 @@ func Open(cfg Config) (*Log, Recovered, error) {
 		dir:      cfg.Dir,
 		capacity: cfg.CapacityBytes,
 		segBytes: segBytes,
-		onDrop:   cfg.OnDrop,
 		entries:  make(map[string]*entry),
 		segs:     make(map[uint64]*segment),
 		nextID:   1,
@@ -519,9 +512,6 @@ func (l *Log) retireLocked(victim *segment) {
 	l.liveBytes -= droppedBytes
 	l.dropped += uint64(dropped)
 	l.droppedB += uint64(droppedBytes)
-	if l.onDrop != nil && dropped > 0 {
-		l.onDrop(dropped, droppedBytes)
-	}
 	// The dropped entries' add-records are now dead weight in the
 	// manifest; replay drops them anyway (segment file gone), so no del
 	// records are written — compaction trims them eventually.
@@ -650,14 +640,6 @@ func (l *Log) Size(key string) (int64, bool) {
 	return e.length, true
 }
 
-// Contains reports whether key is currently spilled.
-func (l *Log) Contains(key string) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	_, ok := l.entries[key]
-	return ok
-}
-
 // Remove drops key from the log (persisted, so a restart does not
 // resurrect it — required when the caller overwrites or deletes the
 // underlying object). Disk space is reclaimed when the segment retires;
@@ -730,20 +712,6 @@ func (l *Log) Len() int {
 	return len(l.entries)
 }
 
-// LiveBytes reports payload bytes reachable via the index.
-func (l *Log) LiveBytes() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.liveBytes
-}
-
-// DiskBytes reports total segment-file bytes on disk, dead space included.
-func (l *Log) DiskBytes() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.diskBytes
-}
-
 // Stats snapshots the log.
 func (l *Log) Stats() Stats {
 	l.mu.Lock()
@@ -756,7 +724,6 @@ func (l *Log) Stats() Stats {
 		ManifestRecords: l.records,
 		DroppedEntries:  l.dropped,
 		DroppedBytes:    l.droppedB,
-		Rewarmed:        l.rewarmed,
 	}
 }
 

@@ -10,6 +10,7 @@
 package trace
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -132,9 +133,9 @@ type Flusher interface {
 	Flush() error
 }
 
-// Getter is the read side.
+// Getter is the read side (context-first, as *client.Dataset is).
 type Getter interface {
-	Get(path string) ([]byte, error)
+	Get(ctx context.Context, path string) ([]byte, error)
 }
 
 // Write streams the dataset into the store with the given number of
@@ -208,7 +209,7 @@ func ReadOrder(spec Spec, mk func(worker int) (Getter, error), workers int, orde
 			}
 			for pos := w; pos < len(order); pos += workers {
 				i := order[pos]
-				b, err := g.Get(spec.FileName(i))
+				b, err := g.Get(context.Background(), spec.FileName(i))
 				if err != nil {
 					errCh <- fmt.Errorf("trace: read %d: %w", i, err)
 					return

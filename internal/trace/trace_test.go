@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -114,7 +115,7 @@ func (m *memStore) Put(p string, b []byte) error {
 	return nil
 }
 
-func (m *memStore) Get(p string) ([]byte, error) {
+func (m *memStore) Get(_ context.Context, p string) ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	b, ok := m.m[p]

@@ -61,28 +61,6 @@ func TestNewDefaults(t *testing.T) {
 	}
 }
 
-// TestDeprecatedNewLoaderShim pins the old positional signature to the
-// same behaviour (seed callers must keep compiling and passing).
-func TestDeprecatedNewLoaderShim(t *testing.T) {
-	st := &slowStore{}
-	l := NewLoader(st.fetch, paths(10), LoaderConfig{Workers: 2, BatchSize: 4})
-	defer l.Close()
-	n := 0
-	for {
-		b, ok, err := l.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		n += len(b.Data)
-	}
-	if n != 10 {
-		t.Fatalf("shim consumed %d of 10", n)
-	}
-}
-
 // epochFixture builds a snapshot, a chunk-wise plan over it, and a Source
 // serving each file's path as its payload.
 func epochFixture(nChunks, filesPerChunk, groupSize int) (*meta.Snapshot, *shuffle.Plan, epoch.Source) {

@@ -5,15 +5,13 @@ import (
 	"sync"
 )
 
-// Source supplies file contents to a Loader. client.Client and
-// *dcache.Peer satisfy it structurally (both expose
-// ReadFile-equivalent surfaces via Get and ReadFile respectively);
-// FetchFunc adapts a bare function.
+// Source supplies file contents to a Loader. *dcache.Peer satisfies it;
+// FetchFunc adapts a bare function, such as a closure over Dataset.Get.
 type Source interface {
 	ReadFile(path string) ([]byte, error)
 }
 
-// FetchFunc adapts a fetch function (typically client.Get) to a Source.
+// FetchFunc adapts a fetch function to a Source.
 type FetchFunc func(path string) ([]byte, error)
 
 // ReadFile implements Source.
@@ -100,22 +98,14 @@ type fileResult struct {
 var ErrLoaderClosed = errors.New("train: loader closed")
 
 // New starts the prefetch pipeline over the given epoch order. src must
-// be safe for concurrent use; it is typically FetchFunc(client.Get)
-// (routed through the task-grained cache) or a *dcache.Peer.
+// be safe for concurrent use; it is typically a *dcache.Peer, or a
+// FetchFunc over Dataset.Get (routed through the task-grained cache).
 func New(src Source, order []string, opts ...LoaderOption) *Loader {
 	var cfg LoaderConfig
 	for _, fn := range opts {
 		fn(&cfg)
 	}
 	return newLoader(src.ReadFile, order, cfg)
-}
-
-// NewLoader starts the prefetch pipeline over the given epoch order.
-//
-// Deprecated: use New with a Source and LoaderOptions; this positional
-// form is kept for existing callers.
-func NewLoader(fetch func(string) ([]byte, error), order []string, cfg LoaderConfig) *Loader {
-	return newLoader(fetch, order, cfg)
 }
 
 func newLoader(fetch func(string) ([]byte, error), order []string, cfg LoaderConfig) *Loader {

@@ -48,7 +48,7 @@ func paths(n int) []string {
 func TestLoaderOrderPreserved(t *testing.T) {
 	st := &slowStore{latency: time.Millisecond}
 	order := paths(100)
-	l := NewLoader(st.fetch, order, LoaderConfig{Workers: 8, BatchSize: 7})
+	l := newLoader(st.fetch, order, LoaderConfig{Workers: 8, BatchSize: 7})
 	defer l.Close()
 
 	pos := 0
@@ -85,7 +85,7 @@ func TestLoaderOrderPreserved(t *testing.T) {
 
 func TestLoaderActuallyParallel(t *testing.T) {
 	st := &slowStore{latency: 5 * time.Millisecond}
-	l := NewLoader(st.fetch, paths(64), LoaderConfig{Workers: 8, BatchSize: 8})
+	l := newLoader(st.fetch, paths(64), LoaderConfig{Workers: 8, BatchSize: 8})
 	defer l.Close()
 	start := time.Now()
 	for {
@@ -109,7 +109,7 @@ func TestLoaderActuallyParallel(t *testing.T) {
 
 func TestLoaderPrefetchBounded(t *testing.T) {
 	st := &slowStore{}
-	l := NewLoader(st.fetch, paths(200), LoaderConfig{Workers: 4, BatchSize: 4, Prefetch: 10})
+	l := newLoader(st.fetch, paths(200), LoaderConfig{Workers: 4, BatchSize: 4, Prefetch: 10})
 	defer l.Close()
 	// Without consuming, at most Prefetch fetches may start.
 	time.Sleep(30 * time.Millisecond)
@@ -135,7 +135,7 @@ func TestLoaderPrefetchBounded(t *testing.T) {
 
 func TestLoaderErrorEndsEpoch(t *testing.T) {
 	st := &slowStore{failPath: "f0037"}
-	l := NewLoader(st.fetch, paths(100), LoaderConfig{Workers: 4, BatchSize: 10})
+	l := newLoader(st.fetch, paths(100), LoaderConfig{Workers: 4, BatchSize: 10})
 	defer l.Close()
 	var lastErr error
 	for {
@@ -159,7 +159,7 @@ func TestLoaderErrorEndsEpoch(t *testing.T) {
 
 func TestLoaderCloseMidEpochNoLeak(t *testing.T) {
 	st := &slowStore{latency: time.Millisecond}
-	l := NewLoader(st.fetch, paths(1000), LoaderConfig{Workers: 8, BatchSize: 16})
+	l := newLoader(st.fetch, paths(1000), LoaderConfig{Workers: 8, BatchSize: 16})
 	if _, ok, err := l.Next(); !ok || err != nil {
 		t.Fatal("first batch failed")
 	}
@@ -179,7 +179,7 @@ func TestLoaderCloseMidEpochNoLeak(t *testing.T) {
 }
 
 func TestLoaderEmptyOrder(t *testing.T) {
-	l := NewLoader(func(string) ([]byte, error) { return nil, nil }, nil, LoaderConfig{})
+	l := newLoader(func(string) ([]byte, error) { return nil, nil }, nil, LoaderConfig{})
 	defer l.Close()
 	if _, ok, err := l.Next(); ok || err != nil {
 		t.Fatalf("empty epoch: ok=%v err=%v", ok, err)
@@ -187,7 +187,7 @@ func TestLoaderEmptyOrder(t *testing.T) {
 }
 
 func TestLoaderDoubleCloseSafe(t *testing.T) {
-	l := NewLoader(func(string) ([]byte, error) { return []byte("x"), nil }, paths(4), LoaderConfig{})
+	l := newLoader(func(string) ([]byte, error) { return []byte("x"), nil }, paths(4), LoaderConfig{})
 	l.Close()
 	l.Close()
 }
@@ -210,7 +210,7 @@ func TestLoaderFullPipelineWithModel(t *testing.T) {
 		for i, s := range fs.EpochOrder(epoch) {
 			epochOrder[i] = order[s]
 		}
-		l := NewLoader(fetch, epochOrder, LoaderConfig{Workers: 4, BatchSize: 32})
+		l := newLoader(fetch, epochOrder, LoaderConfig{Workers: 4, BatchSize: 32})
 		for {
 			b, ok, err := l.Next()
 			if err != nil {

@@ -7,6 +7,7 @@ package diesel
 // traffic from the round trip.
 
 import (
+	"context"
 	"io"
 	"net/http"
 	"strings"
@@ -38,13 +39,13 @@ func TestMetricsEndpointAfterRoundTrip(t *testing.T) {
 	}
 	defer cl.Close()
 	payload := []byte("observability payload")
-	if err := cl.Put("a/b.bin", payload); err != nil {
+	if err := cl.DefaultDataset().Put("a/b.bin", payload); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Flush(); err != nil {
+	if err := cl.DefaultDataset().Flush(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := cl.Get("a/b.bin")
+	got, err := cl.DefaultDataset().Get(context.Background(), "a/b.bin")
 	if err != nil || string(got) != string(payload) {
 		t.Fatalf("round trip: %q, %v", got, err)
 	}

@@ -29,7 +29,11 @@ func TestScaleSixtyThousandFiles(t *testing.T) {
 	spec := trace.CIFARLike(1) // 60k files, ~3 KB each, 10 classes
 	start := time.Now()
 	if err := trace.Write(spec, func(w int) (trace.Putter, error) {
-		return dep.NewClient(spec.Name, 200+w)
+		c, err := dep.NewClient(spec.Name, 200+w)
+		if err != nil {
+			return nil, err
+		}
+		return c.DefaultDataset(), nil
 	}, 4); err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +44,7 @@ func TestScaleSixtyThousandFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	rec, err := cl.DatasetRecord()
+	rec, err := cl.DefaultDataset().DatasetRecord()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +56,7 @@ func TestScaleSixtyThousandFiles(t *testing.T) {
 	}
 
 	start = time.Now()
-	snap, err := cl.DownloadSnapshot()
+	snap, err := cl.DefaultDataset().DownloadSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +82,7 @@ func TestScaleSixtyThousandFiles(t *testing.T) {
 		order = append(order, i)
 	}
 	start = time.Now()
-	if err := trace.ReadOrder(spec, func(int) (trace.Getter, error) { return cl, nil }, 4, order); err != nil {
+	if err := trace.ReadOrder(spec, func(int) (trace.Getter, error) { return cl.DefaultDataset(), nil }, 4, order); err != nil {
 		t.Fatal(err)
 	}
 	readTime := time.Since(start)
