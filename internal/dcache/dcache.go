@@ -11,15 +11,19 @@
 //
 // The cache is chunk-granular: a master that misses pulls the whole chunk
 // from a DIESEL server, which is why loading and recovery run at chunk
-// bandwidth rather than file rate (Figure 11b). Failures are contained to
-// the task: a dead master only makes its peers fall back to reading from
-// the DIESEL servers directly.
+// bandwidth rather than file rate (Figure 11b). The remote branch is
+// chunk-granular too once the access pattern is a sweep: the second read of
+// a remote chunk pulls it whole from its master (pull.go), so a chunk-wise
+// epoch costs about two RPCs per remote chunk, not one per file. Failures
+// are contained to the task: a dead master only makes its peers fall back
+// to reading from the DIESEL servers directly.
 package dcache
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"sort"
 	"strconv"
 	"strings"
@@ -71,9 +75,10 @@ type Config struct {
 	// read re-probes it; a successful probe restores the p×(n−1) peer
 	// topology (default 5s).
 	DeadCooldown time.Duration
-	// PeerCallTimeout bounds each cache.get RPC to a remote master, so a
-	// hung master degrades to server fallback instead of stalling the
-	// training loop (default 2s).
+	// PeerCallTimeout bounds each RPC to a remote master (cache.get,
+	// cache.getChunk) and the dial before it, so a hung or black-holed
+	// master degrades to server fallback instead of stalling the training
+	// loop (default 2s).
 	PeerCallTimeout time.Duration
 	// Shared, when non-nil, replaces this task's private master stores
 	// with a process-wide cache shared across tasks and jobs, keyed by
@@ -144,15 +149,32 @@ type Peer struct {
 	masters []masterInfo // sorted by node ID; partition targets
 	selfIdx int          // index into masters if this peer is a master, else -1
 
-	srv   *wire.Server // non-nil on masters
-	addr  string
-	pools map[string]*wire.Pool // master addr → pool
+	srv  *wire.Server // non-nil on masters
+	addr string
+
+	// pools holds the connection pool of each remote master dialed so far;
+	// dials holds, per address, the dial in progress if there is one. The
+	// dial itself runs outside pmu, so a black-holed address delays nobody's
+	// lookup of another master's pool. pools is nil after Close.
 	pmu   sync.Mutex
+	pools map[string]*wire.Pool // master addr → pool
+	dials map[string]*poolDial  // master addr → dial in progress
+	// dialMaster opens one connection to a master, bounded by
+	// PeerCallTimeout; a field so tests can stand in a black hole.
+	dialMaster func(addr string) (net.Conn, error)
 
 	store  *tier.Store  // non-nil on masters; the shared cache's store when Config.Shared is set
 	shared *SharedCache // non-nil when this peer joined a shared cache
 
 	rewarmed spill.Recovered // what the private store's spill manifest replayed at Join
+
+	// pulled buffers the remote chunks a sweep is reading (pull.go): a few
+	// whole payloads, bounded in chunks, on masters and workers alike. It
+	// is not the owned-partition store — CachedBytes, CachedChunks and the
+	// diesel_tier_* series do not see it.
+	pulled  *tier.Store
+	sweep   sweepRing
+	pullKey string // inflight key prefix of this peer's pulls
 
 	// inflight deduplicates concurrent loads of the same chunk: the
 	// Oneshot prefetch, peer requests and local reads may race on a chunk,
@@ -160,6 +182,8 @@ type Peer struct {
 	// the fetcher's result — including its error — so a failed fetch does
 	// not turn coalesced waiters into a thundering herd of fresh fetchers.
 	// On a shared cache the table is process-wide, so the dedup spans jobs.
+	// Whole-chunk pulls from a remote master coalesce through it as well,
+	// under a per-peer key.
 	inflight *inflightTable
 
 	// health tracks remote-master liveness, parallel to masters.
@@ -249,7 +273,10 @@ func (h *masterHealth) dead() bool {
 	return !h.deadUntil.IsZero()
 }
 
-const methodCacheGet = "cache.get"
+const (
+	methodCacheGet      = "cache.get"      // one file out of a master's cache
+	methodCacheGetChunk = "cache.getChunk" // one whole chunk payload (pull.go)
+)
 
 // Join registers this process in the task, waits for all TotalClients
 // peers, elects masters (smallest rank per node), partitions the dataset's
@@ -289,13 +316,23 @@ func Join(ds *client.Dataset, reg Registrar, cfg Config) (*Peer, error) {
 		snap:    snap,
 		selfIdx: -1,
 		pools:   make(map[string]*wire.Pool),
+		dials:   make(map[string]*poolDial),
+		pullKey: fmt.Sprintf("pull\x00%s\x00%d\x00", cfg.TaskID, cfg.Rank),
+	}
+	p.dialMaster = func(addr string) (net.Conn, error) {
+		return net.DialTimeout("tcp", addr, cfg.PeerCallTimeout)
 	}
 	p.chunkIDs = make([]string, len(snap.Chunks))
 	p.storeKeys = make([]string, len(snap.Chunks))
+	var largest uint64 // payload bytes of the snapshot's largest chunk
 	for i := range snap.Chunks {
 		p.chunkIDs[i] = snap.Chunks[i].ID.String()
 		p.storeKeys[i] = p.dataset + "\x00" + p.chunkIDs[i]
+		if c := snap.Chunks[i]; c.Size > uint64(c.HeaderLen) {
+			largest = max(largest, c.Size-uint64(c.HeaderLen))
+		}
 	}
+	p.pulled = tier.New(pulledChunks*int64(largest), func(string) string { return "" })
 
 	// Every peer listens before registering; non-masters close their
 	// listener after the election (mastership is unknown until everyone
@@ -394,6 +431,7 @@ func Join(ds *client.Dataset, reg Registrar, cfg Config) (*Peer, error) {
 			}
 		}
 		p.srv.HandleContext(methodCacheGet, p.handleCacheGet)
+		p.srv.HandleContext(methodCacheGetChunk, p.handleCacheGetChunk)
 		if cfg.Policy == Oneshot {
 			go func() {
 				if err := p.LoadOwned(); err != nil {
@@ -473,40 +511,27 @@ func (p *Peer) loadChunk(ctx context.Context, ci int) ([]byte, error) {
 	if payload, ok := p.store.Get(key); ok {
 		return payload, nil
 	}
-	p.inflight.mu.Lock()
-	fl, loading := p.inflight.m[key]
-	if !loading {
-		fl = &inflightLoad{done: make(chan struct{})}
-		p.inflight.m[key] = fl
-	}
-	p.inflight.mu.Unlock()
-	if loading {
-		<-fl.done
-		return fl.payload, fl.err
-	}
-	id := p.chunkIDs[ci]
-	sp := tracing.ChildOf(ctx, "dcache.loadChunk")
-	if sp != nil {
-		sp.SetAttr("chunk", id)
-		ctx = tracing.ContextWith(ctx, sp)
-	}
-	// Promotion beats a server fetch: a chunk demoted to the spill tier
-	// (or left there by a previous incarnation of this trainer) comes
-	// back checksum-verified at local-disk bandwidth.
-	if payload, ok := p.store.LoadSpill(key); ok {
-		sp.SetAttr("source", "spill")
-		p.cache(key, payload)
-		fl.payload = payload
-	} else {
-		fl.payload, fl.err = p.fetchChunk(ctx, key, id)
-	}
-	sp.SetError(fl.err)
-	sp.End()
-	p.inflight.mu.Lock()
-	delete(p.inflight.m, key)
-	p.inflight.mu.Unlock()
-	close(fl.done)
-	return fl.payload, fl.err
+	return p.inflight.do(ctx, key, func() ([]byte, error) {
+		id := p.chunkIDs[ci]
+		fctx := ctx
+		sp := tracing.ChildOf(ctx, "dcache.loadChunk")
+		if sp != nil {
+			sp.SetAttr("chunk", id)
+			fctx = tracing.ContextWith(ctx, sp)
+		}
+		defer sp.End()
+		// Promotion beats a server fetch: a chunk demoted to the spill tier
+		// (or left there by a previous incarnation of this trainer) comes
+		// back checksum-verified at local-disk bandwidth.
+		if payload, ok := p.store.LoadSpill(key); ok {
+			sp.SetAttr("source", "spill")
+			p.cache(key, payload)
+			return payload, nil
+		}
+		payload, err := p.fetchChunk(fctx, key, id)
+		sp.SetError(err)
+		return payload, err
+	})
 }
 
 // fetchChunk pulls one chunk from a DIESEL server into the store. A chunk
@@ -582,10 +607,14 @@ func (p *Peer) handleCacheGet(ctx context.Context, payload []byte) ([]byte, erro
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
+	m, err := p.snap.Stat(path)
+	if err != nil {
+		return nil, err
+	}
 	// The view is only read while encoding the response, so no copy is
 	// needed between cache and encoder — one memcpy per peer read, into
 	// the response payload itself.
-	b, err := p.readLocal(ctx, path, true)
+	b, err := p.readLocal(ctx, m, true)
 	if err != nil {
 		return nil, err
 	}
@@ -594,9 +623,9 @@ func (p *Peer) handleCacheGet(ctx context.Context, payload []byte) ([]byte, erro
 	return e.Bytes(), nil
 }
 
-// readLocal serves a path from this master's own cache. With view set the
-// returned slice is a read-only window into the cached chunk; otherwise
-// it is an owned copy.
+// readLocal serves a file (already resolved against the snapshot) from
+// this master's own cache. With view set the returned slice is a read-only
+// window into the cached chunk; otherwise it is an owned copy.
 //
 // Tier order: RAM hit → spill tier → chunk load (spill promotion or
 // server fetch). A spill hit is one pread of exactly the file's range
@@ -604,11 +633,7 @@ func (p *Peer) handleCacheGet(ctx context.Context, payload []byte) ([]byte, erro
 // and the copy contract without another allocation — and after
 // Config.SpillPromoteAfter such reads the whole chunk is promoted back
 // to RAM so a sweeping epoch reader returns to memory bandwidth.
-func (p *Peer) readLocal(ctx context.Context, path string, view bool) ([]byte, error) {
-	m, err := p.snap.Stat(path)
-	if err != nil {
-		return nil, err
-	}
+func (p *Peer) readLocal(ctx context.Context, m meta.FileMeta, view bool) ([]byte, error) {
 	key := p.storeKeys[m.ChunkIdx]
 	if payload, ok := p.store.Get(key); ok {
 		return fileOf(payload, m, view)
@@ -630,8 +655,9 @@ func (p *Peer) readLocal(ctx context.Context, path string, view bool) ([]byte, e
 
 // ReadFile implements client.Reader: the read flow of Figure 4. The
 // owning master is computed from the snapshot; local reads are direct,
-// remote ones are one RPC hop; on any failure the read falls back to the
-// DIESEL servers so a dead cache node degrades throughput, not
+// remote ones are one RPC hop — per file at first touch, per chunk once
+// the chunk is being swept (see pull.go); on any failure the read falls
+// back to the DIESEL servers so a dead cache node degrades throughput, not
 // correctness.
 //
 // A remote master that keeps failing is marked dead (Config.DeadAfter)
@@ -652,10 +678,11 @@ func (p *Peer) ReadFileContext(ctx context.Context, path string) ([]byte, error)
 
 // ReadFileViewContext is ReadFileContext minus the defensive copy on the
 // local-hit path: when the file's chunk is cached on this peer, the
-// returned slice is a read-only window into the cached chunk payload.
-// Views are GC-safe — chunk buffers are never pooled, so a view stays
-// readable even after its chunk is evicted — but callers must not write
-// through them and must copy anything they mutate. On the peer-master and
+// returned slice is a read-only window into the cached chunk payload; the
+// same holds for a remote chunk this peer has pulled whole. Views are
+// GC-safe — chunk buffers are never pooled, so a view stays readable even
+// after its chunk is evicted — but callers must not write through them
+// and must copy anything they mutate. On the first-touch peer-master and
 // server-fallback paths the returned bytes are an owned copy, so the
 // caller-side contract is uniformly "treat as read-only". The epoch
 // reader's CacheSource rides this to make a cache-hit epoch copy-free.
@@ -676,7 +703,7 @@ func (p *Peer) readFile(ctx context.Context, path string, view bool) (b []byte, 
 	}
 	owner := p.ownerOf(m.ChunkIdx)
 	if owner == p.selfIdx {
-		b, err := p.readLocal(ctx, path, view)
+		b, err := p.readLocal(ctx, m, view)
 		if err == nil {
 			p.Stats.LocalHits.Add(1)
 			mLocalHits.Inc()
@@ -686,33 +713,43 @@ func (p *Peer) readFile(ctx context.Context, path string, view bool) (b []byte, 
 		if ctx.Err() != nil {
 			return nil, err
 		}
-	} else if h := &p.health[owner]; h.tryUse(time.Now()) {
-		b, err := p.readFromMaster(ctx, p.masters[owner].addr, path)
-		if err == nil {
-			if h.succeeded() {
-				mMasterRevivals.Inc()
+	} else {
+		// Tier order on the remote branch: pulled buffer → first-touch
+		// cache.get → whole-chunk cache.getChunk once the chunk is being
+		// swept → server fallback. A master marked dead gets none of the
+		// first three, buffered or not: its chunks go to the servers until
+		// a probe revives it, exactly as before the buffer existed.
+		h := &p.health[owner]
+		if !h.dead() {
+			if payload, ok := p.pulled.Get(p.storeKeys[m.ChunkIdx]); ok {
+				p.peerServed(sp, "peer-chunk", owner)
+				return fileOf(payload, m, view)
 			}
-			p.Stats.PeerReads.Add(1)
-			mPeerReads.Inc()
-			sp.SetAttr("branch", "peer-master")
-			sp.SetAttr("owner", strconv.Itoa(owner))
-			return b, nil
 		}
-		if wire.IsRemote(err) {
-			// The master answered; this is an application error, not a
-			// liveness signal. Leave the breaker alone and fall back.
-			h.succeeded()
-		} else if ctx.Err() != nil {
-			// The caller gave up, which says nothing about the master's
-			// health. Clear any probe flag without recording an outcome.
-			h.aborted()
-			return nil, err
-		} else if h.failed(time.Now(), p.cfg.DeadAfter, p.cfg.DeadCooldown) {
-			p.Stats.MasterDeaths.Add(1)
-			mMasterDeaths.Inc()
-			obs.Publish("breaker-trip",
-				"cache master marked dead after consecutive transport failures",
-				"addr", p.masters[owner].addr, "owner", strconv.Itoa(owner))
+		admitted := h.tryUse(time.Now())
+		if admitted && p.sweep.seen(m.ChunkIdx) {
+			payload, err := p.pullChunk(ctx, owner, m.ChunkIdx)
+			if err == nil {
+				p.peerServed(sp, "peer-chunk", owner)
+				return fileOf(payload, m, view)
+			}
+			if ctx.Err() != nil {
+				return nil, err
+			}
+			// The pull recorded its one outcome on the breaker; this read
+			// carries on per file if the breaker still admits it.
+			admitted = h.tryUse(time.Now())
+		}
+		if admitted {
+			b, err := p.readFromMaster(ctx, p.masters[owner].addr, path)
+			p.noteMaster(ctx, owner, err)
+			if err == nil {
+				p.peerServed(sp, "peer-master", owner)
+				return b, nil
+			}
+			if !wire.IsRemote(err) && ctx.Err() != nil {
+				return nil, err
+			}
 		}
 	}
 	p.Stats.ServerFallback.Add(1)
@@ -721,17 +758,60 @@ func (p *Peer) readFile(ctx context.Context, path string, view bool) (b []byte, 
 	return p.ds.GetDirect(ctx, path)
 }
 
-// readFromMaster fetches a file from a remote master, dialing lazily and
-// pooling connections.
-func (p *Peer) readFromMaster(ctx context.Context, addr, path string) ([]byte, error) {
-	pool, err := p.poolFor(addr)
+// peerServed counts one read answered by a remote master: branch
+// "peer-master" for a first-touch per-file RPC, "peer-chunk" for a view
+// out of a chunk pulled whole. Both are source="peer" — the answering tier
+// is the remote master's cache either way.
+func (p *Peer) peerServed(sp *tracing.Span, branch string, owner int) {
+	p.Stats.PeerReads.Add(1)
+	mPeerReads.Inc()
+	sp.SetAttr("branch", branch)
+	sp.SetAttr("owner", strconv.Itoa(owner))
+}
+
+// noteMaster records one RPC outcome — a per-file read or a whole-chunk
+// pull — on the owning master's breaker. A remote error means the master
+// answered: an application failure, not a liveness signal. A caller that
+// gave up says nothing about the master's health, so that only clears a
+// probe flag. Anything else is a transport failure (a failed dial and a
+// PeerCallTimeout expiry included) and counts toward DeadAfter.
+func (p *Peer) noteMaster(ctx context.Context, owner int, err error) {
+	h := &p.health[owner]
+	switch {
+	case err == nil || wire.IsRemote(err):
+		if h.succeeded() {
+			mMasterRevivals.Inc()
+		}
+	case ctx.Err() != nil:
+		h.aborted()
+	default:
+		if h.failed(time.Now(), p.cfg.DeadAfter, p.cfg.DeadCooldown) {
+			p.Stats.MasterDeaths.Add(1)
+			mMasterDeaths.Inc()
+			obs.Publish("breaker-trip",
+				"cache master marked dead after consecutive transport failures",
+				"addr", p.masters[owner].addr, "owner", strconv.Itoa(owner))
+		}
+	}
+}
+
+// callMaster performs one RPC to a remote master, dialing lazily and
+// pooling connections, and returns the borrowed response frame. It takes
+// over the request encoder and releases it.
+func (p *Peer) callMaster(ctx context.Context, addr, method string, req *wire.Encoder) (*wire.Frame, error) {
+	defer req.Release()
+	pool, err := p.poolFor(ctx, addr)
 	if err != nil {
 		return nil, err
 	}
+	return pool.CallBorrowContext(ctx, method, req.Bytes())
+}
+
+// readFromMaster fetches one file from a remote master.
+func (p *Peer) readFromMaster(ctx context.Context, addr, path string) ([]byte, error) {
 	e := wire.AcquireEncoder(len(path) + 8)
 	e.String(path)
-	f, err := pool.CallBorrowContext(ctx, methodCacheGet, e.Bytes())
-	e.Release()
+	f, err := p.callMaster(ctx, addr, methodCacheGet, e)
 	if err != nil {
 		return nil, err
 	}
@@ -745,18 +825,65 @@ func (p *Peer) readFromMaster(ctx context.Context, addr, path string) ([]byte, e
 	return b, err
 }
 
-func (p *Peer) poolFor(addr string) (*wire.Pool, error) {
+// poolDial is one master's connection pool being dialed; waiters share
+// the dialer's result.
+type poolDial struct {
+	done chan struct{}
+	pool *wire.Pool
+	err  error
+}
+
+var errPeerClosed = errors.New("dcache: peer closed")
+
+// poolFor returns the connection pool to a remote master, dialing it on
+// first use. One dial per address runs at a time, outside pmu and in a
+// goroutine of its own, so the caller waits no longer than its context
+// and the dial no longer than PeerCallTimeout. A failed dial is not
+// remembered: the caller counts it against the master's breaker like any
+// other transport failure, and the breaker decides when to try again.
+func (p *Peer) poolFor(ctx context.Context, addr string) (*wire.Pool, error) {
 	p.pmu.Lock()
-	defer p.pmu.Unlock()
+	if p.pools == nil {
+		p.pmu.Unlock()
+		return nil, errPeerClosed
+	}
 	if pool, ok := p.pools[addr]; ok {
+		p.pmu.Unlock()
 		return pool, nil
 	}
-	pool, err := wire.DialPool(addr, 2, wire.WithCallTimeout(p.cfg.PeerCallTimeout))
-	if err != nil {
-		return nil, err
+	d, dialing := p.dials[addr]
+	if !dialing {
+		d = &poolDial{done: make(chan struct{})}
+		p.dials[addr] = d
+		go p.dialPool(addr, d)
 	}
-	p.pools[addr] = pool
-	return pool, nil
+	p.pmu.Unlock()
+	select {
+	case <-d.done:
+		return d.pool, d.err
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+// dialPool runs one poolFor dial to completion and publishes the result.
+// It outlives a caller that gave up, but not PeerCallTimeout by much; a
+// pool that arrives after Close is closed on the spot.
+func (p *Peer) dialPool(addr string, d *poolDial) {
+	d.pool, d.err = wire.DialPool(addr, 2,
+		wire.WithCallTimeout(p.cfg.PeerCallTimeout), wire.WithDialer(p.dialMaster))
+	p.pmu.Lock()
+	delete(p.dials, addr)
+	switch {
+	case d.err != nil:
+	case p.pools == nil:
+		d.pool.Close()
+		d.pool, d.err = nil, errPeerClosed
+	default:
+		p.pools[addr] = d.pool
+	}
+	p.pmu.Unlock()
+	close(d.done)
 }
 
 // DialedMasters reports how many distinct remote masters this peer has
@@ -828,7 +955,7 @@ func (p *Peer) Close() error {
 	for _, pool := range p.pools {
 		pool.Close()
 	}
-	p.pools = make(map[string]*wire.Pool)
+	p.pools = nil // poolFor refuses from here on
 	p.pmu.Unlock()
 	return first
 }

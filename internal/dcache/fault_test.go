@@ -239,7 +239,10 @@ func TestPrefetchErrorRecorded(t *testing.T) {
 // replacement master on the same address is re-probed after the cooldown
 // and peer reads resume.
 func TestDeadMasterFallbackAndRevival(t *testing.T) {
-	f := newFaultFixture(t, 80, 200, []string{"a", "b"}, Config{
+	// ≈ 60 chunks, 30 of them remote to p0: more than the pulled buffer
+	// holds, so after the kill some remote reads must reach the master
+	// (a read the buffer answers says nothing about the master's health).
+	f := newFaultFixture(t, 1200, 200, []string{"a", "b"}, Config{
 		Policy:          Oneshot,
 		DeadAfter:       2,
 		DeadCooldown:    250 * time.Millisecond,

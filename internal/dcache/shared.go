@@ -1,6 +1,7 @@
 package dcache
 
 import (
+	"context"
 	"sync"
 	"time"
 
@@ -182,4 +183,32 @@ type inflightTable struct {
 
 func newInflightTable() *inflightTable {
 	return &inflightTable{m: make(map[string]*inflightLoad)}
+}
+
+// do runs fn unless a call for key is already running, in which case it
+// waits for that call and returns its result — the error included, so a
+// failure costs one attempt however many callers were blocked on it. A
+// waiter whose own context ends stops waiting; the running call goes on.
+func (t *inflightTable) do(ctx context.Context, key string, fn func() ([]byte, error)) ([]byte, error) {
+	t.mu.Lock()
+	fl, running := t.m[key]
+	if !running {
+		fl = &inflightLoad{done: make(chan struct{})}
+		t.m[key] = fl
+	}
+	t.mu.Unlock()
+	if running {
+		select {
+		case <-fl.done:
+			return fl.payload, fl.err
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	fl.payload, fl.err = fn()
+	t.mu.Lock()
+	delete(t.m, key)
+	t.mu.Unlock()
+	close(fl.done)
+	return fl.payload, fl.err
 }
