@@ -185,7 +185,7 @@ func BenchmarkFig10aServerStat(b *testing.B) {
 	s, names := localServer(b, "ds", 2000, 256, 1<<16)
 	b.ResetTimer()
 	for i := 0; b.Loop(); i++ {
-		if _, err := s.Stat("ds", names[i%len(names)]); err != nil {
+		if _, err := s.StatContext(context.Background(), "ds", names[i%len(names)]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -365,7 +365,7 @@ func BenchmarkFig12ReadBandwidth(b *testing.B) {
 			for _, fi := range plan.Files[g.Start:g.End] {
 				paths = append(paths, snap.FileName(int(fi)))
 			}
-			if _, err := s.GetFiles("ds", paths); err != nil {
+			if _, err := s.GetFilesContext(context.Background(), "ds", paths); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -499,7 +499,7 @@ func BenchmarkAblationExecutorMerge(b *testing.B) {
 				b.SetBytes(int64(len(names)) * 1024)
 				b.ResetTimer()
 				for b.Loop() {
-					if _, err := s.GetFiles("ds", names); err != nil {
+					if _, err := s.GetFilesContext(context.Background(), "ds", names); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -525,7 +525,7 @@ func BenchmarkAblationSnapshotVsServer(b *testing.B) {
 	})
 	b.Run("server", func(b *testing.B) {
 		for i := 0; b.Loop(); i++ {
-			if _, err := s.Stat("ds", names[i%len(names)]); err != nil {
+			if _, err := s.StatContext(context.Background(), "ds", names[i%len(names)]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -713,12 +713,13 @@ func BenchmarkLoaderEpoch(b *testing.B) {
 	dep, task, names := benchTask(b, 512, 2048)
 	defer dep.Close()
 	defer task.Close()
-	ds := task.Clients[1].DefaultDataset()
-	fetch := train.FetchFunc(func(p string) ([]byte, error) { return ds.Get(context.Background(), p) })
+	snap := task.Clients[1].DefaultDataset().Snapshot()
+	src := epoch.NewCacheSource(task.Peers[1], snap, 8)
 	b.SetBytes(int64(len(names)) * 2048)
 	b.ResetTimer()
 	for i := 0; b.Loop(); i++ {
-		l := train.New(fetch, names, train.WithWorkers(8), train.WithBatchSize(32))
+		plan := shuffle.ChunkWisePlan(snap, int64(i), 2)
+		l := train.NewEpochLoader(epoch.NewReader(plan, snap, src, epoch.WithWindow(2)))
 		for {
 			_, ok, err := l.Next()
 			if err != nil {

@@ -6,13 +6,18 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench 'WireFrame|DcacheHit|EpochRead' -benchmem ./... |
+//	go test -run '^$' -bench 'WireFrame|DcacheHit|EpochRead' -benchmem -count 3 ./... |
 //	    go run ./cmd/benchguard -baseline BENCH_baseline.json
 //
 // The guard reads benchmark lines from stdin and fails (exit 1) when a
 // benchmark's allocs/op exceeds its baseline by more than the threshold
 // (default 10%). A benchmark whose baseline is 0 allocs/op must stay at
-// 0 — the zero-allocation guarantee is exact, not proportional.
+// 0 — the zero-allocation guarantee is exact, not proportional. When a
+// benchmark appears several times (-count N) its run with the fewest
+// allocs/op counts: a sync.Pool emptied by a GC cycle adds allocations to
+// a short run, never removes them, so the minimum is the code's own cost.
+// A benchmark in the baseline that was not measured also fails — a renamed
+// or deleted benchmark must not silently leave the gate.
 //
 // Refresh the baseline after an intentional change with -update, which
 // rewrites the JSON from the measured input instead of comparing.
@@ -125,11 +130,12 @@ func main() {
 	}
 	for name := range base.Benchmarks {
 		if _, ok := got[name]; !ok {
+			failed = true
 			fmt.Printf("benchguard: MISS  %-48s in baseline but not measured\n", name)
 		}
 	}
 	if failed {
-		fmt.Println("benchguard: allocation regression detected")
+		fmt.Println("benchguard: allocation regression or unmeasured baseline entry")
 		os.Exit(1)
 	}
 }
@@ -140,7 +146,8 @@ func main() {
 //	BenchmarkWireFrameRead/64KB-8  1000  1234 ns/op  53.1 MB/s  0 B/op  0 allocs/op
 //
 // The trailing "-8" GOMAXPROCS suffix is stripped so baselines compare
-// across machines.
+// across machines. Of several lines for one benchmark (-count N) the one
+// with the fewest allocs/op is kept (ties: the faster).
 func parseBench(f *os.File) (map[string]entry, error) {
 	out := make(map[string]entry)
 	sc := bufio.NewScanner(f)
@@ -175,7 +182,11 @@ func parseBench(f *os.File) (map[string]entry, error) {
 				seen = true
 			}
 		}
-		if seen {
+		if !seen {
+			continue
+		}
+		if old, dup := out[name]; !dup || e.AllocsPerOp < old.AllocsPerOp ||
+			(e.AllocsPerOp == old.AllocsPerOp && e.NsPerOp < old.NsPerOp) {
 			out[name] = e
 		}
 	}

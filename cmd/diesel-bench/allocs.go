@@ -143,7 +143,7 @@ func allocExp(cluster.Params) {
 		publishAllocs("dcache-hit-copy", testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; b.Loop(); i++ {
-				if _, err := p.ReadFile(names[i%len(names)]); err != nil {
+				if _, err := p.ReadFileContext(ctx, names[i%len(names)]); err != nil {
 					b.Fatal(err)
 				}
 			}

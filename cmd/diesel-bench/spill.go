@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -90,7 +91,7 @@ func spillExp(cluster.Params) {
 		loads0 := chunkLoads(t)
 		start := time.Now()
 		for _, name := range names {
-			if _, err := t.Peers[0].ReadFile(name); err != nil {
+			if _, err := t.Peers[0].ReadFileContext(context.Background(), name); err != nil {
 				log.Fatalf("spill: %s read %s: %v", label, name, err)
 			}
 		}

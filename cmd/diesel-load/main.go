@@ -47,8 +47,6 @@ func main() {
 	rate := flag.Float64("rate", 500, "offered arrival rate, operations/second")
 	duration := flag.Duration("duration", 10*time.Second, "arrival-generation window (completion may run longer)")
 	arrival := flag.String("arrival", "constant", "arrival process: constant or poisson")
-	concurrency := flag.Int("concurrency", 64, "executor goroutines (simulated trainer processes)")
-	generators := flag.Int("generators", 4, "arrival-generator goroutines (phase-offset schedule shards)")
 	seed := flag.Int64("seed", 1, "seed for arrival draws and workload mix")
 	mix := flag.String("mix", "get=6,batch=2,chunk=1", "weighted op mix: get,direct,batch,chunk,view,stat (kind=weight,...)")
 	faults := flag.String("faults", "", `fault schedule: "start+dur:kind[:arg]; ..." — kinds kv-kill, server-kill, disk-slow, disk-tail, net-delay, net-drop, net-sever`)
@@ -57,19 +55,14 @@ func main() {
 	// System under test.
 	connect := flag.String("connect", "", "comma-separated external diesel-server addresses (empty = embedded stack)")
 	dataset := flag.String("dataset", "", "dataset name (external mode; must already be ingested)")
-	kvnodes := flag.Int("kvnodes", 2, "embedded: metadata KV nodes")
 	servers := flag.Int("servers", 2, "embedded: DIESEL servers")
 	files := flag.Int("files", 512, "embedded: dataset size in files")
-	fileSize := flag.Int("file-size", 4096, "embedded: bytes per file")
-	chunkTarget := flag.Int("chunk-target", 64<<10, "embedded: chunk payload target bytes")
 	diskLatency := flag.Duration("disk-latency", 0, "embedded: modeled per-op store latency (makes p99 portable in CI)")
 	ssdCache := flag.Int64("ssd-cache", 0, "embedded: fast-tier cache capacity in bytes")
 	clients := flag.Int("clients", 8, "libDIESEL contexts to round-robin ops over")
-	batch := flag.Int("batch", 8, "paths per GetBatch op")
 	taskNodes := flag.Int("task-nodes", 0, "embedded: simulated nodes of a DLT task with the distributed cache (0 = no task)")
 	clientsPerNode := flag.Int("clients-per-node", 0, "embedded: I/O processes per task node")
 	jobs := flag.Int("jobs", 0, "embedded: run this many concurrent training jobs over the one dataset, sharing a chunk cache (needs -task-nodes/-clients-per-node; <2 = single task)")
-	sharedCacheBytes := flag.Int64("shared-cache-bytes", 0, "embedded: shared chunk-cache budget in -jobs mode (0 = unlimited)")
 	spillDir := flag.String("spill-dir", "", "embedded: local-SSD spill tier root for the task cache (per-node subdirs; in -jobs mode the shared cache spills here directly)")
 	spillBytes := flag.Int64("spill-bytes", 0, "embedded: spill-tier disk budget in bytes (0 = unlimited)")
 	epochReaders := flag.Int("epoch-readers", 0, "background pipelined epoch readers looping during the run")
@@ -105,34 +98,28 @@ func main() {
 			log.Fatal("-connect requires -dataset")
 		}
 		st, err = loadgen.ConnectStack(strings.Split(*connect, ","), *dataset, loadgen.StackConfig{
-			Clients:   *clients,
-			BatchSize: *batch,
+			Clients: *clients,
 		})
 	} else {
 		st, err = loadgen.StartStack(loadgen.StackConfig{
-			KVNodes:          *kvnodes,
-			Servers:          *servers,
-			Files:            *files,
-			FileSizeB:        *fileSize,
-			ChunkTarget:      *chunkTarget,
-			DiskLatency:      *diskLatency,
-			SSDCacheBytes:    *ssdCache,
-			Clients:          *clients,
-			BatchSize:        *batch,
-			TaskNodes:        *taskNodes,
-			ClientsPerNode:   *clientsPerNode,
-			Jobs:             *jobs,
-			SharedCacheBytes: *sharedCacheBytes,
-			SpillDir:         *spillDir,
-			SpillBytes:       *spillBytes,
-			EpochReaders:     *epochReaders,
-			EpochHedge:       *epochHedge,
-			EpochReorder:     *epochReorder,
-			EpochDeadline:    *epochDeadline,
-			Watchdog:         *watchdog,
-			DiagSpoolDir:     *diagSpool,
-			StallSLO:         *stallSLO,
-			ReadSLO:          *readSLO,
+			Servers:        *servers,
+			Files:          *files,
+			DiskLatency:    *diskLatency,
+			SSDCacheBytes:  *ssdCache,
+			Clients:        *clients,
+			TaskNodes:      *taskNodes,
+			ClientsPerNode: *clientsPerNode,
+			Jobs:           *jobs,
+			SpillDir:       *spillDir,
+			SpillBytes:     *spillBytes,
+			EpochReaders:   *epochReaders,
+			EpochHedge:     *epochHedge,
+			EpochReorder:   *epochReorder,
+			EpochDeadline:  *epochDeadline,
+			Watchdog:       *watchdog,
+			DiagSpoolDir:   *diagSpool,
+			StallSLO:       *stallSLO,
+			ReadSLO:        *readSLO,
 		})
 	}
 	if err != nil {
@@ -160,15 +147,13 @@ func main() {
 		mode, *rate, *arrival, *duration, *mix, len(sched))
 
 	rep, err := st.RunEmbedded(ctx, loadgen.Config{
-		Rate:        *rate,
-		Duration:    *duration,
-		Concurrency: *concurrency,
-		Generators:  *generators,
-		Arrival:     loadgen.Arrival(*arrival),
-		Seed:        *seed,
-		Ops:         ops,
-		Faults:      sched,
-		ClosedLoop:  *closedLoop,
+		Rate:       *rate,
+		Duration:   *duration,
+		Arrival:    loadgen.Arrival(*arrival),
+		Seed:       *seed,
+		Ops:        ops,
+		Faults:     sched,
+		ClosedLoop: *closedLoop,
 	})
 	if err != nil {
 		log.Fatalf("run: %v", err)

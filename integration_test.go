@@ -17,6 +17,7 @@ import (
 	"diesel/internal/client"
 	"diesel/internal/core"
 	"diesel/internal/dcache"
+	"diesel/internal/epoch"
 	"diesel/internal/fuselite"
 	"diesel/internal/lustre"
 	"diesel/internal/meta"
@@ -220,7 +221,7 @@ func TestSnapshotDistributionViaSharedFS(t *testing.T) {
 // TestTrainModelFromDieselStorage is the end-to-end capstone: the
 // training samples themselves are stored in DIESEL as small files, and a
 // real model is trained by streaming epochs through the full stack —
-// chunk-wise shuffle → train.Loader prefetch pipeline → task-grained
+// chunk-wise shuffle → epoch.Reader pipeline + train.EpochLoader → task-grained
 // distributed cache → DIESEL server → chunked object storage — decoding
 // sample bytes on the way. Accuracy proves every byte arrived intact and
 // in a usable order.
@@ -275,15 +276,13 @@ func TestTrainModelFromDieselStorage(t *testing.T) {
 	m := train.NewMLP(dim, 16, classes, 7)
 	decoded := &train.SynthDataset{Classes: classes, Dim: dim}
 	decodedIdx := map[string]int32{}
-	for epoch := range 6 {
-		plan, err := cl.DefaultDataset().ShufflePlan(int64(epoch), 3)
+	for ep := range 6 {
+		plan, err := cl.DefaultDataset().ShufflePlan(int64(ep), 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		order := plan.Paths(snap)
-		loader := train.New(train.FetchFunc(func(p string) ([]byte, error) {
-			return cl.DefaultDataset().Get(context.Background(), p)
-		}), order, train.WithWorkers(4), train.WithBatchSize(32))
+		loader := train.NewEpochLoader(epoch.NewReader(plan, snap,
+			epoch.NewCacheSource(task.Peers[0], snap, 4), epoch.WithWindow(2)))
 		for {
 			b, ok, err := loader.Next()
 			if err != nil {

@@ -37,7 +37,6 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
-	mrand "math/rand"
 	"net"
 	"os"
 	"strings"
@@ -104,17 +103,10 @@ type Options struct {
 }
 
 // Reader intercepts file reads. The task-grained distributed cache
-// implements it; when set, Get routes through it instead of the server.
+// (*dcache.Peer) implements it; when set, Get routes through it instead of
+// the server, and the caller's context — the epoch reader's deadlines and
+// cancellation — reaches the cache's peer RPCs.
 type Reader interface {
-	ReadFile(path string) ([]byte, error)
-}
-
-// ContextReader is the context-aware extension of Reader. A Reader that
-// also implements it (dcache.Peer does) receives the caller's context from
-// Get, so deadlines and cancellation injected by the epoch reader reach
-// the cache's peer RPCs instead of stopping at the client boundary.
-type ContextReader interface {
-	Reader
 	ReadFileContext(ctx context.Context, path string) ([]byte, error)
 }
 
@@ -131,7 +123,7 @@ type Client struct {
 	def     *Dataset // handle on Options.Dataset
 
 	// Job lease machinery (nil/zero when Options.JobID is empty or the
-	// server predates the job registry).
+	// server runs without a job registry).
 	jobTTL atomic.Int64 // lease in ns, as reported by the server
 	hbStop chan struct{}
 	hbDone chan struct{}
@@ -162,8 +154,8 @@ var ErrNoDataset = errors.New("client: Options.Dataset is empty")
 // Connect dials the DIESEL servers and returns a connection (DL_connect)
 // with a handle open on Options.Dataset. With Options.JobID set it also
 // registers the job in the server's registry and starts the lease
-// heartbeat; servers that predate the registry degrade gracefully to an
-// anonymous connection.
+// heartbeat; against a server without a registry the connection degrades
+// gracefully to an anonymous one.
 func Connect(opts Options) (*Client, error) {
 	if opts.Dataset == "" {
 		return nil, ErrNoDataset
@@ -197,7 +189,7 @@ func Connect(opts Options) (*Client, error) {
 		// Every connection this client opens — redials included —
 		// announces the identity as its first frame, so the server can
 		// attribute each request to a job and tenant without per-request
-		// overhead. Pre-registry servers drop the frame harmlessly.
+		// overhead.
 		dialOpts = append(dialOpts, wire.WithJobIdentity(wire.JobIdentity{
 			ID:      opts.JobID,
 			Tenant:  opts.Tenant,
@@ -252,10 +244,8 @@ func (c *Client) Dataset(name string) (*Dataset, error) {
 // --- job lease ---
 
 // startJob registers the job and starts the heartbeat loop. A server
-// without a job registry (pre-registry build, or registry disabled)
-// answers with a RemoteError; the client then runs anonymously rather
-// than failing Connect — multi-job serving is an upgrade, not a handshake
-// requirement.
+// without a job registry answers with a RemoteError; the client then runs
+// anonymously rather than failing Connect.
 func (c *Client) startJob() {
 	ttl, err := c.registerJob()
 	if err != nil {
@@ -275,11 +265,11 @@ func (c *Client) registerJob() (time.Duration, error) {
 	e.String(c.opts.Dataset)
 	e.String(c.opts.Tenant)
 	e.Uint32(uint32(c.opts.Rank))
-	resp, err := c.callIdem(server.MethodJobRegister, e.Bytes())
+	resp, err := c.callIdem(context.Background(), server.MethodJobRegister, e.Bytes())
 	if err != nil {
 		return 0, err
 	}
-	d := wire.NewDecoder(resp)
+	d := wire.NewDecoder(resp.Payload)
 	ttl := time.Duration(d.Int64())
 	if err := d.Err(); err != nil {
 		return 0, err
@@ -309,7 +299,7 @@ func (c *Client) heartbeatLoop() {
 		case <-t.C:
 			e := wire.NewEncoder(32)
 			e.String(c.opts.JobID)
-			_, err := c.callIdem(server.MethodJobHeartbeat, e.Bytes())
+			_, err := c.callIdem(context.Background(), server.MethodJobHeartbeat, e.Bytes())
 			c.Stats.Heartbeats.Add(1)
 			if err != nil && wire.IsRemote(err) && strings.Contains(err.Error(), "unknown job") {
 				_, _ = c.registerJob()
@@ -330,7 +320,7 @@ func (c *Client) stopJob() {
 	c.hbStop = nil
 	e := wire.NewEncoder(32)
 	e.String(c.opts.JobID)
-	_, _ = c.call(server.MethodJobUnregister, e.Bytes())
+	_, _ = c.call(context.Background(), server.MethodJobUnregister, e.Bytes())
 }
 
 // clientInstances numbers every Client created in this process; the
@@ -360,78 +350,35 @@ func clientPID() uint32 {
 	return uint32(os.Getpid()&0xFFFF)<<8 | (clientInstances.Add(1) & 0xFF)
 }
 
-// call invokes an RPC on one of the servers, round-robin. Used directly
-// by the write path, which must never retry.
-func (c *Client) call(method string, payload []byte) ([]byte, error) {
-	return c.callContext(context.Background(), method, payload)
-}
-
-func (c *Client) callContext(ctx context.Context, method string, payload []byte) ([]byte, error) {
+// call invokes an RPC on one of the servers, round-robin. It is the write
+// path's call and never retries: a retried ingest that actually landed
+// would duplicate a chunk.
+func (c *Client) call(ctx context.Context, method string, payload []byte) ([]byte, error) {
 	i := c.next.Add(1)
 	return c.pools[i%uint64(len(c.pools))].CallContext(ctx, method, payload)
 }
 
-// callIdem is call with bounded retry for idempotent reads: a transport
-// failure backs off with jitter and tries again, and because call
-// round-robins, each retry lands on the next server — the paper's
-// interchangeable-servers property is what makes this safe and useful.
-// Application errors (RemoteError) are returned immediately, and all
-// attempts' transport errors are joined on exhaustion.
-func (c *Client) callIdem(method string, payload []byte) ([]byte, error) {
-	return c.callIdemContext(context.Background(), method, payload)
+// callIdem is the read path's call: wire.Retry around a round-robin pick,
+// so each retry lands on the next server — the paper's interchangeable-
+// servers property is what makes this safe and useful. The response frame's
+// payload aliases a pooled buffer: the hot reads (Get, GetBatch, GetChunk)
+// Release the frame once they have copied out of it; the cold metadata
+// calls read resp.Payload and leave the frame to the GC.
+func (c *Client) callIdem(ctx context.Context, method string, payload []byte) (*wire.Frame, error) {
+	resp, attempts, err := wire.Retry(ctx, c.opts.MaxRetries, c.opts.RetryBackoff, c.noteRetry,
+		func() (*wire.Frame, error) {
+			i := c.next.Add(1)
+			return c.pools[i%uint64(len(c.pools))].CallBorrowContext(ctx, method, payload)
+		})
+	if err != nil && !wire.IsRemote(err) {
+		return nil, fmt.Errorf("client: %s failed after %d attempts: %w", method, attempts, err)
+	}
+	return resp, err
 }
 
-// callIdemContext is callIdem under a caller deadline: a cancelled or
-// expired context stops the retry loop immediately — mid-backoff included —
-// since retrying work nobody is waiting for only burns server capacity.
-// The returned payload is owned by the caller (the backing frame is left
-// to the GC, never recycled).
-func (c *Client) callIdemContext(ctx context.Context, method string, payload []byte) ([]byte, error) {
-	f, err := c.callIdemBorrowContext(ctx, method, payload)
-	if err != nil {
-		return nil, err
-	}
-	// Intentionally no f.Release(): the payload escapes to the caller.
-	return f.Payload, nil
-}
-
-// callIdemBorrowContext is callIdemContext on the zero-copy path: the
-// response frame's payload aliases a pooled buffer, and the caller must
-// Release the frame exactly once after it is done reading (or copying
-// out of) the payload.
-func (c *Client) callIdemBorrowContext(ctx context.Context, method string, payload []byte) (*wire.Frame, error) {
-	var errs []error
-	for attempt := 0; ; attempt++ {
-		i := c.next.Add(1)
-		resp, err := c.pools[i%uint64(len(c.pools))].CallBorrowContext(ctx, method, payload)
-		if err == nil || wire.IsRemote(err) {
-			return resp, err
-		}
-		errs = append(errs, err)
-		if ctx.Err() != nil || attempt >= c.opts.MaxRetries {
-			return nil, fmt.Errorf("client: %s failed after %d attempts: %w",
-				method, attempt+1, errors.Join(errs...))
-		}
-		c.Stats.Retries.Add(1)
-		mRetries.Inc()
-		select {
-		case <-time.After(retryDelay(c.opts.RetryBackoff, attempt)):
-		case <-ctx.Done():
-			errs = append(errs, ctx.Err())
-			return nil, fmt.Errorf("client: %s failed after %d attempts: %w",
-				method, attempt+1, errors.Join(errs...))
-		}
-	}
-}
-
-// retryDelay is the backoff before retry number attempt+1: base doubled
-// per attempt, ±50% jitter, capped at 100×base.
-func retryDelay(base time.Duration, attempt int) time.Duration {
-	d := base << min(attempt, 20)
-	if limit := 100 * base; d > limit {
-		d = limit
-	}
-	return d/2 + time.Duration(mrand.Int63n(int64(d)))
+func (c *Client) noteRetry() {
+	c.Stats.Retries.Add(1)
+	mRetries.Inc()
 }
 
 // Rank returns the client's rank among the task's I/O workers.

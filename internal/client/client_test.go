@@ -340,10 +340,16 @@ func TestConcurrentReaders(t *testing.T) {
 	wg.Wait()
 }
 
-// fakeReader proves Get routes through an installed Reader.
+// fakeReader proves Get routes through an installed Reader, with the
+// caller's context.
 type fakeReader struct{ hits int }
 
-func (f *fakeReader) ReadFile(path string) ([]byte, error) {
+type readerCtxKey struct{}
+
+func (f *fakeReader) ReadFileContext(ctx context.Context, path string) ([]byte, error) {
+	if ctx.Value(readerCtxKey{}) == nil {
+		return nil, errors.New("reader did not receive the caller's context")
+	}
 	f.hits++
 	return []byte("from-cache:" + path), nil
 }
@@ -354,7 +360,7 @@ func TestReaderInterception(t *testing.T) {
 	writeDataset(t, c, 4, 32)
 	fr := &fakeReader{}
 	c.DefaultDataset().SetReader(fr)
-	got, err := c.DefaultDataset().Get(context.Background(), "any/path")
+	got, err := c.DefaultDataset().Get(context.WithValue(context.Background(), readerCtxKey{}, true), "any/path")
 	if err != nil || string(got) != "from-cache:any/path" {
 		t.Fatalf("reader not used: %q, %v", got, err)
 	}

@@ -98,7 +98,7 @@ func (d *Dataset) flushLocked() error {
 	e := wire.NewEncoder(len(enc) + len(d.name) + 16)
 	e.String(d.name)
 	e.Bytes32(enc)
-	if _, err := d.c.call(server.MethodIngest, e.Bytes()); err != nil {
+	if _, err := d.c.call(context.Background(), server.MethodIngest, e.Bytes()); err != nil {
 		return fmt.Errorf("client: flush: %w", err)
 	}
 	d.pending = 0
@@ -110,8 +110,7 @@ func (d *Dataset) flushLocked() error {
 
 // Get reads one file (DL_get). With a cache reader installed the request
 // goes to the owning cache peer; otherwise it goes to a server. The
-// context reaches the transport — and, when the installed reader
-// implements ContextReader, the cache's peer RPCs too.
+// context reaches the transport either way.
 func (d *Dataset) Get(ctx context.Context, path string) (out []byte, err error) {
 	start := time.Now()
 	ctx, sp := tracing.StartSpan(ctx, "client.get")
@@ -126,11 +125,8 @@ func (d *Dataset) Get(ctx context.Context, path string) (out []byte, err error) 
 	d.smu.RLock()
 	r := d.reader
 	d.smu.RUnlock()
-	if cr, ok := r.(ContextReader); ok {
-		return cr.ReadFileContext(ctx, meta.CleanPath(path))
-	}
 	if r != nil {
-		return r.ReadFile(meta.CleanPath(path))
+		return r.ReadFileContext(ctx, meta.CleanPath(path))
 	}
 	return d.GetDirect(ctx, path)
 }
@@ -144,7 +140,7 @@ func (d *Dataset) GetDirect(ctx context.Context, path string) (out []byte, err e
 	e := wire.AcquireEncoder(len(path) + len(d.name) + 16)
 	e.String(d.name)
 	e.String(meta.CleanPath(path))
-	resp, err := d.c.callIdemBorrowContext(ctx, server.MethodGet, e.Bytes())
+	resp, err := d.c.callIdem(ctx, server.MethodGet, e.Bytes())
 	e.Release()
 	if err != nil {
 		return nil, err
@@ -179,7 +175,7 @@ func (d *Dataset) GetBatch(ctx context.Context, paths []string) (out [][]byte, e
 	e := wire.AcquireEncoder(64)
 	e.String(d.name)
 	e.StringSlice(cleaned)
-	resp, err := d.c.callIdemBorrowContext(ctx, server.MethodGetBatch, e.Bytes())
+	resp, err := d.c.callIdem(ctx, server.MethodGetBatch, e.Bytes())
 	e.Release()
 	if err != nil {
 		return nil, err
@@ -225,7 +221,7 @@ func (d *Dataset) GetChunk(ctx context.Context, chunkID string) (out []byte, err
 	e := wire.AcquireEncoder(len(chunkID) + len(d.name) + 16)
 	e.String(d.name)
 	e.String(chunkID)
-	resp, err := d.c.callIdemBorrowContext(ctx, server.MethodGetChunk, e.Bytes())
+	resp, err := d.c.callIdem(ctx, server.MethodGetChunk, e.Bytes())
 	e.Release()
 	if err != nil {
 		return nil, err
@@ -269,11 +265,11 @@ func (d *Dataset) Stat(path string) (StatInfo, error) {
 	e := wire.NewEncoder(64)
 	e.String(d.name)
 	e.String(meta.CleanPath(path))
-	resp, err := d.c.callIdem(server.MethodStat, e.Bytes())
+	resp, err := d.c.callIdem(context.Background(), server.MethodStat, e.Bytes())
 	if err != nil {
 		return StatInfo{}, err
 	}
-	fr, err := meta.DecodeFileRecord(resp)
+	fr, err := meta.DecodeFileRecord(resp.Payload)
 	if err != nil {
 		return StatInfo{}, err
 	}
@@ -305,11 +301,11 @@ func (d *Dataset) Ls(dir string) ([]Entry, error) {
 	e := wire.NewEncoder(64)
 	e.String(d.name)
 	e.String(meta.CleanPath(dir))
-	resp, err := d.c.callIdem(server.MethodList, e.Bytes())
+	resp, err := d.c.callIdem(context.Background(), server.MethodList, e.Bytes())
 	if err != nil {
 		return nil, err
 	}
-	dec := wire.NewDecoder(resp)
+	dec := wire.NewDecoder(resp.Payload)
 	n := int(dec.Uint32())
 	out := make([]Entry, 0, n)
 	for range n {
@@ -323,7 +319,7 @@ func (d *Dataset) Delete(path string) error {
 	e := wire.NewEncoder(64)
 	e.String(d.name)
 	e.String(meta.CleanPath(path))
-	_, err := d.c.call(server.MethodDelete, e.Bytes())
+	_, err := d.c.call(context.Background(), server.MethodDelete, e.Bytes())
 	return err
 }
 
@@ -331,11 +327,11 @@ func (d *Dataset) Delete(path string) error {
 func (d *Dataset) DatasetRecord() (meta.DatasetRecord, error) {
 	e := wire.NewEncoder(32)
 	e.String(d.name)
-	resp, err := d.c.callIdem(server.MethodDatasetRecord, e.Bytes())
+	resp, err := d.c.callIdem(context.Background(), server.MethodDatasetRecord, e.Bytes())
 	if err != nil {
 		return meta.DatasetRecord{}, err
 	}
-	return meta.DecodeDatasetRecord(resp)
+	return meta.DecodeDatasetRecord(resp.Payload)
 }
 
 // DownloadSnapshot builds and downloads a fresh metadata snapshot and
@@ -343,11 +339,11 @@ func (d *Dataset) DatasetRecord() (meta.DatasetRecord, error) {
 func (d *Dataset) DownloadSnapshot() (*meta.Snapshot, error) {
 	e := wire.NewEncoder(32)
 	e.String(d.name)
-	resp, err := d.c.callIdem(server.MethodSnapshot, e.Bytes())
+	resp, err := d.c.callIdem(context.Background(), server.MethodSnapshot, e.Bytes())
 	if err != nil {
 		return nil, err
 	}
-	snap, err := meta.DecodeSnapshot(resp)
+	snap, err := meta.DecodeSnapshot(resp.Payload)
 	if err != nil {
 		return nil, err
 	}
@@ -414,7 +410,7 @@ func (d *Dataset) Recover(fromSec uint32) (scanned, skipped, pairs uint64, err e
 	e := wire.NewEncoder(32)
 	e.String(d.name)
 	e.Uint32(fromSec)
-	resp, err := d.c.call(server.MethodRecover, e.Bytes())
+	resp, err := d.c.call(context.Background(), server.MethodRecover, e.Bytes())
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -427,7 +423,7 @@ func (d *Dataset) Recover(fromSec uint32) (scanned, skipped, pairs uint64, err e
 func (d *Dataset) Purge() error {
 	e := wire.NewEncoder(32)
 	e.String(d.name)
-	_, err := d.c.call(server.MethodPurge, e.Bytes())
+	_, err := d.c.call(context.Background(), server.MethodPurge, e.Bytes())
 	return err
 }
 
@@ -435,6 +431,6 @@ func (d *Dataset) Purge() error {
 func (d *Dataset) DeleteDataset() error {
 	e := wire.NewEncoder(32)
 	e.String(d.name)
-	_, err := d.c.call(server.MethodDeleteDataset, e.Bytes())
+	_, err := d.c.call(context.Background(), server.MethodDeleteDataset, e.Bytes())
 	return err
 }

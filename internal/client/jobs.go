@@ -23,22 +23,18 @@ type JobStatus struct {
 // sharing one metadata cluster answers with the same roster, so the call
 // goes to whichever connection round-robin picks.
 func (c *Client) Jobs(ctx context.Context) ([]JobStatus, error) {
-	resp, err := c.callIdemContext(ctx, server.MethodJobs, nil)
+	resp, err := c.callIdem(ctx, server.MethodJobs, nil)
 	if err != nil {
 		return nil, err
 	}
-	return decodeJobs(resp)
+	return decodeJobs(resp.Payload)
 }
 
 // ListJobs dials one server address and lists its job roster without
 // opening a dataset — the admin path of `dlcmd jobs`, which has no
 // dataset to name.
 func ListJobs(addr string, callTimeout time.Duration) ([]JobStatus, error) {
-	var opts []wire.Option
-	if callTimeout > 0 {
-		opts = append(opts, wire.WithCallTimeout(callTimeout))
-	}
-	wc, err := wire.Dial(addr, opts...)
+	wc, err := dialAdmin(addr, callTimeout)
 	if err != nil {
 		return nil, err
 	}

@@ -108,7 +108,7 @@ func BenchmarkDcacheHit(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; b.Loop(); i++ {
-			buf, err := p.ReadFile(names[i%len(names)])
+			buf, err := p.ReadFileContext(context.Background(), names[i%len(names)])
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -163,7 +163,7 @@ func BenchmarkDcacheHitShared(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; b.Loop(); i++ {
-			buf, err := p.ReadFile(names[i%len(names)])
+			buf, err := p.ReadFileContext(context.Background(), names[i%len(names)])
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -188,7 +188,7 @@ func BenchmarkDcacheHitParallel(b *testing.B) {
 		i := rand.Int()
 		for pb.Next() {
 			i++
-			if _, err := p.ReadFile(names[i%len(names)]); err != nil {
+			if _, err := p.ReadFileContext(context.Background(), names[i%len(names)]); err != nil {
 				b.Fatal(err)
 			}
 		}

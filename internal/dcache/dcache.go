@@ -653,7 +653,7 @@ func (p *Peer) readLocal(ctx context.Context, m meta.FileMeta, view bool) ([]byt
 	return fileOf(payload, m, view)
 }
 
-// ReadFile implements client.Reader: the read flow of Figure 4. The
+// ReadFileContext implements client.Reader: the read flow of Figure 4. The
 // owning master is computed from the snapshot; local reads are direct,
 // remote ones are one RPC hop — per file at first touch, per chunk once
 // the chunk is being swept (see pull.go); on any failure the read falls
@@ -664,14 +664,10 @@ func (p *Peer) readLocal(ctx context.Context, m meta.FileMeta, view bool) ([]byt
 // and its chunks route straight to server fallback without paying a
 // doomed RPC per read; after Config.DeadCooldown one read re-probes it,
 // and a successful probe restores the p×(n−1) peer topology.
-func (p *Peer) ReadFile(path string) ([]byte, error) {
-	return p.ReadFileContext(context.Background(), path)
-}
-
-// ReadFileContext is ReadFile under a caller deadline/cancellation
-// (implementing client.ContextReader). The context bounds the peer RPC,
-// the chunk load it may trigger and the server fallback, so a cancelled
-// epoch reader stops waiting within one call round trip.
+//
+// The context bounds the peer RPC, the chunk load it may trigger and the
+// server fallback, so a cancelled epoch reader stops waiting within one
+// call round trip.
 func (p *Peer) ReadFileContext(ctx context.Context, path string) ([]byte, error) {
 	return p.readFile(ctx, path, false)
 }
@@ -962,7 +958,7 @@ func (p *Peer) Close() error {
 
 // fileOf extracts one file's bytes from a cached chunk payload: with view
 // set a read-only window into it — no copy — otherwise an owned copy, the
-// mutable-slice contract of the public ReadFile API.
+// mutable-slice contract of ReadFileContext.
 //
 // Payloads are plain GC-owned slices — never pooled, never unmapped. That
 // is the PR 6 ownership rule that keeps views valid across eviction,

@@ -423,7 +423,7 @@ func TestJoinThroughNetworkedRegistry(t *testing.T) {
 		t.Error("both single-client nodes should be masters")
 	}
 	// Read through the networked-registry cache.
-	if b, err := peers[0].ReadFile("f007"); err != nil || len(b) != 64 {
+	if b, err := peers[0].ReadFileContext(context.Background(), "f007"); err != nil || len(b) != 64 {
 		t.Fatalf("read through networked-registry cache: %v", err)
 	}
 }

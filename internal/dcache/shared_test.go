@@ -1,6 +1,7 @@
 package dcache
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -231,7 +232,7 @@ func TestSharedCacheAcrossTasks(t *testing.T) {
 
 	p1 := newPeer("job-a")
 	for _, name := range names {
-		if _, err := p1.ReadFile(name); err != nil {
+		if _, err := p1.ReadFileContext(context.Background(), name); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -248,7 +249,7 @@ func TestSharedCacheAcrossTasks(t *testing.T) {
 		t.Fatalf("Refcount with two tasks = %d, want 2", got)
 	}
 	for _, name := range names {
-		if _, err := p2.ReadFile(name); err != nil {
+		if _, err := p2.ReadFileContext(context.Background(), name); err != nil {
 			t.Fatal(err)
 		}
 	}

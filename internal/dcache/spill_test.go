@@ -89,7 +89,7 @@ func TestSpillServesEvictedChunks(t *testing.T) {
 	readAll := func() {
 		t.Helper()
 		for i, n := range names {
-			b, err := p.ReadFile(n)
+			b, err := p.ReadFileContext(context.Background(), n)
 			if err != nil {
 				t.Fatalf("read %s: %v", n, err)
 			}
@@ -133,7 +133,7 @@ func TestSpillPromotionReturnsChunkToRAM(t *testing.T) {
 		t.Fatalf("DemoteAll left %d chunks in RAM", p.CachedChunks())
 	}
 	for i := range 3 { // reads 1..2 pread; read 2 crosses the threshold
-		b, err := p.ReadFile(names[0])
+		b, err := p.ReadFileContext(context.Background(), names[0])
 		if err != nil || !bytes.Equal(b, contents[0]) {
 			t.Fatalf("read %d: %v", i, err)
 		}
@@ -178,7 +178,7 @@ func TestSpillRewarmAcrossRestart(t *testing.T) {
 		t.Fatalf("rewarmed %d chunks (%d bytes), want %d", chunks, bytesRewarmed, wantChunks)
 	}
 	for i, n := range names {
-		b, err := p2.ReadFile(n)
+		b, err := p2.ReadFileContext(context.Background(), n)
 		if err != nil || !bytes.Equal(b, contents[i]) {
 			t.Fatalf("post-restart read %s: %v", n, err)
 		}
@@ -208,13 +208,13 @@ func TestSharedCacheSpill(t *testing.T) {
 		c.Shared = shared
 	})
 	for i, n := range names {
-		if b, err := p.ReadFile(n); err != nil || !bytes.Equal(b, contents[i]) {
+		if b, err := p.ReadFileContext(context.Background(), n); err != nil || !bytes.Equal(b, contents[i]) {
 			t.Fatalf("read %s: %v", n, err)
 		}
 	}
 	loadsAfterFirst := p.Stats.ChunkLoads.Load()
 	for i, n := range names {
-		if b, err := p.ReadFile(n); err != nil || !bytes.Equal(b, contents[i]) {
+		if b, err := p.ReadFileContext(context.Background(), n); err != nil || !bytes.Equal(b, contents[i]) {
 			t.Fatalf("re-read %s: %v", n, err)
 		}
 	}
@@ -258,7 +258,7 @@ func BenchmarkDcacheSpillRead(b *testing.B) {
 		b.SetBytes(fileSize)
 		b.ReportAllocs()
 		for i := 0; b.Loop(); i++ {
-			buf, err := p.ReadFile(names[i%len(names)])
+			buf, err := p.ReadFileContext(context.Background(), names[i%len(names)])
 			if err != nil {
 				b.Fatal(err)
 			}

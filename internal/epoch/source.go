@@ -28,7 +28,7 @@ type Source interface {
 }
 
 // FileReader is the cache-side read surface CacheSource needs;
-// *dcache.Peer implements it (and so does any client.ContextReader).
+// *dcache.Peer implements it (and so does any client.Reader).
 type FileReader interface {
 	ReadFileContext(ctx context.Context, path string) ([]byte, error)
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math/rand"
 	"sort"
 	"strconv"
 	"sync"
@@ -96,49 +95,20 @@ func DialClusterOpts(addrs []string, opts Options) (*Cluster, error) {
 	return c, nil
 }
 
-// callIdem is call with bounded retry for idempotent operations: transport
-// failures (including deadlines — the op is idempotent, so a duplicate
-// execution is harmless) back off with jitter and try again; application
-// errors from the node are returned immediately. All attempts' errors are
-// joined so a post-mortem sees every failure, not an arbitrary one.
-func (c *Cluster) callIdem(n int, method string, payload []byte) ([]byte, error) {
-	return c.callIdemContext(context.Background(), n, method, payload)
-}
-
-// callIdemContext is callIdem under the caller's context: cancellation
-// stops the retry loop (mid-backoff included), and trace spans propagate
-// to the node RPCs.
-func (c *Cluster) callIdemContext(ctx context.Context, n int, method string, payload []byte) ([]byte, error) {
-	var errs []error
-	for attempt := 0; ; attempt++ {
-		resp, err := c.callContext(ctx, n, method, payload)
-		if err == nil || wire.IsRemote(err) {
-			return resp, err
+// callIdem is call under wire.Retry, for idempotent operations only. The
+// returned payload is owned by the caller (its frame is left to the GC).
+func (c *Cluster) callIdem(ctx context.Context, n int, method string, payload []byte) ([]byte, error) {
+	resp, attempts, err := wire.Retry(ctx, c.opts.MaxRetries, c.opts.RetryBackoff,
+		func() { mRetries(method).Inc() },
+		func() (*wire.Frame, error) { return c.call(ctx, n, method, payload) })
+	if err != nil {
+		if !wire.IsRemote(err) {
+			err = fmt.Errorf("kvstore: node %d (%s) %s failed after %d attempts: %w",
+				n, c.addrs[n], method, attempts, err)
 		}
-		errs = append(errs, err)
-		if ctx.Err() != nil || attempt >= c.opts.MaxRetries {
-			return nil, fmt.Errorf("kvstore: node %d (%s) %s failed after %d attempts: %w",
-				n, c.addrs[n], method, attempt+1, errors.Join(errs...))
-		}
-		mRetries(method).Inc()
-		select {
-		case <-time.After(retryDelay(c.opts.RetryBackoff, attempt)):
-		case <-ctx.Done():
-			errs = append(errs, ctx.Err())
-			return nil, fmt.Errorf("kvstore: node %d (%s) %s failed after %d attempts: %w",
-				n, c.addrs[n], method, attempt+1, errors.Join(errs...))
-		}
+		return nil, err
 	}
-}
-
-// retryDelay is the backoff before retry number attempt+1: base doubled
-// per attempt, ±50% jitter, capped at 100×base.
-func retryDelay(base time.Duration, attempt int) time.Duration {
-	d := base << min(attempt, 20)
-	if limit := 100 * base; d > limit {
-		d = limit
-	}
-	return d/2 + time.Duration(rand.Int63n(int64(d)))
+	return resp.Payload, nil
 }
 
 // NodeCount returns the number of nodes in the cluster.
@@ -160,7 +130,7 @@ func (c *Cluster) Set(key string, value []byte) error {
 	e := wire.NewEncoder(len(key) + len(value) + 16)
 	e.String(key)
 	e.Bytes32(value)
-	_, err := c.call(c.nodeFor(key), methodSet, e.Bytes())
+	_, err := c.call(context.Background(), c.nodeFor(key), methodSet, e.Bytes())
 	return err
 }
 
@@ -182,7 +152,7 @@ func (c *Cluster) GetContext(ctx context.Context, key string) (val []byte, err e
 	}
 	e := wire.NewEncoder(len(key) + 8)
 	e.String(key)
-	resp, err := c.callIdemContext(ctx, n, methodGet, e.Bytes())
+	resp, err := c.callIdem(ctx, n, methodGet, e.Bytes())
 	if err != nil {
 		return nil, err
 	}
@@ -208,13 +178,6 @@ type KV struct {
 // receives one RPC. This batching is why DIESEL's metadata ingest is fast:
 // a chunk's worth of file metadata costs O(nodes) round trips, not O(files).
 func (c *Cluster) MSet(pairs []KV) error {
-	return c.MSetContext(context.Background(), pairs)
-}
-
-// MSetContext is MSet under the caller's context. Each node's batch write
-// becomes one kv.mset span under a sampled trace, so ingest skew across
-// nodes is visible per batch.
-func (c *Cluster) MSetContext(ctx context.Context, pairs []KV) error {
 	mBatchMSet.Observe(uint64(len(pairs)))
 	byNode := make(map[int][]KV)
 	for _, kv := range pairs {
@@ -230,23 +193,13 @@ func (c *Cluster) MSetContext(ctx context.Context, pairs []KV) error {
 		wg.Add(1)
 		go func(n int, batch []KV) {
 			defer wg.Done()
-			ctx := ctx
-			sp := tracing.ChildOf(ctx, "kv.mset")
-			if sp != nil {
-				sp.SetAttr("node", strconv.Itoa(n))
-				sp.SetAttr("pairs", strconv.Itoa(len(batch)))
-				ctx = tracing.ContextWith(ctx, sp)
-			}
 			e := wire.NewEncoder(1024)
 			e.Uint32(uint32(len(batch)))
 			for _, kv := range batch {
 				e.String(kv.Key)
 				e.Bytes32(kv.Value)
 			}
-			_, err := c.callContext(ctx, n, methodMSet, e.Bytes())
-			sp.SetError(err)
-			sp.End()
-			if err != nil {
+			if _, err := c.call(context.Background(), n, methodMSet, e.Bytes()); err != nil {
 				emu.Lock()
 				errs = append(errs, fmt.Errorf("kvstore: mset on node %d: %w", n, err))
 				emu.Unlock()
@@ -305,7 +258,7 @@ func (c *Cluster) MGetContext(ctx context.Context, keys []string) ([][]byte, err
 			}
 			e := wire.NewEncoder(256)
 			e.StringSlice(ks)
-			resp, err := c.callIdemContext(ctx, n, methodMGet, e.Bytes())
+			resp, err := c.callIdem(ctx, n, methodMGet, e.Bytes())
 			sp.SetError(err)
 			sp.End()
 			if err != nil {
@@ -341,11 +294,11 @@ func (c *Cluster) MGetContext(ctx context.Context, keys []string) ([][]byte, err
 func (c *Cluster) Del(key string) (bool, error) {
 	e := wire.NewEncoder(len(key) + 8)
 	e.String(key)
-	resp, err := c.call(c.nodeFor(key), methodDel, e.Bytes())
+	resp, err := c.call(context.Background(), c.nodeFor(key), methodDel, e.Bytes())
 	if err != nil {
 		return false, err
 	}
-	d := wire.NewDecoder(resp)
+	d := wire.NewDecoder(resp.Payload)
 	return d.Bool(), d.Err()
 }
 
@@ -368,7 +321,7 @@ func (c *Cluster) ScanPrefix(prefix string) ([]KV, error) {
 		wg.Add(1)
 		go func(n int) {
 			defer wg.Done()
-			resp, err := c.callIdem(n, methodPScan, req)
+			resp, err := c.callIdem(context.Background(), n, methodPScan, req)
 			if err == nil {
 				d := wire.NewDecoder(resp)
 				cnt := int(d.Uint32())
@@ -403,7 +356,7 @@ func (c *Cluster) ScanPrefix(prefix string) ([]KV, error) {
 // FlushAll empties every node.
 func (c *Cluster) FlushAll() error {
 	for n := range c.addrs {
-		if _, err := c.call(n, methodFlush, nil); err != nil {
+		if _, err := c.call(context.Background(), n, methodFlush, nil); err != nil {
 			return err
 		}
 	}
@@ -414,7 +367,7 @@ func (c *Cluster) FlushAll() error {
 func (c *Cluster) DBSize() (uint64, error) {
 	var total uint64
 	for n := range c.addrs {
-		resp, err := c.callIdem(n, methodDBSize, nil)
+		resp, err := c.callIdem(context.Background(), n, methodDBSize, nil)
 		if err != nil {
 			return 0, err
 		}
@@ -430,7 +383,7 @@ func (c *Cluster) DBSize() (uint64, error) {
 // Ping checks liveness of every node, returning the first error.
 func (c *Cluster) Ping() error {
 	for n := range c.addrs {
-		if _, err := c.callIdem(n, methodPing, nil); err != nil {
+		if _, err := c.callIdem(context.Background(), n, methodPing, nil); err != nil {
 			return fmt.Errorf("kvstore: node %d (%s): %w", n, c.addrs[n], err)
 		}
 	}

@@ -1,6 +1,9 @@
 package kvstore
 
-import "sort"
+import (
+	"context"
+	"sort"
+)
 
 // Local adapts a single in-process Store to the same API as Cluster, so
 // components written against the Backend interface (the DIESEL server,
@@ -28,6 +31,14 @@ func (l *Local) Get(key string) ([]byte, error) {
 	return append([]byte(nil), v...), nil
 }
 
+// GetContext implements Backend: Get, refusing work nobody waits for.
+func (l *Local) GetContext(ctx context.Context, key string) ([]byte, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return l.Get(key)
+}
+
 // MSet implements Backend.
 func (l *Local) MSet(pairs []KV) error {
 	for _, kv := range pairs {
@@ -45,6 +56,14 @@ func (l *Local) MGet(keys []string) ([][]byte, error) {
 		}
 	}
 	return out, nil
+}
+
+// MGetContext implements Backend: MGet, refusing work nobody waits for.
+func (l *Local) MGetContext(ctx context.Context, keys []string) ([][]byte, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return l.MGet(keys)
 }
 
 // Del implements Backend.

@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -13,8 +14,10 @@ import (
 type backend interface {
 	Set(key string, value []byte) error
 	Get(key string) ([]byte, error)
+	GetContext(ctx context.Context, key string) ([]byte, error)
 	MSet(pairs []KV) error
 	MGet(keys []string) ([][]byte, error)
+	MGetContext(ctx context.Context, keys []string) ([][]byte, error)
 	Del(key string) (bool, error)
 	ScanPrefix(prefix string) ([]KV, error)
 	FlushAll() error
@@ -59,6 +62,24 @@ func backendContract(t *testing.T, b backend) {
 	}
 	if !bytes.Equal(vals[0], []byte{7}) || vals[1] != nil || !bytes.Equal(vals[2], []byte{49}) {
 		t.Errorf("MGet = %v", vals)
+	}
+
+	// The context forms read the same data, and refuse an already-
+	// cancelled context instead of doing work nobody waits for.
+	if v, err := b.GetContext(context.Background(), "k1"); err != nil || !bytes.Equal(v, []byte("v1")) {
+		t.Errorf("GetContext = %q, %v", v, err)
+	}
+	if vals, err := b.MGetContext(context.Background(), []string{"p/007", "absent"}); err != nil ||
+		!bytes.Equal(vals[0], []byte{7}) || vals[1] != nil {
+		t.Errorf("MGetContext = %v, %v", vals, err)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := b.GetContext(cancelled, "k1"); !errors.Is(err, context.Canceled) {
+		t.Errorf("GetContext on a cancelled context: %v", err)
+	}
+	if _, err := b.MGetContext(cancelled, []string{"p/007"}); !errors.Is(err, context.Canceled) {
+		t.Errorf("MGetContext on a cancelled context: %v", err)
 	}
 
 	kvs, err := b.ScanPrefix("p/")

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"diesel/internal/obs"
+	"diesel/internal/wire"
 )
 
 // Client-side KV metrics on the default registry. The cluster client is
@@ -68,17 +69,13 @@ func nodeHist(n int) *obs.Histogram {
 	return h
 }
 
-// call routes one RPC to node n, recording the op count and per-node
-// latency. Every Cluster method funnels through here.
-func (c *Cluster) call(n int, method string, payload []byte) ([]byte, error) {
-	return c.callContext(context.Background(), n, method, payload)
-}
-
-// callContext is call under the caller's context, which carries both the
-// deadline and any active trace span down to the wire transport.
-func (c *Cluster) callContext(ctx context.Context, n int, method string, payload []byte) ([]byte, error) {
+// call routes one RPC to node n under the caller's context — deadline and
+// any active trace span reach the wire transport — recording the op count
+// and per-node latency. Every Cluster method funnels through here; writes
+// call it directly because they must never retry.
+func (c *Cluster) call(ctx context.Context, n int, method string, payload []byte) (*wire.Frame, error) {
 	start := time.Now()
-	resp, err := c.pool(n).CallContext(ctx, method, payload)
+	resp, err := c.pool(n).CallBorrowContext(ctx, method, payload)
 	opCounter(method).Inc()
 	nodeHist(n).Since(start)
 	return resp, err

@@ -57,17 +57,13 @@ func DefaultExecutorConfig() ExecutorConfig {
 	}
 }
 
-// GetFiles serves a batch of file reads. The result is parallel to paths;
-// entries for missing files are nil. The executor groups requests by
-// chunk, sorts each group by offset, and chooses per group between one
-// whole-chunk read and per-file range reads.
-func (s *Server) GetFiles(dataset string, paths []string) ([][]byte, error) {
-	return s.GetFilesContext(context.Background(), dataset, paths)
-}
-
-// GetFilesContext is GetFiles with the request context threaded through
-// the batch stat and each group read, so a sampled trace decomposes one
-// batch into its metadata fan-out and its per-chunk backend reads.
+// GetFilesContext serves a batch of file reads. The result is parallel to
+// paths; entries for missing files are nil. The executor groups requests
+// by chunk, sorts each group by offset, and chooses per group between one
+// whole-chunk read and per-file range reads. The request context is
+// threaded through the batch stat and each group read, so a sampled trace
+// decomposes one batch into its metadata fan-out and its per-chunk backend
+// reads.
 func (s *Server) GetFilesContext(ctx context.Context, dataset string, paths []string) ([][]byte, error) {
 	out := make([][]byte, len(paths))
 	if len(paths) == 0 {
@@ -84,7 +80,7 @@ func (s *Server) GetFilesContext(ctx context.Context, dataset string, paths []st
 	if sp != nil {
 		statCtx = tracing.ContextWith(ctx, sp)
 	}
-	recs, err := s.kvMGet(statCtx, keys)
+	recs, err := s.kv.MGetContext(statCtx, keys)
 	sp.SetError(err)
 	sp.End()
 	if err != nil {
@@ -174,7 +170,7 @@ func (s *Server) serveGroup(ctx context.Context, dataset string, id chunk.ID, gr
 	merge := false
 	var hl uint32
 	if s.Exec.Merge {
-		crBytes, err := s.kvGet(ctx, meta.ChunkKey(dataset, idStr))
+		crBytes, err := s.kv.GetContext(ctx, meta.ChunkKey(dataset, idStr))
 		if err != nil {
 			return fmt.Errorf("server: chunk record %s: %w", idStr, err)
 		}
@@ -189,7 +185,7 @@ func (s *Server) serveGroup(ctx context.Context, dataset string, id chunk.ID, gr
 		}
 	} else {
 		var err error
-		hl, err = s.headerLenContext(ctx, dataset, idStr)
+		hl, err = s.headerLen(ctx, dataset, idStr)
 		if err != nil {
 			return err
 		}

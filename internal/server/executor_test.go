@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -31,7 +32,7 @@ func TestExecutorBatchEquivalence(t *testing.T) {
 				batch[i] = names[rng.Intn(len(names))]
 			}
 		}
-		got, err := s.GetFiles("ds", batch)
+		got, err := s.GetFilesContext(context.Background(), "ds", batch)
 		if err != nil {
 			t.Fatalf("trial %d (merge=%v): %v", trial, merge, err)
 		}
@@ -61,7 +62,7 @@ func TestExecutorDuplicatePathsInBatch(t *testing.T) {
 		name = n
 		break
 	}
-	got, err := s.GetFiles("ds", []string{name, name, name})
+	got, err := s.GetFilesContext(context.Background(), "ds", []string{name, name, name})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestExecutorSpanFractionTrigger(t *testing.T) {
 	for n := range files {
 		names = append(names, n)
 	}
-	if _, err := s.GetFiles("ds", names); err != nil {
+	if _, err := s.GetFilesContext(context.Background(), "ds", names); err != nil {
 		t.Fatal(err)
 	}
 	if s.Exec.Stats.ChunkReads.Load() == 0 {
@@ -100,7 +101,7 @@ func TestExecutorStatsAccounting(t *testing.T) {
 	for n := range files {
 		names = append(names, n)
 	}
-	if _, err := s.GetFiles("ds", names); err != nil {
+	if _, err := s.GetFilesContext(context.Background(), "ds", names); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Exec.Stats.FilesServed.Load(); got != 64 {

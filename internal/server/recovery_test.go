@@ -18,7 +18,7 @@ func TestRecoveryFullWipe(t *testing.T) {
 	if n, _ := kv.DBSize(); n != 0 {
 		t.Fatal("flush failed")
 	}
-	if _, err := s.GetFile("ds", "class00/img00000.jpg"); err == nil {
+	if _, err := getFile(s, "ds", "class00/img00000.jpg"); err == nil {
 		t.Fatal("read succeeded with no metadata")
 	}
 
@@ -37,7 +37,7 @@ func TestRecoveryFullWipe(t *testing.T) {
 		t.Errorf("recovered %d keys, originally %d", after, before)
 	}
 	for name, want := range files {
-		got, err := s.GetFile("ds", name)
+		got, err := getFile(s, "ds", name)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("post-recovery read %q: %v", name, err)
 		}
@@ -75,7 +75,7 @@ func TestRecoveryFromTimestamp(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := s.GetFile("ds", "late/file1"); err == nil {
+	if _, err := getFile(s, "ds", "late/file1"); err == nil {
 		t.Fatal("lost record still served")
 	}
 
@@ -89,12 +89,12 @@ func TestRecoveryFromTimestamp(t *testing.T) {
 	if st.ChunksSkipped == 0 {
 		t.Error("no old chunks skipped")
 	}
-	got, err := s.GetFile("ds", "late/file1")
+	got, err := getFile(s, "ds", "late/file1")
 	if err != nil || string(got) != "recent-1" {
 		t.Fatalf("recovered read = %q, %v", got, err)
 	}
 	// Old files were unaffected throughout.
-	if _, err := s.GetFile("ds", "class00/img00000.jpg"); err != nil {
+	if _, err := getFile(s, "ds", "class00/img00000.jpg"); err != nil {
 		t.Errorf("old file broken by partial recovery: %v", err)
 	}
 	rec, _ := s.DatasetRecord("ds")
@@ -160,7 +160,7 @@ func TestPurgeReclaimsHoles(t *testing.T) {
 	// Live files intact.
 	for name, want := range files {
 		isDeleted := name[:7] == "class03" || name[:7] == "class07"
-		got, err := s.GetFile("ds", name)
+		got, err := getFile(s, "ds", name)
 		if isDeleted {
 			if !errors.Is(err, ErrNoSuchFile) {
 				t.Fatalf("purged file %q: %v", name, err)
@@ -198,7 +198,7 @@ func TestPurgeMakesDeletesDurable(t *testing.T) {
 	if _, err := s.RecoverMetadata("ds", 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.GetFile("ds", victim); !errors.Is(err, ErrNoSuchFile) {
+	if _, err := getFile(s, "ds", victim); !errors.Is(err, ErrNoSuchFile) {
 		t.Errorf("deleted file resurrected by recovery: %v", err)
 	}
 	rec, _ := s.DatasetRecord("ds")
@@ -236,7 +236,7 @@ func TestDeleteDataset(t *testing.T) {
 		t.Errorf("%d chunk objects survived", len(keys))
 	}
 	// The other dataset is untouched.
-	if _, err := s.GetFile("other", "class00/img00000.jpg"); err != nil {
+	if _, err := getFile(s, "other", "class00/img00000.jpg"); err != nil {
 		t.Errorf("other dataset damaged: %v", err)
 	}
 	n, _ := kv.DBSize()

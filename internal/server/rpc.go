@@ -31,9 +31,9 @@ const (
 	MethodRecover       = "dsl.recover"
 	MethodChunkIDs      = "dsl.chunkIDs"
 
-	// Job-registry methods (multi-job serving plane). Servers that
-	// predate them answer with an unknown-method error, which clients
-	// treat as "registry unavailable" rather than a failure.
+	// Job-registry methods (multi-job serving plane). A server with the
+	// registry off (no EnableJobs) answers them with an error, which
+	// clients treat as "registry unavailable" rather than a failure.
 	MethodJobRegister   = "dsl.jobRegister"
 	MethodJobHeartbeat  = "dsl.jobHeartbeat"
 	MethodJobUnregister = "dsl.jobUnregister"

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -291,13 +292,13 @@ func TestHeaderLenCaching(t *testing.T) {
 	snap, _ := s.BuildSnapshot("ds")
 	id := snap.Chunks[0].ID.String()
 
-	hl1, err := s.headerLen("ds", id)
+	hl1, err := s.headerLen(context.Background(), "ds", id)
 	if err != nil || hl1 == 0 {
 		t.Fatalf("headerLen = %d, %v", hl1, err)
 	}
 	// Delete the chunk record: the cache must still serve the answer.
 	kv.Del(meta.ChunkKey("ds", id))
-	hl2, err := s.headerLen("ds", id)
+	hl2, err := s.headerLen(context.Background(), "ds", id)
 	if err != nil || hl2 != hl1 {
 		t.Errorf("cached headerLen = %d, %v", hl2, err)
 	}

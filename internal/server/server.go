@@ -30,41 +30,18 @@ import (
 
 // Backend is the key-value database interface the server stores metadata
 // in. Both kvstore.Cluster (networked) and kvstore.Local (in-process)
-// satisfy it.
+// satisfy it. The read path uses the context forms, so trace spans and
+// deadlines reach the metadata cluster's RPCs.
 type Backend interface {
 	Set(key string, value []byte) error
 	Get(key string) ([]byte, error)
+	GetContext(ctx context.Context, key string) ([]byte, error)
 	MSet(pairs []kvstore.KV) error
 	MGet(keys []string) ([][]byte, error)
+	MGetContext(ctx context.Context, keys []string) ([][]byte, error)
 	Del(key string) (bool, error)
 	ScanPrefix(prefix string) ([]kvstore.KV, error)
 	DBSize() (uint64, error)
-}
-
-// ctxBackend is the optional context-aware extension of Backend (the same
-// idiom as client.ContextReader). kvstore.Cluster implements it; when the
-// configured backend does, the server's read path threads its request
-// context through, so trace spans and deadlines reach the metadata
-// cluster's RPCs instead of stopping at the Backend boundary.
-type ctxBackend interface {
-	GetContext(ctx context.Context, key string) ([]byte, error)
-	MGetContext(ctx context.Context, keys []string) ([][]byte, error)
-}
-
-// kvGet is Backend.Get with ctx threading when the backend supports it.
-func (s *Server) kvGet(ctx context.Context, key string) ([]byte, error) {
-	if cb, ok := s.kv.(ctxBackend); ok {
-		return cb.GetContext(ctx, key)
-	}
-	return s.kv.Get(key)
-}
-
-// kvMGet is Backend.MGet with ctx threading when the backend supports it.
-func (s *Server) kvMGet(ctx context.Context, keys []string) ([][]byte, error) {
-	if cb, ok := s.kv.(ctxBackend); ok {
-		return cb.MGetContext(ctx, keys)
-	}
-	return s.kv.MGet(keys)
 }
 
 // Errors returned by server operations.
@@ -199,15 +176,10 @@ func (s *Server) DatasetRecord(dataset string) (meta.DatasetRecord, error) {
 	return meta.DecodeDatasetRecord(b)
 }
 
-// Stat returns the metadata record of one file.
-func (s *Server) Stat(dataset, path string) (meta.FileRecord, error) {
-	return s.StatContext(context.Background(), dataset, path)
-}
-
-// StatContext is Stat with the request context threaded to the metadata
-// backend.
+// StatContext returns the metadata record of one file, with the request
+// context threaded to the metadata backend.
 func (s *Server) StatContext(ctx context.Context, dataset, path string) (meta.FileRecord, error) {
-	b, err := s.kvGet(ctx, meta.FileKey(dataset, path))
+	b, err := s.kv.GetContext(ctx, meta.FileKey(dataset, path))
 	if errors.Is(err, kvstore.ErrNotFound) {
 		return meta.FileRecord{}, fmt.Errorf("%w: %s/%s", ErrNoSuchFile, dataset, path)
 	}
@@ -220,11 +192,7 @@ func (s *Server) StatContext(ctx context.Context, dataset, path string) (meta.Fi
 // headerLen returns the header length of a chunk, consulting the chunk
 // record and caching the answer (headers are immutable once written; the
 // purge rewrites produce new chunk IDs).
-func (s *Server) headerLen(dataset, chunkID string) (uint32, error) {
-	return s.headerLenContext(context.Background(), dataset, chunkID)
-}
-
-func (s *Server) headerLenContext(ctx context.Context, dataset, chunkID string) (uint32, error) {
+func (s *Server) headerLen(ctx context.Context, dataset, chunkID string) (uint32, error) {
 	key := ObjectKey(dataset, chunkID)
 	s.hdrMu.RLock()
 	hl, ok := s.hdrCache[key]
@@ -232,7 +200,7 @@ func (s *Server) headerLenContext(ctx context.Context, dataset, chunkID string) 
 	if ok {
 		return hl, nil
 	}
-	b, err := s.kvGet(ctx, meta.ChunkKey(dataset, chunkID))
+	b, err := s.kv.GetContext(ctx, meta.ChunkKey(dataset, chunkID))
 	if err != nil {
 		return 0, fmt.Errorf("server: chunk record %s: %w", chunkID, err)
 	}
@@ -246,31 +214,14 @@ func (s *Server) headerLenContext(ctx context.Context, dataset, chunkID string) 
 	return cr.HeaderLen, nil
 }
 
-// GetFile reads one file's content via a metadata lookup plus an
-// object-store range read.
-func (s *Server) GetFile(dataset, path string) ([]byte, error) {
-	return s.GetFileContext(context.Background(), dataset, path)
-}
-
-// GetFileContext is GetFile with the request context threaded through;
-// under a sampled trace the metadata probe and the object-store range
-// read appear as separate spans, which is the split Fig. 8's latency
-// breakdown needs.
-func (s *Server) GetFileContext(ctx context.Context, dataset, path string) ([]byte, error) {
-	b, release, err := s.GetFilePooled(ctx, dataset, path)
-	if err != nil {
-		return nil, err
-	}
-	out := append([]byte(nil), b...)
-	release()
-	return out, nil
-}
-
-// GetFilePooled is GetFileContext on the zero-copy read path: the bytes
-// live in a pooled read buffer and the caller must call release exactly
-// once when done with them (only on success). The RPC layer encodes the
-// response straight out of the buffer and releases it, so a single-file
-// read costs no GC allocation for the file bytes.
+// GetFilePooled reads one file's content via a metadata lookup plus an
+// object-store range read; under a sampled trace the two appear as
+// separate spans, which is the split Fig. 8's latency breakdown needs. It
+// is the zero-copy read path: the bytes live in a pooled read buffer and
+// the caller must call release exactly once when done with them (only on
+// success). The RPC layer encodes the response straight out of the buffer
+// and releases it, so a single-file read costs no GC allocation for the
+// file bytes.
 func (s *Server) GetFilePooled(ctx context.Context, dataset, path string) ([]byte, func(), error) {
 	sp := tracing.ChildOf(ctx, "server.stat")
 	statCtx := ctx
@@ -284,7 +235,7 @@ func (s *Server) GetFilePooled(ctx context.Context, dataset, path string) ([]byt
 		return nil, nil, err
 	}
 	idStr := fr.ChunkID.String()
-	hl, err := s.headerLenContext(ctx, dataset, idStr)
+	hl, err := s.headerLen(ctx, dataset, idStr)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -297,28 +248,12 @@ func (s *Server) GetFilePooled(ctx context.Context, dataset, path string) ([]byt
 	return b, release, err
 }
 
-// GetChunk returns one encoded chunk in full — the operation the
-// task-grained distributed cache loads datasets with.
-func (s *Server) GetChunk(dataset, chunkID string) ([]byte, error) {
-	return s.GetChunkContext(context.Background(), dataset, chunkID)
-}
-
-// GetChunkContext is GetChunk with the request context threaded through.
-func (s *Server) GetChunkContext(ctx context.Context, dataset, chunkID string) ([]byte, error) {
-	sp := tracing.ChildOf(ctx, "objstore.get")
-	sp.SetAttr("chunk", chunkID)
-	b, err := s.objects.Get(ObjectKey(dataset, chunkID))
-	sp.SetAttr("bytes", fmt.Sprint(len(b)))
-	sp.SetError(err)
-	sp.End()
-	return b, err
-}
-
-// GetChunkPooled is GetChunkContext on the zero-copy read path: the
-// encoded chunk lives in a pooled read buffer and the caller must call
-// release exactly once when done (only on success). The RPC layer uses
-// this so serving a multi-megabyte chunk fetch allocates nothing for the
-// chunk bytes beyond the response frame.
+// GetChunkPooled returns one encoded chunk in full — the operation the
+// task-grained distributed cache loads datasets with — on the zero-copy
+// read path: the encoded chunk lives in a pooled read buffer and the
+// caller must call release exactly once when done (only on success). The
+// RPC layer uses this so serving a multi-megabyte chunk fetch allocates
+// nothing for the chunk bytes beyond the response frame.
 func (s *Server) GetChunkPooled(ctx context.Context, dataset, chunkID string) ([]byte, func(), error) {
 	sp := tracing.ChildOf(ctx, "objstore.get")
 	sp.SetAttr("chunk", chunkID)
@@ -418,7 +353,7 @@ func (s *Server) BuildSnapshot(dataset string) (*meta.Snapshot, error) {
 // is set in the owning chunk's deletion bitmap. The bytes stay in the
 // chunk until Purge rewrites it (§4.1.1's delete-then-rewrite model).
 func (s *Server) DeleteFile(dataset, path string) error {
-	fr, err := s.Stat(dataset, path)
+	fr, err := s.StatContext(context.Background(), dataset, path)
 	if err != nil {
 		return err
 	}

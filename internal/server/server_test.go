@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -21,6 +22,26 @@ func testStack() (*Server, *objstore.Memory, *kvstore.Local, *chunk.IDGenerator)
 	s := New(kv, obj, func() int64 { now++; return now })
 	gen := chunk.NewIDGeneratorAt([6]byte{1, 2, 3, 4, 5, 6}, 42, func() uint32 { return uint32(now / 1000) })
 	return s, obj, kv, gen
+}
+
+// getFile and getChunk read through the pooled serving path the RPC layer
+// uses, copying the bytes out so tests can hold them.
+func getFile(s *Server, dataset, path string) ([]byte, error) {
+	b, release, err := s.GetFilePooled(context.Background(), dataset, path)
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	return append([]byte(nil), b...), nil
+}
+
+func getChunk(s *Server, dataset, chunkID string) ([]byte, error) {
+	b, release, err := s.GetChunkPooled(context.Background(), dataset, chunkID)
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	return append([]byte(nil), b...), nil
 }
 
 // writeFiles packs files into chunks of targetSize and ingests them,
@@ -69,7 +90,7 @@ func TestIngestAndGetFile(t *testing.T) {
 		t.Errorf("expected many chunks, got %d objects", obj.Len())
 	}
 	for name, want := range files {
-		got, err := s.GetFile("ds", name)
+		got, err := getFile(s, "ds", name)
 		if err != nil {
 			t.Fatalf("GetFile(%q): %v", name, err)
 		}
@@ -77,10 +98,10 @@ func TestIngestAndGetFile(t *testing.T) {
 			t.Fatalf("GetFile(%q): content mismatch", name)
 		}
 	}
-	if _, err := s.GetFile("ds", "missing"); !errors.Is(err, ErrNoSuchFile) {
+	if _, err := getFile(s, "ds", "missing"); !errors.Is(err, ErrNoSuchFile) {
 		t.Errorf("missing file: %v", err)
 	}
-	if _, err := s.GetFile("nods", "x"); !errors.Is(err, ErrNoSuchFile) {
+	if _, err := getFile(s, "nods", "x"); !errors.Is(err, ErrNoSuchFile) {
 		t.Errorf("missing dataset: %v", err)
 	}
 }
@@ -123,7 +144,7 @@ func TestDatasetRecordAccounting(t *testing.T) {
 func TestStat(t *testing.T) {
 	s, _, _, gen := testStack()
 	writeFiles(t, s, gen, "ds", 20, 256, 2048)
-	fr, err := s.Stat("ds", "class03/img00003.jpg")
+	fr, err := s.StatContext(context.Background(), "ds", "class03/img00003.jpg")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +190,7 @@ func TestGetFilesBatchExecutor(t *testing.T) {
 	}
 	paths = append(paths, "missing/file.jpg")
 
-	got, err := s.GetFiles("ds", paths)
+	got, err := s.GetFilesContext(context.Background(), "ds", paths)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +224,7 @@ func TestExecutorMergeOffUsesRangeReads(t *testing.T) {
 	for name := range files {
 		paths = append(paths, name)
 	}
-	got, err := s.GetFiles("ds", paths)
+	got, err := s.GetFilesContext(context.Background(), "ds", paths)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +250,7 @@ func TestExecutorSmallBatchUsesRangeReads(t *testing.T) {
 		one = append(one, name)
 		break
 	}
-	if _, err := s.GetFiles("ds", one); err != nil {
+	if _, err := s.GetFilesContext(context.Background(), "ds", one); err != nil {
 		t.Fatal(err)
 	}
 	if s.Exec.Stats.ChunkReads.Load() != 0 {
@@ -239,7 +260,7 @@ func TestExecutorSmallBatchUsesRangeReads(t *testing.T) {
 
 func TestGetFilesEmpty(t *testing.T) {
 	s, _, _, _ := testStack()
-	out, err := s.GetFiles("ds", nil)
+	out, err := s.GetFilesContext(context.Background(), "ds", nil)
 	if err != nil || len(out) != 0 {
 		t.Fatalf("empty batch: %v, %v", out, err)
 	}
@@ -266,7 +287,7 @@ func TestBuildSnapshotMatchesContent(t *testing.T) {
 			t.Fatalf("snapshot Stat(%q): %v", name, err)
 		}
 		cm := snap.Chunks[m.ChunkIdx]
-		blob, err := s.GetChunk("ds", cm.ID.String())
+		blob, err := getChunk(s, "ds", cm.ID.String())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,7 +305,7 @@ func TestDeleteFile(t *testing.T) {
 	if err := s.DeleteFile("ds", victim); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.GetFile("ds", victim); !errors.Is(err, ErrNoSuchFile) {
+	if _, err := getFile(s, "ds", victim); !errors.Is(err, ErrNoSuchFile) {
 		t.Errorf("deleted file readable: %v", err)
 	}
 	rec, _ := s.DatasetRecord("ds")
@@ -299,7 +320,7 @@ func TestDeleteFile(t *testing.T) {
 		if name == victim {
 			continue
 		}
-		got, err := s.GetFile("ds", name)
+		got, err := getFile(s, "ds", name)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("collateral damage on %q: %v", name, err)
 		}
@@ -323,7 +344,7 @@ func TestUpdateFileViaDeleteAndRewrite(t *testing.T) {
 	if _, err := s.Ingest("ds", enc); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.GetFile("ds", name)
+	got, err := getFile(s, "ds", name)
 	if err != nil || string(got) != "new content" {
 		t.Fatalf("updated file = %q, %v", got, err)
 	}
@@ -348,7 +369,7 @@ func TestIngestRejectsChunkIDCollision(t *testing.T) {
 	if _, err := s.Ingest("ds", enc2); err == nil {
 		t.Fatal("colliding ingest accepted")
 	}
-	got, err := s.GetFile("ds", "first")
+	got, err := getFile(s, "ds", "first")
 	if err != nil || string(got) != "original" {
 		t.Fatalf("original chunk damaged: %q, %v", got, err)
 	}

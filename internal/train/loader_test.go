@@ -1,58 +1,63 @@
 package train
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
+	"strings"
 	"testing"
-	"time"
+
+	"diesel/internal/chunk"
+	"diesel/internal/epoch"
+	"diesel/internal/meta"
+	"diesel/internal/shuffle"
 )
 
-// slowStore is a concurrent fetch function with per-call latency and
-// call accounting.
-type slowStore struct {
-	latency   time.Duration
-	calls     atomic.Int64
-	maxActive atomic.Int64
-	active    atomic.Int64
-	failPath  string
-}
-
-func (s *slowStore) fetch(path string) ([]byte, error) {
-	s.calls.Add(1)
-	cur := s.active.Add(1)
-	defer s.active.Add(-1)
-	for {
-		m := s.maxActive.Load()
-		if cur <= m || s.maxActive.CompareAndSwap(m, cur) {
-			break
+// epochFixture builds a snapshot of nChunks×filesPerChunk files and a
+// Source serving each file's path as its payload (failing on failPath).
+func epochFixture(nChunks, filesPerChunk int, failPath string) (*meta.Snapshot, epoch.Source) {
+	b := meta.NewSnapshotBuilder("ds", 1)
+	for c := range nChunks {
+		var id chunk.ID
+		id[0] = byte(c)
+		ci := b.AddChunk(id, 1<<20, 100)
+		for f := range filesPerChunk {
+			b.AddFile(fmt.Sprintf("c%02d/f%02d", c, f), meta.FileMeta{
+				ChunkIdx: ci, Index: uint32(f), Offset: uint64(f * 10), Length: 10,
+			})
 		}
 	}
-	if s.latency > 0 {
-		time.Sleep(s.latency)
-	}
-	if path == s.failPath {
-		return nil, errors.New("injected fetch failure")
-	}
-	return []byte("data:" + path), nil
+	snap := b.Build()
+	return snap, planSource{snap: snap, failPath: failPath}
 }
 
-func paths(n int) []string {
-	out := make([]string, n)
-	for i := range out {
-		out[i] = fmt.Sprintf("f%04d", i)
-	}
-	return out
+type planSource struct {
+	snap     *meta.Snapshot
+	failPath string
 }
 
-func TestLoaderOrderPreserved(t *testing.T) {
-	st := &slowStore{latency: time.Millisecond}
-	order := paths(100)
-	l := newLoader(st.fetch, order, LoaderConfig{Workers: 8, BatchSize: 7})
+func (s planSource) ReadGroup(_ context.Context, plan *shuffle.Plan, g int) ([][]byte, error) {
+	span := plan.Groups[g]
+	out := make([][]byte, span.End-span.Start)
+	for pos := span.Start; pos < span.End; pos++ {
+		name := s.snap.FileName(int(plan.Files[pos]))
+		if name == s.failPath {
+			return nil, errors.New("injected fetch failure")
+		}
+		out[pos-span.Start] = []byte(name)
+	}
+	return out, nil
+}
+
+// TestEpochLoaderBatches streams an epoch.Reader through the EpochLoader
+// and checks batch boundaries and order fidelity.
+func TestEpochLoaderBatches(t *testing.T) {
+	snap, src := epochFixture(6, 5, "")
+	plan := shuffle.ChunkWisePlan(snap, 3, 2)
+	r := epoch.NewReader(plan, snap, src, epoch.WithWindow(2))
+	l := NewEpochLoader(r, WithBatchSize(7))
 	defer l.Close()
-
-	pos := 0
-	batches := 0
+	pos, batches := 0, 0
 	for {
 		b, ok, err := l.Next()
 		if err != nil {
@@ -64,153 +69,101 @@ func TestLoaderOrderPreserved(t *testing.T) {
 		if b.Index != batches {
 			t.Fatalf("batch index %d, want %d", b.Index, batches)
 		}
-		for j, p := range b.Paths {
-			if p != order[pos] {
-				t.Fatalf("position %d: path %q, want %q", pos, p, order[pos])
+		batches++
+		for i, p := range b.Paths {
+			want := snap.FileName(int(plan.Files[pos]))
+			if p != want {
+				t.Fatalf("pos %d: got %q, want %q", pos, p, want)
 			}
-			if string(b.Data[j]) != "data:"+p {
-				t.Fatalf("position %d: wrong data %q", pos, b.Data[j])
+			if string(b.Data[i]) != want {
+				t.Fatalf("pos %d: wrong payload", pos)
 			}
 			pos++
 		}
-		batches++
 	}
-	if pos != len(order) {
-		t.Fatalf("consumed %d of %d files", pos, len(order))
+	if pos != snap.NumFiles() {
+		t.Fatalf("consumed %d of %d", pos, snap.NumFiles())
 	}
-	if st.calls.Load() != int64(len(order)) {
-		t.Errorf("fetched %d times for %d files", st.calls.Load(), len(order))
+	if want := (snap.NumFiles() + 6) / 7; batches != want {
+		t.Fatalf("got %d batches, want %d", batches, want)
 	}
 }
 
-func TestLoaderActuallyParallel(t *testing.T) {
-	st := &slowStore{latency: 5 * time.Millisecond}
-	l := newLoader(st.fetch, paths(64), LoaderConfig{Workers: 8, BatchSize: 8})
+// TestEpochLoaderDefaultBatchSize checks the documented default of 32.
+func TestEpochLoaderDefaultBatchSize(t *testing.T) {
+	snap, src := epochFixture(8, 5, "")
+	l := NewEpochLoader(epoch.NewReader(shuffle.ChunkWisePlan(snap, 1, 2), snap, src))
 	defer l.Close()
-	start := time.Now()
+	b, ok, err := l.Next()
+	if err != nil || !ok {
+		t.Fatalf("Next: ok=%v err=%v", ok, err)
+	}
+	if len(b.Paths) != 32 {
+		t.Fatalf("default batch size: got %d, want 32", len(b.Paths))
+	}
+}
+
+// TestEpochLoaderClosed checks that closing the loader — twice is fine —
+// maps to ErrLoaderClosed rather than a data error.
+func TestEpochLoaderClosed(t *testing.T) {
+	snap, src := epochFixture(6, 5, "")
+	r := epoch.NewReader(shuffle.ChunkWisePlan(snap, 3, 2), snap, src, epoch.WithWindow(1))
+	l := NewEpochLoader(r, WithBatchSize(4))
+	if _, ok, err := l.Next(); err != nil || !ok {
+		t.Fatalf("first batch: ok=%v err=%v", ok, err)
+	}
+	l.Close()
+	l.Close()
+	if _, _, err := l.Next(); err != ErrLoaderClosed {
+		t.Fatalf("Next after Close: %v, want ErrLoaderClosed", err)
+	}
+}
+
+// TestEpochLoaderErrorEndsEpoch: a fetch failure surfaces from Next as that
+// error, not as a short epoch or as ErrLoaderClosed.
+func TestEpochLoaderErrorEndsEpoch(t *testing.T) {
+	snap, src := epochFixture(6, 5, "c03/f02")
+	r := epoch.NewReader(shuffle.ChunkWisePlan(snap, 3, 2), snap, src, epoch.WithWindow(2))
+	l := NewEpochLoader(r, WithBatchSize(4))
+	defer l.Close()
 	for {
 		_, ok, err := l.Next()
 		if err != nil {
-			t.Fatal(err)
+			if !strings.Contains(err.Error(), "injected fetch failure") {
+				t.Fatalf("fetch failure surfaced as %v", err)
+			}
+			return
 		}
 		if !ok {
-			break
+			t.Fatal("injected failure never surfaced")
 		}
-	}
-	elapsed := time.Since(start)
-	// Serial would be 64×5ms = 320ms; 8 workers should land well under half.
-	if elapsed > 160*time.Millisecond {
-		t.Errorf("epoch took %v; workers not overlapping", elapsed)
-	}
-	if st.maxActive.Load() < 2 {
-		t.Errorf("max concurrent fetches = %d; no parallelism", st.maxActive.Load())
 	}
 }
 
-func TestLoaderPrefetchBounded(t *testing.T) {
-	st := &slowStore{}
-	l := newLoader(st.fetch, paths(200), LoaderConfig{Workers: 4, BatchSize: 4, Prefetch: 10})
-	defer l.Close()
-	// Without consuming, at most Prefetch fetches may start.
-	time.Sleep(30 * time.Millisecond)
-	if got := st.calls.Load(); got > 10 {
-		t.Errorf("%d fetches before any consumption; prefetch bound is 10", got)
-	}
-	// Consume everything; the window must slide to completion.
-	n := 0
-	for {
-		b, ok, err := l.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		n += len(b.Paths)
-	}
-	if n != 200 {
-		t.Fatalf("consumed %d of 200", n)
-	}
-}
-
-func TestLoaderErrorEndsEpoch(t *testing.T) {
-	st := &slowStore{failPath: "f0037"}
-	l := newLoader(st.fetch, paths(100), LoaderConfig{Workers: 4, BatchSize: 10})
-	defer l.Close()
-	var lastErr error
-	for {
-		_, ok, err := l.Next()
-		if err != nil {
-			lastErr = err
-			break
-		}
-		if !ok {
-			break
-		}
-	}
-	if lastErr == nil {
-		t.Fatal("injected failure never surfaced")
-	}
-	// After the error the loader is closed.
-	if _, _, err := l.Next(); !errors.Is(err, ErrLoaderClosed) {
-		t.Errorf("Next after failure: %v", err)
-	}
-}
-
-func TestLoaderCloseMidEpochNoLeak(t *testing.T) {
-	st := &slowStore{latency: time.Millisecond}
-	l := newLoader(st.fetch, paths(1000), LoaderConfig{Workers: 8, BatchSize: 16})
-	if _, ok, err := l.Next(); !ok || err != nil {
-		t.Fatal("first batch failed")
-	}
-	done := make(chan struct{})
-	go func() {
-		l.Close() // must return: no worker stuck
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close hung; worker leak")
-	}
-	if _, _, err := l.Next(); !errors.Is(err, ErrLoaderClosed) {
-		t.Errorf("Next after Close: %v", err)
-	}
-}
-
-func TestLoaderEmptyOrder(t *testing.T) {
-	l := newLoader(func(string) ([]byte, error) { return nil, nil }, nil, LoaderConfig{})
+// TestEpochLoaderEmptyPlan: an epoch with no files ends at once.
+func TestEpochLoaderEmptyPlan(t *testing.T) {
+	snap, src := epochFixture(0, 0, "")
+	l := NewEpochLoader(epoch.NewReader(shuffle.ChunkWisePlan(snap, 1, 2), snap, src))
 	defer l.Close()
 	if _, ok, err := l.Next(); ok || err != nil {
 		t.Fatalf("empty epoch: ok=%v err=%v", ok, err)
 	}
 }
 
-func TestLoaderDoubleCloseSafe(t *testing.T) {
-	l := newLoader(func(string) ([]byte, error) { return []byte("x"), nil }, paths(4), LoaderConfig{})
-	l.Close()
-	l.Close()
-}
-
-// TestLoaderFullPipelineWithModel wires the loader to the Figure 13 model:
-// a full epoch of training consuming loader batches.
-func TestLoaderFullPipelineWithModel(t *testing.T) {
+// TestEpochLoaderFullPipelineWithModel wires the loader to the Figure 13
+// model: five chunk-wise shuffled epochs of training consuming loader
+// batches.
+func TestEpochLoaderFullPipelineWithModel(t *testing.T) {
 	ds := MakeClusters(640, 8, 4, 0.5, 5)
-	order := make([]string, ds.N())
+	snap, src := epochFixture(20, 32, "")
 	idx := map[string]int32{}
-	for i := range order {
-		order[i] = fmt.Sprintf("s/%05d", i)
-		idx[order[i]] = int32(i)
+	for i := range snap.NumFiles() {
+		idx[snap.FileName(i)] = int32(i)
 	}
-	fetch := func(p string) ([]byte, error) { return []byte(p), nil }
 	m := NewSoftmax(ds.Dim, ds.Classes)
-	fs := FullShuffle{N: ds.N(), Seed: 3}
-	for epoch := range 5 {
-		epochOrder := make([]string, ds.N())
-		for i, s := range fs.EpochOrder(epoch) {
-			epochOrder[i] = order[s]
-		}
-		l := newLoader(fetch, epochOrder, LoaderConfig{Workers: 4, BatchSize: 32})
+	for ep := range 5 {
+		plan := shuffle.ChunkWisePlan(snap, int64(ep), 5)
+		l := NewEpochLoader(epoch.NewReader(plan, snap, src, epoch.WithWindow(2)))
 		for {
 			b, ok, err := l.Next()
 			if err != nil {
@@ -220,8 +173,8 @@ func TestLoaderFullPipelineWithModel(t *testing.T) {
 				break
 			}
 			batch := make([]int32, len(b.Paths))
-			for j, p := range b.Paths {
-				batch[j] = idx[p]
+			for j := range b.Paths {
+				batch[j] = idx[string(b.Data[j])]
 			}
 			m.TrainBatch(ds, batch, 0.3)
 		}

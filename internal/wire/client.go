@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -12,19 +13,6 @@ import (
 
 	"diesel/internal/tracing"
 )
-
-// helloMethod is the oneway capability advert a trace-aware server sends
-// on every new connection (Seq 0, V1-encoded so any client can parse it).
-// A client that sees it knows the peer accepts MagicV2 frames; a client
-// that predates it drops the frame in its read loop — Seq 0 is never a
-// pending call, so the lookup misses harmlessly — and keeps speaking V1.
-const helloMethod = "wire.hello"
-
-// helloWait bounds the one-time wait a traced call performs for the hello
-// advert on a fresh connection. Against a pre-trace server the advert
-// never comes and exactly one call pays this wait; after it, the
-// connection is assumed V1-only.
-const helloWait = 25 * time.Millisecond
 
 // ErrClientClosed is returned by Call after Close, or when the connection
 // drops while a call is in flight.
@@ -65,18 +53,6 @@ type Client struct {
 	readErr error
 
 	seq atomic.Uint64
-
-	// peerTraces is set when the server advertises MagicV2 support via
-	// the hello frame; only then does CallContext attach trace blocks.
-	peerTraces  atomic.Bool
-	helloDone   chan struct{} // closed once the hello arrives (or the conn dies)
-	helloOnce   sync.Once
-	helloWaited atomic.Bool // a traced call already waited for the hello
-
-	// peerJobs is set when the hello advert carries the capJobs
-	// capability bit: the server attributes requests to the wire.job
-	// identity and answers the dsl.job* registry methods.
-	peerJobs atomic.Bool
 }
 
 // Dial connects to a wire server at addr.
@@ -99,7 +75,6 @@ func dialOpts(addr string, o *options) (*Client, error) {
 		callTimeout: o.callTimeout,
 		gw:          newGroupWriter(conn),
 		pending:     make(map[uint64]chan *Frame),
-		helloDone:   make(chan struct{}),
 	}
 	go c.readLoop()
 	if o.job != nil {
@@ -114,11 +89,6 @@ func dialOpts(addr string, o *options) (*Client, error) {
 // Addr returns the address the client dialed.
 func (c *Client) Addr() string { return c.addr }
 
-// PeerJobs reports whether the server advertised job tracking in its
-// hello. It settles shortly after dial; callers that need a definitive
-// answer should first complete one call (which waits for the hello).
-func (c *Client) PeerJobs() bool { return c.peerJobs.Load() }
-
 // Closed reports whether the connection is dead (explicit Close or a read
 // error). A closed client never recovers; redial instead.
 func (c *Client) Closed() bool {
@@ -128,9 +98,9 @@ func (c *Client) Closed() bool {
 }
 
 func (c *Client) readLoop() {
-	// Buffered reads: ReadFrame issues several small ReadFulls per frame
-	// (header, trace block, body); the bufio layer turns those into one
-	// socket read per batch of frames.
+	// Buffered reads: ReadFrame issues two ReadFulls per frame (header,
+	// body); the bufio layer turns those into one socket read per batch of
+	// frames.
 	br := bufio.NewReaderSize(c.conn, groupBufSize)
 	for {
 		f, err := ReadFrame(br)
@@ -138,15 +108,8 @@ func (c *Client) readLoop() {
 			c.failAll(err)
 			return
 		}
-		if f.Kind == KindOneway {
-			if f.Method == helloMethod {
-				c.peerTraces.Store(true)
-				if len(f.Payload) > 0 && f.Payload[0]&capJobs != 0 {
-					c.peerJobs.Store(true)
-				}
-				c.helloOnce.Do(func() { close(c.helloDone) })
-			}
-			f.Release() // server-initiated oneways are adverts, not replies
+		if f.Kind != KindResponse && f.Kind != KindError {
+			f.Release() // servers only reply; anything else is not for a caller
 			continue
 		}
 		c.mu.Lock()
@@ -174,7 +137,6 @@ func (c *Client) failAll(err error) {
 		delete(c.pending, seq)
 	}
 	c.closed = true
-	c.helloOnce.Do(func() { close(c.helloDone) })
 }
 
 // Call sends a request and blocks for its response, bounded by the
@@ -226,16 +188,6 @@ func (c *Client) CallBorrowContext(ctx context.Context, method string, payload [
 			tracing.ObserveSlow(sp, "diesel_wire_call_seconds:"+method, time.Since(start))
 		}
 	}()
-	if sp != nil && !c.peerTraces.Load() && c.helloWaited.CompareAndSwap(false, true) {
-		// First traced call on this connection: the server's hello advert
-		// may still be in flight, and sending now would silently drop the
-		// trace link. One bounded wait settles the capability.
-		select {
-		case <-c.helloDone:
-		case <-time.After(helloWait):
-		case <-ctx.Done():
-		}
-	}
 	seq := c.seq.Add(1)
 	ch := make(chan *Frame, 1)
 
@@ -249,9 +201,9 @@ func (c *Client) CallBorrowContext(ctx context.Context, method string, payload [
 
 	req := newFrame()
 	req.Kind, req.Seq, req.Method, req.Payload = KindRequest, seq, method, payload
-	if sp != nil && c.peerTraces.Load() {
+	if sp != nil {
 		// The span rides the frame so the server's handler spans parent
-		// under this call span; only advertised (V2-aware) peers get it.
+		// under this call span.
 		req.TraceID, req.SpanID, req.Sampled = sp.TraceID(), sp.SpanID(), true
 	}
 	err = c.gw.writeFrame(req)
@@ -499,4 +451,47 @@ func (p *Pool) Close() error {
 		s.mu.Unlock()
 	}
 	return first
+}
+
+// Retry runs call under the one retry policy for idempotent RPCs (the
+// client's reads, the metadata cluster's gets and scans): a transport
+// failure — deadlines included; the operation is idempotent, so a duplicate
+// execution is harmless — backs off and tries again, up to retries extra
+// attempts; a *RemoteError is the server's answer and is returned at once.
+// The delay before retry k is backoff doubled k times, capped at
+// 100×backoff, with ±50% jitter. ctx is checked before and during every
+// backoff, since retrying work nobody waits for only burns server capacity.
+// onRetry runs once per retry (the callers' own counters).
+//
+// It returns the number of attempts made and, when they all failed, every
+// attempt's error joined (plus ctx.Err() when cancellation cut a backoff
+// short), for the caller to wrap with its own prefix.
+func Retry(ctx context.Context, retries int, backoff time.Duration, onRetry func(), call func() (*Frame, error)) (*Frame, int, error) {
+	var errs []error
+	for attempt := 0; ; attempt++ {
+		resp, err := call()
+		if err == nil || IsRemote(err) {
+			return resp, attempt + 1, err
+		}
+		errs = append(errs, err)
+		if ctx.Err() != nil || attempt >= retries {
+			return nil, attempt + 1, errors.Join(errs...)
+		}
+		onRetry()
+		select {
+		case <-time.After(retryDelay(backoff, attempt)):
+		case <-ctx.Done():
+			return nil, attempt + 1, errors.Join(append(errs, ctx.Err())...)
+		}
+	}
+}
+
+// retryDelay is the backoff before retry number attempt+1: base doubled
+// per attempt, ±50% jitter, capped at 100×base.
+func retryDelay(base time.Duration, attempt int) time.Duration {
+	d := base << min(attempt, 20)
+	if limit := 100 * base; d > limit {
+		d = limit
+	}
+	return d/2 + time.Duration(rand.Int63n(int64(d)))
 }

@@ -9,21 +9,24 @@ import (
 // panic, never allocate beyond MaxFrame, and accepted frames re-encode
 // identically.
 func FuzzReadFrame(f *testing.F) {
-	var buf bytes.Buffer
-	WriteFrame(&buf, &Frame{Kind: KindRequest, Seq: 9, Method: "m", Payload: []byte("p")})
-	f.Add(buf.Bytes())
-	f.Add(buf.Bytes()[:5])
-	f.Add([]byte{})
-	// V2 seeds: a well-formed traced frame, one with the sampled flag
-	// clear, and a truncated trace block.
-	var v2 bytes.Buffer
-	WriteFrame(&v2, &Frame{Kind: KindRequest, Seq: 9, Method: "m", Payload: []byte("p"),
+	// Seeds on the one layout: untraced, traced+sampled, traced with the
+	// sampled flag clear, a cut inside the fixed fields, a cut inside the
+	// trace fields, an empty stream, and the three rejected trace-field
+	// shapes (span without trace, flags without trace, unknown flag bits).
+	var plain, traced, unsampled bytes.Buffer
+	WriteFrame(&plain, &Frame{Kind: KindRequest, Seq: 9, Method: "m", Payload: []byte("p")})
+	WriteFrame(&traced, &Frame{Kind: KindRequest, Seq: 9, Method: "m", Payload: []byte("p"),
 		TraceID: 0x1234, SpanID: 0x5678, Sampled: true})
-	f.Add(v2.Bytes())
-	var v2u bytes.Buffer
-	WriteFrame(&v2u, &Frame{Kind: KindOneway, Method: "n", TraceID: 1})
-	f.Add(v2u.Bytes())
-	f.Add(v2.Bytes()[:headerSize+3])
+	WriteFrame(&unsampled, &Frame{Kind: KindOneway, Method: "n", TraceID: 1})
+	f.Add(plain.Bytes())
+	f.Add(traced.Bytes())
+	f.Add(unsampled.Bytes())
+	f.Add(plain.Bytes()[:5])
+	f.Add(traced.Bytes()[:headerSize-3])
+	f.Add([]byte{})
+	f.Add(craftTraced(0, 5, 0))
+	f.Add(craftTraced(0, 0, flagSampled))
+	f.Add(craftTraced(1, 5, 0x80))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := ReadFrame(bytes.NewReader(data))
 		if err != nil {

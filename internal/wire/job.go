@@ -6,26 +6,13 @@ import "context"
 // first frame on a fresh connection, carrying the JobIdentity every
 // subsequent request on that connection should be attributed to. It rides
 // the connection, not each request, so the per-request hot path stays
-// untouched (same discipline as the PR 5 trace block: capabilities are
-// negotiated per connection, never paid per frame).
-//
-// Version tolerance is structural rather than frame-versioned: a oneway
-// request to an unknown method is dropped by the dispatch loop without a
-// reply, so sending wire.job to a pre-job server is harmless, and an old
-// client simply never sends it. The hello advert still carries a
-// capability byte (capJobs) so upper layers can *know* whether the peer
-// tracks jobs before issuing registry RPCs.
+// untouched.
 const jobMethod = "wire.job"
-
-// capJobs is the hello-payload capability bit a job-aware server sets.
-// Pre-job servers send an empty hello payload; pre-job clients never look
-// at the payload at all, so the byte is invisible to them.
-const capJobs = 0x01
 
 // JobIdentity names the training job behind a connection: which job,
 // which tenant it bills to, which dataset it trains on, and the trainer's
 // rank within the job. The zero value means "anonymous" and is what
-// pre-job clients and tools implicitly present.
+// clients without a job (admin tools) implicitly present.
 type JobIdentity struct {
 	ID      string
 	Tenant  string

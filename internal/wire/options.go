@@ -36,7 +36,7 @@ func WithDialer(fn func(addr string) (net.Conn, error)) Option {
 // WithJobIdentity attaches a job identity to every connection this dialer
 // (or pool — redials included) opens: the identity is sent as the first
 // frame of the connection, so the server attributes all requests on it to
-// the job. Servers that predate job tracking drop the frame harmlessly.
+// the job.
 func WithJobIdentity(j JobIdentity) Option {
 	return func(o *options) { o.job = &j }
 }

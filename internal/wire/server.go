@@ -138,18 +138,6 @@ func (s *Server) serveConn(conn net.Conn) {
 	// gw serialises response frames and coalesces concurrent small
 	// responses into batched socket writes (last-writer-out flush).
 	gw := newGroupWriter(conn)
-	// Advertise V2 (trace block) support before serving. Old clients drop
-	// the frame — Seq 0 never matches a pending call — so the advert is
-	// invisible to them; new clients flip peerTraces and may now send V2
-	// frames. The payload byte advertises job tracking (capJobs); pre-job
-	// clients never inspect the payload. A failed write means the
-	// connection is already broken and the ReadFrame below will surface it.
-	hello := newFrame()
-	hello.Kind, hello.Method = KindOneway, helloMethod
-	hello.Payload = []byte{capJobs}
-	_ = gw.writeFrame(hello)
-	hello.Payload = nil
-	hello.Release()
 	// connJob holds the job identity the client announced for this
 	// connection (the wire.job first frame); requests dispatched after it
 	// carry the identity in their context. Atomic because dispatch runs

@@ -5,7 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -24,7 +24,7 @@ func enableTracing(t *testing.T) {
 	})
 }
 
-func TestFrameV2RoundTrip(t *testing.T) {
+func TestFrameTraceRoundTrip(t *testing.T) {
 	want := Frame{
 		Kind: KindRequest, Seq: 7, Method: "dsl.get", Payload: []byte("p"),
 		TraceID: 0xDEADBEEF, SpanID: 0xCAFE, Sampled: true,
@@ -33,38 +33,49 @@ func TestFrameV2RoundTrip(t *testing.T) {
 	if err := WriteFrame(&buf, &want); err != nil {
 		t.Fatal(err)
 	}
-	if m := binary.BigEndian.Uint32(buf.Bytes()[:4]); m != MagicV2 {
-		t.Fatalf("magic %08x, want V2 %08x", m, MagicV2)
-	}
 	got, err := ReadFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.TraceID != want.TraceID || got.SpanID != want.SpanID || got.Sampled != want.Sampled {
-		t.Fatalf("trace block mismatch: %+v", got)
+		t.Fatalf("trace fields mismatch: %+v", got)
 	}
 	if got.Method != want.Method || !bytes.Equal(got.Payload, want.Payload) {
 		t.Fatalf("body mismatch: %+v", got)
 	}
 }
 
-func TestFrameWithoutTraceStaysV1(t *testing.T) {
-	// A traceless frame must serialise exactly as it did before the trace
-	// block existed — old readers depend on it.
+// TestFrameUntracedIsCanonical pins the one layout: a frame without a trace
+// ID is the same size as a traced one, and span ID / sampled set without a
+// trace ID are encoded as zero, so what a reader accepts re-encodes
+// byte-identically.
+func TestFrameUntracedIsCanonical(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, &Frame{Kind: KindResponse, Seq: 3, Method: "m", Payload: []byte("x")}); err != nil {
+	if err := WriteFrame(&buf, &Frame{Kind: KindResponse, Seq: 3, Method: "m", Payload: []byte("x"),
+		SpanID: 5, Sampled: true}); err != nil {
 		t.Fatal(err)
 	}
-	b := buf.Bytes()
-	if m := binary.BigEndian.Uint32(b[:4]); m != Magic {
-		t.Fatalf("magic %08x, want V1 %08x", m, Magic)
-	}
+	b := append([]byte(nil), buf.Bytes()...)
 	if len(b) != headerSize+1+1 {
-		t.Fatalf("V1 frame is %d bytes, want %d", len(b), headerSize+2)
+		t.Fatalf("frame is %d bytes, want %d", len(b), headerSize+2)
+	}
+	got, err := ReadFrame(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.TraceID != 0 || got.SpanID != 0 || got.Sampled {
+		t.Fatalf("untraced frame decoded with trace fields: %+v", got)
+	}
+	var again bytes.Buffer
+	if err := WriteFrame(&again, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), b) {
+		t.Fatal("untraced frame does not re-encode byte-identically")
 	}
 }
 
-func TestFrameV2RoundTripUnsampledFlag(t *testing.T) {
+func TestFrameTraceRoundTripUnsampledFlag(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteFrame(&buf, &Frame{Kind: KindRequest, Method: "m", TraceID: 9, SpanID: 8}); err != nil {
 		t.Fatal(err)
@@ -74,37 +85,42 @@ func TestFrameV2RoundTripUnsampledFlag(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.TraceID != 9 || got.SpanID != 8 || got.Sampled {
-		t.Fatalf("unsampled V2 mismatch: %+v", got)
+		t.Fatalf("unsampled frame mismatch: %+v", got)
 	}
 }
 
-// craftV2 builds a raw V2 frame so tests can corrupt the trace block.
-func craftV2(traceID, spanID uint64, flags byte) []byte {
+// craftTraced builds a raw frame so tests can corrupt the trace fields.
+func craftTraced(traceID, spanID uint64, flags byte) []byte {
 	var buf bytes.Buffer
-	WriteFrame(&buf, &Frame{Kind: KindRequest, Method: "m", TraceID: 1, SpanID: spanID, Sampled: false})
+	WriteFrame(&buf, &Frame{Kind: KindRequest, Method: "m"})
 	b := buf.Bytes()
 	binary.BigEndian.PutUint64(b[19:27], traceID)
+	binary.BigEndian.PutUint64(b[27:35], spanID)
 	b[35] = flags
 	return b
 }
 
 func TestReadFrameRejectsBadTraceBlock(t *testing.T) {
-	if _, err := ReadFrame(bytes.NewReader(craftV2(0, 5, 0))); !errors.Is(err, ErrBadTraceBlock) {
-		t.Fatalf("zero trace ID: want ErrBadTraceBlock, got %v", err)
-	}
-	if _, err := ReadFrame(bytes.NewReader(craftV2(1, 5, 0x80))); !errors.Is(err, ErrBadTraceBlock) {
-		t.Fatalf("unknown flags: want ErrBadTraceBlock, got %v", err)
-	}
-	if _, err := ReadFrame(bytes.NewReader(craftV2(1, 5, flagSampled))); err != nil {
-		t.Fatalf("valid trace block rejected: %v", err)
-	}
-}
-
-func TestReadFrameV2Truncated(t *testing.T) {
-	full := craftV2(7, 8, flagSampled)
-	for cut := 1; cut < len(full); cut++ {
-		if _, err := ReadFrame(bytes.NewReader(full[:cut])); err == nil {
-			t.Fatalf("cut=%d: truncated V2 frame accepted", cut)
+	for _, tc := range []struct {
+		name            string
+		traceID, spanID uint64
+		flags           byte
+		ok              bool
+	}{
+		{"untraced", 0, 0, 0, true},
+		{"traced sampled", 1, 5, flagSampled, true},
+		{"traced unsampled", 1, 5, 0, true},
+		{"span without trace", 0, 5, 0, false},
+		{"flags without trace", 0, 0, flagSampled, false},
+		{"unknown flag bits", 1, 5, 0x80, false},
+		{"unknown flag bits untraced", 0, 0, 0x02, false},
+	} {
+		_, err := ReadFrame(bytes.NewReader(craftTraced(tc.traceID, tc.spanID, tc.flags)))
+		if tc.ok && err != nil {
+			t.Fatalf("%s: valid frame rejected: %v", tc.name, err)
+		}
+		if !tc.ok && !errors.Is(err, ErrBadTraceBlock) {
+			t.Fatalf("%s: want ErrBadTraceBlock, got %v", tc.name, err)
 		}
 	}
 }
@@ -134,7 +150,6 @@ func TestTracePropagationAcrossRPC(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	waitHello(t, c)
 
 	ctx, root := tracing.StartSpan(context.Background(), "client.op")
 	if _, err := c.CallContext(ctx, "echo", []byte("hi")); err != nil {
@@ -175,50 +190,13 @@ func TestTracePropagationAcrossRPC(t *testing.T) {
 	}
 }
 
-// TestNewClientOldServerNeverSendsV2 simulates a pre-trace server (no
-// hello advert) and asserts a tracing client still emits V1 frames.
-func TestNewClientOldServerNeverSendsV2(t *testing.T) {
+// TestFirstCallOnFreshConnIsTraced: with no negotiation, the very first
+// call on a brand-new connection, made under a sampled span, already
+// carries its trace context — the server's `serve echo` span exists and is
+// parented under the client's `call echo` span. 100 fresh connections, no
+// sleep, no settling.
+func TestFirstCallOnFreshConnIsTraced(t *testing.T) {
 	enableTracing(t)
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lis.Close()
-	gotTrace := make(chan uint64, 1)
-	go func() {
-		conn, err := lis.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		// Old server: no hello, V1 responses only.
-		f, err := ReadFrame(conn)
-		if err != nil {
-			return
-		}
-		gotTrace <- f.TraceID
-		WriteFrame(conn, &Frame{Kind: KindResponse, Seq: f.Seq, Payload: []byte("ok")})
-	}()
-
-	c, err := Dial(lis.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ctx, root := tracing.StartSpan(context.Background(), "client.op")
-	defer root.End()
-	if _, err := c.CallContext(ctx, "echo", nil); err != nil {
-		t.Fatal(err)
-	}
-	if id := <-gotTrace; id != 0 {
-		t.Fatalf("client sent trace block (trace %x) to a server that never advertised V2", id)
-	}
-}
-
-// TestOldClientNewServerIgnoresHello simulates a pre-trace client (raw
-// V1 frames, no hello handling beyond dropping unknown seqs) against the
-// current server.
-func TestOldClientNewServerIgnoresHello(t *testing.T) {
 	srv := NewServer()
 	srv.Handle("echo", func(p []byte) ([]byte, error) { return p, nil })
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -227,51 +205,44 @@ func TestOldClientNewServerIgnoresHello(t *testing.T) {
 	}
 	defer srv.Close()
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	// The old client writes its request first and reads frames in order,
-	// discarding ones that match no pending call — exactly what the
-	// pre-trace readLoop did.
-	if err := WriteFrame(conn, &Frame{Kind: KindRequest, Seq: 41, Method: "echo", Payload: []byte("v1")}); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		conn.SetReadDeadline(deadline)
-		f, err := ReadFrame(conn)
+	for i := range 100 {
+		c, err := Dial(addr)
 		if err != nil {
-			t.Fatalf("old client read: %v", err)
+			t.Fatal(err)
 		}
-		if f.Seq != 41 {
-			continue // the hello advert; an old client drops it
+		ctx, root := tracing.StartSpan(context.Background(), "client.op")
+		_, err = c.CallContext(ctx, "echo", nil)
+		root.End()
+		c.Close()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if f.Kind != KindResponse || string(f.Payload) != "v1" {
-			t.Fatalf("bad response: %+v", f)
+		// The server ends its span after writing the response, so the
+		// client can get here first: poll the collector for it.
+		var callSpan, serveParent uint64
+		deadline := time.Now().Add(2 * time.Second)
+		for {
+			callSpan, serveParent = 0, 0
+			for _, td := range tracing.ByID(root.TraceID()) {
+				for _, s := range td.Spans {
+					switch s.Name {
+					case "call echo":
+						callSpan = s.SpanID
+					case "serve echo":
+						serveParent = s.ParentID
+					}
+				}
+			}
+			if callSpan != 0 && serveParent != 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("conn %d: no serve span for the first call (call span %x)", i, callSpan)
+			}
+			runtime.Gosched()
 		}
-		if binaryMagicIsV2(t, f) {
-			t.Fatal("server answered a V1 client with a V2 frame")
+		if serveParent != callSpan {
+			t.Fatalf("conn %d: serve span parent %x, want call span %x", i, serveParent, callSpan)
 		}
-		return
-	}
-}
-
-func binaryMagicIsV2(t *testing.T, f *Frame) bool {
-	t.Helper()
-	return f.TraceID != 0 // ReadFrame only sets TraceID from a V2 frame
-}
-
-// waitHello blocks until the client has processed the server's capability
-// advert (the hello races the first call otherwise).
-func waitHello(t *testing.T, c *Client) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for !c.peerTraces.Load() {
-		if time.Now().After(deadline) {
-			t.Fatal("client never saw the hello advert")
-		}
-		time.Sleep(time.Millisecond)
 	}
 }

@@ -8,32 +8,25 @@
 // a fixed header followed by a length-prefixed payload — so that encoding
 // costs stay negligible next to the data movement the experiments measure.
 //
-// Frame layout (all integers big-endian):
+// Frame layout (all integers big-endian) — one layout, no negotiation:
+// every binary that speaks it is built from this tree.
 //
 //	offset  size  field
-//	0       4     magic (0xD1E5E1 0x01)
+//	0       4     magic (0xD1E5E1 0x02)
 //	4       1     kind (request=1, response=2, error=3, oneway=4)
 //	5       8     sequence number (matches responses to requests)
 //	13      2     method name length M
 //	15      4     payload length N
-//	19      M     method name (UTF-8)
-//	19+M    N     payload
-//
-// A frame carrying trace context (see internal/tracing) uses MagicV2 and
-// inserts a 17-byte trace block between the fixed header and the method
-// name:
-//
-//	19      8     trace ID (non-zero)
-//	27      8     parent span ID
-//	35      1     flags (bit 0: sampled)
+//	19      8     trace ID (0 = untraced)
+//	27      8     sender's span ID (0 when untraced)
+//	35      1     flags (bit 0: sampled; 0 when untraced)
 //	36      M     method name (UTF-8)
 //	36+M    N     payload
 //
-// The two formats interoperate: readers accept both, and writers emit V2
-// only when a frame actually carries a trace ID — which clients only set
-// after the server has advertised V2 support (the "wire.hello" oneway
-// frame, see client.go), so a new client never sends V2 at an old server
-// and an old client ignores the hello it does not understand.
+// The trace fields (see internal/tracing) are always present, so a header
+// is one fixed-size read. A frame with a zero trace ID but a non-zero span
+// ID or flags, or with unknown flag bits, is rejected: every accepted frame
+// re-encodes byte-identically.
 package wire
 
 import (
@@ -54,11 +47,7 @@ const (
 
 // Magic identifies a DIESEL wire frame; mismatches mean the peer is not
 // speaking this protocol (or the stream is corrupted).
-const Magic uint32 = 0xD1E5E101
-
-// MagicV2 identifies a frame that carries the 17-byte trace block after
-// the fixed header. Everything else is identical to Magic frames.
-const MagicV2 uint32 = 0xD1E5E102
+const Magic uint32 = 0xD1E5E102
 
 // MaxFrame bounds a single frame. Chunks are ≥4MB, and the distributed cache
 // ships whole chunks between peers, so the cap is generous but finite to
@@ -66,14 +55,13 @@ const MagicV2 uint32 = 0xD1E5E102
 const MaxFrame = 1 << 30 // 1 GiB
 
 const (
-	headerSize     = 4 + 1 + 8 + 2 + 4
-	traceBlockSize = 8 + 8 + 1
-	flagSampled    = 0x01
+	headerSize  = 4 + 1 + 8 + 2 + 4 + 8 + 8 + 1
+	flagSampled = 0x01
 )
 
-// Frame is one message on the wire. TraceID/SpanID/Sampled are the
-// optional trace block: a zero TraceID means "no trace context" and the
-// frame is encoded in the original (V1) format.
+// Frame is one message on the wire. TraceID/SpanID/Sampled are the trace
+// fields: a zero TraceID means "no trace context", and SpanID and Sampled
+// are then encoded as zero.
 type Frame struct {
 	Kind    byte
 	Seq     uint64
@@ -91,10 +79,10 @@ type Frame struct {
 	// frame came out of ReadFrame; nil for caller-built frames. It is what
 	// Release recycles.
 	body []byte
-	// hdrBuf is ReadFrame's header/trace-block staging area. It lives on
-	// the frame (not the stack) because slices passed through the io.Reader
-	// interface escape, and a pooled frame makes that escape free.
-	hdrBuf [headerSize + traceBlockSize]byte
+	// hdrBuf is ReadFrame's header staging area. It lives on the frame (not
+	// the stack) because slices passed through the io.Reader interface
+	// escape, and a pooled frame makes that escape free.
+	hdrBuf [headerSize]byte
 }
 
 // Borrow returns the frame's payload without copying. The returned slice
@@ -134,10 +122,10 @@ func (f *Frame) Release() {
 // ErrBadMagic is returned when an incoming frame does not begin with Magic.
 var ErrBadMagic = errors.New("wire: bad magic")
 
-// ErrBadTraceBlock is returned for a V2 frame whose trace block is
-// malformed (zero trace ID or unknown flag bits). Rejecting these keeps
-// encoding canonical: every accepted frame re-encodes byte-identically,
-// which the fuzz round-trip test relies on.
+// ErrBadTraceBlock is returned for a frame whose trace fields are
+// malformed (a span ID or flags without a trace ID, or unknown flag bits).
+// Rejecting these keeps encoding canonical: every accepted frame re-encodes
+// byte-identically, which the fuzz round-trip test relies on.
 var ErrBadTraceBlock = errors.New("wire: bad trace block")
 
 // ErrFrameTooLarge is returned when a frame advertises a payload larger than
@@ -152,37 +140,28 @@ func frameWireLen(f *Frame) (int, error) {
 	if len(f.Payload) > MaxFrame {
 		return 0, ErrFrameTooLarge
 	}
-	hdr := headerSize
-	if f.TraceID != 0 {
-		hdr += traceBlockSize
-	}
-	return hdr + len(f.Method) + len(f.Payload), nil
+	return headerSize + len(f.Method) + len(f.Payload), nil
 }
 
-// encodeFrameHeader writes f's fixed header (and trace block, when
-// present) into buf and returns the header length. buf must hold at least
-// headerSize+traceBlockSize bytes.
-func encodeFrameHeader(buf []byte, f *Frame) int {
-	hdr := headerSize
-	magic := Magic
+// encodeFrameHeader writes f's header into buf, which must hold at least
+// headerSize bytes.
+func encodeFrameHeader(buf []byte, f *Frame) {
+	var span uint64
+	var flags byte
 	if f.TraceID != 0 {
-		hdr += traceBlockSize
-		magic = MagicV2
+		span = f.SpanID
+		if f.Sampled {
+			flags = flagSampled
+		}
 	}
-	binary.BigEndian.PutUint32(buf[0:4], magic)
+	binary.BigEndian.PutUint32(buf[0:4], Magic)
 	buf[4] = f.Kind
 	binary.BigEndian.PutUint64(buf[5:13], f.Seq)
 	binary.BigEndian.PutUint16(buf[13:15], uint16(len(f.Method)))
 	binary.BigEndian.PutUint32(buf[15:19], uint32(len(f.Payload)))
-	if f.TraceID != 0 {
-		binary.BigEndian.PutUint64(buf[19:27], f.TraceID)
-		binary.BigEndian.PutUint64(buf[27:35], f.SpanID)
-		buf[35] = 0
-		if f.Sampled {
-			buf[35] = flagSampled
-		}
-	}
-	return hdr
+	binary.BigEndian.PutUint64(buf[19:27], f.TraceID)
+	binary.BigEndian.PutUint64(buf[27:35], span)
+	buf[35] = flags
 }
 
 // WriteFrame serialises f to w as a single contiguous write. A single write
@@ -196,9 +175,9 @@ func WriteFrame(w io.Writer, f *Frame) error {
 	}
 	s := getScratch(total)
 	buf := s.b[:total]
-	n := encodeFrameHeader(buf, f)
-	copy(buf[n:], f.Method)
-	copy(buf[n+len(f.Method):], f.Payload)
+	encodeFrameHeader(buf, f)
+	copy(buf[headerSize:], f.Method)
+	copy(buf[headerSize+len(f.Method):], f.Payload)
 	_, err = w.Write(buf)
 	s.release()
 	if err == nil && metricsOn() {
@@ -212,9 +191,9 @@ func WriteFrame(w io.Writer, f *Frame) error {
 // guarantees bw has room for the whole frame, so bufio never splits it
 // across socket writes.
 func writeFrameBuffered(bw *bufio.Writer, f *Frame) error {
-	var hdr [headerSize + traceBlockSize]byte
-	n := encodeFrameHeader(hdr[:], f)
-	if _, err := bw.Write(hdr[:n]); err != nil {
+	var hdr [headerSize]byte
+	encodeFrameHeader(hdr[:], f)
+	if _, err := bw.Write(hdr[:]); err != nil {
 		return err
 	}
 	if _, err := bw.WriteString(f.Method); err != nil {
@@ -240,16 +219,12 @@ func writeFrameBuffered(bw *bufio.Writer, f *Frame) error {
 // GC-owned, see Release).
 func ReadFrame(r io.Reader) (*Frame, error) {
 	f := newFrame()
-	hdr := f.hdrBuf[:headerSize]
+	hdr := f.hdrBuf[:]
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		framePool.Put(f)
-		if err == io.ErrUnexpectedEOF {
-			return nil, io.ErrUnexpectedEOF
-		}
 		return nil, err
 	}
-	magic := binary.BigEndian.Uint32(hdr[0:4])
-	if magic != Magic && magic != MagicV2 {
+	if binary.BigEndian.Uint32(hdr[0:4]) != Magic {
 		framePool.Put(f)
 		return nil, ErrBadMagic
 	}
@@ -261,20 +236,14 @@ func ReadFrame(r io.Reader) (*Frame, error) {
 		framePool.Put(f)
 		return nil, ErrFrameTooLarge
 	}
-	if magic == MagicV2 {
-		tb := f.hdrBuf[headerSize:]
-		if _, err := io.ReadFull(r, tb); err != nil {
-			framePool.Put(f)
-			return nil, fmt.Errorf("wire: truncated trace block: %w", err)
-		}
-		f.TraceID = binary.BigEndian.Uint64(tb[0:8])
-		f.SpanID = binary.BigEndian.Uint64(tb[8:16])
-		if f.TraceID == 0 || tb[16]&^flagSampled != 0 {
-			framePool.Put(f)
-			return nil, ErrBadTraceBlock
-		}
-		f.Sampled = tb[16]&flagSampled != 0
+	f.TraceID = binary.BigEndian.Uint64(hdr[19:27])
+	f.SpanID = binary.BigEndian.Uint64(hdr[27:35])
+	flags := hdr[35]
+	if flags&^flagSampled != 0 || (f.TraceID == 0 && (f.SpanID != 0 || flags != 0)) {
+		framePool.Put(f)
+		return nil, ErrBadTraceBlock
 	}
+	f.Sampled = flags&flagSampled != 0
 	need := mlen + plen
 	if cap(f.body) < need {
 		f.body = make([]byte, nextSize(cap(f.body), need))

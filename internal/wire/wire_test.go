@@ -65,7 +65,8 @@ func TestReadFrameBadMagic(t *testing.T) {
 
 func TestReadFrameTruncated(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, &Frame{Kind: KindRequest, Method: "m", Payload: []byte("payload")}); err != nil {
+	if err := WriteFrame(&buf, &Frame{Kind: KindRequest, Method: "m", Payload: []byte("payload"),
+		TraceID: 7, SpanID: 8, Sampled: true}); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
