@@ -706,6 +706,42 @@ func BenchmarkEpochRead(b *testing.B) {
 	}
 }
 
+// BenchmarkClientGetChunk is one whole-chunk read through the RPC stack —
+// server.NewRPC over loopback TCP to client.Dataset.GetChunk, an in-memory
+// object store behind it — the fetch unit of the epoch reader and of a
+// cache master's load. Its B/op is the gate on staging copies: one chunk
+// crossing the process boundary should allocate about one chunk (the
+// response payload the caller keeps), and nothing per chunk on the server.
+func BenchmarkClientGetChunk(b *testing.B) {
+	const chunkSize = 256 << 10
+	s, _ := localServer(b, "getchunk", 64, chunkSize/64, chunkSize)
+	rpc, err := server.NewRPC(s, "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer rpc.Close()
+	cl, err := client.Connect(client.Options{
+		User: "bench", Key: "bench", Servers: []string{rpc.Addr()}, Dataset: "getchunk",
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.Close()
+	snap, err := cl.DefaultDataset().DownloadSnapshot()
+	if err != nil {
+		b.Fatal(err)
+	}
+	id := snap.Chunks[0].ID.String()
+	ctx := context.Background()
+	b.SetBytes(int64(snap.Chunks[0].Size))
+	for b.Loop() {
+		blob, err := cl.DefaultDataset().GetChunk(ctx, id)
+		if err != nil || uint64(len(blob)) != snap.Chunks[0].Size {
+			b.Fatalf("GetChunk = %d bytes, %v; want %d", len(blob), err, snap.Chunks[0].Size)
+		}
+	}
+}
+
 // BenchmarkLoaderEpoch measures the pipelined data loader (Figure 1's
 // DataLoader pattern) streaming a full epoch through the task-grained
 // cache over loopback TCP.

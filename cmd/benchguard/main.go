@@ -10,12 +10,16 @@
 //	    go run ./cmd/benchguard -baseline BENCH_baseline.json
 //
 // The guard reads benchmark lines from stdin and fails (exit 1) when a
-// benchmark's allocs/op exceeds its baseline by more than the threshold
-// (default 10%). A benchmark whose baseline is 0 allocs/op must stay at
-// 0 — the zero-allocation guarantee is exact, not proportional. When a
-// benchmark appears several times (-count N) its run with the fewest
-// allocs/op counts: a sync.Pool emptied by a GC cycle adds allocations to
-// a short run, never removes them, so the minimum is the code's own cost.
+// benchmark's allocs/op or B/op exceeds its baseline by more than the
+// threshold (default 10%) — bytes too, because a staging copy adds a
+// buffer's worth of bytes and often not one allocation more. A benchmark
+// whose baseline is 0 must stay at 0 — the zero-allocation guarantee is
+// exact, not proportional. When a benchmark appears several times
+// (-count N) the smallest value of each figure counts: a sync.Pool emptied
+// by a GC cycle adds allocations and bytes to a short run, never removes
+// them, so the minimum is the code's own cost. Where the baseline is 0
+// allocs/op the bytes are not compared: with no allocation per operation,
+// B/op is only a pooled buffer's one-time fill averaged over a short run.
 // A benchmark in the baseline that was not measured also fails — a renamed
 // or deleted benchmark must not silently leave the gate.
 //
@@ -49,7 +53,8 @@ type entry struct {
 }
 
 type baseline struct {
-	// Threshold is the tolerated fractional allocs/op growth (0.10 = 10%).
+	// Threshold is the tolerated fractional allocs/op and B/op growth
+	// (0.10 = 10%).
 	Threshold  float64          `json:"threshold"`
 	Benchmarks map[string]entry `json:"benchmarks"`
 }
@@ -110,23 +115,23 @@ func main() {
 	sort.Strings(names)
 
 	failed := false
+	over := func(cur, ref float64) bool { return cur > ref*(1+th) && cur > ref }
 	for _, name := range names {
 		cur := got[name]
 		ref, ok := base.Benchmarks[name]
 		if !ok {
-			fmt.Printf("benchguard: NEW   %-48s %8.0f allocs/op (no baseline, not compared)\n",
-				name, cur.AllocsPerOp)
+			fmt.Printf("benchguard: NEW   %-48s %8.0f allocs/op %9.0f B/op (no baseline, not compared)\n",
+				name, cur.AllocsPerOp, cur.BytesPerOp)
 			continue
 		}
-		limit := ref.AllocsPerOp * (1 + th)
-		if cur.AllocsPerOp > limit && cur.AllocsPerOp > ref.AllocsPerOp {
+		verdict := "ok  "
+		if over(cur.AllocsPerOp, ref.AllocsPerOp) || ref.AllocsPerOp > 0 && over(cur.BytesPerOp, ref.BytesPerOp) {
 			failed = true
-			fmt.Printf("benchguard: FAIL  %-48s %8.0f allocs/op, baseline %.0f (limit %.1f)\n",
-				name, cur.AllocsPerOp, ref.AllocsPerOp, limit)
-		} else {
-			fmt.Printf("benchguard: ok    %-48s %8.0f allocs/op, baseline %.0f\n",
-				name, cur.AllocsPerOp, ref.AllocsPerOp)
+			verdict = "FAIL"
 		}
+		fmt.Printf("benchguard: %s  %-48s %8.0f allocs/op, baseline %.0f (limit %.1f); %9.0f B/op, baseline %.0f (limit %.0f)\n",
+			verdict, name, cur.AllocsPerOp, ref.AllocsPerOp, ref.AllocsPerOp*(1+th),
+			cur.BytesPerOp, ref.BytesPerOp, ref.BytesPerOp*(1+th))
 	}
 	for name := range base.Benchmarks {
 		if _, ok := got[name]; !ok {
@@ -135,7 +140,7 @@ func main() {
 		}
 	}
 	if failed {
-		fmt.Println("benchguard: allocation regression or unmeasured baseline entry")
+		fmt.Println("benchguard: allocation or bytes regression, or unmeasured baseline entry")
 		os.Exit(1)
 	}
 }
@@ -146,8 +151,8 @@ func main() {
 //	BenchmarkWireFrameRead/64KB-8  1000  1234 ns/op  53.1 MB/s  0 B/op  0 allocs/op
 //
 // The trailing "-8" GOMAXPROCS suffix is stripped so baselines compare
-// across machines. Of several lines for one benchmark (-count N) the one
-// with the fewest allocs/op is kept (ties: the faster).
+// across machines. Of several lines for one benchmark (-count N) each
+// figure's minimum is kept.
 func parseBench(f *os.File) (map[string]entry, error) {
 	out := make(map[string]entry)
 	sc := bufio.NewScanner(f)
@@ -185,10 +190,12 @@ func parseBench(f *os.File) (map[string]entry, error) {
 		if !seen {
 			continue
 		}
-		if old, dup := out[name]; !dup || e.AllocsPerOp < old.AllocsPerOp ||
-			(e.AllocsPerOp == old.AllocsPerOp && e.NsPerOp < old.NsPerOp) {
-			out[name] = e
+		if old, dup := out[name]; dup {
+			e.AllocsPerOp = min(e.AllocsPerOp, old.AllocsPerOp)
+			e.BytesPerOp = min(e.BytesPerOp, old.BytesPerOp)
+			e.NsPerOp = min(e.NsPerOp, old.NsPerOp)
 		}
+		out[name] = e
 	}
 	return out, sc.Err()
 }

@@ -55,16 +55,12 @@ func main() {
 	// System under test.
 	connect := flag.String("connect", "", "comma-separated external diesel-server addresses (empty = embedded stack)")
 	dataset := flag.String("dataset", "", "dataset name (external mode; must already be ingested)")
-	servers := flag.Int("servers", 2, "embedded: DIESEL servers")
 	files := flag.Int("files", 512, "embedded: dataset size in files")
 	diskLatency := flag.Duration("disk-latency", 0, "embedded: modeled per-op store latency (makes p99 portable in CI)")
-	ssdCache := flag.Int64("ssd-cache", 0, "embedded: fast-tier cache capacity in bytes")
 	clients := flag.Int("clients", 8, "libDIESEL contexts to round-robin ops over")
 	taskNodes := flag.Int("task-nodes", 0, "embedded: simulated nodes of a DLT task with the distributed cache (0 = no task)")
 	clientsPerNode := flag.Int("clients-per-node", 0, "embedded: I/O processes per task node")
 	jobs := flag.Int("jobs", 0, "embedded: run this many concurrent training jobs over the one dataset, sharing a chunk cache (needs -task-nodes/-clients-per-node; <2 = single task)")
-	spillDir := flag.String("spill-dir", "", "embedded: local-SSD spill tier root for the task cache (per-node subdirs; in -jobs mode the shared cache spills here directly)")
-	spillBytes := flag.Int64("spill-bytes", 0, "embedded: spill-tier disk budget in bytes (0 = unlimited)")
 	epochReaders := flag.Int("epoch-readers", 0, "background pipelined epoch readers looping during the run")
 	epochHedge := flag.Bool("epoch-hedge", false, "hedge the epoch readers' straggling group fetches (first success wins)")
 	epochReorder := flag.Int("epoch-reorder", 0, "epoch readers serve whichever of the next k prefetched groups lands first")
@@ -102,16 +98,12 @@ func main() {
 		})
 	} else {
 		st, err = loadgen.StartStack(loadgen.StackConfig{
-			Servers:        *servers,
 			Files:          *files,
 			DiskLatency:    *diskLatency,
-			SSDCacheBytes:  *ssdCache,
 			Clients:        *clients,
 			TaskNodes:      *taskNodes,
 			ClientsPerNode: *clientsPerNode,
 			Jobs:           *jobs,
-			SpillDir:       *spillDir,
-			SpillBytes:     *spillBytes,
 			EpochReaders:   *epochReaders,
 			EpochHedge:     *epochHedge,
 			EpochReorder:   *epochReorder,

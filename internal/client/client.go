@@ -265,11 +265,11 @@ func (c *Client) registerJob() (time.Duration, error) {
 	e.String(c.opts.Dataset)
 	e.String(c.opts.Tenant)
 	e.Uint32(uint32(c.opts.Rank))
-	resp, err := c.callIdem(context.Background(), server.MethodJobRegister, e.Bytes())
+	resp, err := callIdem(context.Background(), c, (*wire.Pool).CallContext, server.MethodJobRegister, e.Bytes())
 	if err != nil {
 		return 0, err
 	}
-	d := wire.NewDecoder(resp.Payload)
+	d := wire.NewDecoder(resp)
 	ttl := time.Duration(d.Int64())
 	if err := d.Err(); err != nil {
 		return 0, err
@@ -299,7 +299,7 @@ func (c *Client) heartbeatLoop() {
 		case <-t.C:
 			e := wire.NewEncoder(32)
 			e.String(c.opts.JobID)
-			_, err := c.callIdem(context.Background(), server.MethodJobHeartbeat, e.Bytes())
+			_, err := callIdem(context.Background(), c, (*wire.Pool).CallContext, server.MethodJobHeartbeat, e.Bytes())
 			c.Stats.Heartbeats.Add(1)
 			if err != nil && wire.IsRemote(err) && strings.Contains(err.Error(), "unknown job") {
 				_, _ = c.registerJob()
@@ -360,18 +360,21 @@ func (c *Client) call(ctx context.Context, method string, payload []byte) ([]byt
 
 // callIdem is the read path's call: wire.Retry around a round-robin pick,
 // so each retry lands on the next server — the paper's interchangeable-
-// servers property is what makes this safe and useful. The response frame's
-// payload aliases a pooled buffer: the hot reads (Get, GetBatch, GetChunk)
-// Release the frame once they have copied out of it; the cold metadata
-// calls read resp.Payload and leave the frame to the GC.
-func (c *Client) callIdem(ctx context.Context, method string, payload []byte) (*wire.Frame, error) {
+// servers property is what makes this safe and useful. call says who gets
+// the response payload: (*wire.Pool).CallContext hands it to the caller for
+// good (Get and GetChunk, whose bytes outlive the call, and the cold
+// metadata calls); (*wire.Pool).CallBorrowContext lends a pooled frame that
+// GetBatch copies its files out of and Releases.
+func callIdem[T any](ctx context.Context, c *Client,
+	call func(*wire.Pool, context.Context, string, []byte) (T, error),
+	method string, payload []byte) (T, error) {
 	resp, attempts, err := wire.Retry(ctx, c.opts.MaxRetries, c.opts.RetryBackoff, c.noteRetry,
-		func() (*wire.Frame, error) {
+		func() (T, error) {
 			i := c.next.Add(1)
-			return c.pools[i%uint64(len(c.pools))].CallBorrowContext(ctx, method, payload)
+			return call(c.pools[i%uint64(len(c.pools))], ctx, method, payload)
 		})
 	if err != nil && !wire.IsRemote(err) {
-		return nil, fmt.Errorf("client: %s failed after %d attempts: %w", method, attempts, err)
+		err = fmt.Errorf("client: %s failed after %d attempts: %w", method, attempts, err)
 	}
 	return resp, err
 }

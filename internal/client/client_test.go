@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"diesel/internal/chunk"
 	"diesel/internal/meta"
 	"diesel/internal/server"
 )
@@ -462,5 +463,72 @@ func TestReservedCharacterValidation(t *testing.T) {
 	}
 	if err := c.DefaultDataset().Put("///", []byte("x")); err == nil {
 		t.Error("empty-after-clean path accepted")
+	}
+}
+
+// TestGetChunkIsNeverRecycled: the chunk GetChunk returns is the response
+// payload itself, handed over for good — a thousand further reads of mixed
+// sizes and kinds on the same single connection must leave it as it was.
+func TestGetChunkIsNeverRecycled(t *testing.T) {
+	addrs := startServers(t, 1)
+	c, err := Connect(Options{
+		User: "tester", Key: "secret", Servers: addrs, Dataset: "ds",
+		ChunkTarget: 64 << 10, ConnsPerServer: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	files := writeDataset(t, c, 600, 700) // several 64 KiB chunks
+	ds := c.DefaultDataset()
+	snap, err := ds.DownloadSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Chunks) < 3 {
+		t.Fatalf("dataset has %d chunks, want several", len(snap.Chunks))
+	}
+	ctx := context.Background()
+	kept, err := ds.GetChunk(ctx, snap.Chunks[0].ID.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := chunk.Parse(kept); err != nil {
+		t.Fatalf("fresh chunk does not parse: %v", err)
+	}
+	before := bytes.Clone(kept)
+	names := make([]string, 0, len(files))
+	for name := range files {
+		names = append(names, name)
+	}
+	for i := range 1000 {
+		switch i % 3 {
+		case 0:
+			id := snap.Chunks[i%len(snap.Chunks)].ID.String()
+			if b, err := ds.GetChunk(ctx, id); err != nil {
+				t.Fatal(err)
+			} else if _, err := chunk.Parse(b); err != nil {
+				t.Fatalf("call %d: chunk %s corrupt: %v", i, id, err)
+			}
+		case 1:
+			name := names[i%len(names)]
+			if b, err := ds.GetDirect(ctx, name); err != nil || !bytes.Equal(b, files[name]) {
+				t.Fatalf("call %d: GetDirect(%s) wrong (%v)", i, name, err)
+			}
+		default:
+			batch := names[i%(len(names)-8):][:1+i%8]
+			out, err := ds.GetBatch(ctx, batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, name := range batch {
+				if !bytes.Equal(out[j], files[name]) {
+					t.Fatalf("call %d: GetBatch[%s] wrong", i, name)
+				}
+			}
+		}
+	}
+	if !bytes.Equal(kept, before) {
+		t.Error("a chunk returned by GetChunk changed under later calls: its buffer was recycled")
 	}
 }

@@ -140,20 +140,15 @@ func (d *Dataset) GetDirect(ctx context.Context, path string) (out []byte, err e
 	e := wire.AcquireEncoder(len(path) + len(d.name) + 16)
 	e.String(d.name)
 	e.String(meta.CleanPath(path))
-	resp, err := d.c.callIdem(ctx, server.MethodGet, e.Bytes())
+	resp, err := callIdem(ctx, d.c, (*wire.Pool).CallContext, server.MethodGet, e.Bytes())
 	e.Release()
 	if err != nil {
 		return nil, err
 	}
-	// One copy out of the borrowed frame, then recycle it.
-	dec := wire.NewDecoder(resp.Borrow())
-	b := append([]byte(nil), dec.Bytes32()...)
-	err = dec.Err()
-	resp.Release()
-	if err != nil {
-		return nil, err
-	}
-	return b, nil
+	// The response payload is the caller's (see GetChunk): the file is a
+	// window into it.
+	dec := wire.NewDecoder(resp)
+	return dec.Bytes32(), dec.Err()
 }
 
 // GetBatch reads many files in one server round trip, exercising the
@@ -175,7 +170,7 @@ func (d *Dataset) GetBatch(ctx context.Context, paths []string) (out [][]byte, e
 	e := wire.AcquireEncoder(64)
 	e.String(d.name)
 	e.StringSlice(cleaned)
-	resp, err := d.c.callIdem(ctx, server.MethodGetBatch, e.Bytes())
+	resp, err := callIdem(ctx, d.c, (*wire.Pool).CallBorrowContext, server.MethodGetBatch, e.Bytes())
 	e.Release()
 	if err != nil {
 		return nil, err
@@ -221,21 +216,16 @@ func (d *Dataset) GetChunk(ctx context.Context, chunkID string) (out []byte, err
 	e := wire.AcquireEncoder(len(chunkID) + len(d.name) + 16)
 	e.String(d.name)
 	e.String(chunkID)
-	resp, err := d.c.callIdem(ctx, server.MethodGetChunk, e.Bytes())
+	resp, err := callIdem(ctx, d.c, (*wire.Pool).CallContext, server.MethodGetChunk, e.Bytes())
 	e.Release()
 	if err != nil {
 		return nil, err
 	}
-	// The chunk is copied once — borrowed frame body to caller-owned
-	// slice — the frame body comes from and returns to the wire pool.
-	dec := wire.NewDecoder(resp.Borrow())
-	b := append([]byte(nil), dec.Bytes32()...)
-	err = dec.Err()
-	resp.Release()
-	if err != nil {
-		return nil, err
-	}
-	return b, nil
+	// The response payload is the caller's: one allocation of its exact
+	// size that the socket read filled, so the chunk is a window into it,
+	// not a copy of it.
+	dec := wire.NewDecoder(resp)
+	return dec.Bytes32(), dec.Err()
 }
 
 // --- metadata path ---
@@ -265,11 +255,11 @@ func (d *Dataset) Stat(path string) (StatInfo, error) {
 	e := wire.NewEncoder(64)
 	e.String(d.name)
 	e.String(meta.CleanPath(path))
-	resp, err := d.c.callIdem(context.Background(), server.MethodStat, e.Bytes())
+	resp, err := callIdem(context.Background(), d.c, (*wire.Pool).CallContext, server.MethodStat, e.Bytes())
 	if err != nil {
 		return StatInfo{}, err
 	}
-	fr, err := meta.DecodeFileRecord(resp.Payload)
+	fr, err := meta.DecodeFileRecord(resp)
 	if err != nil {
 		return StatInfo{}, err
 	}
@@ -301,11 +291,11 @@ func (d *Dataset) Ls(dir string) ([]Entry, error) {
 	e := wire.NewEncoder(64)
 	e.String(d.name)
 	e.String(meta.CleanPath(dir))
-	resp, err := d.c.callIdem(context.Background(), server.MethodList, e.Bytes())
+	resp, err := callIdem(context.Background(), d.c, (*wire.Pool).CallContext, server.MethodList, e.Bytes())
 	if err != nil {
 		return nil, err
 	}
-	dec := wire.NewDecoder(resp.Payload)
+	dec := wire.NewDecoder(resp)
 	n := int(dec.Uint32())
 	out := make([]Entry, 0, n)
 	for range n {
@@ -327,11 +317,11 @@ func (d *Dataset) Delete(path string) error {
 func (d *Dataset) DatasetRecord() (meta.DatasetRecord, error) {
 	e := wire.NewEncoder(32)
 	e.String(d.name)
-	resp, err := d.c.callIdem(context.Background(), server.MethodDatasetRecord, e.Bytes())
+	resp, err := callIdem(context.Background(), d.c, (*wire.Pool).CallContext, server.MethodDatasetRecord, e.Bytes())
 	if err != nil {
 		return meta.DatasetRecord{}, err
 	}
-	return meta.DecodeDatasetRecord(resp.Payload)
+	return meta.DecodeDatasetRecord(resp)
 }
 
 // DownloadSnapshot builds and downloads a fresh metadata snapshot and
@@ -339,11 +329,11 @@ func (d *Dataset) DatasetRecord() (meta.DatasetRecord, error) {
 func (d *Dataset) DownloadSnapshot() (*meta.Snapshot, error) {
 	e := wire.NewEncoder(32)
 	e.String(d.name)
-	resp, err := d.c.callIdem(context.Background(), server.MethodSnapshot, e.Bytes())
+	resp, err := callIdem(context.Background(), d.c, (*wire.Pool).CallContext, server.MethodSnapshot, e.Bytes())
 	if err != nil {
 		return nil, err
 	}
-	snap, err := meta.DecodeSnapshot(resp.Payload)
+	snap, err := meta.DecodeSnapshot(resp)
 	if err != nil {
 		return nil, err
 	}

@@ -23,11 +23,11 @@ type JobStatus struct {
 // sharing one metadata cluster answers with the same roster, so the call
 // goes to whichever connection round-robin picks.
 func (c *Client) Jobs(ctx context.Context) ([]JobStatus, error) {
-	resp, err := c.callIdem(ctx, server.MethodJobs, nil)
+	resp, err := callIdem(ctx, c, (*wire.Pool).CallContext, server.MethodJobs, nil)
 	if err != nil {
 		return nil, err
 	}
-	return decodeJobs(resp.Payload)
+	return decodeJobs(resp)
 }
 
 // ListJobs dials one server address and lists its job roster without

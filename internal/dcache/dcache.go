@@ -792,33 +792,30 @@ func (p *Peer) noteMaster(ctx context.Context, owner int, err error) {
 }
 
 // callMaster performs one RPC to a remote master, dialing lazily and
-// pooling connections, and returns the borrowed response frame. It takes
-// over the request encoder and releases it.
-func (p *Peer) callMaster(ctx context.Context, addr, method string, req *wire.Encoder) (*wire.Frame, error) {
+// pooling connections. It takes over the request encoder and releases it.
+// The response payload is the caller's to keep: one GC-owned allocation of
+// its exact size, never a pooled frame buffer.
+func (p *Peer) callMaster(ctx context.Context, addr, method string, req *wire.Encoder) ([]byte, error) {
 	defer req.Release()
 	pool, err := p.poolFor(ctx, addr)
 	if err != nil {
 		return nil, err
 	}
-	return pool.CallBorrowContext(ctx, method, req.Bytes())
+	return pool.CallContext(ctx, method, req.Bytes())
 }
 
-// readFromMaster fetches one file from a remote master.
+// readFromMaster fetches one file from a remote master. The file bytes
+// that escape to the training loop are a window into the response payload,
+// not a copy of it.
 func (p *Peer) readFromMaster(ctx context.Context, addr, path string) ([]byte, error) {
 	e := wire.AcquireEncoder(len(path) + 8)
 	e.String(path)
-	f, err := p.callMaster(ctx, addr, methodCacheGet, e)
+	resp, err := p.callMaster(ctx, addr, methodCacheGet, e)
 	if err != nil {
 		return nil, err
 	}
-	// One copy out of the borrowed response, then the frame buffer
-	// recycles — the file bytes escape to the training loop, the
-	// file-sized RPC buffer does not.
-	d := wire.NewDecoder(f.Borrow())
-	b := append([]byte(nil), d.Bytes32()...)
-	err = d.Err()
-	f.Release()
-	return b, err
+	d := wire.NewDecoder(resp)
+	return d.Bytes32(), d.Err()
 }
 
 // poolDial is one master's connection pool being dialed; waiters share

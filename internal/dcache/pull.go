@@ -82,24 +82,19 @@ func (p *Peer) pullChunk(ctx context.Context, owner, ci int) ([]byte, error) {
 	})
 }
 
-// chunkFromMaster is one cache.getChunk RPC. The payload is copied out of
-// the response frame at its exact size — a plain GC-owned slice, so views
-// into it survive the buffer evicting it — and the frame buffer recycles.
+// chunkFromMaster is one cache.getChunk RPC. The payload is the response
+// body itself, which the wire read into a plain GC-owned slice of its exact
+// size — so views into it survive the buffer evicting it.
 func (p *Peer) chunkFromMaster(ctx context.Context, addr string, ci int) ([]byte, error) {
 	e := wire.AcquireEncoder(4)
 	e.Uint32(uint32(ci))
-	f, err := p.callMaster(ctx, addr, methodCacheGetChunk, e)
-	if err != nil {
-		return nil, err
-	}
-	payload := f.Clone()
-	f.Release()
-	return payload, nil
+	return p.callMaster(ctx, addr, methodCacheGetChunk, e)
 }
 
 // handleCacheGetChunk serves one whole chunk payload out of this master's
 // cache, loading it on demand like handleCacheGet. The response is the
-// cached payload itself: read-only, and written to the wire as is.
+// cached payload itself: read-only, lent to the wire and sent from where it
+// lies.
 func (p *Peer) handleCacheGetChunk(ctx context.Context, payload []byte) ([]byte, error) {
 	d := wire.NewDecoder(payload)
 	ci := int(d.Uint32())

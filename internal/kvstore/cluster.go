@@ -95,20 +95,16 @@ func DialClusterOpts(addrs []string, opts Options) (*Cluster, error) {
 	return c, nil
 }
 
-// callIdem is call under wire.Retry, for idempotent operations only. The
-// returned payload is owned by the caller (its frame is left to the GC).
+// callIdem is call under wire.Retry, for idempotent operations only.
 func (c *Cluster) callIdem(ctx context.Context, n int, method string, payload []byte) ([]byte, error) {
 	resp, attempts, err := wire.Retry(ctx, c.opts.MaxRetries, c.opts.RetryBackoff,
 		func() { mRetries(method).Inc() },
-		func() (*wire.Frame, error) { return c.call(ctx, n, method, payload) })
-	if err != nil {
-		if !wire.IsRemote(err) {
-			err = fmt.Errorf("kvstore: node %d (%s) %s failed after %d attempts: %w",
-				n, c.addrs[n], method, attempts, err)
-		}
-		return nil, err
+		func() ([]byte, error) { return c.call(ctx, n, method, payload) })
+	if err != nil && !wire.IsRemote(err) {
+		err = fmt.Errorf("kvstore: node %d (%s) %s failed after %d attempts: %w",
+			n, c.addrs[n], method, attempts, err)
 	}
-	return resp.Payload, nil
+	return resp, err
 }
 
 // NodeCount returns the number of nodes in the cluster.
@@ -298,7 +294,7 @@ func (c *Cluster) Del(key string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	d := wire.NewDecoder(resp.Payload)
+	d := wire.NewDecoder(resp)
 	return d.Bool(), d.Err()
 }
 

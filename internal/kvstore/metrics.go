@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"diesel/internal/obs"
-	"diesel/internal/wire"
 )
 
 // Client-side KV metrics on the default registry. The cluster client is
@@ -73,9 +72,9 @@ func nodeHist(n int) *obs.Histogram {
 // any active trace span reach the wire transport — recording the op count
 // and per-node latency. Every Cluster method funnels through here; writes
 // call it directly because they must never retry.
-func (c *Cluster) call(ctx context.Context, n int, method string, payload []byte) (*wire.Frame, error) {
+func (c *Cluster) call(ctx context.Context, n int, method string, payload []byte) ([]byte, error) {
 	start := time.Now()
-	resp, err := c.pool(n).CallBorrowContext(ctx, method, payload)
+	resp, err := c.pool(n).CallContext(ctx, method, payload)
 	opCounter(method).Inc()
 	nodeHist(n).Since(start)
 	return resp, err

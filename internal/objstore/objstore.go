@@ -126,8 +126,11 @@ func clampRange(size, off, n int64) (start, end int64, err error) {
 	return off, end, nil
 }
 
-// GetPooled implements PooledReader: the object is copied into a pooled
-// buffer under no lock (stored slices are immutable once inserted).
+// GetPooled implements PooledReader by lending the stored slice itself:
+// stored slices are immutable once inserted (Put stores a private copy and
+// replaces, never rewrites; Delete only drops the map entry), so the bytes
+// a caller holds stay what they were whatever happens to the key, and
+// there is nothing to hand back.
 func (m *Memory) GetPooled(key string) ([]byte, func(), error) {
 	m.mu.Lock()
 	b, ok := m.data[key]
@@ -137,12 +140,11 @@ func (m *Memory) GetPooled(key string) ([]byte, func(), error) {
 	if !ok {
 		return nil, nil, fmt.Errorf("%w: %q", ErrNotFound, key)
 	}
-	rb := getReadBuf(len(b))
-	copy(rb.b, b)
-	return rb.b, rb.release, nil
+	return b, noopRelease, nil
 }
 
-// GetRangePooled implements PooledReader.
+// GetRangePooled implements PooledReader; the range is a window into the
+// stored slice (see GetPooled).
 func (m *Memory) GetRangePooled(key string, off, n int64) ([]byte, func(), error) {
 	m.mu.Lock()
 	b, ok := m.data[key]
@@ -155,9 +157,7 @@ func (m *Memory) GetRangePooled(key string, off, n int64) ([]byte, func(), error
 	if err != nil {
 		return nil, nil, err
 	}
-	rb := getReadBuf(int(end - start))
-	copy(rb.b, b[start:end])
-	return rb.b, rb.release, nil
+	return b[start:end:end], noopRelease, nil
 }
 
 // Delete implements Store.

@@ -182,6 +182,58 @@ func TestMemoryIsolation(t *testing.T) {
 	}
 }
 
+// TestLentBytesOutliveTheKey: bytes on loan from GetPooled/GetRangePooled
+// stay what they were until release, whatever happens to the key in the
+// meantime — Memory lends its stored slice itself, so an overwrite must
+// replace it, never rewrite it. The writers run beside the reads so -race
+// sees any store that writes into bytes it has lent.
+func TestLentBytesOutliveTheKey(t *testing.T) {
+	disk, err := NewDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]Store{
+		"memory": NewMemory(), "disk": disk, "throttled": &Throttled{Base: NewMemory()},
+	} {
+		want := bytes.Repeat([]byte("0123456789"), 1000)
+		if err := s.Put("ds/k", want); err != nil {
+			t.Fatal(err)
+		}
+		whole, relWhole, err := GetPooled(s, "ds/k")
+		if err != nil {
+			t.Fatalf("%s: GetPooled: %v", name, err)
+		}
+		part, relPart, err := GetRangePooled(s, "ds/k", 5, 10)
+		if err != nil {
+			t.Fatalf("%s: GetRangePooled: %v", name, err)
+		}
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 20 {
+				s.Put("ds/k", bytes.Repeat([]byte{byte('a' + i)}, len(want))) // same size: an in-place store would reuse the slice
+				s.Delete("ds/k")
+			}
+		}()
+		for range 20 {
+			if !bytes.Equal(whole, want) || string(part) != "5678901234" {
+				t.Errorf("%s: lent bytes changed under Put/Delete of their key", name)
+				break
+			}
+		}
+		wg.Wait()
+		if !bytes.Equal(whole, want) || string(part) != "5678901234" {
+			t.Errorf("%s: lent bytes changed after Put/Delete of their key", name)
+		}
+		relWhole()
+		relPart()
+		if _, err := s.Get("ds/k"); !errors.Is(err, ErrNotFound) {
+			t.Errorf("%s: key readable after Delete: %v", name, err)
+		}
+	}
+}
+
 // slowReads reports which keys reach the slow tier when each is read
 // once, in order — the outside view of what the fast tier holds.
 func slowReads(t *testing.T, tr *Tiered, slow *Memory, keys ...string) (missed []string) {

@@ -41,9 +41,10 @@ func (rb *readBuf) release() {
 }
 
 // PooledReader is an optional Store extension for allocation-free reads:
-// the returned bytes live in a pooled buffer and the caller MUST call
-// release exactly once when done — after which the slice must not be
-// touched. Callers that need the data past release must copy it first.
+// the returned bytes are on loan — a pooled buffer (Disk) or the stored
+// object itself (Memory) — so the caller must treat them as read-only and
+// MUST call release exactly once when done, after which the slice must not
+// be touched. Callers that need the data past release must copy it first.
 type PooledReader interface {
 	// GetPooled is Get into a pooled buffer.
 	GetPooled(key string) (data []byte, release func(), err error)

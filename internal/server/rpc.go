@@ -130,28 +130,24 @@ func (r *RPCServer) register() {
 		return e.Bytes(), nil
 	})
 
-	r.rpc.HandleContext(MethodGet, func(ctx context.Context, p []byte) ([]byte, error) {
+	r.rpc.HandleReply(MethodGet, func(ctx context.Context, p []byte, reply *wire.Reply) error {
 		d := wire.NewDecoder(p)
 		dataset := d.String()
 		path := d.String()
 		if err := d.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		tenant, exit, err := r.admitRead(ctx)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		defer exit()
 		b, release, err := r.S.GetFilePooled(ctx, dataset, path)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		// One copy, pooled buffer to response payload, then recycle.
-		e := wire.NewEncoder(len(b) + 8)
-		e.Bytes32(b)
-		release()
-		r.S.chargeTenant(tenant, len(e.Bytes()))
-		return e.Bytes(), nil
+		r.lendBytes32(reply, tenant, b, release)
+		return nil
 	})
 
 	r.rpc.HandleContext(MethodGetBatch, func(ctx context.Context, p []byte) ([]byte, error) {
@@ -184,28 +180,24 @@ func (r *RPCServer) register() {
 		return e.Bytes(), nil
 	})
 
-	r.rpc.HandleContext(MethodGetChunk, func(ctx context.Context, p []byte) ([]byte, error) {
+	r.rpc.HandleReply(MethodGetChunk, func(ctx context.Context, p []byte, reply *wire.Reply) error {
 		d := wire.NewDecoder(p)
 		dataset := d.String()
 		id := d.String()
 		if err := d.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		tenant, exit, err := r.admitRead(ctx)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		defer exit()
 		b, release, err := r.S.GetChunkPooled(ctx, dataset, id)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		// One copy, pooled buffer to response payload, then recycle.
-		e := wire.NewEncoder(len(b) + 8)
-		e.Bytes32(b)
-		release()
-		r.S.chargeTenant(tenant, len(e.Bytes()))
-		return e.Bytes(), nil
+		r.lendBytes32(reply, tenant, b, release)
+		return nil
 	})
 
 	r.registerJobs()
@@ -344,6 +336,16 @@ func (r *RPCServer) register() {
 		}
 		return e.Bytes(), nil
 	})
+}
+
+// lendBytes32 answers with b as Encoder.Bytes32 would lay it out — length
+// prefix in the head, b itself lent as the body, so the store's bytes go
+// to the wire uncopied and release runs once they are written — and bills
+// the response to tenant.
+func (r *RPCServer) lendBytes32(reply *wire.Reply, tenant string, b []byte, release func()) {
+	reply.Head.Uint32(uint32(len(b)))
+	reply.Lend(b, release)
+	r.S.chargeTenant(tenant, 4+len(b))
 }
 
 // registerAdmin installs the live-retuning methods. Both take effect on

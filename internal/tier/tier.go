@@ -74,6 +74,11 @@ type shard struct {
 	mu    sync.Mutex
 	items map[string]*list.Element
 	lru   *list.List // front = most recent; values are *entry
+	// demoting holds eviction victims from the moment they leave items
+	// until their spill write has returned. Get consults it, so a key is
+	// never in neither level for the length of a disk write — a reader
+	// landing there would refetch the value from its origin.
+	demoting map[string]*entry
 }
 
 type entry struct {
@@ -89,6 +94,7 @@ func New(capacity int64, groupOf func(key string) string) *Store {
 	for i := range s.shards {
 		s.shards[i].items = make(map[string]*list.Element)
 		s.shards[i].lru = list.New()
+		s.shards[i].demoting = make(map[string]*entry)
 	}
 	return s
 }
@@ -104,16 +110,19 @@ func (s *Store) slot(key string) (*shard, *atomic.Uint64) {
 	return &s.shards[h&(shardCount-1)], &s.gens[h&(genSlots-1)]
 }
 
-// Get returns key's value when it is RAM-resident. The slice is the
-// cached buffer itself: read-only, and — values being plain GC-owned
-// slices, never pooled — still valid after the entry is evicted, demoted
-// or removed.
+// Get returns key's value when it is RAM-resident — cached, or evicted
+// with its demotion still in flight. The slice is the cached buffer
+// itself: read-only, and — values being plain GC-owned slices, never
+// pooled — still valid after the entry is evicted, demoted or removed.
 func (s *Store) Get(key string) ([]byte, bool) {
 	sh, _ := s.slot(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	el, ok := sh.items[key]
 	if !ok {
+		if e, ok := sh.demoting[key]; ok {
+			return e.val, true
+		}
 		return nil, false
 	}
 	sh.lru.MoveToFront(el)
@@ -173,6 +182,7 @@ func (s *Store) Remove(key string) {
 		delete(sh.items, key)
 		s.used.Add(-int64(len(el.Value.(*entry).val)))
 	}
+	delete(sh.demoting, key) // its write sees the new generation and stops
 	sh.mu.Unlock()
 	if sp := s.spill.Load(); sp != nil {
 		s.demoteMu.Lock()
@@ -232,12 +242,23 @@ func (s *Store) evictOver(capacity int64, keep string, prefer func(string) bool)
 		e := back.Value.(*entry)
 		sh.lru.Remove(back)
 		delete(sh.items, e.key)
+		sp := s.spill.Load()
+		if sp != nil {
+			sh.demoting[e.key] = e
+		}
 		gen := s.Gen(e.key)
 		sh.mu.Unlock()
 		s.used.Add(-int64(len(e.val)))
-		// Demotion happens outside every shard lock: the spill write is
-		// disk I/O and must never convoy the hit path.
-		s.demote(e, gen)
+		if sp != nil {
+			// Demotion happens outside every shard lock: the spill write
+			// is disk I/O and must never convoy the hit path.
+			s.demote(sp, e, gen)
+			sh.mu.Lock()
+			if sh.demoting[e.key] == e {
+				delete(sh.demoting, e.key)
+			}
+			sh.mu.Unlock()
+		}
 		evicted++
 	}
 	return evicted
@@ -247,11 +268,7 @@ func (s *Store) evictOver(capacity int64, keep string, prefer func(string) bool)
 // key was invalidated since the eviction (gen). Values are immutable, so
 // a key already spilled needs no disk write — the log reports
 // written=false and re-demotion is free.
-func (s *Store) demote(e *entry, gen uint64) {
-	sp := s.spill.Load()
-	if sp == nil {
-		return
-	}
+func (s *Store) demote(sp *spillLevel, e *entry, gen uint64) {
 	s.demoteMu.RLock()
 	defer s.demoteMu.RUnlock()
 	if s.Gen(e.key) != gen {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // groupOfTest is the dcache key shape: "group\x00id".
@@ -198,7 +199,7 @@ func TestContract(t *testing.T) {
 			}
 			// The same for a victim evicted just before the invalidation
 			// whose spill write comes after it.
-			s.demote(&entry{key: "k", val: val(1, 10)}, gen)
+			s.demote(s.spill.Load(), &entry{key: "k", val: val(1, 10)}, gen)
 			if _, ok := s.SpillSize("k"); ok {
 				t.Fatal("stale victim spilled over an invalidation")
 			}
@@ -320,4 +321,81 @@ func TestConcurrentChurn(t *testing.T) {
 	if s.Bytes() != 0 || s.Count() != 0 {
 		t.Errorf("Clear left used=%d count=%d", s.Bytes(), s.Count())
 	}
+}
+
+// TestVictimFindableWhileDemoting pins the window between an eviction
+// victim leaving the RAM index and its spill write returning: a Get there
+// must still hit (or the caller refetches the value from its origin — the
+// bench's "second job fetched a chunk the first had loaded"), and a Remove
+// there must still win. The spill write is gated by holding demoteMu, the
+// lock every demotion takes before it writes.
+func TestVictimFindableWhileDemoting(t *testing.T) {
+	const size = 100
+	// waitFor polls for an event another goroutine produces under a lock.
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	// evictGated fills a one-value store with "a", closes the gate and
+	// starts a Put of "b" that evicts "a"; it returns once "a" has left
+	// the index with its spill write stuck behind the gate.
+	evictGated := func(t *testing.T) (s *Store, open func()) {
+		s = New(size, groupOfTest)
+		if _, err := s.EnableSpill(t.TempDir(), 0); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		put(s, "a", val('a', size), nil)
+		s.demoteMu.Lock()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			put(s, "b", val('b', size), nil)
+		}()
+		waitFor("the eviction of a", func() bool { return !resident(s, "a") })
+		if _, ok := s.SpillSize("a"); ok {
+			t.Fatal("a reached the spill log through a closed gate")
+		}
+		return s, func() { s.demoteMu.Unlock(); <-done }
+	}
+
+	t.Run("get hits", func(t *testing.T) {
+		s, open := evictGated(t)
+		if b, ok := s.Get("a"); !ok || !bytes.Equal(b, val('a', size)) {
+			t.Errorf("Get(a) during its demotion = %d bytes, %v; want the value", len(b), ok)
+		}
+		open()
+		if _, ok := s.Get("a"); ok {
+			t.Error("a still answers from RAM after its demotion finished")
+		}
+		if b, ok := s.LoadSpill("a"); !ok || !bytes.Equal(b, val('a', size)) {
+			t.Errorf("LoadSpill(a) after its demotion = %d bytes, %v; want the value", len(b), ok)
+		}
+		if got := s.Bytes(); got != size {
+			t.Errorf("used = %d, want %d (b only)", got, size)
+		}
+	})
+
+	t.Run("remove wins", func(t *testing.T) {
+		s, open := evictGated(t)
+		gen := s.Gen("a")
+		removed := make(chan struct{})
+		go func() {
+			defer close(removed)
+			s.Remove("a") // its log removal queues behind the gate too
+		}()
+		waitFor("the invalidation of a", func() bool { return s.Gen("a") != gen })
+		if _, ok := s.Get("a"); ok {
+			t.Error("Get(a) hit after Remove(a)")
+		}
+		open()
+		<-removed
+		if _, ok := s.LoadSpill("a"); ok {
+			t.Error("a removed key reached the spill log")
+		}
+	})
 }

@@ -20,9 +20,9 @@ const groupBufSize = 64 << 10
 // immediately, while N concurrent writers pay ~1 syscall instead of N.
 //
 // Every socket write stays frame-aligned — a frame is either buffered
-// whole or written whole — which keeps write-side fault injection
-// (fault.go drops whole conn.Write calls) from ever corrupting the stream
-// mid-frame.
+// whole or written whole, in one Write on any connection that is not plain
+// TCP — which keeps write-side fault injection (fault.go drops whole
+// conn.Write calls) from ever corrupting the stream mid-frame.
 //
 // Errors are sticky: once the underlying connection fails, every later
 // write returns the same error, mirroring the dead-connection semantics
@@ -63,9 +63,10 @@ func (g *groupWriter) writeFrame(f *Frame) error {
 		return verr
 	}
 	if total > g.bw.Size() {
-		// Chunk-sized frame: bypass the coalescing buffer and write it as
-		// one contiguous conn.Write (WriteFrame's scratch path), after
-		// draining anything already buffered so ordering holds.
+		// Chunk-sized frame: bypass the coalescing buffer and write it in
+		// one call (WriteFrame: one conn.Write, or one writev when the
+		// body is lent and the connection is TCP), after draining anything
+		// already buffered so ordering holds.
 		if err := g.bw.Flush(); err != nil {
 			g.err = err
 			return err

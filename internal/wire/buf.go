@@ -1,17 +1,22 @@
 package wire
 
-import "sync"
+import (
+	"net"
+	"sync"
+)
 
 // Buffer pooling for the frame hot path.
 //
 // Two pools back the transport: framePool recycles Frame structs together
-// with their body buffers (the contiguous method+payload storage ReadFrame
-// fills), and scratchPool recycles the contiguous encode buffers WriteFrame
-// serialises into. Both follow the same safety rule: storage is reused only
-// after an explicit Release/release call. A frame that is never released is
-// simply garbage-collected — leaking a frame costs memory churn, never
-// corruption — so callers that let payloads escape (Client.CallContext) can
-// keep the historical owning semantics by not releasing.
+// with the body buffers of small frames (the contiguous method+payload
+// storage ReadFrame fills), and scratchPool recycles large contiguous
+// buffers — the ones WriteFrame serialises into and the ones ReadFrame
+// reads a frame beyond the coalescing size into. Both follow the same
+// safety rule: storage is reused only after an explicit Release/release
+// call. A frame that is never released is simply garbage-collected —
+// leaking a frame costs memory churn, never corruption. A payload the
+// caller keeps (Client.CallContext) never enters a pool in the first
+// place: readFrame gives it an allocation of its own.
 
 // maxRetainBody bounds the buffers the pools keep. Whole cache chunks ride
 // single frames, so the cap is chunk-sized; anything larger is handed to
@@ -34,10 +39,17 @@ func newFrame() *Frame {
 	return f
 }
 
-// scratch is a pooled encode buffer. The wrapper struct travels with the
+// scratch is a pooled large buffer. The wrapper struct travels with the
 // buffer through the pool so steady-state acquire/release allocates
 // nothing (Put-ing a bare slice would box its header every time).
-type scratch struct{ b []byte }
+type scratch struct {
+	b []byte
+	// vec and bufs are WriteFrame's writev argument (staged bytes, lent
+	// body). They live here because net.Buffers.WriteTo takes a pointer
+	// that escapes; on a pooled struct that costs nothing.
+	vec  [2][]byte
+	bufs net.Buffers
+}
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 

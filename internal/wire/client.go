@@ -48,11 +48,19 @@ type Client struct {
 	gw *groupWriter // serialises and batch-flushes request frames
 
 	mu      sync.Mutex
-	pending map[uint64]chan *Frame
+	pending map[uint64]pendingCall
 	closed  bool
 	readErr error
 
 	seq atomic.Uint64
+}
+
+// pendingCall is one request awaiting its response.
+type pendingCall struct {
+	ch chan *Frame
+	// own: the caller keeps the response payload, so the read loop gives it
+	// an allocation of its own instead of the frame's pooled buffer.
+	own bool
 }
 
 // Dial connects to a wire server at addr.
@@ -74,7 +82,7 @@ func dialOpts(addr string, o *options) (*Client, error) {
 		addr:        addr,
 		callTimeout: o.callTimeout,
 		gw:          newGroupWriter(conn),
-		pending:     make(map[uint64]chan *Frame),
+		pending:     make(map[uint64]pendingCall),
 	}
 	go c.readLoop()
 	if o.job != nil {
@@ -100,10 +108,11 @@ func (c *Client) Closed() bool {
 func (c *Client) readLoop() {
 	// Buffered reads: ReadFrame issues two ReadFulls per frame (header,
 	// body); the bufio layer turns those into one socket read per batch of
-	// frames.
+	// frames, and steps aside for a body larger than its buffer, which the
+	// socket then fills directly.
 	br := bufio.NewReaderSize(c.conn, groupBufSize)
 	for {
-		f, err := ReadFrame(br)
+		f, err := readFrame(br, c.owns)
 		if err != nil {
 			c.failAll(err)
 			return
@@ -113,15 +122,26 @@ func (c *Client) readLoop() {
 			continue
 		}
 		c.mu.Lock()
-		ch := c.pending[f.Seq]
+		ch := c.pending[f.Seq].ch
 		delete(c.pending, f.Seq)
 		c.mu.Unlock()
 		if ch != nil {
 			ch <- f
 		} else {
-			f.Release() // no waiter (caller timed out): recycle now
+			// No waiter (the caller timed out, perhaps while the body was
+			// being read): recycle the envelope now. A payload read for an
+			// owner that has left is in no pool and is simply dropped.
+			f.Release()
 		}
 	}
+}
+
+// owns reports whether the caller waiting for seq keeps the response
+// payload. A caller that already gave up does not.
+func (c *Client) owns(seq uint64) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.pending[seq].own
 }
 
 // failAll wakes every pending caller with a closed-channel signal after a
@@ -132,8 +152,8 @@ func (c *Client) failAll(err error) {
 	if c.readErr == nil {
 		c.readErr = err
 	}
-	for seq, ch := range c.pending {
-		close(ch)
+	for seq, p := range c.pending {
+		close(p.ch)
 		delete(c.pending, seq)
 	}
 	c.closed = true
@@ -157,16 +177,24 @@ func (c *Client) Call(method string, payload []byte) ([]byte, error) {
 // the server; the request may still execute remotely, so callers must only
 // retry idempotent operations after a deadline.
 //
-// The returned payload is owned by the caller: the response frame behind
-// it is deliberately never released, so the GC reclaims it whenever the
-// caller drops the slice. Hot paths that can bound the payload's lifetime
-// should use CallBorrowContext to keep the buffer in the pool.
+// The returned payload is owned by the caller: it is one allocation of
+// exactly the response's size, filled by the socket read, that no pool
+// ever holds; only the frame envelope is recycled. Hot paths that are done
+// with the payload before they return should use CallBorrowContext, which
+// keeps the buffer in the pool.
 func (c *Client) CallContext(ctx context.Context, method string, payload []byte) ([]byte, error) {
-	f, err := c.CallBorrowContext(ctx, method, payload)
+	return owned(c.roundTrip(ctx, method, payload, true))
+}
+
+// owned detaches the payload of a response read for an owner and recycles
+// the envelope.
+func owned(f *Frame, err error) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return f.Payload, nil
+	b := f.Payload
+	f.Release()
+	return b, nil
 }
 
 // CallBorrowContext performs one RPC and returns the response frame
@@ -174,7 +202,13 @@ func (c *Client) CallContext(ctx context.Context, method string, payload []byte)
 // Clone anything that must outlive the frame, then Release exactly once.
 // Skipping Release is safe (the frame falls to the GC) but forfeits the
 // buffer reuse this path exists for.
-func (c *Client) CallBorrowContext(ctx context.Context, method string, payload []byte) (resp *Frame, err error) {
+func (c *Client) CallBorrowContext(ctx context.Context, method string, payload []byte) (*Frame, error) {
+	return c.roundTrip(ctx, method, payload, false)
+}
+
+// roundTrip is one RPC. own says who gets the response payload: the caller
+// for good (see pendingCall.own), or the pool again on Release.
+func (c *Client) roundTrip(ctx context.Context, method string, payload []byte, own bool) (resp *Frame, err error) {
 	start := time.Now()
 	var sp *tracing.Span
 	if tracing.Enabled() {
@@ -196,7 +230,7 @@ func (c *Client) CallBorrowContext(ctx context.Context, method string, payload [
 		c.mu.Unlock()
 		return nil, fmt.Errorf("wire: call %s: %w", method, errors.Join(ErrClientClosed, ErrNotSent))
 	}
-	c.pending[seq] = ch
+	c.pending[seq] = pendingCall{ch: ch, own: own}
 	c.mu.Unlock()
 
 	req := newFrame()
@@ -326,17 +360,18 @@ func (p *Pool) Call(method string, payload []byte) ([]byte, error) {
 // applies per attempt: each attempt's effective deadline is the earlier of
 // the caller's deadline and the per-call timeout.
 func (p *Pool) CallContext(ctx context.Context, method string, payload []byte) ([]byte, error) {
-	f, err := p.CallBorrowContext(ctx, method, payload)
-	if err != nil {
-		return nil, err
-	}
-	return f.Payload, nil // frame intentionally unreleased: payload escapes
+	return owned(p.roundTrip(ctx, method, payload, true))
 }
 
 // CallBorrowContext is CallContext returning the response frame so callers
 // can Borrow the payload zero-copy; see Client.CallBorrowContext for the
 // Release contract.
 func (p *Pool) CallBorrowContext(ctx context.Context, method string, payload []byte) (*Frame, error) {
+	return p.roundTrip(ctx, method, payload, false)
+}
+
+// roundTrip is one call with slot failover; own as in Client.roundTrip.
+func (p *Pool) roundTrip(ctx context.Context, method string, payload []byte, own bool) (*Frame, error) {
 	if metricsOn() {
 		mPoolCalls.Inc()
 	}
@@ -357,7 +392,7 @@ func (p *Pool) CallBorrowContext(ctx context.Context, method string, payload []b
 			}
 			continue
 		}
-		resp, err := p.callOne(ctx, c, method, payload)
+		resp, err := p.callOne(ctx, c, method, payload, own)
 		if err == nil || IsRemote(err) {
 			return resp, err
 		}
@@ -383,13 +418,13 @@ func (p *Pool) CallBorrowContext(ctx context.Context, method string, payload []b
 // callOne performs one attempt on one pooled connection, bounding it with
 // the pool's per-call timeout (if configured) on top of the caller's
 // context.
-func (p *Pool) callOne(ctx context.Context, c *Client, method string, payload []byte) (*Frame, error) {
+func (p *Pool) callOne(ctx context.Context, c *Client, method string, payload []byte, own bool) (*Frame, error) {
 	if p.o.callTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, p.o.callTimeout)
 		defer cancel()
 	}
-	return c.CallBorrowContext(ctx, method, payload)
+	return c.roundTrip(ctx, method, payload, own)
 }
 
 // acquire returns the slot's live client, redialing if the previous one
@@ -466,8 +501,9 @@ func (p *Pool) Close() error {
 // It returns the number of attempts made and, when they all failed, every
 // attempt's error joined (plus ctx.Err() when cancellation cut a backoff
 // short), for the caller to wrap with its own prefix.
-func Retry(ctx context.Context, retries int, backoff time.Duration, onRetry func(), call func() (*Frame, error)) (*Frame, int, error) {
+func Retry[T any](ctx context.Context, retries int, backoff time.Duration, onRetry func(), call func() (T, error)) (T, int, error) {
 	var errs []error
+	var none T
 	for attempt := 0; ; attempt++ {
 		resp, err := call()
 		if err == nil || IsRemote(err) {
@@ -475,13 +511,13 @@ func Retry(ctx context.Context, retries int, backoff time.Duration, onRetry func
 		}
 		errs = append(errs, err)
 		if ctx.Err() != nil || attempt >= retries {
-			return nil, attempt + 1, errors.Join(errs...)
+			return none, attempt + 1, errors.Join(errs...)
 		}
 		onRetry()
 		select {
 		case <-time.After(retryDelay(backoff, attempt)):
 		case <-ctx.Done():
-			return nil, attempt + 1, errors.Join(append(errs, ctx.Err())...)
+			return none, attempt + 1, errors.Join(append(errs, ctx.Err())...)
 		}
 	}
 }

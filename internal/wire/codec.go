@@ -33,8 +33,10 @@ var encoderPool = sync.Pool{New: func() any { return new(Encoder) }}
 // bytes, growing its recycled buffer geometrically when it is too small.
 // The caller must invoke Release when the encoded payload is no longer
 // referenced — for a request payload, after the Call returns, since
-// WriteFrame copies it out synchronously. Payloads that escape (handler
-// responses handed to the dispatch loop) must use NewEncoder instead.
+// WriteFrame copies it out synchronously. A handler's response is written
+// after the handler has returned, so it cannot come from an encoder the
+// handler releases: a few bytes go in Reply.Head, anything larger is
+// built with NewEncoder or lent (Reply.Lend).
 func AcquireEncoder(n int) *Encoder {
 	e := encoderPool.Get().(*Encoder)
 	if cap(e.buf) < n {

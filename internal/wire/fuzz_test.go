@@ -12,13 +12,18 @@ func FuzzReadFrame(f *testing.F) {
 	// Seeds on the one layout: untraced, traced+sampled, traced with the
 	// sampled flag clear, a cut inside the fixed fields, a cut inside the
 	// trace fields, an empty stream, and the three rejected trace-field
-	// shapes (span without trace, flags without trace, unknown flag bits).
-	var plain, traced, unsampled bytes.Buffer
+	// shapes (span without trace, flags without trace, unknown flag bits);
+	// and responses written as head + lent body, with and without a head.
+	var plain, traced, unsampled, lent, headless bytes.Buffer
 	WriteFrame(&plain, &Frame{Kind: KindRequest, Seq: 9, Method: "m", Payload: []byte("p")})
 	WriteFrame(&traced, &Frame{Kind: KindRequest, Seq: 9, Method: "m", Payload: []byte("p"),
 		TraceID: 0x1234, SpanID: 0x5678, Sampled: true})
 	WriteFrame(&unsampled, &Frame{Kind: KindOneway, Method: "n", TraceID: 1})
+	WriteFrame(&lent, &Frame{Kind: KindResponse, Seq: 9, Payload: []byte{0, 0, 0, 4}, lent: []byte("body")})
+	WriteFrame(&headless, &Frame{Kind: KindResponse, Seq: 9, lent: []byte("body"), TraceID: 7})
 	f.Add(plain.Bytes())
+	f.Add(lent.Bytes())
+	f.Add(headless.Bytes())
 	f.Add(traced.Bytes())
 	f.Add(unsampled.Bytes())
 	f.Add(plain.Bytes()[:5])
@@ -38,6 +43,15 @@ func FuzzReadFrame(f *testing.F) {
 		}
 		if !bytes.Equal(out.Bytes(), data[:out.Len()]) {
 			t.Fatal("accepted frame does not round-trip")
+		}
+		// Wherever a sender splits the payload into head and lent body, the
+		// bytes on the wire are the same.
+		cut := len(fr.Payload) / 2
+		split := *fr
+		split.Payload, split.lent = fr.Payload[:cut], fr.Payload[cut:]
+		var out2 bytes.Buffer
+		if err := WriteFrame(&out2, &split); err != nil || !bytes.Equal(out2.Bytes(), out.Bytes()) {
+			t.Fatalf("head+body encoding differs from the contiguous one (%v)", err)
 		}
 		// Pooled-decoder reuse: Clone must survive Release, and a second
 		// decode of the same stream — which recycles the released frame's

@@ -17,9 +17,11 @@ import (
 
 // Handler processes one request payload and returns the response payload.
 // Handlers run concurrently; implementations must be safe for concurrent
-// use. The returned slice is written to the wire immediately, so handlers
-// may reuse buffers only after WriteFrame returns (i.e. never — return
-// fresh or read-only slices).
+// use. The returned slice is lent to the server until the response is
+// written: it goes to the wire from where it lies, so it must stay
+// unchanged until then — return a fresh slice or read-only bytes (a cached
+// chunk, a stored object). A handler whose response bytes must be handed
+// back afterwards (a pooled read buffer) is a ReplyHandler.
 //
 // The request payload aliases a pooled frame buffer that is recycled as
 // soon as the response is written: handlers must not retain payload (or
@@ -37,12 +39,47 @@ type Handler func(payload []byte) ([]byte, error)
 // frames); it exists for trace propagation and future deadline plumbing.
 type ContextHandler func(ctx context.Context, payload []byte) ([]byte, error)
 
+// Reply is the response a handler builds: Head, a few bytes the handler
+// encodes (a length prefix, a flag), followed on the wire by the body it
+// lends. The client sees the two as one payload.
+type Reply struct {
+	// Head is encoded in place; its first bytes cost no allocation.
+	Head Encoder
+
+	body    []byte
+	release func()
+}
+
+// Lend makes b the response body without copying it: b goes to the wire
+// from where it lies and must stay unchanged until release runs. release
+// (nil for bytes nobody needs back) runs exactly once, after the response
+// has been written or, when there is nothing to write — the handler
+// failed or panicked after lending, the write failed, the request was a
+// oneway — as soon as that is known.
+func (r *Reply) Lend(b []byte, release func()) {
+	r.done()
+	r.body, r.release = b, release
+}
+
+// done hands the lent body back.
+func (r *Reply) done() {
+	if r.release != nil {
+		r.release()
+	}
+	r.body, r.release = nil, nil
+}
+
+// ReplyHandler is the one shape the server stores: it answers into r and
+// returns an error for an error response. Handle and HandleContext adapt
+// the slice-returning forms to it.
+type ReplyHandler func(ctx context.Context, payload []byte, r *Reply) error
+
 // Server is a multiplexed RPC server: many in-flight requests per
 // connection, each dispatched to its own goroutine, responses matched by
 // sequence number. One Server instance backs one listening socket.
 type Server struct {
 	mu       sync.RWMutex
-	handlers map[string]ContextHandler
+	handlers map[string]ReplyHandler
 
 	lis      net.Listener
 	conns    sync.WaitGroup
@@ -66,7 +103,7 @@ type ServerStats struct {
 // NewServer returns a server with no registered methods.
 func NewServer() *Server {
 	return &Server{
-		handlers: make(map[string]ContextHandler),
+		handlers: make(map[string]ReplyHandler),
 		connsSet: make(map[net.Conn]struct{}),
 	}
 }
@@ -83,6 +120,17 @@ func (s *Server) Handle(method string, fn Handler) {
 // registration for the method. Handlers that fan out further RPCs should
 // prefer this form so trace context propagates through them.
 func (s *Server) HandleContext(method string, fn ContextHandler) {
+	s.HandleReply(method, func(ctx context.Context, payload []byte, r *Reply) error {
+		out, err := fn(ctx, payload)
+		r.Lend(out, nil)
+		return err
+	})
+}
+
+// HandleReply registers a handler in the server's own shape, replacing any
+// previous registration for the method — for responses that carry bytes
+// the handler does not own (see Reply.Lend).
+func (s *Server) HandleReply(method string, fn ReplyHandler) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.handlers[method] = fn
@@ -194,47 +242,49 @@ func (s *Server) dispatch(gw *groupWriter, req *Frame, connJob *atomic.Pointer[J
 		ctx, sp = tracing.StartRemote(ctx, "serve "+req.Method, req.TraceID, req.SpanID)
 	}
 
-	var resp Frame
-	resp.Seq = req.Seq
+	reply := &req.reply
+	reply.Head.buf = req.hdrBuf[:0]
 	// Unknown methods are observed under method="?" so a misbehaving
 	// client cannot blow up the registry's label cardinality.
 	observedMethod := req.Method
+	var err error
 	if fn == nil {
 		observedMethod = "?"
-		resp.Kind = KindError
-		resp.Payload = []byte("wire: unknown method " + req.Method)
-		s.Stats.Errors.Add(1)
+		err = errors.New("wire: unknown method " + req.Method)
 	} else {
-		out, err := s.safeCall(ctx, fn, req)
-		if err != nil {
-			resp.Kind = KindError
-			resp.Payload = []byte(err.Error())
-			s.Stats.Errors.Add(1)
-		} else {
-			resp.Kind = KindResponse
-			resp.Payload = out
-		}
+		err = s.safeCall(ctx, fn, req)
 	}
 	s.Stats.Requests.Add(1)
-	observeServe(observedMethod, start, resp.Kind == KindError)
+	if err != nil {
+		s.Stats.Errors.Add(1)
+	}
+	observeServe(observedMethod, start, err != nil)
 	if sp != nil {
-		if resp.Kind == KindError {
-			sp.SetError(errors.New(string(resp.Payload)))
-		}
+		sp.SetError(err)
 	}
 	if req.Kind == KindOneway {
 		sp.End()
+		reply.done()
 		req.Release()
 		return
 	}
-	err := gw.writeFrame(&resp)
-	if err == nil {
-		s.Stats.BytesOut.Add(uint64(len(resp.Payload)))
+	// The response goes out in the request's own envelope (same Seq): the
+	// frame is pooled and already here, and a second Frame among this
+	// goroutine's locals would outgrow its first stack on every request.
+	req.Method, req.TraceID, req.SpanID, req.Sampled = "", 0, 0, false
+	if err != nil {
+		req.Kind, req.Payload = KindError, []byte(err.Error())
+	} else {
+		req.Kind, req.Payload, req.lent = KindResponse, reply.Head.buf, reply.body
 	}
-	respBytes := len(resp.Payload)
-	// The response may alias the request payload (echo-style handlers), so
-	// the request frame recycles only after the response hit the writer.
-	resp.Payload = nil
+	respBytes := req.payloadLen()
+	if gw.writeFrame(req) == nil {
+		s.Stats.BytesOut.Add(uint64(respBytes))
+	}
+	// The lent body goes back only now that the writer is done with it. The
+	// response may also alias the request payload (echo-style handlers), so
+	// the frame's buffer recycles after the write too.
+	reply.done()
 	req.Release()
 	// End after the response write so a slow flush of a chunk-sized
 	// payload shows up inside the server span, not as unexplained gap
@@ -248,15 +298,15 @@ func (s *Server) dispatch(gw *groupWriter, req *Frame, connJob *atomic.Pointer[J
 
 // safeCall invokes a handler, converting a panic into an error so one
 // malformed request cannot take the whole server process down.
-func (s *Server) safeCall(ctx context.Context, fn ContextHandler, req *Frame) (out []byte, err error) {
+func (s *Server) safeCall(ctx context.Context, fn ReplyHandler, req *Frame) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			slog.Error("wire: handler panicked", "method", req.Method, "panic", r,
 				"trace", tracing.FormatID(req.TraceID))
-			out, err = nil, fmt.Errorf("wire: handler %s panicked: %v", req.Method, r)
+			err = fmt.Errorf("wire: handler %s panicked: %v", req.Method, r)
 		}
 	}()
-	return fn(ctx, req.Payload)
+	return fn(ctx, req.Payload, &req.reply)
 }
 
 // Close stops accepting, closes every open connection, and waits for

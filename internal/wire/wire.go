@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 )
 
 // Message kinds carried in the frame header.
@@ -75,15 +76,37 @@ type Frame struct {
 	SpanID  uint64
 	Sampled bool
 
+	// lent continues Payload on the wire: the receiver sees Payload+lent as
+	// one payload. The sender does not own it — it is a server handler's
+	// lent response body (Reply.Lend) — so WriteFrame sends it from where it
+	// lies instead of staging a copy of it.
+	lent []byte
+
 	// body is the pooled backing storage for Method and Payload when the
-	// frame came out of ReadFrame; nil for caller-built frames. It is what
-	// Release recycles.
+	// frame came out of ReadFrame; nil for caller-built frames. It stays
+	// with the envelope through the pool, so it only ever holds frames
+	// small enough to be coalesced on the way out (groupBufSize): most
+	// envelopes carry small frames or none (requests being written, owned
+	// reads), and a chunk-sized buffer riding each of them would be held
+	// for nothing.
 	body []byte
+	// big backs Method and Payload of a larger frame instead: a buffer from
+	// the pool WriteFrame stages large frames in, which holds as many
+	// chunk-sized buffers as are in use at once. Release returns it. A
+	// payload the reader's caller takes (readFrame's own) is in neither.
+	big *scratch
 	// hdrBuf is ReadFrame's header staging area. It lives on the frame (not
 	// the stack) because slices passed through the io.Reader interface
-	// escape, and a pooled frame makes that escape free.
+	// escape, and a pooled frame makes that escape free. Once the header is
+	// parsed it is dead, and a server reuses it as reply.Head's first bytes.
 	hdrBuf [headerSize]byte
+	// reply is the answer a server handler builds to this request. It rides
+	// the pooled request frame so that dispatching allocates nothing for it.
+	reply Reply
 }
+
+// payloadLen is the payload length the header advertises.
+func (f *Frame) payloadLen() int { return len(f.Payload) + len(f.lent) }
 
 // Borrow returns the frame's payload without copying. The returned slice
 // aliases the frame's (possibly pooled) storage: it must be treated
@@ -113,8 +136,11 @@ func (f *Frame) Release() {
 	f.TraceID = 0
 	f.SpanID = 0
 	f.Sampled = false
-	if cap(f.body) > maxRetainBody {
-		f.body = nil
+	f.lent = nil
+	f.reply = Reply{}
+	if f.big != nil {
+		f.big.release()
+		f.big = nil
 	}
 	framePool.Put(f)
 }
@@ -137,10 +163,10 @@ func frameWireLen(f *Frame) (int, error) {
 	if len(f.Method) > 0xFFFF {
 		return 0, fmt.Errorf("wire: method name too long (%d bytes)", len(f.Method))
 	}
-	if len(f.Payload) > MaxFrame {
+	if f.payloadLen() > MaxFrame {
 		return 0, ErrFrameTooLarge
 	}
-	return headerSize + len(f.Method) + len(f.Payload), nil
+	return headerSize + len(f.Method) + f.payloadLen(), nil
 }
 
 // encodeFrameHeader writes f's header into buf, which must hold at least
@@ -158,31 +184,49 @@ func encodeFrameHeader(buf []byte, f *Frame) {
 	buf[4] = f.Kind
 	binary.BigEndian.PutUint64(buf[5:13], f.Seq)
 	binary.BigEndian.PutUint16(buf[13:15], uint16(len(f.Method)))
-	binary.BigEndian.PutUint32(buf[15:19], uint32(len(f.Payload)))
+	binary.BigEndian.PutUint32(buf[15:19], uint32(f.payloadLen()))
 	binary.BigEndian.PutUint64(buf[19:27], f.TraceID)
 	binary.BigEndian.PutUint64(buf[27:35], span)
 	buf[35] = flags
 }
 
-// WriteFrame serialises f to w as a single contiguous write. A single write
-// keeps frames atomic with respect to concurrent writers that serialise on a
-// mutex above this call. The encode buffer is drawn from a pool and
-// recycled after the write, so steady-state encoding allocates nothing.
+// WriteFrame serialises f to w in one write call, which keeps frames atomic
+// with respect to concurrent writers that serialise on a mutex above this
+// call. Header, method and Payload are staged in a pooled buffer that is
+// recycled after the write, so steady-state encoding allocates nothing. A
+// lent body goes out of its own memory in the same call when w is a TCP
+// connection (one writev); any other writer — a fault-injected connection,
+// a pipe — gets it staged behind the rest, so every Write it sees is still
+// exactly one whole frame.
 func WriteFrame(w io.Writer, f *Frame) error {
 	total, err := frameWireLen(f)
 	if err != nil {
 		return err
 	}
-	s := getScratch(total)
-	buf := s.b[:total]
+	tcp, _ := w.(*net.TCPConn)
+	vectored := tcp != nil && len(f.lent) > 0
+	staged := total
+	if vectored {
+		staged -= len(f.lent)
+	}
+	s := getScratch(staged)
+	buf := s.b[:staged]
 	encodeFrameHeader(buf, f)
-	copy(buf[headerSize:], f.Method)
-	copy(buf[headerSize+len(f.Method):], f.Payload)
-	_, err = w.Write(buf)
+	n := headerSize + copy(buf[headerSize:], f.Method)
+	n += copy(buf[n:], f.Payload)
+	if vectored {
+		s.vec = [2][]byte{buf, f.lent}
+		s.bufs = s.vec[:]
+		_, err = s.bufs.WriteTo(tcp)
+		s.vec, s.bufs = [2][]byte{}, nil // the pool must not pin the lent body
+	} else {
+		copy(buf[n:], f.lent)
+		_, err = w.Write(buf)
+	}
 	s.release()
 	if err == nil && metricsOn() {
 		mFramesOut.Inc()
-		mBytesOut.Add(uint64(len(f.Payload)))
+		mBytesOut.Add(uint64(f.payloadLen()))
 	}
 	return err
 }
@@ -202,9 +246,12 @@ func writeFrameBuffered(bw *bufio.Writer, f *Frame) error {
 	if _, err := bw.Write(f.Payload); err != nil {
 		return err
 	}
+	if _, err := bw.Write(f.lent); err != nil {
+		return err
+	}
 	if metricsOn() {
 		mFramesOut.Inc()
-		mBytesOut.Add(uint64(len(f.Payload)))
+		mBytesOut.Add(uint64(f.payloadLen()))
 	}
 	return nil
 }
@@ -217,15 +264,25 @@ func writeFrameBuffered(bw *bufio.Writer, f *Frame) error {
 // the steady-state fast path allocates nothing. The frame stays valid
 // until the caller invokes Release (optional — an unreleased frame is
 // GC-owned, see Release).
-func ReadFrame(r io.Reader) (*Frame, error) {
+func ReadFrame(r io.Reader) (*Frame, error) { return readFrame(r, nil) }
+
+// readFrame is ReadFrame with the body's home chosen per frame. When own
+// is non-nil and reports true for the sequence number just read, someone
+// is going to keep the payload: the body is then read straight into one
+// allocation of exactly its size that no pool ever sees — not the frame's
+// pooled buffer, whose power-of-two growth would nearly double a chunk —
+// and it stays valid after Release, which recycles only the envelope.
+// Bodies that do return to a pool keep the geometric growth, so a run of
+// slightly different batch-sized frames settles on one buffer.
+func readFrame(r io.Reader, own func(seq uint64) bool) (*Frame, error) {
 	f := newFrame()
 	hdr := f.hdrBuf[:]
 	if _, err := io.ReadFull(r, hdr); err != nil {
-		framePool.Put(f)
+		f.Release()
 		return nil, err
 	}
 	if binary.BigEndian.Uint32(hdr[0:4]) != Magic {
-		framePool.Put(f)
+		f.Release()
 		return nil, ErrBadMagic
 	}
 	f.Kind = hdr[4]
@@ -233,24 +290,33 @@ func ReadFrame(r io.Reader) (*Frame, error) {
 	mlen := int(binary.BigEndian.Uint16(hdr[13:15]))
 	plen := int(binary.BigEndian.Uint32(hdr[15:19]))
 	if plen > MaxFrame {
-		framePool.Put(f)
+		f.Release()
 		return nil, ErrFrameTooLarge
 	}
 	f.TraceID = binary.BigEndian.Uint64(hdr[19:27])
 	f.SpanID = binary.BigEndian.Uint64(hdr[27:35])
 	flags := hdr[35]
 	if flags&^flagSampled != 0 || (f.TraceID == 0 && (f.SpanID != 0 || flags != 0)) {
-		framePool.Put(f)
+		f.Release()
 		return nil, ErrBadTraceBlock
 	}
 	f.Sampled = flags&flagSampled != 0
 	need := mlen + plen
-	if cap(f.body) < need {
-		f.body = make([]byte, nextSize(cap(f.body), need))
+	var body []byte
+	switch {
+	case own != nil && own(f.Seq):
+		body = make([]byte, need)
+	case need > groupBufSize:
+		f.big = getScratch(need)
+		body = f.big.b[:need]
+	default:
+		if cap(f.body) < need {
+			f.body = make([]byte, nextSize(cap(f.body), need))
+		}
+		body = f.body[:need]
 	}
-	body := f.body[:need]
 	if _, err := io.ReadFull(r, body); err != nil {
-		framePool.Put(f)
+		f.Release()
 		return nil, fmt.Errorf("wire: truncated frame body: %w", err)
 	}
 	f.Method = internMethod(body[:mlen])
