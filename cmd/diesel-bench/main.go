@@ -3,72 +3,47 @@
 //
 // Usage:
 //
-//	diesel-bench -exp table2     # Table 2: read bandwidth vs file size
-//	diesel-bench -exp fig6       # Memcached collapse under node failure
-//	diesel-bench -exp fig9       # write throughput comparison
-//	diesel-bench -exp fig10a     # metadata QPS vs client nodes
-//	diesel-bench -exp fig10b     # snapshot metadata QPS (linear)
-//	diesel-bench -exp fig10c     # ls -R / ls -lR elapsed time
-//	diesel-bench -exp fig11a     # 4KB random read QPS
-//	diesel-bench -exp fig11b     # cache loading/recovery time
-//	diesel-bench -exp fig12      # read bandwidth with chunk-wise shuffle
-//	diesel-bench -exp fig13      # shuffle quality: accuracy per epoch
-//	diesel-bench -exp fig14      # per-iteration data access time
-//	diesel-bench -exp fig15      # total training time comparison
-//	diesel-bench -exp epoch      # pipelined vs synchronous epoch reader
-//	diesel-bench -exp alloc      # allocs/op + B/op on the hot read paths
-//	diesel-bench -exp open-loop  # CO-safe fixed-rate tails (internal/loadgen)
-//	diesel-bench -exp tail       # hedged epoch reads vs 1-in-50 slow store reads
-//	diesel-bench -exp spill      # two-level dcache: spill tier vs refetch, warm restart
-//	diesel-bench -exp all
+//	diesel-bench -exp fig9   # one experiment; -h lists their names
+//	diesel-bench -exp all    # every experiment, in name order (the default)
 //
-// The real-stack experiments drive their loops closed (each worker reads
-// back-to-back), so their latency rows are service times; "open-loop"
-// delegates to the internal/loadgen harness, whose intended-start
-// measurement keeps server stalls visible in the tail.
-//
-// Performance experiments run on the deterministic cluster simulator
-// calibrated in internal/cluster (see DESIGN.md §2 for the substitution
-// rationale); fig13 trains a real model with real SGD.
+// Everything here is deterministic: the performance experiments run on
+// the cluster simulator calibrated in internal/cluster (see DESIGN.md §2
+// for the substitution rationale), and fig13 and ablation-group train a
+// real model with real SGD from a fixed seed. Numbers measured on the
+// real stack come from `go test -bench`, cmd/diesel-load and bench/.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
+	"strings"
 
 	"diesel/internal/cluster"
-	"diesel/internal/obs"
 	"diesel/internal/train"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (table2, fig6, fig9, fig10a, fig10b, fig10c, fig11a, fig11b, fig12, fig13, fig14, fig15, ablation-group, live, epoch, alloc, open-loop, tail, spill, all)")
-	jsonDir := flag.String("json", "", "directory to write a BENCH_<exp>.json metrics snapshot after each experiment (empty = disabled)")
-	flag.Parse()
-
 	runs := map[string]func(cluster.Params){
 		"table2": table2, "fig6": fig6, "fig9": fig9,
 		"fig10a": fig10a, "fig10b": fig10b, "fig10c": fig10c,
 		"fig11a": fig11a, "fig11b": fig11b, "fig12": fig12,
 		"fig13": fig13, "fig14": fig14, "fig15": fig15,
 		"ablation-group": ablationGroup, "ablation-topology": ablationTopology,
-		"live": live, "epoch": epochExp, "alloc": allocExp,
-		"open-loop": openLoop, "tail": tailExp, "spill": spillExp,
 	}
+	names := make([]string, 0, len(runs))
+	for n := range runs {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	exp := flag.String("exp", "all", "experiment to run: "+strings.Join(names, ", ")+", or all")
+	flag.Parse()
+
 	p := cluster.Default()
 	if *exp == "all" {
-		names := make([]string, 0, len(runs))
-		for n := range runs {
-			names = append(names, n)
-		}
-		sort.Strings(names)
 		for _, n := range names {
 			runs[n](p)
-			writeSnapshot(*jsonDir, n)
 			fmt.Println()
 		}
 		return
@@ -79,33 +54,6 @@ func main() {
 		os.Exit(2)
 	}
 	fn(p)
-	writeSnapshot(*jsonDir, *exp)
-}
-
-// writeSnapshot dumps the default registry into BENCH_<exp>.json so the
-// emitted numbers carry cache hit-rates and tail latencies alongside the
-// experiment's printed rows. The registry is cumulative across the
-// process, so under -exp all each snapshot subsumes the previous one;
-// the "live" experiment is the one that exercises every real layer.
-func writeSnapshot(dir, exp string) {
-	if dir == "" {
-		return
-	}
-	data := struct {
-		Experiment string       `json:"experiment"`
-		Metrics    []obs.Metric `json:"metrics"`
-	}{exp, obs.Default().Export()}
-	b, err := json.MarshalIndent(data, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bench: snapshot %s: %v\n", exp, err)
-		return
-	}
-	path := filepath.Join(dir, "BENCH_"+exp+".json")
-	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "bench: snapshot %s: %v\n", exp, err)
-		return
-	}
-	fmt.Printf("metrics snapshot: %s\n", path)
 }
 
 func table2(p cluster.Params) {

@@ -3,8 +3,8 @@
 // diesel-server+kvnode stack and measures every operation from its
 // *intended* start, so a stalled or faulted system shows up as tail
 // latency instead of silently slowing the generator down (coordinated
-// omission — the flaw of closed-loop "N workers in a loop" drivers,
-// including diesel-bench's service-time figures).
+// omission — the flaw of closed-loop "N workers in a loop" drivers;
+// -closed-loop runs that way for comparison).
 //
 // Two modes:
 //

@@ -34,6 +34,11 @@ import (
 	"diesel/internal/tracing"
 )
 
+// sloBudget is the error budget of the -slo objectives: the tolerated bad
+// fraction (99% of reads within -slo-read-p99, 99% of a quota'd tenant's
+// requests admitted).
+const sloBudget = 0.01
+
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7400", "listen address")
 	kvAddrs := flag.String("kv", "", "comma-separated kvnode addresses (required)")
@@ -44,19 +49,16 @@ func main() {
 	metricsAddr := flag.String("metrics", "", "serve /metrics, /healthz, /debug/pprof and /debug/traces on this address (empty = disabled)")
 	kvTimeout := flag.Duration("kv-timeout", 5*time.Second, "per-RPC deadline for metadata KV calls (0 = none)")
 	kvRetries := flag.Int("kv-retries", 2, "extra attempts for idempotent KV reads after a transport failure (writes never retry; negative disables)")
-	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
 	traceRate := flag.Float64("trace", 0, "record locally-rooted trace sample rate in [0,1] (remotely-sampled requests are always recorded)")
-	jobTTL := flag.Duration("job-ttl", 0, "training-job lease TTL; a job whose heartbeats stop is dropped from the roster after this long (0 = default)")
 	jobEtcd := flag.String("job-etcd", "", "etcd registry address backing the job roster, shared across servers (empty = per-process roster)")
 	quotaSpec := flag.String("tenant-quotas", "", `per-tenant admission quotas: "tenant=qps:bytes_per_sec;..." (0 leaves a dimension unlimited)`)
 	fairLimit := flag.Int("fair-limit", 0, "bound concurrent reads; queued requests dispatch across jobs by weighted stride scheduling (0 = unbounded)")
 	sloOn := flag.Bool("slo", false, "evaluate SLO burn rates (read p99, quota rejections, shared hit rate) and publish anomaly events")
 	sloReadP99 := flag.Duration("slo-read-p99", 50*time.Millisecond, "read-latency SLO threshold for -slo")
-	sloBudget := flag.Float64("slo-budget", 0.01, "SLO error budget for -slo: tolerated bad fraction (0.01 = 99% within objective)")
 	diagSpool := flag.String("diag-spool", "", "run the anomaly watchdog, spooling diagnostic bundles here and serving them on <metrics>/debug/diag (empty = disabled)")
 	flag.Parse()
 
-	logger := newLogger(*logLevel)
+	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	slog.SetDefault(logger)
 	tracing.SetProcess("diesel-server")
 	tracing.SetSampleRate(*traceRate)
@@ -123,7 +125,7 @@ func main() {
 		defer ec.Close()
 		jobStore = ec
 	}
-	jobs := core.EnableJobs(jobStore, *jobTTL)
+	jobs := core.EnableJobs(jobStore, 0) // the registry's default lease TTL
 	jobs.StartSweeper(0)
 	defer jobs.StopSweeper()
 
@@ -148,13 +150,13 @@ func main() {
 	if *sloOn {
 		reg := obs.Default()
 		objectives := []slo.Objective{
-			slo.ReadLatencyObjective(reg, *sloReadP99, *sloBudget),
-			slo.QuotaRejectionObjective(reg, *sloBudget, tenants...),
+			slo.ReadLatencyObjective(reg, *sloReadP99, sloBudget),
+			slo.QuotaRejectionObjective(reg, sloBudget, tenants...),
 		}
 		eng = slo.NewEngine(slo.EngineConfig{Registry: reg, Objectives: objectives})
 		eng.Start()
 		defer eng.Stop()
-		logger.Info("diesel-server slo engine on", "read_p99", *sloReadP99, "budget", *sloBudget)
+		logger.Info("diesel-server slo engine on", "read_p99", *sloReadP99, "budget", sloBudget)
 	}
 	var watchdog *slo.Watchdog
 	if *diagSpool != "" {
@@ -179,7 +181,7 @@ func main() {
 	}
 
 	if *metricsAddr != "" {
-		rpc.RegisterMetrics(obs.Default())
+		core.RegisterMetrics(obs.Default())
 		mux := obs.NewMux(obs.Default())
 		mux.Handle("/debug/jobs", core.JobsHandler())
 		// Tier occupancy and spill-manifest summary; 404 JSON without a
@@ -243,14 +245,4 @@ func applyQuotas(core *server.Server, spec string) ([]string, error) {
 		tenants = append(tenants, tenant)
 	}
 	return tenants, nil
-}
-
-// newLogger builds the process logger at the requested level. Text output
-// to stderr, same as the log package these binaries used before.
-func newLogger(level string) *slog.Logger {
-	var lvl slog.Level
-	if err := lvl.UnmarshalText([]byte(level)); err != nil {
-		lvl = slog.LevelInfo
-	}
-	return slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl}))
 }

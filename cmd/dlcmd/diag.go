@@ -28,14 +28,13 @@ func runDiag(args []string) error {
 	fs := flag.NewFlagSet("diag", flag.ContinueOnError)
 	out := fs.String("o", "diag.tar.gz", "output tarball path")
 	trigger := fs.String("trigger", "", "capture a fresh bundle on every endpoint with this reason before collecting")
-	per := fs.Int("n", 1, "newest bundles to collect per endpoint (ignored with -trigger)")
 	spool := fs.String("spool", "", "collect from this local spool directory instead of HTTP endpoints")
 	verify := fs.Bool("verify", false, "fail unless the collection holds metrics, a slow trace and pprof profiles (CI smoke gate)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *spool == "" && fs.NArg() < 1 {
-		return fmt.Errorf("usage: diag [-o out.tar.gz] [-trigger reason] [-n per-endpoint] [-verify] <endpoint>... | diag -spool <dir>")
+		return fmt.Errorf("usage: diag [-o out.tar.gz] [-trigger reason] [-verify] <endpoint>... | diag -spool <dir>")
 	}
 
 	var bundles []*diagBundle
@@ -48,7 +47,7 @@ func runDiag(args []string) error {
 	} else {
 		hc := &http.Client{Timeout: 30 * time.Second}
 		for _, ep := range fs.Args() {
-			got, err := collectEndpoint(hc, ep, *trigger, *per)
+			got, err := collectEndpoint(hc, ep, *trigger)
 			if err != nil {
 				return fmt.Errorf("diag: %s: %w", ep, err)
 			}
@@ -120,7 +119,7 @@ func diagURL(endpoint string) string {
 
 // collectEndpoint lists (or triggers) and fetches bundles from one
 // /debug/diag endpoint.
-func collectEndpoint(hc *http.Client, endpoint, trigger string, per int) ([]*diagBundle, error) {
+func collectEndpoint(hc *http.Client, endpoint, trigger string) ([]*diagBundle, error) {
 	base := diagURL(endpoint)
 
 	var ids []string
@@ -157,9 +156,9 @@ func collectEndpoint(hc *http.Client, endpoint, trigger string, per int) ([]*dia
 		if err := json.Unmarshal(body, &list); err != nil {
 			return nil, err
 		}
-		// Newest last (IDs sort by capture time); take the tail.
-		for i := len(list.Bundles) - min(per, len(list.Bundles)); i < len(list.Bundles); i++ {
-			ids = append(ids, list.Bundles[i].ID)
+		// The newest bundle: IDs sort by capture time, newest last.
+		if n := len(list.Bundles); n > 0 {
+			ids = []string{list.Bundles[n-1].ID}
 		}
 	}
 

@@ -12,6 +12,11 @@ import (
 	"diesel/internal/tracing"
 )
 
+const (
+	fetchTraces = 32 // traces asked of each endpoint's recent and slowest lists
+	showTraces  = 5  // stitched traces printed, slowest first
+)
+
 // runTrace scrapes /debug/traces?format=json from one or more -metrics
 // endpoints (diesel-server, kvnode, or anything serving the obs mux) and
 // stitches the spans that share a trace ID into one cross-process tree.
@@ -20,19 +25,17 @@ import (
 func runTrace(args []string) error {
 	fs := flag.NewFlagSet("trace", flag.ContinueOnError)
 	id := fs.String("id", "", "show only this trace ID (hex)")
-	n := fs.Int("n", 5, "traces to show (slowest first)")
-	per := fs.Int("per", 32, "traces to fetch per endpoint list")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() < 1 {
-		return fmt.Errorf("usage: trace [-id <hex>] [-n count] <host:port | url> [more endpoints...]")
+		return fmt.Errorf("usage: trace [-id <hex>] <host:port | url> [more endpoints...]")
 	}
 
 	merged := make(map[uint64]*mergedTrace)
 	hc := &http.Client{Timeout: 5 * time.Second}
 	for _, ep := range fs.Args() {
-		d, err := fetchDump(hc, ep, *id, *per)
+		d, err := fetchDump(hc, ep, *id)
 		if err != nil {
 			return fmt.Errorf("trace: %s: %w", ep, err)
 		}
@@ -55,8 +58,8 @@ func runTrace(args []string) error {
 		all = append(all, m)
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].duration() > all[j].duration() })
-	if *id == "" && len(all) > *n {
-		all = all[:*n]
+	if *id == "" && len(all) > showTraces {
+		all = all[:showTraces]
 	}
 	var b strings.Builder
 	for _, m := range all {
@@ -72,7 +75,7 @@ func runTrace(args []string) error {
 
 // fetchDump pulls one endpoint's traces. With an id filter the handler's
 // id= form is used; otherwise both the recent and slowest lists are taken.
-func fetchDump(hc *http.Client, endpoint, id string, per int) ([]*tracing.TraceData, error) {
+func fetchDump(hc *http.Client, endpoint, id string) ([]*tracing.TraceData, error) {
 	url := endpoint
 	if !strings.Contains(url, "://") {
 		url = "http://" + url
@@ -80,7 +83,7 @@ func fetchDump(hc *http.Client, endpoint, id string, per int) ([]*tracing.TraceD
 	if !strings.Contains(url[strings.Index(url, "://")+3:], "/") {
 		url += "/debug/traces"
 	}
-	url += fmt.Sprintf("?format=json&n=%d", per)
+	url += fmt.Sprintf("?format=json&n=%d", fetchTraces)
 	if id != "" {
 		url += "&id=" + id
 	}

@@ -25,10 +25,9 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:7401", "listen address")
 	metricsAddr := flag.String("metrics", "", "serve /metrics, /healthz, /debug/pprof and /debug/traces on this address (empty = disabled)")
 	diagSpool := flag.String("diag-spool", "", "run the anomaly watchdog, spooling diagnostic bundles here and serving them on <metrics>/debug/diag (empty = disabled)")
-	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
 	flag.Parse()
 
-	logger := newLogger(*logLevel)
+	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	slog.SetDefault(logger)
 	// A KV node never roots traces of its own; it records the spans of
 	// requests whose callers sampled them (the trace block on the wire).
@@ -60,7 +59,6 @@ func main() {
 	}
 
 	if *metricsAddr != "" {
-		s.RegisterMetrics(obs.Default())
 		mux := obs.NewMux(obs.Default())
 		mux.Handle("/debug/diag", slo.Handler(watchdog))
 		lis, err := net.Listen("tcp", *metricsAddr)
@@ -82,14 +80,4 @@ func main() {
 	<-ch
 	logger.Info("kvnode shutting down", "requests", s.Requests())
 	s.Close()
-}
-
-// newLogger builds the process logger at the requested level. Text output
-// to stderr, same as the log package this binary used before.
-func newLogger(level string) *slog.Logger {
-	var lvl slog.Level
-	if err := lvl.UnmarshalText([]byte(level)); err != nil {
-		lvl = slog.LevelInfo
-	}
-	return slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl}))
 }

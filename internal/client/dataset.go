@@ -154,15 +154,9 @@ func (d *Dataset) GetDirect(ctx context.Context, path string) (out []byte, err e
 // GetBatch reads many files in one server round trip, exercising the
 // request executor's sort-and-merge (missing files yield nil entries).
 func (d *Dataset) GetBatch(ctx context.Context, paths []string) (out [][]byte, err error) {
-	start := time.Now()
 	ctx, sp := tracing.StartSpan(ctx, "client.getBatch")
 	sp.SetAttr("files", strconv.Itoa(len(paths)))
-	defer func() {
-		mGetBatchLat.Since(start)
-		sp.SetError(err)
-		sp.End()
-		tracing.ObserveSlow(sp, "diesel_client_get_batch_seconds", time.Since(start))
-	}()
+	defer func() { sp.SetError(err); sp.End() }()
 	cleaned := make([]string, len(paths))
 	for i, p := range paths {
 		cleaned[i] = meta.CleanPath(p)
@@ -204,15 +198,9 @@ func (d *Dataset) GetBatch(ctx context.Context, paths []string) (out [][]byte, e
 // the distributed cache loads its partition with and the fetch unit of
 // the epoch reader's prefetch pipeline.
 func (d *Dataset) GetChunk(ctx context.Context, chunkID string) (out []byte, err error) {
-	start := time.Now()
 	ctx, sp := tracing.StartSpan(ctx, "client.getChunk")
 	sp.SetAttr("chunk", chunkID)
-	defer func() {
-		mGetChunkLat.Since(start)
-		sp.SetError(err)
-		sp.End()
-		tracing.ObserveSlow(sp, "diesel_client_get_chunk_seconds", time.Since(start))
-	}()
+	defer func() { sp.SetError(err); sp.End() }()
 	e := wire.AcquireEncoder(len(chunkID) + len(d.name) + 16)
 	e.String(d.name)
 	e.String(chunkID)
@@ -243,7 +231,6 @@ func (d *Dataset) Stat(path string) (StatInfo, error) {
 			return StatInfo{}, err
 		}
 		d.c.Stats.LocalMetaHits.Add(1)
-		mMetaSnapshot.Inc()
 		return StatInfo{
 			Size:      m.Length,
 			UpdatedNS: snap.UpdatedNS,
@@ -251,7 +238,6 @@ func (d *Dataset) Stat(path string) (StatInfo, error) {
 		}, nil
 	}
 	d.c.Stats.ServerMetaOps.Add(1)
-	mMetaServer.Inc()
 	e := wire.NewEncoder(64)
 	e.String(d.name)
 	e.String(meta.CleanPath(path))
@@ -279,7 +265,6 @@ func (d *Dataset) Ls(dir string) ([]Entry, error) {
 			return nil, err
 		}
 		d.c.Stats.LocalMetaHits.Add(1)
-		mMetaSnapshot.Inc()
 		out := make([]Entry, len(des))
 		for i, de := range des {
 			out[i] = Entry{Name: de.Name, IsDir: de.IsDir, Size: de.Size}
@@ -287,7 +272,6 @@ func (d *Dataset) Ls(dir string) ([]Entry, error) {
 		return out, nil
 	}
 	d.c.Stats.ServerMetaOps.Add(1)
-	mMetaServer.Inc()
 	e := wire.NewEncoder(64)
 	e.String(d.name)
 	e.String(meta.CleanPath(dir))

@@ -2,34 +2,20 @@ package client
 
 import "diesel/internal/obs"
 
-// Process-wide client metrics on the default registry. Per-context
-// counts stay in ClientStats (whose fields are obs counters, so existing
-// callers keep their Load() reads); the aggregates below sum over every
-// libDIESEL context in the process, which is what a scrape wants:
+// Process-wide client metrics on the default registry. Per-connection
+// counts (gets, metadata ops by answering source, retries) stay in
+// ClientStats; the two below sum over every libDIESEL connection in the
+// process, which is what a scrape wants. Batched and whole-chunk reads
+// are one RPC each, so their latency is the wire layer's
+// diesel_wire_call_seconds{method="dsl.getBatch"|"dsl.getChunk"}.
 //
-//	diesel_client_meta_ops_total{source}   metadata ops by where they were
-//	                                       answered ("snapshot" = local
-//	                                       hashmap probe, "server" = RPC)
-//	diesel_client_retries_total            idempotent reads retried after
-//	                                       transport failures
-//	diesel_client_get_seconds              DL_get latency
-//	diesel_client_getbatch_seconds         batched read latency
-//	diesel_client_getchunk_seconds         whole-chunk fetch latency
+//	diesel_client_retries_total   idempotent reads retried after
+//	                              transport failures
+//	diesel_client_get_seconds     DL_get latency (cache reader or server)
 var (
-	mMetaSnapshot = obs.Default().Counter("diesel_client_meta_ops_total",
-		"Client metadata operations by answering source.",
-		obs.L("source", "snapshot"))
-	mMetaServer = obs.Default().Counter("diesel_client_meta_ops_total",
-		"Client metadata operations by answering source.",
-		obs.L("source", "server"))
-
 	mRetries = obs.Default().Counter("diesel_client_retries_total",
 		"Idempotent client reads retried after a transport failure.")
 
 	mGetLat = obs.Default().Duration("diesel_client_get_seconds",
 		"DL_get latency (cache reader or direct server read).")
-	mGetBatchLat = obs.Default().Duration("diesel_client_getbatch_seconds",
-		"Batched file read latency (one server round trip).")
-	mGetChunkLat = obs.Default().Duration("diesel_client_getchunk_seconds",
-		"Whole-chunk fetch latency (the distributed cache's load unit).")
 )

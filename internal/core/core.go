@@ -115,8 +115,8 @@ func Deploy(cfg Config) (*Deployment, error) {
 				return fail(fmt.Errorf("core: cache spill tier: %w", err))
 			}
 		}
-		// The tier's metric families register here, not in every binary:
-		// anything that deploys through core scrapes them for free.
+		// The diesel_tier_*{site="objstore"} series attach here, not in
+		// every binary: anything that deploys through core scrapes them.
 		d.tiered.RegisterMetrics(obs.Default())
 		objects = d.tiered
 	}

@@ -556,26 +556,23 @@ func (p *Peer) fetchChunk(ctx context.Context, key, id string) ([]byte, error) {
 	p.Stats.ChunkLoads.Add(1)
 	p.Stats.BytesLoaded.Add(uint64(len(blob)))
 	mChunkLoads.Inc()
-	mBytesLoaded.Add(uint64(len(blob)))
-	if !p.cache(key, payload) {
-		mOversized.Inc()
-	}
+	p.cache(key, payload)
 	return payload, nil
 }
 
-// cache inserts a loaded or promoted payload into the RAM store,
-// reporting whether it fit. The store never invalidates chunk keys
-// (chunks are immutable), so the insert carries the key's current
-// generation. On a shared cache, eviction prefers cold datasets.
-func (p *Peer) cache(key string, payload []byte) bool {
+// cache inserts a loaded or promoted payload into the RAM store; one
+// larger than the capacity is served read-through and not kept. The store
+// never invalidates chunk keys (chunks are immutable), so the insert
+// carries the key's current generation. On a shared cache, eviction
+// prefers cold datasets.
+func (p *Peer) cache(key string, payload []byte) {
 	var prefer func(string) bool
 	if p.shared != nil {
 		prefer = p.shared.coldMemo()
 	}
-	evicted, cached := p.store.Put(key, payload, p.store.Gen(key), prefer)
+	evicted, _ := p.store.Put(key, payload, p.store.Gen(key), prefer)
 	p.Stats.Evictions.Add(evicted)
 	mEvictions.Add(evicted)
-	return cached
 }
 
 // notePrefetchError records a background Oneshot prefetch failure so it is

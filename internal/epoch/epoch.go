@@ -267,9 +267,7 @@ func (r *Reader) start() {
 		go func() {
 			defer r.wg.Done()
 			for g := range jobs {
-				res := r.fetchGroup(g)
-				mDepth.Add(1)
-				r.results[g] <- res // buffered(1): never blocks
+				r.results[g] <- r.fetchGroup(g) // buffered(1): never blocks
 				if r.completed != nil {
 					r.completed <- g // buffered(nGroups): never blocks
 				}
@@ -340,7 +338,6 @@ func (r *Reader) Next() (Sample, error) {
 	r.cur[r.offset] = nil // let consumed payloads be collected mid-group
 	r.offset++
 	mSamples.Inc()
-	mBytes.Add(uint64(len(s.Data)))
 	return s, nil
 }
 
@@ -369,7 +366,6 @@ func (r *Reader) advance() error {
 	} else {
 		select {
 		case res = <-r.results[g]:
-			mDepth.Add(-1)
 			<-r.sem // free the window slot this group occupied
 		case <-r.ctx.Done():
 			return r.fail(fmt.Errorf("%w: %w", ErrClosed, context.Cause(r.ctx)))
@@ -402,7 +398,6 @@ func (r *Reader) advanceReorder() error {
 			// The result send happens before the completion announcement,
 			// so this receive never blocks.
 			res := <-r.results[g]
-			mDepth.Add(-1)
 			if g <= limit {
 				return r.install(g, res, start)
 			}
@@ -433,9 +428,8 @@ func (r *Reader) install(g int, res groupResult, start time.Time) error {
 	r.curGroup = g
 	r.offset = 0
 	if r.reorderOn() {
-		if skew := g - r.low; skew > 0 {
+		if g > r.low {
 			mReorderServed.Inc()
-			mReorderSkew.Observe(uint64(skew))
 		}
 		r.served[g] = true
 		for r.low < len(r.served) && r.served[r.low] {
@@ -480,15 +474,5 @@ func (r *Reader) Close() error {
 	// abort, and waiting here keeps the loser's goroutine, span and
 	// buffers from outliving the reader.
 	r.attempts.shutdown()
-	// Drain ready groups so the depth gauge doesn't drift across epochs.
-	// All worker sends happened-before wg.Wait returned, so non-blocking
-	// receives observe every unconsumed result.
-	for _, ch := range r.results {
-		select {
-		case <-ch:
-			mDepth.Add(-1)
-		default:
-		}
-	}
 	return nil
 }

@@ -5,11 +5,9 @@ import "diesel/internal/obs"
 // Process-wide epoch-pipeline metrics on the default registry:
 //
 //	diesel_epoch_samples_total        files served in plan order
-//	diesel_epoch_bytes_total          payload bytes served
 //	diesel_epoch_groups_total         chunk groups fetched
 //	diesel_epoch_chunk_fallbacks_total files re-read via the batched API
 //	                                  because their chunk failed to fetch
-//	diesel_epoch_prefetch_depth       groups fetched and not yet consumed
 //	diesel_epoch_stall_seconds        time Next blocked waiting for a group
 //	                                  (what the prefetch window exists to
 //	                                  hide; window=0 exposes every fetch)
@@ -24,20 +22,13 @@ import "diesel/internal/obs"
 //	                                  WithGroupDeadline
 //	diesel_epoch_reorder_served_total groups served ahead of plan order
 //	                                  through the reorder window
-//	diesel_epoch_reorder_skew         how many groups ahead of the oldest
-//	                                  unserved group each early delivery
-//	                                  was (bounded by WithReorderWindow)
 var (
 	mSamples = obs.Default().Counter("diesel_epoch_samples_total",
 		"Files served by epoch readers in plan order.")
-	mBytes = obs.Default().Counter("diesel_epoch_bytes_total",
-		"Payload bytes served by epoch readers.")
 	mGroups = obs.Default().Counter("diesel_epoch_groups_total",
 		"Chunk groups fetched by epoch readers.")
 	mChunkFallbacks = obs.Default().Counter("diesel_epoch_chunk_fallbacks_total",
 		"Files re-read via the batched file API after a chunk fetch failed.")
-	mDepth = obs.Default().Gauge("diesel_epoch_prefetch_depth",
-		"Groups fetched ahead and not yet consumed, across live epoch readers.")
 	mStallLat = obs.Default().Duration("diesel_epoch_stall_seconds",
 		"Time the epoch consumer blocked waiting for the next group.")
 	mGroupFetchLat = obs.Default().Duration("diesel_epoch_group_fetch_seconds",
@@ -52,6 +43,4 @@ var (
 		"Group fetch attempts cancelled by the per-group deadline.")
 	mReorderServed = obs.Default().Counter("diesel_epoch_reorder_served_total",
 		"Groups served ahead of plan order through the reorder window.")
-	mReorderSkew = obs.Default().Histogram("diesel_epoch_reorder_skew",
-		"Groups ahead of the oldest unserved group at each early delivery.", 1)
 )

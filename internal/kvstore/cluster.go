@@ -174,7 +174,6 @@ type KV struct {
 // receives one RPC. This batching is why DIESEL's metadata ingest is fast:
 // a chunk's worth of file metadata costs O(nodes) round trips, not O(files).
 func (c *Cluster) MSet(pairs []KV) error {
-	mBatchMSet.Observe(uint64(len(pairs)))
 	byNode := make(map[int][]KV)
 	for _, kv := range pairs {
 		n := c.nodeFor(kv.Key)
@@ -216,7 +215,6 @@ func (c *Cluster) MGet(keys []string) ([][]byte, error) {
 // traced as sibling kv.mget spans — the paper's batched-stat path — so a
 // sampled slow batch shows which node the caller actually waited on.
 func (c *Cluster) MGetContext(ctx context.Context, keys []string) ([][]byte, error) {
-	mBatchMGet.Observe(uint64(len(keys)))
 	type idxKey struct {
 		idx int
 		key string

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"sync"
 
-	"diesel/internal/obs"
 	"diesel/internal/wire"
 )
 
@@ -83,21 +82,6 @@ func (s *Server) Restart() error {
 
 // Wipe simulates scenario (b) of §4.1.2: the node restarts empty.
 func (s *Server) Wipe() { s.store.Flush() }
-
-// RegisterMetrics registers scrape-time views of this node on reg. The
-// cmd/kvnode binary calls it once; tests that spawn many nodes in one
-// process skip it so the per-process gauges stay unambiguous.
-func (s *Server) RegisterMetrics(reg *obs.Registry) {
-	reg.Func("diesel_kvnode_keys",
-		"Keys held by this KV node.",
-		func() float64 { return float64(s.store.Len()) })
-	reg.FuncCounter("diesel_kvnode_requests_total",
-		"RPCs served by this KV node.",
-		func() float64 { return float64(s.cur().Stats.Requests.Load()) })
-	reg.FuncCounter("diesel_kvnode_errors_total",
-		"Failed RPCs served by this KV node.",
-		func() float64 { return float64(s.cur().Stats.Errors.Load()) })
-}
 
 func (s *Server) register() {
 	s.rpc.Handle(methodPing, func(p []byte) ([]byte, error) { return []byte("pong"), nil })

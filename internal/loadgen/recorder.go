@@ -3,8 +3,8 @@
 // over phase-offset generators) and measures every operation from its
 // *intended* start to its completion, so a stalled server inflates the
 // recorded tail instead of silently throttling the generator — the
-// coordinated-omission trap that closed-loop harnesses (diesel-bench's
-// figure loops, classic "N workers in a hot loop" drivers) fall into.
+// coordinated-omission trap that closed-loop harnesses (classic "N
+// workers in a hot loop" drivers) fall into.
 //
 // The package has three layers:
 //

@@ -283,14 +283,14 @@ func TestTieredPromotionAndEviction(t *testing.T) {
 	}
 }
 
-func TestTieredHitRate(t *testing.T) {
+func TestTieredHitMissCounts(t *testing.T) {
 	tr := NewTiered(nil, NewMemory(), 1000)
 	tr.Put("a", []byte("data"))
 	tr.Get("a") // miss + promote
 	tr.Get("a") // hit
 	tr.Get("a") // hit
-	if got := tr.HitRate(); got < 0.66 || got > 0.67 {
-		t.Errorf("HitRate = %f, want 2/3", got)
+	if h, m := tr.HitCount(), tr.MissCount(); h != 2 || m != 1 {
+		t.Errorf("HitCount, MissCount = %d, %d, want 2, 1", h, m)
 	}
 }
 

@@ -139,28 +139,9 @@ func (t *Tiered) HitCount() uint64 { return t.hits.Load() }
 // MissCount returns the fast-tier miss count.
 func (t *Tiered) MissCount() uint64 { return t.misses.Load() }
 
-// HitRate returns fast-tier hits / (hits+misses), or 0 before any reads.
-func (t *Tiered) HitRate() float64 {
-	h, m := t.hits.Load(), t.misses.Load()
-	if h+m == 0 {
-		return 0
-	}
-	return float64(h) / float64(h+m)
-}
-
-// RegisterMetrics registers scrape-time views of the fast tier (SSD
-// cache) — the server-side cache of Figure 4 and the hit-rate axis of
-// the paper's Figures 9–12 — and attaches its spill level to the
-// diesel_tier_*{site="objstore"} series.
+// RegisterMetrics attaches the store to the diesel_tier_*{site="objstore"}
+// series. Fast-tier hits, misses and occupancy — the server-side cache of
+// Figure 4 — are served by /debug/cache (HitCount, MissCount, FastBytes).
 func (t *Tiered) RegisterMetrics(reg *obs.Registry) {
-	reg.FuncCounter("diesel_objstore_fast_hits_total",
-		"Reads answered by the fast tier (SSD cache).",
-		func() float64 { return float64(t.HitCount()) })
-	reg.FuncCounter("diesel_objstore_fast_misses_total",
-		"Reads that fell through to the slow tier (HDD).",
-		func() float64 { return float64(t.MissCount()) })
-	reg.Func("diesel_objstore_fast_bytes",
-		"Bytes currently resident in the fast tier.",
-		func() float64 { return float64(t.FastBytes()) })
 	tier.NewSite(reg, "objstore").Add(t.fast)
 }

@@ -12,10 +12,6 @@ func TestHotPathAllocationFree(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() { c.Add(1) }); n != 0 {
 		t.Errorf("Counter.Add allocates %v times per call", n)
 	}
-	var g Gauge
-	if n := testing.AllocsPerRun(1000, func() { g.Add(1) }); n != 0 {
-		t.Errorf("Gauge.Add allocates %v times per call", n)
-	}
 	var h Histogram
 	v := uint64(12345)
 	if n := testing.AllocsPerRun(1000, func() { h.Observe(v); v += 977 }); n != 0 {

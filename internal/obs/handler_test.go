@@ -51,7 +51,7 @@ func TestMuxEndpoints(t *testing.T) {
 
 func TestServe(t *testing.T) {
 	r := NewRegistry()
-	r.Gauge("g", "").Set(5)
+	r.Func("g", "", func() float64 { return 5 })
 	addr, stop, err := Serve("127.0.0.1:0", r)
 	if err != nil {
 		t.Fatal(err)

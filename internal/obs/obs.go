@@ -38,19 +38,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Load returns the current value.
 func (c *Counter) Load() uint64 { return c.v.Load() }
 
-// Gauge is a value that can go up and down. The zero value is ready to
-// use.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores n.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adds n (negative to subtract).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
-
 // A FuncGauge reads its value from a callback at scrape time — the right
 // shape for values another component already maintains (KV database size,
 // cached bytes across live peers). The callback must be safe to call

@@ -14,7 +14,6 @@ func TestConcurrentCounters(t *testing.T) {
 
 	r := NewRegistry()
 	c := r.Counter("c_total", "counter")
-	g := r.Gauge("g", "gauge")
 	h := r.Duration("h_seconds", "histogram")
 
 	var wg sync.WaitGroup
@@ -25,10 +24,6 @@ func TestConcurrentCounters(t *testing.T) {
 			for i := range perWorker {
 				c.Inc()
 				c.Add(2)
-				g.Add(1)
-				if i%2 == 0 {
-					g.Add(-1)
-				}
 				h.Observe(uint64(w*perWorker + i))
 			}
 		}(w)
@@ -37,9 +32,6 @@ func TestConcurrentCounters(t *testing.T) {
 
 	if got, want := c.Load(), uint64(3*workers*perWorker); got != want {
 		t.Errorf("counter = %d, want %d", got, want)
-	}
-	if got, want := g.Load(), int64(workers*perWorker/2); got != want {
-		t.Errorf("gauge = %d, want %d", got, want)
 	}
 	if got, want := h.Count(), uint64(workers*perWorker); got != want {
 		t.Errorf("histogram count = %d, want %d", got, want)
@@ -65,8 +57,8 @@ func TestRegistryIdempotent(t *testing.T) {
 		t.Fatal("different labels returned the same counter")
 	}
 	// Label order must not matter.
-	d1 := r.Gauge("multi", "", L("a", "1"), L("b", "2"))
-	d2 := r.Gauge("multi", "", L("b", "2"), L("a", "1"))
+	d1 := r.Duration("multi_seconds", "", L("a", "1"), L("b", "2"))
+	d2 := r.Duration("multi_seconds", "", L("b", "2"), L("a", "1"))
 	if d1 != d2 {
 		t.Fatal("label order changed metric identity")
 	}
@@ -80,7 +72,7 @@ func TestRegistryKindMismatchPanics(t *testing.T) {
 			t.Fatal("re-registering a counter as a gauge did not panic")
 		}
 	}()
-	r.Gauge("x_total", "")
+	r.Func("x_total", "", func() float64 { return 0 })
 }
 
 // TestFuncGaugeReplace: re-registering a Func replaces the callback, so
@@ -98,7 +90,7 @@ func TestFuncGaugeReplace(t *testing.T) {
 func TestExport(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("hits_total", "h", L("tier", "local")).Add(7)
-	r.Gauge("depth", "d").Set(-3)
+	r.Func("depth", "d", func() float64 { return -3 })
 	h := r.Duration("lat_seconds", "l")
 	for range 100 {
 		h.Observe(1 << 20) // ~1ms

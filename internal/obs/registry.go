@@ -18,7 +18,6 @@ type metricKind int
 
 const (
 	kindCounter metricKind = iota
-	kindGauge
 	kindFuncGauge
 	kindFuncCounter
 	kindHistogram
@@ -42,7 +41,6 @@ type entry struct {
 	kind   metricKind
 
 	c *Counter
-	g *Gauge
 	f *FuncGauge
 	h *Histogram
 }
@@ -128,8 +126,6 @@ func (r *Registry) register(name, help string, kind metricKind, scale float64, l
 	switch kind {
 	case kindCounter:
 		e.c = &Counter{}
-	case kindGauge:
-		e.g = &Gauge{}
 	case kindFuncGauge, kindFuncCounter:
 		e.f = &FuncGauge{}
 	case kindHistogram:
@@ -146,11 +142,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	return r.register(name, help, kindCounter, 0, labels).c
 }
 
-// Gauge returns the gauge registered under name+labels.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	return r.register(name, help, kindGauge, 0, labels).g
-}
-
 // Func registers fn as a gauge read at scrape time. Re-registering the
 // same name+labels replaces the callback (last writer wins), so a
 // re-created component takes over its gauge instead of leaving a stale
@@ -160,23 +151,23 @@ func (r *Registry) Func(name, help string, fn func() float64, labels ...Label) {
 }
 
 // FuncCounter registers fn as a counter read at scrape time — for
-// monotonic values another component already maintains (executor chunk
-// reads, tiered-cache hits). fn must be monotonically non-decreasing.
+// monotonic values another component already maintains (a tier store's
+// demotions and spill hits). fn must be monotonically non-decreasing.
 func (r *Registry) FuncCounter(name, help string, fn func() float64, labels ...Label) {
 	r.register(name, help, kindFuncCounter, 0, labels).f.set(fn)
 }
 
-// Histogram returns a histogram over raw uint64 values whose rendered
-// unit is raw*scale (use scale 1 for dimensionless values like batch
-// sizes).
-func (r *Registry) Histogram(name, help string, scale float64, labels ...Label) *Histogram {
+// histogram returns a histogram over raw uint64 values whose rendered
+// unit is raw*scale.
+func (r *Registry) histogram(name, help string, scale float64, labels ...Label) *Histogram {
 	return r.register(name, help, kindHistogram, scale, labels).h
 }
 
 // Duration returns a histogram observed in nanoseconds and rendered in
-// seconds — the standard shape for `*_seconds` latency metrics.
+// seconds — the shape of every `*_seconds` latency metric, and the only
+// histogram the registry hands out.
 func (r *Registry) Duration(name, help string, labels ...Label) *Histogram {
-	return r.Histogram(name, help, 1e-9, labels...)
+	return r.histogram(name, help, 1e-9, labels...)
 }
 
 // FamilyInfo describes one registered metric family — the documentation
@@ -207,7 +198,8 @@ func (r *Registry) Families() []FamilyInfo {
 }
 
 // Metric is one exported sample, the JSON-friendly form of a registry
-// entry (cmd/diesel-bench embeds these in its BENCH_*.json output).
+// entry (the load harness reads counter deltas from it, the watchdog
+// writes it into every diagnostic bundle).
 type Metric struct {
 	Name   string            `json:"name"`
 	Type   string            `json:"type"`
@@ -280,8 +272,6 @@ func (r *Registry) Export() []Metric {
 			switch e.kind {
 			case kindCounter:
 				m.Value = float64(e.c.Load())
-			case kindGauge:
-				m.Value = float64(e.g.Load())
 			case kindFuncGauge, kindFuncCounter:
 				m.Value = e.f.Load()
 			case kindHistogram:

@@ -41,10 +41,9 @@ func TestTextRenderParseRoundTrip(t *testing.T) {
 				c.Add(v)
 				wantVals[key] = float64(v)
 			case 1:
-				g := r.Gauge(strings.TrimSuffix(name, "_total"), "round-trip gauge", labels...)
-				v := int64(rng.Intn(1<<20) - 1<<19)
-				g.Set(v)
-				wantVals[strings.TrimSuffix(name, "_total")+"|"+labelString(labels)] = float64(v)
+				v := float64(rng.Intn(1<<20) - 1<<19)
+				r.Func(strings.TrimSuffix(name, "_total"), "round-trip gauge", func() float64 { return v }, labels...)
+				wantVals[strings.TrimSuffix(name, "_total")+"|"+labelString(labels)] = v
 			default:
 				hname := strings.TrimSuffix(name, "_total") + "_seconds"
 				scale := 1e-9
@@ -56,7 +55,7 @@ func TestTextRenderParseRoundTrip(t *testing.T) {
 				if _, dup := wantHists[hkey]; dup {
 					continue // same family+labels re-registered; skip
 				}
-				h := r.Histogram(hname, "round-trip histogram", scale, labels...)
+				h := r.histogram(hname, "round-trip histogram", scale, labels...)
 				n := rng.Intn(200)
 				obsvs := make([]uint64, 0, n)
 				for range n {

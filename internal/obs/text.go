@@ -31,8 +31,6 @@ func (r *Registry) WriteText(w io.Writer) error {
 			switch e.kind {
 			case kindCounter:
 				writeSample(bw, e.name, e.labels, "", formatUint(e.c.Load()))
-			case kindGauge:
-				writeSample(bw, e.name, e.labels, "", strconv.FormatInt(e.g.Load(), 10))
 			case kindFuncGauge, kindFuncCounter:
 				writeSample(bw, e.name, e.labels, "", formatFloat(e.f.Load()))
 			case kindHistogram:

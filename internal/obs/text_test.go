@@ -10,9 +10,9 @@ func goldenRegistry() *Registry {
 	r := NewRegistry()
 	r.Counter("diesel_ops_total", "Operations served.", L("method", "get")).Add(3)
 	r.Counter("diesel_ops_total", "Operations served.", L("method", "q\"u\\o\nte")).Inc()
-	r.Gauge("diesel_depth", "Queue depth; can\ngo \\ down.").Set(-7)
+	r.Func("diesel_depth", "Queue depth; can\ngo \\ down.", func() float64 { return -7 })
 	r.Func("diesel_kv_keys", "KV keys.", func() float64 { return 12.5 })
-	h := r.Histogram("diesel_batch_size", "Batch sizes.", 1)
+	h := r.histogram("diesel_batch_size", "Batch sizes.", 1)
 	h.Observe(1)
 	h.Observe(3)
 	h.Observe(8)

@@ -6,10 +6,11 @@ import (
 )
 
 // RegisterMetrics registers scrape-time views of the server's state on
-// reg. Per-RPC latency and error counters come for free from the wire
-// layer (diesel_wire_served_seconds{method}, diesel_wire_errors_total);
-// what the server adds is what only it can see: metadata database size,
-// request-executor decisions, and the tiered store's fast-tier cache.
+// reg. Per-RPC counts, latency and errors come for free from the wire
+// layer (diesel_wire_served_seconds{method}, diesel_wire_errors_total),
+// the fast-tier cache's hits and occupancy by /debug/cache; what the
+// server adds is what only it can see: metadata database size, the live
+// job count, and its tiered store's diesel_tier_*{site="objstore"}.
 //
 // FuncGauge callbacks run at scrape time, so diesel_server_kv_keys costs
 // one DBSize round per scrape — cheap against any sane scrape interval.
@@ -25,18 +26,6 @@ func (s *Server) RegisterMetrics(reg *obs.Registry) {
 			}
 			return float64(n)
 		})
-	reg.FuncCounter("diesel_server_exec_chunk_reads_total",
-		"Whole-chunk backend reads chosen by the request executor.",
-		func() float64 { return float64(s.Exec.Stats.ChunkReads.Load()) })
-	reg.FuncCounter("diesel_server_exec_range_reads_total",
-		"Per-file range backend reads issued by the request executor.",
-		func() float64 { return float64(s.Exec.Stats.RangeReads.Load()) })
-	reg.FuncCounter("diesel_server_exec_backend_bytes_total",
-		"Bytes pulled from the object store by the request executor.",
-		func() float64 { return float64(s.Exec.Stats.BackendBytes.Load()) })
-	reg.FuncCounter("diesel_server_exec_files_served_total",
-		"Files served through batched reads.",
-		func() float64 { return float64(s.Exec.Stats.FilesServed.Load()) })
 	reg.Func("diesel_job_live",
 		"Live registered training jobs (-1 when the job registry is off or unreachable).",
 		func() float64 {
@@ -53,16 +42,4 @@ func (s *Server) RegisterMetrics(reg *obs.Registry) {
 	if t, ok := s.objects.(*objstore.Tiered); ok {
 		t.RegisterMetrics(reg)
 	}
-}
-
-// RegisterMetrics registers the wrapped server's metrics plus this RPC
-// front-end's request counters.
-func (r *RPCServer) RegisterMetrics(reg *obs.Registry) {
-	r.S.RegisterMetrics(reg)
-	reg.FuncCounter("diesel_server_rpc_requests_total",
-		"RPCs served by this DIESEL server.",
-		func() float64 { return float64(r.cur().Stats.Requests.Load()) })
-	reg.FuncCounter("diesel_server_rpc_errors_total",
-		"Failed RPCs served by this DIESEL server.",
-		func() float64 { return float64(r.cur().Stats.Errors.Load()) })
 }

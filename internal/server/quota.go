@@ -38,7 +38,6 @@ type tenantBucket struct {
 
 	admitted *obs.Counter
 	rejected *obs.Counter
-	served   *obs.Counter
 }
 
 // quotas holds the per-tenant buckets. Tenants without a configured quota
@@ -63,7 +62,6 @@ func (s *Server) SetTenantQuota(tenant string, q TenantQuota) {
 			lastNS:   s.nowNS(),
 			admitted: tenantCounter(&tenantAdmitted, tenant, "diesel_tenant_admitted_total", "Read requests admitted past the tenant quota gate."),
 			rejected: tenantCounter(&tenantRejected, tenant, "diesel_tenant_rejected_total", "Read requests rejected by the tenant quota gate."),
-			served:   tenantCounter(&tenantBytes, tenant, "diesel_tenant_bytes_total", "Payload bytes served, by tenant."),
 		}
 		s.quotas.m[tenant] = b
 	}
@@ -140,7 +138,6 @@ func (s *Server) chargeTenant(tenant string, n int) {
 		b.bytes -= float64(n)
 	}
 	b.mu.Unlock()
-	b.served.Add(uint64(n))
 }
 
 // refill tops the buckets up for the time elapsed since the last charge,
@@ -170,7 +167,6 @@ func (b *tenantBucket) refill(nowNS int64) {
 var (
 	tenantAdmitted sync.Map
 	tenantRejected sync.Map
-	tenantBytes    sync.Map
 )
 
 func tenantCounter(cache *sync.Map, tenant, name, help string) *obs.Counter {

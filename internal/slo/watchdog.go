@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -106,7 +107,6 @@ type Watchdog struct {
 	wg       sync.WaitGroup
 
 	bundles *obs.Counter
-	errs    *obs.Counter
 	skipped *obs.Counter
 }
 
@@ -129,20 +129,9 @@ func NewWatchdog(cfg WatchdogConfig) (*Watchdog, error) {
 		cfg: cfg,
 		bundles: cfg.Registry.Counter("diesel_diag_bundles_total",
 			"Diagnostic bundles captured by the anomaly watchdog."),
-		errs: cfg.Registry.Counter("diesel_diag_bundle_errors_total",
-			"Diagnostic bundle captures that failed."),
 		skipped: cfg.Registry.Counter("diesel_diag_skipped_total",
 			"Watchdog triggers dropped by cooldown or capture backpressure."),
 	}
-	cfg.Registry.Func("diesel_diag_spool_bytes",
-		"Bytes of diagnostic bundles retained in the spool.",
-		func() float64 {
-			var total int64
-			for _, b := range w.List() {
-				total += b.Bytes
-			}
-			return float64(total)
-		})
 	obs.EnableEvents(true)
 	return w, nil
 }
@@ -186,7 +175,9 @@ func (w *Watchdog) TriggerAsync(reason string) {
 	go func() {
 		defer w.wg.Done()
 		defer w.pending.Store(0)
-		w.Trigger(reason)
+		if _, err := w.Trigger(reason); err != nil {
+			slog.Warn("slo: diagnostic bundle capture failed", "reason", reason, "err", err)
+		}
 	}()
 }
 
@@ -208,7 +199,6 @@ func (w *Watchdog) Trigger(reason string) (string, error) {
 	defer w.captMu.Unlock()
 	id, err := w.capture(reason)
 	if err != nil {
-		w.errs.Inc()
 		return "", err
 	}
 	w.lastCapt.Store(time.Now().UnixNano())

@@ -41,15 +41,15 @@ import (
 	"sync"
 )
 
-// ErrNotFound reports a key the log does not hold.
-var ErrNotFound = errors.New("spill: not found")
+// errNotFound reports a key the log does not hold.
+var errNotFound = errors.New("spill: not found")
 
-// ErrClosed reports an operation on a closed log.
-var ErrClosed = errors.New("spill: closed")
+// errClosed reports an operation on a closed log.
+var errClosed = errors.New("spill: closed")
 
-// ErrCorrupt reports a payload whose checksum no longer matches; the
+// errCorrupt reports a payload whose checksum no longer matches; the
 // entry is dropped as a side effect.
-var ErrCorrupt = errors.New("spill: payload corrupt")
+var errCorrupt = errors.New("spill: payload corrupt")
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -79,17 +79,18 @@ type Config struct {
 	// Enforced by FIFO retirement of whole sealed segments, so transient
 	// overshoot up to one segment is possible.
 	CapacityBytes int64
-	// SegmentBytes is the target size of one segment file (0 = 64 MiB,
-	// clamped to CapacityBytes/4 when a capacity is set).
-	SegmentBytes int64
+	// segmentBytes is the target size of one segment file (0 = 64 MiB,
+	// clamped to CapacityBytes/4 when a capacity is set). Only the
+	// package's tests set it, to seal and retire segments with little data.
+	segmentBytes int64
 }
 
 // Recovered reports what Open replayed from a previous incarnation.
 type Recovered struct {
 	Entries   int   // live entries rewarmed from the manifest
 	Bytes     int64 // payload bytes those entries cover
-	Dropped   int   // manifest records dropped (missing/short segments)
-	Truncated bool  // the manifest had a torn tail that was cut off
+	dropped   int   // manifest records dropped (missing/short segments)
+	truncated bool  // the manifest had a torn tail that was cut off
 }
 
 // Stats is a point-in-time snapshot of the log.
@@ -100,7 +101,7 @@ type Stats struct {
 	Segments        int   `json:"segments"`
 	ManifestRecords int   `json:"manifest_records"`
 	DroppedEntries  uint64
-	DroppedBytes    uint64
+	droppedBytes    uint64
 }
 
 type entry struct {
@@ -154,7 +155,7 @@ func Open(cfg Config) (*Log, Recovered, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, Recovered{}, fmt.Errorf("spill: %w", err)
 	}
-	segBytes := cfg.SegmentBytes
+	segBytes := cfg.segmentBytes
 	if segBytes <= 0 {
 		segBytes = defaultSegmentBytes
 		if cfg.CapacityBytes > 0 {
@@ -210,13 +211,13 @@ func (l *Log) replay() error {
 			pos = headerLen
 		} else {
 			// Unknown header: treat as empty (version bump or garbage).
-			l.rewarmed.Truncated = len(data) > 0
+			l.rewarmed.truncated = len(data) > 0
 			pos = len(data)
 		}
 		for pos < len(data) {
 			r, key, n, ok := parseRecord(data[pos:])
 			if !ok {
-				l.rewarmed.Truncated = true
+				l.rewarmed.truncated = true
 				break
 			}
 			pos += n
@@ -255,7 +256,7 @@ func (l *Log) replay() error {
 	for key, r := range pending {
 		size, ok := sizes[r.seg]
 		if !ok || r.off < 0 || r.length < 0 || r.off+r.length > size {
-			l.rewarmed.Dropped++
+			l.rewarmed.dropped++
 			continue
 		}
 		l.entries[key] = &entry{seg: r.seg, off: r.off, length: r.length, crc: r.crc}
@@ -277,7 +278,7 @@ func (l *Log) replay() error {
 				if e.seg == id {
 					delete(l.entries, key)
 					l.liveBytes -= e.length
-					l.rewarmed.Dropped++
+					l.rewarmed.dropped++
 				}
 			}
 			continue
@@ -525,7 +526,7 @@ func (l *Log) Add(key string, payload []byte) (written bool, err error) {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
-		return false, ErrClosed
+		return false, errClosed
 	}
 	if _, dup := l.entries[key]; dup {
 		l.mu.Unlock()
@@ -549,7 +550,7 @@ func (l *Log) Add(key string, payload []byte) (written bool, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return false, ErrClosed
+		return false, errClosed
 	}
 	if seg.retired {
 		// Capacity retirement raced with our write; the bytes are gone.
@@ -569,7 +570,7 @@ func (l *Log) Add(key string, payload []byte) (written bool, err error) {
 }
 
 // Get reads key's whole payload into a fresh buffer, verifying its
-// checksum. A corrupt payload is dropped and reported as ErrCorrupt.
+// checksum. A corrupt payload is dropped and reported as an error.
 // Get does not count as a hit for promotion purposes — it IS the
 // promotion read.
 func (l *Log) Get(key string) ([]byte, error) {
@@ -578,9 +579,9 @@ func (l *Log) Get(key string) ([]byte, error) {
 	if !ok || l.closed {
 		l.mu.Unlock()
 		if l.closed {
-			return nil, ErrClosed
+			return nil, errClosed
 		}
-		return nil, ErrNotFound
+		return nil, errNotFound
 	}
 	seg := l.segs[e.seg]
 	f, off, n, want := seg.f, e.off, e.length, e.crc
@@ -592,7 +593,7 @@ func (l *Log) Get(key string) ([]byte, error) {
 	}
 	if crc32.Checksum(buf, castagnoli) != want {
 		l.Remove(key)
-		return nil, ErrCorrupt
+		return nil, errCorrupt
 	}
 	return buf, nil
 }
@@ -608,9 +609,9 @@ func (l *Log) ReadAt(key string, off, length int64) (data []byte, hits int, err 
 	if !ok || l.closed {
 		l.mu.Unlock()
 		if l.closed {
-			return nil, 0, ErrClosed
+			return nil, 0, errClosed
 		}
-		return nil, 0, ErrNotFound
+		return nil, 0, errNotFound
 	}
 	if off < 0 || length < 0 || off+length > e.length {
 		l.mu.Unlock()
@@ -723,7 +724,7 @@ func (l *Log) Stats() Stats {
 		Segments:        len(l.segs),
 		ManifestRecords: l.records,
 		DroppedEntries:  l.dropped,
-		DroppedBytes:    l.droppedB,
+		droppedBytes:    l.droppedB,
 	}
 }
 

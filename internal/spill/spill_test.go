@@ -30,7 +30,7 @@ func payload(i, n int) []byte {
 
 func TestAddGetReadAt(t *testing.T) {
 	l, rec := openT(t, Config{Dir: t.TempDir()})
-	if rec.Entries != 0 || rec.Truncated {
+	if rec.Entries != 0 || rec.truncated {
 		t.Fatalf("fresh log recovered %+v", rec)
 	}
 	p := payload(1, 1000)
@@ -51,8 +51,8 @@ func TestAddGetReadAt(t *testing.T) {
 	if _, hits, _ = l.ReadAt("k1", 0, 10); hits != 2 {
 		t.Fatalf("second ReadAt hits = %d, want 2", hits)
 	}
-	if _, err := l.Get("nope"); err != ErrNotFound {
-		t.Fatalf("Get(missing) = %v, want ErrNotFound", err)
+	if _, err := l.Get("nope"); err != errNotFound {
+		t.Fatalf("Get(missing) = %v, want errNotFound", err)
 	}
 	if _, _, err := l.ReadAt("k1", 900, 200); err == nil {
 		t.Fatal("out-of-range ReadAt succeeded")
@@ -98,7 +98,7 @@ func TestRewarmAcrossReopen(t *testing.T) {
 			t.Fatalf("Get(%q) after reopen: %v", k, err)
 		}
 	}
-	if _, err := l2.Get("ds\x00chunk07"); err != ErrNotFound {
+	if _, err := l2.Get("ds\x00chunk07"); err != errNotFound {
 		t.Fatalf("removed key resurrected: %v", err)
 	}
 	// New adds after reopen land in a fresh segment and survive another
@@ -136,7 +136,7 @@ func TestTornManifestTail(t *testing.T) {
 	f.Close()
 
 	l2, rec := openT(t, Config{Dir: dir})
-	if !rec.Truncated {
+	if !rec.truncated {
 		t.Fatal("torn tail not reported")
 	}
 	if rec.Entries != 5 {
@@ -151,7 +151,7 @@ func TestTornManifestTail(t *testing.T) {
 	// a clean file.
 	l2.Close()
 	_, rec3 := openT(t, Config{Dir: dir})
-	if rec3.Truncated || rec3.Entries != 5 {
+	if rec3.truncated || rec3.Entries != 5 {
 		t.Fatalf("post-compaction reopen: %+v", rec3)
 	}
 }
@@ -159,7 +159,7 @@ func TestTornManifestTail(t *testing.T) {
 func TestMissingSegmentDropsEntries(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments so entries spread across files.
-	l, _ := openT(t, Config{Dir: dir, SegmentBytes: 600})
+	l, _ := openT(t, Config{Dir: dir, segmentBytes: 600})
 	for i := range 6 {
 		if _, err := l.Add(fmt.Sprintf("k%d", i), payload(i, 500)); err != nil {
 			t.Fatalf("Add: %v", err)
@@ -172,14 +172,14 @@ func TestMissingSegmentDropsEntries(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, "seg-00000001.spill")); err != nil {
 		t.Fatal(err)
 	}
-	l2, rec := openT(t, Config{Dir: dir, SegmentBytes: 600})
-	if rec.Dropped == 0 {
+	l2, rec := openT(t, Config{Dir: dir, segmentBytes: 600})
+	if rec.dropped == 0 {
 		t.Fatal("missing segment dropped no entries")
 	}
-	if rec.Entries+rec.Dropped != 6 {
-		t.Fatalf("entries %d + dropped %d != 6", rec.Entries, rec.Dropped)
+	if rec.Entries+rec.dropped != 6 {
+		t.Fatalf("entries %d + dropped %d != 6", rec.Entries, rec.dropped)
 	}
-	if _, err := l2.Get("k0"); err != ErrNotFound {
+	if _, err := l2.Get("k0"); err != errNotFound {
 		t.Fatalf("entry of missing segment resurfaced: %v", err)
 	}
 }
@@ -205,8 +205,8 @@ func TestCorruptPayloadDropped(t *testing.T) {
 	if rec.Entries != 1 {
 		t.Fatalf("rewarmed %d entries", rec.Entries)
 	}
-	if _, err := l2.Get("k"); err != ErrCorrupt {
-		t.Fatalf("Get of corrupted payload = %v, want ErrCorrupt", err)
+	if _, err := l2.Get("k"); err != errCorrupt {
+		t.Fatalf("Get of corrupted payload = %v, want errCorrupt", err)
 	}
 	if has(l2, "k") {
 		t.Fatal("corrupt entry not dropped")
@@ -222,7 +222,7 @@ func TestCapacityRetiresOldestSegments(t *testing.T) {
 	l, _ := openT(t, Config{
 		Dir:           t.TempDir(),
 		CapacityBytes: 4000,
-		SegmentBytes:  1000,
+		segmentBytes:  1000,
 	})
 	for i := range 10 {
 		if _, err := l.Add(fmt.Sprintf("k%d", i), payload(i, 900)); err != nil {
@@ -233,8 +233,8 @@ func TestCapacityRetiresOldestSegments(t *testing.T) {
 	if st.DiskBytes > 4000+900 {
 		t.Fatalf("disk bytes %d way over capacity", st.DiskBytes)
 	}
-	if st.DroppedEntries == 0 || st.DroppedBytes != 900*st.DroppedEntries {
-		t.Fatalf("retirement reported %d entries, %d bytes", st.DroppedEntries, st.DroppedBytes)
+	if st.DroppedEntries == 0 || st.droppedBytes != 900*st.DroppedEntries {
+		t.Fatalf("retirement reported %d entries, %d bytes", st.DroppedEntries, st.droppedBytes)
 	}
 	// Oldest keys are gone, newest still present.
 	if has(l, "k0") {
@@ -269,7 +269,7 @@ func TestDropPredicate(t *testing.T) {
 }
 
 func TestConcurrentAddRead(t *testing.T) {
-	l, _ := openT(t, Config{Dir: t.TempDir(), SegmentBytes: 4096})
+	l, _ := openT(t, Config{Dir: t.TempDir(), segmentBytes: 4096})
 	const keys = 64
 	var wg sync.WaitGroup
 	for g := range 8 {

@@ -68,8 +68,6 @@ func NewSite(reg *obs.Registry, name string) *Site {
 	}{
 		{"diesel_tier_demotions_total", "RAM eviction victims demoted to the local-disk spill level instead of dropped.",
 			true, func(st Stats) float64 { return float64(st.Demotions) }},
-		{"diesel_tier_demoted_bytes_total", "Value bytes physically written by demotions (re-demotions write nothing).",
-			true, func(st Stats) float64 { return float64(st.DemotedBytes) }},
 		{"diesel_tier_promotions_total", "Values promoted from the spill level back into RAM, checksum-verified.",
 			true, func(st Stats) float64 { return float64(st.Promotions) }},
 		{"diesel_tier_spill_hits_total", "Reads answered by the spill level (preads and promotions).",
@@ -80,14 +78,8 @@ func NewSite(reg *obs.Registry, name string) *Site {
 			true, func(st Stats) float64 { return float64(st.Dropped) }},
 		{"diesel_tier_rewarmed_total", "Values rewarmed from a spill manifest at start (restart recovery at disk bandwidth).",
 			true, func(st Stats) float64 { return float64(st.RewarmEntries) }},
-		{"diesel_tier_rewarmed_bytes_total", "Value bytes rewarmed from spill manifests at start.",
-			true, func(st Stats) float64 { return float64(st.RewarmBytes) }},
-		{"diesel_tier_spill_entries", "Values resident in the spill level (open stores).",
-			false, func(st Stats) float64 { return float64(st.Entries) }},
 		{"diesel_tier_spill_bytes", "Value bytes resident in the spill level (open stores).",
 			false, func(st Stats) float64 { return float64(st.Bytes) }},
-		{"diesel_tier_spill_disk_bytes", "Spill segment bytes on disk, dead space included (open stores).",
-			false, func(st Stats) float64 { return float64(st.DiskBytes) }},
 	} {
 		fn := func() float64 { return m.val(si.sum()) }
 		if m.counter {
@@ -116,7 +108,7 @@ func (si *Site) retire(s *Store) {
 	}
 	delete(si.live, s)
 	st := s.Stats()
-	st.Entries, st.Bytes, st.DiskBytes = 0, 0, 0 // occupancy leaves with the store
+	st.Bytes = 0 // occupancy leaves with the store
 	si.gone.add(st)
 }
 
@@ -132,15 +124,11 @@ func (si *Site) sum() Stats {
 
 // add accumulates the fields the series report.
 func (a *Stats) add(b Stats) {
-	a.Entries += b.Entries
 	a.Bytes += b.Bytes
-	a.DiskBytes += b.DiskBytes
 	a.Hits += b.Hits
 	a.Misses += b.Misses
 	a.Demotions += b.Demotions
-	a.DemotedBytes += b.DemotedBytes
 	a.Promotions += b.Promotions
 	a.Dropped += b.Dropped
 	a.RewarmEntries += b.RewarmEntries
-	a.RewarmBytes += b.RewarmBytes
 }

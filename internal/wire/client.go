@@ -74,9 +74,6 @@ func dialOpts(addr string, o *options) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
 	}
-	if metricsOn() {
-		mDials.Inc()
-	}
 	c := &Client{
 		conn:        conn,
 		addr:        addr,

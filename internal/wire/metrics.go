@@ -10,12 +10,11 @@ import (
 
 // Wire-level metrics on the default registry. Every networked component
 // in the repository (DIESEL servers, KV nodes, cache peers, the etcd-like
-// registry) funnels through this package, so these four families are the
+// registry) funnels through this package, so these families are the
 // ground-truth traffic counters for any process:
 //
 //	diesel_wire_frames_total{dir}       frames read ("in") / written ("out")
 //	diesel_wire_bytes_total{dir}        payload bytes read / written
-//	diesel_wire_dials_total             TCP connections opened by clients
 //	diesel_wire_pool_calls_total        calls multiplexed over pooled conns
 //	diesel_wire_redials_total           broken pool connections redialed
 //	diesel_wire_call_timeouts_total     calls abandoned at their deadline
@@ -27,8 +26,7 @@ var (
 	mFramesOut    = obs.Default().Counter("diesel_wire_frames_total", "Frames read or written by the wire transport.", obs.L("dir", "out"))
 	mBytesIn      = obs.Default().Counter("diesel_wire_bytes_total", "Payload bytes read or written by the wire transport.", obs.L("dir", "in"))
 	mBytesOut     = obs.Default().Counter("diesel_wire_bytes_total", "Payload bytes read or written by the wire transport.", obs.L("dir", "out"))
-	mDials        = obs.Default().Counter("diesel_wire_dials_total", "TCP connections dialed by wire clients.")
-	mPoolCalls    = obs.Default().Counter("diesel_wire_pool_calls_total", "Calls issued through pooled connections (reuse = pool_calls - dials).")
+	mPoolCalls    = obs.Default().Counter("diesel_wire_pool_calls_total", "Calls issued through pooled connections.")
 	mRedials      = obs.Default().Counter("diesel_wire_redials_total", "Broken pool connections successfully redialed.")
 	mCallTimeouts = obs.Default().Counter("diesel_wire_call_timeouts_total", "RPC calls abandoned because their deadline or context expired.")
 )

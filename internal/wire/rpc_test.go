@@ -182,12 +182,15 @@ func TestRPCStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Failures are counted per method on the process-wide registry
+	// (diesel_wire_errors_total), so the assertion is a delta.
+	errs0 := serveErrCounter("fail").Load()
 	c.Call("fail", nil)
 	if got := s.Stats.Requests.Load(); got != 11 {
 		t.Errorf("Requests = %d, want 11", got)
 	}
-	if got := s.Stats.Errors.Load(); got != 1 {
-		t.Errorf("Errors = %d, want 1", got)
+	if got := serveErrCounter("fail").Load() - errs0; got != 1 {
+		t.Errorf("diesel_wire_errors_total{method=\"fail\"} moved by %d, want 1", got)
 	}
 }
 

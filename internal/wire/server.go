@@ -95,7 +95,6 @@ type Server struct {
 // the server runs.
 type ServerStats struct {
 	Requests atomic.Uint64
-	Errors   atomic.Uint64
 	BytesIn  atomic.Uint64
 	BytesOut atomic.Uint64
 }
@@ -255,9 +254,6 @@ func (s *Server) dispatch(gw *groupWriter, req *Frame, connJob *atomic.Pointer[J
 		err = s.safeCall(ctx, fn, req)
 	}
 	s.Stats.Requests.Add(1)
-	if err != nil {
-		s.Stats.Errors.Add(1)
-	}
 	observeServe(observedMethod, start, err != nil)
 	if sp != nil {
 		sp.SetError(err)
