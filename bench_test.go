@@ -742,6 +742,59 @@ func BenchmarkClientGetChunk(b *testing.B) {
 	}
 }
 
+// BenchmarkClientIngest is one chunk's trip down the write path of
+// Figure 3 — 29 files of 9 KiB through Dataset.Put until the 256 KiB
+// builder fills and ships them, server.NewRPC over loopback TCP, an
+// in-memory object store behind it. Its B/op is the gate on copies in that
+// direction: the client builds in one reused buffer and lends it to the
+// socket, the server stores the request body it read, so a chunk crossing
+// the process boundary should allocate about one chunk (the stored
+// object) on the two sides together.
+func BenchmarkClientIngest(b *testing.B) {
+	const fileSize, files = 9 << 10, 29 // the 29th file takes the payload past 256 KiB
+	s := server.New(kvstore.NewLocal(), objstore.NewMemory(), func() int64 { return time.Now().UnixNano() })
+	rpc, err := server.NewRPC(s, "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer rpc.Close()
+	cl, err := client.Connect(client.Options{
+		User: "bench", Key: "bench", Servers: []string{rpc.Addr()}, Dataset: "ingest",
+		ChunkTarget: 256 << 10,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.Close()
+	ds := cl.DefaultDataset()
+	data := randBytes(fileSize, 5)
+	names := make([]string, files)
+	for i := range names {
+		names[i] = fmt.Sprintf("c%03d/f%06d.bin", i%100, i)
+	}
+	b.SetBytes(fileSize * files)
+	for i := 0; b.Loop(); i++ {
+		for _, name := range names {
+			if err := ds.Put(name, data); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := ds.Flush(); err != nil { // nothing left to ship: the last Put did
+			b.Fatal(err)
+		}
+		if i%512 == 511 { // a long run must not pile its chunks up in the store
+			b.StopTimer()
+			if err := ds.DeleteDataset(); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+	}
+	if rec, err := s.DatasetRecord("ingest"); err == nil && rec.FileCount == 0 {
+		b.Fatalf("nothing was stored: %+v", rec)
+	}
+}
+
 // BenchmarkLoaderEpoch measures the pipelined data loader (Figure 1's
 // DataLoader pattern) streaming a full epoch through the task-grained
 // cache over loopback TCP.

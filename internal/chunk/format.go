@@ -143,14 +143,18 @@ func (b Bitmap) Clone() Bitmap { return append(Bitmap(nil), b...) }
 // payload. The payload slice must contain the file contents at the offsets
 // recorded in h.Entries.
 func Encode(h *Header, payload []byte) []byte {
-	entryBytes := 0
-	for _, e := range h.Entries {
-		entryBytes += 2 + len(e.Name) + 16
-	}
-	bitmapLen := (len(h.Entries) + 7) / 8
-	headerLen := fixedHeaderSize + bitmapLen + entryBytes
+	headerLen := h.EncodedHeaderLen()
 	buf := make([]byte, headerLen+len(payload))
+	copy(buf[headerLen:], payload)
+	putHeader(buf[:headerLen], h, payload)
+	return buf
+}
 
+// putHeader writes the serialised header of the chunk made of h and
+// payload into buf, which must be h.EncodedHeaderLen() bytes; the payload
+// is only read, for its length and checksum. A deletion bitmap shorter
+// than the entry count calls for reads as zero beyond its end.
+func putHeader(buf []byte, h *Header, payload []byte) {
 	binary.BigEndian.PutUint32(buf[0:4], FormatMagic)
 	binary.BigEndian.PutUint16(buf[4:6], FormatVersion)
 	copy(buf[6:22], h.ID[:])
@@ -158,59 +162,45 @@ func Encode(h *Header, payload []byte) []byte {
 	binary.BigEndian.PutUint32(buf[30:34], uint32(len(h.Entries)))
 	binary.BigEndian.PutUint32(buf[34:38], uint32(h.Deleted.Count()))
 	binary.BigEndian.PutUint64(buf[38:46], uint64(len(payload)))
-	// CRCs filled below.
+	binary.BigEndian.PutUint32(buf[50:54], crc32.ChecksumIEEE(payload))
 
 	off := fixedHeaderSize
-	bm := h.Deleted
-	if len(bm) < bitmapLen {
-		bm = append(bm.Clone(), make(Bitmap, bitmapLen-len(bm))...)
-	}
-	copy(buf[off:off+bitmapLen], bm[:bitmapLen])
+	bitmapLen := (len(h.Entries) + 7) / 8
+	clear(buf[off+copy(buf[off:off+bitmapLen], h.Deleted) : off+bitmapLen])
 	off += bitmapLen
 	for _, e := range h.Entries {
 		binary.BigEndian.PutUint16(buf[off:], uint16(len(e.Name)))
 		off += 2
-		copy(buf[off:], e.Name)
-		off += len(e.Name)
+		off += copy(buf[off:], e.Name)
 		binary.BigEndian.PutUint64(buf[off:], e.Offset)
-		off += 8
-		binary.BigEndian.PutUint64(buf[off:], e.Length)
-		off += 8
+		binary.BigEndian.PutUint64(buf[off+8:], e.Length)
+		off += 16
 	}
-	copy(buf[headerLen:], payload)
-
-	binary.BigEndian.PutUint32(buf[50:54], crc32.ChecksumIEEE(payload))
-	binary.BigEndian.PutUint32(buf[46:50], headerCRC(buf[:headerLen]))
-	return buf
+	binary.BigEndian.PutUint32(buf[46:50], headerCRC(buf))
 }
 
 // headerCRC computes the CRC over the header with the two CRC fields zeroed.
 func headerCRC(hdr []byte) uint32 {
-	h := crc32.NewIEEE()
-	h.Write(hdr[:46])
-	var zero [8]byte
-	h.Write(zero[:]) // in place of the two CRC fields
-	h.Write(hdr[54:])
-	return h.Sum32()
+	c := crc32.Update(0, crc32.IEEETable, hdr[:46])
+	c = crc32.Update(c, crc32.IEEETable, zeroCRCFields[:])
+	return crc32.Update(c, crc32.IEEETable, hdr[54:])
 }
+
+// zeroCRCFields stands in for the two CRC fields; package-level because a
+// local passed to crc32.Update escapes.
+var zeroCRCFields [8]byte
 
 // ParseHeader decodes only the header of a serialised chunk, verifying the
 // header CRC but not reading the payload. Metadata recovery scans use it to
 // rebuild key-value pairs cheaply.
 func ParseHeader(b []byte) (*Header, int, error) {
-	if len(b) < fixedHeaderSize {
-		return nil, 0, ErrTruncated
-	}
-	if binary.BigEndian.Uint32(b[0:4]) != FormatMagic {
-		return nil, 0, ErrBadMagic
-	}
-	if v := binary.BigEndian.Uint16(b[4:6]); v != FormatVersion {
-		return nil, 0, fmt.Errorf("%w: %d", ErrBadVersion, v)
+	nfiles, err := checkFixedHeader(b)
+	if err != nil {
+		return nil, 0, err
 	}
 	h := &Header{}
 	copy(h.ID[:], b[6:22])
 	h.UpdatedNS = int64(binary.BigEndian.Uint64(b[22:30]))
-	nfiles := int(binary.BigEndian.Uint32(b[30:34]))
 	h.PayloadLen = binary.BigEndian.Uint64(b[38:46])
 	wantCRC := binary.BigEndian.Uint32(b[46:50])
 
@@ -266,14 +256,65 @@ func Parse(b []byte) (*Chunk, error) {
 	if err != nil {
 		return nil, err
 	}
-	if uint64(len(b)-headerLen) < h.PayloadLen {
+	payload, err := verifiedPayload(b, headerLen, h.PayloadLen)
+	if err != nil {
+		return nil, err
+	}
+	return &Chunk{Header: h, payload: payload}, nil
+}
+
+// Verify checks both checksums of a serialised chunk, as Parse does, and
+// returns its payload region without decoding the entry table — for
+// readers that cut files out of the payload at offsets they hold
+// themselves (a metadata snapshot) and need only the proof that these are
+// the bytes that were sealed. It allocates nothing.
+func Verify(b []byte) ([]byte, error) {
+	nfiles, err := checkFixedHeader(b)
+	if err != nil {
+		return nil, err
+	}
+	off := fixedHeaderSize + (nfiles+7)/8
+	for range nfiles {
+		if len(b) < off+2 {
+			return nil, ErrTruncated
+		}
+		off += 2 + int(binary.BigEndian.Uint16(b[off:])) + 16
+	}
+	if len(b) < off {
 		return nil, ErrTruncated
 	}
-	payload := b[headerLen : headerLen+int(h.PayloadLen)]
+	if headerCRC(b[:off]) != binary.BigEndian.Uint32(b[46:50]) {
+		return nil, ErrHeaderCRC
+	}
+	return verifiedPayload(b, off, binary.BigEndian.Uint64(b[38:46]))
+}
+
+// checkFixedHeader validates the fixed-size part of a serialised header
+// and returns the file count it declares.
+func checkFixedHeader(b []byte) (nfiles int, err error) {
+	if len(b) < fixedHeaderSize {
+		return 0, ErrTruncated
+	}
+	if binary.BigEndian.Uint32(b[0:4]) != FormatMagic {
+		return 0, ErrBadMagic
+	}
+	if v := binary.BigEndian.Uint16(b[4:6]); v != FormatVersion {
+		return 0, fmt.Errorf("%w: %d", ErrBadVersion, v)
+	}
+	return int(binary.BigEndian.Uint32(b[30:34])), nil
+}
+
+// verifiedPayload returns the payload region behind a header of headerLen
+// bytes whose checksum has been verified, after checking the payload's own.
+func verifiedPayload(b []byte, headerLen int, payloadLen uint64) ([]byte, error) {
+	if uint64(len(b)-headerLen) < payloadLen {
+		return nil, ErrTruncated
+	}
+	payload := b[headerLen : headerLen+int(payloadLen)]
 	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(b[50:54]) {
 		return nil, ErrPayloadCRC
 	}
-	return &Chunk{Header: h, payload: payload}, nil
+	return payload, nil
 }
 
 // Payload exposes the raw payload region.

@@ -312,3 +312,136 @@ func TestFileAtBounds(t *testing.T) {
 		t.Errorf("File(missing): %v", err)
 	}
 }
+
+// twinBuilders returns two builders that stamp identical IDs and times, so
+// what they seal from the same files must be byte-identical.
+func twinBuilders(target int) (a, b *Builder) {
+	now := func() int64 { return 99 }
+	return NewBuilder(target, testGen(9), now), NewBuilder(target, testGen(9), now)
+}
+
+// TestSealPartsMatchesSeal: over several chunks through the same two
+// builders, head+payload from SealParts is byte for byte what Seal
+// returns, the parts alias the builder's reused buffer (no chunk-sized
+// allocation per seal), and they stay intact until the next Add.
+func TestSealPartsMatchesSeal(t *testing.T) {
+	whole, parts := twinBuilders(4096)
+	rng := rand.New(rand.NewSource(3))
+	var buf0 *byte
+	for round := range 20 {
+		for i := 0; ; i++ {
+			name := fmt.Sprintf("r%02d/f%03d", round, i)
+			data := make([]byte, rng.Intn(700))
+			rng.Read(data)
+			fullW, err := whole.Add(name, data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fullP, err := parts.Add(name, data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fullW != fullP {
+				t.Fatal("twin builders disagree on Full")
+			}
+			if fullW {
+				break
+			}
+		}
+		_, enc, err := whole.Seal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		head, payload, err := parts.SealParts()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(append(bytes.Clone(head), payload...), enc) {
+			t.Fatalf("round %d: head+payload differs from the contiguous encoding", round)
+		}
+		if parts.Count() != 0 || parts.Len() != 0 {
+			t.Fatal("builder not reset after SealParts")
+		}
+		if got, err := Verify(enc); err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("round %d: Verify = %d bytes, %v; want the sealed payload", round, len(got), err)
+		}
+		if round == 0 {
+			buf0 = &payload[0]
+		} else if &payload[0] != buf0 {
+			t.Fatalf("round %d: the payload moved: the builder did not reuse its buffer", round)
+		}
+	}
+	if _, _, err := parts.SealParts(); !errors.Is(err, ErrEmptyChunk) {
+		t.Errorf("SealParts on an empty builder: %v, want ErrEmptyChunk", err)
+	}
+}
+
+// TestBuilderBuffer: no buffer before the first Add; one allocation sized
+// for a whole chunk afterwards, however large the target claims to be; a
+// buffer a large file has blown up is not kept.
+func TestBuilderBuffer(t *testing.T) {
+	b := NewBuilder(1000, testGen(1), func() int64 { return 0 })
+	if b.payload != nil {
+		t.Error("a builder that has added nothing holds a buffer")
+	}
+	b.Add("a", make([]byte, 10))
+	if got := cap(b.payload); got != 1250 {
+		t.Errorf("first Add allocated %d bytes, want target + a quarter = 1250", got)
+	}
+	for i := range 100 { // 990 more bytes: just under the target
+		b.Add(fmt.Sprint(i), make([]byte, 9))
+	}
+	if full, _ := b.Add("last", make([]byte, 200)); !full || cap(b.payload) != 1250 {
+		t.Errorf("a chunk of ordinary files regrew the buffer to %d", cap(b.payload))
+	}
+	if _, _, err := b.SealParts(); err != nil {
+		t.Fatal(err)
+	}
+	if cap(b.payload) != 1250 {
+		t.Error("sealing dropped an ordinary buffer")
+	}
+	b.Add("huge", make([]byte, 10_000))
+	if _, _, err := b.SealParts(); err != nil {
+		t.Fatal(err)
+	}
+	if b.payload != nil {
+		t.Errorf("a %d-byte buffer outlived the large file that grew it", cap(b.payload))
+	}
+	never := NewBuilder(1<<40, testGen(1), func() int64 { return 0 })
+	never.Add("a", []byte("x"))
+	if got := cap(never.payload); got != maxPresize {
+		t.Errorf("a never-full builder preallocated %d bytes, want %d", got, maxPresize)
+	}
+}
+
+// TestVerifyAgreesWithParse: on a valid chunk and on every single-bit
+// corruption and truncation of it, Verify fails exactly when Parse fails,
+// with the same error, and otherwise returns the payload Parse exposes —
+// without allocating.
+func TestVerifyAgreesWithParse(t *testing.T) {
+	_, enc := buildTestChunk(t, map[string][]byte{
+		"ds/a/0.jpg": []byte("aaaa"), "ds/a/1.jpg": {}, "ds/b/2.jpg": bytes.Repeat([]byte{0xCD}, 600),
+	})
+	check := func(what string, b []byte) {
+		c, perr := Parse(b)
+		got, verr := Verify(b)
+		if (perr == nil) != (verr == nil) || (perr != nil && perr.Error() != verr.Error()) {
+			t.Fatalf("%s: Parse says %v, Verify says %v", what, perr, verr)
+		}
+		if perr == nil && !bytes.Equal(got, c.Payload()) {
+			t.Fatalf("%s: Verify returned a different payload", what)
+		}
+	}
+	check("intact", enc)
+	for i := range enc {
+		for bit := range 8 {
+			mut := bytes.Clone(enc)
+			mut[i] ^= 1 << bit
+			check(fmt.Sprintf("bit %d of byte %d flipped", bit, i), mut)
+		}
+		check(fmt.Sprintf("cut at %d", i), enc[:i])
+	}
+	if n := testing.AllocsPerRun(100, func() { Verify(enc) }); n != 0 {
+		t.Errorf("Verify allocates %v times per call, want 0", n)
+	}
+}

@@ -26,6 +26,10 @@ func FuzzParse(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := Parse(data)
+		// The verify-only entry accepts exactly what Parse accepts.
+		if pay, verr := Verify(data); (err == nil) != (verr == nil) || (err == nil && !bytes.Equal(pay, c.Payload())) {
+			t.Fatalf("Parse says %v, Verify says %v", err, verr)
+		}
 		if err != nil {
 			return
 		}

@@ -354,8 +354,12 @@ func clientPID() uint32 {
 // path's call and never retries: a retried ingest that actually landed
 // would duplicate a chunk.
 func (c *Client) call(ctx context.Context, method string, payload []byte) ([]byte, error) {
-	i := c.next.Add(1)
-	return c.pools[i%uint64(len(c.pools))].CallContext(ctx, method, payload)
+	return c.nextPool().CallContext(ctx, method, payload)
+}
+
+// nextPool picks the next server's pool, round-robin.
+func (c *Client) nextPool() *wire.Pool {
+	return c.pools[c.next.Add(1)%uint64(len(c.pools))]
 }
 
 // callIdem is the read path's call: wire.Retry around a round-robin pick,
@@ -369,10 +373,7 @@ func callIdem[T any](ctx context.Context, c *Client,
 	call func(*wire.Pool, context.Context, string, []byte) (T, error),
 	method string, payload []byte) (T, error) {
 	resp, attempts, err := wire.Retry(ctx, c.opts.MaxRetries, c.opts.RetryBackoff, c.noteRetry,
-		func() (T, error) {
-			i := c.next.Add(1)
-			return call(c.pools[i%uint64(len(c.pools))], ctx, method, payload)
-		})
+		func() (T, error) { return call(c.nextPool(), ctx, method, payload) })
 	if err != nil && !wire.IsRemote(err) {
 		err = fmt.Errorf("client: %s failed after %d attempts: %w", method, attempts, err)
 	}

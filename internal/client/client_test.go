@@ -5,14 +5,22 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
+	"net"
 	"path/filepath"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"diesel/internal/chunk"
+	"diesel/internal/kvstore"
 	"diesel/internal/meta"
+	"diesel/internal/objstore"
 	"diesel/internal/server"
+	"diesel/internal/wire"
 )
 
 // startServers launches n DIESEL RPC servers sharing one backend stack.
@@ -530,5 +538,133 @@ func TestGetChunkIsNeverRecycled(t *testing.T) {
 	}
 	if !bytes.Equal(kept, before) {
 		t.Error("a chunk returned by GetChunk changed under later calls: its buffer was recycled")
+	}
+}
+
+// TestThousandFlushesThroughOneBuffer: a handle ships every chunk out of
+// the one payload buffer its builder reuses, lent to the socket. A thousand
+// Put…Flush cycles of mixed sizes — coalesced small frames and vectored
+// chunk-sized ones — over real TCP must each store exactly the bytes that
+// were Put: every file of every chunk is read back and compared by CRC.
+func TestThousandFlushesThroughOneBuffer(t *testing.T) {
+	addrs := startServers(t, 1)
+	c, err := Connect(Options{
+		User: "tester", Key: "secret", Servers: addrs, Dataset: "ds",
+		ChunkTarget: 96 << 10, ConnsPerServer: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ds := c.DefaultDataset()
+	rng := rand.New(rand.NewSource(18))
+	sums := make(map[string]uint32)
+	scratch := make([]byte, 40<<10) // the caller's own buffer, rewritten for every file
+	for cycle := range 1000 {
+		for i := range 1 + rng.Intn(6) {
+			data := scratch[:rng.Intn(len(scratch))>>(cycle%4)]
+			rng.Read(data)
+			name := fmt.Sprintf("c%04d/f%d", cycle, i)
+			sums[name] = crc32.ChecksumIEEE(data)
+			if err := ds.Put(name, data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ds.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, err := ds.DownloadSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Chunks) < 1000 {
+		t.Fatalf("%d chunks stored for 1000 flushes", len(snap.Chunks))
+	}
+	seen := 0
+	for _, cm := range snap.Chunks {
+		blob, err := ds.GetChunk(context.Background(), cm.ID.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ck, err := chunk.Parse(blob)
+		if err != nil {
+			t.Fatalf("chunk %s: %v", cm.ID, err)
+		}
+		for i, e := range ck.Header.Entries {
+			data, err := ck.FileAt(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want, ok := sums[e.Name]; !ok || crc32.ChecksumIEEE(data) != want {
+				t.Fatalf("chunk %s: file %q is not what was Put", cm.ID, e.Name)
+			}
+			seen++
+		}
+	}
+	if seen != len(sums) {
+		t.Errorf("read back %d files of %d written", seen, len(sums))
+	}
+}
+
+// bitFlipConn damages the last byte of the next Write once armed — for a
+// frame that carries a chunk, the last byte of the chunk's payload.
+type bitFlipConn struct {
+	net.Conn
+	armed *atomic.Bool
+}
+
+func (c bitFlipConn) Write(b []byte) (int, error) {
+	if len(b) > 1000 && c.armed.CompareAndSwap(true, false) {
+		b = bytes.Clone(b)
+		b[len(b)-1] ^= 0x10
+	}
+	return c.Conn.Write(b)
+}
+
+// TestFlushRejectsPayloadDamagedInFlight: one bit of a lent payload flipped
+// between the builder's buffer and the server is a checksum rejection, not
+// a stored chunk: no object, no metadata, and the handle keeps working.
+func TestFlushRejectsPayloadDamagedInFlight(t *testing.T) {
+	obj := objstore.NewMemory()
+	core := server.New(kvstore.NewLocal(), obj, func() int64 { return time.Now().UnixNano() })
+	rpc, err := server.NewRPC(core, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rpc.Close()
+	var armed atomic.Bool
+	c, err := Connect(Options{
+		User: "tester", Key: "secret", Servers: []string{rpc.Addr()}, Dataset: "ds",
+		Dialer: func(addr string) (net.Conn, error) {
+			conn, err := net.Dial("tcp", addr)
+			return bitFlipConn{Conn: conn, armed: &armed}, err
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ds := c.DefaultDataset()
+	data := bytes.Repeat([]byte("payload!"), 1000)
+	if err := ds.Put("a/file.bin", data); err != nil {
+		t.Fatal(err)
+	}
+	armed.Store(true)
+	err = ds.Flush()
+	if !wire.IsRemote(err) || !strings.Contains(err.Error(), chunk.ErrPayloadCRC.Error()) {
+		t.Fatalf("Flush of a chunk damaged in flight returned %v, want the server's %q", err, chunk.ErrPayloadCRC)
+	}
+	if n, _ := core.KVSize(); n != 0 || obj.Len() != 0 {
+		t.Fatalf("the rejected chunk left %d objects and %d keys behind", obj.Len(), n)
+	}
+	if err := ds.Put("a/file.bin", data); err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Flush(); err != nil {
+		t.Fatalf("Flush after the rejection: %v", err)
+	}
+	if got, err := ds.Get(context.Background(), "a/file.bin"); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read back after the rejection: %d bytes, %v", len(got), err)
 	}
 }

@@ -91,14 +91,20 @@ func (d *Dataset) flushLocked() error {
 	if d.builder == nil || d.builder.Count() == 0 {
 		return nil // nothing buffered
 	}
-	_, enc, err := d.builder.Seal()
+	hdr, payload, err := d.builder.SealParts()
 	if err != nil {
 		return err
 	}
-	e := wire.NewEncoder(len(enc) + len(d.name) + 16)
+	// The request is String(dataset) + Bytes32(encoded chunk) with the
+	// chunk's payload lent: it goes to the socket out of the builder's
+	// buffer, which is the builder's again when the call returns.
+	e := wire.AcquireEncoder(len(d.name) + 8 + len(hdr))
 	e.String(d.name)
-	e.Bytes32(enc)
-	if _, err := d.c.call(context.Background(), server.MethodIngest, e.Bytes()); err != nil {
+	e.Uint32(uint32(len(hdr) + len(payload)))
+	head := append(e.Bytes(), hdr...)
+	_, err = d.c.nextPool().CallLendContext(context.Background(), server.MethodIngest, head, payload)
+	e.Release()
+	if err != nil {
 		return fmt.Errorf("client: flush: %w", err)
 	}
 	d.pending = 0

@@ -545,14 +545,13 @@ func (p *Peer) fetchChunk(ctx context.Context, key, id string) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dcache: load chunk %s: %w", id, err)
 	}
-	ck, err := chunk.Parse(blob)
-	if err != nil {
-		return nil, fmt.Errorf("dcache: chunk %s corrupt: %w", id, err)
-	}
 	// Only the payload is kept: file extraction needs nothing else (offsets
 	// come from the metadata snapshot), and payload-only is exactly what
 	// the spill tier stores, so demotion and promotion move no header bytes.
-	payload := ck.Payload()
+	payload, err := chunk.Verify(blob)
+	if err != nil {
+		return nil, fmt.Errorf("dcache: chunk %s corrupt: %w", id, err)
+	}
 	p.Stats.ChunkLoads.Add(1)
 	p.Stats.BytesLoaded.Add(uint64(len(blob)))
 	mChunkLoads.Inc()

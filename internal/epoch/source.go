@@ -105,7 +105,9 @@ func (s *ClientSource) ReadGroup(ctx context.Context, plan *shuffle.Plan, g int)
 				f.err = err
 				return
 			}
-			f.ck, f.err = chunk.Parse(blob)
+			// Only the payload is read, at the snapshot's offsets: verify
+			// the chunk, skip decoding its entry table.
+			f.pay, f.err = chunk.Verify(blob)
 		}(ci)
 	}
 	wg.Wait()
@@ -119,11 +121,11 @@ func (s *ClientSource) ReadGroup(ctx context.Context, plan *shuffle.Plan, g int)
 	for pos := span.Start; pos < span.End; pos++ {
 		m := s.snap.FileMetaAt(int(plan.Files[pos]))
 		f := chunks[int32(m.ChunkIdx)]
-		if f == nil || f.err != nil || f.ck == nil {
+		if f == nil || f.err != nil || f.pay == nil {
 			missPos = append(missPos, pos)
 			continue
 		}
-		pay := f.ck.Payload()
+		pay := f.pay
 		if m.Offset+m.Length > uint64(len(pay)) {
 			// Stale snapshot metadata: the chunk on the server no longer
 			// holds this file where the snapshot says (purged/repacked
@@ -161,9 +163,9 @@ func (s *ClientSource) ReadGroup(ctx context.Context, plan *shuffle.Plan, g int)
 	return out, nil
 }
 
-// fetched is one chunk's fetch-and-parse outcome within a group read.
+// fetched is one chunk's fetch-and-verify outcome within a group read.
 type fetched struct {
-	ck  *chunk.Chunk
+	pay []byte // the verified payload region
 	err error
 }
 

@@ -32,7 +32,9 @@ var ErrNotFound = errors.New("objstore: object not found")
 // "imagenet/0G2xk…". List returns keys in ascending order, which for chunk
 // IDs is write-time order — the property metadata recovery scans rely on.
 type Store interface {
-	// Put stores data under key, overwriting any existing object.
+	// Put stores data under key, overwriting any existing object. The store
+	// takes ownership of data — an in-memory store keeps the slice itself
+	// instead of copying it — so the caller must not modify it afterwards.
 	Put(key string, data []byte) error
 	// Get returns the full object.
 	Get(key string) ([]byte, error)
@@ -69,11 +71,11 @@ func NewMemory() *Memory {
 	return &Memory{data: make(map[string][]byte)}
 }
 
-// Put implements Store.
+// Put implements Store by keeping data itself: a stored chunk is the
+// allocation it arrived in.
 func (m *Memory) Put(key string, data []byte) error {
-	cp := append([]byte(nil), data...)
 	m.mu.Lock()
-	m.data[key] = cp
+	m.data[key] = data
 	m.Ops.Puts++
 	m.Ops.BytesIn += uint64(len(data))
 	m.mu.Unlock()
@@ -127,10 +129,10 @@ func clampRange(size, off, n int64) (start, end int64, err error) {
 }
 
 // GetPooled implements PooledReader by lending the stored slice itself:
-// stored slices are immutable once inserted (Put stores a private copy and
-// replaces, never rewrites; Delete only drops the map entry), so the bytes
-// a caller holds stay what they were whatever happens to the key, and
-// there is nothing to hand back.
+// stored slices are immutable once inserted (Put takes ownership of its
+// argument and replaces, never rewrites; Delete only drops the map entry),
+// so the bytes a caller holds stay what they were whatever happens to the
+// key, and there is nothing to hand back.
 func (m *Memory) GetPooled(key string) ([]byte, func(), error) {
 	m.mu.Lock()
 	b, ok := m.data[key]

@@ -45,6 +45,30 @@ func storeContract(t *testing.T, s Store) {
 		t.Fatalf("overwrite failed: %q", got)
 	}
 
+	// Ownership: Put takes data over (the caller never writes to it again),
+	// and in return the object stays what was put — a reader's copy is its
+	// own, and a later Put of the key replaces the object instead of
+	// writing into the slice an earlier Put handed over, which a reader may
+	// still hold on loan.
+	owned := []byte("the store's now")
+	if err := s.Put("ds/own", owned); err != nil {
+		t.Fatal(err)
+	}
+	got, _ = s.Get("ds/own")
+	got[0] ^= 0xFF
+	if got, _ := s.Get("ds/own"); string(got) != "the store's now" {
+		t.Errorf("a reader's write to its copy reached the store: %q", got)
+	}
+	if err := s.Put("ds/own", []byte("a second object")); err != nil { // same length
+		t.Fatal(err)
+	}
+	if string(owned) != "the store's now" {
+		t.Errorf("Put wrote into the slice an earlier Put handed over: %q", owned)
+	}
+	if err := s.Delete("ds/own"); err != nil {
+		t.Fatal(err)
+	}
+
 	// Ranges.
 	s.Put("ds/c2", []byte("0123456789"))
 	for _, tc := range []struct {
@@ -166,18 +190,24 @@ func TestMemoryQuickRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMemoryIsolation(t *testing.T) {
+// TestMemoryKeepsThePutSlice: Memory stores the slice it is given — no
+// copy on the way in (Put owns its argument) and none on a pooled read —
+// while Get still hands out a copy of the caller's own.
+func TestMemoryKeepsThePutSlice(t *testing.T) {
 	m := NewMemory()
 	src := []byte("original")
 	m.Put("k", src)
-	src[0] = 'X' // caller mutates its buffer after Put
-	got, _ := m.Get("k")
-	if string(got) != "original" {
-		t.Error("Put did not copy input")
+	lent, release, err := m.GetPooled("k")
+	if err != nil {
+		t.Fatal(err)
 	}
+	if &lent[0] != &src[0] {
+		t.Error("Put copied its input: the stored object is not the slice it was given")
+	}
+	release()
+	got, _ := m.Get("k")
 	got[0] = 'Y' // caller mutates the returned buffer
-	got2, _ := m.Get("k")
-	if string(got2) != "original" {
+	if got2, _ := m.Get("k"); string(got2) != "original" {
 		t.Error("Get returned aliased buffer")
 	}
 }

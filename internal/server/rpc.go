@@ -113,14 +113,16 @@ func NewLocalStack() *Server {
 }
 
 func (r *RPCServer) register() {
-	r.rpc.Handle(MethodIngest, func(p []byte) ([]byte, error) {
+	// The one handler that keeps its request: the chunk is stored as the
+	// window of the request payload it arrived as.
+	r.rpc.HandleOwned(MethodIngest, func(p []byte) ([]byte, error) {
 		d := wire.NewDecoder(p)
 		dataset := d.String()
 		blob := d.Bytes32()
 		if err := d.Err(); err != nil {
 			return nil, err
 		}
-		h, err := r.S.Ingest(dataset, append([]byte(nil), blob...))
+		h, err := r.S.Ingest(dataset, blob)
 		if err != nil {
 			return nil, err
 		}

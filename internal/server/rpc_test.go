@@ -349,3 +349,51 @@ func TestWarmDataset(t *testing.T) {
 		t.Error("async warm never started")
 	}
 }
+
+// TestRPCIngestStoresTheRequestBody: the chunk dsl.ingest stores is the
+// request payload it arrived in — an allocation of exactly the request's
+// size with the chunk as its tail, no copy — and it stays what it was while
+// hundreds of other requests, whose payloads do return to the pools, run
+// on the same connection.
+func TestRPCIngestStoresTheRequestBody(t *testing.T) {
+	s, obj, _, gen := testStack()
+	rpc, err := NewRPC(s, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rpc.Close()
+	c, err := wire.Dial(rpc.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	b := chunk.NewBuilder(0, gen, s.nowNS)
+	b.Add("big/file.bin", bytes.Repeat([]byte("0123456789abcdef"), 20_000)) // beyond the coalescing size
+	h, enc, _ := b.Seal()
+	e := wire.NewEncoder(len(enc) + 16)
+	e.String("ds")
+	e.Bytes32(enc)
+	if _, err := c.Call(MethodIngest, e.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	stored, release, err := obj.GetPooled(ObjectKey("ds", h.ID.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	if cap(stored) != len(stored) {
+		t.Errorf("stored chunk len %d cap %d: the request body was not an exact allocation", len(stored), cap(stored))
+	}
+	for i := range 300 {
+		// Same-sized requests to a handler that does not keep them: were
+		// the ingest body pooled, one of these would be read over it.
+		junk := bytes.Repeat([]byte{byte(i)}, len(e.Bytes()))
+		if _, err := c.Call(MethodStat, junk); err == nil {
+			t.Fatal("junk stat request succeeded")
+		}
+	}
+	if !bytes.Equal(stored, enc) {
+		t.Error("the stored chunk changed under later requests: its buffer was recycled")
+	}
+}

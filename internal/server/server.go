@@ -108,15 +108,20 @@ func ObjectKey(dataset, chunkID string) string { return dataset + "/" + chunkID 
 
 // Ingest stores one encoded chunk: the chunk goes to object storage and
 // the key-value pairs derived from its header go to the metadata database.
-// This is the server side of the write flow in Figure 3.
+// This is the server side of the write flow in Figure 3. Both checksums
+// are verified before anything is stored, so a chunk damaged on its way
+// here is rejected (chunk.ErrHeaderCRC, chunk.ErrPayloadCRC) with no
+// object and no metadata left behind. encoded becomes the object store's
+// (objstore.Store.Put): the caller must not modify it afterwards.
 func (s *Server) Ingest(dataset string, encoded []byte) (*chunk.Header, error) {
 	if err := meta.ValidDataset(dataset); err != nil {
 		return nil, err
 	}
-	h, _, err := chunk.ParseHeader(encoded)
+	ck, err := chunk.Parse(encoded)
 	if err != nil {
 		return nil, fmt.Errorf("server: ingest rejected: %w", err)
 	}
+	h := ck.Header
 	for _, e := range h.Entries {
 		if err := meta.ValidFilePath(e.Name); err != nil {
 			return nil, fmt.Errorf("server: ingest rejected: %w", err)
@@ -126,9 +131,12 @@ func (s *Server) Ingest(dataset string, encoded []byte) (*chunk.Header, error) {
 	// Chunk IDs are globally unique by construction; an existing record
 	// under the same ID means a client is misconfigured (colliding ID
 	// fields) and proceeding would silently overwrite another chunk's
-	// data. Fail loudly instead.
+	// data. Fail loudly instead. Only "not found" says the ID is free: a
+	// lookup that failed says nothing, and storing on it could overwrite.
 	if _, err := s.kv.Get(meta.ChunkKey(dataset, idStr)); err == nil {
 		return nil, fmt.Errorf("server: chunk ID collision on %s/%s: refusing to overwrite", dataset, idStr)
+	} else if !errors.Is(err, kvstore.ErrNotFound) {
+		return nil, fmt.Errorf("server: ingest %s/%s: chunk ID lookup: %w", dataset, idStr, err)
 	}
 	if err := s.objects.Put(ObjectKey(dataset, idStr), encoded); err != nil {
 		return nil, fmt.Errorf("server: store chunk: %w", err)
@@ -158,6 +166,9 @@ func (s *Server) bumpDataset(dataset string, fn func(*meta.DatasetRecord)) error
 		if rec, err = meta.DecodeDatasetRecord(b); err != nil {
 			return err
 		}
+	} else if !errors.Is(err, kvstore.ErrNotFound) {
+		// Starting from an empty record here would overwrite the real one.
+		return fmt.Errorf("server: dataset record %q: %w", dataset, err)
 	}
 	fn(&rec)
 	rec.UpdatedNS = s.nowNS()

@@ -6,10 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"diesel/internal/chunk"
 	"diesel/internal/kvstore"
+	"diesel/internal/meta"
 	"diesel/internal/objstore"
 )
 
@@ -107,16 +109,30 @@ func TestIngestAndGetFile(t *testing.T) {
 }
 
 func TestIngestRejectsCorruptChunk(t *testing.T) {
-	s, _, _, gen := testStack()
+	s, obj, _, gen := testStack()
 	b := chunk.NewBuilder(0, gen, s.nowNS)
 	b.Add("f", []byte("data"))
 	_, enc, _ := b.Seal()
-	enc[30] ^= 0xFF
-	if _, err := s.Ingest("ds", enc); err == nil {
-		t.Fatal("corrupt chunk accepted")
+	// One flipped bit in the header, then one in the payload: each is a
+	// typed rejection that leaves no object and no key behind.
+	for _, c := range []struct {
+		at   int
+		want error
+	}{{25, chunk.ErrHeaderCRC}, {len(enc) - 1, chunk.ErrPayloadCRC}} {
+		bad := bytes.Clone(enc)
+		bad[c.at] ^= 0x01
+		if _, err := s.Ingest("ds", bad); !errors.Is(err, c.want) {
+			t.Fatalf("chunk with byte %d damaged: Ingest returned %v, want %v", c.at, err, c.want)
+		}
+		if n, _ := s.KVSize(); n != 0 || obj.Len() != 0 {
+			t.Fatalf("rejected ingest left %d objects and %d keys behind", obj.Len(), n)
+		}
 	}
 	if _, err := s.DatasetRecord("ds"); !errors.Is(err, ErrNoSuchDataset) {
 		t.Error("rejected ingest created a dataset record")
+	}
+	if _, err := s.Ingest("ds", enc); err != nil {
+		t.Fatalf("the undamaged chunk: %v", err)
 	}
 }
 
@@ -372,5 +388,65 @@ func TestIngestRejectsChunkIDCollision(t *testing.T) {
 	got, err := getFile(s, "ds", "first")
 	if err != nil || string(got) != "original" {
 		t.Fatalf("original chunk damaged: %q, %v", got, err)
+	}
+}
+
+// flakyGets is a Backend whose point reads of the chosen keys fail the way
+// a timed-out or downed metadata node's do.
+type flakyGets struct {
+	*kvstore.Local
+	down func(key string) bool
+}
+
+var errKVDown = errors.New("kv node down")
+
+func (f flakyGets) Get(key string) ([]byte, error) {
+	if f.down(key) {
+		return nil, errKVDown
+	}
+	return f.Local.Get(key)
+}
+
+// TestIngestFailsOnMetadataLookupError: only "not found" means a chunk ID
+// is free or a dataset is new. A lookup that failed fails the ingest —
+// before the object is stored when it is the collision check, and without
+// resetting the dataset record when it is the record's read-modify-write.
+func TestIngestFailsOnMetadataLookupError(t *testing.T) {
+	obj := objstore.NewMemory()
+	var downPrefix string
+	kv := flakyGets{Local: kvstore.NewLocal(), down: func(key string) bool {
+		return downPrefix != "" && strings.HasPrefix(key, downPrefix)
+	}}
+	s := New(kv, obj, func() int64 { return 1 })
+	gen := chunk.NewIDGeneratorAt([6]byte{1, 2, 3, 4, 5, 6}, 42, func() uint32 { return 7 })
+	seal := func(names ...string) []byte {
+		b := chunk.NewBuilder(0, gen, s.nowNS)
+		for _, n := range names {
+			b.Add(n, []byte(n))
+		}
+		_, enc, _ := b.Seal()
+		return enc
+	}
+
+	downPrefix = meta.ChunkScanPrefix("ds")
+	if _, err := s.Ingest("ds", seal("a")); !errors.Is(err, errKVDown) {
+		t.Fatalf("ingest with the chunk-ID lookup failing returned %v", err)
+	}
+	if n, _ := s.KVSize(); n != 0 || obj.Len() != 0 {
+		t.Fatalf("an ingest that could not check for a collision stored %d objects and %d keys", obj.Len(), n)
+	}
+
+	downPrefix = ""
+	if _, err := s.Ingest("ds", seal("a", "b", "c")); err != nil {
+		t.Fatal(err)
+	}
+	downPrefix = meta.DatasetKey("ds")
+	if _, err := s.Ingest("ds", seal("d")); !errors.Is(err, errKVDown) {
+		t.Fatalf("ingest with the dataset-record read failing returned %v", err)
+	}
+	downPrefix = ""
+	rec, err := s.DatasetRecord("ds")
+	if err != nil || rec.FileCount != 3 || rec.ChunkCount != 1 {
+		t.Errorf("dataset record after a failed update = %+v, %v; want the 1 chunk and 3 files counted before it", rec, err)
 	}
 }

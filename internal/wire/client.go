@@ -103,10 +103,10 @@ func (c *Client) Closed() bool {
 }
 
 func (c *Client) readLoop() {
-	// Buffered reads: ReadFrame issues two ReadFulls per frame (header,
-	// body); the bufio layer turns those into one socket read per batch of
-	// frames, and steps aside for a body larger than its buffer, which the
-	// socket then fills directly.
+	// Buffered reads: ReadFrame issues a ReadFull per part of a frame
+	// (header, method, payload); the bufio layer turns those into one socket
+	// read per batch of frames, and steps aside for a payload larger than
+	// its buffer, which the socket then fills directly.
 	br := bufio.NewReaderSize(c.conn, groupBufSize)
 	for {
 		f, err := readFrame(br, c.owns)
@@ -135,7 +135,7 @@ func (c *Client) readLoop() {
 
 // owns reports whether the caller waiting for seq keeps the response
 // payload. A caller that already gave up does not.
-func (c *Client) owns(seq uint64) bool {
+func (c *Client) owns(seq uint64, _ string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.pending[seq].own
@@ -180,7 +180,20 @@ func (c *Client) Call(method string, payload []byte) ([]byte, error) {
 // with the payload before they return should use CallBorrowContext, which
 // keeps the buffer in the pool.
 func (c *Client) CallContext(ctx context.Context, method string, payload []byte) ([]byte, error) {
-	return owned(c.roundTrip(ctx, method, payload, true))
+	return owned(c.roundTrip(ctx, method, payload, nil, true))
+}
+
+// CallLendContext is CallContext with the request payload in two pieces:
+// the server sees head followed by body as one payload. body is lent, not
+// copied: a chunk-sized one goes to a TCP connection from where it lies,
+// in the same writev as the rest of the frame. It must stay unchanged
+// during the call and is the caller's again when the call returns, however
+// it ends — the request is written on the calling goroutine before the
+// call waits for anything, so a call that gives up (deadline, cancel) or
+// fails returns only after the write has finished or failed, and nothing
+// in this package refers to body afterwards.
+func (c *Client) CallLendContext(ctx context.Context, method string, head, body []byte) ([]byte, error) {
+	return owned(c.roundTrip(ctx, method, head, body, true))
 }
 
 // owned detaches the payload of a response read for an owner and recycles
@@ -200,12 +213,13 @@ func owned(f *Frame, err error) ([]byte, error) {
 // Skipping Release is safe (the frame falls to the GC) but forfeits the
 // buffer reuse this path exists for.
 func (c *Client) CallBorrowContext(ctx context.Context, method string, payload []byte) (*Frame, error) {
-	return c.roundTrip(ctx, method, payload, false)
+	return c.roundTrip(ctx, method, payload, nil, false)
 }
 
-// roundTrip is one RPC. own says who gets the response payload: the caller
-// for good (see pendingCall.own), or the pool again on Release.
-func (c *Client) roundTrip(ctx context.Context, method string, payload []byte, own bool) (resp *Frame, err error) {
+// roundTrip is one RPC whose request payload is payload followed by lent
+// (see CallLendContext). own says who gets the response payload: the
+// caller for good (see pendingCall.own), or the pool again on Release.
+func (c *Client) roundTrip(ctx context.Context, method string, payload, lent []byte, own bool) (resp *Frame, err error) {
 	start := time.Now()
 	var sp *tracing.Span
 	if tracing.Enabled() {
@@ -231,14 +245,14 @@ func (c *Client) roundTrip(ctx context.Context, method string, payload []byte, o
 	c.mu.Unlock()
 
 	req := newFrame()
-	req.Kind, req.Seq, req.Method, req.Payload = KindRequest, seq, method, payload
+	req.Kind, req.Seq, req.Method, req.Payload, req.lent = KindRequest, seq, method, payload, lent
 	if sp != nil {
 		// The span rides the frame so the server's handler spans parent
 		// under this call span.
 		req.TraceID, req.SpanID, req.Sampled = sp.TraceID(), sp.SpanID(), true
 	}
 	err = c.gw.writeFrame(req)
-	req.Release() // writeFrame copied the bytes out; recycle the envelope
+	req.Release() // the bytes are written or copied out; recycle the envelope
 	if err != nil {
 		c.mu.Lock()
 		delete(c.pending, seq)
@@ -357,18 +371,26 @@ func (p *Pool) Call(method string, payload []byte) ([]byte, error) {
 // applies per attempt: each attempt's effective deadline is the earlier of
 // the caller's deadline and the per-call timeout.
 func (p *Pool) CallContext(ctx context.Context, method string, payload []byte) ([]byte, error) {
-	return owned(p.roundTrip(ctx, method, payload, true))
+	return owned(p.roundTrip(ctx, method, payload, nil, true))
+}
+
+// CallLendContext is CallContext with a lent request body; see
+// Client.CallLendContext for what the caller may rely on. A request that
+// never reached the wire is retried on the next slot from the same bytes.
+func (p *Pool) CallLendContext(ctx context.Context, method string, head, body []byte) ([]byte, error) {
+	return owned(p.roundTrip(ctx, method, head, body, true))
 }
 
 // CallBorrowContext is CallContext returning the response frame so callers
 // can Borrow the payload zero-copy; see Client.CallBorrowContext for the
 // Release contract.
 func (p *Pool) CallBorrowContext(ctx context.Context, method string, payload []byte) (*Frame, error) {
-	return p.roundTrip(ctx, method, payload, false)
+	return p.roundTrip(ctx, method, payload, nil, false)
 }
 
-// roundTrip is one call with slot failover; own as in Client.roundTrip.
-func (p *Pool) roundTrip(ctx context.Context, method string, payload []byte, own bool) (*Frame, error) {
+// roundTrip is one call with slot failover; lent and own as in
+// Client.roundTrip.
+func (p *Pool) roundTrip(ctx context.Context, method string, payload, lent []byte, own bool) (*Frame, error) {
 	if metricsOn() {
 		mPoolCalls.Inc()
 	}
@@ -389,7 +411,7 @@ func (p *Pool) roundTrip(ctx context.Context, method string, payload []byte, own
 			}
 			continue
 		}
-		resp, err := p.callOne(ctx, c, method, payload, own)
+		resp, err := p.callOne(ctx, c, method, payload, lent, own)
 		if err == nil || IsRemote(err) {
 			return resp, err
 		}
@@ -415,13 +437,13 @@ func (p *Pool) roundTrip(ctx context.Context, method string, payload []byte, own
 // callOne performs one attempt on one pooled connection, bounding it with
 // the pool's per-call timeout (if configured) on top of the caller's
 // context.
-func (p *Pool) callOne(ctx context.Context, c *Client, method string, payload []byte, own bool) (*Frame, error) {
+func (p *Pool) callOne(ctx context.Context, c *Client, method string, payload, lent []byte, own bool) (*Frame, error) {
 	if p.o.callTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, p.o.callTimeout)
 		defer cancel()
 	}
-	return c.roundTrip(ctx, method, payload, own)
+	return c.roundTrip(ctx, method, payload, lent, own)
 }
 
 // acquire returns the slot's live client, redialing if the previous one

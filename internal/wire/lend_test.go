@@ -6,15 +6,20 @@ import (
 	"errors"
 	"io"
 	"net"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// Ownership tests for the two ends of a lent response: the server hands a
+// Ownership tests for the two ends of a lent response — the server hands a
 // body it does not own to the writer and gets it back exactly once; the
 // client hands a payload it read to a caller who keeps it and never sees
-// it again.
+// it again — and, below them, for the two ends of a lent request: the
+// caller's body goes to the socket from where it lies and is the caller's
+// again when the call returns; a handler that keeps its request gets an
+// allocation no pool ever sees.
 
 // pattern is n bytes no two offsets of which repeat within a kilobyte, so a
 // shifted or recycled buffer cannot pass for the original.
@@ -297,5 +302,324 @@ func TestLateResponseIsDropped(t *testing.T) {
 	c.mu.Unlock()
 	if left != 0 {
 		t.Errorf("%d calls still pending after every caller returned", left)
+	}
+}
+
+// rawPeer is the far end of one connection, played by hand: it reads the
+// next n bytes when told to and answers request seq with an empty response.
+type rawPeer struct {
+	addr string
+	conn chan net.Conn
+}
+
+func startRawPeer(t *testing.T) *rawPeer {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &rawPeer{addr: ln.Addr().String(), conn: make(chan net.Conn, 1)}
+	go func() {
+		c, err := ln.Accept()
+		if err == nil {
+			p.conn <- c
+		}
+	}()
+	t.Cleanup(func() { ln.Close() })
+	return p
+}
+
+func lentRequestFrame(seq uint64, head, body []byte) []byte {
+	var whole bytes.Buffer
+	WriteFrame(&whole, &Frame{Kind: KindRequest, Seq: seq, Method: "put", Payload: append(bytes.Clone(head), body...)})
+	return whole.Bytes()
+}
+
+// TestLentRequestGoesOutUnstagedOnTCP: on a TCP connection a chunk-sized
+// lent request body reaches the socket from the caller's memory, in the
+// frame's one writev — with the staging pool emptied beforehand, a call
+// that copied the body anywhere would have to allocate room for it — and
+// what arrives is byte for byte the frame a contiguous payload makes.
+func TestLentRequestGoesOutUnstagedOnTCP(t *testing.T) {
+	peer := startRawPeer(t)
+	c, err := Dial(peer.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	far := <-peer.conn
+	defer far.Close()
+
+	head, body := []byte{9, 8, 7, 6, 5}, pattern(4, 1<<20)
+	keep := bytes.Clone(body)
+	want := lentRequestFrame(1, head, body)
+	got := make([]byte, len(want))
+	readErr := make(chan error, 1)
+	go func() {
+		_, err := io.ReadFull(far, got)
+		if err == nil {
+			err = WriteFrame(far, &Frame{Kind: KindResponse, Seq: 1})
+		}
+		readErr <- err
+	}()
+
+	runtime.GC() // twice: a sync.Pool survives one collection
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := c.CallLendContext(context.Background(), "put", head, body); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if err := <-readErr; err != nil {
+		t.Fatal(err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(len(body))/4 {
+		t.Errorf("the call allocated %d bytes for a %d-byte lent body: it was staged, not sent from where it lies", grew, len(body))
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("head+body request differs on the wire from the contiguous one")
+	}
+	if !bytes.Equal(body, keep) {
+		t.Error("the call modified the lent body")
+	}
+}
+
+// TestLentRequestIsOneWriteOffTCP: through a fault-injected pipe — a
+// writer that drops or severs whole Write calls — every head+body request,
+// coalesced or direct, is exactly one Write, byte-identical to the
+// contiguous frame.
+func TestLentRequestIsOneWriteOffTCP(t *testing.T) {
+	for i, size := range []int{0, 10, groupBufSize + 100} {
+		near, far := net.Pipe()
+		cc := &countingConn{Conn: near}
+		c, err := Dial("pipe", WithDialer(func(string) (net.Conn, error) {
+			return InjectFaults(cc, FaultPlan{}), nil
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		head, body := []byte{byte(i), 1, 2, 3}, pattern(6, size)
+		want := lentRequestFrame(1, head, body)
+		got := make([]byte, len(want))
+		go func() {
+			if _, err := io.ReadFull(far, got); err == nil {
+				WriteFrame(far, &Frame{Kind: KindResponse, Seq: 1})
+			}
+		}()
+		if _, err := c.CallLendContext(context.Background(), "put", head, body); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("size %d: head+body request differs on the wire from the contiguous one", size)
+		}
+		if n := cc.writes.Load(); n != 1 {
+			t.Errorf("size %d: %d Write calls, want 1", size, n)
+		}
+		c.Close()
+		far.Close()
+	}
+}
+
+// TestLentRequestBodyIsTheCallersAgain: however a call with a lent body
+// ends — answered, refused by the handler, never sent, or given up on —
+// the body is unmodified when it returns and nothing reads it afterwards:
+// each case overwrites the body the moment the call is back (under -race a
+// writer still reading it would be a reported race) and then checks what
+// the far end received.
+func TestLentRequestBodyIsTheCallersAgain(t *testing.T) {
+	head := []byte("head")
+	const size = 300_000
+	scribble := func(t *testing.T, body []byte) {
+		t.Helper()
+		if !bytes.Equal(body, pattern(7, size)) {
+			t.Error("the call modified the lent body")
+		}
+		for i := range body {
+			body[i] = 0xDB
+		}
+	}
+	wantPayload := append(bytes.Clone(head), pattern(7, size)...)
+
+	var mu sync.Mutex
+	var kept [][]byte
+	s := NewServer()
+	s.HandleOwned("keep", func(p []byte) ([]byte, error) {
+		mu.Lock()
+		kept = append(kept, p)
+		mu.Unlock()
+		return nil, nil
+	})
+	s.HandleOwned("refuse", func(p []byte) ([]byte, error) {
+		mu.Lock()
+		kept = append(kept, p)
+		mu.Unlock()
+		return nil, errors.New("not today")
+	})
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	for _, method := range []string{"keep", "refuse"} {
+		t.Run(method, func(t *testing.T) {
+			p, err := DialPool(addr, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			body := pattern(7, size)
+			_, err = p.CallLendContext(context.Background(), method, head, body)
+			if (method == "refuse") != IsRemote(err) {
+				t.Fatalf("call returned %v", err)
+			}
+			scribble(t, body)
+			mu.Lock()
+			got := kept[len(kept)-1]
+			mu.Unlock()
+			if !bytes.Equal(got, wantPayload) {
+				t.Error("the handler received something other than head+body")
+			}
+		})
+	}
+
+	t.Run("write error", func(t *testing.T) {
+		c, err := Dial(addr, WithDialer(FaultDialer(FaultPlan{SeverProb: 1})))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		body := pattern(7, size)
+		if _, err := c.CallLendContext(context.Background(), "keep", head, body); !errors.Is(err, ErrNotSent) {
+			t.Fatalf("call on a severed connection returned %v, want ErrNotSent", err)
+		}
+		scribble(t, body)
+	})
+
+	// The pinned rule for a call that gives up: the request is written on
+	// the calling goroutine, so the call cannot return — deadline or not —
+	// before the write has finished or failed. The peer here does not read
+	// until the deadline is long past; the body is larger than the socket
+	// buffers between the two, so the write is still in progress then.
+	t.Run("deadline", func(t *testing.T) {
+		peer := startRawPeer(t)
+		c, err := Dial(peer.addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		far := <-peer.conn
+		defer far.Close()
+		const big = 16 << 20
+		body := pattern(8, big)
+		want := lentRequestFrame(1, head, body)
+		const stall = 150 * time.Millisecond
+		got := make([]byte, len(want))
+		readErr := make(chan error, 1)
+		go func() {
+			time.Sleep(stall)
+			_, err := io.ReadFull(far, got)
+			readErr <- err
+		}()
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		defer cancel()
+		start := time.Now()
+		_, err = c.CallLendContext(ctx, "put", head, body)
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("call returned %v, want a deadline error", err)
+		}
+		if took := time.Since(start); took < stall {
+			t.Errorf("the call returned after %v, while its body was still being written (the peer reads from %v on)", took, stall)
+		}
+		for i := range body {
+			body[i] = 0xDB
+		}
+		if err := <-readErr; err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Error("the peer received something other than the body as it was during the call")
+		}
+	})
+}
+
+// TestOwnedRequestIsExactAndNeverPooled: a handler registered with
+// HandleOwned gets each payload in an allocation of exactly its size that
+// stays what it was while hundreds of further requests of the same sizes
+// run on the same connection; every other handler's payloads still come
+// out of the pools and go back.
+func TestOwnedRequestIsExactAndNeverPooled(t *testing.T) {
+	var mu sync.Mutex
+	var kept [][]byte
+	pooledAt := make(map[*byte]int) // where a pooled 270 kB payload lay → times seen
+	s := NewServer()
+	s.HandleOwned("keep", func(p []byte) ([]byte, error) {
+		mu.Lock()
+		kept = append(kept, p)
+		mu.Unlock()
+		return nil, nil
+	})
+	s.Handle("pooled", func(p []byte) ([]byte, error) {
+		if len(p) == 270_000 {
+			mu.Lock()
+			pooledAt[&p[0]]++
+			mu.Unlock()
+		}
+		return nil, nil
+	})
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	ctx := context.Background()
+	sizes := []int{1, 5000, groupBufSize - 100, groupBufSize + 1, 270_000}
+	var sent [][]byte
+	for i := range 300 {
+		n := sizes[i%len(sizes)]
+		if i%3 == 0 {
+			body := pattern(byte(i), n)
+			sent = append(sent, body)
+			if _, err := c.CallLendContext(ctx, "keep", nil, body); err != nil {
+				t.Fatal(err)
+			}
+		} else if _, err := c.CallContext(ctx, "pooled", pattern(byte(i), n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 50 { // sequential same-size requests: the pool has one buffer to hand back each time
+		if _, err := c.CallContext(ctx, "pooled", pattern(1, 270_000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(kept) != len(sent) {
+		t.Fatalf("handler kept %d payloads of %d sent", len(kept), len(sent))
+	}
+	for i, p := range kept {
+		if cap(p) != len(p) {
+			t.Errorf("kept payload %d: len %d cap %d, want an exact allocation", i, len(p), cap(p))
+		}
+		if !bytes.Equal(p, sent[i]) {
+			t.Errorf("kept payload %d (%d bytes) changed under later requests: its buffer was recycled", i, len(p))
+		}
+		if len(p) > 0 && pooledAt[&p[0]] != 0 {
+			t.Errorf("kept payload %d lies where a pooled request was read", i)
+		}
+	}
+	reused := false
+	for _, n := range pooledAt {
+		reused = reused || n > 1
+	}
+	if !reused {
+		t.Errorf("no pooled request buffer was ever reused across %d places: ordinary requests stopped returning to the pool", len(pooledAt))
 	}
 }

@@ -26,9 +26,10 @@ import (
 // The request payload aliases a pooled frame buffer that is recycled as
 // soon as the response is written: handlers must not retain payload (or
 // sub-slices of it, including strings aliased via Decoder.Bytes32) past
-// return — copy anything that outlives the call. Returning a response that
-// aliases the payload is fine; the frame recycles only after the response
-// reaches the connection's writer.
+// return — copy anything that outlives the call — unless they were
+// registered with HandleOwned. Returning a response that aliases the
+// payload is fine; the frame recycles only after the response reaches the
+// connection's writer.
 type Handler func(payload []byte) ([]byte, error)
 
 // ContextHandler is a Handler that also receives a per-request context.
@@ -79,7 +80,7 @@ type ReplyHandler func(ctx context.Context, payload []byte, r *Reply) error
 // sequence number. One Server instance backs one listening socket.
 type Server struct {
 	mu       sync.RWMutex
-	handlers map[string]ReplyHandler
+	handlers map[string]handlerEntry
 
 	lis      net.Listener
 	conns    sync.WaitGroup
@@ -89,6 +90,14 @@ type Server struct {
 
 	// Stats counts served requests; experiments read it to report QPS.
 	Stats ServerStats
+}
+
+// handlerEntry is one registered method. keeps: the handler keeps its
+// request payload (HandleOwned), so the connection's reader gives each
+// request of this method an allocation of its own.
+type handlerEntry struct {
+	fn    ReplyHandler
+	keeps bool
 }
 
 // ServerStats holds monotonically increasing counters, safe to read while
@@ -102,7 +111,7 @@ type ServerStats struct {
 // NewServer returns a server with no registered methods.
 func NewServer() *Server {
 	return &Server{
-		handlers: make(map[string]ReplyHandler),
+		handlers: make(map[string]handlerEntry),
 		connsSet: make(map[net.Conn]struct{}),
 	}
 }
@@ -110,29 +119,57 @@ func NewServer() *Server {
 // Handle registers fn for the given method name, replacing any previous
 // registration. Registration after Serve has started is allowed.
 func (s *Server) Handle(method string, fn Handler) {
-	s.HandleContext(method, func(_ context.Context, payload []byte) ([]byte, error) {
-		return fn(payload)
-	})
+	s.handle(method, lendResult(withoutContext(fn)), false)
 }
 
 // HandleContext registers a context-aware handler, replacing any previous
 // registration for the method. Handlers that fan out further RPCs should
 // prefer this form so trace context propagates through them.
 func (s *Server) HandleContext(method string, fn ContextHandler) {
-	s.HandleReply(method, func(ctx context.Context, payload []byte, r *Reply) error {
-		out, err := fn(ctx, payload)
-		r.Lend(out, nil)
-		return err
-	})
+	s.handle(method, lendResult(fn), false)
+}
+
+// HandleOwned registers a handler that keeps its request: every payload it
+// is called with is one allocation of exactly the payload's size that the
+// socket read filled and no pool ever sees, and it (with any sub-slice) is
+// the handler's for good — for a request whose bytes outlive the call,
+// such as a chunk on its way into a store, which would otherwise be read
+// into a pooled buffer and copied out of it.
+func (s *Server) HandleOwned(method string, fn Handler) {
+	s.handle(method, lendResult(withoutContext(fn)), true)
 }
 
 // HandleReply registers a handler in the server's own shape, replacing any
 // previous registration for the method — for responses that carry bytes
 // the handler does not own (see Reply.Lend).
 func (s *Server) HandleReply(method string, fn ReplyHandler) {
+	s.handle(method, fn, false)
+}
+
+func withoutContext(fn Handler) ContextHandler {
+	return func(_ context.Context, payload []byte) ([]byte, error) { return fn(payload) }
+}
+
+// lendResult adapts a slice-returning handler to the server's shape.
+func lendResult(fn ContextHandler) ReplyHandler {
+	return func(ctx context.Context, payload []byte, r *Reply) error {
+		out, err := fn(ctx, payload)
+		r.Lend(out, nil)
+		return err
+	}
+}
+
+func (s *Server) handle(method string, fn ReplyHandler, keeps bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.handlers[method] = fn
+	s.handlers[method] = handlerEntry{fn: fn, keeps: keeps}
+}
+
+// keeps reports whether method's handler keeps its request payload.
+func (s *Server) keeps(_ uint64, method string) bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.handlers[method].keeps
 }
 
 // Listen binds addr ("host:port"; ":0" picks a free port) and starts
@@ -192,7 +229,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	var connJob atomic.Pointer[JobIdentity]
 	br := bufio.NewReaderSize(conn, groupBufSize)
 	for {
-		f, err := ReadFrame(br)
+		f, err := readFrame(br, s.keeps)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !s.closed.Load() {
 				var ne net.Error
@@ -225,7 +262,7 @@ func (s *Server) serveConn(conn net.Conn) {
 func (s *Server) dispatch(gw *groupWriter, req *Frame, connJob *atomic.Pointer[JobIdentity]) {
 	start := time.Now()
 	s.mu.RLock()
-	fn := s.handlers[req.Method]
+	fn := s.handlers[req.Method].fn
 	s.mu.RUnlock()
 
 	// Rehydrate the caller's trace context: the handler's spans (kvstore

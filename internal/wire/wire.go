@@ -78,19 +78,20 @@ type Frame struct {
 
 	// lent continues Payload on the wire: the receiver sees Payload+lent as
 	// one payload. The sender does not own it — it is a server handler's
-	// lent response body (Reply.Lend) — so WriteFrame sends it from where it
-	// lies instead of staging a copy of it.
+	// lent response body (Reply.Lend) or a caller's lent request body
+	// (Client.CallLendContext) — so WriteFrame sends it from where it lies
+	// instead of staging a copy of it.
 	lent []byte
 
-	// body is the pooled backing storage for Method and Payload when the
-	// frame came out of ReadFrame; nil for caller-built frames. It stays
-	// with the envelope through the pool, so it only ever holds frames
+	// body is the pooled backing storage for Payload when the frame came out
+	// of ReadFrame; nil for caller-built frames. It stays with the
+	// envelope through the pool, so it only ever holds frames
 	// small enough to be coalesced on the way out (groupBufSize): most
 	// envelopes carry small frames or none (requests being written, owned
 	// reads), and a chunk-sized buffer riding each of them would be held
 	// for nothing.
 	body []byte
-	// big backs Method and Payload of a larger frame instead: a buffer from
+	// big backs the Payload of a larger frame instead: a buffer from
 	// the pool WriteFrame stages large frames in, which holds as many
 	// chunk-sized buffers as are in use at once. Release returns it. A
 	// payload the reader's caller takes (readFrame's own) is in neither.
@@ -260,21 +261,23 @@ func writeFrameBuffered(bw *bufio.Writer, f *Frame) error {
 // stream ends exactly on a frame boundary.
 //
 // The returned frame comes from a pool: its Method is interned, and its
-// Payload points into a pooled body buffer filled by a single ReadFull, so
-// the steady-state fast path allocates nothing. The frame stays valid
+// Payload is a pooled buffer filled by a single ReadFull, so the
+// steady-state fast path allocates nothing. The frame stays valid
 // until the caller invokes Release (optional — an unreleased frame is
 // GC-owned, see Release).
 func ReadFrame(r io.Reader) (*Frame, error) { return readFrame(r, nil) }
 
-// readFrame is ReadFrame with the body's home chosen per frame. When own
-// is non-nil and reports true for the sequence number just read, someone
-// is going to keep the payload: the body is then read straight into one
-// allocation of exactly its size that no pool ever sees — not the frame's
-// pooled buffer, whose power-of-two growth would nearly double a chunk —
-// and it stays valid after Release, which recycles only the envelope.
-// Bodies that do return to a pool keep the geometric growth, so a run of
-// slightly different batch-sized frames settles on one buffer.
-func readFrame(r io.Reader, own func(seq uint64) bool) (*Frame, error) {
+// readFrame is ReadFrame with the payload's home chosen per frame. When
+// own is non-nil and reports true for the sequence number and method just
+// read (a client's read loop knows by the first who keeps a response, a
+// server by the second which handler keeps its request), someone is going
+// to keep the payload: it is then read straight into one allocation of
+// exactly its size that no pool ever sees — not the frame's pooled buffer,
+// whose power-of-two growth would nearly double a chunk — and it stays
+// valid after Release, which recycles only the envelope. Payloads that do
+// return to a pool keep the geometric growth, so a run of slightly
+// different batch-sized frames settles on one buffer.
+func readFrame(r io.Reader, own func(seq uint64, method string) bool) (*Frame, error) {
 	f := newFrame()
 	hdr := f.hdrBuf[:]
 	if _, err := io.ReadFull(r, hdr); err != nil {
@@ -301,26 +304,37 @@ func readFrame(r io.Reader, own func(seq uint64) bool) (*Frame, error) {
 		return nil, ErrBadTraceBlock
 	}
 	f.Sampled = flags&flagSampled != 0
-	need := mlen + plen
-	var body []byte
-	switch {
-	case own != nil && own(f.Seq):
-		body = make([]byte, need)
-	case need > groupBufSize:
-		f.big = getScratch(need)
-		body = f.big.b[:need]
-	default:
-		if cap(f.body) < need {
-			f.body = make([]byte, nextSize(cap(f.body), need))
+	// The method is read by itself: it may decide where the payload goes,
+	// and it is interned, so its bytes are dead before the payload's arrive
+	// and the two can share the frame's buffer.
+	if mlen > 0 {
+		if cap(f.body) < mlen {
+			f.body = make([]byte, nextSize(cap(f.body), mlen))
 		}
-		body = f.body[:need]
+		if _, err := io.ReadFull(r, f.body[:mlen]); err != nil {
+			f.Release()
+			return nil, fmt.Errorf("wire: truncated frame body: %w", err)
+		}
+		f.Method = internMethod(f.body[:mlen])
 	}
-	if _, err := io.ReadFull(r, body); err != nil {
+	var payload []byte
+	switch {
+	case own != nil && own(f.Seq, f.Method):
+		payload = make([]byte, plen)
+	case plen > groupBufSize:
+		f.big = getScratch(plen)
+		payload = f.big.b[:plen]
+	default:
+		if cap(f.body) < plen {
+			f.body = make([]byte, nextSize(cap(f.body), plen))
+		}
+		payload = f.body[:plen]
+	}
+	if _, err := io.ReadFull(r, payload); err != nil {
 		f.Release()
 		return nil, fmt.Errorf("wire: truncated frame body: %w", err)
 	}
-	f.Method = internMethod(body[:mlen])
-	f.Payload = body[mlen:need]
+	f.Payload = payload
 	if metricsOn() {
 		mFramesIn.Inc()
 		mBytesIn.Add(uint64(plen))
