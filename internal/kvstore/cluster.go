@@ -18,9 +18,16 @@ import (
 // mirroring Redis cluster's 16384 slots.
 const NumSlots = 16384
 
-// Slot maps a key to its hash slot.
+// Slot maps a key to its hash slot: CRC-32 (IEEE) of the key, modulo
+// NumSlots. The checksum is computed a byte at a time over the string —
+// crc32.ChecksumIEEE wants a []byte, which is an allocation per key routed,
+// and on keys of a few dozen bytes the table loop is as fast.
 func Slot(key string) int {
-	return int(crc32.ChecksumIEEE([]byte(key)) % NumSlots)
+	crc := ^uint32(0)
+	for i := 0; i < len(key); i++ {
+		crc = crc32.IEEETable[byte(crc)^key[i]] ^ crc>>8
+	}
+	return int(^crc % NumSlots)
 }
 
 // Cluster is a client to a set of KV nodes. Slots are assigned to nodes in

@@ -3,6 +3,8 @@ package kvstore
 import (
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"math/rand"
 	"sort"
 	"strings"
 	"sync"
@@ -219,6 +221,29 @@ func TestSlotStable(t *testing.T) {
 		if s1 != s2 || s1 < 0 || s1 >= NumSlots {
 			t.Errorf("Slot(%q) unstable or out of range: %d, %d", k, s1, s2)
 		}
+	}
+}
+
+// TestSlotMatchesChecksumIEEE: a key's slot decides which node holds it,
+// so the allocation-free loop must route every key where
+// crc32.ChecksumIEEE — what Slot used to call — routed it.
+func TestSlotMatchesChecksumIEEE(t *testing.T) {
+	old := func(key string) int { return int(crc32.ChecksumIEEE([]byte(key)) % NumSlots) }
+	rng := rand.New(rand.NewSource(1))
+	for i := range 20000 {
+		b := make([]byte, i%97)
+		rng.Read(b)
+		key := string(b)
+		if i%2 == 0 {
+			key = fmt.Sprintf("f|ds%d|%016x|img%06d.jpg", i%7, rng.Uint64(), i)
+		}
+		if got, want := Slot(key), old(key); got != want {
+			t.Fatalf("Slot(%q) = %d, crc32.ChecksumIEEE says %d", key, got, want)
+		}
+	}
+	key := "f|imagenet|0123456789abcdef|n01440764_10026.JPEG" // longer than a stack temporary
+	if n := testing.AllocsPerRun(200, func() { Slot(key) }); n != 0 {
+		t.Errorf("Slot allocates %v times a key, want 0", n)
 	}
 }
 

@@ -12,7 +12,6 @@ package meta
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"strings"
 )
 
@@ -107,13 +106,30 @@ func SplitPath(p string) (dir, base string) {
 	return p[:i], p[i+1:]
 }
 
+// dirHash is the 16 lower-case hex digits of the FNV-1a 64-bit hash of a
+// directory path — the form it takes in file and directory keys. It is
+// computed inline and returned by value so the key builders below cost
+// the one allocation of the key itself; keys are persisted, so the digits
+// must stay exactly what hash/fnv and "%016x" produce.
+func dirHash(dir string) (hex [16]byte) {
+	dir = CleanPath(dir)
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(dir); i++ {
+		h ^= uint64(dir[i])
+		h *= 1099511628211
+	}
+	for i := range hex {
+		hex[i] = "0123456789abcdef"[h>>(60-4*i)&15]
+	}
+	return hex
+}
+
 // DirHash returns the stable 64-bit hash of a directory path used in file
 // and directory keys. FNV-1a is stable across processes and platforms,
 // unlike Go's map hash.
 func DirHash(dir string) string {
-	h := fnv.New64a()
-	h.Write([]byte(CleanPath(dir)))
-	return fmt.Sprintf("%016x", h.Sum64())
+	h := dirHash(dir)
+	return string(h[:])
 }
 
 // DatasetKey is the key of a dataset's summary record.
@@ -133,25 +149,29 @@ func ChunkScanPrefix(dataset string) string { return prefixChunk + dataset + "|"
 // FileKey is the key of one file's metadata record.
 func FileKey(dataset, path string) string {
 	dir, base := SplitPath(path)
-	return prefixFile + dataset + "|" + DirHash(dir) + "|" + base
+	h := dirHash(dir)
+	return prefixFile + dataset + "|" + string(h[:]) + "|" + base
 }
 
 // DirEntryKey is the key marking that directory dir contains child
 // directory base.
 func DirEntryKey(dataset, parent, base string) string {
-	return prefixDir + dataset + "|" + DirHash(parent) + "|" + base
+	h := dirHash(parent)
+	return prefixDir + dataset + "|" + string(h[:]) + "|" + base
 }
 
 // FileScanPrefix returns the pscan prefix listing the files of one
 // directory ("pscan hash(dir)/f" in the paper).
 func FileScanPrefix(dataset, dir string) string {
-	return prefixFile + dataset + "|" + DirHash(dir) + "|"
+	h := dirHash(dir)
+	return prefixFile + dataset + "|" + string(h[:]) + "|"
 }
 
 // DirScanPrefix returns the pscan prefix listing the child directories of
 // one directory ("pscan hash(dir)/d" in the paper).
 func DirScanPrefix(dataset, dir string) string {
-	return prefixDir + dataset + "|" + DirHash(dir) + "|"
+	h := dirHash(dir)
+	return prefixDir + dataset + "|" + string(h[:]) + "|"
 }
 
 // BaseFromScanKey extracts the basename from a key returned by a scan with

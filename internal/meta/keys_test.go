@@ -1,6 +1,9 @@
 package meta
 
 import (
+	"fmt"
+	"hash/fnv"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -132,4 +135,83 @@ func TestSplitJoinQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// The key builders as they were before they were made one allocation each:
+// hash/fnv, "%016x" and plain concatenation. Keys are persisted, so the new
+// builders must agree with these byte for byte — one differing digit and
+// every record written before the change is unreachable.
+func oldDirHash(dir string) string {
+	h := fnv.New64a()
+	h.Write([]byte(CleanPath(dir)))
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+func oldFileKey(dataset, path string) string {
+	dir, base := SplitPath(path)
+	return "f|" + dataset + "|" + oldDirHash(dir) + "|" + base
+}
+
+func oldDirEntryKey(dataset, parent, base string) string {
+	return "d|" + dataset + "|" + oldDirHash(parent) + "|" + base
+}
+
+func TestKeysMatchTheOldBuilders(t *testing.T) {
+	check := func(dataset, path string) {
+		t.Helper()
+		dir, base := SplitPath(path)
+		for _, c := range [][2]string{
+			{DirHash(path), oldDirHash(path)},
+			{FileKey(dataset, path), oldFileKey(dataset, path)},
+			{DirEntryKey(dataset, dir, base), oldDirEntryKey(dataset, dir, base)},
+			{FileScanPrefix(dataset, path), "f|" + dataset + "|" + oldDirHash(path) + "|"},
+			{DirScanPrefix(dataset, path), "d|" + dataset + "|" + oldDirHash(path) + "|"},
+		} {
+			if c[0] != c[1] {
+				t.Fatalf("dataset %q path %q: key %q, the old builder made %q", dataset, path, c[0], c[1])
+			}
+		}
+	}
+	for _, p := range []string{"", "/", ".", "a", "a/b", "/a//b/./c/", "train/n01440764/img_0001.jpg",
+		"cls007/img000123.jpg", "ünï/cødé/文件.jpg", "a b/c\td", strings.Repeat("deep/", 200) + "x"} {
+		check("imagenet", p)
+	}
+	// Fuzzed datasets and paths: random bytes (slashes and dots made
+	// likely, so unclean paths are covered), every hash nibble exercised.
+	rng := rand.New(rand.NewSource(1))
+	const alphabet = "//..abcXYZ019_- \x00\xff|é"
+	for range 20000 {
+		ds := make([]byte, rng.Intn(12))
+		for i := range ds {
+			ds[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		p := make([]byte, rng.Intn(64))
+		for i := range p {
+			if rng.Intn(4) == 0 {
+				p[i] = byte(rng.Intn(256))
+			} else {
+				p[i] = alphabet[rng.Intn(len(alphabet))]
+			}
+		}
+		check(string(ds), string(p))
+	}
+}
+
+// TestKeyBuildersAllocateOnce: a key costs the allocation of the key.
+func TestKeyBuildersAllocateOnce(t *testing.T) {
+	ds, path := "imagenet", "train/n01440764/img_0001.jpg"
+	dir, base := SplitPath(path)
+	var sink string
+	for name, f := range map[string]func(){
+		"FileKey":        func() { sink = FileKey(ds, path) },
+		"DirEntryKey":    func() { sink = DirEntryKey(ds, dir, base) },
+		"DirHash":        func() { sink = DirHash(dir) },
+		"FileScanPrefix": func() { sink = FileScanPrefix(ds, dir) },
+		"DirScanPrefix":  func() { sink = DirScanPrefix(ds, dir) },
+	} {
+		if n := testing.AllocsPerRun(200, f); n != 1 {
+			t.Errorf("%s: %v allocations, want 1", name, n)
+		}
+	}
+	_ = sink
 }

@@ -124,6 +124,120 @@ func storeContract(t *testing.T, s Store) {
 	if len(keys) != 2 {
 		t.Errorf("List after delete = %v", keys)
 	}
+
+	lendingContract(t, s)
+}
+
+// lendingContract is storeContract's PooledReader clause (through the
+// package's GetPooled/GetRangePooled, so a Store without the extension is
+// held to it too): pooled reads return the object's bytes, and bytes on loan stay what they were until
+// release whatever happens to their key in the meantime — overwritten by
+// Put, Deleted, Put again, and (under a cache) evicted or demoted to spill
+// by reads of other keys. Memory and Tiered lend the slice they hold, so
+// an overwrite must replace it, never rewrite it. The writer runs beside
+// the checks so -race sees any store that writes into bytes it has lent.
+func lendingContract(t *testing.T, s Store) {
+	t.Helper()
+	if _, _, err := GetPooled(s, "lend/nope"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("GetPooled missing: %v", err)
+	}
+	if _, _, err := GetRangePooled(s, "lend/nope", 0, 1); !errors.Is(err, ErrNotFound) {
+		t.Errorf("GetRangePooled missing: %v", err)
+	}
+
+	want := bytes.Repeat([]byte("0123456789"), 1000)
+	if err := s.Put("lend/k", bytes.Clone(want)); err != nil {
+		t.Fatal(err)
+	}
+	for i := range 4 {
+		if err := s.Put(fmt.Sprintf("lend/o%d", i), bytes.Repeat([]byte{byte('A' + i)}, len(want))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Under a cache the first read is the miss that fills it, the second
+	// the hit; both are loans.
+	type loan struct {
+		b       []byte
+		release func()
+		want    string
+	}
+	var loans []loan
+	for range 2 {
+		b, release, err := GetPooled(s, "lend/k")
+		if err != nil {
+			t.Fatalf("GetPooled: %v", err)
+		}
+		loans = append(loans, loan{b: b, release: release, want: string(want)})
+	}
+	for _, r := range []struct {
+		off, n int64
+		want   string
+	}{{5, 10, "5678901234"}, {9990, -1, "0123456789"}, {9995, 100, "56789"}, {10000, 5, ""}, {0, 0, ""}} {
+		b, release, err := GetRangePooled(s, "lend/k", r.off, r.n)
+		if err != nil {
+			t.Fatalf("GetRangePooled(%d,%d): %v", r.off, r.n, err)
+		}
+		if string(b) != r.want {
+			t.Errorf("GetRangePooled(%d,%d) = %q, want %q", r.off, r.n, b, r.want)
+		}
+		loans = append(loans, loan{b: b, release: release, want: r.want})
+	}
+	if _, _, err := GetRangePooled(s, "lend/k", -1, 5); err == nil {
+		t.Error("GetRangePooled: negative offset accepted")
+	}
+	if _, _, err := GetRangePooled(s, "lend/k", 10001, 5); err == nil {
+		t.Error("GetRangePooled: offset past end accepted")
+	}
+	intact := func(when string) bool {
+		for _, l := range loans {
+			if string(l.b) != l.want {
+				t.Errorf("lent bytes changed %s", when)
+				return false
+			}
+		}
+		return true
+	}
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := range 20 {
+			s.Put("lend/k", bytes.Repeat([]byte{byte('a' + i)}, len(want))) // same size: an in-place store would reuse the slice
+			for j := range 4 {                                              // a cache evicts (and demotes) lend/k for these
+				GetPooled(s, fmt.Sprintf("lend/o%d", j))
+			}
+			GetPooled(s, "lend/k")
+			s.Delete("lend/k")
+		}
+	}()
+	for range 20 {
+		if !intact("under Put, eviction and Delete of their key") {
+			break
+		}
+	}
+	wg.Wait()
+	intact("after Put, eviction and Delete of their key")
+	if err := s.Put("lend/k", bytes.Repeat([]byte{'z'}, len(want))); err != nil {
+		t.Fatal(err)
+	}
+	intact("after their key was Put again")
+	if b, release, err := GetPooled(s, "lend/k"); err != nil || len(b) != len(want) || b[0] != 'z' || b[len(b)-1] != 'z' {
+		t.Errorf("GetPooled after re-Put: %d bytes, %v; want the new object", len(b), err)
+	} else {
+		release()
+	}
+	for _, l := range loans {
+		l.release()
+	}
+	for _, k := range []string{"lend/k", "lend/o0", "lend/o1", "lend/o2", "lend/o3"} {
+		if err := s.Delete(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := GetPooled(s, "lend/k"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("key readable after Delete: %v", err)
+	}
 }
 
 func TestMemoryContract(t *testing.T) { storeContract(t, NewMemory()) }
@@ -147,6 +261,19 @@ func TestTieredContract(t *testing.T) {
 	}
 	defer spilled.Close()
 	storeContract(t, spilled)
+	// A fast tier that holds two of the lending clause's five objects: the
+	// loans outlive eviction, and with a spill level demotion, of their key.
+	storeContract(t, NewTiered(nil, NewMemory(), 25_000))
+	storeContract(t, NewTiered(nil, &Throttled{Base: NewMemory()}, 25_000))
+	demoting := NewTiered(nil, NewMemory(), 25_000)
+	if _, err := demoting.EnableSpill(t.TempDir(), 0); err != nil {
+		t.Fatal(err)
+	}
+	defer demoting.Close()
+	storeContract(t, demoting)
+	if demoting.SpillStats().Demotions == 0 {
+		t.Error("the lending clause never demoted an object to the spill level")
+	}
 }
 
 func TestThrottledContract(t *testing.T) {
@@ -209,58 +336,6 @@ func TestMemoryKeepsThePutSlice(t *testing.T) {
 	got[0] = 'Y' // caller mutates the returned buffer
 	if got2, _ := m.Get("k"); string(got2) != "original" {
 		t.Error("Get returned aliased buffer")
-	}
-}
-
-// TestLentBytesOutliveTheKey: bytes on loan from GetPooled/GetRangePooled
-// stay what they were until release, whatever happens to the key in the
-// meantime — Memory lends its stored slice itself, so an overwrite must
-// replace it, never rewrite it. The writers run beside the reads so -race
-// sees any store that writes into bytes it has lent.
-func TestLentBytesOutliveTheKey(t *testing.T) {
-	disk, err := NewDisk(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, s := range map[string]Store{
-		"memory": NewMemory(), "disk": disk, "throttled": &Throttled{Base: NewMemory()},
-	} {
-		want := bytes.Repeat([]byte("0123456789"), 1000)
-		if err := s.Put("ds/k", want); err != nil {
-			t.Fatal(err)
-		}
-		whole, relWhole, err := GetPooled(s, "ds/k")
-		if err != nil {
-			t.Fatalf("%s: GetPooled: %v", name, err)
-		}
-		part, relPart, err := GetRangePooled(s, "ds/k", 5, 10)
-		if err != nil {
-			t.Fatalf("%s: GetRangePooled: %v", name, err)
-		}
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range 20 {
-				s.Put("ds/k", bytes.Repeat([]byte{byte('a' + i)}, len(want))) // same size: an in-place store would reuse the slice
-				s.Delete("ds/k")
-			}
-		}()
-		for range 20 {
-			if !bytes.Equal(whole, want) || string(part) != "5678901234" {
-				t.Errorf("%s: lent bytes changed under Put/Delete of their key", name)
-				break
-			}
-		}
-		wg.Wait()
-		if !bytes.Equal(whole, want) || string(part) != "5678901234" {
-			t.Errorf("%s: lent bytes changed after Put/Delete of their key", name)
-		}
-		relWhole()
-		relPart()
-		if _, err := s.Get("ds/k"); !errors.Is(err, ErrNotFound) {
-			t.Errorf("%s: key readable after Delete: %v", name, err)
-		}
 	}
 }
 

@@ -54,11 +54,13 @@ func (t *Tiered) Put(key string, data []byte) error {
 	return err
 }
 
-// Get implements Store.
-func (t *Tiered) Get(key string) ([]byte, error) {
+// load returns key's object and whether the fast tier holds the returned
+// slice. A miss reads through — spill level, then slow tier — and offers
+// what it read to the fast tier, which retains the slice it is given.
+func (t *Tiered) load(key string) (b []byte, held bool, err error) {
 	if b, ok := t.fast.Get(key); ok {
 		t.hits.Add(1)
-		return bytes.Clone(b), nil
+		return b, true, nil
 	}
 	t.misses.Add(1)
 	gen := t.fast.Gen(key)
@@ -67,16 +69,34 @@ func (t *Tiered) Get(key string) ([]byte, error) {
 	// verified from local disk.
 	b, ok := t.fast.LoadSpill(key)
 	if !ok {
-		var err error
 		if b, err = t.slow.Get(key); err != nil {
-			return nil, err
+			return nil, false, err
 		}
 	}
-	// The fast tier retains b, so the caller gets its own copy.
-	if _, cached := t.fast.Put(key, b, gen, nil); cached {
-		return bytes.Clone(b), nil
+	_, held = t.fast.Put(key, b, gen, nil)
+	return b, held, nil
+}
+
+// Get implements Store: the caller gets a copy of its own, since the fast
+// tier keeps what load returned.
+func (t *Tiered) Get(key string) ([]byte, error) {
+	b, held, err := t.load(key)
+	if held {
+		b = bytes.Clone(b)
 	}
-	return b, nil
+	return b, err
+}
+
+// GetPooled implements PooledReader by lending what the fast tier holds:
+// tier.Store values are immutable, GC-owned and stay valid after eviction,
+// demotion or Remove, so a hit is lent as it lies and a miss lends the very
+// slice it read and cached. There is nothing to hand back.
+func (t *Tiered) GetPooled(key string) ([]byte, func(), error) {
+	b, _, err := t.load(key)
+	if err != nil {
+		return nil, nil, err
+	}
+	return b, noopRelease, nil
 }
 
 // GetRange implements Store. Ranges are served from whichever tier holds
@@ -88,14 +108,43 @@ func (t *Tiered) GetRange(key string, off, n int64) ([]byte, error) {
 		return sliceRange(b, off, n)
 	}
 	t.misses.Add(1)
-	if size, ok := t.fast.SpillSize(key); ok {
-		if start, end, err := clampRange(size, off, n); err == nil {
-			if b, _, ok := t.fast.ReadSpill(key, start, end-start); ok {
-				return b, nil
-			}
-		}
+	if b, ok := t.spillRange(key, off, n); ok {
+		return b, nil
 	}
 	return t.slow.GetRange(key, off, n)
+}
+
+// GetRangePooled implements PooledReader: GetRange, with a fast-tier hit
+// lent as a window into the cached slice (see GetPooled) — capped, so an
+// append by the borrower cannot reach the bytes behind it.
+func (t *Tiered) GetRangePooled(key string, off, n int64) ([]byte, func(), error) {
+	if b, ok := t.fast.Get(key); ok {
+		t.hits.Add(1)
+		start, end, err := clampRange(int64(len(b)), off, n)
+		if err != nil {
+			return nil, nil, err
+		}
+		return b[start:end:end], noopRelease, nil
+	}
+	t.misses.Add(1)
+	if b, ok := t.spillRange(key, off, n); ok {
+		return b, noopRelease, nil
+	}
+	return GetRangePooled(t.slow, key, off, n)
+}
+
+// spillRange preads a range of a demoted object out of the spill level.
+func (t *Tiered) spillRange(key string, off, n int64) ([]byte, bool) {
+	size, ok := t.fast.SpillSize(key)
+	if !ok {
+		return nil, false
+	}
+	start, end, err := clampRange(size, off, n)
+	if err != nil {
+		return nil, false
+	}
+	b, _, ok := t.fast.ReadSpill(key, start, end-start)
+	return b, ok
 }
 
 // Delete implements Store: removes from the slow tier, then invalidates

@@ -2,11 +2,15 @@ package objstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestTieredSpillAbsorbsEvictions: objects evicted from the fast tier
@@ -225,5 +229,170 @@ func TestTieredEvictionRacesRepromotion(t *testing.T) {
 		if got := tr.FastBytes(); got != int64(resident*size) {
 			t.Fatalf("round %d: fast tier charged %d bytes for %d resident objects of %d", round, got, resident, size)
 		}
+	}
+}
+
+// allocated runs f and returns the heap bytes and objects it allocated.
+func allocated(f func()) (bytes, objects uint64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
+}
+
+// TestTieredLendsWhatItCaches: a pooled read of a cached object is the
+// cached slice itself — no copy, no allocation — a ranged one a capped
+// window into it, and the miss that fills the cache lends the very slice
+// it cached, so a cold read costs one object's worth of memory, not two.
+func TestTieredLendsWhatItCaches(t *testing.T) {
+	const size = 1 << 20
+	slow := NewMemory()
+	tr := NewTiered(nil, &Throttled{Base: slow}, 4*size)
+	obj := bytes.Repeat([]byte("0123456789abcdef"), size/16)
+	tr.Put("ds/k", bytes.Clone(obj))
+
+	var cold []byte
+	coldBytes, _ := allocated(func() { cold, _, _ = tr.GetPooled("ds/k") })
+	if !bytes.Equal(cold, obj) {
+		t.Fatal("cold GetPooled: wrong bytes")
+	}
+	if coldBytes < size || coldBytes > size+size/2 {
+		t.Errorf("cold GetPooled allocated %d bytes for a %d-byte object, want one object's worth", coldBytes, size)
+	}
+	warm, release, err := tr.GetPooled("ds/k")
+	if err != nil || &warm[0] != &cold[0] || len(warm) != size {
+		t.Fatalf("warm GetPooled is not the slice the miss cached and lent (err %v)", err)
+	}
+	release()
+	part, release, err := tr.GetRangePooled("ds/k", 100, 50)
+	if err != nil || &part[0] != &cold[100] || len(part) != 50 {
+		t.Fatalf("warm GetRangePooled is not a window into the cached slice (err %v)", err)
+	}
+	if cap(part) != len(part) {
+		t.Errorf("window has cap %d beyond its len %d: an append would reach the cached bytes behind it", cap(part), len(part))
+	}
+	release()
+	if h, m := tr.HitCount(), tr.MissCount(); h != 2 || m != 1 {
+		t.Errorf("HitCount, MissCount = %d, %d after one cold and two warm pooled reads, want 2, 1", h, m)
+	}
+
+	warmBytes, warmObjects := allocated(func() {
+		for range 100 {
+			_, rel, _ := tr.GetPooled("ds/k")
+			rel()
+			_, rel, _ = tr.GetRangePooled("ds/k", 4096, 8192)
+			rel()
+		}
+	})
+	if warmBytes != 0 || warmObjects != 0 {
+		t.Errorf("200 warm pooled reads allocated %d bytes in %d objects, want 0", warmBytes, warmObjects)
+	}
+
+	// Get and GetRange keep handing out copies of the caller's own.
+	own, _ := tr.Get("ds/k")
+	own[0] ^= 0xFF
+	ownPart, _ := tr.GetRange("ds/k", 0, 16)
+	ownPart[1] ^= 0xFF
+	if !bytes.Equal(cold, obj) {
+		t.Error("a write to what Get/GetRange returned reached the cached object")
+	}
+
+	// A ranged miss neither promotes nor copies: it is the slow tier's loan.
+	tr.Put("ds/cold", bytes.Clone(obj))
+	part, release, err = tr.GetRangePooled("ds/cold", 16, 16)
+	if err != nil || string(part) != "0123456789abcdef" {
+		t.Fatalf("GetRangePooled miss = %q, %v", part, err)
+	}
+	release()
+	if tr.FastBytes() != size {
+		t.Errorf("a ranged miss promoted: fast tier holds %d bytes, want %d", tr.FastBytes(), size)
+	}
+}
+
+// TestTieredPooledReadsSeeWholeObjects: pooled reads beside Puts of the
+// same keys and eviction pressure from others return whole objects — the
+// old one or the new one, never a mix and never bytes a later Put rewrote.
+// Each object carries a CRC of its content.
+func TestTieredPooledReadsSeeWholeObjects(t *testing.T) {
+	const size, keys = 8 << 10, 6
+	object := func(seed uint32) []byte {
+		b := make([]byte, size)
+		for i := 0; i < size-4; i += 4 {
+			seed = seed*1664525 + 1013904223
+			binary.LittleEndian.PutUint32(b[i:], seed)
+		}
+		binary.LittleEndian.PutUint32(b[size-4:], crc32.ChecksumIEEE(b[:size-4]))
+		return b
+	}
+	whole := func(b []byte) bool {
+		return len(b) == size && binary.LittleEndian.Uint32(b[size-4:]) == crc32.ChecksumIEEE(b[:size-4])
+	}
+	for _, spill := range []bool{false, true} {
+		t.Run(fmt.Sprintf("spill=%v", spill), func(t *testing.T) {
+			t.Parallel()
+			tr := NewTiered(nil, NewMemory(), (keys/2)*size) // half the keys fit
+			if spill {
+				if _, err := tr.EnableSpill(t.TempDir(), 0); err != nil {
+					t.Fatal(err)
+				}
+				defer tr.Close()
+			}
+			key := func(i int) string { return fmt.Sprintf("ds/o%d", i%keys) }
+			for i := range keys {
+				tr.Put(key(i), object(uint32(i)))
+			}
+			var stop atomic.Bool
+			var reads atomic.Int64
+			var wg sync.WaitGroup
+			for w := range 4 {
+				wg.Add(1)
+				go func() { // readers: every key in turn, so the fast tier keeps evicting
+					defer wg.Done()
+					var held [][]byte
+					for i := w; !stop.Load(); i++ {
+						b, release, err := tr.GetPooled(key(i))
+						if err != nil || !whole(b) {
+							t.Errorf("GetPooled(%s): %d bytes, %v: not a whole object", key(i), len(b), err)
+							return
+						}
+						release()
+						held = append(held, b) // lent bytes stay valid: checked again below
+						if len(held) == 32 {
+							for _, h := range held {
+								if !whole(h) {
+									t.Errorf("a lent object changed after its key was overwritten or evicted")
+									return
+								}
+							}
+							held = held[:0]
+						}
+						part, release, err := tr.GetRangePooled(key(i+1), size-4, 4)
+						if err != nil || len(part) != 4 {
+							t.Errorf("GetRangePooled(%s): %d bytes, %v", key(i+1), len(part), err)
+							return
+						}
+						release()
+						reads.Add(1)
+					}
+				}()
+			}
+			wg.Add(1)
+			go func() { // the writer replaces objects under the readers
+				defer wg.Done()
+				for v := uint32(keys); !stop.Load(); v++ {
+					if err := tr.Put(key(int(v)), object(v)); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+			time.Sleep(time.Second)
+			stop.Store(true)
+			wg.Wait()
+			if reads.Load() == 0 {
+				t.Error("no read completed")
+			}
+		})
 	}
 }

@@ -167,37 +167,20 @@ func (s *Server) serveGroup(ctx context.Context, dataset string, id chunk.ID, gr
 		wantBytes += r.fr.Length
 	}
 
-	merge := false
-	var hl uint32
-	if s.Exec.Merge {
-		crBytes, err := s.kv.GetContext(ctx, meta.ChunkKey(dataset, idStr))
-		if err != nil {
-			return fmt.Errorf("server: chunk record %s: %w", idStr, err)
-		}
-		cr, err := meta.DecodeChunkRecord(crBytes)
-		if err != nil {
-			return err
-		}
-		hl = cr.HeaderLen
-		if len(grp) >= s.Exec.MinFilesForChunkRead ||
-			(cr.Size > 0 && float64(wantBytes) >= s.Exec.MinSpanFraction*float64(cr.Size)) {
-			merge = true
-		}
-	} else {
-		var err error
-		hl, err = s.headerLen(ctx, dataset, idStr)
-		if err != nil {
-			return err
-		}
+	key, shape, err := s.shapeOf(ctx, dataset, idStr)
+	if err != nil {
+		return err
 	}
+	hl := shape.headerLen
+	merge := s.Exec.Merge && (len(grp) >= s.Exec.MinFilesForChunkRead ||
+		(shape.size > 0 && float64(wantBytes) >= s.Exec.MinSpanFraction*float64(shape.size)))
 	sp.SetAttr("merge", strconv.FormatBool(merge))
 
-	key := ObjectKey(dataset, idStr)
 	if merge {
-		// The whole-chunk read lands in a pooled buffer: emit copies each
-		// requested file out (the batch contract hands owned slices to
-		// the caller), and the multi-megabyte scratch is recycled instead
-		// of churning the GC once per merge.
+		// The whole chunk is on loan — a pooled read buffer, or the cached
+		// chunk itself: emit copies each requested file out (the batch
+		// contract hands owned slices to the caller) and nothing
+		// chunk-sized is allocated per merge.
 		blob, release, err := objstore.GetPooled(s.objects, key)
 		if err != nil {
 			return fmt.Errorf("server: chunk read %s: %w", idStr, err)

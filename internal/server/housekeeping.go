@@ -106,9 +106,7 @@ func (s *Server) Purge(dataset string, gen *chunk.IDGenerator) (PurgeStats, erro
 		if _, err := s.kv.Del(meta.ChunkKey(dataset, idStr)); err != nil {
 			return st, err
 		}
-		s.hdrMu.Lock()
-		delete(s.hdrCache, ObjectKey(dataset, idStr))
-		s.hdrMu.Unlock()
+		s.forgetShapes(ObjectKey(dataset, idStr))
 		st.ChunksRewritten++
 		st.ChunksDeleted++
 	}
@@ -153,6 +151,8 @@ func (s *Server) DeleteDataset(dataset string) error {
 			}
 		}
 	}
+	// Only now: with the chunk records gone no reader can cache one again.
+	s.forgetShapes(keys...)
 	_, err = s.kv.Del(meta.DatasetKey(dataset))
 	return err
 }

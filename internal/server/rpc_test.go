@@ -286,21 +286,22 @@ func TestRPCMalformedPayloads(t *testing.T) {
 	}
 }
 
-func TestHeaderLenCaching(t *testing.T) {
+func TestChunkShapeCaching(t *testing.T) {
 	s, _, kv, gen := testStack()
 	writeFiles(t, s, gen, "ds", 10, 100, 1<<20)
 	snap, _ := s.BuildSnapshot("ds")
-	id := snap.Chunks[0].ID.String()
+	cm := snap.Chunks[0]
+	id := cm.ID.String()
 
-	hl1, err := s.headerLen(context.Background(), "ds", id)
-	if err != nil || hl1 == 0 {
-		t.Fatalf("headerLen = %d, %v", hl1, err)
+	_, sh1, err := s.shapeOf(context.Background(), "ds", id)
+	if err != nil || sh1.headerLen != cm.HeaderLen || sh1.size != cm.Size {
+		t.Fatalf("shapeOf = %+v, %v; the chunk record says header %d, size %d", sh1, err, cm.HeaderLen, cm.Size)
 	}
 	// Delete the chunk record: the cache must still serve the answer.
 	kv.Del(meta.ChunkKey("ds", id))
-	hl2, err := s.headerLen(context.Background(), "ds", id)
-	if err != nil || hl2 != hl1 {
-		t.Errorf("cached headerLen = %d, %v", hl2, err)
+	_, sh2, err := s.shapeOf(context.Background(), "ds", id)
+	if err != nil || sh2 != sh1 {
+		t.Errorf("cached shapeOf = %+v, %v", sh2, err)
 	}
 }
 

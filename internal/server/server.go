@@ -52,7 +52,7 @@ var (
 
 // Server is one DIESEL server instance. Multiple servers may share the
 // same Backend and object store (the paper runs 1, 3 or 5); the server is
-// stateless apart from a header-length cache, so any instance can serve
+// stateless apart from a chunk-shape cache, so any instance can serve
 // any request.
 type Server struct {
 	kv      Backend
@@ -61,8 +61,8 @@ type Server struct {
 
 	dsMu sync.Mutex // serialises read-modify-write of dataset records
 
-	hdrMu    sync.RWMutex
-	hdrCache map[string]uint32 // object key → header length
+	shapeMu sync.RWMutex
+	shapes  map[string]chunkShape // object key → the chunk's immutable shape
 
 	// warming coalesces background dataset warmers (see WarmDatasetAsync).
 	warming sync.Map
@@ -80,11 +80,11 @@ type Server struct {
 // New builds a server over the given metadata backend and object store.
 func New(kv Backend, objects objstore.Store, nowNS func() int64) *Server {
 	return &Server{
-		kv:       kv,
-		objects:  objects,
-		nowNS:    nowNS,
-		hdrCache: make(map[string]uint32),
-		Exec:     DefaultExecutorConfig(),
+		kv:      kv,
+		objects: objects,
+		nowNS:   nowNS,
+		shapes:  make(map[string]chunkShape),
+		Exec:    DefaultExecutorConfig(),
 	}
 }
 
@@ -200,29 +200,60 @@ func (s *Server) StatContext(ctx context.Context, dataset, path string) (meta.Fi
 	return meta.DecodeFileRecord(b)
 }
 
-// headerLen returns the header length of a chunk, consulting the chunk
-// record and caching the answer (headers are immutable once written; the
-// purge rewrites produce new chunk IDs).
-func (s *Server) headerLen(ctx context.Context, dataset, chunkID string) (uint32, error) {
-	key := ObjectKey(dataset, chunkID)
-	s.hdrMu.RLock()
-	hl, ok := s.hdrCache[key]
-	s.hdrMu.RUnlock()
+// chunkShape is the part of a chunk record the read path needs: where the
+// payload starts and how large the stored object is. Both are fixed when
+// the chunk is sealed. A chunk ID is never reused (Purge re-packs into new
+// IDs, a dataset deleted and written again gets new ones, and recovery
+// re-derives the same two numbers from the stored chunk), so a cached
+// shape cannot go stale: at worst it outlives its chunk, and then the
+// object store says so.
+type chunkShape struct {
+	headerLen uint32
+	size      uint64
+}
+
+// maxChunkShapes bounds the shape cache (≈ 100 B an entry, so ≈ 6 MB).
+// When full it is reset wholesale: a miss costs one metadata Get.
+const maxChunkShapes = 1 << 16
+
+// shapeOf returns a chunk's object key — what the cache is keyed by and
+// what the caller reads the object store with next — and its shape, from
+// the cache or, once per chunk, from its chunk record. It is the read
+// path's only use of that record, so a warm batch read costs its one batch
+// stat and nothing more.
+func (s *Server) shapeOf(ctx context.Context, dataset, chunkID string) (key string, sh chunkShape, err error) {
+	key = ObjectKey(dataset, chunkID)
+	s.shapeMu.RLock()
+	sh, ok := s.shapes[key]
+	s.shapeMu.RUnlock()
 	if ok {
-		return hl, nil
+		return key, sh, nil
 	}
 	b, err := s.kv.GetContext(ctx, meta.ChunkKey(dataset, chunkID))
 	if err != nil {
-		return 0, fmt.Errorf("server: chunk record %s: %w", chunkID, err)
+		return "", chunkShape{}, fmt.Errorf("server: chunk record %s: %w", chunkID, err)
 	}
 	cr, err := meta.DecodeChunkRecord(b)
 	if err != nil {
-		return 0, err
+		return "", chunkShape{}, err
 	}
-	s.hdrMu.Lock()
-	s.hdrCache[key] = cr.HeaderLen
-	s.hdrMu.Unlock()
-	return cr.HeaderLen, nil
+	sh = chunkShape{headerLen: cr.HeaderLen, size: cr.Size}
+	s.shapeMu.Lock()
+	if len(s.shapes) >= maxChunkShapes {
+		clear(s.shapes)
+	}
+	s.shapes[key] = sh
+	s.shapeMu.Unlock()
+	return key, sh, nil
+}
+
+// forgetShapes drops cached shapes by object key, for chunks that are gone.
+func (s *Server) forgetShapes(objectKeys ...string) {
+	s.shapeMu.Lock()
+	for _, k := range objectKeys {
+		delete(s.shapes, k)
+	}
+	s.shapeMu.Unlock()
 }
 
 // GetFilePooled reads one file's content via a metadata lookup plus an
@@ -245,14 +276,13 @@ func (s *Server) GetFilePooled(ctx context.Context, dataset, path string) ([]byt
 	if err != nil {
 		return nil, nil, err
 	}
-	idStr := fr.ChunkID.String()
-	hl, err := s.headerLen(ctx, dataset, idStr)
+	key, shape, err := s.shapeOf(ctx, dataset, fr.ChunkID.String())
 	if err != nil {
 		return nil, nil, err
 	}
 	sp = tracing.ChildOf(ctx, "objstore.getRange")
 	b, release, err := objstore.GetRangePooled(s.objects,
-		ObjectKey(dataset, idStr), int64(hl)+int64(fr.Offset), int64(fr.Length))
+		key, int64(shape.headerLen)+int64(fr.Offset), int64(fr.Length))
 	sp.SetAttr("bytes", fmt.Sprint(len(b)))
 	sp.SetError(err)
 	sp.End()
