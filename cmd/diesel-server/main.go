@@ -39,6 +39,11 @@ import (
 // requests admitted).
 const sloBudget = 0.01
 
+// kvCallTimeout is the per-RPC deadline of metadata KV calls. Idempotent KV
+// reads retry kvstore.Options' default of two extra attempts after a
+// transport failure; writes never retry.
+const kvCallTimeout = 5 * time.Second
+
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7400", "listen address")
 	kvAddrs := flag.String("kv", "", "comma-separated kvnode addresses (required)")
@@ -47,9 +52,6 @@ func main() {
 	cacheSpillDir := flag.String("cache-spill-dir", "", "local-disk spill tier under the -ssd-cache fast tier: evicted objects demote here and a restarted server rewarms from it (requires -ssd-cache)")
 	cacheSpillBytes := flag.Int64("cache-spill-bytes", 0, "spill-tier disk budget in bytes (0 = unlimited)")
 	metricsAddr := flag.String("metrics", "", "serve /metrics, /healthz, /debug/pprof and /debug/traces on this address (empty = disabled)")
-	kvTimeout := flag.Duration("kv-timeout", 5*time.Second, "per-RPC deadline for metadata KV calls (0 = none)")
-	kvRetries := flag.Int("kv-retries", 2, "extra attempts for idempotent KV reads after a transport failure (writes never retry; negative disables)")
-	traceRate := flag.Float64("trace", 0, "record locally-rooted trace sample rate in [0,1] (remotely-sampled requests are always recorded)")
 	jobEtcd := flag.String("job-etcd", "", "etcd registry address backing the job roster, shared across servers (empty = per-process roster)")
 	quotaSpec := flag.String("tenant-quotas", "", `per-tenant admission quotas: "tenant=qps:bytes_per_sec;..." (0 leaves a dimension unlimited)`)
 	fairLimit := flag.Int("fair-limit", 0, "bound concurrent reads; queued requests dispatch across jobs by weighted stride scheduling (0 = unbounded)")
@@ -60,22 +62,19 @@ func main() {
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	slog.SetDefault(logger)
+	// A server roots no traces of its own; it records the spans of requests
+	// whose callers sampled them (the trace block on the wire).
 	tracing.SetProcess("diesel-server")
-	tracing.SetSampleRate(*traceRate)
+	tracing.SetSampleRate(0)
 	tracing.EnableTracing(true)
 
 	if *kvAddrs == "" {
 		logger.Error("diesel-server: -kv is required")
 		os.Exit(1)
 	}
-	maxRetries := *kvRetries
-	if maxRetries <= 0 {
-		maxRetries = -1 // Options treats 0 as "default"; negative disables
-	}
 	kv, err := kvstore.DialClusterOpts(strings.Split(*kvAddrs, ","), kvstore.Options{
 		ConnsPerNode: 4,
-		CallTimeout:  *kvTimeout,
-		MaxRetries:   maxRetries,
+		CallTimeout:  kvCallTimeout,
 	})
 	if err != nil {
 		logger.Error("diesel-server: dial kv cluster failed", "err", err)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
 	"diesel/internal/client"
 	"diesel/internal/server"
@@ -14,7 +13,7 @@ import (
 // job roster (shared through the metadata cluster), fair-gate weights and
 // tenant quotas are per-server state, so the change is pushed to each
 // address and any failure is reported against its server.
-func runAdmin(servers []string, callTimeout time.Duration, args []string) error {
+func runAdmin(servers []string, args []string) error {
 	if len(args) < 1 {
 		return fmt.Errorf("usage: admin set-weight <job> <weight> | admin set-quota <tenant> <qps> <bytes_per_sec>")
 	}
@@ -48,7 +47,7 @@ func runAdmin(servers []string, callTimeout time.Duration, args []string) error 
 		}
 		return apply(fmt.Sprintf("job %q fair-share weight set to %g", rest[0], w),
 			func(addr string) error {
-				return client.AdminSetWeight(addr, callTimeout, rest[0], w)
+				return client.AdminSetWeight(addr, rest[0], w)
 			})
 
 	case "set-quota":
@@ -66,7 +65,7 @@ func runAdmin(servers []string, callTimeout time.Duration, args []string) error 
 		q := server.TenantQuota{QPS: qps, BytesPerSec: bps}
 		return apply(fmt.Sprintf("tenant %q quota set to %g qps, %g B/s", rest[0], qps, bps),
 			func(addr string) error {
-				return client.AdminSetQuota(addr, callTimeout, rest[0], q)
+				return client.AdminSetQuota(addr, rest[0], q)
 			})
 
 	default:

@@ -74,8 +74,6 @@ import (
 func main() {
 	servers := flag.String("servers", "127.0.0.1:7400", "comma-separated DIESEL server addresses")
 	dataset := flag.String("dataset", "", "dataset name (required)")
-	callTimeout := flag.Duration("call-timeout", 0, "per-RPC deadline (0 = none; a hung server then blocks forever)")
-	retries := flag.Int("retries", 2, "extra attempts for idempotent reads after a transport failure (writes never retry; negative disables)")
 	traceRate := flag.Float64("trace", 0, "trace sample rate in [0,1] (0 = tracing off)")
 	flag.Parse()
 	if *traceRate > 0 {
@@ -117,13 +115,13 @@ func main() {
 	// skip the client connection (and the -dataset requirement) and talk
 	// to the servers directly.
 	if flag.NArg() > 0 && flag.Arg(0) == "jobs" {
-		if err := runJobs(strings.Split(*servers, ","), *callTimeout); err != nil {
+		if err := runJobs(strings.Split(*servers, ",")); err != nil {
 			log.Fatalf("dlcmd jobs: %v", err)
 		}
 		return
 	}
 	if flag.NArg() > 0 && flag.Arg(0) == "admin" {
-		if err := runAdmin(strings.Split(*servers, ","), *callTimeout, flag.Args()[1:]); err != nil {
+		if err := runAdmin(strings.Split(*servers, ","), flag.Args()[1:]); err != nil {
 			log.Fatalf("dlcmd admin: %v", err)
 		}
 		return
@@ -133,16 +131,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	maxRetries := *retries
-	if maxRetries <= 0 {
-		maxRetries = -1 // Options treats 0 as "default"; negative disables
-	}
+	// No per-RPC deadline (a hung server blocks until Ctrl-C) and the
+	// library's default of two retries for idempotent reads.
 	c, err := client.Connect(client.Options{
 		User: "dlcmd", Key: "",
-		Servers:     strings.Split(*servers, ","),
-		Dataset:     *dataset,
-		CallTimeout: *callTimeout,
-		MaxRetries:  maxRetries,
+		Servers: strings.Split(*servers, ","),
+		Dataset: *dataset,
 	})
 	if err != nil {
 		log.Fatalf("dlcmd: %v", err)
@@ -159,10 +153,10 @@ func main() {
 // runJobs prints the job roster of the first server that answers. All
 // servers of one deployment share the roster through the metadata
 // cluster, so any single answer is the whole picture.
-func runJobs(servers []string, callTimeout time.Duration) error {
+func runJobs(servers []string) error {
 	var lastErr error
 	for _, addr := range servers {
-		jobs, err := client.ListJobs(strings.TrimSpace(addr), callTimeout)
+		jobs, err := client.ListJobs(strings.TrimSpace(addr))
 		if err != nil {
 			lastErr = err
 			continue

@@ -98,7 +98,7 @@ func (b *Builder) Seal() (*Header, []byte, error) {
 	}
 	h := b.header()
 	h.Deleted = NewBitmap(len(b.entries))
-	encoded := Encode(&h, b.payload)
+	encoded := encode(&h, b.payload)
 	b.entries = nil // the header's now
 	b.reset()
 	return &h, encoded, nil

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"sync"
 )
 
 // DefaultTargetSize is the chunk payload size at which a Builder seals,
@@ -55,9 +54,6 @@ type Header struct {
 	Entries    []FileEntry
 	PayloadLen uint64
 }
-
-// DeletedCount returns the number of set bits in the deletion bitmap.
-func (h *Header) DeletedCount() int { return h.Deleted.Count() }
 
 // EncodedHeaderLen returns the byte length of the serialised header, i.e.
 // the offset at which the payload region begins. File content of entry e
@@ -117,14 +113,6 @@ func (b Bitmap) Set(i int) {
 	b[i/8] |= 1 << (uint(i) % 8)
 }
 
-// Clear clears bit i.
-func (b Bitmap) Clear(i int) {
-	if i < 0 || i/8 >= len(b) {
-		return
-	}
-	b[i/8] &^= 1 << (uint(i) % 8)
-}
-
 // Count returns the number of set bits.
 func (b Bitmap) Count() int {
 	n := 0
@@ -136,13 +124,10 @@ func (b Bitmap) Count() int {
 	return n
 }
 
-// Clone returns an independent copy.
-func (b Bitmap) Clone() Bitmap { return append(Bitmap(nil), b...) }
-
-// Encode serialises a complete chunk: header, bitmap, entry table and
+// encode serialises a complete chunk: header, bitmap, entry table and
 // payload. The payload slice must contain the file contents at the offsets
 // recorded in h.Entries.
-func Encode(h *Header, payload []byte) []byte {
+func encode(h *Header, payload []byte) []byte {
 	headerLen := h.EncodedHeaderLen()
 	buf := make([]byte, headerLen+len(payload))
 	copy(buf[headerLen:], payload)
@@ -242,12 +227,6 @@ func ParseHeader(b []byte) (*Header, int, error) {
 type Chunk struct {
 	Header  *Header
 	payload []byte
-
-	// nameIdx maps entry name → index, built lazily on the first File
-	// lookup so sequential whole-chunk consumers (the epoch reader walks
-	// entries by position) never pay for it.
-	nameOnce sync.Once
-	nameIdx  map[string]int
 }
 
 // Parse decodes a full serialised chunk and verifies both checksums.
@@ -334,22 +313,6 @@ func (c *Chunk) FileAt(i int) ([]byte, error) {
 		return nil, ErrTruncated
 	}
 	return c.payload[e.Offset : e.Offset+e.Length], nil
-}
-
-// File returns the content of the file with the given name. The first
-// lookup builds a cached name index, so repeated by-name reads of one
-// parsed chunk cost one map hit instead of an entry-table scan.
-func (c *Chunk) File(name string) ([]byte, error) {
-	c.nameOnce.Do(func() {
-		c.nameIdx = make(map[string]int, len(c.Header.Entries))
-		for i, e := range c.Header.Entries {
-			c.nameIdx[e.Name] = i
-		}
-	})
-	if i, ok := c.nameIdx[name]; ok {
-		return c.FileAt(i)
-	}
-	return nil, fmt.Errorf("%w: %q", ErrNoSuchFile, name)
 }
 
 // Window returns the [off, off+length) sub-slice of the payload region —

@@ -58,23 +58,6 @@ var decodeTable = func() [256]int8 {
 // Timestamp returns the chunk creation time as Unix seconds.
 func (id ID) Timestamp() uint32 { return binary.BigEndian.Uint32(id[0:4]) }
 
-// Machine returns the 6-byte machine identifier field.
-func (id ID) Machine() [6]byte {
-	var m [6]byte
-	copy(m[:], id[4:10])
-	return m
-}
-
-// PID returns the 24-bit process ID field.
-func (id ID) PID() uint32 {
-	return uint32(id[10])<<16 | uint32(id[11])<<8 | uint32(id[12])
-}
-
-// Counter returns the 24-bit per-second counter field.
-func (id ID) Counter() uint32 {
-	return uint32(id[13])<<16 | uint32(id[14])<<8 | uint32(id[15])
-}
-
 // String renders the ID as 22 printable characters using an
 // order-preserving base64 alphabet (see sortAlphabet).
 func (id ID) String() string {

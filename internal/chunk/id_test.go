@@ -1,6 +1,7 @@
 package chunk
 
 import (
+	"bytes"
 	"sort"
 	"sync"
 	"testing"
@@ -12,24 +13,29 @@ func testGen(sec uint32) *IDGenerator {
 	return NewIDGeneratorAt([6]byte{1, 2, 3, 4, 5, 6}, 777, func() uint32 { return s })
 }
 
+// counterOf returns the 24-bit per-second counter field.
+func counterOf(id ID) uint32 {
+	return uint32(id[13])<<16 | uint32(id[14])<<8 | uint32(id[15])
+}
+
 func TestIDFields(t *testing.T) {
 	g := NewIDGeneratorAt([6]byte{0xAA, 0xBB, 0xCC, 0xDD, 0xEE, 0xFF}, 0x123456, func() uint32 { return 1_600_000_000 })
 	id := g.Next()
 	if id.Timestamp() != 1_600_000_000 {
 		t.Errorf("Timestamp = %d", id.Timestamp())
 	}
-	if m := id.Machine(); m != [6]byte{0xAA, 0xBB, 0xCC, 0xDD, 0xEE, 0xFF} {
-		t.Errorf("Machine = %x", m)
+	if m := id[4:10]; !bytes.Equal(m, []byte{0xAA, 0xBB, 0xCC, 0xDD, 0xEE, 0xFF}) {
+		t.Errorf("machine field = %x", m)
 	}
-	if id.PID() != 0x123456 {
-		t.Errorf("PID = %x", id.PID())
+	if pid := id[10:13]; !bytes.Equal(pid, []byte{0x12, 0x34, 0x56}) {
+		t.Errorf("process field = %x", pid)
 	}
-	if id.Counter() != 0 {
-		t.Errorf("Counter = %d", id.Counter())
+	if counterOf(id) != 0 {
+		t.Errorf("Counter = %d", counterOf(id))
 	}
 	id2 := g.Next()
-	if id2.Counter() != 1 {
-		t.Errorf("second Counter = %d", id2.Counter())
+	if counterOf(id2) != 1 {
+		t.Errorf("second Counter = %d", counterOf(id2))
 	}
 }
 
@@ -93,8 +99,8 @@ func TestIDGeneratorCounterOverflow(t *testing.T) {
 	if b.Timestamp() != a.Timestamp()+1 {
 		t.Errorf("timestamp should advance on overflow: %d -> %d", a.Timestamp(), b.Timestamp())
 	}
-	if b.Counter() != 0 {
-		t.Errorf("counter should reset, got %d", b.Counter())
+	if counterOf(b) != 0 {
+		t.Errorf("counter should reset, got %d", counterOf(b))
 	}
 }
 
@@ -170,7 +176,7 @@ func TestIDsSortByWriteOrder(t *testing.T) {
 func TestNewIDGeneratorDefaultMachine(t *testing.T) {
 	g := NewIDGenerator(func() uint32 { return 1 })
 	id := g.Next()
-	if id.Machine() == [6]byte{} {
+	if [6]byte(id[4:10]) == [6]byte{} {
 		t.Skip("machine ID all zeros (no interfaces and zero random draw is astronomically unlikely)")
 	}
 }

@@ -1,29 +1,19 @@
 package client
 
 import (
-	"time"
-
 	"diesel/internal/server"
 	"diesel/internal/wire"
 )
 
 // Admin helpers: one-shot calls to the server's live-retuning RPCs,
 // shaped like ListJobs — they dial a single server address directly
-// (no dataset handle needed) and are what `dlcmd admin` rides.
-
-// dialAdmin opens a short-lived admin connection.
-func dialAdmin(addr string, callTimeout time.Duration) (*wire.Client, error) {
-	var opts []wire.Option
-	if callTimeout > 0 {
-		opts = append(opts, wire.WithCallTimeout(callTimeout))
-	}
-	return wire.Dial(addr, opts...)
-}
+// (no dataset handle needed, no call deadline) and are what `dlcmd admin`
+// rides.
 
 // AdminSetWeight sets a job's fair-share dispatch weight on the server
 // at addr (takes effect on the next dispatch decision).
-func AdminSetWeight(addr string, callTimeout time.Duration, job string, weight float64) error {
-	wc, err := dialAdmin(addr, callTimeout)
+func AdminSetWeight(addr, job string, weight float64) error {
+	wc, err := wire.Dial(addr)
 	if err != nil {
 		return err
 	}
@@ -38,8 +28,8 @@ func AdminSetWeight(addr string, callTimeout time.Duration, job string, weight f
 // AdminSetQuota installs (or replaces) a tenant's admission quota on the
 // server at addr. Zero limits leave that axis unlimited; an all-zero
 // quota keeps the tenant accounted but unthrottled.
-func AdminSetQuota(addr string, callTimeout time.Duration, tenant string, q server.TenantQuota) error {
-	wc, err := dialAdmin(addr, callTimeout)
+func AdminSetQuota(addr, tenant string, q server.TenantQuota) error {
+	wc, err := wire.Dial(addr)
 	if err != nil {
 		return err
 	}

@@ -3,7 +3,6 @@ package client
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"diesel/internal/server"
 )
@@ -16,7 +15,7 @@ func TestAdminRetuning(t *testing.T) {
 	}
 	defer rpc.Close()
 
-	if err := AdminSetWeight(rpc.Addr(), time.Second, "job-a", 4); err != nil {
+	if err := AdminSetWeight(rpc.Addr(), "job-a", 4); err != nil {
 		t.Fatalf("AdminSetWeight: %v", err)
 	}
 	if got := core.Fair.Weight("job-a"); got != 4 {
@@ -24,7 +23,7 @@ func TestAdminRetuning(t *testing.T) {
 	}
 
 	want := server.TenantQuota{QPS: 123, BytesPerSec: 1 << 20}
-	if err := AdminSetQuota(rpc.Addr(), time.Second, "alice", want); err != nil {
+	if err := AdminSetQuota(rpc.Addr(), "alice", want); err != nil {
 		t.Fatalf("AdminSetQuota: %v", err)
 	}
 	if got, ok := core.TenantQuotaOf("alice"); !ok || got != want {
@@ -33,7 +32,7 @@ func TestAdminRetuning(t *testing.T) {
 
 	// Replacing a quota takes effect in place.
 	want2 := server.TenantQuota{QPS: 7}
-	if err := AdminSetQuota(rpc.Addr(), time.Second, "alice", want2); err != nil {
+	if err := AdminSetQuota(rpc.Addr(), "alice", want2); err != nil {
 		t.Fatalf("AdminSetQuota (replace): %v", err)
 	}
 	if got, _ := core.TenantQuotaOf("alice"); got != want2 {
@@ -49,19 +48,19 @@ func TestAdminValidation(t *testing.T) {
 	}
 	defer rpc.Close()
 
-	if err := AdminSetWeight(rpc.Addr(), time.Second, "", 2); err == nil ||
+	if err := AdminSetWeight(rpc.Addr(), "", 2); err == nil ||
 		!strings.Contains(err.Error(), "empty job") {
 		t.Fatalf("empty job accepted: %v", err)
 	}
-	if err := AdminSetWeight(rpc.Addr(), time.Second, "j", -1); err == nil ||
+	if err := AdminSetWeight(rpc.Addr(), "j", -1); err == nil ||
 		!strings.Contains(err.Error(), "weight") {
 		t.Fatalf("negative weight accepted: %v", err)
 	}
-	if err := AdminSetQuota(rpc.Addr(), time.Second, "", server.TenantQuota{}); err == nil ||
+	if err := AdminSetQuota(rpc.Addr(), "", server.TenantQuota{}); err == nil ||
 		!strings.Contains(err.Error(), "empty tenant") {
 		t.Fatalf("empty tenant accepted: %v", err)
 	}
-	if err := AdminSetQuota(rpc.Addr(), time.Second, "t", server.TenantQuota{QPS: -5}); err == nil ||
+	if err := AdminSetQuota(rpc.Addr(), "t", server.TenantQuota{QPS: -5}); err == nil ||
 		!strings.Contains(err.Error(), ">= 0") {
 		t.Fatalf("negative qps accepted: %v", err)
 	}

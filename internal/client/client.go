@@ -81,8 +81,6 @@ type Options struct {
 	// Rank identifies this client among the task's I/O workers; the
 	// distributed cache elects the smallest rank per node as master.
 	Rank int
-	// NowNS supplies timestamps (defaults to time.Now).
-	NowNS func() int64
 	// CallTimeout bounds every RPC round trip; 0 disables deadlines. A
 	// hung server then fails calls instead of wedging the training loop.
 	CallTimeout time.Duration
@@ -169,9 +167,6 @@ func Connect(opts Options) (*Client, error) {
 	if opts.ConnsPerServer < 1 {
 		opts.ConnsPerServer = 2
 	}
-	if opts.NowNS == nil {
-		opts.NowNS = func() int64 { return time.Now().UnixNano() }
-	}
 	if opts.MaxRetries == 0 {
 		opts.MaxRetries = 2
 	} else if opts.MaxRetries < 0 {
@@ -230,16 +225,19 @@ func (c *Client) Dataset(name string) (*Dataset, error) {
 		return d, nil
 	}
 	gen := chunk.NewIDGeneratorAt(clientMachineID(c.opts.Rank), clientPID(), func() uint32 {
-		return uint32(c.opts.NowNS() / 1e9)
+		return uint32(nowNS() / 1e9)
 	})
 	d := &Dataset{
 		c:       c,
 		name:    name,
-		builder: chunk.NewBuilder(c.opts.ChunkTarget, gen, c.opts.NowNS),
+		builder: chunk.NewBuilder(c.opts.ChunkTarget, gen, nowNS),
 	}
 	c.handles[name] = d
 	return d, nil
 }
+
+// nowNS stamps chunk IDs and chunk headers.
+func nowNS() int64 { return time.Now().UnixNano() }
 
 // --- job lease ---
 
@@ -265,7 +263,7 @@ func (c *Client) registerJob() (time.Duration, error) {
 	e.String(c.opts.Dataset)
 	e.String(c.opts.Tenant)
 	e.Uint32(uint32(c.opts.Rank))
-	resp, err := callIdem(context.Background(), c, (*wire.Pool).CallContext, server.MethodJobRegister, e.Bytes())
+	resp, err := c.callIdem(context.Background(), server.MethodJobRegister, e.Bytes())
 	if err != nil {
 		return 0, err
 	}
@@ -299,7 +297,7 @@ func (c *Client) heartbeatLoop() {
 		case <-t.C:
 			e := wire.NewEncoder(32)
 			e.String(c.opts.JobID)
-			_, err := callIdem(context.Background(), c, (*wire.Pool).CallContext, server.MethodJobHeartbeat, e.Bytes())
+			_, err := c.callIdem(context.Background(), server.MethodJobHeartbeat, e.Bytes())
 			c.Stats.Heartbeats.Add(1)
 			if err != nil && wire.IsRemote(err) && strings.Contains(err.Error(), "unknown job") {
 				_, _ = c.registerJob()
@@ -364,16 +362,12 @@ func (c *Client) nextPool() *wire.Pool {
 
 // callIdem is the read path's call: wire.Retry around a round-robin pick,
 // so each retry lands on the next server — the paper's interchangeable-
-// servers property is what makes this safe and useful. call says who gets
-// the response payload: (*wire.Pool).CallContext hands it to the caller for
-// good (Get and GetChunk, whose bytes outlive the call, and the cold
-// metadata calls); (*wire.Pool).CallBorrowContext lends a pooled frame that
-// GetBatch copies its files out of and Releases.
-func callIdem[T any](ctx context.Context, c *Client,
-	call func(*wire.Pool, context.Context, string, []byte) (T, error),
-	method string, payload []byte) (T, error) {
+// servers property is what makes this safe and useful. The response payload
+// is the caller's for good (wire's CallContext): an allocation of its exact
+// size that the read paths hand out windows into.
+func (c *Client) callIdem(ctx context.Context, method string, payload []byte) ([]byte, error) {
 	resp, attempts, err := wire.Retry(ctx, c.opts.MaxRetries, c.opts.RetryBackoff, c.noteRetry,
-		func() (T, error) { return call(c.nextPool(), ctx, method, payload) })
+		func() ([]byte, error) { return c.nextPool().CallContext(ctx, method, payload) })
 	if err != nil && !wire.IsRemote(err) {
 		err = fmt.Errorf("client: %s failed after %d attempts: %w", method, attempts, err)
 	}

@@ -146,7 +146,7 @@ func (d *Dataset) GetDirect(ctx context.Context, path string) (out []byte, err e
 	e := wire.AcquireEncoder(len(path) + len(d.name) + 16)
 	e.String(d.name)
 	e.String(meta.CleanPath(path))
-	resp, err := callIdem(ctx, d.c, (*wire.Pool).CallContext, server.MethodGet, e.Bytes())
+	resp, err := d.c.callIdem(ctx, server.MethodGet, e.Bytes())
 	e.Release()
 	if err != nil {
 		return nil, err
@@ -158,7 +158,9 @@ func (d *Dataset) GetDirect(ctx context.Context, path string) (out []byte, err e
 }
 
 // GetBatch reads many files in one server round trip, exercising the
-// request executor's sort-and-merge (missing files yield nil entries).
+// request executor's sort-and-merge (missing files yield nil entries). The
+// files are windows into one response allocation, like GetDirect's and
+// GetChunk's: the caller owns them, and retaining one retains the batch.
 func (d *Dataset) GetBatch(ctx context.Context, paths []string) (out [][]byte, err error) {
 	ctx, sp := tracing.StartSpan(ctx, "client.getBatch")
 	sp.SetAttr("files", strconv.Itoa(len(paths)))
@@ -170,31 +172,29 @@ func (d *Dataset) GetBatch(ctx context.Context, paths []string) (out [][]byte, e
 	e := wire.AcquireEncoder(64)
 	e.String(d.name)
 	e.StringSlice(cleaned)
-	resp, err := callIdem(ctx, d.c, (*wire.Pool).CallBorrowContext, server.MethodGetBatch, e.Bytes())
+	resp, err := d.c.callIdem(ctx, server.MethodGetBatch, e.Bytes())
 	e.Release()
 	if err != nil {
 		return nil, err
 	}
-	// Each present entry is copied out of the borrowed frame; the frame
-	// itself is recycled once the batch is unpacked.
-	dec := wire.NewDecoder(resp.Borrow())
+	// The response payload is the caller's (see GetChunk): each present
+	// file is a window into it, capped so that an append to one file cannot
+	// reach the next. Retaining one file retains the whole batch.
+	dec := wire.NewDecoder(resp)
 	n := int(dec.Uint32())
 	if n != len(paths) {
-		resp.Release()
 		return nil, fmt.Errorf("client: batch size mismatch: %d vs %d", n, len(paths))
 	}
 	out = make([][]byte, n)
-	for i := range n {
+	for i := range out {
 		present := dec.Bool()
 		b := dec.Bytes32()
 		if present {
-			out[i] = append([]byte(nil), b...)
+			out[i] = b[:len(b):len(b)]
 		}
 	}
 	d.c.Stats.Gets.Add(uint64(n))
-	err = dec.Err()
-	resp.Release()
-	if err != nil {
+	if err := dec.Err(); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -210,7 +210,7 @@ func (d *Dataset) GetChunk(ctx context.Context, chunkID string) (out []byte, err
 	e := wire.AcquireEncoder(len(chunkID) + len(d.name) + 16)
 	e.String(d.name)
 	e.String(chunkID)
-	resp, err := callIdem(ctx, d.c, (*wire.Pool).CallContext, server.MethodGetChunk, e.Bytes())
+	resp, err := d.c.callIdem(ctx, server.MethodGetChunk, e.Bytes())
 	e.Release()
 	if err != nil {
 		return nil, err
@@ -247,7 +247,7 @@ func (d *Dataset) Stat(path string) (StatInfo, error) {
 	e := wire.NewEncoder(64)
 	e.String(d.name)
 	e.String(meta.CleanPath(path))
-	resp, err := callIdem(context.Background(), d.c, (*wire.Pool).CallContext, server.MethodStat, e.Bytes())
+	resp, err := d.c.callIdem(context.Background(), server.MethodStat, e.Bytes())
 	if err != nil {
 		return StatInfo{}, err
 	}
@@ -281,7 +281,7 @@ func (d *Dataset) Ls(dir string) ([]Entry, error) {
 	e := wire.NewEncoder(64)
 	e.String(d.name)
 	e.String(meta.CleanPath(dir))
-	resp, err := callIdem(context.Background(), d.c, (*wire.Pool).CallContext, server.MethodList, e.Bytes())
+	resp, err := d.c.callIdem(context.Background(), server.MethodList, e.Bytes())
 	if err != nil {
 		return nil, err
 	}
@@ -307,7 +307,7 @@ func (d *Dataset) Delete(path string) error {
 func (d *Dataset) DatasetRecord() (meta.DatasetRecord, error) {
 	e := wire.NewEncoder(32)
 	e.String(d.name)
-	resp, err := callIdem(context.Background(), d.c, (*wire.Pool).CallContext, server.MethodDatasetRecord, e.Bytes())
+	resp, err := d.c.callIdem(context.Background(), server.MethodDatasetRecord, e.Bytes())
 	if err != nil {
 		return meta.DatasetRecord{}, err
 	}
@@ -319,7 +319,7 @@ func (d *Dataset) DatasetRecord() (meta.DatasetRecord, error) {
 func (d *Dataset) DownloadSnapshot() (*meta.Snapshot, error) {
 	e := wire.NewEncoder(32)
 	e.String(d.name)
-	resp, err := callIdem(context.Background(), d.c, (*wire.Pool).CallContext, server.MethodSnapshot, e.Bytes())
+	resp, err := d.c.callIdem(context.Background(), server.MethodSnapshot, e.Bytes())
 	if err != nil {
 		return nil, err
 	}

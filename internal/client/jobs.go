@@ -2,7 +2,6 @@ package client
 
 import (
 	"context"
-	"time"
 
 	"diesel/internal/server"
 	"diesel/internal/wire"
@@ -23,7 +22,7 @@ type JobStatus struct {
 // sharing one metadata cluster answers with the same roster, so the call
 // goes to whichever connection round-robin picks.
 func (c *Client) Jobs(ctx context.Context) ([]JobStatus, error) {
-	resp, err := callIdem(ctx, c, (*wire.Pool).CallContext, server.MethodJobs, nil)
+	resp, err := c.callIdem(ctx, server.MethodJobs, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -33,8 +32,8 @@ func (c *Client) Jobs(ctx context.Context) ([]JobStatus, error) {
 // ListJobs dials one server address and lists its job roster without
 // opening a dataset — the admin path of `dlcmd jobs`, which has no
 // dataset to name.
-func ListJobs(addr string, callTimeout time.Duration) ([]JobStatus, error) {
-	wc, err := dialAdmin(addr, callTimeout)
+func ListJobs(addr string) ([]JobStatus, error) {
+	wc, err := wire.Dial(addr)
 	if err != nil {
 		return nil, err
 	}

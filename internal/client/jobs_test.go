@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 )
 
 // TestConnectNoDataset pins the typed error: an empty Options.Dataset
@@ -63,7 +62,7 @@ func TestJobRegistrationOnConnect(t *testing.T) {
 	}
 
 	// ListJobs answers the same roster without a dataset handle.
-	if _, err := ListJobs(addrs[0], time.Second); err != nil {
+	if _, err := ListJobs(addrs[0]); err != nil {
 		t.Fatalf("ListJobs: %v", err)
 	}
 }

@@ -172,9 +172,6 @@ func (d *Deployment) JobRegistry() *server.JobRegistry { return d.jobs }
 // fault windows in the load harness).
 func (d *Deployment) Servers() []*server.RPCServer { return d.servers }
 
-// Tiered returns the server-side cache tier, if configured.
-func (d *Deployment) Tiered() *objstore.Tiered { return d.tiered }
-
 // KVCluster returns the metadata cluster client (for failure injection
 // and inspection).
 func (d *Deployment) KVCluster() *kvstore.Cluster { return d.kvCluster }
@@ -184,19 +181,11 @@ func (d *Deployment) KVServers() []*kvstore.Server { return d.kvServers }
 
 // NewClient opens a libDIESEL context against this deployment.
 func (d *Deployment) NewClient(dataset string, rank int) (*client.Client, error) {
-	return d.NewClientDialer(dataset, rank, nil)
-}
-
-// NewClientDialer is NewClient with a replacement connection dialer —
-// the load harness passes a wire.FaultGate dialer here so scripted
-// network-fault windows reach every client connection.
-func (d *Deployment) NewClientDialer(dataset string, rank int, dial func(addr string) (net.Conn, error)) (*client.Client, error) {
 	return client.Connect(client.Options{
 		User: "core", Key: "core",
 		Servers: d.ServerAddrs(),
 		Dataset: dataset,
 		Rank:    rank,
-		Dialer:  dial,
 	})
 }
 
@@ -230,9 +219,6 @@ type TaskConfig struct {
 	SpillDir string
 	// SpillBytes bounds each master's spill tier on disk (0 = unlimited).
 	SpillBytes int64
-	// SpillPromoteAfter is the number of spill-tier reads after which a
-	// chunk is promoted back to RAM (0 = default, negative = never).
-	SpillPromoteAfter int
 	// Shared, when non-nil, joins this task's cache masters to a
 	// process-wide shared chunk cache instead of private per-master
 	// stores; see dcache.SharedCache. The deployment's job registry is
@@ -299,16 +285,15 @@ func (d *Deployment) StartTask(cfg TaskConfig) (*Task, error) {
 		}
 		go func(rank int, cl *client.Client) {
 			p, err := dcache.Join(cl.DefaultDataset(), reg, dcache.Config{
-				TaskID:            taskID,
-				NodeID:            node,
-				Rank:              rank,
-				TotalClients:      total,
-				Policy:            cfg.Policy,
-				CapacityBytes:     cfg.CapacityBytes,
-				SpillDir:          spillDir,
-				SpillBytes:        cfg.SpillBytes,
-				SpillPromoteAfter: cfg.SpillPromoteAfter,
-				Shared:            cfg.Shared,
+				TaskID:        taskID,
+				NodeID:        node,
+				Rank:          rank,
+				TotalClients:  total,
+				Policy:        cfg.Policy,
+				CapacityBytes: cfg.CapacityBytes,
+				SpillDir:      spillDir,
+				SpillBytes:    cfg.SpillBytes,
+				Shared:        cfg.Shared,
 			})
 			results <- result{rank: rank, peer: p, err: err}
 		}(rank, cl)

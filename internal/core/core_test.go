@@ -165,7 +165,7 @@ func TestDeployWithDiskAndSSDTier(t *testing.T) {
 	if _, err := cl.DefaultDataset().GetBatch(context.Background(), paths); err != nil {
 		t.Fatal(err)
 	}
-	if d.Tiered().HitCount() == 0 {
+	if d.tiered.HitCount() == 0 {
 		t.Error("SSD tier never hit")
 	}
 }

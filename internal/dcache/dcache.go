@@ -65,21 +65,6 @@ type Config struct {
 	// unlimited. In memory-constrained scenarios the chunk-wise shuffle
 	// keeps the working set within this bound.
 	CapacityBytes int64
-	// JoinTimeout bounds the registration barrier (default 10s).
-	JoinTimeout time.Duration
-	// DeadAfter marks a remote master dead after this many consecutive
-	// transport failures; its chunks then route straight to server
-	// fallback without paying a doomed RPC per read (default 3).
-	DeadAfter int
-	// DeadCooldown is how long a dead master is skipped before a single
-	// read re-probes it; a successful probe restores the p×(n−1) peer
-	// topology (default 5s).
-	DeadCooldown time.Duration
-	// PeerCallTimeout bounds each RPC to a remote master (cache.get,
-	// cache.getChunk) and the dial before it, so a hung or black-holed
-	// master degrades to server fallback instead of stalling the training
-	// loop (default 2s).
-	PeerCallTimeout time.Duration
 	// Shared, when non-nil, replaces this task's private master stores
 	// with a process-wide cache shared across tasks and jobs, keyed by
 	// (dataset, chunk). Two jobs training on the same dataset then share
@@ -99,14 +84,40 @@ type Config struct {
 	SpillDir string
 	// SpillBytes bounds the spill tier's on-disk bytes (0 = unlimited).
 	SpillBytes int64
-	// SpillPromoteAfter is how many spill reads a chunk absorbs before it
-	// is promoted back into RAM (whole-chunk, checksum-verified). 0 means
-	// the default (2): a chunk touched twice since demotion is likely hot
-	// again (an epoch reader sweeping it file by file), while one-off
-	// random reads stay on the cheap pread path. Negative disables
-	// promotion by reads entirely.
-	SpillPromoteAfter int
+
+	// The cache's fixed settings, fields only so that this package's tests
+	// can shrink them: Join fills each zero with the constant of its name.
+	joinTimeout       time.Duration
+	deadAfter         int
+	deadCooldown      time.Duration
+	peerCallTimeout   time.Duration
+	spillPromoteAfter int // negative: reads never promote
 }
+
+// The cache's fixed settings.
+const (
+	// joinTimeout bounds the registration barrier.
+	joinTimeout = 10 * time.Second
+	// deadAfter marks a remote master dead after this many consecutive
+	// transport failures; its chunks then route straight to server
+	// fallback without paying a doomed RPC per read.
+	deadAfter = 3
+	// deadCooldown is how long a dead master is skipped before a single
+	// read re-probes it; a successful probe restores the p×(n−1) peer
+	// topology.
+	deadCooldown = 5 * time.Second
+	// peerCallTimeout bounds each RPC to a remote master (cache.get,
+	// cache.getChunk) and the dial before it, so a hung or black-holed
+	// master degrades to server fallback instead of stalling the training
+	// loop.
+	peerCallTimeout = 2 * time.Second
+	// spillPromoteAfter is how many spill reads a chunk absorbs before it
+	// is promoted back into RAM (whole-chunk, checksum-verified): a chunk
+	// touched twice since demotion is likely hot again (an epoch reader
+	// sweeping it file by file), while one-off random reads stay on the
+	// cheap pread path.
+	spillPromoteAfter = 2
+)
 
 // Registrar is the registry interface Join needs; both *etcd.Registry
 // (in-process) and *etcd.Client (networked) satisfy it.
@@ -160,7 +171,7 @@ type Peer struct {
 	pools map[string]*wire.Pool // master addr → pool
 	dials map[string]*poolDial  // master addr → dial in progress
 	// dialMaster opens one connection to a master, bounded by
-	// PeerCallTimeout; a field so tests can stand in a black hole.
+	// peerCallTimeout; a field so tests can stand in a black hole.
 	dialMaster func(addr string) (net.Conn, error)
 
 	store  *tier.Store  // non-nil on masters; the shared cache's store when Config.Shared is set
@@ -203,9 +214,9 @@ type inflightLoad struct {
 	err     error
 }
 
-// masterHealth is a tiny per-remote-master circuit breaker: DeadAfter
+// masterHealth is a tiny per-remote-master circuit breaker: deadAfter
 // consecutive transport failures open it (reads skip the master entirely),
-// and after DeadCooldown a single half-open probe is let through; success
+// and after deadCooldown a single half-open probe is let through; success
 // closes it again, restoring peer reads.
 type masterHealth struct {
 	mu        sync.Mutex
@@ -293,20 +304,20 @@ func Join(ds *client.Dataset, reg Registrar, cfg Config) (*Peer, error) {
 	if cfg.TotalClients < 1 {
 		return nil, errors.New("dcache: TotalClients must be >= 1")
 	}
-	if cfg.JoinTimeout <= 0 {
-		cfg.JoinTimeout = 10 * time.Second
+	if cfg.joinTimeout <= 0 {
+		cfg.joinTimeout = joinTimeout
 	}
-	if cfg.DeadAfter <= 0 {
-		cfg.DeadAfter = 3
+	if cfg.deadAfter <= 0 {
+		cfg.deadAfter = deadAfter
 	}
-	if cfg.DeadCooldown <= 0 {
-		cfg.DeadCooldown = 5 * time.Second
+	if cfg.deadCooldown <= 0 {
+		cfg.deadCooldown = deadCooldown
 	}
-	if cfg.PeerCallTimeout <= 0 {
-		cfg.PeerCallTimeout = 2 * time.Second
+	if cfg.peerCallTimeout <= 0 {
+		cfg.peerCallTimeout = peerCallTimeout
 	}
-	if cfg.SpillPromoteAfter == 0 {
-		cfg.SpillPromoteAfter = 2
+	if cfg.spillPromoteAfter == 0 {
+		cfg.spillPromoteAfter = spillPromoteAfter
 	}
 
 	p := &Peer{
@@ -320,7 +331,7 @@ func Join(ds *client.Dataset, reg Registrar, cfg Config) (*Peer, error) {
 		pullKey: fmt.Sprintf("pull\x00%s\x00%d\x00", cfg.TaskID, cfg.Rank),
 	}
 	p.dialMaster = func(addr string) (net.Conn, error) {
-		return net.DialTimeout("tcp", addr, cfg.PeerCallTimeout)
+		return net.DialTimeout("tcp", addr, cfg.peerCallTimeout)
 	}
 	p.chunkIDs = make([]string, len(snap.Chunks))
 	p.storeKeys = make([]string, len(snap.Chunks))
@@ -352,7 +363,7 @@ func Join(ds *client.Dataset, reg Registrar, cfg Config) (*Peer, error) {
 	}
 
 	// Barrier: wait until all peers are registered.
-	deadline := time.Now().Add(cfg.JoinTimeout)
+	deadline := time.Now().Add(cfg.joinTimeout)
 	var entries []etcd.Entry
 	for {
 		entries, err = reg.List(fmt.Sprintf("dcache/%s/clients/", cfg.TaskID))
@@ -410,7 +421,7 @@ func Join(ds *client.Dataset, reg Registrar, cfg Config) (*Peer, error) {
 	if cfg.Shared != nil {
 		p.shared = cfg.Shared
 		p.inflight = cfg.Shared.inflight
-		p.shared.Acquire(p.dataset)
+		p.shared.acquire(p.dataset)
 	} else {
 		p.inflight = newInflightTable()
 	}
@@ -455,9 +466,6 @@ type masterInfo struct {
 
 // IsMaster reports whether this peer was elected its node's master client.
 func (p *Peer) IsMaster() bool { return p.selfIdx >= 0 }
-
-// Masters returns the number of master clients (p in the paper's p×(n−1)).
-func (p *Peer) Masters() int { return len(p.masters) }
 
 // Addr returns this peer's serving address (masters only).
 func (p *Peer) Addr() string { return p.addr }
@@ -627,7 +635,7 @@ func (p *Peer) handleCacheGet(ctx context.Context, payload []byte) ([]byte, erro
 // server fetch). A spill hit is one pread of exactly the file's range
 // into a fresh GC-owned buffer — owned, so it satisfies both the view
 // and the copy contract without another allocation — and after
-// Config.SpillPromoteAfter such reads the whole chunk is promoted back
+// spillPromoteAfter such reads the whole chunk is promoted back
 // to RAM so a sweeping epoch reader returns to memory bandwidth.
 func (p *Peer) readLocal(ctx context.Context, m meta.FileMeta, view bool) ([]byte, error) {
 	key := p.storeKeys[m.ChunkIdx]
@@ -635,7 +643,7 @@ func (p *Peer) readLocal(ctx context.Context, m meta.FileMeta, view bool) ([]byt
 		return fileOf(payload, m, view)
 	}
 	if b, hits, ok := p.store.ReadSpill(key, int64(m.Offset), int64(m.Length)); ok {
-		if p.cfg.SpillPromoteAfter > 0 && hits >= p.cfg.SpillPromoteAfter {
+		if p.cfg.spillPromoteAfter > 0 && hits >= p.cfg.spillPromoteAfter {
 			if payload, err := p.loadChunk(ctx, m.ChunkIdx); err == nil {
 				return fileOf(payload, m, view)
 			}
@@ -656,9 +664,9 @@ func (p *Peer) readLocal(ctx context.Context, m meta.FileMeta, view bool) ([]byt
 // back to the DIESEL servers so a dead cache node degrades throughput, not
 // correctness.
 //
-// A remote master that keeps failing is marked dead (Config.DeadAfter)
+// A remote master that keeps failing is marked dead (deadAfter)
 // and its chunks route straight to server fallback without paying a
-// doomed RPC per read; after Config.DeadCooldown one read re-probes it,
+// doomed RPC per read; after deadCooldown one read re-probes it,
 // and a successful probe restores the p×(n−1) peer topology.
 //
 // The context bounds the peer RPC, the chunk load it may trigger and the
@@ -766,7 +774,7 @@ func (p *Peer) peerServed(sp *tracing.Span, branch string, owner int) {
 // answered: an application failure, not a liveness signal. A caller that
 // gave up says nothing about the master's health, so that only clears a
 // probe flag. Anything else is a transport failure (a failed dial and a
-// PeerCallTimeout expiry included) and counts toward DeadAfter.
+// peerCallTimeout expiry included) and counts toward deadAfter.
 func (p *Peer) noteMaster(ctx context.Context, owner int, err error) {
 	h := &p.health[owner]
 	switch {
@@ -777,7 +785,7 @@ func (p *Peer) noteMaster(ctx context.Context, owner int, err error) {
 	case ctx.Err() != nil:
 		h.aborted()
 	default:
-		if h.failed(time.Now(), p.cfg.DeadAfter, p.cfg.DeadCooldown) {
+		if h.failed(time.Now(), p.cfg.deadAfter, p.cfg.deadCooldown) {
 			p.Stats.MasterDeaths.Add(1)
 			mMasterDeaths.Inc()
 			obs.Publish("breaker-trip",
@@ -827,7 +835,7 @@ var errPeerClosed = errors.New("dcache: peer closed")
 // poolFor returns the connection pool to a remote master, dialing it on
 // first use. One dial per address runs at a time, outside pmu and in a
 // goroutine of its own, so the caller waits no longer than its context
-// and the dial no longer than PeerCallTimeout. A failed dial is not
+// and the dial no longer than peerCallTimeout. A failed dial is not
 // remembered: the caller counts it against the master's breaker like any
 // other transport failure, and the breaker decides when to try again.
 func (p *Peer) poolFor(ctx context.Context, addr string) (*wire.Pool, error) {
@@ -856,11 +864,11 @@ func (p *Peer) poolFor(ctx context.Context, addr string) (*wire.Pool, error) {
 }
 
 // dialPool runs one poolFor dial to completion and publishes the result.
-// It outlives a caller that gave up, but not PeerCallTimeout by much; a
+// It outlives a caller that gave up, but not peerCallTimeout by much; a
 // pool that arrives after Close is closed on the spot.
 func (p *Peer) dialPool(addr string, d *poolDial) {
 	d.pool, d.err = wire.DialPool(addr, 2,
-		wire.WithCallTimeout(p.cfg.PeerCallTimeout), wire.WithDialer(p.dialMaster))
+		wire.WithCallTimeout(p.cfg.peerCallTimeout), wire.WithDialer(p.dialMaster))
 	p.pmu.Lock()
 	delete(p.dials, addr)
 	switch {
@@ -875,11 +883,11 @@ func (p *Peer) dialPool(addr string, d *poolDial) {
 	close(d.done)
 }
 
-// DialedMasters reports how many distinct remote masters this peer has
-// opened connections to — at most Masters()-1 for a master, Masters() for
-// a worker, never the full peer count. This is the p×(n−1) topology claim
-// of §4.2 made observable.
-func (p *Peer) DialedMasters() int {
+// dialedMasters reports how many distinct remote masters this peer has
+// opened connections to — at most the other masters for a master, all the
+// masters for a worker, never the full peer count. This is the p×(n−1)
+// topology claim of §4.2, observable to the package's tests.
+func (p *Peer) dialedMasters() int {
 	p.pmu.Lock()
 	defer p.pmu.Unlock()
 	return len(p.pools)
@@ -931,7 +939,7 @@ func (p *Peer) Close() error {
 	}
 	untrackPeer(p)
 	if p.shared != nil {
-		p.shared.Release(p.dataset)
+		p.shared.release(p.dataset)
 	}
 	if p.store != nil && p.shared == nil {
 		p.store.Close()

@@ -117,8 +117,8 @@ func TestMasterElectionSmallestRankPerNode(t *testing.T) {
 		t.Error("rank 3 should not be master")
 	}
 	for _, p := range f.peers {
-		if p.Masters() != 2 {
-			t.Errorf("Masters() = %d, want 2", p.Masters())
+		if len(p.masters) != 2 {
+			t.Errorf("Masters() = %d, want 2", len(p.masters))
 		}
 	}
 }
@@ -295,7 +295,7 @@ func TestJoinBarrierTimeout(t *testing.T) {
 	reg := etcd.InProcess{R: etcd.NewRegistry()}
 	_, err := Join(cl.DefaultDataset(), reg, Config{
 		TaskID: "t", NodeID: "n", Rank: 0, TotalClients: 3,
-		JoinTimeout: 50e6, // 50ms
+		joinTimeout: 50e6, // 50ms
 	})
 	if err == nil {
 		t.Fatal("barrier with missing peers did not time out")
@@ -343,7 +343,7 @@ func TestTopologyPeersDialOnlyMasters(t *testing.T) {
 	p := 3
 	total := 0
 	for rank, peer := range f.peers {
-		d := peer.DialedMasters()
+		d := peer.dialedMasters()
 		if d > p {
 			t.Errorf("rank %d dialed %d targets, more than the %d masters", rank, d, p)
 		}

@@ -244,9 +244,9 @@ func TestDeadMasterFallbackAndRevival(t *testing.T) {
 	// (a read the buffer answers says nothing about the master's health).
 	f := newFaultFixture(t, 1200, 200, []string{"a", "b"}, Config{
 		Policy:          Oneshot,
-		DeadAfter:       2,
-		DeadCooldown:    250 * time.Millisecond,
-		PeerCallTimeout: time.Second,
+		deadAfter:       2,
+		deadCooldown:    250 * time.Millisecond,
+		peerCallTimeout: time.Second,
 	})
 	p0, p1 := f.peers[0], f.peers[1]
 	for _, p := range f.peers {

@@ -13,7 +13,7 @@ import (
 //
 // The first read of a remotely-owned chunk is a per-file cache.get. A
 // second read of the same chunk among this peer's last sweepWindow remote
-// chunks means a reader is sweeping it — the rule SpillPromoteAfter uses
+// chunks means a reader is sweeping it — the rule spillPromoteAfter uses
 // for promotion — and pulls the whole payload from the owning master with
 // one cache.getChunk into the pulled buffer; every later file of that
 // chunk is a view out of the buffer. A chunk-wise epoch therefore costs

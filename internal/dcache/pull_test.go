@@ -305,7 +305,7 @@ func TestPullSingleFlight(t *testing.T) {
 // peer reads back.
 func TestPullMasterKilledMidPull(t *testing.T) {
 	f := pullFixture(t, 600, 200, []string{"a", "b"}, Config{
-		DeadAfter: 2, DeadCooldown: time.Nanosecond, PeerCallTimeout: watchdog,
+		deadAfter: 2, deadCooldown: time.Nanosecond, peerCallTimeout: watchdog,
 	})
 	p0, p1 := f.peers[0], f.peers[1]
 	l := &link{}
@@ -367,11 +367,11 @@ func TestPullMasterKilledMidPull(t *testing.T) {
 	}
 }
 
-// A failed pull is one breaker outcome: with DeadAfter 2, the pull and
+// A failed pull is one breaker outcome: with deadAfter 2, the pull and
 // then the same read's per-file attempt are what it takes to mark the
 // master dead, and the read still succeeds.
 func TestPullFailureCountsOncePerPull(t *testing.T) {
-	f := pullFixture(t, 400, 200, []string{"a", "b"}, Config{DeadAfter: 2, DeadCooldown: time.Hour})
+	f := pullFixture(t, 400, 200, []string{"a", "b"}, Config{deadAfter: 2, deadCooldown: time.Hour})
 	p0, p1 := f.peers[0], f.peers[1]
 	l := &link{}
 	p0.dialMaster = l.dial
@@ -400,7 +400,7 @@ func TestPullFailureCountsOncePerPull(t *testing.T) {
 // the method, or one whose chunk load fails — degrades the sweep to
 // per-file reads; no read fails and the breaker stays closed.
 func TestPullRemoteErrorDegradesToPerFile(t *testing.T) {
-	f := pullFixture(t, 400, 200, []string{"a", "b"}, Config{DeadAfter: 1})
+	f := pullFixture(t, 400, 200, []string{"a", "b"}, Config{deadAfter: 1})
 	p0, p1 := f.peers[0], f.peers[1]
 	p1.srv.Handle(methodCacheGetChunk, func([]byte) ([]byte, error) {
 		return nil, errors.New("wire: unknown method " + methodCacheGetChunk)
@@ -419,11 +419,11 @@ func TestPullRemoteErrorDegradesToPerFile(t *testing.T) {
 }
 
 // (e) A master that accepts a pull and never answers costs the read one
-// PeerCallTimeout, not a hang.
+// peerCallTimeout, not a hang.
 func TestPullHungMasterBounded(t *testing.T) {
 	const timeout = 100 * time.Millisecond
 	f := pullFixture(t, 400, 200, []string{"a", "b"}, Config{
-		DeadAfter: 1, DeadCooldown: time.Hour, PeerCallTimeout: timeout,
+		deadAfter: 1, deadCooldown: time.Hour, peerCallTimeout: timeout,
 	})
 	p0, p1 := f.peers[0], f.peers[1]
 	hang(t, p1)
@@ -433,7 +433,7 @@ func TestPullHungMasterBounded(t *testing.T) {
 	start := time.Now()
 	mustRead(t, f, p0, files[1], true)
 	if el := time.Since(start); el < timeout || el > 20*timeout {
-		t.Errorf("read behind a hung pull took %v, want about PeerCallTimeout (%v)", el, timeout)
+		t.Errorf("read behind a hung pull took %v, want about peerCallTimeout (%v)", el, timeout)
 	}
 	if p0.Stats.MasterDeaths.Load() != 1 || p0.Stats.ServerFallback.Load() != 1 {
 		t.Errorf("MasterDeaths=%d ServerFallback=%d, want 1 and 1",
@@ -485,7 +485,7 @@ func TestPullViewSurvivesEviction(t *testing.T) {
 // reads it owns: the dial runs outside the pool map's lock, a caller that
 // gives up stops waiting for it, and a closed peer dials nothing.
 func TestBlackHoledMasterDoesNotDelayOthers(t *testing.T) {
-	f := pullFixture(t, 600, 200, []string{"a", "b", "c"}, Config{DeadAfter: 5})
+	f := pullFixture(t, 600, 200, []string{"a", "b", "c"}, Config{deadAfter: 5})
 	p0, p1, p2 := f.peers[0], f.peers[1], f.peers[2]
 	entered := make(chan struct{}, 1)
 	release := make(chan struct{})
@@ -546,7 +546,7 @@ func TestBlackHoledMasterDoesNotDelayOthers(t *testing.T) {
 	if got := p0.health[p2.selfIdx].failures; got != 1 {
 		t.Errorf("breaker failures for the black-holed master = %d, want 1 (the failed dial)", got)
 	}
-	if got := p0.DialedMasters(); got != 1 {
+	if got := p0.dialedMasters(); got != 1 {
 		t.Errorf("DialedMasters = %d, want 1", got)
 	}
 
@@ -554,7 +554,7 @@ func TestBlackHoledMasterDoesNotDelayOthers(t *testing.T) {
 	if _, err := p0.poolFor(context.Background(), p1.Addr()); !errors.Is(err, errPeerClosed) {
 		t.Errorf("poolFor after Close: err=%v, want errPeerClosed", err)
 	}
-	if got := p0.DialedMasters(); got != 0 {
+	if got := p0.dialedMasters(); got != 0 {
 		t.Errorf("DialedMasters after Close = %d, want 0", got)
 	}
 }

@@ -26,7 +26,7 @@ const DefaultGrace = 30 * time.Second
 // SharedCache is a chunk cache shared across tasks and jobs, keyed by
 // (dataset, chunk). Two jobs training on the same dataset hit one cached
 // copy of every chunk — the multi-job amplification the serving plane is
-// for — while per-dataset refcounts (local Acquire/Release from
+// for — while per-dataset refcounts (local acquire/release from
 // in-process peers, plus an optional RefSource such as the server's job
 // registry) steer eviction: a dataset with zero live jobs becomes
 // eviction-preferred once its grace period lapses, so abandoned working
@@ -39,7 +39,7 @@ type SharedCache struct {
 	inflight *inflightTable // cross-job fetch coalescing: one server fetch per (dataset, chunk)
 
 	mu       sync.Mutex
-	local    map[string]int   // dataset → Acquire/Release count from in-process peers
+	local    map[string]int   // dataset → acquire/release count from in-process peers
 	lastLive map[string]int64 // dataset → ns the grace clock (re)started
 	wasLive  map[string]bool  // dataset → last observation saw a nonzero refcount
 	src      RefSource
@@ -69,16 +69,16 @@ func NewSharedCache(capacityBytes int64, grace time.Duration, nowNS func() int64
 }
 
 // SetRefSource installs the authoritative refcount source (the server's
-// job registry). Local Acquire/Release counts are added on top.
+// job registry). Local acquire/release counts are added on top.
 func (s *SharedCache) SetRefSource(src RefSource) {
 	s.mu.Lock()
 	s.src = src
 	s.mu.Unlock()
 }
 
-// Acquire pins a dataset on behalf of one in-process peer; Join calls it
+// acquire pins a dataset on behalf of one in-process peer; Join calls it
 // for every peer of a task that uses this cache.
-func (s *SharedCache) Acquire(dataset string) {
+func (s *SharedCache) acquire(dataset string) {
 	now := s.nowNS()
 	s.mu.Lock()
 	s.local[dataset]++
@@ -87,9 +87,9 @@ func (s *SharedCache) Acquire(dataset string) {
 	s.mu.Unlock()
 }
 
-// Release undoes one Acquire. When the last local reference drops, the
+// release undoes one acquire. When the last local reference drops, the
 // grace clock starts (unless a RefSource still reports live jobs).
-func (s *SharedCache) Release(dataset string) {
+func (s *SharedCache) release(dataset string) {
 	now := s.nowNS()
 	s.mu.Lock()
 	if s.local[dataset] > 0 {
@@ -102,9 +102,9 @@ func (s *SharedCache) Release(dataset string) {
 	s.mu.Unlock()
 }
 
-// Refcount reports the dataset's live references: in-process peers plus
+// refcount reports the dataset's live references: in-process peers plus
 // whatever the RefSource (job registry) says.
-func (s *SharedCache) Refcount(dataset string) int {
+func (s *SharedCache) refcount(dataset string) int {
 	s.mu.Lock()
 	n := s.local[dataset]
 	src := s.src
@@ -115,16 +115,13 @@ func (s *SharedCache) Refcount(dataset string) int {
 	return n
 }
 
-// Grace returns the eviction-preference grace period.
-func (s *SharedCache) Grace() time.Duration { return s.grace }
-
 // cold reports whether the dataset is eviction-preferred: refcount zero
 // for longer than the grace period. The grace clock starts when the zero
 // is first *observed* — a lease that expired while nobody looked is only
 // discovered here, and the grace window must run from that discovery so
 // a restarting trainer still finds its working set cached.
 func (s *SharedCache) cold(dataset string, nowNS int64) bool {
-	if s.Refcount(dataset) > 0 {
+	if s.refcount(dataset) > 0 {
 		s.mu.Lock()
 		s.lastLive[dataset] = nowNS
 		s.wasLive[dataset] = true

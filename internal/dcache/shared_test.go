@@ -35,8 +35,8 @@ func TestSharedCacheRefcountGrace(t *testing.T) {
 	const grace = 10 * time.Second
 	sc := NewSharedCache(0, grace, clk.now)
 
-	sc.Acquire("ds")
-	sc.Acquire("ds")
+	sc.acquire("ds")
+	sc.acquire("ds")
 	putTestChunk(t, sc, "ds", "c1", 4096)
 	putTestChunk(t, sc, "ds", "c2", 4096)
 	if got := sc.Chunks(); got != 2 {
@@ -46,12 +46,12 @@ func TestSharedCacheRefcountGrace(t *testing.T) {
 	if sc.cold("ds", clk.now()) {
 		t.Fatal("acquired dataset reported cold")
 	}
-	sc.Release("ds")
-	if got := sc.Refcount("ds"); got != 1 {
+	sc.release("ds")
+	if got := sc.refcount("ds"); got != 1 {
 		t.Fatalf("Refcount = %d, want 1", got)
 	}
-	sc.Release("ds")
-	if got := sc.Refcount("ds"); got != 0 {
+	sc.release("ds")
+	if got := sc.refcount("ds"); got != 0 {
 		t.Fatalf("Refcount = %d, want 0", got)
 	}
 
@@ -80,7 +80,7 @@ func TestSharedCacheRefcountGrace(t *testing.T) {
 	}
 
 	// Re-acquiring resurrects the dataset's liveness.
-	sc.Acquire("ds")
+	sc.acquire("ds")
 	if sc.cold("ds", clk.now()) {
 		t.Fatal("re-acquired dataset reported cold")
 	}
@@ -94,7 +94,7 @@ func TestSharedCacheEvictionPrefersCold(t *testing.T) {
 	const grace = time.Second
 	sc := NewSharedCache(10000, grace, clk.now) // fits 2 of the 3 chunks
 
-	sc.Acquire("live")
+	sc.acquire("live")
 	// "cold" was never acquired; its grace clock starts at first
 	// observation, so step past it before applying pressure.
 	putTestChunk(t, sc, "cold", "c1", 4096)
@@ -134,7 +134,7 @@ func TestSharedCacheJobRegistryRefSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	putTestChunk(t, sc, "ds", "c1", 4096)
-	if got := sc.Refcount("ds"); got != 1 {
+	if got := sc.refcount("ds"); got != 1 {
 		t.Fatalf("Refcount = %d, want 1", got)
 	}
 	if sc.cold("ds", clk.now()) {
@@ -143,7 +143,7 @@ func TestSharedCacheJobRegistryRefSource(t *testing.T) {
 
 	// The trainer crashes: heartbeats stop, the lease lapses.
 	clk.ns += (ttl + time.Second).Nanoseconds()
-	if got := sc.Refcount("ds"); got != 0 {
+	if got := sc.refcount("ds"); got != 0 {
 		t.Fatalf("Refcount after lease expiry = %d, want 0", got)
 	}
 	// The expiry is discovered now; grace runs from this observation, so
@@ -240,12 +240,12 @@ func TestSharedCacheAcrossTasks(t *testing.T) {
 	if loads1 == 0 {
 		t.Fatal("first job loaded no chunks")
 	}
-	if got := shared.Refcount("ds"); got != 1 {
+	if got := shared.refcount("ds"); got != 1 {
 		t.Fatalf("Refcount with one task = %d, want 1", got)
 	}
 
 	p2 := newPeer("job-b")
-	if got := shared.Refcount("ds"); got != 2 {
+	if got := shared.refcount("ds"); got != 2 {
 		t.Fatalf("Refcount with two tasks = %d, want 2", got)
 	}
 	for _, name := range names {
@@ -262,7 +262,7 @@ func TestSharedCacheAcrossTasks(t *testing.T) {
 
 	// Closing a task releases its pin.
 	p2.Close()
-	if got := shared.Refcount("ds"); got != 1 {
+	if got := shared.refcount("ds"); got != 1 {
 		t.Fatalf("Refcount after one close = %d, want 1", got)
 	}
 }

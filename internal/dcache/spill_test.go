@@ -84,7 +84,7 @@ func TestSpillServesEvictedChunks(t *testing.T) {
 	p, names, contents, _ := spillPeer(t, nFiles, fileSize, chunkTarget, func(c *Config) {
 		c.CapacityBytes = 2 * chunkTarget // RAM holds ~2 of ~16 chunks
 		c.SpillDir = dir
-		c.SpillPromoteAfter = -1 // keep reads on the pread path for this test
+		c.spillPromoteAfter = -1 // keep reads on the pread path for this test
 	})
 	readAll := func() {
 		t.Helper()
@@ -117,13 +117,13 @@ func TestSpillServesEvictedChunks(t *testing.T) {
 }
 
 // TestSpillPromotionReturnsChunkToRAM checks the promote-on-reuse policy:
-// after SpillPromoteAfter spill reads of one chunk, the whole chunk is
+// after spillPromoteAfter spill reads of one chunk, the whole chunk is
 // promoted back and further reads are RAM hits.
 func TestSpillPromotionReturnsChunkToRAM(t *testing.T) {
 	const nFiles, fileSize, chunkTarget = 16, 4 << 10, 64 << 10
 	p, names, contents, _ := spillPeer(t, nFiles, fileSize, chunkTarget, func(c *Config) {
 		c.SpillDir = t.TempDir()
-		c.SpillPromoteAfter = 2
+		c.spillPromoteAfter = 2
 	})
 	if err := p.LoadOwned(); err != nil {
 		t.Fatal(err)
@@ -234,7 +234,7 @@ func BenchmarkDcacheSpillRead(b *testing.B) {
 	const nFiles, fileSize, chunkTarget = 256, 4 << 10, 64 << 10
 	p, names, _, _ := spillPeer(b, nFiles, fileSize, chunkTarget, func(c *Config) {
 		c.SpillDir = b.TempDir()
-		c.SpillPromoteAfter = -1 // hold every read on the pread path
+		c.spillPromoteAfter = -1 // hold every read on the pread path
 	})
 	if err := p.LoadOwned(); err != nil {
 		b.Fatal(err)

@@ -7,11 +7,17 @@
 // that consecutive positions stay within one group of chunks; what is
 // left on the table without this package is *overlap* — the network fetch
 // of group k+1 hiding behind the consumption of group k, which is where
-// most of the wall-clock saving of a network loader lives. An EpochReader
-// prefetches whole groups a bounded window ahead with backpressure,
-// decodes files in exact plan order, and serves them through a simple
-// iterator, propagating one context end to end so a cancelled training
-// loop abandons in-flight RPCs instead of leaking them.
+// most of the wall-clock saving of a network loader lives. A Reader
+// prefetches whole groups a bounded window ahead with backpressure and
+// serves them through a simple iterator, propagating one context end to
+// end so a cancelled training loop abandons in-flight RPCs instead of
+// leaking them.
+//
+// There is one consumer: fetch workers announce finished groups on one
+// channel, and Next serves the earliest-completed group that lies at most
+// WithReorderWindow groups ahead of the oldest unserved one. In-order
+// delivery is that rule with a window of zero — the default — not a
+// second reader; files within a group always come in plan order.
 //
 // The fetch strategy is pluggable (Source): ClientSource pulls whole
 // chunks from the DIESEL servers (DL_get_chunk) and slices files locally,
@@ -57,7 +63,7 @@ type config struct {
 
 	hedge      bool          // reissue straggling fetches after the adaptive delay
 	hedgeSrc   Source        // secondary source for hedges (nil = primary again)
-	hedgeFloor time.Duration // lower bound of the hedge delay
+	hedgeFloor time.Duration // hedgeDelayFloor; tests shrink it in-package
 }
 
 // WithWindow bounds how many groups may be fetched ahead of the one being
@@ -82,9 +88,9 @@ func WithWindow(n int) Option {
 // no longer blocks the groups that finished behind it. Within each group
 // samples stay in plan order, and Sample.Pos always carries the exact
 // plan position, so consumers that need the global order can either keep
-// the default k=0 (byte-for-byte identical to the strict reader) or
-// reorder by Pos themselves. "Hiding Latencies in Network-Based Image
-// Loading" shows DL training tolerates exactly this bounded reordering —
+// the default k=0 (exact plan order) or reorder by Pos themselves. "Hiding
+// Latencies in Network-Based Image Loading" shows DL training tolerates
+// exactly this bounded reordering —
 // the shuffle already randomized the order, so a bounded, shuffle-seeded
 // permutation of group delivery is statistically invisible to SGD.
 //
@@ -111,8 +117,8 @@ func WithGroupDeadline(d time.Duration) Option {
 }
 
 // WithHedge enables hedged group fetches: when a fetch outlives
-// max(floor, rolling p99 of this reader's attempt latencies), the group
-// is reissued through secondary — or through the primary source again
+// max(hedgeDelayFloor, rolling p99 of this reader's attempt latencies), the
+// group is reissued through secondary — or through the primary source again
 // with a fresh context when secondary is nil — and the first success
 // wins; the loser is cancelled and its result dropped. secondary must be
 // safe for concurrent use alongside the primary.
@@ -120,18 +126,6 @@ func WithHedge(secondary Source) Option {
 	return func(c *config) {
 		c.hedge = true
 		c.hedgeSrc = secondary
-	}
-}
-
-// WithHedgeDelayFloor sets the minimum hedge delay (default
-// DefaultHedgeDelayFloor). The floor carries the cold start — before the
-// rolling p99 has samples — and guards very fast sources against hedging
-// every read.
-func WithHedgeDelayFloor(d time.Duration) Option {
-	return func(c *config) {
-		if d > 0 {
-			c.hedgeFloor = d
-		}
 	}
 }
 
@@ -148,6 +142,7 @@ func WithContext(ctx context.Context) Option {
 }
 
 type groupResult struct {
+	g    int // plan group index
 	data [][]byte
 	err  error
 	sp   *tracing.Span // the group's fetch span (ended), for stall exemplars
@@ -165,68 +160,48 @@ type Reader struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	results []chan groupResult // one slot per group, buffered(1)
-	sem     chan struct{}      // bounds groups in flight or ready ahead
-	wg      sync.WaitGroup
-	closing sync.Once
+	// completed carries fetched groups in completion order. A group holds
+	// its sem slot from dispatch until Next installs it, so at most window
+	// results are ever in the channel or held: buffered to the window,
+	// workers never block on it.
+	completed chan groupResult
+	sem       chan struct{} // bounds groups in flight or ready ahead
+	wg        sync.WaitGroup
+	closing   sync.Once
 
 	// Tail-latency machinery (hedge.go).
 	delay    delayTracker   // adaptive hedge delay: max(floor, rolling p99)
 	attempts attemptTracker // joins straggling hedge/deadline attempts on Close
 
-	// completed carries group indices in completion order when the
-	// reorder window is open (buffered len(Groups): workers never block).
-	completed chan int
-
 	// Consumer state, owned by Next's caller.
-	cur       [][]byte // current group's payloads, nil'd as consumed
-	curStart  int      // plan position of cur[0]
-	curGroup  int      // plan group index of cur
-	offset    int      // next index within cur
-	nextGroup int      // strict order: next group to take from the pipeline
-	err       error    // terminal error (never io.EOF)
-
-	// Reorder-window consumer state (reorderOn only).
-	held      map[int]groupResult // completed groups awaiting an eligible slot
-	heldOrder []int               // completion order of the held groups
-	served    []bool              // per-group served marks
-	low       int                 // smallest unserved group index
-	servedN   int                 // groups installed as current so far
+	cur      [][]byte      // current group's payloads, nil'd as consumed
+	curStart int           // plan position of cur[0]
+	curGroup int           // plan group index of cur
+	offset   int           // next index within cur
+	err      error         // terminal error (never io.EOF)
+	held     []groupResult // completed groups too far ahead to serve yet, in completion order
+	served   []bool        // per-group served marks
+	low      int           // smallest unserved group index
 }
 
 // NewReader starts the pipeline over one epoch plan. The snapshot must be
 // the one the plan was built from; src decides where the bytes come from.
 func NewReader(plan *shuffle.Plan, snap *meta.Snapshot, src Source, opts ...Option) *Reader {
-	cfg := config{ctx: context.Background(), window: 2}
+	cfg := config{ctx: context.Background(), window: 2, hedgeFloor: hedgeDelayFloor}
 	for _, fn := range opts {
 		fn(&cfg)
-	}
-	if cfg.window <= 0 {
-		cfg.reorder = 0 // nothing to reorder without a pipeline
-	}
-	if cfg.hedge && cfg.hedgeFloor <= 0 {
-		cfg.hedgeFloor = DefaultHedgeDelayFloor
 	}
 	ctx, cancel := context.WithCancel(cfg.ctx)
 	r := &Reader{
 		plan: plan, snap: snap, src: src, cfg: cfg,
 		ctx: ctx, cancel: cancel,
+		served: make([]bool, len(plan.Groups)),
 	}
 	r.delay.floor = cfg.hedgeFloor
-	if r.reorderOn() {
-		r.held = make(map[int]groupResult)
-		r.served = make([]bool, len(plan.Groups))
-	}
 	if cfg.window > 0 && len(plan.Groups) > 0 {
 		r.start()
 	}
 	return r
-}
-
-// reorderOn reports whether the bounded out-of-order delivery path is
-// active.
-func (r *Reader) reorderOn() bool {
-	return r.cfg.window > 0 && r.cfg.reorder > 0
 }
 
 // start launches the dispatcher and fetch workers. The dispatcher admits
@@ -235,13 +210,7 @@ func (r *Reader) reorderOn() bool {
 // concurrently, so a window of w overlaps up to w group fetches.
 func (r *Reader) start() {
 	nGroups := len(r.plan.Groups)
-	r.results = make([]chan groupResult, nGroups)
-	for i := range r.results {
-		r.results[i] = make(chan groupResult, 1)
-	}
-	if r.reorderOn() {
-		r.completed = make(chan int, nGroups)
-	}
+	r.completed = make(chan groupResult, r.cfg.window)
 	r.sem = make(chan struct{}, r.cfg.window)
 	jobs := make(chan int)
 	r.wg.Add(1)
@@ -267,10 +236,7 @@ func (r *Reader) start() {
 		go func() {
 			defer r.wg.Done()
 			for g := range jobs {
-				r.results[g] <- r.fetchGroup(g) // buffered(1): never blocks
-				if r.completed != nil {
-					r.completed <- g // buffered(nGroups): never blocks
-				}
+				r.completed <- r.fetchGroup(g)
 			}
 		}()
 	}
@@ -305,7 +271,7 @@ func (r *Reader) fetchGroup(g int) groupResult {
 	if err == nil {
 		mGroups.Inc()
 	}
-	return groupResult{data: data, err: err, sp: gsp}
+	return groupResult{g: g, data: data, err: err, sp: gsp}
 }
 
 // Next returns the next sample in plan order. It returns io.EOF when the
@@ -321,7 +287,7 @@ func (r *Reader) Next() (Sample, error) {
 		return Sample{}, r.fail(fmt.Errorf("%w: %w", ErrClosed, context.Cause(r.ctx)))
 	}
 	for r.cur == nil || r.offset >= len(r.cur) {
-		if r.groupsDone() {
+		if r.low >= len(r.served) { // every group has been installed
 			return Sample{}, io.EOF
 		}
 		if err := r.advance(); err != nil {
@@ -341,77 +307,44 @@ func (r *Reader) Next() (Sample, error) {
 	return s, nil
 }
 
-// groupsDone reports whether every plan group has been installed as the
-// current group (the epoch-complete condition ahead of io.EOF).
-func (r *Reader) groupsDone() bool {
-	if r.reorderOn() {
-		return r.servedN >= len(r.plan.Groups)
-	}
-	return r.nextGroup >= len(r.plan.Groups)
-}
-
-// advance blocks until the next group is ready (fetching it inline when
-// the window is 0) and installs it as the current group. The time spent
-// blocked here is the pipeline's exposed stall — the quantity prefetch
-// exists to hide.
+// advance blocks until a servable group is ready — the earliest-completed
+// one whose index is within the reorder window of the oldest unserved
+// group, fetched inline when the prefetch window is 0 — and installs it as
+// the current group. The time spent blocked here is the pipeline's
+// exposed stall — the quantity prefetch exists to hide.
+//
+// Liveness: the dispatcher admits groups in index order, so the oldest
+// unserved group is always dispatched no later than any held group —
+// whenever held groups are all too far ahead, the group that would unblock
+// them is in flight.
 func (r *Reader) advance() error {
-	if r.reorderOn() {
-		return r.advanceReorder()
-	}
-	g := r.nextGroup
 	start := time.Now()
-	var res groupResult
 	if r.cfg.window <= 0 {
-		res = r.fetchGroup(g)
-	} else {
-		select {
-		case res = <-r.results[g]:
-			<-r.sem // free the window slot this group occupied
-		case <-r.ctx.Done():
-			return r.fail(fmt.Errorf("%w: %w", ErrClosed, context.Cause(r.ctx)))
+		return r.install(r.fetchGroup(r.low), start)
+	}
+	limit := r.low + r.cfg.reorder
+	for i, res := range r.held {
+		if res.g <= limit {
+			r.held = append(r.held[:i], r.held[i+1:]...)
+			return r.install(res, start)
 		}
 	}
-	return r.install(g, res, start)
-}
-
-// advanceReorder is advance for the bounded out-of-order path: it serves
-// the earliest-*completed* group whose index is within reorder groups of
-// the oldest unserved one, blocking on the completion stream when no held
-// group is eligible. Liveness: the dispatcher admits groups in index
-// order, so the oldest unserved group is always dispatched no later than
-// any held group — whenever held groups are all too far ahead, the group
-// that would unblock them is in flight.
-func (r *Reader) advanceReorder() error {
-	start := time.Now()
 	for {
-		limit := r.low + r.cfg.reorder
-		for i, g := range r.heldOrder {
-			if g <= limit {
-				res := r.held[g]
-				delete(r.held, g)
-				r.heldOrder = append(r.heldOrder[:i], r.heldOrder[i+1:]...)
-				return r.install(g, res, start)
-			}
-		}
 		select {
-		case g := <-r.completed:
-			// The result send happens before the completion announcement,
-			// so this receive never blocks.
-			res := <-r.results[g]
-			if g <= limit {
-				return r.install(g, res, start)
+		case res := <-r.completed:
+			if res.g <= limit {
+				return r.install(res, start)
 			}
-			r.held[g] = res
-			r.heldOrder = append(r.heldOrder, g)
+			r.held = append(r.held, res)
 		case <-r.ctx.Done():
 			return r.fail(fmt.Errorf("%w: %w", ErrClosed, context.Cause(r.ctx)))
 		}
 	}
 }
 
-// install records the stall, surfaces fetch errors, and makes group g the
-// current group. start is when the consumer began waiting.
-func (r *Reader) install(g int, res groupResult, start time.Time) error {
+// install records the stall, surfaces fetch errors, and makes res's group
+// the current group. start is when the consumer began waiting.
+func (r *Reader) install(res groupResult, start time.Time) error {
 	mStallLat.Since(start)
 	// A slow stall means prefetch failed to hide this group's fetch; the
 	// exemplar points at that group's trace, which shows why it was slow.
@@ -422,23 +355,19 @@ func (r *Reader) install(g int, res groupResult, start time.Time) error {
 		}
 		return r.fail(res.err)
 	}
-	span := r.plan.Groups[g]
 	r.cur = res.data
-	r.curStart = span.Start
-	r.curGroup = g
+	r.curStart = r.plan.Groups[res.g].Start
+	r.curGroup = res.g
 	r.offset = 0
-	if r.reorderOn() {
-		if g > r.low {
-			mReorderServed.Inc()
-		}
-		r.served[g] = true
-		for r.low < len(r.served) && r.served[r.low] {
-			r.low++
-		}
-		r.servedN++
-		<-r.sem // the slot stayed occupied while the group was held
-	} else {
-		r.nextGroup++
+	if res.g > r.low {
+		mReorderServed.Inc()
+	}
+	r.served[res.g] = true
+	for r.low < len(r.served) && r.served[r.low] {
+		r.low++
+	}
+	if r.sem != nil {
+		<-r.sem // the window slot this group held since it was dispatched
 	}
 	return nil
 }

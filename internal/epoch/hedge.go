@@ -28,14 +28,14 @@ import (
 
 // hedgeMinSamples is how many attempt latencies the rolling tracker needs
 // before the p99 estimate participates in the hedge delay; below it the
-// configured floor alone decides.
+// floor alone decides.
 const hedgeMinSamples = 8
 
-// DefaultHedgeDelayFloor is the minimum hedge delay when WithHedge is on
-// and no floor was configured. It exists so microsecond-scale sources
-// (all-local cache hits) don't hedge every read while the p99 tracker is
-// still cold; once warm, the rolling p99 dominates whenever it is larger.
-const DefaultHedgeDelayFloor = time.Millisecond
+// hedgeDelayFloor is the minimum hedge delay. It carries the cold start —
+// before the rolling p99 has samples — and keeps microsecond-scale sources
+// (all-local cache hits) from hedging every read; once warm, the rolling
+// p99 dominates whenever it is larger.
+const hedgeDelayFloor = time.Millisecond
 
 // delayTracker derives the hedge delay from the latencies of this
 // reader's own successful fetch attempts: max(floor, rolling p99).

@@ -66,7 +66,7 @@ func TestHedgeFirstWins(t *testing.T) {
 	wins0 := mHedgeWins.Load()
 
 	r := NewReader(plan, snap, primary, WithWindow(2),
-		WithHedge(secondary), WithHedgeDelayFloor(2*time.Millisecond))
+		WithHedge(secondary), withHedgeDelayFloor(2*time.Millisecond))
 	start := time.Now()
 	if n := drainAll(t, r, plan, snap); n != snap.NumFiles() {
 		t.Fatalf("consumed %d of %d files", n, snap.NumFiles())
@@ -94,7 +94,7 @@ func TestHedgeSameSourceRetry(t *testing.T) {
 	hedges0 := mHedges.Load()
 
 	r := NewReader(plan, snap, src, WithWindow(2),
-		WithHedge(nil), WithHedgeDelayFloor(2*time.Millisecond))
+		WithHedge(nil), withHedgeDelayFloor(2*time.Millisecond))
 	drainAll(t, r, plan, snap)
 	r.Close()
 	for g := range plan.Groups {
@@ -337,7 +337,7 @@ func TestHedgingBoundsStalls(t *testing.T) {
 	}
 
 	unhedged := run()
-	hedged := run(WithHedge(nil), WithHedgeDelayFloor(10*time.Millisecond),
+	hedged := run(WithHedge(nil), withHedgeDelayFloor(10*time.Millisecond),
 		WithGroupDeadline(2*time.Second))
 	if unhedged < 300*time.Millisecond {
 		t.Fatalf("unhedged worst stall %v; straggler injection not visible", unhedged)
@@ -391,7 +391,7 @@ func TestHedgeCloseMidFlight(t *testing.T) {
 	plan := shuffle.ChunkWisePlan(snap, 19, 2)
 	src := newFlakySource(snap, func(int) bool { return true })
 	r := NewReader(plan, snap, src, WithWindow(3),
-		WithHedge(nil), WithHedgeDelayFloor(time.Millisecond))
+		WithHedge(nil), withHedgeDelayFloor(time.Millisecond))
 	if _, err := r.Next(); err != nil {
 		t.Fatal(err)
 	}

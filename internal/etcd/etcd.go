@@ -3,8 +3,8 @@
 // the task-grained distributed cache registers clients through it (lines
 // labeled 1 in Figure 7).
 //
-// It is a versioned key-value map with watches, embeddable in-process or
-// exposed over the wire protocol. It is intentionally not a consensus
+// It is a map of versioned keys, embeddable in-process or exposed over the
+// wire protocol. It is intentionally not a consensus
 // system: the paper uses a single ETCD endpoint per deployment, and the
 // registry's job here is membership + configuration, both of which the
 // tests exercise through failure injection at the consumer layer.
@@ -32,45 +32,24 @@ var ErrNotFound = errors.New("etcd: key not found")
 // Registry is the in-process implementation. All methods are safe for
 // concurrent use.
 type Registry struct {
-	mu       sync.Mutex
-	data     map[string]Entry
-	revision uint64
-	watchers map[string][]chan Entry // prefix → subscribers
+	mu   sync.Mutex
+	data map[string]Entry
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		data:     make(map[string]Entry),
-		watchers: make(map[string][]chan Entry),
-	}
+	return &Registry{data: make(map[string]Entry)}
 }
 
-// Put stores value under key and returns the key's new version. Watchers
-// whose prefix matches are notified asynchronously (the channel send never
-// blocks Put; slow watchers miss intermediate versions, never final ones,
-// because each notification carries the full entry).
+// Put stores value under key and returns the key's new version.
 func (r *Registry) Put(key string, value []byte) uint64 {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	e := r.data[key]
 	e.Key = key
 	e.Value = append([]byte(nil), value...)
 	e.Version++
-	r.revision++
 	r.data[key] = e
-	var notify []chan Entry
-	for prefix, chans := range r.watchers {
-		if strings.HasPrefix(key, prefix) {
-			notify = append(notify, chans...)
-		}
-	}
-	r.mu.Unlock()
-	for _, ch := range notify {
-		select {
-		case ch <- e:
-		default:
-		}
-	}
 	return e.Version
 }
 
@@ -91,9 +70,6 @@ func (r *Registry) Delete(key string) bool {
 	defer r.mu.Unlock()
 	_, ok := r.data[key]
 	delete(r.data, key)
-	if ok {
-		r.revision++
-	}
 	return ok
 }
 
@@ -111,66 +87,6 @@ func (r *Registry) List(prefix string) []Entry {
 	return out
 }
 
-// Watch subscribes to updates of keys under prefix. The returned cancel
-// function must be called to release the subscription.
-func (r *Registry) Watch(prefix string) (<-chan Entry, func()) {
-	ch := make(chan Entry, 64)
-	r.mu.Lock()
-	r.watchers[prefix] = append(r.watchers[prefix], ch)
-	r.mu.Unlock()
-	cancel := func() {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		chans := r.watchers[prefix]
-		for i, c := range chans {
-			if c == ch {
-				r.watchers[prefix] = append(chans[:i], chans[i+1:]...)
-				break
-			}
-		}
-	}
-	return ch, cancel
-}
-
-// CompareAndPut stores value only if the key's current version equals
-// expect (0 means "must not exist"). It returns the new version and whether
-// the write happened. The distributed cache uses it to elect one master
-// client per node without races.
-func (r *Registry) CompareAndPut(key string, expect uint64, value []byte) (uint64, bool) {
-	r.mu.Lock()
-	e := r.data[key]
-	if e.Version != expect {
-		r.mu.Unlock()
-		return e.Version, false
-	}
-	e.Key = key
-	e.Value = append([]byte(nil), value...)
-	e.Version++
-	r.revision++
-	r.data[key] = e
-	var notify []chan Entry
-	for prefix, chans := range r.watchers {
-		if strings.HasPrefix(key, prefix) {
-			notify = append(notify, chans...)
-		}
-	}
-	r.mu.Unlock()
-	for _, ch := range notify {
-		select {
-		case ch <- e:
-		default:
-		}
-	}
-	return e.Version, true
-}
-
-// Revision returns the global revision counter (total successful writes).
-func (r *Registry) Revision() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.revision
-}
-
 // --- networked façade ---
 
 const (
@@ -178,7 +94,6 @@ const (
 	methodGet  = "etcd.get"
 	methodDel  = "etcd.del"
 	methodList = "etcd.list"
-	methodCAP  = "etcd.cap"
 )
 
 // Server exposes a Registry over the wire protocol.
@@ -268,20 +183,6 @@ func (s *Server) register() {
 		}
 		return e.Bytes(), nil
 	})
-	s.rpc.Handle(methodCAP, func(p []byte) ([]byte, error) {
-		d := wire.NewDecoder(p)
-		key := d.String()
-		expect := d.Uint64()
-		val := d.Bytes32()
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-		v, ok := s.reg.CompareAndPut(key, expect, val)
-		e := wire.NewEncoder(9)
-		e.Bool(ok)
-		e.Uint64(v)
-		return e.Bytes(), nil
-	})
 }
 
 // Client talks to a registry Server.
@@ -362,22 +263,6 @@ func (cl *Client) List(prefix string) ([]Entry, error) {
 	return out, d.Err()
 }
 
-// CompareAndPut performs an atomic conditional write.
-func (cl *Client) CompareAndPut(key string, expect uint64, value []byte) (uint64, bool, error) {
-	e := wire.NewEncoder(len(key) + len(value) + 24)
-	e.String(key)
-	e.Uint64(expect)
-	e.Bytes32(value)
-	resp, err := cl.c.Call(methodCAP, e.Bytes())
-	if err != nil {
-		return 0, false, err
-	}
-	d := wire.NewDecoder(resp)
-	ok := d.Bool()
-	v := d.Uint64()
-	return v, ok, d.Err()
-}
-
 // Close tears down the connection.
 func (cl *Client) Close() error { return cl.c.Close() }
 
@@ -399,9 +284,3 @@ func (a InProcess) Delete(key string) (bool, error) { return a.R.Delete(key), ni
 
 // List returns entries under prefix.
 func (a InProcess) List(prefix string) ([]Entry, error) { return a.R.List(prefix), nil }
-
-// CompareAndPut performs an atomic conditional write.
-func (a InProcess) CompareAndPut(key string, expect uint64, value []byte) (uint64, bool, error) {
-	v, ok := a.R.CompareAndPut(key, expect, value)
-	return v, ok, nil
-}

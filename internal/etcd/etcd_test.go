@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestRegistryPutGetDelete(t *testing.T) {
@@ -42,83 +41,6 @@ func TestRegistryList(t *testing.T) {
 	}
 }
 
-func TestRegistryWatch(t *testing.T) {
-	r := NewRegistry()
-	ch, cancel := r.Watch("jobs/")
-	defer cancel()
-	r.Put("other/x", []byte("no"))
-	r.Put("jobs/1", []byte("yes"))
-	select {
-	case e := <-ch:
-		if e.Key != "jobs/1" {
-			t.Errorf("watch delivered %q", e.Key)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("watch never fired")
-	}
-	select {
-	case e := <-ch:
-		t.Fatalf("unexpected extra event %q", e.Key)
-	default:
-	}
-	cancel()
-	r.Put("jobs/2", []byte("after-cancel"))
-	select {
-	case e, ok := <-ch:
-		if ok {
-			t.Fatalf("event after cancel: %q", e.Key)
-		}
-	default:
-	}
-}
-
-func TestRegistryCompareAndPut(t *testing.T) {
-	r := NewRegistry()
-	v, ok := r.CompareAndPut("leader", 0, []byte("n1"))
-	if !ok || v != 1 {
-		t.Fatalf("initial CAP = %d, %v", v, ok)
-	}
-	// A second contender with expect=0 must lose.
-	if _, ok := r.CompareAndPut("leader", 0, []byte("n2")); ok {
-		t.Fatal("stale CAP succeeded")
-	}
-	e, _ := r.Get("leader")
-	if string(e.Value) != "n1" {
-		t.Errorf("leader = %q", e.Value)
-	}
-	// Correct expected version wins.
-	if _, ok := r.CompareAndPut("leader", 1, []byte("n3")); !ok {
-		t.Fatal("CAP with correct version failed")
-	}
-}
-
-// TestRegistryCAPRace: exactly one of N concurrent contenders must win the
-// initial claim — the property master-client election depends on.
-func TestRegistryCAPRace(t *testing.T) {
-	r := NewRegistry()
-	const contenders = 32
-	wins := make(chan int, contenders)
-	var wg sync.WaitGroup
-	for i := range contenders {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, ok := r.CompareAndPut("election", 0, fmt.Appendf(nil, "node%d", i)); ok {
-				wins <- i
-			}
-		}()
-	}
-	wg.Wait()
-	close(wins)
-	count := 0
-	for range wins {
-		count++
-	}
-	if count != 1 {
-		t.Fatalf("%d contenders won; want exactly 1", count)
-	}
-}
-
 func TestServerClientRoundTrip(t *testing.T) {
 	s, err := NewServer("127.0.0.1:0")
 	if err != nil {
@@ -149,15 +71,6 @@ func TestServerClientRoundTrip(t *testing.T) {
 		t.Fatalf("List = %d entries, %v", len(ents), err)
 	}
 
-	_, ok, err := c.CompareAndPut("lock", 0, []byte("me"))
-	if err != nil || !ok {
-		t.Fatalf("CAP over RPC: %v %v", ok, err)
-	}
-	_, ok, err = c.CompareAndPut("lock", 0, []byte("you"))
-	if err != nil || ok {
-		t.Fatalf("stale CAP over RPC succeeded")
-	}
-
 	gone, err := c.Delete("cfg/a")
 	if err != nil || !gone {
 		t.Fatalf("Delete = %v, %v", gone, err)
@@ -183,7 +96,7 @@ func TestRegistryConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := r.Revision(); got != 8*200 {
-		t.Errorf("Revision = %d, want %d", got, 8*200)
+	if got := len(r.List("")); got != 8*200 {
+		t.Errorf("%d keys stored, want %d", got, 8*200)
 	}
 }

@@ -18,11 +18,11 @@ import (
 // mirroring Redis cluster's 16384 slots.
 const NumSlots = 16384
 
-// Slot maps a key to its hash slot: CRC-32 (IEEE) of the key, modulo
+// slot maps a key to its hash slot: CRC-32 (IEEE) of the key, modulo
 // NumSlots. The checksum is computed a byte at a time over the string —
 // crc32.ChecksumIEEE wants a []byte, which is an allocation per key routed,
 // and on keys of a few dozen bytes the table loop is as fast.
-func Slot(key string) int {
+func slot(key string) int {
 	crc := ^uint32(0)
 	for i := 0; i < len(key); i++ {
 		crc = crc32.IEEETable[byte(crc)^key[i]] ^ crc>>8
@@ -50,7 +50,7 @@ type Options struct {
 	// hung node then fails calls instead of wedging the caller.
 	CallTimeout time.Duration
 	// MaxRetries is how many extra attempts idempotent operations (Get,
-	// MGet, ScanPrefix, DBSize, Ping) make after a transport failure.
+	// MGet, ScanPrefix, DBSize) make after a transport failure.
 	// Writes (Set, MSet, Del, FlushAll) never retry: a retried write that
 	// actually landed would be a silent double-apply. Default 2; negative
 	// disables retries.
@@ -119,7 +119,7 @@ func (c *Cluster) NodeCount() int { return len(c.addrs) }
 
 // nodeFor returns the pool index owning key's slot.
 func (c *Cluster) nodeFor(key string) int {
-	return Slot(key) * len(c.addrs) / NumSlots
+	return slot(key) * len(c.addrs) / NumSlots
 }
 
 func (c *Cluster) pool(i int) *wire.Pool {
@@ -379,16 +379,6 @@ func (c *Cluster) DBSize() (uint64, error) {
 		}
 	}
 	return total, nil
-}
-
-// Ping checks liveness of every node, returning the first error.
-func (c *Cluster) Ping() error {
-	for n := range c.addrs {
-		if _, err := c.callIdem(context.Background(), n, methodPing, nil); err != nil {
-			return fmt.Errorf("kvstore: node %d (%s): %w", n, c.addrs[n], err)
-		}
-	}
-	return nil
 }
 
 // Close tears down all connections. It takes the pools lock, so it is

@@ -67,8 +67,8 @@ func TestClusterReadsRetryAndReportAttempts(t *testing.T) {
 	if _, err := c.MGet([]string{key}); err == nil || !strings.Contains(err.Error(), "kv.mget failed after 2 attempts") {
 		t.Errorf("MGet against a dead node: %v", err)
 	}
-	if c.Ping() == nil {
-		t.Error("Ping should fail with a dead node")
+	if _, err := c.DBSize(); err == nil || !strings.Contains(err.Error(), "kv.dbsize failed after 2 attempts") {
+		t.Errorf("DBSize against a dead node: %v", err)
 	}
 }
 

@@ -89,8 +89,5 @@ func (l *Local) FlushAll() error {
 // DBSize implements Backend.
 func (l *Local) DBSize() (uint64, error) { return uint64(l.st.Len()), nil }
 
-// Ping implements Backend.
-func (l *Local) Ping() error { return nil }
-
 // Close implements Backend.
 func (l *Local) Close() error { return nil }

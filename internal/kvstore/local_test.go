@@ -22,7 +22,6 @@ type backend interface {
 	ScanPrefix(prefix string) ([]KV, error)
 	FlushAll() error
 	DBSize() (uint64, error)
-	Ping() error
 	Close() error
 }
 
@@ -30,9 +29,6 @@ type backend interface {
 func backendContract(t *testing.T, b backend) {
 	t.Helper()
 
-	if err := b.Ping(); err != nil {
-		t.Fatalf("Ping: %v", err)
-	}
 	if _, err := b.Get("missing"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Get missing: %v", err)
 	}

@@ -17,7 +17,6 @@ const (
 	methodPScan  = "kv.pscan"
 	methodFlush  = "kv.flush"
 	methodDBSize = "kv.dbsize"
-	methodPing   = "kv.ping"
 )
 
 // ErrNotFound is returned by Get for missing keys.
@@ -84,7 +83,6 @@ func (s *Server) Restart() error {
 func (s *Server) Wipe() { s.store.Flush() }
 
 func (s *Server) register() {
-	s.rpc.Handle(methodPing, func(p []byte) ([]byte, error) { return []byte("pong"), nil })
 
 	s.rpc.Handle(methodGet, func(p []byte) ([]byte, error) {
 		d := wire.NewDecoder(p)

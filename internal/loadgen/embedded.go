@@ -465,7 +465,7 @@ func (s *Stack) ParseSchedule(spec string) (Schedule, error) {
 		}
 		sched = append(sched, f)
 	}
-	if err := sched.Validate(); err != nil {
+	if err := sched.validate(); err != nil {
 		return nil, err
 	}
 	return sched, nil
@@ -654,7 +654,7 @@ func (s *Stack) RunEmbedded(ctx context.Context, cfg Config) (*Report, error) {
 		}(i, cl)
 	}
 
-	rep, err := Run(ctx, cfg)
+	rep, err := run(ctx, cfg)
 	stopEpochs()
 	epochWG.Wait()
 	if watch != nil {

@@ -34,12 +34,12 @@ type WeightedOp struct {
 	Do     OpFunc
 }
 
-// Config drives Run.
+// Config drives run.
 type Config struct {
 	// Rate is the offered arrival rate in operations/second.
 	Rate float64
 	// Duration is how long arrivals are generated for. Completion may
-	// take longer under backlog; Run waits for every issued op.
+	// take longer under backlog; run waits for every issued op.
 	Duration time.Duration
 	// Concurrency is the number of executor goroutines — the simulated
 	// trainer processes (default 64). It caps in-flight operations; an
@@ -101,7 +101,7 @@ func (c *Config) setDefaults() error {
 	if c.Arrival != Constant && c.Arrival != Poisson {
 		return fmt.Errorf("loadgen: unknown arrival process %q", c.Arrival)
 	}
-	return c.Faults.Validate()
+	return c.Faults.validate()
 }
 
 // arrival is one scheduled operation: its offset on the run timeline and
@@ -117,14 +117,14 @@ type kindCount struct {
 	errs atomic.Uint64
 }
 
-// Run executes the configured load and returns its capacity report. It
+// run executes the configured load and returns its capacity report. It
 // blocks until every issued operation has completed (or ctx is
 // cancelled, which stops arrival generation and waits for in-flight ops).
-func Run(ctx context.Context, cfg Config) (*Report, error) {
+func run(ctx context.Context, cfg Config) (*Report, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
-	rec := NewRecorder(cfg.Concurrency, cfg.Faults)
+	rec := newRecorder(cfg.Concurrency, cfg.Faults)
 	kinds := make([]kindCount, len(cfg.Ops))
 	var shed atomic.Uint64
 	var faultErrs faultErrors
@@ -267,7 +267,7 @@ func runOpen(ctx context.Context, cfg Config, start time.Time, rec *Recorder, ki
 				if openLat < 0 {
 					openLat = 0
 				}
-				rec.Record(e, a.intended, openLat, now.Sub(svcStart), err)
+				rec.record(e, a.intended, openLat, now.Sub(svcStart), err)
 				kinds[a.kind].ops.Add(1)
 				if err != nil {
 					kinds[a.kind].errs.Add(1)
@@ -305,7 +305,7 @@ func runClosed(ctx context.Context, cfg Config, start time.Time, rec *Recorder, 
 				svcLat := time.Since(svcStart)
 				// A closed loop has no intended start separate from the
 				// actual one: openLat == svcLat by construction.
-				rec.Record(e, off, svcLat, svcLat, err)
+				rec.record(e, off, svcLat, svcLat, err)
 				kinds[kind].ops.Add(1)
 				if err != nil {
 					kinds[kind].errs.Add(1)

@@ -45,8 +45,8 @@ func TestOpenLoopSeesStallClosedLoopDoesNot(t *testing.T) {
 		{"one-in-200", 200}, // stalls under the 1% tail: closed p99 fully blind
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			openRec := NewRecorder(1, nil)
-			closedRec := NewRecorder(1, nil)
+			openRec := newRecorder(1, nil)
+			closedRec := newRecorder(1, nil)
 
 			var done time.Duration // completion time of the previous op (FIFO)
 			for k := 0; k < n; k++ {
@@ -60,10 +60,10 @@ func TestOpenLoopSeesStallClosedLoopDoesNot(t *testing.T) {
 					start = done // queued behind the backlog
 				}
 				done = start + s
-				openRec.Record(0, arrival, done-arrival, s, nil)
+				openRec.record(0, arrival, done-arrival, s, nil)
 				// The closed loop issues the next op when the previous
 				// returns: its "latency" is the service time, always.
-				closedRec.Record(0, start, s, s, nil)
+				closedRec.record(0, start, s, s, nil)
 			}
 
 			openP99 := time.Duration(openRec.Total().Open.Quantile(0.99))
@@ -98,25 +98,25 @@ func TestScheduleValidate(t *testing.T) {
 		{Name: "a", Start: time.Second, Dur: time.Second},
 		{Name: "b", Start: 3 * time.Second, Dur: time.Second},
 	}
-	if err := ok.Validate(); err != nil {
+	if err := ok.validate(); err != nil {
 		t.Fatalf("valid schedule rejected: %v", err)
 	}
 	overlap := Schedule{
 		{Name: "a", Start: time.Second, Dur: 2 * time.Second},
 		{Name: "b", Start: 2 * time.Second, Dur: time.Second},
 	}
-	if err := overlap.Validate(); err == nil {
+	if err := overlap.validate(); err == nil {
 		t.Error("overlapping schedule accepted")
 	}
 	unsorted := Schedule{
 		{Name: "b", Start: 3 * time.Second, Dur: time.Second},
 		{Name: "a", Start: time.Second, Dur: time.Second},
 	}
-	if err := unsorted.Validate(); err == nil {
+	if err := unsorted.validate(); err == nil {
 		t.Error("unsorted schedule accepted")
 	}
 	zero := Schedule{{Name: "z", Start: time.Second, Dur: 0}}
-	if err := zero.Validate(); err == nil {
+	if err := zero.validate(); err == nil {
 		t.Error("zero-duration window accepted")
 	}
 }
@@ -125,15 +125,15 @@ func TestScheduleValidate(t *testing.T) {
 // window their *intended* start falls in, even when they complete later.
 func TestRecorderPhaseAttribution(t *testing.T) {
 	sched := Schedule{{Name: "kill", Start: 2 * time.Second, Dur: time.Second}}
-	rec := NewRecorder(2, sched)
+	rec := newRecorder(2, sched)
 
-	rec.Record(0, 1*time.Second, time.Millisecond, time.Millisecond, nil) // steady
+	rec.record(0, 1*time.Second, time.Millisecond, time.Millisecond, nil) // steady
 	// Intended mid-window, finishes long after it closed, and failed:
 	// still belongs to the window.
-	rec.Record(1, 2500*time.Millisecond, 5*time.Second, 5*time.Second, errBoom)
-	rec.Record(0, 3500*time.Millisecond, time.Millisecond, time.Millisecond, nil) // steady again
+	rec.record(1, 2500*time.Millisecond, 5*time.Second, 5*time.Second, errBoom)
+	rec.record(0, 3500*time.Millisecond, time.Millisecond, time.Millisecond, nil) // steady again
 
-	phases := rec.Phases()
+	phases := rec.phases()
 	if len(phases) != 2 {
 		t.Fatalf("got %d phases, want 2", len(phases))
 	}
@@ -158,7 +158,7 @@ func TestRecorderPhaseAttribution(t *testing.T) {
 // TestRunOpenLoop drives the real runner with a fast no-op workload and
 // checks the report's accounting.
 func TestRunOpenLoop(t *testing.T) {
-	rep, err := Run(context.Background(), Config{
+	rep, err := run(context.Background(), Config{
 		Rate:        2000,
 		Duration:    300 * time.Millisecond,
 		Concurrency: 8,
@@ -201,7 +201,7 @@ func TestRunOpenLoop(t *testing.T) {
 // TestRunClosedLoop checks the comparison harness labels itself and that
 // open-loop latency degenerates to service time.
 func TestRunClosedLoop(t *testing.T) {
-	rep, err := Run(context.Background(), Config{
+	rep, err := run(context.Background(), Config{
 		ClosedLoop:  true,
 		Duration:    150 * time.Millisecond,
 		Concurrency: 4,
@@ -246,7 +246,7 @@ func TestRunFaultSchedule(t *testing.T) {
 			return nil
 		},
 	}}
-	rep, err := Run(context.Background(), Config{
+	rep, err := run(context.Background(), Config{
 		Rate:        500,
 		Duration:    300 * time.Millisecond,
 		Concurrency: 4,

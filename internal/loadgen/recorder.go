@@ -10,11 +10,11 @@
 //
 //   - Recorder: sharded, mergeable latency/outcome recording tagged by
 //     fault-schedule phase (this file);
-//   - Run: the open-loop (and, for comparison, closed-loop) runner over
+//   - run: the open-loop (and, for comparison, closed-loop) runner over
 //     a weighted operation mix with a scripted fault Schedule;
 //   - StartStack/RunEmbedded: a real diesel-server+kvnode deployment on
 //     loopback TCP with workload mixes over the existing client, driven
-//     by Run and summarised into a machine-readable capacity Report
+//     by run and summarised into a machine-readable capacity Report
 //     that cmd/benchguard gates in CI.
 package loadgen
 
@@ -105,11 +105,11 @@ type Recorder struct {
 	windows []*phaseRec // aligned with sched
 }
 
-// NewRecorder builds a recorder with one shard per executor. Pass the
-// executor index to Record; executors must not share a shard index
+// newRecorder builds a recorder with one shard per executor. Pass the
+// executor index to record; executors must not share a shard index
 // concurrently with a different executor (the histograms themselves are
 // atomic, sharding just avoids cache-line ping-pong on the max trackers).
-func NewRecorder(shards int, sched Schedule) *Recorder {
+func newRecorder(shards int, sched Schedule) *Recorder {
 	if shards < 1 {
 		shards = 1
 	}
@@ -124,10 +124,10 @@ func NewRecorder(shards int, sched Schedule) *Recorder {
 	return r
 }
 
-// Record stores one completed operation: intended is the arrival's offset
+// record stores one completed operation: intended is the arrival's offset
 // on the run timeline, openLat the intended-start→completion latency,
 // svcLat the actual-start→completion service time.
-func (r *Recorder) Record(shard int, intended time.Duration, openLat, svcLat time.Duration, err error) {
+func (r *Recorder) record(shard int, intended time.Duration, openLat, svcLat time.Duration, err error) {
 	r.total.record(shard, openLat, svcLat, err)
 	if i := r.sched.windowAt(intended); i >= 0 {
 		r.windows[i].record(shard, openLat, svcLat, err)
@@ -139,9 +139,9 @@ func (r *Recorder) Record(shard int, intended time.Duration, openLat, svcLat tim
 // Total returns the merged run-wide stats.
 func (r *Recorder) Total() PhaseStats { return r.total.snapshot() }
 
-// Phases returns the steady phase followed by one entry per fault window,
+// phases returns the steady phase followed by one entry per fault window,
 // in schedule order.
-func (r *Recorder) Phases() []PhaseStats {
+func (r *Recorder) phases() []PhaseStats {
 	out := []PhaseStats{r.steady.snapshot()}
 	for _, w := range r.windows {
 		out = append(out, w.snapshot())

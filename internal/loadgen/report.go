@@ -119,7 +119,7 @@ type Report struct {
 	FaultErrors []string `json:"fault_errors,omitempty"`
 	// Counters holds deltas of selected obs counters over the run
 	// (client retries, cache master deaths/revivals, wire redials…) —
-	// filled by RunEmbedded, absent for bare Run.
+	// filled by RunEmbedded, absent for bare run.
 	Counters map[string]float64 `json:"counters,omitempty"`
 	Runtime  *RuntimeReport     `json:"runtime,omitempty"`
 }
@@ -176,7 +176,7 @@ func buildReport(cfg Config, rec *Recorder, kinds []kindCount, elapsed time.Dura
 			Errors: kinds[i].errs.Load(),
 		})
 	}
-	for _, ph := range rec.Phases() {
+	for _, ph := range rec.phases() {
 		if ph.Open.Count == 0 && ph.Name == "steady" && len(cfg.Faults) == 0 {
 			// No faults and nothing recorded: skip the redundant phase.
 			continue

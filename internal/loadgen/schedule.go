@@ -25,9 +25,9 @@ type Fault struct {
 // intended start falls in.
 type Schedule []Fault
 
-// Validate checks ordering and non-overlap (overlapping windows would
+// validate checks ordering and non-overlap (overlapping windows would
 // make per-phase attribution ambiguous).
-func (s Schedule) Validate() error {
+func (s Schedule) validate() error {
 	if !sort.SliceIsSorted(s, func(i, j int) bool { return s[i].Start < s[j].Start }) {
 		return fmt.Errorf("loadgen: fault schedule not sorted by start time")
 	}

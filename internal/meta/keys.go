@@ -124,14 +124,6 @@ func dirHash(dir string) (hex [16]byte) {
 	return hex
 }
 
-// DirHash returns the stable 64-bit hash of a directory path used in file
-// and directory keys. FNV-1a is stable across processes and platforms,
-// unlike Go's map hash.
-func DirHash(dir string) string {
-	h := dirHash(dir)
-	return string(h[:])
-}
-
 // DatasetKey is the key of a dataset's summary record.
 func DatasetKey(dataset string) string { return prefixDataset + dataset }
 
@@ -153,9 +145,9 @@ func FileKey(dataset, path string) string {
 	return prefixFile + dataset + "|" + string(h[:]) + "|" + base
 }
 
-// DirEntryKey is the key marking that directory dir contains child
+// dirEntryKey is the key marking that directory dir contains child
 // directory base.
-func DirEntryKey(dataset, parent, base string) string {
+func dirEntryKey(dataset, parent, base string) string {
 	h := dirHash(parent)
 	return prefixDir + dataset + "|" + string(h[:]) + "|" + base
 }
@@ -184,10 +176,10 @@ func BaseFromScanKey(key string) string {
 	return key[i+1:]
 }
 
-// Ancestors returns every ancestor directory of a cleaned path, from the
+// ancestors returns every ancestor directory of a cleaned path, from the
 // root-most ("a") down to the immediate parent, excluding the root itself.
 // For "a/b/c/file" it returns ["a", "a/b", "a/b/c"].
-func Ancestors(path string) []string {
+func ancestors(path string) []string {
 	path = CleanPath(path)
 	var out []string
 	for i, r := range path {

@@ -44,27 +44,33 @@ func TestSplitPath(t *testing.T) {
 }
 
 func TestAncestors(t *testing.T) {
-	got := Ancestors("a/b/c/file.jpg")
+	got := ancestors("a/b/c/file.jpg")
 	want := []string{"a", "a/b", "a/b/c"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("Ancestors = %v, want %v", got, want)
 	}
-	if got := Ancestors("file.jpg"); len(got) != 0 {
+	if got := ancestors("file.jpg"); len(got) != 0 {
 		t.Errorf("root file Ancestors = %v", got)
 	}
+}
+
+// dirHashString is dirHash as the string the key builders embed.
+func dirHashString(dir string) string {
+	h := dirHash(dir)
+	return string(h[:])
 }
 
 func TestDirHashStable(t *testing.T) {
 	// Pinned values guard against accidental hash-function changes, which
 	// would orphan all existing KV records.
-	if got := DirHash(""); got != DirHash("/") {
+	if got := dirHashString(""); got != dirHashString("/") {
 		t.Error("hash of root differs between spellings")
 	}
-	if DirHash("a/b") == DirHash("a/c") {
+	if dirHashString("a/b") == dirHashString("a/c") {
 		t.Error("distinct dirs hash equal")
 	}
-	if len(DirHash("x")) != 16 {
-		t.Errorf("hash length = %d", len(DirHash("x")))
+	if len(dirHashString("x")) != 16 {
+		t.Errorf("hash length = %d", len(dirHashString("x")))
 	}
 }
 
@@ -77,7 +83,7 @@ func TestKeySchemaRoundTrip(t *testing.T) {
 	if BaseFromScanKey(fk) != "x.jpg" {
 		t.Errorf("BaseFromScanKey = %q", BaseFromScanKey(fk))
 	}
-	dk := DirEntryKey(ds, "train", "n01")
+	dk := dirEntryKey(ds, "train", "n01")
 	if !strings.HasPrefix(dk, DirScanPrefix(ds, "train")) {
 		t.Error("dir key not under parent's scan prefix")
 	}
@@ -89,7 +95,7 @@ func TestKeySchemaRoundTrip(t *testing.T) {
 func TestKeyNamespacesDisjoint(t *testing.T) {
 	// A file and a directory with identical names must produce distinct
 	// keys, and datasets must not collide.
-	if FileKey("ds", "a/x") == DirEntryKey("ds", "a", "x") {
+	if FileKey("ds", "a/x") == dirEntryKey("ds", "a", "x") {
 		t.Error("file and dir keys collide")
 	}
 	if FileKey("ds1", "x") == FileKey("ds2", "x") {
@@ -161,9 +167,9 @@ func TestKeysMatchTheOldBuilders(t *testing.T) {
 		t.Helper()
 		dir, base := SplitPath(path)
 		for _, c := range [][2]string{
-			{DirHash(path), oldDirHash(path)},
+			{dirHashString(path), oldDirHash(path)},
 			{FileKey(dataset, path), oldFileKey(dataset, path)},
-			{DirEntryKey(dataset, dir, base), oldDirEntryKey(dataset, dir, base)},
+			{dirEntryKey(dataset, dir, base), oldDirEntryKey(dataset, dir, base)},
 			{FileScanPrefix(dataset, path), "f|" + dataset + "|" + oldDirHash(path) + "|"},
 			{DirScanPrefix(dataset, path), "d|" + dataset + "|" + oldDirHash(path) + "|"},
 		} {
@@ -204,8 +210,8 @@ func TestKeyBuildersAllocateOnce(t *testing.T) {
 	var sink string
 	for name, f := range map[string]func(){
 		"FileKey":        func() { sink = FileKey(ds, path) },
-		"DirEntryKey":    func() { sink = DirEntryKey(ds, dir, base) },
-		"DirHash":        func() { sink = DirHash(dir) },
+		"DirEntryKey":    func() { sink = dirEntryKey(ds, dir, base) },
+		"DirHash":        func() { sink = dirHashString(dir) },
 		"FileScanPrefix": func() { sink = FileScanPrefix(ds, dir) },
 		"DirScanPrefix":  func() { sink = DirScanPrefix(ds, dir) },
 	} {

@@ -140,13 +140,13 @@ func PairsForChunk(dataset string, h *chunk.Header, encodedSize uint64) []KV {
 			FullName: CleanPath(fe.Name),
 		}
 		pairs = append(pairs, KV{Key: FileKey(dataset, fr.FullName), Value: fr.Encode()})
-		for _, anc := range Ancestors(fr.FullName) {
+		for _, anc := range ancestors(fr.FullName) {
 			if seenDirs[anc] {
 				continue
 			}
 			seenDirs[anc] = true
 			parent, base := SplitPath(anc)
-			pairs = append(pairs, KV{Key: DirEntryKey(dataset, parent, base), Value: nil})
+			pairs = append(pairs, KV{Key: dirEntryKey(dataset, parent, base), Value: nil})
 		}
 	}
 	return pairs

@@ -83,36 +83,11 @@ func (m *Memory) Put(key string, data []byte) error {
 }
 
 // Get implements Store.
-func (m *Memory) Get(key string) ([]byte, error) {
-	m.mu.Lock()
-	b, ok := m.data[key]
-	m.Ops.Gets++
-	m.Ops.BytesOut += uint64(len(b))
-	m.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
-	}
-	return append([]byte(nil), b...), nil
-}
+func (m *Memory) Get(key string) ([]byte, error) { return owned(m.GetPooled(key)) }
 
 // GetRange implements Store.
 func (m *Memory) GetRange(key string, off, n int64) ([]byte, error) {
-	m.mu.Lock()
-	b, ok := m.data[key]
-	m.Ops.Gets++
-	m.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
-	}
-	return sliceRange(b, off, n)
-}
-
-func sliceRange(b []byte, off, n int64) ([]byte, error) {
-	start, end, err := clampRange(int64(len(b)), off, n)
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), b[start:end]...), nil
+	return owned(m.GetRangePooled(key, off, n))
 }
 
 // clampRange validates off and clamps n against an object of the given
@@ -302,13 +277,7 @@ func (d *Disk) openRange(key string, off, n int64) (f *os.File, start, end int64
 // never hits the garbage collector; hot paths that can honour a release
 // protocol skip the copy entirely via GetRangePooled.
 func (d *Disk) GetRange(key string, off, n int64) ([]byte, error) {
-	b, release, err := d.GetRangePooled(key, off, n)
-	if err != nil {
-		return nil, err
-	}
-	out := append([]byte(nil), b...)
-	release()
-	return out, nil
+	return owned(d.GetRangePooled(key, off, n))
 }
 
 // GetPooled implements PooledReader.
@@ -416,9 +385,6 @@ type Throttled struct {
 // flight — in-flight operations keep the value they already sampled.
 func (t *Throttled) SetExtraLatency(d time.Duration) { t.extra.Store(int64(d)) }
 
-// ExtraLatency returns the current runtime-added per-operation latency.
-func (t *Throttled) ExtraLatency() time.Duration { return time.Duration(t.extra.Load()) }
-
 // SetSlowEvery makes every n-th operation (deterministically, by a global
 // operation counter) take extra additional latency — the 1-in-n straggler
 // a hedged reader must hide. n <= 0 disables injection. Safe to toggle
@@ -453,17 +419,11 @@ func (t *Throttled) Put(key string, data []byte) error {
 }
 
 // Get implements Store.
-func (t *Throttled) Get(key string) ([]byte, error) {
-	b, err := t.Base.Get(key)
-	t.wait(len(b))
-	return b, err
-}
+func (t *Throttled) Get(key string) ([]byte, error) { return owned(t.GetPooled(key)) }
 
 // GetRange implements Store.
 func (t *Throttled) GetRange(key string, off, n int64) ([]byte, error) {
-	b, err := t.Base.GetRange(key, off, n)
-	t.wait(len(b))
-	return b, err
+	return owned(t.GetRangePooled(key, off, n))
 }
 
 // GetPooled implements PooledReader, delegating to the base store's

@@ -125,7 +125,129 @@ func storeContract(t *testing.T, s Store) {
 		t.Errorf("List after delete = %v", keys)
 	}
 
+	ownedEqualsLent(t, s)
 	lendingContract(t, s)
+}
+
+// readCounters returns the read-side counters a store keeps, nil for a
+// store that keeps none: Tiered's fast-tier hits and misses, Memory's
+// operation and byte counts.
+func readCounters(s Store) []uint64 {
+	switch s := s.(type) {
+	case *Tiered:
+		return []uint64{s.HitCount(), s.MissCount()}
+	case *Memory:
+		c := s.Snapshot()
+		return []uint64{c.Gets, c.BytesOut}
+	}
+	return nil
+}
+
+// ownedEqualsLent is storeContract's "one read path" clause: a store's
+// owned reads (Get, GetRange) are its lent reads (GetPooled,
+// GetRangePooled) plus a copy. At every range edge the contract walks they
+// return equal bytes or fail alike, the owned bytes do not alias what a
+// later read returns, and the store's own counters move the same.
+func ownedEqualsLent(t *testing.T, s Store) {
+	t.Helper()
+	const key, obj = "eq/k", "0123456789"
+	// counted runs read and returns how far each counter moved.
+	counted := func(read func()) []uint64 {
+		before := readCounters(s)
+		read()
+		after := readCounters(s)
+		for i := range after {
+			after[i] -= before[i]
+		}
+		return after
+	}
+	sameCounts := func(what string, owned, lent []uint64) {
+		t.Helper()
+		if fmt.Sprint(owned) != fmt.Sprint(lent) {
+			t.Errorf("%s: counters moved %v for the owned read, %v for the lent one", what, owned, lent)
+		}
+	}
+
+	// Whole objects, from the same starting state: a fresh Put (which
+	// drops any cached copy), then the miss that fills and the read after.
+	var ownedB, lentB [2][]byte
+	var ownedErr, lentErr [2]error
+	if err := s.Put(key, []byte(obj)); err != nil {
+		t.Fatal(err)
+	}
+	ownedCounts := counted(func() {
+		for i := range ownedB {
+			ownedB[i], ownedErr[i] = s.Get(key)
+		}
+	})
+	if err := s.Put(key, []byte(obj)); err != nil {
+		t.Fatal(err)
+	}
+	lentCounts := counted(func() {
+		for i := range lentB {
+			var release func()
+			if lentB[i], release, lentErr[i] = GetPooled(s, key); lentErr[i] == nil {
+				lentB[i] = bytes.Clone(lentB[i])
+				release()
+			}
+		}
+	})
+	sameCounts("Get", ownedCounts, lentCounts)
+	for i := range ownedB {
+		if ownedErr[i] != nil || lentErr[i] != nil || string(ownedB[i]) != obj || string(lentB[i]) != obj {
+			t.Fatalf("read %d: Get = %q, %v; GetPooled = %q, %v", i, ownedB[i], ownedErr[i], lentB[i], lentErr[i])
+		}
+		for j := range ownedB[i] {
+			ownedB[i][j] = '!'
+		}
+	}
+	if b, release, err := GetPooled(s, key); err != nil || string(b) != obj {
+		t.Errorf("GetPooled after writing into Get's copies = %q, %v", b, err)
+	} else {
+		release()
+	}
+
+	// Ranges, including the edges that clamp and the ones that fail. Range
+	// reads do not change what is cached, so the pairs run back to back.
+	for _, r := range []struct {
+		key    string
+		off, n int64
+	}{
+		{key, 0, 4}, {key, 5, 3}, {key, 5, -1}, {key, 9, 100}, {key, 10, 5}, {key, 0, 0},
+		{key, -1, 5}, {key, 11, 5}, {"eq/nope", 0, 1},
+	} {
+		what := fmt.Sprintf("GetRange(%q,%d,%d)", r.key, r.off, r.n)
+		var owned, lent []byte
+		var ownedErr, lentErr error
+		ownedCounts := counted(func() { owned, ownedErr = s.GetRange(r.key, r.off, r.n) })
+		lentCounts := counted(func() {
+			var release func()
+			if lent, release, lentErr = GetRangePooled(s, r.key, r.off, r.n); lentErr == nil {
+				lent = bytes.Clone(lent)
+				release()
+			}
+		})
+		sameCounts(what, ownedCounts, lentCounts)
+		if (ownedErr == nil) != (lentErr == nil) || errors.Is(ownedErr, ErrNotFound) != errors.Is(lentErr, ErrNotFound) {
+			t.Errorf("%s: owned read failed with %v, lent read with %v", what, ownedErr, lentErr)
+			continue
+		}
+		if !bytes.Equal(owned, lent) {
+			t.Errorf("%s = %q owned, %q lent", what, owned, lent)
+		}
+		for j := range owned {
+			owned[j] = '!'
+		}
+		if again, release, err := GetRangePooled(s, r.key, r.off, r.n); err == nil {
+			if !bytes.Equal(again, lent) {
+				t.Errorf("%s: writing into the owned copy changed a later read to %q", what, again)
+			}
+			release()
+		}
+	}
+	if err := s.Delete(key); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // lendingContract is storeContract's PooledReader clause (through the
@@ -486,9 +608,6 @@ func TestThrottledExtraLatency(t *testing.T) {
 
 	const extra = 30 * time.Millisecond
 	th.SetExtraLatency(extra)
-	if got := th.ExtraLatency(); got != extra {
-		t.Fatalf("ExtraLatency = %v, want %v", got, extra)
-	}
 	start = time.Now()
 	if _, err := th.Get("k"); err != nil {
 		t.Fatal(err)

@@ -54,6 +54,18 @@ type PooledReader interface {
 
 func noopRelease() {}
 
+// owned turns a lent read into the caller's own copy and hands the loan
+// back: every store implements its read once, as the lent one, and its
+// Store.Get/GetRange is owned(lent read).
+func owned(b []byte, release func(), err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
+	}
+	out := append([]byte(nil), b...)
+	release()
+	return out, nil
+}
+
 // GetPooled reads a whole object through the store's pooled path when it
 // has one, falling back to a plain owned Get (with a no-op release)
 // otherwise — so callers can adopt the release protocol without caring

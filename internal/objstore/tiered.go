@@ -1,7 +1,6 @@
 package objstore
 
 import (
-	"bytes"
 	"strings"
 	"sync/atomic"
 
@@ -54,13 +53,19 @@ func (t *Tiered) Put(key string, data []byte) error {
 	return err
 }
 
-// load returns key's object and whether the fast tier holds the returned
-// slice. A miss reads through — spill level, then slow tier — and offers
-// what it read to the fast tier, which retains the slice it is given.
-func (t *Tiered) load(key string) (b []byte, held bool, err error) {
+// Get implements Store: the caller gets a copy of its own, since the fast
+// tier keeps what GetPooled lends.
+func (t *Tiered) Get(key string) ([]byte, error) { return owned(t.GetPooled(key)) }
+
+// GetPooled implements PooledReader by lending what the fast tier holds:
+// tier.Store values are immutable, GC-owned and stay valid after eviction,
+// demotion or Remove, so a hit is lent as it lies and a miss — which reads
+// through, spill level then slow tier — lends the very slice it read and
+// offered to the fast tier. There is nothing to hand back.
+func (t *Tiered) GetPooled(key string) ([]byte, func(), error) {
 	if b, ok := t.fast.Get(key); ok {
 		t.hits.Add(1)
-		return b, true, nil
+		return b, noopRelease, nil
 	}
 	t.misses.Add(1)
 	gen := t.fast.Gen(key)
@@ -69,54 +74,25 @@ func (t *Tiered) load(key string) (b []byte, held bool, err error) {
 	// verified from local disk.
 	b, ok := t.fast.LoadSpill(key)
 	if !ok {
+		var err error
 		if b, err = t.slow.Get(key); err != nil {
-			return nil, false, err
+			return nil, nil, err
 		}
 	}
-	_, held = t.fast.Put(key, b, gen, nil)
-	return b, held, nil
-}
-
-// Get implements Store: the caller gets a copy of its own, since the fast
-// tier keeps what load returned.
-func (t *Tiered) Get(key string) ([]byte, error) {
-	b, held, err := t.load(key)
-	if held {
-		b = bytes.Clone(b)
-	}
-	return b, err
-}
-
-// GetPooled implements PooledReader by lending what the fast tier holds:
-// tier.Store values are immutable, GC-owned and stay valid after eviction,
-// demotion or Remove, so a hit is lent as it lies and a miss lends the very
-// slice it read and cached. There is nothing to hand back.
-func (t *Tiered) GetPooled(key string) ([]byte, func(), error) {
-	b, _, err := t.load(key)
-	if err != nil {
-		return nil, nil, err
-	}
+	t.fast.Put(key, b, gen, nil)
 	return b, noopRelease, nil
 }
 
-// GetRange implements Store. Ranges are served from whichever tier holds
-// the object; range reads do not promote, since promotion would read the
-// whole object and defeat the point of a partial read.
+// GetRange implements Store.
 func (t *Tiered) GetRange(key string, off, n int64) ([]byte, error) {
-	if b, ok := t.fast.Get(key); ok {
-		t.hits.Add(1)
-		return sliceRange(b, off, n)
-	}
-	t.misses.Add(1)
-	if b, ok := t.spillRange(key, off, n); ok {
-		return b, nil
-	}
-	return t.slow.GetRange(key, off, n)
+	return owned(t.GetRangePooled(key, off, n))
 }
 
-// GetRangePooled implements PooledReader: GetRange, with a fast-tier hit
-// lent as a window into the cached slice (see GetPooled) — capped, so an
-// append by the borrower cannot reach the bytes behind it.
+// GetRangePooled implements PooledReader. Ranges are served from whichever
+// tier holds the object; range reads do not promote, since promotion would
+// read the whole object and defeat the point of a partial read. A
+// fast-tier hit is lent as a window into the cached slice (see GetPooled) —
+// capped, so an append by the borrower cannot reach the bytes behind it.
 func (t *Tiered) GetRangePooled(key string, off, n int64) ([]byte, func(), error) {
 	if b, ok := t.fast.Get(key); ok {
 		t.hits.Add(1)

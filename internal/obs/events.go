@@ -50,9 +50,6 @@ var (
 // watchdog enables it when it starts.
 func EnableEvents(on bool) { eventsOn.Store(on) }
 
-// EventsEnabled reports whether Publish currently records.
-func EventsEnabled() bool { return eventsOn.Load() }
-
 // OnEvent installs fn as the process-wide event subscriber (nil
 // uninstalls). The watchdog uses it to turn discrete events into bundle
 // captures. fn runs synchronously inside Publish, so it must be cheap

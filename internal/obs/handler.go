@@ -11,9 +11,9 @@ import (
 	"diesel/internal/tracing"
 )
 
-// Handler returns an http.Handler serving only the registry's /metrics
-// rendering (whatever path it is mounted on).
-func Handler(r *Registry) http.Handler {
+// metricsHandler returns an http.Handler serving only the registry's
+// /metrics rendering (whatever path it is mounted on).
+func metricsHandler(r *Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		if err := r.WriteText(w); err != nil {
@@ -38,7 +38,7 @@ func Handler(r *Registry) http.Handler {
 func NewMux(reg *Registry) *http.ServeMux {
 	RegisterRuntime(reg) // every -metrics endpoint shows self-telemetry
 	mux := http.NewServeMux()
-	mux.Handle("/metrics", Handler(reg))
+	mux.Handle("/metrics", metricsHandler(reg))
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")

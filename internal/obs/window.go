@@ -64,24 +64,12 @@ func (w *HistWindow) at(i int) histSample {
 // newest sample minus the newest sample at least d older. When the ring
 // does not span d yet (process younger than the window, or capacity too
 // small) it falls back to the oldest retained sample, so early answers
-// cover a shorter span — callers that care can check Span. With fewer
-// than two samples the delta is empty.
+// cover a shorter span. With fewer than two samples the delta is empty.
 func (w *HistWindow) Over(d time.Duration) HistSnapshot {
-	s, _ := w.overSpan(d)
-	return s
-}
-
-// Span reports the actual time covered by Over(d).
-func (w *HistWindow) Span(d time.Duration) time.Duration {
-	_, span := w.overSpan(d)
-	return span
-}
-
-func (w *HistWindow) overSpan(d time.Duration) (HistSnapshot, time.Duration) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.count < 2 {
-		return HistSnapshot{}, 0
+		return HistSnapshot{}
 	}
 	newest := w.at(w.count - 1)
 	base := w.at(0)
@@ -93,7 +81,7 @@ func (w *HistWindow) overSpan(d time.Duration) (HistSnapshot, time.Duration) {
 			break
 		}
 	}
-	return subSnapshot(newest.s, base.s), newest.t.Sub(base.t)
+	return subSnapshot(newest.s, base.s)
 }
 
 // subSnapshot returns a-b per bucket, clamping underflow to zero (a

@@ -14,27 +14,35 @@ import (
 	"diesel/internal/tracing"
 )
 
-// ExecutorConfig tunes the request executor, the component that "sorts and
-// merges small file requests to chunk-wise operations" (§4, Figure 2).
-// With Merge disabled every file costs one object-store range read — the
-// ablation baseline. With it enabled, groups of requests that land in the
-// same chunk are served by a single whole-chunk read when doing so is
-// cheaper.
+// ExecutorConfig holds the one switch and the statistics of the request
+// executor, the component that "sorts and merges small file requests to
+// chunk-wise operations" (§4, Figure 2). With Merge disabled every file
+// costs one object-store range read — the ablation baseline. With it
+// enabled, a group of requests that land in one chunk is served by a single
+// whole-chunk read once mergeMinFiles files or mergeMinSpanFraction of the
+// chunk's bytes are requested together.
 type ExecutorConfig struct {
 	// Merge enables request merging. Off = one backend read per file.
 	Merge bool
-	// MinFilesForChunkRead merges a group into a whole-chunk read when at
-	// least this many requested files live in one chunk.
-	MinFilesForChunkRead int
-	// MinSpanFraction merges when the requested bytes of a group are at
-	// least this fraction of the chunk size, even with few files.
-	MinSpanFraction float64
-	// Parallelism bounds concurrent backend reads for one batch.
-	Parallelism int
+
+	// The merge rule's two thresholds: mergeMinFiles and
+	// mergeMinSpanFraction, fields only so that tests can walk the rule's
+	// edges.
+	minFiles int
+	minSpan  float64
 
 	// Stats accumulates executor behaviour for experiments.
 	Stats ExecutorStats
 }
+
+// The executor's fixed settings, the ones the paper-style experiments ran
+// with: a chunk read once 4 files or 25% of the chunk's bytes are requested
+// together, at most 8 concurrent backend reads for one batch.
+const (
+	mergeMinFiles        = 4
+	mergeMinSpanFraction = 0.25
+	execParallelism      = 8
+)
 
 // ExecutorStats counts backend traffic. All fields are atomics so
 // experiments can read them while a workload runs.
@@ -43,18 +51,6 @@ type ExecutorStats struct {
 	RangeReads   atomic.Uint64 // per-file range fetches
 	BackendBytes atomic.Uint64 // total bytes pulled from the object store
 	FilesServed  atomic.Uint64
-}
-
-// DefaultExecutorConfig returns the configuration used in the paper-style
-// experiments: merging on, a chunk read once 4 files or 25% of the chunk's
-// bytes are requested together.
-func DefaultExecutorConfig() ExecutorConfig {
-	return ExecutorConfig{
-		Merge:                true,
-		MinFilesForChunkRead: 4,
-		MinSpanFraction:      0.25,
-		Parallelism:          8,
-	}
 }
 
 // GetFilesContext serves a batch of file reads. The result is parallel to
@@ -107,11 +103,7 @@ func (s *Server) GetFilesContext(ctx context.Context, dataset string, paths []st
 	}
 	sort.Slice(ids, func(a, b int) bool { return ids[a].Less(ids[b]) })
 
-	par := s.Exec.Parallelism
-	if par < 1 {
-		par = 1
-	}
-	sem := make(chan struct{}, par)
+	sem := make(chan struct{}, execParallelism)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var firstErr error
@@ -172,15 +164,15 @@ func (s *Server) serveGroup(ctx context.Context, dataset string, id chunk.ID, gr
 		return err
 	}
 	hl := shape.headerLen
-	merge := s.Exec.Merge && (len(grp) >= s.Exec.MinFilesForChunkRead ||
-		(shape.size > 0 && float64(wantBytes) >= s.Exec.MinSpanFraction*float64(shape.size)))
+	merge := s.Exec.Merge && (len(grp) >= s.Exec.minFiles ||
+		(shape.size > 0 && float64(wantBytes) >= s.Exec.minSpan*float64(shape.size)))
 	sp.SetAttr("merge", strconv.FormatBool(merge))
 
+	// One read shape either way: borrow — the whole chunk if the merge rule
+	// says so, else each file's range — copy the file out (the batch
+	// contract hands owned slices to the caller), release. Nothing
+	// chunk-sized is allocated per merge.
 	if merge {
-		// The whole chunk is on loan — a pooled read buffer, or the cached
-		// chunk itself: emit copies each requested file out (the batch
-		// contract hands owned slices to the caller) and nothing
-		// chunk-sized is allocated per merge.
 		blob, release, err := objstore.GetPooled(s.objects, key)
 		if err != nil {
 			return fmt.Errorf("server: chunk read %s: %w", idStr, err)
@@ -190,23 +182,23 @@ func (s *Server) serveGroup(ctx context.Context, dataset string, id chunk.ID, gr
 		s.Exec.Stats.BackendBytes.Add(uint64(len(blob)))
 		for _, r := range grp {
 			start := uint64(hl) + r.fr.Offset
-			end := start + r.fr.Length
-			if end > uint64(len(blob)) {
-				return fmt.Errorf("server: file %q out of chunk bounds", r.fr.FullName)
+			if start > uint64(len(blob)) || r.fr.Length > uint64(len(blob))-start {
+				return fmt.Errorf("server: file %q: %w", r.fr.FullName, errOutOfChunk)
 			}
-			emit(r.idx, append([]byte(nil), blob[start:end]...))
+			emit(r.idx, append([]byte(nil), blob[start:start+r.fr.Length]...))
 		}
 		return nil
 	}
 
 	for _, r := range grp {
-		b, err := s.objects.GetRange(key, int64(hl)+int64(r.fr.Offset), int64(r.fr.Length))
+		b, release, err := s.borrowFile(key, hl, r.fr)
 		if err != nil {
-			return fmt.Errorf("server: range read %s: %w", r.fr.FullName, err)
+			return err
 		}
 		s.Exec.Stats.RangeReads.Add(1)
 		s.Exec.Stats.BackendBytes.Add(uint64(len(b)))
-		emit(r.idx, b)
+		emit(r.idx, append([]byte(nil), b...))
+		release()
 	}
 	return nil
 }

@@ -79,8 +79,8 @@ func TestExecutorSpanFractionTrigger(t *testing.T) {
 	s, _, _, gen := testStack()
 	// Two 1500-byte files per ~3000-byte chunk.
 	files := writeFiles(t, s, gen, "ds", 8, 1500, 3000)
-	s.Exec.MinFilesForChunkRead = 100 // disable the count trigger
-	s.Exec.MinSpanFraction = 0.5
+	s.Exec.minFiles = 100 // disable the count trigger
+	s.Exec.minSpan = 0.5
 
 	var names []string
 	for n := range files {

@@ -46,16 +46,9 @@ func (g *FairGate) SetLimit(n int) {
 	g.limit = n
 }
 
-// Limit returns the configured concurrency bound (0 = open gate).
-func (g *FairGate) Limit() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.limit
-}
-
-// SetWeight sets a job's fair-share weight (default 1; higher = more
+// setWeight sets a job's fair-share weight (default 1; higher = more
 // dispatch slots under contention).
-func (g *FairGate) SetWeight(job string, w float64) {
+func (g *FairGate) setWeight(job string, w float64) {
 	if w <= 0 {
 		w = 1
 	}
@@ -90,10 +83,10 @@ func (g *FairGate) initMetrics() {
 	})
 }
 
-// Enter admits one request for job, blocking while the gate is saturated.
+// enter admits one request for job, blocking while the gate is saturated.
 // It returns the release function the caller must invoke when the read
 // finishes (defer it), or ctx's error if the caller gave up while queued.
-func (g *FairGate) Enter(ctx context.Context, job string) (func(), error) {
+func (g *FairGate) enter(ctx context.Context, job string) (func(), error) {
 	g.mu.Lock()
 	if g.limit <= 0 {
 		g.mu.Unlock()

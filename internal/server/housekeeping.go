@@ -15,16 +15,16 @@ type PurgeStats struct {
 	FilesCarried    int // live files moved into new chunks
 }
 
-// Purge is the housekeeping function that "merges chunks with holes caused
+// purge is the housekeeping function that "merges chunks with holes caused
 // by file modification and deletion" (§4.1.1, DL_purge in §5). Chunks
 // whose deletion bitmap is non-empty are read back, their live files are
 // re-packed into fresh chunks through the normal ingest path, and the old
 // chunk objects and records are removed.
 //
-// Purge also makes deletions durable against total metadata loss: before
+// purge also makes deletions durable against total metadata loss: before
 // a purge, a deletion exists only in the KV chunk record; after it, the
 // surviving chunks' headers are authoritative again.
-func (s *Server) Purge(dataset string, gen *chunk.IDGenerator) (PurgeStats, error) {
+func (s *Server) purge(dataset string, gen *chunk.IDGenerator) (PurgeStats, error) {
 	var st PurgeStats
 	recs, err := s.kv.ScanPrefix(meta.ChunkScanPrefix(dataset))
 	if err != nil {

@@ -22,7 +22,7 @@ const jobKeyPrefix = "jobs/"
 // attribution) are released by the sweeper.
 const DefaultJobTTL = 10 * time.Second
 
-// ErrUnknownJob is returned by Heartbeat when the job's lease has already
+// ErrUnknownJob is returned by heartbeat when the job's lease has already
 // expired (or it never registered); the client reacts by re-registering.
 var ErrUnknownJob = errors.New("server: unknown job (lease expired?)")
 
@@ -48,8 +48,8 @@ type JobInfo struct {
 	HeartbeatNS  int64
 }
 
-// Expired reports whether the job's lease has lapsed at nowNS.
-func (j JobInfo) Expired(nowNS int64, ttl time.Duration) bool {
+// expired reports whether the job's lease has lapsed at nowNS.
+func (j JobInfo) expired(nowNS int64, ttl time.Duration) bool {
 	return nowNS-j.HeartbeatNS > ttl.Nanoseconds()
 }
 
@@ -104,9 +104,6 @@ func NewJobRegistry(store JobStore, ttl time.Duration, nowNS func() int64) *JobR
 	return &JobRegistry{store: store, ttl: ttl, nowNS: nowNS}
 }
 
-// TTL returns the lease duration.
-func (r *JobRegistry) TTL() time.Duration { return r.ttl }
-
 // Register records (or refreshes) a job. The registration timestamp is
 // preserved across re-registration of the same job ID so roster listings
 // show when the job first appeared.
@@ -118,7 +115,7 @@ func (r *JobRegistry) Register(j JobInfo) error {
 	j.HeartbeatNS = now
 	j.RegisteredNS = now
 	if ent, err := r.store.Get(jobKeyPrefix + j.ID); err == nil {
-		if old, derr := decodeJobInfo(ent.Value); derr == nil && !old.Expired(now, r.ttl) {
+		if old, derr := decodeJobInfo(ent.Value); derr == nil && !old.expired(now, r.ttl) {
 			j.RegisteredNS = old.RegisteredNS
 		}
 	}
@@ -129,10 +126,10 @@ func (r *JobRegistry) Register(j JobInfo) error {
 	return nil
 }
 
-// Heartbeat refreshes the job's lease. A heartbeat for a job the store no
+// heartbeat refreshes the job's lease. A heartbeat for a job the store no
 // longer holds — or whose lease already lapsed — returns ErrUnknownJob so
 // the client re-registers instead of silently resurrecting stale state.
-func (r *JobRegistry) Heartbeat(id string) error {
+func (r *JobRegistry) heartbeat(id string) error {
 	ent, err := r.store.Get(jobKeyPrefix + id)
 	if err != nil {
 		if errors.Is(err, etcd.ErrNotFound) {
@@ -145,7 +142,7 @@ func (r *JobRegistry) Heartbeat(id string) error {
 		return err
 	}
 	now := r.nowNS()
-	if j.Expired(now, r.ttl) {
+	if j.expired(now, r.ttl) {
 		return ErrUnknownJob
 	}
 	j.HeartbeatNS = now
@@ -170,7 +167,7 @@ func (r *JobRegistry) Jobs() ([]JobInfo, error) {
 	out := make([]JobInfo, 0, len(ents))
 	for _, ent := range ents {
 		j, err := decodeJobInfo(ent.Value)
-		if err != nil || j.Expired(now, r.ttl) {
+		if err != nil || j.expired(now, r.ttl) {
 			continue
 		}
 		out = append(out, j)
@@ -196,10 +193,10 @@ func (r *JobRegistry) Refcount(dataset string) int {
 	return n
 }
 
-// ExpireStale deletes every job whose lease lapsed, returning how many it
+// expireStale deletes every job whose lease lapsed, returning how many it
 // reclaimed. The sweeper calls it periodically; tests call it directly
 // with an injected clock.
-func (r *JobRegistry) ExpireStale() (int, error) {
+func (r *JobRegistry) expireStale() (int, error) {
 	ents, err := r.store.List(jobKeyPrefix)
 	if err != nil {
 		return 0, err
@@ -208,7 +205,7 @@ func (r *JobRegistry) ExpireStale() (int, error) {
 	n := 0
 	for _, ent := range ents {
 		j, err := decodeJobInfo(ent.Value)
-		if err == nil && !j.Expired(now, r.ttl) {
+		if err == nil && !j.expired(now, r.ttl) {
 			continue
 		}
 		if ok, err := r.store.Delete(ent.Key); err == nil && ok {
@@ -221,7 +218,7 @@ func (r *JobRegistry) ExpireStale() (int, error) {
 	return n, nil
 }
 
-// StartSweeper runs ExpireStale every `every` (TTL/2 when <= 0) until
+// StartSweeper runs expireStale every `every` (TTL/2 when <= 0) until
 // StopSweeper. Starting twice restarts the interval; both are safe to
 // call on a registry whose sweeper never started.
 func (r *JobRegistry) StartSweeper(every time.Duration) {
@@ -243,7 +240,7 @@ func (r *JobRegistry) StartSweeper(every time.Duration) {
 			case <-stop:
 				return
 			case <-t.C:
-				_, _ = r.ExpireStale()
+				_, _ = r.expireStale()
 			}
 		}
 	}()

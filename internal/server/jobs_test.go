@@ -91,7 +91,7 @@ func TestJobLeaseExpiry(t *testing.T) {
 
 	// Half a TTL in, only "alive" heartbeats.
 	*now += int64(ttl / 2)
-	if err := r.Heartbeat("alive"); err != nil {
+	if err := r.heartbeat("alive"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -110,13 +110,13 @@ func TestJobLeaseExpiry(t *testing.T) {
 
 	// A late heartbeat from the crashed job must NOT resurrect the lease:
 	// the client is told to re-register instead.
-	if err := r.Heartbeat("crash"); !errors.Is(err, ErrUnknownJob) {
+	if err := r.heartbeat("crash"); !errors.Is(err, ErrUnknownJob) {
 		t.Fatalf("heartbeat on expired lease: %v, want ErrUnknownJob", err)
 	}
 
 	// The sweep deletes the stale record from the store.
-	if n, err := r.ExpireStale(); err != nil || n != 1 {
-		t.Fatalf("ExpireStale = (%d, %v), want (1, nil)", n, err)
+	if n, err := r.expireStale(); err != nil || n != 1 {
+		t.Fatalf("expireStale = (%d, %v), want (1, nil)", n, err)
 	}
 	if _, err := r.store.Get("jobs/crash"); !errors.Is(err, etcd.ErrNotFound) {
 		t.Fatalf("stale record after sweep: err=%v, want ErrNotFound", err)
@@ -190,28 +190,28 @@ func TestFairGateOpenAndBounded(t *testing.T) {
 	var g FairGate
 
 	// Zero value: open gate, releases are no-ops.
-	rel, err := g.Enter(context.Background(), "j1")
+	rel, err := g.enter(context.Background(), "j1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	rel()
 
 	g.SetLimit(1)
-	g.SetWeight("heavy", 4)
-	rel1, err := g.Enter(context.Background(), "j1")
+	g.setWeight("heavy", 4)
+	rel1, err := g.enter(context.Background(), "j1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Saturated: a second entrant with a dead context gives up cleanly.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := g.Enter(ctx, "j2"); !errors.Is(err, context.Canceled) {
+	if _, err := g.enter(ctx, "j2"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("enter on saturated gate with cancelled ctx: %v", err)
 	}
 	// A queued waiter is dispatched by the release.
 	done := make(chan struct{})
 	go func() {
-		rel2, err := g.Enter(context.Background(), "j2")
+		rel2, err := g.enter(context.Background(), "j2")
 		if err == nil {
 			rel2()
 		}

@@ -136,7 +136,7 @@ func TestPurgeReclaimsHoles(t *testing.T) {
 	var deleted []string
 	for name := range files {
 		if name[:7] == "class03" || name[:7] == "class07" {
-			if err := s.DeleteFile("ds", name); err != nil {
+			if err := s.deleteFile("ds", name); err != nil {
 				t.Fatal(err)
 			}
 			deleted = append(deleted, name)
@@ -147,7 +147,7 @@ func TestPurgeReclaimsHoles(t *testing.T) {
 	}
 
 	objectsBefore := obj.Len()
-	st, err := s.Purge("ds", gen)
+	st, err := s.purge("ds", gen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestPurgeReclaimsHoles(t *testing.T) {
 	if rec.FileCount != uint64(40-len(deleted)) {
 		t.Errorf("FileCount = %d", rec.FileCount)
 	}
-	// Purge should not grow the object count (holes merged).
+	// purge should not grow the object count (holes merged).
 	if obj.Len() > objectsBefore {
 		t.Errorf("objects grew: %d -> %d", objectsBefore, obj.Len())
 	}
@@ -188,10 +188,10 @@ func TestPurgeMakesDeletesDurable(t *testing.T) {
 	s, _, kv, gen := testStack()
 	writeFiles(t, s, gen, "ds", 20, 100, 500)
 	victim := "class02/img00002.jpg"
-	if err := s.DeleteFile("ds", victim); err != nil {
+	if err := s.deleteFile("ds", victim); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Purge("ds", gen); err != nil {
+	if _, err := s.purge("ds", gen); err != nil {
 		t.Fatal(err)
 	}
 	kv.FlushAll()
@@ -211,7 +211,7 @@ func TestPurgeNoHolesIsNoop(t *testing.T) {
 	s, obj, _, gen := testStack()
 	writeFiles(t, s, gen, "ds", 10, 100, 500)
 	before := obj.Len()
-	st, err := s.Purge("ds", gen)
+	st, err := s.purge("ds", gen)
 	if err != nil {
 		t.Fatal(err)
 	}

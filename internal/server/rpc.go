@@ -29,7 +29,6 @@ const (
 	MethodPurge         = "dsl.purge"
 	MethodDeleteDataset = "dsl.deleteDataset"
 	MethodRecover       = "dsl.recover"
-	MethodChunkIDs      = "dsl.chunkIDs"
 
 	// Job-registry methods (multi-job serving plane). A server with the
 	// registry off (no EnableJobs) answers them with an error, which
@@ -273,7 +272,7 @@ func (r *RPCServer) register() {
 		if err := d.Err(); err != nil {
 			return nil, err
 		}
-		return nil, r.S.DeleteFile(dataset, path)
+		return nil, r.S.deleteFile(dataset, path)
 	})
 
 	r.rpc.Handle(MethodPurge, func(p []byte) ([]byte, error) {
@@ -282,7 +281,7 @@ func (r *RPCServer) register() {
 		if err := d.Err(); err != nil {
 			return nil, err
 		}
-		st, err := r.S.Purge(dataset, r.gen)
+		st, err := r.S.purge(dataset, r.gen)
 		if err != nil {
 			return nil, err
 		}
@@ -319,25 +318,6 @@ func (r *RPCServer) register() {
 		e.Uint64(uint64(st.PairsWritten))
 		return e.Bytes(), nil
 	})
-
-	r.rpc.Handle(MethodChunkIDs, func(p []byte) ([]byte, error) {
-		d := wire.NewDecoder(p)
-		dataset := d.String()
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-		snap, err := r.S.BuildSnapshot(dataset)
-		if err != nil {
-			return nil, err
-		}
-		e := wire.NewEncoder(len(snap.Chunks) * 32)
-		e.Uint32(uint32(len(snap.Chunks)))
-		for _, c := range snap.Chunks {
-			e.String(c.ID.String())
-			e.Uint64(c.Size)
-		}
-		return e.Bytes(), nil
-	})
 }
 
 // lendBytes32 answers with b as Encoder.Bytes32 would lay it out — length
@@ -367,7 +347,7 @@ func (r *RPCServer) registerAdmin() {
 		if w <= 0 || w != w {
 			return nil, errors.New("server: adminSetWeight: weight must be > 0")
 		}
-		r.S.Fair.SetWeight(job, w)
+		r.S.Fair.setWeight(job, w)
 		obs.Publish("admin-retune", "fair-share weight changed",
 			"job", job, "weight", strconv.FormatFloat(w, 'g', -1, 64))
 		return nil, nil
@@ -412,7 +392,7 @@ func (r *RPCServer) admitRead(ctx context.Context) (string, func(), error) {
 	if jobID == "" {
 		jobID = AnonTenant
 	}
-	exit, err := r.S.Fair.Enter(ctx, jobID)
+	exit, err := r.S.Fair.enter(ctx, jobID)
 	if err != nil {
 		return "", nil, err
 	}
@@ -455,7 +435,7 @@ func (r *RPCServer) registerJobs() {
 			return nil, err
 		}
 		e := wire.NewEncoder(8)
-		e.Int64(reg.TTL().Nanoseconds())
+		e.Int64(reg.ttl.Nanoseconds())
 		return e.Bytes(), nil
 	})
 
@@ -470,7 +450,7 @@ func (r *RPCServer) registerJobs() {
 			return nil, err
 		}
 		mJobHeartbeats.Inc()
-		return nil, reg.Heartbeat(id)
+		return nil, reg.heartbeat(id)
 	})
 
 	r.rpc.Handle(MethodJobUnregister, func(p []byte) ([]byte, error) {

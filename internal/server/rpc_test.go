@@ -143,7 +143,7 @@ func TestRPCListAndRecord(t *testing.T) {
 	}
 }
 
-func TestRPCSnapshotAndChunkIDs(t *testing.T) {
+func TestRPCSnapshot(t *testing.T) {
 	_, c, _, _ := startRPC(t)
 	resp, err := c.Call(MethodSnapshot, encStrings("ds"))
 	if err != nil {
@@ -152,23 +152,6 @@ func TestRPCSnapshotAndChunkIDs(t *testing.T) {
 	snap, err := meta.DecodeSnapshot(resp)
 	if err != nil || snap.NumFiles() != 40 {
 		t.Fatalf("snapshot = %v, %v", snap, err)
-	}
-
-	resp, err = c.Call(MethodChunkIDs, encStrings("ds"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := wire.NewDecoder(resp)
-	n := int(d.Uint32())
-	if n != len(snap.Chunks) {
-		t.Fatalf("chunk ids %d vs snapshot %d", n, len(snap.Chunks))
-	}
-	for range n {
-		idStr := d.String()
-		if _, err := chunk.ParseID(idStr); err != nil {
-			t.Errorf("bad chunk id %q", idStr)
-		}
-		d.Uint64()
 	}
 }
 
@@ -278,7 +261,7 @@ func TestRPCMalformedPayloads(t *testing.T) {
 	for _, method := range []string{
 		MethodGet, MethodGetBatch, MethodGetChunk, MethodStat, MethodList,
 		MethodDatasetRecord, MethodSnapshot, MethodDelete, MethodPurge,
-		MethodDeleteDataset, MethodRecover, MethodChunkIDs, MethodIngest,
+		MethodDeleteDataset, MethodRecover, MethodIngest,
 	} {
 		if _, err := c.Call(method, []byte{0xFF}); err == nil {
 			t.Errorf("%s accepted garbage payload", method)
@@ -326,28 +309,6 @@ func TestReadHeaderLargeHeader(t *testing.T) {
 	}
 	if st.FilesLive != 2000 {
 		t.Errorf("recovered %d files", st.FilesLive)
-	}
-}
-
-func TestWarmDataset(t *testing.T) {
-	s, _, _, gen := testStack()
-	writeFiles(t, s, gen, "ds", 30, 200, 1000)
-	n, err := s.WarmDataset("ds")
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, _ := s.BuildSnapshot("ds")
-	if n != len(snap.Chunks) {
-		t.Errorf("warmed %d of %d chunks", n, len(snap.Chunks))
-	}
-	// Async coalesces: only the first of two immediate requests starts.
-	started := 0
-	if s.WarmDatasetAsync("ds") {
-		started++
-	}
-	s.WarmDatasetAsync("ds") // may or may not start depending on timing
-	if started == 0 {
-		t.Error("async warm never started")
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,10 +65,7 @@ type Server struct {
 	shapeMu sync.RWMutex
 	shapes  map[string]chunkShape // object key → the chunk's immutable shape
 
-	// warming coalesces background dataset warmers (see WarmDatasetAsync).
-	warming sync.Map
-
-	// Exec holds request-executor tunables and statistics.
+	// Exec holds the request executor's merge switch and statistics.
 	Exec ExecutorConfig
 
 	// Multi-job serving plane: the job roster (nil until EnableJobs),
@@ -84,7 +82,7 @@ func New(kv Backend, objects objstore.Store, nowNS func() int64) *Server {
 		objects: objects,
 		nowNS:   nowNS,
 		shapes:  make(map[string]chunkShape),
-		Exec:    DefaultExecutorConfig(),
+		Exec:    ExecutorConfig{Merge: true, minFiles: mergeMinFiles, minSpan: mergeMinSpanFraction},
 	}
 }
 
@@ -281,12 +279,33 @@ func (s *Server) GetFilePooled(ctx context.Context, dataset, path string) ([]byt
 		return nil, nil, err
 	}
 	sp = tracing.ChildOf(ctx, "objstore.getRange")
-	b, release, err := objstore.GetRangePooled(s.objects,
-		key, int64(shape.headerLen)+int64(fr.Offset), int64(fr.Length))
-	sp.SetAttr("bytes", fmt.Sprint(len(b)))
-	sp.SetError(err)
-	sp.End()
+	b, release, err := s.borrowFile(key, shape.headerLen, fr)
+	if sp != nil {
+		sp.SetAttr("bytes", strconv.Itoa(len(b)))
+		sp.SetError(err)
+		sp.End()
+	}
 	return b, release, err
+}
+
+// errOutOfChunk says a file record's Offset+Length overruns its chunk.
+var errOutOfChunk = errors.New("out of chunk bounds")
+
+// borrowFile is the range read both file paths share (GetFilePooled, and
+// the executor for a group it does not merge): fr's bytes, on loan from the
+// object store. The store clamps a range that runs past the object's end,
+// so a short answer means the record overruns its chunk: that is
+// errOutOfChunk, with nothing left on loan.
+func (s *Server) borrowFile(key string, headerLen uint32, fr meta.FileRecord) ([]byte, func(), error) {
+	b, release, err := objstore.GetRangePooled(s.objects, key, int64(headerLen)+int64(fr.Offset), int64(fr.Length))
+	if err != nil {
+		return nil, nil, fmt.Errorf("server: range read %s: %w", fr.FullName, err)
+	}
+	if uint64(len(b)) != fr.Length {
+		release()
+		return nil, nil, fmt.Errorf("server: file %q: %w", fr.FullName, errOutOfChunk)
+	}
+	return b, release, nil
 }
 
 // GetChunkPooled returns one encoded chunk in full — the operation the
@@ -299,9 +318,11 @@ func (s *Server) GetChunkPooled(ctx context.Context, dataset, chunkID string) ([
 	sp := tracing.ChildOf(ctx, "objstore.get")
 	sp.SetAttr("chunk", chunkID)
 	b, release, err := objstore.GetPooled(s.objects, ObjectKey(dataset, chunkID))
-	sp.SetAttr("bytes", fmt.Sprint(len(b)))
-	sp.SetError(err)
-	sp.End()
+	if sp != nil {
+		sp.SetAttr("bytes", strconv.Itoa(len(b)))
+		sp.SetError(err)
+		sp.End()
+	}
 	return b, release, err
 }
 
@@ -390,10 +411,10 @@ func (s *Server) BuildSnapshot(dataset string) (*meta.Snapshot, error) {
 	return b.Build(), nil
 }
 
-// DeleteFile removes one file: its metadata record is deleted and its bit
+// deleteFile removes one file: its metadata record is deleted and its bit
 // is set in the owning chunk's deletion bitmap. The bytes stay in the
 // chunk until Purge rewrites it (§4.1.1's delete-then-rewrite model).
-func (s *Server) DeleteFile(dataset, path string) error {
+func (s *Server) deleteFile(dataset, path string) error {
 	fr, err := s.StatContext(context.Background(), dataset, path)
 	if err != nil {
 		return err

@@ -318,7 +318,7 @@ func TestDeleteFile(t *testing.T) {
 	s, _, _, gen := testStack()
 	files := writeFiles(t, s, gen, "ds", 30, 128, 2048)
 	victim := "class05/img00005.jpg"
-	if err := s.DeleteFile("ds", victim); err != nil {
+	if err := s.deleteFile("ds", victim); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := getFile(s, "ds", victim); !errors.Is(err, ErrNoSuchFile) {
@@ -342,7 +342,7 @@ func TestDeleteFile(t *testing.T) {
 		}
 	}
 	// Double delete fails cleanly.
-	if err := s.DeleteFile("ds", victim); !errors.Is(err, ErrNoSuchFile) {
+	if err := s.deleteFile("ds", victim); !errors.Is(err, ErrNoSuchFile) {
 		t.Errorf("double delete: %v", err)
 	}
 }
@@ -351,7 +351,7 @@ func TestUpdateFileViaDeleteAndRewrite(t *testing.T) {
 	s, _, _, gen := testStack()
 	writeFiles(t, s, gen, "ds", 10, 64, 512)
 	name := "class01/img00001.jpg"
-	if err := s.DeleteFile("ds", name); err != nil {
+	if err := s.deleteFile("ds", name); err != nil {
 		t.Fatal(err)
 	}
 	b := chunk.NewBuilder(0, gen, s.nowNS)

@@ -103,7 +103,7 @@ func TestWarmBatchReadIsOneMGet(t *testing.T) {
 // TestMergeDecisionSameColdAndWarm: the executor's merge rule decides on
 // the chunk record's numbers whether they came from the metadata store or
 // from the shape cache — same whole-chunk/range choice at each edge of
-// MinFilesForChunkRead and MinSpanFraction, same bytes.
+// the file-count and span-fraction thresholds, same bytes.
 func TestMergeDecisionSameColdAndWarm(t *testing.T) {
 	s0, obj, kv, gen := testStack()
 	files := writeFiles(t, s0, gen, "ds", 10, 100, 1<<20) // one chunk
@@ -130,7 +130,7 @@ func TestMergeDecisionSameColdAndWarm(t *testing.T) {
 		{"merging off", false, 1, 0, 10, false},
 	} {
 		s := New(kv, obj, s0.nowNS) // a fresh server: nothing cached
-		s.Exec.Merge, s.Exec.MinFilesForChunkRead, s.Exec.MinSpanFraction = tc.merge, tc.minFiles, tc.minSpan
+		s.Exec.Merge, s.Exec.minFiles, s.Exec.minSpan = tc.merge, tc.minFiles, tc.minSpan
 		for cached, state := range []string{"cold", "warm"} {
 			if s.cachedShapes() != cached {
 				t.Fatalf("%s, %s: %d shapes cached, want %d", tc.name, state, s.cachedShapes(), cached)
@@ -286,5 +286,103 @@ func TestShapeCacheConcurrent(t *testing.T) {
 	wg.Wait()
 	if got := s.cachedShapes(); got != 8 {
 		t.Errorf("%d shapes cached, want the 8 chunks of the dataset that was not deleted", got)
+	}
+}
+
+// loanCountingStore counts the loans a store hands out and the releases it
+// gets back.
+type loanCountingStore struct {
+	*objstore.Memory
+	lent, released atomic.Int64
+}
+
+func (c *loanCountingStore) counted(b []byte, release func(), err error) ([]byte, func(), error) {
+	if err != nil {
+		return nil, nil, err
+	}
+	c.lent.Add(1)
+	return b, func() { c.released.Add(1); release() }, nil
+}
+
+func (c *loanCountingStore) GetPooled(key string) ([]byte, func(), error) {
+	return c.counted(c.Memory.GetPooled(key))
+}
+
+func (c *loanCountingStore) GetRangePooled(key string, off, n int64) ([]byte, func(), error) {
+	return c.counted(c.Memory.GetRangePooled(key, off, n))
+}
+
+// TestFileRecordOverrunningItsChunk: a file record whose Offset+Length
+// runs past the end of its chunk is an error — the same one on the
+// single-file path, the executor's range path and its merge path — never a
+// short file, and every loan taken on the way is handed back exactly once.
+func TestFileRecordOverrunningItsChunk(t *testing.T) {
+	s, mem, kv, gen := testStack()
+	obj := &loanCountingStore{Memory: mem}
+	s.objects = obj
+	files := writeFiles(t, s, gen, "ds", 10, 100, 1<<20) // one chunk
+	names := sortedNames(files)
+	// The chunk's tail file: a range that runs past it is clamped.
+	var fr meta.FileRecord
+	for _, n := range names {
+		r, err := s.StatContext(context.Background(), "ds", n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Offset >= fr.Offset {
+			fr = r
+		}
+	}
+	last := fr.FullName
+	fr.Length += 7
+	if err := kv.Set(meta.FileKey("ds", last), fr.Encode()); err != nil {
+		t.Fatal(err)
+	}
+
+	check := func(what string, err error, wantLoans int64) {
+		t.Helper()
+		if !errors.Is(err, errOutOfChunk) {
+			t.Errorf("%s: %v, want errOutOfChunk", what, err)
+		}
+		if lent, released := obj.lent.Swap(0), obj.released.Swap(0); lent != wantLoans || released != lent {
+			t.Errorf("%s: %d loans taken (want %d), %d released", what, lent, wantLoans, released)
+		}
+	}
+	b, release, err := s.GetFilePooled(context.Background(), "ds", last)
+	if err == nil {
+		release()
+		t.Errorf("GetFilePooled returned %d bytes for a %d-byte record", len(b), fr.Length)
+	}
+	check("GetFilePooled", err, 1)
+
+	chunkReads, rangeReads := s.Exec.Stats.ChunkReads.Load(), s.Exec.Stats.RangeReads.Load()
+	_, err = s.GetFilesContext(context.Background(), "ds", []string{last})
+	check("GetFilesContext, range path", err, 1)
+	others := make([]string, 0, len(names)-1)
+	for _, n := range names {
+		if n != last {
+			others = append(others, n)
+		}
+	}
+	_, err = s.GetFilesContext(context.Background(), "ds", append([]string{last}, others[:3]...))
+	check("GetFilesContext, merge path", err, 1)
+	if c, r := s.Exec.Stats.ChunkReads.Load()-chunkReads, s.Exec.Stats.RangeReads.Load()-rangeReads; c != 1 || r != 0 {
+		t.Errorf("%d chunk reads + %d completed range reads, want 1 + 0 (one batch per path)", c, r)
+	}
+
+	// The other files of the chunk are served as before, on both paths.
+	for _, n := range [][]string{others[:1], others[:4]} {
+		got, err := s.GetFilesContext(context.Background(), "ds", n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			if !bytes.Equal(got[i], files[n[i]]) {
+				t.Errorf("%s differs from what was put", n[i])
+			}
+		}
+	}
+	if lent, released := obj.lent.Load(), obj.released.Load(); lent != 2 || released != lent {
+		t.Errorf("healthy reads: %d loans, %d released, want 2 and 2", lent, released)
 	}
 }

@@ -31,24 +31,3 @@ func BatchClassDiversity(order []int32, label func(int32) int, classes, batchSiz
 	}
 	return sum / float64(batches)
 }
-
-// MeanDisplacement returns the mean absolute distance between each
-// sample's position in the order and its storage position, normalised by
-// the order length. A uniform random permutation scores ≈ 1/3; identity
-// scores 0. It measures how far the order strays from storage order —
-// the property that defeats position-correlated bias.
-func MeanDisplacement(order []int32) float64 {
-	n := len(order)
-	if n == 0 {
-		return 0
-	}
-	var sum float64
-	for pos, s := range order {
-		d := float64(pos) - float64(s)
-		if d < 0 {
-			d = -d
-		}
-		sum += d
-	}
-	return sum / float64(n) / float64(n)
-}

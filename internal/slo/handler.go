@@ -81,7 +81,7 @@ func Handler(w *Watchdog) http.Handler {
 				httpError(rw, http.StatusMethodNotAllowed, "trigger wants POST")
 				return
 			}
-			id, err := w.Trigger(reason)
+			id, err := w.trigger(reason)
 			if err != nil {
 				httpError(rw, http.StatusInternalServerError, "capture failed: "+err.Error())
 				return

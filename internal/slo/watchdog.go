@@ -146,7 +146,7 @@ func (w *Watchdog) Watch() {
 		}
 		for _, k := range w.cfg.TriggerKinds {
 			if ev.Kind == k {
-				w.TriggerAsync(ev.Kind)
+				w.triggerAsync(ev.Kind)
 				return
 			}
 		}
@@ -161,9 +161,9 @@ func (w *Watchdog) Close() {
 	w.wg.Wait()
 }
 
-// TriggerAsync captures a bundle in the background, dropping the trigger
+// triggerAsync captures a bundle in the background, dropping the trigger
 // if a capture is already running or the cooldown hasn't elapsed.
-func (w *Watchdog) TriggerAsync(reason string) {
+func (w *Watchdog) triggerAsync(reason string) {
 	if !w.admit() {
 		return
 	}
@@ -175,7 +175,7 @@ func (w *Watchdog) TriggerAsync(reason string) {
 	go func() {
 		defer w.wg.Done()
 		defer w.pending.Store(0)
-		if _, err := w.Trigger(reason); err != nil {
+		if _, err := w.trigger(reason); err != nil {
 			slog.Warn("slo: diagnostic bundle capture failed", "reason", reason, "err", err)
 		}
 	}()
@@ -191,10 +191,10 @@ func (w *Watchdog) admit() bool {
 	return true
 }
 
-// Trigger synchronously captures a bundle (including the CPU profile
+// trigger synchronously captures a bundle (including the CPU profile
 // window) and returns its ID. The cooldown clock restarts when the
 // capture completes.
-func (w *Watchdog) Trigger(reason string) (string, error) {
+func (w *Watchdog) trigger(reason string) (string, error) {
 	w.captMu.Lock()
 	defer w.captMu.Unlock()
 	id, err := w.capture(reason)

@@ -80,7 +80,7 @@ func TestWatchdogBundleContents(t *testing.T) {
 	})
 
 	obs.Publish("breaker-trip", "master 1 dead") // rides into events.json
-	id, err := w.Trigger("unit-test")
+	id, err := w.trigger("unit-test")
 	if err != nil {
 		t.Fatalf("Trigger: %v", err)
 	}
@@ -148,7 +148,7 @@ func TestWatchdogSpoolCapAndCooldown(t *testing.T) {
 		CPUProfile: -1, // skip; this test captures many bundles
 	})
 	for i := 0; i < 6; i++ {
-		if _, err := w.Trigger("fill"); err != nil {
+		if _, err := w.trigger("fill"); err != nil {
 			t.Fatalf("Trigger %d: %v", i, err)
 		}
 	}
@@ -157,7 +157,7 @@ func TestWatchdogSpoolCapAndCooldown(t *testing.T) {
 	}
 	// Cooldown: an async trigger right after a capture is dropped.
 	before := w.skipped.Load()
-	w.TriggerAsync("storm")
+	w.triggerAsync("storm")
 	w.wg.Wait()
 	if got := len(w.List()); got != 3 {
 		t.Fatalf("cooldown did not drop the trigger; spool = %d", got)

@@ -61,9 +61,9 @@ func ObserveSlow(s *Span, metric string, d time.Duration) {
 	exs[metric] = list
 }
 
-// Exemplars returns a copy of the exemplar table, slowest first per
+// exemplars returns a copy of the exemplar table, slowest first per
 // metric.
-func Exemplars() map[string][]ExemplarData {
+func exemplars() map[string][]ExemplarData {
 	exMu.Lock()
 	defer exMu.Unlock()
 	out := make(map[string][]ExemplarData, len(exs))

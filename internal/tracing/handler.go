@@ -32,7 +32,7 @@ func Snapshot(n int) *Dump {
 		SlowNS:    slowNS.Load(),
 		Recent:    Recent(n),
 		Slowest:   Slowest(n),
-		Exemplars: Exemplars(),
+		Exemplars: exemplars(),
 	}
 }
 
@@ -89,7 +89,7 @@ func Handler() http.Handler {
 			return
 		}
 		if idArg != "" {
-			id, err := ParseID(idArg)
+			id, err := parseID(idArg)
 			if err != nil {
 				handlerError(w, http.StatusBadRequest, "bad id "+strconv.Quote(idArg)+": want 16 hex digits")
 				return
@@ -166,9 +166,9 @@ func Handler() http.Handler {
 // prints them: 16 hex digits.
 func FormatID(id uint64) string { return fmt.Sprintf("%016x", id) }
 
-// ParseID accepts the FormatID form (hex, with or without 0x) and plain
+// parseID accepts the FormatID form (hex, with or without 0x) and plain
 // decimal.
-func ParseID(s string) (uint64, error) {
+func parseID(s string) (uint64, error) {
 	s = strings.TrimPrefix(strings.TrimSpace(s), "0x")
 	if id, err := strconv.ParseUint(s, 16, 64); err == nil {
 		return id, nil

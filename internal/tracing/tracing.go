@@ -86,9 +86,6 @@ var slowNS atomic.Int64
 // ID. The default is 20ms.
 func SetSlowThreshold(d time.Duration) { slowNS.Store(int64(d)) }
 
-// SlowThreshold returns the current slow-trace threshold.
-func SlowThreshold() time.Duration { return time.Duration(slowNS.Load()) }
-
 func init() { slowNS.Store(int64(20 * time.Millisecond)) }
 
 var defaultProc = "pid-" + strconv.Itoa(os.Getpid())

@@ -206,14 +206,14 @@ func TestExemplars(t *testing.T) {
 	_, s := StartSpan(context.Background(), "root")
 	ObserveSlow(s, "diesel_x_seconds", 500*time.Microsecond) // below threshold
 	ObserveSlow(nil, "diesel_x_seconds", time.Hour)          // nil span
-	if len(Exemplars()) != 0 {
+	if len(exemplars()) != 0 {
 		t.Fatal("sub-threshold or nil-span observations must not record")
 	}
 	for i := 1; i <= exemplarsPerMetric+3; i++ {
 		ObserveSlow(s, "diesel_x_seconds", time.Duration(i)*time.Millisecond)
 	}
 	s.End()
-	got := Exemplars()["diesel_x_seconds"]
+	got := exemplars()["diesel_x_seconds"]
 	if len(got) != exemplarsPerMetric {
 		t.Fatalf("kept %d exemplars, want %d", len(got), exemplarsPerMetric)
 	}
@@ -266,12 +266,12 @@ func TestHandlerJSONAndText(t *testing.T) {
 
 func TestParseFormatIDRoundTrip(t *testing.T) {
 	for _, id := range []uint64{1, 0xABCDEF, ^uint64(0)} {
-		got, err := ParseID(FormatID(id))
+		got, err := parseID(FormatID(id))
 		if err != nil || got != id {
 			t.Fatalf("round trip %x -> %v, %v", id, got, err)
 		}
 	}
-	if got, err := ParseID("0xff"); err != nil || got != 255 {
+	if got, err := parseID("0xff"); err != nil || got != 255 {
 		t.Fatalf("0x prefix: %v %v", got, err)
 	}
 }

@@ -134,7 +134,7 @@ func DefaultFig13Config() Fig13Config {
 // accuracy-per-epoch curves keyed by strategy name.
 func Fig13(cfg Fig13Config) map[string][]EpochPoint {
 	full := MakeClusters(cfg.Samples, cfg.Dim, cfg.Classes, cfg.Noise, cfg.Seed)
-	trainSet, testSet := full.Split(6)
+	trainSet, testSet := full.split(6)
 	snap := DatasetSnapshot(trainSet.N(), cfg.FilesPerChunk)
 
 	strategies := []Strategy{
@@ -152,7 +152,7 @@ func Fig13(cfg Fig13Config) map[string][]EpochPoint {
 		case "mlp":
 			m = NewMLP(cfg.Dim, cfg.Hidden, cfg.Classes, cfg.Seed)
 		default:
-			m = NewSoftmax(cfg.Dim, cfg.Classes)
+			m = newSoftmax(cfg.Dim, cfg.Classes)
 		}
 		curve := make([]EpochPoint, 0, cfg.Epochs)
 		for ep := range cfg.Epochs {

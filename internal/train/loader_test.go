@@ -160,7 +160,7 @@ func TestEpochLoaderFullPipelineWithModel(t *testing.T) {
 	for i := range snap.NumFiles() {
 		idx[snap.FileName(i)] = int32(i)
 	}
-	m := NewSoftmax(ds.Dim, ds.Classes)
+	m := newSoftmax(ds.Dim, ds.Classes)
 	for ep := range 5 {
 		plan := shuffle.ChunkWisePlan(snap, int64(ep), 5)
 		l := NewEpochLoader(epoch.NewReader(plan, snap, src, epoch.WithWindow(2)))

@@ -24,8 +24,8 @@ type Softmax struct {
 	B []float64
 }
 
-// NewSoftmax builds a zero-initialised model.
-func NewSoftmax(dim, classes int) *Softmax {
+// newSoftmax builds a zero-initialised model.
+func newSoftmax(dim, classes int) *Softmax {
 	w := make([][]float64, classes)
 	for c := range w {
 		w[c] = make([]float64, dim)

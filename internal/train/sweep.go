@@ -23,7 +23,7 @@ type SweepRow struct {
 // full dataset shuffle.
 func GroupSizeSweep(cfg Fig13Config, groupSizes []int) []SweepRow {
 	full := MakeClusters(cfg.Samples, cfg.Dim, cfg.Classes, cfg.Noise, cfg.Seed)
-	trainSet, testSet := full.Split(6)
+	trainSet, testSet := full.split(6)
 	snap := DatasetSnapshot(trainSet.N(), cfg.FilesPerChunk)
 	n := trainSet.N()
 	label := func(s int32) int { return trainSet.Y[s] }
@@ -35,7 +35,7 @@ func GroupSizeSweep(cfg Fig13Config, groupSizes []int) []SweepRow {
 		case "mlp":
 			m = NewMLP(cfg.Dim, cfg.Hidden, cfg.Classes, cfg.Seed)
 		default:
-			m = NewSoftmax(cfg.Dim, cfg.Classes)
+			m = newSoftmax(cfg.Dim, cfg.Classes)
 		}
 		var curve []EpochPoint
 		for ep := range cfg.Epochs {
@@ -65,7 +65,7 @@ func GroupSizeSweep(cfg Fig13Config, groupSizes []int) []SweepRow {
 // permutation over the same data — the ceiling the sweep converges to.
 func RandomOrderDiversity(cfg Fig13Config) float64 {
 	full := MakeClusters(cfg.Samples, cfg.Dim, cfg.Classes, cfg.Noise, cfg.Seed)
-	trainSet, _ := full.Split(6)
+	trainSet, _ := full.split(6)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	perm := make([]int32, trainSet.N())
 	for i, p := range rng.Perm(trainSet.N()) {

@@ -60,9 +60,9 @@ func MakeClusters(n, dim, k int, noise float64, seed int64) *SynthDataset {
 	return d
 }
 
-// Split carves the dataset into train and test partitions with a
+// split carves the dataset into train and test partitions with a
 // class-stratified interleave (every testEvery-th sample goes to test).
-func (d *SynthDataset) Split(testEvery int) (train, test *SynthDataset) {
+func (d *SynthDataset) split(testEvery int) (train, test *SynthDataset) {
 	train = &SynthDataset{Classes: d.Classes, Dim: d.Dim}
 	test = &SynthDataset{Classes: d.Classes, Dim: d.Dim}
 	for i := range d.Y {

@@ -32,7 +32,7 @@ func TestMakeClustersShape(t *testing.T) {
 
 func TestSplitStratified(t *testing.T) {
 	ds := MakeClusters(600, 4, 3, 0.5, 2)
-	tr, te := ds.Split(6)
+	tr, te := ds.split(6)
 	if tr.N()+te.N() != 600 {
 		t.Fatalf("split loses samples: %d + %d", tr.N(), te.N())
 	}
@@ -43,8 +43,8 @@ func TestSplitStratified(t *testing.T) {
 
 func TestSoftmaxLearnsSeparableData(t *testing.T) {
 	ds := MakeClusters(2000, 8, 4, 0.3, 3) // well-separated clusters
-	tr, te := ds.Split(5)
-	m := NewSoftmax(ds.Dim, ds.Classes)
+	tr, te := ds.split(5)
+	m := newSoftmax(ds.Dim, ds.Classes)
 	fs := FullShuffle{N: tr.N(), Seed: 5}
 	for ep := range 10 {
 		TrainEpoch(m, tr, fs.EpochOrder(ep), 32, 0.3)
@@ -56,7 +56,7 @@ func TestSoftmaxLearnsSeparableData(t *testing.T) {
 
 func TestMLPLearns(t *testing.T) {
 	ds := MakeClusters(2000, 8, 4, 0.4, 4)
-	tr, te := ds.Split(5)
+	tr, te := ds.split(5)
 	m := NewMLP(ds.Dim, 16, ds.Classes, 7)
 	fs := FullShuffle{N: tr.N(), Seed: 6}
 	for ep := range 12 {
@@ -69,7 +69,7 @@ func TestMLPLearns(t *testing.T) {
 
 func TestTopKMonotone(t *testing.T) {
 	ds := MakeClusters(500, 6, 8, 1.5, 9)
-	m := NewSoftmax(ds.Dim, ds.Classes)
+	m := newSoftmax(ds.Dim, ds.Classes)
 	fs := FullShuffle{N: ds.N(), Seed: 1}
 	TrainEpoch(m, ds, fs.EpochOrder(0), 16, 0.1)
 	t1 := TopKAccuracy(m, ds, 1)

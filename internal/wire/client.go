@@ -86,7 +86,7 @@ func dialOpts(addr string, o *options) (*Client, error) {
 		// The identity is the first frame on the wire, so every request
 		// that follows is attributed deterministically. A write failure
 		// means the connection is already dead; the first Call reports it.
-		_ = c.Oneway(jobMethod, o.job.encode())
+		_ = c.oneway(jobMethod, o.job.encode())
 	}
 	return c, nil
 }
@@ -94,9 +94,9 @@ func dialOpts(addr string, o *options) (*Client, error) {
 // Addr returns the address the client dialed.
 func (c *Client) Addr() string { return c.addr }
 
-// Closed reports whether the connection is dead (explicit Close or a read
+// isClosed reports whether the connection is dead (explicit Close or a read
 // error). A closed client never recovers; redial instead.
-func (c *Client) Closed() bool {
+func (c *Client) isClosed() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.closed
@@ -208,10 +208,12 @@ func owned(f *Frame, err error) ([]byte, error) {
 }
 
 // CallBorrowContext performs one RPC and returns the response frame
-// itself, lending its pooled payload to the caller: read it via Borrow,
-// Clone anything that must outlive the frame, then Release exactly once.
+// itself, lending its pooled payload to the caller: read Payload, copy
+// anything that must outlive the frame, then Release exactly once.
 // Skipping Release is safe (the frame falls to the GC) but forfeits the
-// buffer reuse this path exists for.
+// buffer reuse this path exists for. Nothing in this repository's serving
+// plane calls it any more — every client read hands out windows into an
+// owned response — it stays for the benchmark's wire probes.
 func (c *Client) CallBorrowContext(ctx context.Context, method string, payload []byte) (*Frame, error) {
 	return c.roundTrip(ctx, method, payload, nil, false)
 }
@@ -294,8 +296,8 @@ func (c *Client) finish(method string, f *Frame, ok bool) (*Frame, error) {
 	return f, nil
 }
 
-// Oneway sends a request without waiting for a reply.
-func (c *Client) Oneway(method string, payload []byte) error {
+// oneway sends a request without waiting for a reply.
+func (c *Client) oneway(method string, payload []byte) error {
 	req := newFrame()
 	req.Kind, req.Seq, req.Method, req.Payload = KindOneway, c.seq.Add(1), method, payload
 	err := c.gw.writeFrame(req)
@@ -371,26 +373,19 @@ func (p *Pool) Call(method string, payload []byte) ([]byte, error) {
 // applies per attempt: each attempt's effective deadline is the earlier of
 // the caller's deadline and the per-call timeout.
 func (p *Pool) CallContext(ctx context.Context, method string, payload []byte) ([]byte, error) {
-	return owned(p.roundTrip(ctx, method, payload, nil, true))
+	return owned(p.roundTrip(ctx, method, payload, nil))
 }
 
 // CallLendContext is CallContext with a lent request body; see
 // Client.CallLendContext for what the caller may rely on. A request that
 // never reached the wire is retried on the next slot from the same bytes.
 func (p *Pool) CallLendContext(ctx context.Context, method string, head, body []byte) ([]byte, error) {
-	return owned(p.roundTrip(ctx, method, head, body, true))
+	return owned(p.roundTrip(ctx, method, head, body))
 }
 
-// CallBorrowContext is CallContext returning the response frame so callers
-// can Borrow the payload zero-copy; see Client.CallBorrowContext for the
-// Release contract.
-func (p *Pool) CallBorrowContext(ctx context.Context, method string, payload []byte) (*Frame, error) {
-	return p.roundTrip(ctx, method, payload, nil, false)
-}
-
-// roundTrip is one call with slot failover; lent and own as in
-// Client.roundTrip.
-func (p *Pool) roundTrip(ctx context.Context, method string, payload, lent []byte, own bool) (*Frame, error) {
+// roundTrip is one call with slot failover; lent as in Client.roundTrip.
+// The response payload is always the caller's.
+func (p *Pool) roundTrip(ctx context.Context, method string, payload, lent []byte) (*Frame, error) {
 	if metricsOn() {
 		mPoolCalls.Inc()
 	}
@@ -411,11 +406,11 @@ func (p *Pool) roundTrip(ctx context.Context, method string, payload, lent []byt
 			}
 			continue
 		}
-		resp, err := p.callOne(ctx, c, method, payload, lent, own)
+		resp, err := p.callOne(ctx, c, method, payload, lent)
 		if err == nil || IsRemote(err) {
 			return resp, err
 		}
-		if ctx.Err() != nil && !c.Closed() {
+		if ctx.Err() != nil && !c.isClosed() {
 			// The caller gave up; the connection itself is healthy. Closing
 			// it would fail other goroutines' in-flight calls for nothing.
 			return nil, err
@@ -437,13 +432,13 @@ func (p *Pool) roundTrip(ctx context.Context, method string, payload, lent []byt
 // callOne performs one attempt on one pooled connection, bounding it with
 // the pool's per-call timeout (if configured) on top of the caller's
 // context.
-func (p *Pool) callOne(ctx context.Context, c *Client, method string, payload, lent []byte, own bool) (*Frame, error) {
+func (p *Pool) callOne(ctx context.Context, c *Client, method string, payload, lent []byte) (*Frame, error) {
 	if p.o.callTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, p.o.callTimeout)
 		defer cancel()
 	}
-	return c.roundTrip(ctx, method, payload, lent, own)
+	return c.roundTrip(ctx, method, payload, lent, true)
 }
 
 // acquire returns the slot's live client, redialing if the previous one
@@ -452,7 +447,7 @@ func (s *poolSlot) acquire(addr string, o *options) (*Client, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.c != nil {
-		if !s.c.Closed() {
+		if !s.c.isClosed() {
 			return s.c, nil
 		}
 		s.c = nil

@@ -60,15 +60,12 @@ func (e *Encoder) Release() {
 // Release it once the payload is dead, if it came from AcquireEncoder).
 func (e *Encoder) Bytes() []byte { return e.buf }
 
-// Uint8 appends a single byte.
-func (e *Encoder) Uint8(v uint8) { e.buf = append(e.buf, v) }
-
 // Bool appends a boolean as one byte.
 func (e *Encoder) Bool(v bool) {
 	if v {
-		e.Uint8(1)
+		e.buf = append(e.buf, 1)
 	} else {
-		e.Uint8(0)
+		e.buf = append(e.buf, 0)
 	}
 }
 
@@ -108,14 +105,6 @@ func (e *Encoder) StringSlice(ss []string) {
 	}
 }
 
-// Uint64Slice appends a count followed by each value.
-func (e *Encoder) Uint64Slice(vs []uint64) {
-	e.Uint32(uint32(len(vs)))
-	for _, v := range vs {
-		e.Uint64(v)
-	}
-}
-
 // ErrShortPayload is returned by Decoder methods when the payload ends
 // before the requested field.
 var ErrShortPayload = errors.New("wire: payload shorter than declared fields")
@@ -136,8 +125,8 @@ func NewDecoder(b []byte) *Decoder { return &Decoder{buf: b} }
 // Err reports the first decoding error, if any.
 func (d *Decoder) Err() error { return d.err }
 
-// Remaining reports how many bytes have not been consumed.
-func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
+// remaining reports how many bytes have not been consumed.
+func (d *Decoder) remaining() int { return len(d.buf) - d.off }
 
 func (d *Decoder) take(n int) []byte {
 	if d.err != nil {
@@ -152,17 +141,11 @@ func (d *Decoder) take(n int) []byte {
 	return b
 }
 
-// Uint8 reads one byte.
-func (d *Decoder) Uint8() uint8 {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
 // Bool reads a one-byte boolean.
-func (d *Decoder) Bool() bool { return d.Uint8() != 0 }
+func (d *Decoder) Bool() bool {
+	b := d.take(1)
+	return b != nil && b[0] != 0
+}
 
 // Uint32 reads a 4-byte big-endian integer.
 func (d *Decoder) Uint32() uint32 {
@@ -202,7 +185,7 @@ func (d *Decoder) String() string { return string(d.Bytes32()) }
 // StringSlice reads a count-prefixed string slice.
 func (d *Decoder) StringSlice() []string {
 	n := int(d.Uint32())
-	if d.err != nil || n < 0 || n > d.Remaining() {
+	if d.err != nil || n < 0 || n > d.remaining() {
 		// Each string needs at least a 4-byte length, so n can never
 		// legitimately exceed the remaining bytes.
 		if d.err == nil {
@@ -215,20 +198,4 @@ func (d *Decoder) StringSlice() []string {
 		ss = append(ss, d.String())
 	}
 	return ss
-}
-
-// Uint64Slice reads a count-prefixed uint64 slice.
-func (d *Decoder) Uint64Slice() []uint64 {
-	n := int(d.Uint32())
-	if d.err != nil || n < 0 || n*8 > d.Remaining() {
-		if d.err == nil {
-			d.err = ErrShortPayload
-		}
-		return nil
-	}
-	vs := make([]uint64, 0, n)
-	for range n {
-		vs = append(vs, d.Uint64())
-	}
-	return vs
 }

@@ -12,7 +12,7 @@ import (
 // after the injector has severed it.
 var ErrFaultSevered = errors.New("wire: fault injection severed connection")
 
-// FaultPlan configures InjectFaults. Probabilities are evaluated per
+// FaultPlan is what a FaultGate injects. Probabilities are evaluated per
 // write with a private seeded RNG, so a given (plan, traffic) pair
 // replays the same fault sequence every run.
 type FaultPlan struct {
@@ -44,29 +44,6 @@ type faultConn struct {
 	mu      sync.Mutex
 	rng     *rand.Rand
 	severed bool
-}
-
-// InjectFaults wraps conn so that writes are delayed, dropped or severed
-// according to plan. Combine with WithDialer to fault-inject every
-// connection a Client or Pool opens.
-func InjectFaults(conn net.Conn, plan FaultPlan) net.Conn {
-	return &faultConn{
-		Conn:    conn,
-		current: func() FaultPlan { return plan },
-		rng:     rand.New(rand.NewSource(plan.Seed)),
-	}
-}
-
-// FaultDialer returns a dialer for WithDialer whose every connection is
-// fault-injected with plan.
-func FaultDialer(plan FaultPlan) func(addr string) (net.Conn, error) {
-	return func(addr string) (net.Conn, error) {
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			return nil, err
-		}
-		return InjectFaults(conn, plan), nil
-	}
 }
 
 func (f *faultConn) Write(b []byte) (int, error) {
@@ -118,20 +95,20 @@ func (g *FaultGate) Set(plan FaultPlan) {
 // Clear removes all faults (equivalent to Set(FaultPlan{})).
 func (g *FaultGate) Clear() { g.Set(FaultPlan{}) }
 
-// Plan returns the active fault plan.
-func (g *FaultGate) Plan() FaultPlan {
+// current returns the active fault plan.
+func (g *FaultGate) current() FaultPlan {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.plan
 }
 
-// Inject wraps conn so its writes consult the gate's current plan.
-func (g *FaultGate) Inject(conn net.Conn) net.Conn {
+// inject wraps conn so its writes consult the gate's current plan.
+func (g *FaultGate) inject(conn net.Conn) net.Conn {
 	g.mu.Lock()
 	g.seq++
 	seed := g.plan.Seed + g.seq
 	g.mu.Unlock()
-	return &faultConn{Conn: conn, current: g.Plan, rng: rand.New(rand.NewSource(seed))}
+	return &faultConn{Conn: conn, current: g.current, rng: rand.New(rand.NewSource(seed))}
 }
 
 // Dialer returns a dialer for WithDialer whose every connection is gated
@@ -142,6 +119,6 @@ func (g *FaultGate) Dialer() func(addr string) (net.Conn, error) {
 		if err != nil {
 			return nil, err
 		}
-		return g.Inject(conn), nil
+		return g.inject(conn), nil
 	}
 }

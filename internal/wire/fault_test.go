@@ -11,6 +11,17 @@ import (
 	"time"
 )
 
+// withRedialBackoff shrinks (or stretches) the pool's redial backoff,
+// redialBackoffBase doubling to redialBackoffMax in production.
+func withRedialBackoff(base, max time.Duration) Option {
+	return func(o *options) { o.backoffBase, o.backoffMax = base, max }
+}
+
+// faultDialer returns a dialer whose every connection injects plan.
+func faultDialer(plan FaultPlan) func(addr string) (net.Conn, error) {
+	return (&FaultGate{plan: plan}).Dialer()
+}
+
 // startHungServer accepts connections and reads forever without ever
 // replying — the failure mode a crashed-but-connected or wedged server
 // presents. Only a call deadline can unstick a client talking to it.
@@ -132,7 +143,7 @@ func TestPoolHealsSeveredConnections(t *testing.T) {
 		return c, nil
 	}
 
-	p, err := DialPool(addr, 3, WithDialer(dialer), WithRedialBackoff(5*time.Millisecond, 50*time.Millisecond))
+	p, err := DialPool(addr, 3, WithDialer(dialer), withRedialBackoff(5*time.Millisecond, 50*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +192,7 @@ func TestPoolHealsAfterServerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p, err := DialPool(addr, 2, WithRedialBackoff(10*time.Millisecond, 50*time.Millisecond))
+	p, err := DialPool(addr, 2, withRedialBackoff(10*time.Millisecond, 50*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +236,7 @@ func TestPoolHealsAfterServerRestart(t *testing.T) {
 // wire is transparently retried on another slot rather than surfaced.
 func TestPoolFailsOverNotSent(t *testing.T) {
 	_, addr := startEchoServer(t)
-	p, err := DialPool(addr, 3, WithRedialBackoff(time.Hour, time.Hour))
+	p, err := DialPool(addr, 3, withRedialBackoff(time.Hour, time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +257,7 @@ func TestPoolFailsOverNotSent(t *testing.T) {
 
 func TestFaultConnSeverFailsCall(t *testing.T) {
 	_, addr := startEchoServer(t)
-	c, err := Dial(addr, WithDialer(FaultDialer(FaultPlan{Seed: 1, SeverProb: 1})))
+	c, err := Dial(addr, WithDialer(faultDialer(FaultPlan{Seed: 1, SeverProb: 1})))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +278,7 @@ func TestFaultConnDropNeedsDeadline(t *testing.T) {
 	_, addr := startEchoServer(t)
 	// Every request is silently swallowed; only the deadline can unstick us.
 	c, err := Dial(addr,
-		WithDialer(FaultDialer(FaultPlan{Seed: 7, DropProb: 1})),
+		WithDialer(faultDialer(FaultPlan{Seed: 7, DropProb: 1})),
 		WithCallTimeout(100*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
@@ -286,7 +297,7 @@ func TestFaultConnDropNeedsDeadline(t *testing.T) {
 func TestFaultConnDelayIsSurvivable(t *testing.T) {
 	_, addr := startEchoServer(t)
 	c, err := Dial(addr,
-		WithDialer(FaultDialer(FaultPlan{Seed: 3, Delay: 20 * time.Millisecond})),
+		WithDialer(faultDialer(FaultPlan{Seed: 3, Delay: 20 * time.Millisecond})),
 		WithCallTimeout(time.Second))
 	if err != nil {
 		t.Fatal(err)
@@ -309,7 +320,7 @@ func TestFaultPlanReplays(t *testing.T) {
 	run := func() []bool {
 		_, addr := startEchoServer(t)
 		c, err := Dial(addr,
-			WithDialer(FaultDialer(FaultPlan{Seed: 42, DropProb: 0.5})),
+			WithDialer(faultDialer(FaultPlan{Seed: 42, DropProb: 0.5})),
 			WithCallTimeout(50*time.Millisecond))
 		if err != nil {
 			t.Fatal(err)

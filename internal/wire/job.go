@@ -45,11 +45,11 @@ func decodeJobIdentity(p []byte) (JobIdentity, error) {
 
 type jobCtxKey struct{}
 
-// WithJob returns a context carrying the given job identity. The server's
+// withJob returns a context carrying the given job identity. The server's
 // dispatch loop attaches the connection's identity to every request
 // context; handlers (quota admission, fair dispatch, metrics) read it back
 // with JobFromContext.
-func WithJob(ctx context.Context, j JobIdentity) context.Context {
+func withJob(ctx context.Context, j JobIdentity) context.Context {
 	return context.WithValue(ctx, jobCtxKey{}, j)
 }
 

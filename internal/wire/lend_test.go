@@ -130,7 +130,7 @@ func TestLentBodyReleasedExactlyOnce(t *testing.T) {
 			}
 			if c.name == "written" {
 				d := NewDecoder(f.Payload)
-				if got := d.Bytes32(); d.Err() != nil || d.Remaining() != 0 || !bytes.Equal(got, body) {
+				if got := d.Bytes32(); d.Err() != nil || d.remaining() != 0 || !bytes.Equal(got, body) {
 					t.Errorf("size %d: head+body did not arrive as one Bytes32 payload", size)
 				}
 			}
@@ -164,7 +164,7 @@ func TestLentBodyFrameIsOneWriteOffTCP(t *testing.T) {
 
 		near, far := net.Pipe()
 		cc := &countingConn{Conn: near}
-		fc := InjectFaults(cc, FaultPlan{})
+		fc := (&FaultGate{}).inject(cc)
 		got := make(chan []byte, 1)
 		go func() {
 			b, _ := io.ReadAll(far)
@@ -252,7 +252,7 @@ func TestOwnedPayloadIsNeverRecycled(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got = f.Clone()
+			got = bytes.Clone(f.Payload)
 			f.Release()
 		}
 		if !bytes.Equal(got[4:], stored[:n]) {
@@ -394,7 +394,7 @@ func TestLentRequestIsOneWriteOffTCP(t *testing.T) {
 		near, far := net.Pipe()
 		cc := &countingConn{Conn: near}
 		c, err := Dial("pipe", WithDialer(func(string) (net.Conn, error) {
-			return InjectFaults(cc, FaultPlan{}), nil
+			return (&FaultGate{}).inject(cc), nil
 		}))
 		if err != nil {
 			t.Fatal(err)
@@ -485,7 +485,7 @@ func TestLentRequestBodyIsTheCallersAgain(t *testing.T) {
 	}
 
 	t.Run("write error", func(t *testing.T) {
-		c, err := Dial(addr, WithDialer(FaultDialer(FaultPlan{SeverProb: 1})))
+		c, err := Dial(addr, WithDialer(faultDialer(FaultPlan{SeverProb: 1})))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,9 +37,6 @@ var (
 // the overhead honestly in one binary.
 var metricsOff atomic.Bool
 
-// EnableMetrics turns wire instrumentation on (the default) or off.
-func EnableMetrics(on bool) { metricsOff.Store(!on) }
-
 // metricsOn reports whether the hot paths should record.
 func metricsOn() bool { return !metricsOff.Load() }
 

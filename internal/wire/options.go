@@ -6,15 +6,26 @@ import (
 )
 
 // options collects the knobs shared by Dial and DialPool. The zero value
-// (no call deadline, default TCP dialer, 50ms–2s redial backoff) matches
-// the pre-option behaviour of the transport.
+// (no call deadline, default TCP dialer) matches the pre-option behaviour
+// of the transport.
 type options struct {
 	callTimeout time.Duration
 	dialer      func(addr string) (net.Conn, error)
+	job         *JobIdentity
+
+	// The capped exponential backoff a Pool applies between redial attempts
+	// of a broken connection: redialBackoffBase and redialBackoffMax, fields
+	// only so that tests can shrink them in-package.
 	backoffBase time.Duration
 	backoffMax  time.Duration
-	job         *JobIdentity
 }
+
+// The redial backoff: the first failed redial waits the base, then 2×,
+// 4×, … capped at the max.
+const (
+	redialBackoffBase = 50 * time.Millisecond
+	redialBackoffMax  = 2 * time.Second
+)
 
 // Option configures Dial or DialPool.
 type Option func(*options)
@@ -27,7 +38,7 @@ func WithCallTimeout(d time.Duration) Option {
 }
 
 // WithDialer replaces the TCP dialer. Tests use it to interpose
-// fault-injecting connections (see InjectFaults) or to capture the raw
+// fault-injecting connections (see FaultGate) or to capture the raw
 // conns so they can be severed deliberately.
 func WithDialer(fn func(addr string) (net.Conn, error)) Option {
 	return func(o *options) { o.dialer = fn }
@@ -41,29 +52,10 @@ func WithJobIdentity(j JobIdentity) Option {
 	return func(o *options) { o.job = &j }
 }
 
-// WithRedialBackoff sets the capped exponential backoff a Pool applies
-// between redial attempts of a broken connection: the first failed redial
-// waits base, then 2×base, 4×base, … capped at max.
-func WithRedialBackoff(base, max time.Duration) Option {
-	return func(o *options) {
-		o.backoffBase = base
-		o.backoffMax = max
-	}
-}
-
 func buildOptions(opts []Option) options {
-	o := options{
-		backoffBase: 50 * time.Millisecond,
-		backoffMax:  2 * time.Second,
-	}
+	o := options{backoffBase: redialBackoffBase, backoffMax: redialBackoffMax}
 	for _, fn := range opts {
 		fn(&o)
-	}
-	if o.backoffBase <= 0 {
-		o.backoffBase = 50 * time.Millisecond
-	}
-	if o.backoffMax < o.backoffBase {
-		o.backoffMax = o.backoffBase
 	}
 	return o
 }

@@ -45,8 +45,8 @@ func BenchmarkRoundTrip(b *testing.B) {
 		{"uninstrumented", false},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			EnableMetrics(bc.on)
-			defer EnableMetrics(true)
+			enableMetrics(bc.on)
+			defer enableMetrics(true)
 			c, stop := benchServer(b)
 			defer stop()
 			b.SetBytes(int64(len(payload)))
@@ -60,14 +60,17 @@ func BenchmarkRoundTrip(b *testing.B) {
 	}
 }
 
-// TestMetricsGate verifies EnableMetrics(false) freezes the wire counters
+// enableMetrics turns wire instrumentation on (the default) or off.
+func enableMetrics(on bool) { metricsOff.Store(!on) }
+
+// TestMetricsGate verifies enableMetrics(false) freezes the wire counters
 // and that a round trip with metrics on moves frames, bytes, latency
 // histograms and (for an unknown method) the "?" error counter.
 func TestMetricsGate(t *testing.T) {
 	c, stop := benchServer(t)
 	defer stop()
 
-	EnableMetrics(false)
+	enableMetrics(false)
 	framesBefore := mFramesOut.Load()
 	if _, err := c.Call("echo", []byte("off")); err != nil {
 		t.Fatalf("call: %v", err)
@@ -76,7 +79,7 @@ func TestMetricsGate(t *testing.T) {
 		t.Fatalf("frames out moved while metrics disabled: %d -> %d", framesBefore, got)
 	}
 
-	EnableMetrics(true)
+	enableMetrics(true)
 	bytesBefore := mBytesOut.Load()
 	callsBefore := callHists.get("echo").Count()
 	servedBefore := serveHists.get("echo").Count()
@@ -124,7 +127,7 @@ func TestMetricsGate(t *testing.T) {
 func TestBytesInCountsPayload(t *testing.T) {
 	c, stop := benchServer(t)
 	defer stop()
-	EnableMetrics(true)
+	enableMetrics(true)
 
 	inBefore, outBefore := mBytesIn.Load(), mBytesOut.Load()
 	payload := bytes.Repeat([]byte("p"), 4096)

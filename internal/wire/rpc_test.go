@@ -236,7 +236,7 @@ func TestOneway(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Oneway("notify", []byte("hi")); err != nil {
+	if err := c.oneway("notify", []byte("hi")); err != nil {
 		t.Fatal(err)
 	}
 	select {

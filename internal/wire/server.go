@@ -271,7 +271,7 @@ func (s *Server) dispatch(gw *groupWriter, req *Frame, connJob *atomic.Pointer[J
 	// collector under the caller's trace ID.
 	ctx := context.Background()
 	if j := connJob.Load(); j != nil {
-		ctx = WithJob(ctx, *j)
+		ctx = withJob(ctx, *j)
 	}
 	var sp *tracing.Span
 	if req.Sampled && req.TraceID != 0 {

@@ -109,19 +109,9 @@ type Frame struct {
 // payloadLen is the payload length the header advertises.
 func (f *Frame) payloadLen() int { return len(f.Payload) + len(f.lent) }
 
-// Borrow returns the frame's payload without copying. The returned slice
-// aliases the frame's (possibly pooled) storage: it must be treated
-// read-only and is valid only until Release. Callers that retain the data
-// past Release must Clone instead.
-func (f *Frame) Borrow() []byte { return f.Payload }
-
-// Clone returns an owned copy of the payload that remains valid after
-// Release — the escape hatch when the data outlives the frame.
-func (f *Frame) Clone() []byte { return append([]byte(nil), f.Payload...) }
-
 // Release returns the frame and its backing storage to the pool for reuse
-// by a later ReadFrame. After Release the frame and every slice obtained
-// from Borrow (or Payload directly) are invalid; using them races with
+// by a later ReadFrame. After Release the frame and its Payload (which
+// aliases the possibly pooled storage) are invalid; using them races with
 // whatever frame is decoded into the recycled buffer next. Releasing is
 // optional: a frame that is never released is reclaimed by the GC, so
 // callers that let the payload escape simply skip Release and keep owning
