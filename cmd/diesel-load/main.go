@@ -6,13 +6,12 @@
 // omission — the flaw of closed-loop "N workers in a loop" drivers;
 // -closed-loop runs that way for comparison).
 //
-// Two modes:
-//
-//   - Embedded (default): deploys kvnodes + diesel-servers in-process on
-//     loopback TCP, ingests a synthetic dataset, and drives it. All
-//     fault kinds are available, including node kill/restart.
-//   - External (-connect): drives already-running servers over TCP
-//     against an existing dataset (-dataset). Only net-* faults work.
+// It deploys kvnodes + diesel-servers in-process on loopback TCP, ingests
+// a synthetic dataset, and drives it, so every fault kind is available,
+// node kill/restart included. With -diag-spool the SLO engine and anomaly
+// watchdog run alongside the load (epoch-stall objective 10 ms,
+// served-read objective 20 ms), as -diag-spool does on diesel-server and
+// kvnode.
 //
 // Fault schedules are timed windows on the run timeline:
 //
@@ -29,19 +28,18 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"time"
 
 	"diesel/internal/loadgen"
-	"diesel/internal/obs"
+	"diesel/internal/tracing"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("diesel-load: ")
+	tracing.SetProcess("diesel-load")
 
 	// Load shape.
 	rate := flag.Float64("rate", 500, "offered arrival rate, operations/second")
@@ -53,67 +51,38 @@ func main() {
 	closedLoop := flag.Bool("closed-loop", false, "run the classic closed-loop harness instead (service-time-only numbers, for comparison)")
 
 	// System under test.
-	connect := flag.String("connect", "", "comma-separated external diesel-server addresses (empty = embedded stack)")
-	dataset := flag.String("dataset", "", "dataset name (external mode; must already be ingested)")
-	files := flag.Int("files", 512, "embedded: dataset size in files")
-	diskLatency := flag.Duration("disk-latency", 0, "embedded: modeled per-op store latency (makes p99 portable in CI)")
+	files := flag.Int("files", 512, "dataset size in files")
+	diskLatency := flag.Duration("disk-latency", 0, "modeled per-op store latency (makes p99 portable in CI)")
 	clients := flag.Int("clients", 8, "libDIESEL contexts to round-robin ops over")
-	taskNodes := flag.Int("task-nodes", 0, "embedded: simulated nodes of a DLT task with the distributed cache (0 = no task)")
-	clientsPerNode := flag.Int("clients-per-node", 0, "embedded: I/O processes per task node")
-	jobs := flag.Int("jobs", 0, "embedded: run this many concurrent training jobs over the one dataset, sharing a chunk cache (needs -task-nodes/-clients-per-node; <2 = single task)")
+	taskNodes := flag.Int("task-nodes", 0, "simulated nodes of a DLT task with the distributed cache (0 = no task)")
+	clientsPerNode := flag.Int("clients-per-node", 0, "I/O processes per task node")
+	jobs := flag.Int("jobs", 0, "run this many concurrent training jobs over the one dataset, sharing a chunk cache (needs -task-nodes/-clients-per-node; <2 = single task)")
 	epochReaders := flag.Int("epoch-readers", 0, "background pipelined epoch readers looping during the run")
 	epochHedge := flag.Bool("epoch-hedge", false, "hedge the epoch readers' straggling group fetches (first success wins)")
 	epochReorder := flag.Int("epoch-reorder", 0, "epoch readers serve whichever of the next k prefetched groups lands first")
 	epochDeadline := flag.Duration("epoch-deadline", 0, "per-attempt deadline on the epoch readers' group fetches")
-	watchdog := flag.Bool("watchdog", false, "embedded: run the SLO engine + anomaly watchdog alongside the load (CI-scale burn windows)")
-	diagSpool := flag.String("diag-spool", "", "embedded: watchdog bundle spool directory (empty = temp dir; implies nothing unless -watchdog)")
-	stallSLO := flag.Duration("stall-slo", 10*time.Millisecond, "embedded: epoch-stall latency SLO threshold the watchdog's burn rates run on")
-	readSLO := flag.Duration("read-slo", 20*time.Millisecond, "embedded: served-read latency SLO threshold the watchdog's burn rates run on")
+	diagSpool := flag.String("diag-spool", "", "run the SLO engine + anomaly watchdog alongside the load (CI-scale burn windows), spooling diagnostic bundles here (empty = disabled)")
 
 	// Output and gating.
 	jsonPath := flag.String("json", "", "write the JSON capacity report here (- = stdout)")
 	maxErrorRate := flag.Float64("max-error-rate", -1, "exit nonzero if errors/ops exceeds this (negative = no gate)")
 	minAmplification := flag.Float64("min-amplification", -1, "exit nonzero if the -jobs shared-cache amplification falls below this (negative = no gate)")
-	minDiagBundles := flag.Int("min-diag-bundles", -1, "exit nonzero if the -watchdog captured fewer diagnostic bundles than this (negative = no gate)")
-	metricsAddr := flag.String("metrics", "", "serve /metrics and /debug/pprof on this address during the run")
+	minDiagBundles := flag.Int("min-diag-bundles", -1, "exit nonzero if the watchdog captured fewer diagnostic bundles than this (negative = no gate)")
 	flag.Parse()
 
-	if *metricsAddr != "" {
-		go func() {
-			if err := http.ListenAndServe(*metricsAddr, obs.NewMux(obs.Default())); err != nil {
-				log.Printf("metrics server: %v", err)
-			}
-		}()
-	}
-
-	// Build the system under test.
-	var st *loadgen.Stack
-	var err error
-	if *connect != "" {
-		if *dataset == "" {
-			log.Fatal("-connect requires -dataset")
-		}
-		st, err = loadgen.ConnectStack(strings.Split(*connect, ","), *dataset, loadgen.StackConfig{
-			Clients: *clients,
-		})
-	} else {
-		st, err = loadgen.StartStack(loadgen.StackConfig{
-			Files:          *files,
-			DiskLatency:    *diskLatency,
-			Clients:        *clients,
-			TaskNodes:      *taskNodes,
-			ClientsPerNode: *clientsPerNode,
-			Jobs:           *jobs,
-			EpochReaders:   *epochReaders,
-			EpochHedge:     *epochHedge,
-			EpochReorder:   *epochReorder,
-			EpochDeadline:  *epochDeadline,
-			Watchdog:       *watchdog,
-			DiagSpoolDir:   *diagSpool,
-			StallSLO:       *stallSLO,
-			ReadSLO:        *readSLO,
-		})
-	}
+	st, err := loadgen.StartStack(loadgen.StackConfig{
+		Files:          *files,
+		DiskLatency:    *diskLatency,
+		Clients:        *clients,
+		TaskNodes:      *taskNodes,
+		ClientsPerNode: *clientsPerNode,
+		Jobs:           *jobs,
+		EpochReaders:   *epochReaders,
+		EpochHedge:     *epochHedge,
+		EpochReorder:   *epochReorder,
+		EpochDeadline:  *epochDeadline,
+		DiagSpoolDir:   *diagSpool,
+	})
 	if err != nil {
 		log.Fatalf("stack: %v", err)
 	}
@@ -190,7 +159,7 @@ func main() {
 	}
 	if *minDiagBundles >= 0 {
 		if rep.Diag == nil {
-			fmt.Fprintln(os.Stderr, "FAIL: -min-diag-bundles set but the run had no watchdog (need -watchdog in embedded mode)")
+			fmt.Fprintln(os.Stderr, "FAIL: -min-diag-bundles set but the run had no watchdog (need -diag-spool)")
 			os.Exit(1)
 		}
 		if len(rep.Diag.Bundles) < *minDiagBundles {

@@ -39,14 +39,6 @@ type Config struct {
 	// capacity over the chunk store — the server-side HDD/SSD cache of
 	// Figure 4.
 	SSDCacheBytes int64
-	// CacheSpillDir, when non-empty (with SSDCacheBytes > 0), adds a
-	// local-disk spill tier under the fast tier: eviction victims demote
-	// into an append-only spill log there and are served back by pread
-	// before the slow tier is consulted; a redeploy over the same
-	// directory rewarms the tier from its crash-safe manifest.
-	CacheSpillDir string
-	// CacheSpillBytes bounds the spill tier's disk usage (0 = unlimited).
-	CacheSpillBytes int64
 	// Throttle, when non-nil, wraps the slow tier with modeled latency
 	// and bandwidth so examples show tiering effects in real time.
 	Throttle *objstore.Throttled
@@ -110,11 +102,6 @@ func Deploy(cfg Config) (*Deployment, error) {
 	}
 	if cfg.SSDCacheBytes > 0 {
 		d.tiered = objstore.NewTiered(nil, objects, cfg.SSDCacheBytes)
-		if cfg.CacheSpillDir != "" {
-			if _, err := d.tiered.EnableSpill(cfg.CacheSpillDir, cfg.CacheSpillBytes); err != nil {
-				return fail(fmt.Errorf("core: cache spill tier: %w", err))
-			}
-		}
 		// The diesel_tier_*{site="objstore"} series attach here, not in
 		// every binary: anything that deploys through core scrapes them.
 		d.tiered.RegisterMetrics(obs.Default())
@@ -217,8 +204,6 @@ type TaskConfig struct {
 	// directory rewarms its cache without refetching from the servers.
 	// Ignored when Shared is set — enable spill on the SharedCache.
 	SpillDir string
-	// SpillBytes bounds each master's spill tier on disk (0 = unlimited).
-	SpillBytes int64
 	// Shared, when non-nil, joins this task's cache masters to a
 	// process-wide shared chunk cache instead of private per-master
 	// stores; see dcache.SharedCache. The deployment's job registry is
@@ -292,7 +277,6 @@ func (d *Deployment) StartTask(cfg TaskConfig) (*Task, error) {
 				Policy:        cfg.Policy,
 				CapacityBytes: cfg.CapacityBytes,
 				SpillDir:      spillDir,
-				SpillBytes:    cfg.SpillBytes,
 				Shared:        cfg.Shared,
 			})
 			results <- result{rank: rank, peer: p, err: err}
@@ -334,7 +318,7 @@ func (d *Deployment) Close() {
 		s.Close()
 	}
 	if d.tiered != nil {
-		d.tiered.Close() // leaves the spill manifest for the next deploy
+		d.tiered.Close()
 	}
 	if d.registry != nil {
 		d.registry.Close()

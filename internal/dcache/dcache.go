@@ -80,10 +80,9 @@ type Config struct {
 	// from local disk instead of refetching from the servers. The
 	// directory must be private to one live master (use a per-node/per-
 	// task subdirectory). Ignored when Shared is set — a shared cache's
-	// spill tier is enabled once via SharedCache.EnableSpill.
+	// spill tier is enabled once via SharedCache.EnableSpill. The tier's
+	// disk use is unbounded.
 	SpillDir string
-	// SpillBytes bounds the spill tier's on-disk bytes (0 = unlimited).
-	SpillBytes int64
 
 	// The cache's fixed settings, fields only so that this package's tests
 	// can shrink them: Join fills each zero with the constant of its name.
@@ -432,7 +431,7 @@ func Join(ds *client.Dataset, reg Registrar, cfg Config) (*Peer, error) {
 		} else {
 			p.store = newStore(cfg.CapacityBytes)
 			if cfg.SpillDir != "" {
-				rec, err := p.store.EnableSpill(cfg.SpillDir, cfg.SpillBytes)
+				rec, err := p.store.EnableSpill(cfg.SpillDir, 0)
 				if err != nil {
 					p.store.Close()
 					p.srv.Close()
@@ -579,7 +578,6 @@ func (p *Peer) cache(key string, payload []byte) {
 	}
 	evicted, _ := p.store.Put(key, payload, p.store.Gen(key), prefer)
 	p.Stats.Evictions.Add(evicted)
-	mEvictions.Add(evicted)
 }
 
 // notePrefetchError records a background Oneshot prefetch failure so it is

@@ -14,7 +14,6 @@ import (
 //	diesel_dcache_reads_total{source}      reads by answering tier
 //	                                       ("local", "peer", "server")
 //	diesel_dcache_chunk_loads_total        chunks pulled from DIESEL servers
-//	diesel_dcache_evictions_total          chunks evicted under capacity
 //	diesel_dcache_master_deaths_total      masters marked dead by the breaker
 //	diesel_dcache_master_revivals_total    dead masters revived by a probe
 //	diesel_dcache_prefetch_errors_total    background Oneshot prefetch failures
@@ -28,8 +27,6 @@ var (
 		"Cache reads by answering tier.", obs.L("source", "server"))
 	mChunkLoads = obs.Default().Counter("diesel_dcache_chunk_loads_total",
 		"Chunks pulled from DIESEL servers by cache masters.")
-	mEvictions = obs.Default().Counter("diesel_dcache_evictions_total",
-		"Chunks evicted from master caches under capacity pressure.")
 	mMasterDeaths = obs.Default().Counter("diesel_dcache_master_deaths_total",
 		"Remote masters marked dead after consecutive transport failures.")
 	mMasterRevivals = obs.Default().Counter("diesel_dcache_master_revivals_total",

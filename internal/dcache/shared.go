@@ -156,14 +156,6 @@ func (s *SharedCache) coldMemo() func(string) bool {
 	}
 }
 
-// ReclaimCold proactively evicts every cached chunk belonging to cold
-// (zero-refcount, grace-expired) datasets, returning what it freed.
-// Capacity-pressure eviction already prefers cold chunks; ReclaimCold is
-// for housekeeping sweeps that want the memory back before pressure hits.
-func (s *SharedCache) ReclaimCold() (chunks int, bytes int64) {
-	return s.store.EvictGroups(s.coldMemo())
-}
-
 // Bytes reports the cached payload bytes across all datasets.
 func (s *SharedCache) Bytes() int64 { return s.store.Bytes() }
 

@@ -28,8 +28,9 @@ func putTestChunk(t *testing.T, sc *SharedCache, dataset, id string, size int) {
 
 // TestSharedCacheRefcountGrace walks a dataset through the refcount
 // lifecycle: pinned while acquired, eviction-neutral through the grace
-// window after the last release, eviction-preferred (and reclaimable)
-// only once the grace lapses.
+// window after the last release, eviction-preferred only once the grace
+// lapses (what the preference does under capacity pressure is
+// TestSharedCacheEvictionPrefersCold).
 func TestSharedCacheRefcountGrace(t *testing.T) {
 	clk := &fakeClock{ns: 1}
 	const grace = 10 * time.Second
@@ -55,28 +56,18 @@ func TestSharedCacheRefcountGrace(t *testing.T) {
 		t.Fatalf("Refcount = %d, want 0", got)
 	}
 
-	// Zero refcount but inside the grace window: still not cold, and a
-	// reclaim sweep must leave the chunks alone (a restarting job should
-	// find its working set).
+	// Zero refcount but inside the grace window: still not cold, so
+	// eviction does not prefer the chunks (a restarting job should find
+	// its working set).
 	clk.ns += (grace / 2).Nanoseconds()
 	if sc.cold("ds", clk.now()) {
 		t.Fatal("dataset cold inside grace window")
 	}
-	if n, _ := sc.ReclaimCold(); n != 0 {
-		t.Fatalf("ReclaimCold inside grace freed %d chunks", n)
-	}
 
-	// Grace lapsed: cold, and reclaimable.
+	// Grace lapsed: cold.
 	clk.ns += grace.Nanoseconds()
 	if !sc.cold("ds", clk.now()) {
 		t.Fatal("dataset not cold after grace")
-	}
-	n, bytes := sc.ReclaimCold()
-	if n != 2 || bytes <= 0 {
-		t.Fatalf("ReclaimCold = (%d, %d), want 2 chunks", n, bytes)
-	}
-	if got := sc.Chunks(); got != 0 {
-		t.Fatalf("Chunks after reclaim = %d, want 0", got)
 	}
 
 	// Re-acquiring resurrects the dataset's liveness.
@@ -121,7 +112,7 @@ func TestSharedCacheEvictionPrefersCold(t *testing.T) {
 // TestSharedCacheJobRegistryRefSource wires a real job registry in as the
 // refcount source: a registered job pins the dataset, lease expiry
 // un-pins it, and the grace window then runs from the expiry observation
-// — the full crashed-trainer reclamation path of the serving plane.
+// — the full crashed-trainer path of the serving plane.
 func TestSharedCacheJobRegistryRefSource(t *testing.T) {
 	clk := &fakeClock{ns: 1_000_000_000}
 	const ttl = 10 * time.Second
@@ -151,9 +142,6 @@ func TestSharedCacheJobRegistryRefSource(t *testing.T) {
 	if sc.cold("ds", clk.now()) {
 		t.Fatal("dataset cold immediately after lease expiry; grace must apply")
 	}
-	if n, _ := sc.ReclaimCold(); n != 0 {
-		t.Fatalf("ReclaimCold freed %d chunks inside post-expiry grace", n)
-	}
 
 	// If the trainer restarts within the grace, the working set is warm.
 	if err := reg.Register(server.JobInfo{ID: "trainer", Dataset: "ds"}); err != nil {
@@ -166,15 +154,15 @@ func TestSharedCacheJobRegistryRefSource(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// No restart this time. The next sweep discovers the zero refcount
-	// (starting the grace clock), and the one after the grace reclaims.
+	// No restart this time. The next observation discovers the zero
+	// refcount (starting the grace clock); one a grace later finds it cold.
 	clk.ns += (2 * grace).Nanoseconds()
-	if n, _ := sc.ReclaimCold(); n != 0 {
-		t.Fatalf("discovery sweep freed %d chunks, want 0", n)
+	if sc.cold("ds", clk.now()) {
+		t.Fatal("dataset cold at the observation that discovered the unregister")
 	}
 	clk.ns += (2 * grace).Nanoseconds()
-	if n, _ := sc.ReclaimCold(); n != 1 {
-		t.Fatalf("ReclaimCold after grace freed %d chunks, want 1", n)
+	if !sc.cold("ds", clk.now()) {
+		t.Fatal("dataset not cold a grace after its zero refcount was discovered")
 	}
 }
 

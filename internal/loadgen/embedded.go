@@ -27,9 +27,8 @@ type StackConfig struct {
 	KVNodes int // metadata nodes (default 2)
 	Servers int // stateless DIESEL servers (default 2)
 
-	Files       int // dataset size in files (default 512)
-	FileSizeB   int // bytes per file (default 4096)
-	ChunkTarget int // chunk payload target (default 64 KiB — many chunks)
+	Files     int // dataset size in files (default 512)
+	FileSizeB int // bytes per file (default 4096)
 
 	// DiskLatency is the modeled per-operation store latency. In the CI
 	// capacity smoke it dominates service time, making the p99 gate
@@ -39,8 +38,7 @@ type StackConfig struct {
 
 	// Clients is the number of standalone libDIESEL contexts operations
 	// round-robin over (default 8).
-	Clients   int
-	BatchSize int // paths per GetBatch op (default 8)
+	Clients int
 
 	// TaskNodes/ClientsPerNode, when both positive, additionally start a
 	// DLT task with the distributed cache; the "view" mix entry and
@@ -51,22 +49,10 @@ type StackConfig struct {
 	// Jobs, when >= 2, starts that many DLT tasks ("training jobs") over
 	// the one dataset instead of a single task. Each job registers in the
 	// server's job registry under its own job ID and tenant, and all of
-	// them share one dcache.SharedCache, so the run measures multi-job
-	// cache-hit amplification (Report.MultiJob). Requires TaskNodes and
-	// ClientsPerNode.
+	// them share one unbounded dcache.SharedCache, so the run measures
+	// multi-job cache-hit amplification (Report.MultiJob). Requires
+	// TaskNodes and ClientsPerNode.
 	Jobs int
-	// SharedCacheBytes bounds the shared chunk cache in Jobs mode
-	// (0 = unlimited).
-	SharedCacheBytes int64
-
-	// SpillDir, when non-empty, gives the task cache a local-SSD spill
-	// tier: single-task mode roots one spill log per simulated node under
-	// SpillDir/<node>; Jobs mode enables spill on the shared chunk cache
-	// at SpillDir directly. Evicted chunks then demote to disk instead of
-	// vanishing, and a restarted stack over the same directory rewarms.
-	SpillDir string
-	// SpillBytes bounds the spill tier's disk usage (0 = unlimited).
-	SpillBytes int64
 
 	// EpochReaders is the number of background pipelined epoch readers
 	// looping over the dataset during the run (soak-style ambient load).
@@ -81,18 +67,32 @@ type StackConfig struct {
 	EpochReorder  int
 	EpochDeadline time.Duration
 
-	// Watchdog runs the SLO engine + anomaly watchdog alongside the load
-	// (CI-scale burn windows, see startWatchdog); Report.Diag then lists
-	// the bundles it captured. DiagSpoolDir is the bundle spool (empty =
-	// a fresh temp dir). StallSLO is the epoch-stall latency objective
-	// threshold (0 = 10ms) and ReadSLO the served-read latency objective
-	// threshold (0 = 20ms) — the latter is what a disk-tail straggler
-	// window breaches even when hedging keeps the stall p99 in check.
-	Watchdog     bool
+	// DiagSpoolDir, when non-empty, runs the SLO engine + anomaly watchdog
+	// alongside the load (CI-scale burn windows, see startWatchdog),
+	// spooling diagnostic bundles here; Report.Diag then lists them.
 	DiagSpoolDir string
-	StallSLO     time.Duration
-	ReadSLO      time.Duration
+
+	// stallSLO overrides stallObjective; tests shrink it so every stall
+	// burns budget.
+	stallSLO time.Duration
 }
+
+// The harness's fixed settings.
+const (
+	// chunkTarget is the writer's chunk payload target: small, so the
+	// dataset has many chunks and cache/eviction behaviour is observable.
+	chunkTarget = 64 << 10
+	// batchSize is the number of paths per "batch" op.
+	batchSize = 8
+	// stallObjective is the epoch-stall latency objective the watchdog's
+	// burn rates run on, and readObjective the served-read one — the
+	// latter is what a disk-tail straggler window breaches even when
+	// hedging keeps the stall p99 in check.
+	stallObjective = 10 * time.Millisecond
+	readObjective  = 20 * time.Millisecond
+	// dataset names the harness's one dataset.
+	dataset = "loadgen"
+)
 
 func (c *StackConfig) setDefaults() {
 	if c.KVNodes <= 0 {
@@ -107,14 +107,11 @@ func (c *StackConfig) setDefaults() {
 	if c.FileSizeB <= 0 {
 		c.FileSizeB = 4096
 	}
-	if c.ChunkTarget <= 0 {
-		c.ChunkTarget = 64 << 10
-	}
 	if c.Clients <= 0 {
 		c.Clients = 8
 	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 8
+	if c.stallSLO <= 0 {
+		c.stallSLO = stallObjective
 	}
 }
 
@@ -130,8 +127,7 @@ type Stack struct {
 	Paths    []string
 	ChunkIDs []string
 
-	cfg     StackConfig
-	dataset string
+	cfg StackConfig
 }
 
 // jobID names the i-th training job of a Jobs-mode stack.
@@ -142,7 +138,7 @@ func jobID(i int) string { return fmt.Sprintf("job-%02d", i) }
 // fault windows work; every client dials through the stack's FaultGate.
 func StartStack(cfg StackConfig) (*Stack, error) {
 	cfg.setDefaults()
-	st := &Stack{cfg: cfg, dataset: "loadgen", Gate: &wire.FaultGate{}}
+	st := &Stack{cfg: cfg, Gate: &wire.FaultGate{}}
 	st.Throttle = &objstore.Throttled{Latency: cfg.DiskLatency}
 	dep, err := core.Deploy(core.Config{
 		KVNodes:       cfg.KVNodes,
@@ -159,14 +155,12 @@ func StartStack(cfg StackConfig) (*Stack, error) {
 		return nil, err
 	}
 
-	// Write the dataset through a plain (ungated) client. ChunkTarget
-	// must reach the writer: the whole point of the small default is a
-	// dataset of many chunks, so cache/eviction behaviour is observable.
+	// Write the dataset through a plain (ungated) client.
 	wcl, err := client.Connect(client.Options{
 		User: "core", Key: "core",
 		Servers:     dep.ServerAddrs(),
-		Dataset:     st.dataset,
-		ChunkTarget: cfg.ChunkTarget,
+		Dataset:     dataset,
+		ChunkTarget: chunkTarget,
 	})
 	if err != nil {
 		return fail(err)
@@ -208,7 +202,7 @@ func StartStack(cfg StackConfig) (*Stack, error) {
 		cl, err := client.Connect(client.Options{
 			User: "loadgen", Key: "loadgen",
 			Servers:      dep.ServerAddrs(),
-			Dataset:      st.dataset,
+			Dataset:      dataset,
 			Rank:         i,
 			MaxRetries:   5,
 			RetryBackoff: 2 * time.Millisecond,
@@ -230,15 +224,10 @@ func StartStack(cfg StackConfig) (*Stack, error) {
 			// Multi-job serving: every job is its own task (own barrier,
 			// own master election) but they share one chunk cache, so the
 			// second job's prefetch should find the first job's chunks.
-			st.Shared = dcache.NewSharedCache(cfg.SharedCacheBytes, 0, nil)
-			if cfg.SpillDir != "" {
-				if _, err := st.Shared.EnableSpill(cfg.SpillDir, cfg.SpillBytes); err != nil {
-					return fail(fmt.Errorf("loadgen: shared spill: %w", err))
-				}
-			}
+			st.Shared = dcache.NewSharedCache(0, 0, nil)
 			for j := range cfg.Jobs {
 				task, err := dep.StartTask(core.TaskConfig{
-					Dataset:        st.dataset,
+					Dataset:        dataset,
 					Nodes:          cfg.TaskNodes,
 					ClientsPerNode: cfg.ClientsPerNode,
 					Policy:         dcache.Oneshot,
@@ -255,12 +244,10 @@ func StartStack(cfg StackConfig) (*Stack, error) {
 			st.Task = st.JobTasks[0]
 		} else {
 			task, err := dep.StartTask(core.TaskConfig{
-				Dataset:        st.dataset,
+				Dataset:        dataset,
 				Nodes:          cfg.TaskNodes,
 				ClientsPerNode: cfg.ClientsPerNode,
 				Policy:         dcache.Oneshot,
-				SpillDir:       cfg.SpillDir,
-				SpillBytes:     cfg.SpillBytes,
 				Dialer:         st.Gate.Dialer(),
 			})
 			if err != nil {
@@ -268,51 +255,6 @@ func StartStack(cfg StackConfig) (*Stack, error) {
 			}
 			st.Task = task
 		}
-	}
-	return st, nil
-}
-
-// ConnectStack builds a Stack against already-running DIESEL servers
-// (external mode: cmd/diesel-load -connect). The dataset must already be
-// ingested; paths and chunk IDs come from its snapshot. Only net-* fault
-// kinds work — the deployment's internals are out of reach.
-func ConnectStack(addrs []string, dataset string, cfg StackConfig) (*Stack, error) {
-	cfg.setDefaults()
-	st := &Stack{cfg: cfg, dataset: dataset, Gate: &wire.FaultGate{}}
-	for i := range cfg.Clients {
-		cl, err := client.Connect(client.Options{
-			User: "loadgen", Key: "loadgen",
-			Servers:      addrs,
-			Dataset:      dataset,
-			Rank:         i,
-			MaxRetries:   5,
-			RetryBackoff: 2 * time.Millisecond,
-			CallTimeout:  2 * time.Second,
-			Dialer:       st.Gate.Dialer(),
-		})
-		if err != nil {
-			st.Close()
-			return nil, err
-		}
-		snap, err := cl.DefaultDataset().DownloadSnapshot()
-		if err != nil {
-			cl.Close()
-			st.Close()
-			return nil, err
-		}
-		st.Clients = append(st.Clients, cl)
-		if st.Paths == nil {
-			for i := range snap.NumFiles() {
-				st.Paths = append(st.Paths, snap.FileName(i))
-			}
-			for _, c := range snap.Chunks {
-				st.ChunkIDs = append(st.ChunkIDs, c.ID.String())
-			}
-		}
-	}
-	if len(st.Paths) == 0 {
-		st.Close()
-		return nil, fmt.Errorf("loadgen: dataset %q is empty", dataset)
 	}
 	return st, nil
 }
@@ -330,11 +272,9 @@ func (s *Stack) Close() {
 		c.Close()
 	}
 	if s.Shared != nil {
-		s.Shared.Close() // leaves the shared spill manifest for a restart
+		s.Shared.Close()
 	}
-	if s.Dep != nil {
-		s.Dep.Close()
-	}
+	s.Dep.Close()
 }
 
 func (s *Stack) client(rng *rand.Rand) *client.Dataset {
@@ -348,13 +288,13 @@ func (s *Stack) path(rng *rand.Rand) string {
 // Ops builds the weighted workload mix from a spec like
 // "get=6,batch=2,chunk=1,view=1". Kinds:
 //
-//	get    - Client.GetContext (cached snapshot metadata, chunk read)
-//	direct - Client.GetDirectContext (server-side request executor)
-//	batch  - Client.GetBatchContext over BatchSize random paths
-//	chunk  - Client.GetChunkContext of one whole random chunk
+//	get    - Dataset.Get (cached snapshot metadata, chunk read)
+//	direct - Dataset.GetDirect (server-side request executor)
+//	batch  - Dataset.GetBatch over 8 random paths
+//	chunk  - Dataset.GetChunk of one whole random chunk
 //	view   - dcache.Peer.ReadFileViewContext through the task cache
 //	         (falls back to get when the stack has no task)
-//	stat   - Client.Stat
+//	stat   - Dataset.Stat
 func (s *Stack) Ops(spec string) ([]WeightedOp, error) {
 	if spec == "" {
 		spec = "get=6,batch=2,chunk=1"
@@ -382,9 +322,8 @@ func (s *Stack) Ops(spec string) ([]WeightedOp, error) {
 				return err
 			}
 		case "batch":
-			n := s.cfg.BatchSize
 			do = func(ctx context.Context, rng *rand.Rand) error {
-				paths := make([]string, n)
+				paths := make([]string, batchSize)
 				for i := range paths {
 					paths[i] = s.path(rng)
 				}
@@ -501,15 +440,6 @@ func (s *Stack) parseFault(spec string) (Fault, error) {
 		return i, nil
 	}
 	switch kind {
-	case "kv-kill", "server-kill", "disk-slow", "disk-tail":
-		// These reach inside the deployment, so they only exist in
-		// embedded mode; net-* faults live in the client-side gate and
-		// work against external servers too.
-		if s.Dep == nil {
-			return bad(kind + " requires an embedded stack")
-		}
-	}
-	switch kind {
 	case "kv-kill":
 		i, err := idxArg(len(s.Dep.KVServers()))
 		if err != nil {
@@ -609,7 +539,7 @@ func (s *Stack) RunEmbedded(ctx context.Context, cfg Config) (*Report, error) {
 	before := counterValues()
 
 	var watch *stackWatchdog
-	if s.cfg.Watchdog {
+	if s.cfg.DiagSpoolDir != "" {
 		var err error
 		if watch, err = s.startWatchdog(); err != nil {
 			return nil, fmt.Errorf("loadgen: start watchdog: %w", err)

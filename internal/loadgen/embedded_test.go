@@ -37,7 +37,6 @@ func TestStartStackAndRunEmbedded(t *testing.T) {
 		Rate:        400,
 		Duration:    450 * time.Millisecond,
 		Concurrency: 16,
-		Generators:  2,
 		Seed:        3,
 		Ops:         ops,
 		Faults:      sched,

@@ -46,14 +46,6 @@ type Config struct {
 	// arrival that finds every executor busy queues, and its queue time
 	// counts toward its open-loop latency.
 	Concurrency int
-	// Generators is the number of arrival-generator goroutines; each
-	// handles every Generators-th arrival with its phase offset on the
-	// shared timeline (default 4).
-	Generators int
-	// QueueDepth bounds the arrival queue (default 1<<17). Arrivals
-	// beyond it are shed and counted — a shed arrival means the run was
-	// overloaded beyond what queueing can express.
-	QueueDepth int
 	// Arrival is the arrival process (default Constant).
 	Arrival Arrival
 	// Seed makes generator decisions (arrival draws, op mix, op-internal
@@ -70,6 +62,18 @@ type Config struct {
 	// stalls. Rate is ignored.
 	ClosedLoop bool
 }
+
+// The open-loop engine's fixed settings.
+const (
+	// generators is the number of arrival-generator goroutines; each
+	// handles every generators-th arrival with its phase offset on the
+	// shared timeline.
+	generators = 4
+	// queueDepth bounds the arrival queue. Arrivals beyond it are shed and
+	// counted — a shed arrival means the run was overloaded beyond what
+	// queueing can express.
+	queueDepth = 1 << 17
+)
 
 func (c *Config) setDefaults() error {
 	if !c.ClosedLoop && c.Rate <= 0 {
@@ -88,12 +92,6 @@ func (c *Config) setDefaults() error {
 	}
 	if c.Concurrency <= 0 {
 		c.Concurrency = 64
-	}
-	if c.Generators <= 0 {
-		c.Generators = 4
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 1 << 17
 	}
 	if c.Arrival == "" {
 		c.Arrival = Constant
@@ -211,14 +209,14 @@ func weightTotal(ops []WeightedOp) int {
 // timeline into a queue; executors drain it. A slow or stalled system
 // backs the queue up, and every queued arrival keeps accumulating
 // open-loop latency against its intended start — the generator never
-// slows down (up to QueueDepth, beyond which arrivals are shed and
+// slows down (up to queueDepth, beyond which arrivals are shed and
 // counted rather than silently delayed).
 func runOpen(ctx context.Context, cfg Config, start time.Time, rec *Recorder, kinds []kindCount, shed *atomic.Uint64) {
-	queue := make(chan arrival, cfg.QueueDepth)
+	queue := make(chan arrival, queueDepth)
 	wTotal := weightTotal(cfg.Ops)
 
 	var genWG sync.WaitGroup
-	for g := 0; g < cfg.Generators; g++ {
+	for g := 0; g < generators; g++ {
 		genWG.Add(1)
 		go func(g int) {
 			defer genWG.Done()
@@ -231,10 +229,10 @@ func runOpen(ctx context.Context, cfg Config, start time.Time, rec *Recorder, ki
 					// Sum of G-spaced exponential draws ≡ one draw at
 					// rate Rate/G per generator; superposing the G
 					// generators restores a Poisson process at Rate.
-					return time.Duration(rng.ExpFloat64() * float64(cfg.Generators) / cfg.Rate * float64(time.Second))
+					return time.Duration(rng.ExpFloat64() * generators / cfg.Rate * float64(time.Second))
 				}
 				_ = k
-				return time.Duration(float64(cfg.Generators) / cfg.Rate * float64(time.Second))
+				return time.Duration(generators / cfg.Rate * float64(time.Second))
 			}
 			// Phase offset: generator g starts g/Rate into the timeline.
 			intended = time.Duration(float64(g) / cfg.Rate * float64(time.Second))

@@ -162,7 +162,6 @@ func TestRunOpenLoop(t *testing.T) {
 		Rate:        2000,
 		Duration:    300 * time.Millisecond,
 		Concurrency: 8,
-		Generators:  2,
 		Seed:        42,
 		Arrival:     Poisson,
 		Ops: []WeightedOp{

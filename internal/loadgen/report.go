@@ -104,7 +104,7 @@ type Report struct {
 	Phases []PhaseReport `json:"phases,omitempty"`
 
 	// Diag lists the diagnostic bundles the anomaly watchdog captured
-	// during the run; present only when StackConfig.Watchdog was on.
+	// during the run; present only when StackConfig.DiagSpoolDir was set.
 	// The disk-tail CI smoke asserts it is non-empty under the injected
 	// fault window.
 	Diag *DiagReport `json:"diag,omitempty"`
@@ -153,7 +153,7 @@ func buildReport(cfg Config, rec *Recorder, kinds []kindCount, elapsed time.Dura
 		DurationS:   cfg.Duration.Seconds(),
 		ElapsedS:    elapsed.Seconds(),
 		Concurrency: cfg.Concurrency,
-		Generators:  cfg.Generators,
+		Generators:  generators,
 		Ops:         total.Open.Count,
 		Errors:      total.Errors,
 		Open:        summarize(total, true),

@@ -1,7 +1,6 @@
 package loadgen
 
 import (
-	"os"
 	"strings"
 	"time"
 
@@ -18,12 +17,12 @@ type DiagReport struct {
 	SpoolDir string   `json:"spool_dir"`
 	Bundles  []string `json:"bundles"`
 	// Reasons are the trigger reasons, one per bundle (decoded from the
-	// bundle ID's slug): slo-breach, breaker-trip, eviction-storm...
+	// bundle ID's slug): slo-breach or breaker-trip.
 	Reasons []string `json:"reasons,omitempty"`
 }
 
-// stackWatchdog is the per-run SLO engine + watchdog pair a Watchdog-mode
-// stack runs alongside the load.
+// stackWatchdog is the per-run SLO engine + watchdog pair a stack with a
+// DiagSpoolDir runs alongside the load.
 type stackWatchdog struct {
 	eng *slo.Engine
 	wd  *slo.Watchdog
@@ -38,22 +37,6 @@ type stackWatchdog struct {
 // traces the fault produced.
 func (s *Stack) startWatchdog() (*stackWatchdog, error) {
 	dir := s.cfg.DiagSpoolDir
-	if dir == "" {
-		var err error
-		dir, err = os.MkdirTemp("", "diesel-diag-")
-		if err != nil {
-			return nil, err
-		}
-	}
-	stallSLO := s.cfg.StallSLO
-	if stallSLO <= 0 {
-		stallSLO = 10 * time.Millisecond
-	}
-	readSLO := s.cfg.ReadSLO
-	if readSLO <= 0 {
-		readSLO = 20 * time.Millisecond
-	}
-
 	tracing.EnableTracing(true)
 	tracing.SetSampleRate(0.25)
 	tracing.SetSlowThreshold(20 * time.Millisecond)
@@ -62,13 +45,13 @@ func (s *Stack) startWatchdog() (*stackWatchdog, error) {
 	eng := slo.NewEngine(slo.EngineConfig{
 		Registry: reg,
 		Objectives: []slo.Objective{
-			slo.EpochStallObjective(reg, stallSLO, 0.001),
+			slo.EpochStallObjective(reg, s.cfg.stallSLO, 0.001),
 			// The disk-tail smoke's tripwire: hedging keeps the readers'
 			// stall p99 under its threshold even mid-fault, but the served
 			// read latency can't hide — a 40x30ms straggler window pushes
-			// frac(read > readSLO) more than an order of magnitude over the
-			// 0.1% budget while the healthy phases sit around the budget.
-			slo.ReadLatencyObjective(reg, readSLO, 0.001),
+			// frac(read > readObjective) more than an order of magnitude over
+			// the 0.1% budget while the healthy phases sit around the budget.
+			slo.ReadLatencyObjective(reg, readObjective, 0.001),
 		},
 		FastWindow: 2 * time.Second,
 		SlowWindow: 8 * time.Second,
@@ -77,7 +60,6 @@ func (s *Stack) startWatchdog() (*stackWatchdog, error) {
 	})
 	wd, err := slo.NewWatchdog(slo.WatchdogConfig{
 		Dir:        dir,
-		Process:    "diesel-load",
 		MaxBundles: 8,
 		CPUProfile: 500 * time.Millisecond,
 		Cooldown:   3 * time.Second,
@@ -85,14 +67,8 @@ func (s *Stack) startWatchdog() (*stackWatchdog, error) {
 		Registry:   reg,
 		Status:     eng.Status,
 		Roster: func() any {
-			if s.Dep == nil {
-				return nil
-			}
-			if jr := s.Dep.Server().JobRegistry(); jr != nil {
-				jobs, _ := jr.Jobs()
-				return jobs
-			}
-			return nil
+			jobs, _ := s.Dep.JobRegistry().Jobs()
+			return jobs
 		},
 	})
 	if err != nil {

@@ -20,11 +20,10 @@ func TestWatchdogFiresUnderFault(t *testing.T) {
 		FileSizeB:    1024,
 		Clients:      2,
 		EpochReaders: 2,
-		Watchdog:     true,
 		DiagSpoolDir: spool,
 		// Every 15ms-throttled stall is over a 1ms objective, so the
 		// burn rate saturates as soon as the sample windows fill.
-		StallSLO: time.Millisecond,
+		stallSLO: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("StartStack: %v", err)
@@ -82,5 +81,43 @@ func TestWatchdogFiresUnderFault(t *testing.T) {
 	}
 	if tarballs != len(rep.Diag.Bundles) {
 		t.Fatalf("spool holds %d tarballs, Diag lists %d", tarballs, len(rep.Diag.Bundles))
+	}
+}
+
+// TestDiagFollowsSpoolDir pins what turns the watchdog on: a spool
+// directory and nothing else, as on diesel-server and kvnode. A stack
+// without one reports no Diag.
+func TestDiagFollowsSpoolDir(t *testing.T) {
+	spool := t.TempDir()
+	for _, tc := range []struct {
+		name  string
+		spool string
+	}{{"spool", spool}, {"no spool", ""}} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := StartStack(StackConfig{
+				Files: 8, FileSizeB: 64, Clients: 1, KVNodes: 1, Servers: 1,
+				DiagSpoolDir: tc.spool,
+			})
+			if err != nil {
+				t.Fatalf("StartStack: %v", err)
+			}
+			defer st.Close()
+			ops, err := st.Ops("get=1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := st.RunEmbedded(context.Background(), Config{
+				Rate: 100, Duration: 100 * time.Millisecond, Concurrency: 2, Seed: 1, Ops: ops,
+			})
+			if err != nil {
+				t.Fatalf("RunEmbedded: %v", err)
+			}
+			switch {
+			case tc.spool == "" && rep.Diag != nil:
+				t.Fatalf("stack without a spool ran the watchdog: %+v", rep.Diag)
+			case tc.spool != "" && (rep.Diag == nil || rep.Diag.SpoolDir != tc.spool):
+				t.Fatalf("stack with spool %q reported Diag %+v", tc.spool, rep.Diag)
+			}
+		})
 	}
 }

@@ -7,23 +7,25 @@ import (
 )
 
 // Structured event ring. Components publish rare, discrete operational
-// events (a circuit breaker tripping, an SLO burning, a quota storm)
+// events (a circuit breaker tripping, an SLO burning, an admin retune)
 // into one bounded process-wide ring; the diagnostic watchdog snapshots
 // the ring into every bundle so "what happened just before" survives the
 // incident. The ring sits in obs — the one package everything already
 // imports — so dcache/epoch/server can publish without importing the SLO
 // layer (which imports them back).
 //
-// Publishing is gated like EnableMetrics/EnableTracing: the zero value
-// is OFF and Publish is a single atomic load plus branch, so call sites
-// on rare paths cost nothing in processes that never enable diagnostics.
+// Publishing is gated by EnableEvents, as spans are by
+// tracing.EnableTracing — the only two gates; metrics are always on. The
+// zero value is OFF and Publish is a single atomic load plus branch, so
+// call sites on rare paths cost nothing in processes that never enable
+// diagnostics.
 
 // Event is one structured operational event.
 type Event struct {
 	// TimeNS is the event time as UnixNano.
 	TimeNS int64 `json:"time_ns"`
 	// Kind is a stable machine-readable tag ("breaker-trip",
-	// "slo-breach", "eviction-storm", "hedge-spike", "manual", ...).
+	// "slo-breach", "admin-retune").
 	Kind string `json:"kind"`
 	// Msg is a human-readable one-liner.
 	Msg string `json:"msg"`

@@ -109,8 +109,8 @@ type counterSample struct {
 }
 
 // CounterWindow samples one or more cumulative Counters (their sum) and
-// reports deltas and rates over trailing windows — the ratio-SLO and
-// storm-detection counterpart of HistWindow.
+// reports deltas over trailing windows — the ratio-SLO counterpart of
+// HistWindow.
 type CounterWindow struct {
 	mu      sync.Mutex
 	cs      []*Counter
@@ -156,13 +156,13 @@ func (w *CounterWindow) at(i int) counterSample {
 	return w.samples[(start+i)%len(w.samples)]
 }
 
-// Over returns the counter delta across roughly the trailing d and the
-// span actually covered (see HistWindow.Over for the fallback rule).
-func (w *CounterWindow) Over(d time.Duration) (delta uint64, span time.Duration) {
+// Over returns the counter delta across roughly the trailing d (see
+// HistWindow.Over for the fallback rule).
+func (w *CounterWindow) Over(d time.Duration) uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.count < 2 {
-		return 0, 0
+		return 0
 	}
 	newest := w.at(w.count - 1)
 	base := w.at(0)
@@ -174,17 +174,7 @@ func (w *CounterWindow) Over(d time.Duration) (delta uint64, span time.Duration)
 		}
 	}
 	if newest.v > base.v {
-		delta = newest.v - base.v
+		return newest.v - base.v
 	}
-	return delta, newest.t.Sub(base.t)
-}
-
-// Rate returns the per-second rate over roughly the trailing d (0 when
-// the ring spans no time yet).
-func (w *CounterWindow) Rate(d time.Duration) float64 {
-	delta, span := w.Over(d)
-	if span <= 0 {
-		return 0
-	}
-	return float64(delta) / span.Seconds()
+	return 0
 }

@@ -51,26 +51,6 @@ func TestHistWindowEmpty(t *testing.T) {
 	}
 }
 
-func TestCounterWindowRate(t *testing.T) {
-	var a, b Counter
-	w := NewCounterWindow(8, &a, &b)
-	t0 := time.Unix(2000, 0)
-	for i := 0; i < 5; i++ {
-		a.Add(10)
-		b.Add(5)
-		w.Tick(t0.Add(time.Duration(i+1) * time.Second))
-	}
-	// Ticks at 1..5s; trailing 2s = delta between t=5 and t=3 → 2s of
-	// 15/s.
-	delta, span := w.Over(2 * time.Second)
-	if delta != 30 || span != 2*time.Second {
-		t.Fatalf("Over(2s) = (%d, %v), want (30, 2s)", delta, span)
-	}
-	if r := w.Rate(2 * time.Second); r != 15 {
-		t.Fatalf("Rate(2s) = %v, want 15", r)
-	}
-}
-
 func TestFractionAbove(t *testing.T) {
 	var h Histogram
 	// 90 obs at ~1µs, 10 at ~100ms.

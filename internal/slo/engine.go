@@ -12,8 +12,8 @@ import (
 // documented defaults, sized for a production server; tests and the CI
 // load harness shrink the windows to seconds.
 type EngineConfig struct {
-	// Registry backs the storm-detection counters and the engine's own
-	// breach counter. Defaults to obs.Default().
+	// Registry backs the engine's breach counter. Defaults to
+	// obs.Default().
 	Registry *obs.Registry
 
 	// Objectives to evaluate.
@@ -28,26 +28,17 @@ type EngineConfig struct {
 	// Tick is the sampling interval (default 5s).
 	Tick time.Duration
 
-	// FastBurn/SlowBurn are the burn-rate thresholds: breach when
-	// fast-window burn ≥ FastBurn AND slow-window burn ≥ SlowBurn
-	// (defaults 10 and 1).
-	FastBurn float64
-	SlowBurn float64
-
 	// Cooldown suppresses re-firing an objective's breach event while
 	// it stays breached (default 2m).
 	Cooldown time.Duration
-
-	// EvictionStormRate fires an "eviction-storm" event when
-	// diesel_dcache_evictions_total exceeds this per-second rate over
-	// the fast window (0 disables).
-	EvictionStormRate float64
-
-	// HedgeSpikeRate fires a "hedge-spike" event when
-	// diesel_epoch_hedges_total exceeds this per-second rate over the
-	// fast window (0 disables).
-	HedgeSpikeRate float64
 }
+
+// The burn-rate thresholds: an objective breaches when its fast-window
+// burn is at least fastBurn AND its slow-window burn at least slowBurn.
+const (
+	fastBurn = 10
+	slowBurn = 1
+)
 
 func (c *EngineConfig) defaults() {
 	if c.Registry == nil {
@@ -61,12 +52,6 @@ func (c *EngineConfig) defaults() {
 	}
 	if c.Tick <= 0 {
 		c.Tick = 5 * time.Second
-	}
-	if c.FastBurn <= 0 {
-		c.FastBurn = 10
-	}
-	if c.SlowBurn <= 0 {
-		c.SlowBurn = 1
 	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = 2 * time.Minute
@@ -100,16 +85,12 @@ type ObjectiveStatus struct {
 }
 
 // Engine polls objective metrics on a ticker, computes multi-window burn
-// rates, and publishes "slo-breach" / "eviction-storm" / "hedge-spike"
-// events into the obs event ring when thresholds trip. It holds no hot
-// path; stopping it (or never starting it) removes every cost.
+// rates, and publishes an "slo-breach" event into the obs event ring when
+// an objective burns. It holds no hot path; stopping it (or never
+// starting it) removes every cost.
 type Engine struct {
 	cfg  EngineConfig
 	objs []*objState
-
-	evict *obs.CounterWindow
-	hedge *obs.CounterWindow
-	storm map[string]time.Time // event kind → last fired
 
 	mu     sync.Mutex
 	status []ObjectiveStatus
@@ -126,7 +107,7 @@ func NewEngine(cfg EngineConfig) *Engine {
 	if capacity > 8192 {
 		capacity = 8192
 	}
-	e := &Engine{cfg: cfg, storm: make(map[string]time.Time)}
+	e := &Engine{cfg: cfg}
 	for _, o := range cfg.Objectives {
 		st := &objState{o: o}
 		if o.latency() {
@@ -141,16 +122,6 @@ func NewEngine(cfg EngineConfig) *Engine {
 			"SLO breach events fired by the slo engine, by objective.",
 			obs.L("objective", o.Name))
 		e.objs = append(e.objs, st)
-	}
-	if cfg.EvictionStormRate > 0 {
-		e.evict = obs.NewCounterWindow(capacity,
-			cfg.Registry.Counter("diesel_dcache_evictions_total",
-				"Chunks evicted from master caches under capacity pressure."))
-	}
-	if cfg.HedgeSpikeRate > 0 {
-		e.hedge = obs.NewCounterWindow(capacity,
-			cfg.Registry.Counter("diesel_epoch_hedges_total",
-				"Hedged group fetches issued after the hedge delay."))
 	}
 	return e
 }
@@ -200,10 +171,6 @@ func (e *Engine) Evaluate(now time.Time) {
 	for _, st := range e.objs {
 		status = append(status, e.evalObjective(st, now))
 	}
-	e.evalStorm(now, e.evict, "eviction-storm", e.cfg.EvictionStormRate,
-		"dcache evictions running hot")
-	e.evalStorm(now, e.hedge, "hedge-spike", e.cfg.HedgeSpikeRate,
-		"epoch hedge rate spiking")
 	e.mu.Lock()
 	e.status = status
 	e.mu.Unlock()
@@ -228,16 +195,16 @@ func (e *Engine) evalObjective(st *objState, now time.Time) ObjectiveStatus {
 	} else {
 		st.bad.Tick(now)
 		st.good.Tick(now)
-		fb, _ := st.bad.Over(e.cfg.FastWindow)
-		fg, _ := st.good.Over(e.cfg.FastWindow)
-		sb, _ := st.bad.Over(e.cfg.SlowWindow)
-		sg, _ := st.good.Over(e.cfg.SlowWindow)
+		fb := st.bad.Over(e.cfg.FastWindow)
+		fg := st.good.Over(e.cfg.FastWindow)
+		sb := st.bad.Over(e.cfg.SlowWindow)
+		sg := st.good.Over(e.cfg.SlowWindow)
 		s.FastCount, s.SlowCount = fb+fg, sb+sg
 		s.FastBurn = e.burnRatio(st.o, fb, fg)
 		s.SlowBurn = e.burnRatio(st.o, sb, sg)
 	}
 
-	breach := s.FastBurn >= e.cfg.FastBurn && s.SlowBurn >= e.cfg.SlowBurn
+	breach := s.FastBurn >= fastBurn && s.SlowBurn >= slowBurn
 	if breach && (!st.breached || now.Sub(st.lastFire) >= e.cfg.Cooldown) {
 		st.lastFire = now
 		st.fires.Inc()
@@ -268,25 +235,6 @@ func (e *Engine) burnRatio(o Objective, bad, good uint64) float64 {
 		return 0
 	}
 	return (float64(bad) / float64(total)) / o.Budget
-}
-
-// evalStorm ticks a trigger counter window and publishes kind when its
-// fast-window rate exceeds threshold, at most once per Cooldown.
-func (e *Engine) evalStorm(now time.Time, w *obs.CounterWindow, kind string, threshold float64, msg string) {
-	if w == nil || threshold <= 0 {
-		return
-	}
-	w.Tick(now)
-	rate := w.Rate(e.cfg.FastWindow)
-	if rate < threshold {
-		return
-	}
-	if last, ok := e.storm[kind]; ok && now.Sub(last) < e.cfg.Cooldown {
-		return
-	}
-	e.storm[kind] = now
-	obs.Publish(kind, fmt.Sprintf("%s: %.1f/s over the fast window (threshold %.1f/s)", msg, rate, threshold),
-		"rate_per_sec", fmt.Sprintf("%.1f", rate))
 }
 
 // Status returns the most recent evaluation of every objective.

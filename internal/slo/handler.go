@@ -5,6 +5,8 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+
+	"diesel/internal/tracing"
 )
 
 // httpJSON writes v as an indented JSON response.
@@ -95,7 +97,7 @@ func Handler(w *Watchdog) http.Handler {
 			httpError(rw, http.StatusBadRequest, "trigger needs a reason")
 			return
 		}
-		out := diagList{Process: w.cfg.Process, Bundles: w.List()}
+		out := diagList{Process: tracing.Process(), Bundles: w.List()}
 		if out.Bundles == nil {
 			out.Bundles = []BundleInfo{}
 		}

@@ -4,23 +4,23 @@
 // Two pieces cooperate:
 //
 //   - Engine evaluates Objectives — "read p99 under X", "epoch stall p99
-//     under Y", "shared-cache hit rate over Z", "quota rejections under
-//     W" — as multi-window burn rates (fast ~1m, slow ~30m) over the
-//     cumulative histograms and counters the rest of the repo already
-//     maintains in internal/obs. It polls; it never touches a hot path.
+//     under Y", "quota rejections under W" — as multi-window burn rates
+//     (fast ~1m, slow ~30m) over the cumulative histograms and counters
+//     the rest of the repo already maintains in internal/obs. It polls;
+//     it never touches a hot path.
 //
 //   - Watchdog turns trouble into a diagnostic bundle: a tar.gz of the
 //     metrics export, recent+slow traces, goroutine/heap/CPU profiles,
 //     the job roster and the recent structured-event ring, retained in a
 //     capped on-disk spool and served over /debug/diag. It subscribes to
-//     the obs event ring, so anything that publishes a trigger event
-//     (the engine on SLO breach or eviction/hedge storms, dcache on a
-//     breaker trip) gets evidence captured at the moment it happened.
+//     the obs event ring, so the two trigger events — the engine's
+//     slo-breach and dcache's breaker-trip — get evidence captured at the
+//     moment they happened.
 //
-// Neither runs unless a binary opts in (-diag-spool / -slo flags), and
-// the event ring they listen on is itself gated off by default, so the
-// steady-state cost of the feature when disabled is zero — same contract
-// as wire.EnableMetrics and tracing.EnableTracing.
+// Neither runs unless a binary opts in (-slo / -diag-spool flags). The
+// event ring they listen on is gated off until a watchdog starts
+// (obs.EnableEvents), as spans are until tracing.EnableTracing; those two
+// are the only gates — metrics are always on.
 package slo
 
 import (
@@ -93,24 +93,6 @@ func EpochStallObjective(reg *obs.Registry, threshold time.Duration, budget floa
 		ThresholdNS: uint64(threshold),
 		Budget:      budget,
 		MinCount:    20,
-	}
-}
-
-// SharedHitRateObjective builds the shared-cache hit-rate SLO over
-// diesel_dcache_reads_total: reads answered by the server tier are
-// misses (bad); local and peer answers are hits (good). budget is the
-// tolerated miss fraction (e.g. 0.4 demands a 60% hit rate).
-func SharedHitRateObjective(reg *obs.Registry, budget float64) Objective {
-	const help = "Cache reads by answering tier."
-	return Objective{
-		Name: "shared-hit-rate",
-		Bad:  []*obs.Counter{reg.Counter("diesel_dcache_reads_total", help, obs.L("source", "server"))},
-		Good: []*obs.Counter{
-			reg.Counter("diesel_dcache_reads_total", help, obs.L("source", "local")),
-			reg.Counter("diesel_dcache_reads_total", help, obs.L("source", "peer")),
-		},
-		Budget:   budget,
-		MinCount: 50,
 	}
 }
 

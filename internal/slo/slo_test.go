@@ -34,8 +34,6 @@ func TestEngineLatencyBreach(t *testing.T) {
 		FastWindow: 3 * time.Second,
 		SlowWindow: 10 * time.Second,
 		Tick:       time.Second,
-		FastBurn:   5,
-		SlowBurn:   1,
 		Cooldown:   time.Hour,
 	})
 
@@ -90,12 +88,15 @@ func TestEngineLatencyBreach(t *testing.T) {
 func TestEngineRatioObjective(t *testing.T) {
 	reg := obs.NewRegistry()
 	bad := reg.Counter("t_miss_total", "misses")
-	good := reg.Counter("t_hit_total", "hits")
+	// Two good counters, summed by the window: were only the first read,
+	// the healthy phase below would read 50% misses and breach.
+	hitA := reg.Counter("t_hit_total", "hits", obs.L("source", "a"))
+	hitB := reg.Counter("t_hit_total", "hits", obs.L("source", "b"))
 	obj := Objective{
-		Name:     "shared-hit-rate",
+		Name:     "hit-rate",
 		Bad:      []*obs.Counter{bad},
-		Good:     []*obs.Counter{good},
-		Budget:   0.2, // tolerate 20% misses
+		Good:     []*obs.Counter{hitA, hitB},
+		Budget:   0.05, // tolerate 5% misses
 		MinCount: 10,
 	}
 	e := NewEngine(EngineConfig{
@@ -104,24 +105,24 @@ func TestEngineRatioObjective(t *testing.T) {
 		FastWindow: 2 * time.Second,
 		SlowWindow: 6 * time.Second,
 		Tick:       time.Second,
-		FastBurn:   2,
-		SlowBurn:   1,
 		Cooldown:   time.Hour,
 	})
 
 	t0 := time.Unix(20_000, 0)
-	// 10% misses: burn 0.5, healthy.
+	// 10% misses: burn 2, under the fast threshold of 10.
 	now := drive(e, t0, 5, func(int) {
 		bad.Add(10)
-		good.Add(90)
+		hitA.Add(10)
+		hitB.Add(80)
 	})
-	if st := e.Status(); st[0].Breached {
-		t.Fatalf("10%% misses breached: %+v", st[0])
+	if st := e.Status(); st[0].Breached || st[0].FastCount != 200 {
+		t.Fatalf("10%% misses: %+v, want healthy over 200 fast-window events", st[0])
 	}
-	// 80% misses: burn 4 fast, and the slow window blends to >1.
+	// 80% misses: burn 16 fast, and the slow window fills with it.
 	drive(e, now, 6, func(int) {
 		bad.Add(80)
-		good.Add(20)
+		hitA.Add(10)
+		hitB.Add(10)
 	})
 	if st := e.Status(); !st[0].Breached {
 		t.Fatalf("80%% misses did not breach: %+v", st[0])
@@ -154,43 +155,11 @@ func TestEngineMinCountSuppression(t *testing.T) {
 	}
 }
 
-func TestEngineStormEvents(t *testing.T) {
-	reg := obs.NewRegistry()
-	evict := reg.Counter("diesel_dcache_evictions_total", "evictions")
-	e := NewEngine(EngineConfig{
-		Registry:          reg,
-		FastWindow:        2 * time.Second,
-		SlowWindow:        6 * time.Second,
-		Tick:              time.Second,
-		Cooldown:          time.Hour,
-		EvictionStormRate: 50,
-	})
-
-	obs.ResetEvents()
-	obs.EnableEvents(true)
-	defer obs.EnableEvents(false)
-	defer obs.ResetEvents()
-
-	drive(e, time.Unix(40_000, 0), 5, func(int) {
-		evict.Add(200) // 200/s >> 50/s threshold
-	})
-	var storms int
-	for _, ev := range obs.RecentEvents(0) {
-		if ev.Kind == "eviction-storm" {
-			storms++
-		}
-	}
-	if storms != 1 {
-		t.Fatalf("eviction-storm events = %d, want exactly 1", storms)
-	}
-}
-
 func TestObjectiveHelpers(t *testing.T) {
 	reg := obs.NewRegistry()
 	for _, o := range []Objective{
 		ReadLatencyObjective(reg, 50*time.Millisecond, 0.01),
 		EpochStallObjective(reg, 10*time.Millisecond, 0.01),
-		SharedHitRateObjective(reg, 0.4),
 		QuotaRejectionObjective(reg, 0.05, "anon", "alice"),
 	} {
 		if o.Name == "" || o.Budget <= 0 {

@@ -28,14 +28,9 @@ type WatchdogConfig struct {
 	// missing).
 	Dir string
 
-	// Process names this process in manifests; defaults to
-	// tracing.Process().
-	Process string
-
-	// MaxBundles / MaxBytes cap the spool; oldest bundles are evicted
-	// first (defaults 16 bundles, 256 MiB).
+	// MaxBundles caps the spool's bundle count (default 16); oldest
+	// bundles are evicted first, as they are past maxSpoolBytes.
 	MaxBundles int
-	MaxBytes   int64
 
 	// CPUProfile is how long the bundle's CPU profile runs (default 5s;
 	// 0 uses the default, negative skips the CPU profile). The capture
@@ -62,22 +57,14 @@ type WatchdogConfig struct {
 	// Status, when set, is embedded in the manifest (wire it to
 	// Engine.Status).
 	Status func() []ObjectiveStatus
-
-	// TriggerKinds are the event kinds that auto-capture a bundle when
-	// Watch is active. Default: slo-breach, breaker-trip,
-	// eviction-storm, hedge-spike.
-	TriggerKinds []string
 }
 
+// maxSpoolBytes caps the spool's total size.
+const maxSpoolBytes = 256 << 20
+
 func (c *WatchdogConfig) defaults() {
-	if c.Process == "" {
-		c.Process = tracing.Process()
-	}
 	if c.MaxBundles <= 0 {
 		c.MaxBundles = 16
-	}
-	if c.MaxBytes <= 0 {
-		c.MaxBytes = 256 << 20
 	}
 	if c.CPUProfile == 0 {
 		c.CPUProfile = 5 * time.Second
@@ -90,9 +77,6 @@ func (c *WatchdogConfig) defaults() {
 	}
 	if c.Registry == nil {
 		c.Registry = obs.Default()
-	}
-	if len(c.TriggerKinds) == 0 {
-		c.TriggerKinds = []string{"slo-breach", "breaker-trip", "eviction-storm", "hedge-spike"}
 	}
 }
 
@@ -136,18 +120,16 @@ func NewWatchdog(cfg WatchdogConfig) (*Watchdog, error) {
 	return w, nil
 }
 
-// Watch subscribes the watchdog to the obs event ring: any event whose
-// kind is in TriggerKinds captures a bundle asynchronously.
+// Watch subscribes the watchdog to the obs event ring: the engine's
+// slo-breach and dcache's breaker-trip events capture a bundle
+// asynchronously; other kinds are ignored.
 func (w *Watchdog) Watch() {
 	w.watching.Store(true)
 	obs.OnEvent(func(ev obs.Event) {
-		if !w.watching.Load() {
-			return
-		}
-		for _, k := range w.cfg.TriggerKinds {
-			if ev.Kind == k {
+		switch ev.Kind {
+		case "slo-breach", "breaker-trip":
+			if w.watching.Load() {
 				w.triggerAsync(ev.Kind)
-				return
 			}
 		}
 	})
@@ -243,7 +225,7 @@ func (w *Watchdog) capture(reason string) (string, error) {
 
 	manifest := Manifest{
 		ID:      id,
-		Process: w.cfg.Process,
+		Process: tracing.Process(),
 		Reason:  reason,
 		TimeNS:  now.UnixNano(),
 	}
@@ -402,7 +384,7 @@ func (w *Watchdog) prune() {
 	for _, b := range bundles {
 		total += b.Bytes
 	}
-	for len(bundles) > w.cfg.MaxBundles || (total > w.cfg.MaxBytes && len(bundles) > 1) {
+	for len(bundles) > w.cfg.MaxBundles || (total > maxSpoolBytes && len(bundles) > 1) {
 		victim := bundles[0]
 		bundles = bundles[1:]
 		total -= victim.Bytes

@@ -28,9 +28,6 @@ func newTestWatchdog(t *testing.T, cfg WatchdogConfig) *Watchdog {
 	if cfg.CPUProfile == 0 {
 		cfg.CPUProfile = 20 * time.Millisecond
 	}
-	if cfg.Process == "" {
-		cfg.Process = "test-proc"
-	}
 	w, err := NewWatchdog(cfg)
 	if err != nil {
 		t.Fatalf("NewWatchdog: %v", err)
@@ -98,7 +95,7 @@ func TestWatchdogBundleContents(t *testing.T) {
 	if err := json.Unmarshal(files["manifest.json"], &m); err != nil {
 		t.Fatalf("manifest.json: %v", err)
 	}
-	if m.ID != id || m.Process != "test-proc" || m.Reason != "unit-test" || len(m.SLO) != 1 {
+	if m.ID != id || m.Process != tracing.Process() || m.Reason != "unit-test" || len(m.SLO) != 1 {
 		t.Fatalf("bad manifest: %+v", m)
 	}
 	var metrics []obs.Metric
@@ -167,23 +164,36 @@ func TestWatchdogSpoolCapAndCooldown(t *testing.T) {
 	}
 }
 
+// TestWatchdogEventTrigger pins the trigger kinds: the engine's slo-breach
+// and dcache's breaker-trip capture a bundle; the kinds of the deleted
+// storm detectors, and anything else, capture none.
 func TestWatchdogEventTrigger(t *testing.T) {
-	w := newTestWatchdog(t, WatchdogConfig{CPUProfile: -1})
+	w := newTestWatchdog(t, WatchdogConfig{CPUProfile: -1, Cooldown: time.Nanosecond})
 	w.Watch()
-	obs.Publish("breaker-trip", "remote master dead")
-	w.wg.Wait()
-	bundles := w.List()
-	if len(bundles) != 1 {
-		t.Fatalf("event trigger captured %d bundles, want 1", len(bundles))
-	}
-	if !strings.Contains(bundles[0].ID, "breaker-trip") {
-		t.Fatalf("bundle id %q does not carry the trigger kind", bundles[0].ID)
-	}
-	// Non-trigger kinds are ignored.
-	obs.Publish("chitchat", "nothing to see")
-	w.wg.Wait()
-	if got := len(w.List()); got != 1 {
-		t.Fatalf("non-trigger event captured a bundle: %d", got)
+	for _, tc := range []struct {
+		kind    string
+		capture bool
+	}{
+		{"slo-breach", true},
+		{"breaker-trip", true},
+		{"eviction-storm", false},
+		{"hedge-spike", false},
+		{"chitchat", false},
+	} {
+		before := len(w.List())
+		obs.Publish(tc.kind, "test event")
+		w.wg.Wait()
+		bundles := w.List()
+		want := 0
+		if tc.capture {
+			want = 1
+		}
+		if got := len(bundles) - before; got != want {
+			t.Fatalf("%s captured %d bundles, want %d", tc.kind, got, want)
+		}
+		if tc.capture && !strings.Contains(bundles[len(bundles)-1].ID, tc.kind) {
+			t.Fatalf("bundle id %q does not carry the trigger kind %s", bundles[len(bundles)-1].ID, tc.kind)
+		}
 	}
 }
 
@@ -215,7 +225,7 @@ func TestDiagHandler(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &list); err != nil {
 		t.Fatalf("list json: %v", err)
 	}
-	if list.Process != "test-proc" || len(list.Bundles) != 0 {
+	if list.Process != tracing.Process() || len(list.Bundles) != 0 {
 		t.Fatalf("unexpected list: %+v", list)
 	}
 

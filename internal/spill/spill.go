@@ -672,30 +672,6 @@ func (l *Log) removeLocked(key string) bool {
 	return true
 }
 
-// Drop removes every entry whose key the predicate marks, returning the
-// count and bytes removed. The predicate runs under the log's lock.
-func (l *Log) Drop(pred func(key string) bool) (n int, bytes int64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return 0, 0
-	}
-	victims := make([]string, 0, 8)
-	for key := range l.entries {
-		if pred(key) {
-			victims = append(victims, key)
-		}
-	}
-	for _, key := range victims {
-		size := l.entries[key].length
-		if l.removeLocked(key) {
-			n++
-			bytes += size
-		}
-	}
-	return n, bytes
-}
-
 // Each calls fn for every live entry. fn runs under the log's lock and
 // must not call back into the Log.
 func (l *Log) Each(fn func(key string, size int64)) {

@@ -245,29 +245,6 @@ func TestCapacityRetiresOldestSegments(t *testing.T) {
 	}
 }
 
-func TestDropPredicate(t *testing.T) {
-	l, _ := openT(t, Config{Dir: t.TempDir()})
-	for i := range 10 {
-		ds := "a"
-		if i%2 == 1 {
-			ds = "b"
-		}
-		if _, err := l.Add(fmt.Sprintf("%s\x00c%d", ds, i), payload(i, 100)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	n, b := l.Drop(func(key string) bool { return key[0] == 'a' })
-	if n != 5 || b != 500 {
-		t.Fatalf("Drop = %d, %d; want 5, 500", n, b)
-	}
-	if l.Len() != 5 {
-		t.Fatalf("Len = %d", l.Len())
-	}
-	if has(l, "a\x00c0") || !has(l, "b\x00c1") {
-		t.Fatal("wrong entries dropped")
-	}
-}
-
 func TestConcurrentAddRead(t *testing.T) {
 	l, _ := openT(t, Config{Dir: t.TempDir(), segmentBytes: 4096})
 	const keys = 64

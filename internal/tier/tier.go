@@ -293,47 +293,6 @@ func (s *Store) DemoteAll() {
 	}
 }
 
-// EvictGroups removes every entry, in both levels, whose group the
-// predicate marks, returning the RAM entries and bytes freed. Unlike the
-// budget eviction it walks whole shards and demotes nothing: it is the
-// housekeeping sweep for abandoned working sets, not a hot-path check.
-func (s *Store) EvictGroups(pred func(group string) bool) (n int, bytes int64) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		// Collect candidates under the lock, judge them outside it (the
-		// predicate may consult a registry), then remove under the lock
-		// again, tolerating concurrent removals.
-		sh.mu.Lock()
-		cand := make([]*entry, 0, sh.lru.Len())
-		for el := sh.lru.Front(); el != nil; el = el.Next() {
-			cand = append(cand, el.Value.(*entry))
-		}
-		sh.mu.Unlock()
-		for _, e := range cand {
-			if !pred(e.group) {
-				continue
-			}
-			sh.mu.Lock()
-			el, ok := sh.items[e.key]
-			if ok {
-				sh.lru.Remove(el)
-				delete(sh.items, e.key)
-			}
-			sh.mu.Unlock()
-			if ok {
-				size := int64(len(e.val))
-				s.used.Add(-size)
-				n++
-				bytes += size
-			}
-		}
-	}
-	if sp := s.spill.Load(); sp != nil {
-		sp.log.Drop(func(key string) bool { return pred(s.groupOf(key)) })
-	}
-	return n, bytes
-}
-
 // EnableSpill opens the local-disk level in dir, bounded to capacityBytes
 // on disk (0 = unlimited), replaying any manifest a previous incarnation
 // left there. Call once; a second call fails.

@@ -207,10 +207,8 @@ func TestContract(t *testing.T) {
 				t.Fatal("fresh fill refused")
 			}
 		}},
-		{"cold group goes first, from both levels", 300, true, func(t *testing.T, s *Store, _ string) {
+		{"cold group goes first", 300, true, func(t *testing.T, s *Store, _ string) {
 			cold := func(g string) bool { return g == "cold" }
-			put(s, "cold\x00spilled", val(9, 100), nil)
-			s.DemoteAll()
 			// These four hash to four shards: the preference looks at shard
 			// tails, and the cold entry is about to be the most recent.
 			put(s, "live\x00a", val(1, 100), nil)
@@ -222,18 +220,6 @@ func TestContract(t *testing.T) {
 			}
 			if resident(s, "cold\x00c1") || !resident(s, "live\x00a") {
 				t.Fatal("eviction took a live entry while a cold one was resident")
-			}
-			put(s, "cold\x00c2", val(5, 100), nil) // no preference given: evicts live\x00a
-			n, freed := s.EvictGroups(cold)
-			if n != 1 || freed != 100 {
-				t.Fatalf("EvictGroups = (%d, %d), want the one cold RAM entry", n, freed)
-			}
-			pg := s.PerGroup()
-			if c := pg["cold"]; c.FastBytes != 0 || c.SpillBytes != 0 {
-				t.Errorf("cold group still resident: %+v", c)
-			}
-			if l := pg["live"]; l.FastBytes != 200 || l.SpillBytes != 100 {
-				t.Errorf("live group disturbed: %+v", l)
 			}
 		}},
 	} {

@@ -10,8 +10,8 @@
 // Design constraints, in order:
 //
 //  1. Near-zero cost when off. Tracing is gated by EnableTracing (off by
-//     default, mirroring obs's EnableMetrics A/B switch): a disabled
-//     StartSpan is one atomic load and returns a nil *Span whose methods
+//     default; with obs.EnableEvents it is one of the two gates — metrics
+//     are always on): a disabled StartSpan is one atomic load and returns a nil *Span whose methods
 //     are all nil-safe no-ops, so instrumented hot paths stay within the
 //     <2% RPC-overhead budget the wire benchmarks enforce.
 //  2. Stdlib only, like the rest of the repository.
@@ -21,8 +21,8 @@
 //     regardless of ring churn. Span count per trace is capped.
 //
 // Cross-process propagation rides the wire protocol: internal/wire copies
-// the active span's (traceID, spanID, sampled) into a version-gated frame
-// trace block and rehydrates it server-side via StartRemote, so the
+// the active span's (traceID, spanID, sampled) into the trace fields of
+// every frame header and rehydrates it server-side via StartRemote, so the
 // server-side spans' parent IDs point at the caller's spans and a scraper
 // (`dlcmd trace`) can stitch the tree back together across processes.
 package tracing

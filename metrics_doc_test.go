@@ -83,7 +83,6 @@ func registerAllMetricFamilies(t *testing.T) {
 		Objectives: []slo.Objective{
 			slo.ReadLatencyObjective(reg, 50*time.Millisecond, 0.01),
 			slo.EpochStallObjective(reg, 100*time.Millisecond, 0.01),
-			slo.SharedHitRateObjective(reg, 0.5),
 			slo.QuotaRejectionObjective(reg, 0.01, "doc-tenant"),
 		},
 	})

@@ -1,6 +1,6 @@
 package diesel
 
-// Exported-surface test: an exported func or method of an internal/
+// Exported-surface tests. An exported func or method of an internal/
 // package (the frozen paper substrates aside) must be referenced from
 // outside its own package — by another internal package, cmd/, examples/ or
 // bench/ — or be on the allow-list below with its reason. An entry point
@@ -11,13 +11,21 @@ package diesel
 // be unexported (server.NewLocalStack, kvstore's FlushAll under the
 // recovery tests).
 //
+// The same rule holds for settings: an exported field of an exported
+// …Config or …Options struct must be set outside its own package or be on
+// optionsAllow with its reason. A value only the package's own tests change
+// is a constant, and the test that needs another value sets an unexported
+// field of the same struct.
+//
 // Matching is syntactic (go/parser, no type checking). A func counts as
 // referenced by `pkg.Func` under the file's import name for its package. A
 // method call names no package, so an `x.Method(args)` selector (x not an
 // imported package) counts for the packages that declare a Method taking
 // that many arguments and that the file imports — or, when it imports none
 // of them, for all that declare one: the value then came through another
-// package's hands.
+// package's hands. A field counts as set by a keyed `pkg.T{Field: …}`
+// literal, or by an `x.Field = …` assignment under the same import rule as
+// a method call.
 
 import (
 	"go/ast"
@@ -46,28 +54,52 @@ var surfaceAllow = map[string]string{
 	"wire.WriteFrame": "ReadFrame's counterpart, pinned byte for byte by the same fuzz target",
 
 	"dcache.Peer.PrefetchErr": "the only place the error of a failed background Oneshot prefetch surfaces (the counter says only that one failed)",
-	"dcache.SharedCache.ReclaimCold": "the housekeeping sweep for cold datasets, RAM and spill level; no binary schedules it yet, " +
-		"and deleting it takes tier.EvictGroups and spill.Log.Drop with it: a change of its own",
+}
+
+// optionsAllow lists the exported …Config/…Options fields nothing outside
+// their package sets, each with the reason it stays a field. A key is
+// "pkg.Type.Field", or "pkg.Type.*" for every field of the type.
+var optionsAllow = map[string]string{
+	"core.Config.ObjStoreDir":     "a deployment path, configurable by rule; core's on-disk tests set it",
+	"server.ExecutorConfig.Stats": "an output the executor accumulates into, not a setting",
+	"train.Fig13Config.*": "the Figure 13 experiment's recorded parameters: DefaultFig13Config is the paper's setup, " +
+		"the figure's printers read it back, and train's tests shrink it to run in seconds",
 }
 
 const internalPath = "diesel/internal/"
 
-func TestExportedSurfaceHasCallers(t *testing.T) {
-	type decl struct{ pkg, name, key string }
-	type source struct {
-		dir     string
-		imports map[string]bool  // import paths
-		methods map[string][]int // name selected on a value → argument counts it is called with (-1: not known)
-	}
-	type method struct {
-		pkg      string
-		min, max int // arguments a call may pass
-	}
-	var decls []decl
-	var sources []source
-	funcRefs := map[string]bool{}      // "importpath.Func", selected through an import
-	declarers := map[string][]method{} // exported method name → its declarations
+// goFile is one parsed Go file of the tree.
+type goFile struct {
+	path, dir string
+	f         *ast.File
+	local     map[string]string // import name → import path
+	imports   map[string]bool   // import paths, the file's own package included
+}
 
+// surfacePkg reports the internal package whose surface f declares, or ""
+// when f is a test, outside internal/, nested or frozen.
+func (g goFile) surfacePkg() string {
+	pkg, ok := strings.CutPrefix(g.dir, "internal/")
+	if !ok || strings.Contains(pkg, "/") || frozenPackages[pkg] || strings.HasSuffix(g.path, "_test.go") {
+		return ""
+	}
+	return pkg
+}
+
+// pkgOf returns the internal package an identifier names in f, if any.
+func (g goFile) pkgOf(x ast.Expr) string {
+	id, ok := x.(*ast.Ident)
+	if !ok {
+		return ""
+	}
+	p, _ := strings.CutPrefix(g.local[id.Name], internalPath)
+	return p
+}
+
+// parseTree parses every Go file of the repository, bench/ included.
+func parseTree(t *testing.T) []goFile {
+	t.Helper()
+	var files []goFile
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -86,19 +118,45 @@ func TestExportedSurfaceHasCallers(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		src := source{dir: filepath.ToSlash(filepath.Dir(path)), imports: map[string]bool{}, methods: map[string][]int{}}
-		src.imports["diesel/"+src.dir] = true // a file sees its own package's methods
-		local := map[string]string{}          // local name → import path
+		g := goFile{path: path, dir: filepath.ToSlash(filepath.Dir(path)), f: f, local: map[string]string{}, imports: map[string]bool{}}
+		g.imports["diesel/"+g.dir] = true // a file sees its own package's methods and fields
 		for _, im := range f.Imports {
 			p := strings.Trim(im.Path.Value, `"`)
 			name := p[strings.LastIndex(p, "/")+1:]
 			if im.Name != nil {
 				name = im.Name.Name
 			}
-			local[name], src.imports[p] = p, true
+			g.local[name], g.imports[p] = p, true
 		}
+		files = append(files, g)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+func TestExportedSurfaceHasCallers(t *testing.T) {
+	type decl struct{ pkg, name, key string }
+	type source struct {
+		dir     string
+		imports map[string]bool
+		methods map[string][]int // name selected on a value → argument counts it is called with (-1: not known)
+	}
+	type method struct {
+		pkg      string
+		min, max int // arguments a call may pass
+	}
+	var decls []decl
+	var sources []source
+	funcRefs := map[string]bool{}      // "importpath.Func", selected through an import
+	declarers := map[string][]method{} // exported method name → its declarations
+
+	for _, g := range parseTree(t) {
+		src := source{dir: g.dir, imports: g.imports, methods: map[string][]int{}}
 		args := map[ast.Expr]int{} // the selector of a call → how many arguments the call passes
-		ast.Inspect(f, func(n ast.Node) bool {
+		ast.Inspect(g.f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
 				args[n.Fun] = len(n.Args)
@@ -110,8 +168,8 @@ func TestExportedSurfaceHasCallers(t *testing.T) {
 					}
 				}
 			case *ast.SelectorExpr:
-				if x, ok := n.X.(*ast.Ident); ok && local[x.Name] != "" {
-					funcRefs[local[x.Name]+"."+n.Sel.Name] = true
+				if x, ok := n.X.(*ast.Ident); ok && g.local[x.Name] != "" {
+					funcRefs[g.local[x.Name]+"."+n.Sel.Name] = true
 				} else if passed, called := args[n]; called {
 					src.methods[n.Sel.Name] = append(src.methods[n.Sel.Name], passed)
 				} else {
@@ -122,11 +180,11 @@ func TestExportedSurfaceHasCallers(t *testing.T) {
 		})
 		sources = append(sources, src)
 
-		pkg, ok := strings.CutPrefix(src.dir, "internal/")
-		if !ok || strings.Contains(pkg, "/") || frozenPackages[pkg] || strings.HasSuffix(path, "_test.go") {
-			return nil
+		pkg := g.surfacePkg()
+		if pkg == "" {
+			continue
 		}
-		for _, d := range f.Decls {
+		for _, d := range g.f.Decls {
 			fn, ok := d.(*ast.FuncDecl)
 			if !ok || !fn.Name.IsExported() {
 				continue
@@ -155,10 +213,6 @@ func TestExportedSurfaceHasCallers(t *testing.T) {
 				declarers[name] = append(declarers[name], m)
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 
 	methodRefs := map[string]bool{} // "pkg.Method", selected on a value outside pkg
@@ -201,6 +255,111 @@ func TestExportedSurfaceHasCallers(t *testing.T) {
 	for key := range surfaceAllow {
 		if !used[key] {
 			t.Errorf("surfaceAllow[%q] is stale: the name is gone or has a caller now", key)
+		}
+	}
+}
+
+func TestExportedOptionsHaveSetters(t *testing.T) {
+	files := parseTree(t)
+	var fields []string                // "pkg.Type.Field"
+	declarers := map[string][]string{} // field name → "pkg.Type" declaring it
+	for _, g := range files {
+		pkg := g.surfacePkg()
+		if pkg == "" {
+			continue
+		}
+		for _, d := range g.f.Decls {
+			gd, ok := d.(*ast.GenDecl)
+			if !ok || gd.Tok != token.TYPE {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				ts := spec.(*ast.TypeSpec)
+				st, ok := ts.Type.(*ast.StructType)
+				name := ts.Name.Name
+				if !ok || !ts.Name.IsExported() || !(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options")) {
+					continue
+				}
+				for _, f := range st.Fields.List {
+					for _, id := range f.Names {
+						if id.IsExported() {
+							fields = append(fields, pkg+"."+name+"."+id.Name)
+							declarers[id.Name] = append(declarers[id.Name], pkg+"."+name)
+						}
+					}
+				}
+			}
+		}
+	}
+
+	set := map[string]bool{} // "pkg.Type.Field", set outside pkg
+	for _, g := range files {
+		outside := func(pkg string) bool { return g.dir != "internal/"+pkg }
+		ast.Inspect(g.f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				sel, ok := n.Type.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				pkg := g.pkgOf(sel.X)
+				if pkg == "" || !outside(pkg) {
+					return true
+				}
+				for _, el := range n.Elts {
+					if kv, ok := el.(*ast.KeyValueExpr); ok {
+						if key, ok := kv.Key.(*ast.Ident); ok {
+							set[pkg+"."+sel.Sel.Name+"."+key.Name] = true
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				if n.Tok != token.ASSIGN {
+					return true // x.F += n accumulates into a value; it sets nothing
+				}
+				for _, lhs := range n.Lhs {
+					sel, ok := lhs.(*ast.SelectorExpr)
+					if !ok || g.pkgOf(sel.X) != "" {
+						continue
+					}
+					imported := false
+					for _, typ := range declarers[sel.Sel.Name] {
+						pkg, _, _ := strings.Cut(typ, ".")
+						imported = imported || g.imports[internalPath+pkg]
+					}
+					for _, typ := range declarers[sel.Sel.Name] {
+						pkg, _, _ := strings.Cut(typ, ".")
+						if (g.imports[internalPath+pkg] || !imported) && outside(pkg) {
+							set[typ+"."+sel.Sel.Name] = true
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+
+	used := map[string]bool{}
+	var unset []string
+	for _, f := range fields {
+		wild := f[:strings.LastIndex(f, ".")] + ".*"
+		switch {
+		case set[f]:
+		case optionsAllow[f] != "":
+			used[f] = true
+		case optionsAllow[wild] != "":
+			used[wild] = true
+		default:
+			unset = append(unset, f)
+		}
+	}
+	sort.Strings(unset)
+	for _, f := range unset {
+		t.Errorf("%s: a setting nothing outside its package sets — make it a constant (a test that needs another value sets an unexported field), or add it to optionsAllow with the reason", f)
+	}
+	for key := range optionsAllow {
+		if !used[key] {
+			t.Errorf("optionsAllow[%q] is stale: the field is gone or is set outside its package now", key)
 		}
 	}
 }
