@@ -744,83 +744,28 @@ func BenchmarkClientGetChunk(b *testing.B) {
 
 // BenchmarkServerBatchRead is one warm batch read on the path every
 // snapshot-less client uses — client.Dataset.GetBatch of 8 files that lie
-// in 8 different chunks, server.NewRPC over loopback TCP, a 2-node kvstore
-// cluster over loopback behind it and a Tiered object store that holds
-// every chunk in its fast tier. Its allocs/op is the gate on per-member
-// work: the batch should cost its one batch stat (one call per KV node) and
-// eight range reads of cached chunks, not a metadata round trip per chunk;
-// its B/op is about three copies of the 72 KiB asked for (the server's
-// owned ranges, the response, the caller's slices), not a chunk.
+// in 8 different chunks, on smallReadStack. Its allocs/op is the gate on
+// per-member work: the batch should cost its one batch stat (one call per
+// KV node) and eight range reads of cached chunks, not a metadata round
+// trip per chunk; its B/op is about two copies of the 72 KiB asked for (the
+// server's one buffer, lent to the socket, and the response the caller's
+// files are windows into), not a chunk.
 func BenchmarkServerBatchRead(b *testing.B) {
-	const fileSize, chunkTarget, batch = 9 << 10, 256 << 10, 8
-	addrs := make([]string, 2)
-	for i := range addrs {
-		n, err := kvstore.NewServer("127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer n.Close()
-		addrs[i] = n.Addr()
-	}
-	kv, err := kvstore.DialCluster(addrs, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer kv.Close()
-	store := objstore.NewTiered(nil, objstore.NewMemory(), 64<<20)
-	s := server.New(kv, store, func() int64 { return time.Now().UnixNano() })
-	rpc, err := server.NewRPC(s, "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer rpc.Close()
-	cl, err := client.Connect(client.Options{
-		User: "bench", Key: "bench", Servers: []string{rpc.Addr()}, Dataset: "batchread",
-		ChunkTarget: chunkTarget,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cl.Close()
-	ds := cl.DefaultDataset()
-	data := randBytes(fileSize, 5)
-	for i := range (batch + 1) * chunkTarget / fileSize {
-		if err := ds.Put(fmt.Sprintf("c%03d/f%06d.bin", i%100, i), data); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := ds.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	snap, err := ds.DownloadSnapshot()
-	if err != nil || len(snap.Chunks) < batch {
-		b.Fatalf("snapshot: %v, %d chunks", err, len(snap.Chunks))
-	}
+	st := newSmallReadStack(b)
 	ctx := context.Background()
-	paths := make([]string, batch)
-	for ci := range paths {
-		paths[ci] = snap.FileName(int(snap.FilesInChunk(ci)[0]))
-		// Only a whole-chunk read fills the fast tier; ranges do not promote.
-		if _, err := ds.GetChunk(ctx, snap.Chunks[ci].ID.String()); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if store.FastBytes() == 0 {
-		b.Fatal("the fast tier is empty after reading every chunk")
-	}
-	b.SetBytes(batch * fileSize)
+	b.SetBytes(smallReadBatch * smallReadFileSize)
 	for b.Loop() { // the first iteration, before the timer, fills the shape cache
-		got, err := ds.GetBatch(ctx, paths)
-		if err != nil || len(got) != batch {
+		got, err := st.ds.GetBatch(ctx, st.paths)
+		if err != nil || len(got) != smallReadBatch {
 			b.Fatalf("GetBatch = %d files, %v", len(got), err)
 		}
 		for i := range got {
-			if len(got[i]) != fileSize {
-				b.Fatalf("%s: %d bytes, want %d", paths[i], len(got[i]), fileSize)
+			if len(got[i]) != smallReadFileSize {
+				b.Fatalf("%s: %d bytes, want %d", st.paths[i], len(got[i]), smallReadFileSize)
 			}
 		}
 	}
-	if st := &s.Exec.Stats; st.ChunkReads.Load() != 0 || st.RangeReads.Load() == 0 {
+	if st := &st.s.Exec.Stats; st.ChunkReads.Load() != 0 || st.RangeReads.Load() == 0 {
 		b.Fatalf("%d chunk reads, %d range reads: want one range read per file", st.ChunkReads.Load(), st.RangeReads.Load())
 	}
 }

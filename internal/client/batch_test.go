@@ -48,9 +48,9 @@ func TestGetBatchFilesAreCappedWindows(t *testing.T) {
 	}
 }
 
-// TestGetBatchRejectsDoctoredResponses: a response that disagrees with the
-// request about the batch size, or stops short of what it declares, is an
-// error — never a panic, never a short batch.
+// TestGetBatchRejectsDoctoredResponses: a response whose table disagrees
+// with the request about the batch size, or with the body about its
+// length, is an error — never a panic, never a short batch.
 func TestGetBatchRejectsDoctoredResponses(t *testing.T) {
 	var reply []byte
 	srv := wire.NewServer()
@@ -62,31 +62,38 @@ func TestGetBatchRejectsDoctoredResponses(t *testing.T) {
 	defer srv.Close()
 	c := connect(t, []string{addr}, "ds")
 
-	batch := func(files ...[]byte) []byte {
-		e := wire.NewEncoder(64)
-		e.Uint32(uint32(len(files)))
-		for _, f := range files {
-			e.Bool(f != nil)
-			e.Bytes32(f)
-		}
-		return e.Bytes()
+	// batch lays a response out as dsl.getBatch does: the table (count,
+	// then a present flag and a length per file), then the body.
+	type entry struct {
+		present bool
+		size    uint32
 	}
-	whole := batch([]byte("one"), nil, []byte("three"))
-	declaresMore := bytes.Clone(whole)
-	declaresMore[len(declaresMore)-len("three")-1] = 200 // last length prefix: 5 → 200
+	batch := func(table []entry, body string) []byte {
+		e := wire.NewEncoder(64)
+		e.Uint32(uint32(len(table)))
+		for _, f := range table {
+			e.Bool(f.present)
+			e.Uint32(f.size)
+		}
+		return append(e.Bytes(), body...)
+	}
+	table := []entry{{true, 3}, {false, 0}, {true, 5}}
+	whole := batch(table, "onethree")
 	for _, tc := range []struct {
 		name  string
 		reply []byte
 		ok    bool
 	}{
 		{"well-formed", whole, true},
-		{"one file too few", batch([]byte("one"), nil), false},
-		{"one file too many", batch([]byte("one"), nil, []byte("three"), []byte("four")), false},
+		{"one file too few", batch(table[:2], "one"), false},
+		{"one file too many", batch(append(table, entry{true, 4}), "onethreefour"), false},
 		{"empty", nil, false},
-		{"cut inside the last file", whole[:len(whole)-2], false},
-		{"cut inside a length prefix", whole[:4+1+2], false},
 		{"cut after the count", whole[:4], false},
-		{"a length that overruns the response", declaresMore, false},
+		{"cut inside the table", whole[:4+5+2], false},
+		{"cut inside the last file", whole[:len(whole)-2], false},
+		{"a length that overruns the body", batch([]entry{{true, 3}, {false, 0}, {true, 200}}, "onethree"), false},
+		{"a body longer than the table declares", batch(table, "onethreefour"), false},
+		{"a missing file with bytes", batch([]entry{{true, 3}, {false, 4}, {true, 5}}, "onefourthree"), false},
 	} {
 		reply = tc.reply
 		out, err := c.DefaultDataset().GetBatch(context.Background(), []string{"a", "b", "c"})
@@ -94,17 +101,18 @@ func TestGetBatchRejectsDoctoredResponses(t *testing.T) {
 			if err != nil || string(out[0]) != "one" || out[1] != nil || string(out[2]) != "three" {
 				t.Errorf("%s: %q, %v", tc.name, out, err)
 			}
-		} else if err == nil {
-			t.Errorf("%s: accepted as %q", tc.name, out)
+		} else if err == nil || out != nil {
+			t.Errorf("%s: accepted as %q (%v)", tc.name, out, err)
 		}
 	}
 }
 
 // TestGetBatchAllocations: unpacking a warm 8-file batch allocates the
 // result slice and nothing per file. The budget covers the whole in-process
-// round trip (client, wire, server): 111 allocations, 112–113 under the race
-// detector (which drops sync.Pool items at random), and 118 when GetBatch
-// copied each file out of a pooled frame.
+// round trip (client, wire, server): 56 allocations, 58 under the race
+// detector (which drops sync.Pool items at random); 111 when every layer
+// copied the files on, and 118 when GetBatch also copied each file out of
+// a pooled frame.
 func TestGetBatchAllocations(t *testing.T) {
 	c := connect(t, startServers(t, 1), "ds")
 	files := writeDataset(t, c, 64, 1024)
@@ -121,7 +129,7 @@ func TestGetBatchAllocations(t *testing.T) {
 		}
 	}
 	read() // warm: connections, pools, the server's chunk shapes
-	if allocs := testing.AllocsPerRun(200, read); allocs > 114 {
-		t.Errorf("a warm 8-file GetBatch: %.0f allocs, budget 114", allocs)
+	if allocs := testing.AllocsPerRun(200, read); allocs > 59 {
+		t.Errorf("a warm 8-file GetBatch: %.0f allocs, budget 59", allocs)
 	}
 }

@@ -165,37 +165,58 @@ func (d *Dataset) GetBatch(ctx context.Context, paths []string) (out [][]byte, e
 	ctx, sp := tracing.StartSpan(ctx, "client.getBatch")
 	sp.SetAttr("files", strconv.Itoa(len(paths)))
 	defer func() { sp.SetError(err); sp.End() }()
-	cleaned := make([]string, len(paths))
-	for i, p := range paths {
-		cleaned[i] = meta.CleanPath(p)
-	}
+	// Encoder.StringSlice's layout, the paths cleaned on the way in.
 	e := wire.AcquireEncoder(64)
 	e.String(d.name)
-	e.StringSlice(cleaned)
+	e.Uint32(uint32(len(paths)))
+	for _, p := range paths {
+		e.String(meta.CleanPath(p))
+	}
 	resp, err := d.c.callIdem(ctx, server.MethodGetBatch, e.Bytes())
 	e.Release()
 	if err != nil {
 		return nil, err
 	}
-	// The response payload is the caller's (see GetChunk): each present
-	// file is a window into it, capped so that an append to one file cannot
-	// reach the next. Retaining one file retains the whole batch.
-	dec := wire.NewDecoder(resp)
-	n := int(dec.Uint32())
-	if n != len(paths) {
-		return nil, fmt.Errorf("client: batch size mismatch: %d vs %d", n, len(paths))
-	}
-	out = make([][]byte, n)
-	for i := range out {
-		present := dec.Bool()
-		b := dec.Bytes32()
-		if present {
-			out[i] = b[:len(b):len(b)]
-		}
-	}
-	d.c.Stats.Gets.Add(uint64(n))
-	if err := dec.Err(); err != nil {
+	out, err = splitBatch(resp, len(paths))
+	if err != nil {
 		return nil, err
+	}
+	d.c.Stats.Gets.Add(uint64(len(out)))
+	return out, nil
+}
+
+// splitBatch cuts a dsl.getBatch response for n files into the files. The
+// response is a table — the count, then a present flag and a length per
+// file — and a body, the present files back to back. The response is the
+// caller's (see GetChunk): each present file is a window into it, capped
+// so that an append to one file cannot reach the next, and retaining one
+// file retains the batch. A missing file is nil.
+func splitBatch(resp []byte, n int) ([][]byte, error) {
+	dec := wire.NewDecoder(resp)
+	if got := dec.Uint32(); dec.Err() != nil || int(got) != n {
+		return nil, fmt.Errorf("client: batch response of %d files for a batch of %d", got, n)
+	}
+	tableLen := 4 + 5*n
+	if len(resp) < tableLen {
+		return nil, fmt.Errorf("client: batch response of %d bytes, short of its %d-byte table", len(resp), tableLen)
+	}
+	body := resp[tableLen:]
+	out := make([][]byte, n)
+	off := 0
+	for i := range out {
+		present, size := dec.Bool(), int(dec.Uint32())
+		if size > len(body)-off {
+			return nil, fmt.Errorf("client: batch response: file %d overruns the body", i)
+		}
+		if present {
+			out[i] = body[off : off+size : off+size]
+		} else if size != 0 {
+			return nil, fmt.Errorf("client: batch response: missing file %d has %d bytes", i, size)
+		}
+		off += size
+	}
+	if off != len(body) {
+		return nil, fmt.Errorf("client: batch response: a %d-byte body for a table of %d bytes", len(body), off)
 	}
 	return out, nil
 }
@@ -244,10 +265,11 @@ func (d *Dataset) Stat(path string) (StatInfo, error) {
 		}, nil
 	}
 	d.c.Stats.ServerMetaOps.Add(1)
-	e := wire.NewEncoder(64)
+	e := wire.AcquireEncoder(len(d.name) + len(path) + 8)
 	e.String(d.name)
 	e.String(meta.CleanPath(path))
 	resp, err := d.c.callIdem(context.Background(), server.MethodStat, e.Bytes())
+	e.Release()
 	if err != nil {
 		return StatInfo{}, err
 	}

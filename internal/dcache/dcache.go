@@ -440,7 +440,7 @@ func Join(ds *client.Dataset, reg Registrar, cfg Config) (*Peer, error) {
 				p.rewarmed = rec
 			}
 		}
-		p.srv.HandleContext(methodCacheGet, p.handleCacheGet)
+		p.srv.HandleReply(methodCacheGet, p.handleCacheGet)
 		p.srv.HandleContext(methodCacheGetChunk, p.handleCacheGetChunk)
 		if cfg.Policy == Oneshot {
 			go func() {
@@ -603,26 +603,27 @@ func (p *Peer) PrefetchErr() error {
 // on demand), for requests arriving from peers. The context carries the
 // server-side trace span, so an on-demand chunk load triggered by a peer
 // read shows up under the requesting peer's trace.
-func (p *Peer) handleCacheGet(ctx context.Context, payload []byte) ([]byte, error) {
+func (p *Peer) handleCacheGet(ctx context.Context, payload []byte, r *wire.Reply) error {
 	d := wire.NewDecoder(payload)
 	path := d.String()
 	if err := d.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	m, err := p.snap.Stat(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	// The view is only read while encoding the response, so no copy is
-	// needed between cache and encoder — one memcpy per peer read, into
-	// the response payload itself.
+	// The answer is laid out as Encoder.Bytes32 would lay it out, with the
+	// file lent: a view of a cached payload or a spill pread, both GC-owned
+	// and never pooled or written again, so it goes to the wire from where
+	// it lies.
 	b, err := p.readLocal(ctx, m, true)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	e := wire.NewEncoder(len(b) + 8)
-	e.Bytes32(b)
-	return e.Bytes(), nil
+	r.Head.Uint32(uint32(len(b)))
+	r.Lend(b, nil)
+	return nil
 }
 
 // readLocal serves a file (already resolved against the snapshot) from

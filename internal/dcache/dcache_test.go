@@ -101,6 +101,41 @@ func newFixture(t *testing.T, nFiles, fileSize int, layout []string, policy Poli
 	return f
 }
 
+// TestPeerFileReadAllocations: a first-touch peer read is one cache.get to
+// the owning master, whose answer lends the cached file to the connection
+// writer instead of copying it into a fresh response. What the read
+// allocates is the response its caller keeps, the request frame's handler
+// goroutine, the per-call deadline and the decoded path: 8 in all (9 when
+// the master copied the file out, 13 with a fresh channel and header per
+// call); the race detector, which drops pooled items at random, gets a
+// margin.
+func TestPeerFileReadAllocations(t *testing.T) {
+	f := newFixture(t, 40, 2048, []string{"nodeA", "nodeB"}, OnDemand, 0)
+	p := f.peers[0]
+	var path string
+	for name := range f.files {
+		if m, _ := p.snap.Stat(name); p.ownerOf(m.ChunkIdx) != p.selfIdx {
+			path = name
+			break
+		}
+	}
+	addr := p.masters[1-p.selfIdx].addr
+	ctx := context.Background()
+	read := func() {
+		if b, err := p.readFromMaster(ctx, addr, path); err != nil || !bytes.Equal(b, f.files[path]) {
+			t.Fatalf("peer read of %s: %d bytes, %v", path, len(b), err)
+		}
+	}
+	read() // warm: the master loads the chunk, this peer dials it
+	budget := 8.0
+	if raceEnabled {
+		budget += 2
+	}
+	if n := testing.AllocsPerRun(200, read); n > budget {
+		t.Errorf("a first-touch peer read allocates %.1f times, budget %.0f", n, budget)
+	}
+}
+
 func TestMasterElectionSmallestRankPerNode(t *testing.T) {
 	// 2 nodes × 2 clients: ranks 0,1 on nodeA; 2,3 on nodeB.
 	f := newFixture(t, 40, 128, []string{"nodeA", "nodeA", "nodeB", "nodeB"}, OnDemand, 0)

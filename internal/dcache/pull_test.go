@@ -15,6 +15,7 @@ import (
 
 	"diesel/internal/epoch"
 	"diesel/internal/shuffle"
+	"diesel/internal/wire"
 )
 
 // watchdog bounds a wait that must not hang the suite when the code under
@@ -60,15 +61,19 @@ func filesOf(p *Peer, ci int) []string {
 func served(m *Peer, method string, before func()) *atomic.Int64 {
 	h := m.handleCacheGet
 	if method == methodCacheGetChunk {
-		h = m.handleCacheGetChunk
+		h = func(ctx context.Context, payload []byte, r *wire.Reply) error {
+			b, err := m.handleCacheGetChunk(ctx, payload)
+			r.Lend(b, nil)
+			return err
+		}
 	}
 	var n atomic.Int64
-	m.srv.HandleContext(method, func(ctx context.Context, payload []byte) ([]byte, error) {
+	m.srv.HandleReply(method, func(ctx context.Context, payload []byte, r *wire.Reply) error {
 		n.Add(1)
 		if before != nil {
 			before()
 		}
-		return h(ctx, payload)
+		return h(ctx, payload, r)
 	})
 	return &n
 }

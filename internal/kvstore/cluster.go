@@ -145,6 +145,9 @@ func (c *Cluster) Get(key string) ([]byte, error) {
 // GetContext is Get under the caller's context. Under a sampled trace the
 // lookup appears as a kv.get span carrying the owning node's index, so a
 // slow metadata probe is attributable to a specific node.
+//
+// The value is a window into the response, which is the caller's (wire's
+// CallContext), capped so that an append to it reallocates.
 func (c *Cluster) GetContext(ctx context.Context, key string) (val []byte, err error) {
 	n := c.nodeFor(key)
 	sp := tracing.ChildOf(ctx, "kv.get")
@@ -153,9 +156,10 @@ func (c *Cluster) GetContext(ctx context.Context, key string) (val []byte, err e
 		ctx = tracing.ContextWith(ctx, sp)
 		defer func() { sp.SetError(err); sp.End() }()
 	}
-	e := wire.NewEncoder(len(key) + 8)
+	e := wire.AcquireEncoder(len(key) + 4)
 	e.String(key)
 	resp, err := c.callIdem(ctx, n, methodGet, e.Bytes())
+	e.Release()
 	if err != nil {
 		return nil, err
 	}
@@ -168,7 +172,7 @@ func (c *Cluster) GetContext(ctx context.Context, key string) (val []byte, err e
 	if !ok {
 		return nil, ErrNotFound
 	}
-	return append([]byte(nil), v...), nil
+	return v[:len(v):len(v)], nil
 }
 
 // KV is one key/value pair, the unit of batched writes.
@@ -221,68 +225,80 @@ func (c *Cluster) MGet(keys []string) ([][]byte, error) {
 // MGetContext is MGet under the caller's context. The per-node fan-out is
 // traced as sibling kv.mget spans — the paper's batched-stat path — so a
 // sampled slow batch shows which node the caller actually waited on.
+//
+// Values are windows into the per-node responses, which are the caller's,
+// each capped so that an append to it reallocates. The last node's call
+// runs on the calling goroutine, the others beside it.
 func (c *Cluster) MGetContext(ctx context.Context, keys []string) ([][]byte, error) {
-	type idxKey struct {
-		idx int
-		key string
-	}
-	byNode := make(map[int][]idxKey)
+	nodes := len(c.addrs)
+	// owner[i] is key i's node; count[n] how many keys node n gets.
+	owner := make([]int, len(keys)+nodes)
+	owner, count := owner[:len(keys)], owner[len(keys):]
+	last := 0
 	for i, k := range keys {
 		n := c.nodeFor(k)
-		byNode[n] = append(byNode[n], idxKey{i, k})
+		owner[i] = n
+		count[n]++
+		last = max(last, n)
 	}
 	out := make([][]byte, len(keys))
-	var (
-		wg   sync.WaitGroup
-		emu  sync.Mutex
-		errs []error
-	)
-	fail := func(err error) {
-		emu.Lock()
-		errs = append(errs, err)
-		emu.Unlock()
+	errs := make([]error, nodes)
+	fetch := func(n int) error {
+		ctx := ctx
+		sp := tracing.ChildOf(ctx, "kv.mget")
+		if sp != nil {
+			sp.SetAttr("node", strconv.Itoa(n))
+			sp.SetAttr("keys", strconv.Itoa(count[n]))
+			ctx = tracing.ContextWith(ctx, sp)
+		}
+		size := 4
+		for i, k := range keys {
+			if owner[i] == n {
+				size += 4 + len(k)
+			}
+		}
+		e := wire.AcquireEncoder(size)
+		e.Uint32(uint32(count[n]))
+		for i, k := range keys {
+			if owner[i] == n {
+				e.String(k)
+			}
+		}
+		resp, err := c.callIdem(ctx, n, methodMGet, e.Bytes())
+		e.Release()
+		sp.SetError(err)
+		sp.End()
+		if err != nil {
+			return err
+		}
+		d := wire.NewDecoder(resp)
+		if cnt := int(d.Uint32()); cnt != count[n] {
+			return fmt.Errorf("kvstore: mget count mismatch: %d vs %d", cnt, count[n])
+		}
+		for i := range keys {
+			if owner[i] != n {
+				continue
+			}
+			ok := d.Bool()
+			v := d.Bytes32()
+			if ok {
+				out[i] = v[:len(v):len(v)]
+			}
+		}
+		return d.Err()
 	}
-	for n, batch := range byNode {
-		wg.Add(1)
-		go func(n int, batch []idxKey) {
-			defer wg.Done()
-			ctx := ctx
-			sp := tracing.ChildOf(ctx, "kv.mget")
-			if sp != nil {
-				sp.SetAttr("node", strconv.Itoa(n))
-				sp.SetAttr("keys", strconv.Itoa(len(batch)))
-				ctx = tracing.ContextWith(ctx, sp)
-			}
-			ks := make([]string, len(batch))
-			for i, ik := range batch {
-				ks[i] = ik.key
-			}
-			e := wire.NewEncoder(256)
-			e.StringSlice(ks)
-			resp, err := c.callIdem(ctx, n, methodMGet, e.Bytes())
-			sp.SetError(err)
-			sp.End()
-			if err != nil {
-				fail(err)
-				return
-			}
-			d := wire.NewDecoder(resp)
-			cnt := int(d.Uint32())
-			if cnt != len(batch) {
-				fail(fmt.Errorf("kvstore: mget count mismatch: %d vs %d", cnt, len(batch)))
-				return
-			}
-			for _, ik := range batch {
-				ok := d.Bool()
-				v := d.Bytes32()
-				if ok {
-					out[ik.idx] = append([]byte(nil), v...)
-				}
-			}
-			if err := d.Err(); err != nil {
-				fail(err)
-			}
-		}(n, batch)
+	var wg sync.WaitGroup
+	for n := range last {
+		if count[n] > 0 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[n] = fetch(n)
+			}()
+		}
+	}
+	if len(keys) > 0 {
+		errs[last] = fetch(last)
 	}
 	wg.Wait()
 	if err := errors.Join(errs...); err != nil {

@@ -1,6 +1,8 @@
 package kvstore
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -55,6 +57,81 @@ func TestClusterGetSetDel(t *testing.T) {
 	if _, err := c.Get("dataset/imagenet/file1"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("deleted key still present: %v", err)
 	}
+}
+
+// TestValuesStayWhatTheyWere: a node lends a stored value to its
+// connection writer without copying it, so Set, MSet and Del must replace
+// or drop a stored slice, never write into it. A value fetched before any
+// of them is byte-identical afterwards, through the cluster and on the
+// node's store; and gets racing with sets of the same key each see one
+// whole version, never a mix of two.
+func TestValuesStayWhatTheyWere(t *testing.T) {
+	c, servers := startCluster(t, 2)
+	ctx := context.Background()
+	const key = "f|ds|0123456789abcdef|img000042.jpg"
+	store := servers[c.nodeFor(key)].Store()
+	version := func(b byte) []byte { return bytes.Repeat([]byte{b}, 9000) }
+	for i, tc := range []struct {
+		name  string
+		write func(v []byte) error
+	}{
+		{"Set", func(v []byte) error { return c.Set(key, v) }},
+		{"MSet", func(v []byte) error { return c.MSet([]KV{{Key: key, Value: v}}) }},
+		{"Del", func([]byte) error { _, err := c.Del(key); return err }},
+	} {
+		before := version(byte(2 * i))
+		if err := c.Set(key, before); err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.GetContext(ctx, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored, _ := store.Get(key)
+		if err := tc.write(version(byte(2*i + 1))); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, before) {
+			t.Errorf("%s: the value fetched before it changed", tc.name)
+		}
+		if !bytes.Equal(stored, before) {
+			t.Errorf("%s: the slice the store held before it changed", tc.name)
+		}
+	}
+
+	if err := c.Set(key, version(9)); err != nil { // Del left it unset
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for w := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := c.Set(key, version(byte(10+w*100+i%100))); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for range 500 {
+		got, err := c.GetContext(ctx, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 9000 || !bytes.Equal(got, version(got[0])) {
+			t.Fatalf("a get racing with sets read a mix of versions")
+		}
+	}
+	close(stop)
+	wg.Wait()
 }
 
 func TestClusterKeysSpreadAcrossNodes(t *testing.T) {

@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"context"
 	"errors"
 	"sync"
 
@@ -84,17 +85,20 @@ func (s *Server) Wipe() { s.store.Flush() }
 
 func (s *Server) register() {
 
-	s.rpc.Handle(methodGet, func(p []byte) ([]byte, error) {
+	// The answer is laid out as Encoder.Bool + Encoder.Bytes32 would lay it
+	// out, with the stored value lent: stored values are never mutated (see
+	// Store), so it goes to the wire from where it lies.
+	s.rpc.HandleReply(methodGet, func(_ context.Context, p []byte, r *wire.Reply) error {
 		d := wire.NewDecoder(p)
 		key := d.String()
 		if err := d.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		v, ok := s.store.Get(key)
-		e := wire.NewEncoder(len(v) + 8)
-		e.Bool(ok)
-		e.Bytes32(v)
-		return e.Bytes(), nil
+		r.Head.Bool(ok)
+		r.Head.Uint32(uint32(len(v)))
+		r.Lend(v, nil)
+		return nil
 	})
 
 	s.rpc.Handle(methodSet, func(p []byte) ([]byte, error) {
@@ -128,7 +132,14 @@ func (s *Server) register() {
 		if err := d.Err(); err != nil {
 			return nil, err
 		}
-		e := wire.NewEncoder(64)
+		// Sized from a first pass, so the response is one allocation. A
+		// value replaced in between only makes the encoder grow.
+		size := 4
+		for _, k := range keys {
+			v, _ := s.store.Get(k)
+			size += 5 + len(v)
+		}
+		e := wire.NewEncoder(size)
 		e.Uint32(uint32(len(keys)))
 		for _, k := range keys {
 			v, ok := s.store.Get(k)

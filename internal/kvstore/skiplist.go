@@ -147,6 +147,13 @@ func (s *skiplist) scanPrefix(prefix string, fn func(key string, value []byte) b
 // Store is one KV node's data: a skiplist guarded by a RWMutex. Reads run
 // concurrently; writes serialise, matching the single-threaded command
 // execution of the system it stands in for.
+//
+// Stored values are immutable. Set keeps the caller's slice, and a later
+// Set of the same key replaces that slice with another, never writes into
+// it; Del drops it. Get and ScanPrefix return the stored slices themselves,
+// which are read-only: a node's kv.get lends its value to the connection
+// writer without a copy, and the bytes it lent stay what they were while
+// the same key is set or deleted.
 type Store struct {
 	mu sync.RWMutex
 	sl *skiplist
@@ -157,15 +164,15 @@ func NewStore() *Store {
 	return &Store{sl: newSkiplist(1)}
 }
 
-// Set stores value under key, copying neither; callers must not mutate the
-// slice afterwards.
+// Set stores value under key, copying neither; value becomes the store's
+// (see Store) and the caller must not modify it afterwards.
 func (st *Store) Set(key string, value []byte) {
 	st.mu.Lock()
 	st.sl.set(key, value)
 	st.mu.Unlock()
 }
 
-// Get returns the value stored under key.
+// Get returns the value stored under key: the stored slice, read-only.
 func (st *Store) Get(key string) ([]byte, bool) {
 	st.mu.RLock()
 	v, ok := st.sl.get(key)
@@ -190,7 +197,7 @@ func (st *Store) Len() int {
 }
 
 // ScanPrefix returns all key/value pairs whose key starts with prefix, in
-// ascending key order. Values are copied out under the read lock.
+// ascending key order. The values are the stored slices, read-only.
 func (st *Store) ScanPrefix(prefix string) (keys []string, values [][]byte) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()

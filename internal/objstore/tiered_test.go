@@ -277,14 +277,20 @@ func TestTieredLendsWhatItCaches(t *testing.T) {
 		t.Errorf("HitCount, MissCount = %d, %d after one cold and two warm pooled reads, want 2, 1", h, m)
 	}
 
-	warmBytes, warmObjects := allocated(func() {
-		for range 100 {
-			_, rel, _ := tr.GetPooled("ds/k")
-			rel()
-			_, rel, _ = tr.GetRangePooled("ds/k", 4096, 8192)
-			rel()
-		}
-	})
+	// The counters are the process's: a background goroutine's allocation
+	// can only add to a pass, so the least of three is this loop's.
+	warmBytes, warmObjects := ^uint64(0), ^uint64(0)
+	for range 3 {
+		b, o := allocated(func() {
+			for range 100 {
+				_, rel, _ := tr.GetPooled("ds/k")
+				rel()
+				_, rel, _ = tr.GetRangePooled("ds/k", 4096, 8192)
+				rel()
+			}
+		})
+		warmBytes, warmObjects = min(warmBytes, b), min(warmObjects, o)
+	}
 	if warmBytes != 0 || warmObjects != 0 {
 		t.Errorf("200 warm pooled reads allocated %d bytes in %d objects, want 0", warmBytes, warmObjects)
 	}

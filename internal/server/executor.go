@@ -1,17 +1,18 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
 
-	"diesel/internal/chunk"
 	"diesel/internal/meta"
 	"diesel/internal/objstore"
 	"diesel/internal/tracing"
+	"diesel/internal/wire"
 )
 
 // ExecutorConfig holds the one switch and the statistics of the request
@@ -54,16 +55,27 @@ type ExecutorStats struct {
 }
 
 // GetFilesContext serves a batch of file reads. The result is parallel to
-// paths; entries for missing files are nil. The executor groups requests
-// by chunk, sorts each group by offset, and chooses per group between one
-// whole-chunk read and per-file range reads. The request context is
-// threaded through the batch stat and each group read, so a sampled trace
-// decomposes one batch into its metadata fan-out and its per-chunk backend
-// reads.
+// paths; entries for missing files are nil. The executor sorts the
+// requests by chunk and offset once, takes each chunk's run of them as a
+// group, and chooses per group between one whole-chunk read and per-file
+// range reads. The request context is threaded through the batch stat and
+// each group read, so a sampled trace decomposes one batch into its
+// metadata fan-out and its per-chunk backend reads.
+//
+// Every file is copied once, into one buffer sized from the file records:
+// the files are capped windows into it (cap == len), so retaining one
+// retains the batch.
 func (s *Server) GetFilesContext(ctx context.Context, dataset string, paths []string) ([][]byte, error) {
+	files, _, err := s.getFiles(ctx, dataset, paths)
+	return files, err
+}
+
+// getFiles is GetFilesContext that also returns the buffer the files are
+// windows into: the present files back to back, in request order.
+func (s *Server) getFiles(ctx context.Context, dataset string, paths []string) ([][]byte, []byte, error) {
 	out := make([][]byte, len(paths))
 	if len(paths) == 0 {
-		return out, nil
+		return out, nil, nil
 	}
 
 	keys := make([]string, len(paths))
@@ -80,33 +92,52 @@ func (s *Server) GetFilesContext(ctx context.Context, dataset string, paths []st
 	sp.SetError(err)
 	sp.End()
 	if err != nil {
-		return nil, fmt.Errorf("server: batch stat: %w", err)
+		return nil, nil, fmt.Errorf("server: batch stat: %w", err)
 	}
 
-	groups := make(map[chunk.ID][]fileReq)
+	reqs := make([]fileReq, 0, len(recs))
+	var total uint64
 	for i, b := range recs {
 		if b == nil {
 			continue // missing file → nil output
 		}
 		fr, err := meta.DecodeFileRecord(b)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		groups[fr.ChunkID] = append(groups[fr.ChunkID], fileReq{idx: i, fr: fr})
+		if fr.Length > wire.MaxFrame || total+fr.Length > wire.MaxFrame {
+			return nil, nil, fmt.Errorf("server: batch of %d files exceeds %d bytes", len(paths), wire.MaxFrame)
+		}
+		reqs = append(reqs, fileReq{idx: i, fr: fr})
+		total += fr.Length
+	}
+	buf := make([]byte, total)
+	var off uint64
+	for _, r := range reqs {
+		out[r.idx] = buf[off : off+r.fr.Length : off+r.fr.Length]
+		off += r.fr.Length
 	}
 
-	// Deterministic chunk order: sorted by ID (write order), so backend
-	// access patterns are sequential-friendly.
-	ids := make([]chunk.ID, 0, len(groups))
-	for id := range groups {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a].Less(ids[b]) })
+	// One sort, by chunk (write order, so backend access is
+	// sequential-friendly) then offset: each chunk's requests are a run.
+	slices.SortFunc(reqs, func(a, b fileReq) int {
+		if a.fr.ChunkID != b.fr.ChunkID {
+			if a.fr.ChunkID.Less(b.fr.ChunkID) {
+				return -1
+			}
+			return 1
+		}
+		return cmp.Compare(a.fr.Offset, b.fr.Offset)
+	})
 
-	sem := make(chan struct{}, execParallelism)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
+	// Every group but the last runs beside this goroutine, which serves the
+	// last one itself: a batch that falls in one chunk starts no goroutine.
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		firstErr error
+		sem      chan struct{}
+	)
 	fail := func(err error) {
 		mu.Lock()
 		if firstErr == nil {
@@ -114,26 +145,37 @@ func (s *Server) GetFilesContext(ctx context.Context, dataset string, paths []st
 		}
 		mu.Unlock()
 	}
-
-	for _, id := range ids {
-		grp := groups[id]
-		sort.Slice(grp, func(a, b int) bool { return grp[a].fr.Offset < grp[b].fr.Offset })
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(id chunk.ID, grp []fileReq) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if err := s.serveGroup(ctx, dataset, id, grp, func(i int, b []byte) { out[i] = b }); err != nil {
+	for rest := reqs; len(rest) > 0; {
+		n := 1
+		for n < len(rest) && rest[n].fr.ChunkID == rest[0].fr.ChunkID {
+			n++
+		}
+		grp := rest[:n]
+		if rest = rest[n:]; len(rest) == 0 {
+			if err := s.serveGroup(ctx, dataset, grp, out); err != nil {
 				fail(err)
 			}
-		}(id, grp)
+			break
+		}
+		if sem == nil {
+			sem = make(chan struct{}, execParallelism-1)
+		}
+		sem <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := s.serveGroup(ctx, dataset, grp, out); err != nil {
+				fail(err)
+			}
+			<-sem
+		}()
 	}
 	wg.Wait()
 	if firstErr != nil {
-		return nil, firstErr
+		return nil, nil, firstErr
 	}
 	s.Exec.Stats.FilesServed.Add(uint64(len(paths)))
-	return out, nil
+	return out, buf, nil
 }
 
 // fileReq pairs one requested path's position with its metadata record.
@@ -142,13 +184,13 @@ type fileReq struct {
 	fr  meta.FileRecord
 }
 
-// serveGroup serves all requests that fall in one chunk.
-func (s *Server) serveGroup(ctx context.Context, dataset string, id chunk.ID, grp []fileReq, emit func(int, []byte)) (err error) {
-	idStr := id.String()
-
+// serveGroup serves all requests that fall in one chunk, copying each
+// file into its window out[idx].
+func (s *Server) serveGroup(ctx context.Context, dataset string, grp []fileReq, out [][]byte) (err error) {
+	id := grp[0].fr.ChunkID
 	sp := tracing.ChildOf(ctx, "exec.group")
 	if sp != nil {
-		sp.SetAttr("chunk", idStr)
+		sp.SetAttr("chunk", id.String())
 		sp.SetAttr("files", strconv.Itoa(len(grp)))
 		ctx = tracing.ContextWith(ctx, sp)
 		defer func() { sp.SetError(err); sp.End() }()
@@ -159,45 +201,43 @@ func (s *Server) serveGroup(ctx context.Context, dataset string, id chunk.ID, gr
 		wantBytes += r.fr.Length
 	}
 
-	key, shape, err := s.shapeOf(ctx, dataset, idStr)
+	shape, err := s.shapeOf(ctx, dataset, id)
 	if err != nil {
 		return err
 	}
-	hl := shape.headerLen
 	merge := s.Exec.Merge && (len(grp) >= s.Exec.minFiles ||
 		(shape.size > 0 && float64(wantBytes) >= s.Exec.minSpan*float64(shape.size)))
 	sp.SetAttr("merge", strconv.FormatBool(merge))
 
 	// One read shape either way: borrow — the whole chunk if the merge rule
-	// says so, else each file's range — copy the file out (the batch
-	// contract hands owned slices to the caller), release. Nothing
-	// chunk-sized is allocated per merge.
+	// says so, else each file's range — copy the file into its window,
+	// release. Nothing chunk-sized is allocated per merge.
 	if merge {
-		blob, release, err := objstore.GetPooled(s.objects, key)
+		blob, release, err := objstore.GetPooled(s.objects, shape.key)
 		if err != nil {
-			return fmt.Errorf("server: chunk read %s: %w", idStr, err)
+			return fmt.Errorf("server: chunk read %s: %w", id, err)
 		}
 		defer release()
 		s.Exec.Stats.ChunkReads.Add(1)
 		s.Exec.Stats.BackendBytes.Add(uint64(len(blob)))
 		for _, r := range grp {
-			start := uint64(hl) + r.fr.Offset
+			start := uint64(shape.headerLen) + r.fr.Offset
 			if start > uint64(len(blob)) || r.fr.Length > uint64(len(blob))-start {
 				return fmt.Errorf("server: file %q: %w", r.fr.FullName, errOutOfChunk)
 			}
-			emit(r.idx, append([]byte(nil), blob[start:start+r.fr.Length]...))
+			copy(out[r.idx], blob[start:])
 		}
 		return nil
 	}
 
 	for _, r := range grp {
-		b, release, err := s.borrowFile(key, hl, r.fr)
+		b, release, err := s.borrowFile(shape, r.fr)
 		if err != nil {
 			return err
 		}
 		s.Exec.Stats.RangeReads.Add(1)
 		s.Exec.Stats.BackendBytes.Add(uint64(len(b)))
-		emit(r.idx, append([]byte(nil), b...))
+		copy(out[r.idx], b)
 		release()
 	}
 	return nil

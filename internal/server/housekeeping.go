@@ -50,7 +50,7 @@ func (s *Server) purge(dataset string, gen *chunk.IDGenerator) (PurgeStats, erro
 	// chunks via the normal ingest path. Old chunks stay readable until the
 	// new ones are durably ingested, so there is no window in which a file
 	// record points at a missing object.
-	var holed []string // chunk IDs to retire
+	var holed []chunk.ID // chunks to retire
 	for _, kv := range recs {
 		cr, err := meta.DecodeChunkRecord(kv.Value)
 		if err != nil {
@@ -90,7 +90,11 @@ func (s *Server) purge(dataset string, gen *chunk.IDGenerator) (PurgeStats, erro
 				}
 			}
 		}
-		holed = append(holed, idStr)
+		id, err := chunk.ParseID(idStr)
+		if err != nil {
+			return st, fmt.Errorf("server: purge: bad chunk key %q: %w", kv.Key, err)
+		}
+		holed = append(holed, id)
 	}
 	if err := flush(); err != nil {
 		return st, err
@@ -99,14 +103,15 @@ func (s *Server) purge(dataset string, gen *chunk.IDGenerator) (PurgeStats, erro
 	// Pass 2: retire the old chunks. Every live file record was rewritten
 	// by ingest to point at a new chunk, so the old objects and records
 	// are unreferenced.
-	for _, idStr := range holed {
+	for _, id := range holed {
+		idStr := id.String()
 		if err := s.objects.Delete(ObjectKey(dataset, idStr)); err != nil {
 			return st, err
 		}
 		if _, err := s.kv.Del(meta.ChunkKey(dataset, idStr)); err != nil {
 			return st, err
 		}
-		s.forgetShapes(ObjectKey(dataset, idStr))
+		s.forgetShape(dataset, id)
 		st.ChunksRewritten++
 		st.ChunksDeleted++
 	}
@@ -152,7 +157,7 @@ func (s *Server) DeleteDataset(dataset string) error {
 		}
 	}
 	// Only now: with the chunk records gone no reader can cache one again.
-	s.forgetShapes(keys...)
+	s.forgetDataset(dataset)
 	_, err = s.kv.Del(meta.DatasetKey(dataset))
 	return err
 }

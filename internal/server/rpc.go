@@ -151,34 +151,34 @@ func (r *RPCServer) register() {
 		return nil
 	})
 
-	r.rpc.HandleContext(MethodGetBatch, func(ctx context.Context, p []byte) ([]byte, error) {
+	// A batch answers with a table and a body. The table, in the head, is
+	// the file count, then per file a present flag and a length; the body is
+	// the executor's one buffer, lent: the present files back to back in
+	// request order.
+	r.rpc.HandleReply(MethodGetBatch, func(ctx context.Context, p []byte, reply *wire.Reply) error {
 		d := wire.NewDecoder(p)
 		dataset := d.String()
 		paths := d.StringSlice()
 		if err := d.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		tenant, exit, err := r.admitRead(ctx)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		defer exit()
-		files, err := r.S.GetFilesContext(ctx, dataset, paths)
+		files, body, err := r.S.getFiles(ctx, dataset, paths)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		var total int
+		reply.Head.Uint32(uint32(len(files)))
 		for _, f := range files {
-			total += len(f) + 8
+			reply.Head.Bool(f != nil)
+			reply.Head.Uint32(uint32(len(f)))
 		}
-		e := wire.NewEncoder(total + 8)
-		e.Uint32(uint32(len(files)))
-		for _, f := range files {
-			e.Bool(f != nil)
-			e.Bytes32(f)
-		}
-		r.S.chargeTenant(tenant, len(e.Bytes()))
-		return e.Bytes(), nil
+		reply.Lend(body, nil)
+		r.S.chargeTenant(tenant, len(reply.Head.Bytes())+len(body))
+		return nil
 	})
 
 	r.rpc.HandleReply(MethodGetChunk, func(ctx context.Context, p []byte, reply *wire.Reply) error {

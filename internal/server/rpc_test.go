@@ -95,20 +95,26 @@ func TestRPCGetBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The table (count, then a present flag and a length per file), then
+	// the present files back to back.
 	d := wire.NewDecoder(resp)
 	if n := d.Uint32(); n != 3 {
 		t.Fatalf("batch count %d", n)
 	}
-	ok1, b1 := d.Bool(), d.Bytes32()
-	ok2, _ := d.Bool(), d.Bytes32()
-	ok3, b3 := d.Bool(), d.Bytes32()
-	if !ok1 || !bytes.Equal(b1, files["d0/f0000"]) {
+	ok1, n1 := d.Bool(), d.Uint32()
+	ok2, n2 := d.Bool(), d.Uint32()
+	ok3, n3 := d.Bool(), d.Uint32()
+	if d.Err() != nil || len(resp) != 4+3*5+int(n1+n2+n3) {
+		t.Fatalf("a %d-byte response for a table of %d+%d+%d bytes (%v)", len(resp), n1, n2, n3, d.Err())
+	}
+	body := resp[4+3*5:]
+	if !ok1 || !bytes.Equal(body[:n1], files["d0/f0000"]) {
 		t.Error("entry 1 wrong")
 	}
-	if ok2 {
+	if ok2 || n2 != 0 {
 		t.Error("missing file marked present")
 	}
-	if !ok3 || !bytes.Equal(b3, files["d2/f0002"]) {
+	if !ok3 || !bytes.Equal(body[n1:], files["d2/f0002"]) {
 		t.Error("entry 3 wrong")
 	}
 }
@@ -276,13 +282,13 @@ func TestChunkShapeCaching(t *testing.T) {
 	cm := snap.Chunks[0]
 	id := cm.ID.String()
 
-	_, sh1, err := s.shapeOf(context.Background(), "ds", id)
-	if err != nil || sh1.headerLen != cm.HeaderLen || sh1.size != cm.Size {
+	sh1, err := s.shapeOf(context.Background(), "ds", cm.ID)
+	if err != nil || sh1.headerLen != cm.HeaderLen || sh1.size != cm.Size || sh1.key != ObjectKey("ds", id) {
 		t.Fatalf("shapeOf = %+v, %v; the chunk record says header %d, size %d", sh1, err, cm.HeaderLen, cm.Size)
 	}
 	// Delete the chunk record: the cache must still serve the answer.
 	kv.Del(meta.ChunkKey("ds", id))
-	_, sh2, err := s.shapeOf(context.Background(), "ds", id)
+	sh2, err := s.shapeOf(context.Background(), "ds", cm.ID)
 	if err != nil || sh2 != sh1 {
 		t.Errorf("cached shapeOf = %+v, %v", sh2, err)
 	}

@@ -63,7 +63,7 @@ type Server struct {
 	dsMu sync.Mutex // serialises read-modify-write of dataset records
 
 	shapeMu sync.RWMutex
-	shapes  map[string]chunkShape // object key → the chunk's immutable shape
+	shapes  map[shapeKey]chunkShape // the chunks' immutable shapes
 
 	// Exec holds the request executor's merge switch and statistics.
 	Exec ExecutorConfig
@@ -81,7 +81,7 @@ func New(kv Backend, objects objstore.Store, nowNS func() int64) *Server {
 		kv:      kv,
 		objects: objects,
 		nowNS:   nowNS,
-		shapes:  make(map[string]chunkShape),
+		shapes:  make(map[shapeKey]chunkShape),
 		Exec:    ExecutorConfig{Merge: true, minFiles: mergeMinFiles, minSpan: mergeMinSpanFraction},
 	}
 }
@@ -198,58 +198,75 @@ func (s *Server) StatContext(ctx context.Context, dataset, path string) (meta.Fi
 	return meta.DecodeFileRecord(b)
 }
 
-// chunkShape is the part of a chunk record the read path needs: where the
-// payload starts and how large the stored object is. Both are fixed when
-// the chunk is sealed. A chunk ID is never reused (Purge re-packs into new
-// IDs, a dataset deleted and written again gets new ones, and recovery
-// re-derives the same two numbers from the stored chunk), so a cached
-// shape cannot go stale: at worst it outlives its chunk, and then the
-// object store says so.
+// chunkShape is what the read path needs to read a chunk: its object key,
+// where the payload starts and how large the stored object is. All three
+// are fixed when the chunk is sealed. A chunk ID is never reused (Purge
+// re-packs into new IDs, a dataset deleted and written again gets new
+// ones, and recovery re-derives the same two numbers from the stored
+// chunk), so a cached shape cannot go stale: at worst it outlives its
+// chunk, and then the object store says so.
 type chunkShape struct {
+	key       string // ObjectKey(dataset, chunk ID)
 	headerLen uint32
 	size      uint64
 }
 
-// maxChunkShapes bounds the shape cache (≈ 100 B an entry, so ≈ 6 MB).
+// shapeKey is what the shape cache is keyed by: the file record's own
+// fields, so a warm lookup builds no string.
+type shapeKey struct {
+	dataset string
+	id      chunk.ID
+}
+
+// maxChunkShapes bounds the shape cache (≈ 150 B an entry, so ≈ 10 MB).
 // When full it is reset wholesale: a miss costs one metadata Get.
 const maxChunkShapes = 1 << 16
 
-// shapeOf returns a chunk's object key — what the cache is keyed by and
-// what the caller reads the object store with next — and its shape, from
-// the cache or, once per chunk, from its chunk record. It is the read
-// path's only use of that record, so a warm batch read costs its one batch
-// stat and nothing more.
-func (s *Server) shapeOf(ctx context.Context, dataset, chunkID string) (key string, sh chunkShape, err error) {
-	key = ObjectKey(dataset, chunkID)
+// shapeOf returns a chunk's shape — with the object key the caller reads
+// the object store with next — from the cache or, once per chunk, from its
+// chunk record. It is the read path's only use of that record, so a warm
+// batch read costs its one batch stat and nothing more.
+func (s *Server) shapeOf(ctx context.Context, dataset string, id chunk.ID) (chunkShape, error) {
+	k := shapeKey{dataset, id}
 	s.shapeMu.RLock()
-	sh, ok := s.shapes[key]
+	sh, ok := s.shapes[k]
 	s.shapeMu.RUnlock()
 	if ok {
-		return key, sh, nil
+		return sh, nil
 	}
-	b, err := s.kv.GetContext(ctx, meta.ChunkKey(dataset, chunkID))
+	idStr := id.String()
+	b, err := s.kv.GetContext(ctx, meta.ChunkKey(dataset, idStr))
 	if err != nil {
-		return "", chunkShape{}, fmt.Errorf("server: chunk record %s: %w", chunkID, err)
+		return chunkShape{}, fmt.Errorf("server: chunk record %s: %w", idStr, err)
 	}
 	cr, err := meta.DecodeChunkRecord(b)
 	if err != nil {
-		return "", chunkShape{}, err
+		return chunkShape{}, err
 	}
-	sh = chunkShape{headerLen: cr.HeaderLen, size: cr.Size}
+	sh = chunkShape{key: ObjectKey(dataset, idStr), headerLen: cr.HeaderLen, size: cr.Size}
 	s.shapeMu.Lock()
 	if len(s.shapes) >= maxChunkShapes {
 		clear(s.shapes)
 	}
-	s.shapes[key] = sh
+	s.shapes[k] = sh
 	s.shapeMu.Unlock()
-	return key, sh, nil
+	return sh, nil
 }
 
-// forgetShapes drops cached shapes by object key, for chunks that are gone.
-func (s *Server) forgetShapes(objectKeys ...string) {
+// forgetShape drops one chunk's cached shape, for a chunk that is gone.
+func (s *Server) forgetShape(dataset string, id chunk.ID) {
 	s.shapeMu.Lock()
-	for _, k := range objectKeys {
-		delete(s.shapes, k)
+	delete(s.shapes, shapeKey{dataset, id})
+	s.shapeMu.Unlock()
+}
+
+// forgetDataset drops the cached shapes of every chunk of dataset.
+func (s *Server) forgetDataset(dataset string) {
+	s.shapeMu.Lock()
+	for k := range s.shapes {
+		if k.dataset == dataset {
+			delete(s.shapes, k)
+		}
 	}
 	s.shapeMu.Unlock()
 }
@@ -274,12 +291,12 @@ func (s *Server) GetFilePooled(ctx context.Context, dataset, path string) ([]byt
 	if err != nil {
 		return nil, nil, err
 	}
-	key, shape, err := s.shapeOf(ctx, dataset, fr.ChunkID.String())
+	shape, err := s.shapeOf(ctx, dataset, fr.ChunkID)
 	if err != nil {
 		return nil, nil, err
 	}
 	sp = tracing.ChildOf(ctx, "objstore.getRange")
-	b, release, err := s.borrowFile(key, shape.headerLen, fr)
+	b, release, err := s.borrowFile(shape, fr)
 	if sp != nil {
 		sp.SetAttr("bytes", strconv.Itoa(len(b)))
 		sp.SetError(err)
@@ -296,8 +313,8 @@ var errOutOfChunk = errors.New("out of chunk bounds")
 // object store. The store clamps a range that runs past the object's end,
 // so a short answer means the record overruns its chunk: that is
 // errOutOfChunk, with nothing left on loan.
-func (s *Server) borrowFile(key string, headerLen uint32, fr meta.FileRecord) ([]byte, func(), error) {
-	b, release, err := objstore.GetRangePooled(s.objects, key, int64(headerLen)+int64(fr.Offset), int64(fr.Length))
+func (s *Server) borrowFile(shape chunkShape, fr meta.FileRecord) ([]byte, func(), error) {
+	b, release, err := objstore.GetRangePooled(s.objects, shape.key, int64(shape.headerLen)+int64(fr.Offset), int64(fr.Length))
 	if err != nil {
 		return nil, nil, fmt.Errorf("server: range read %s: %w", fr.FullName, err)
 	}

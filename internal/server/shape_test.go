@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"diesel/internal/chunk"
 	"diesel/internal/kvstore"
 	"diesel/internal/meta"
 	"diesel/internal/objstore"
@@ -164,7 +165,8 @@ func TestMergeDecisionSameColdAndWarm(t *testing.T) {
 // serve: the record is gone from the metadata store too.
 func TestDeleteDatasetDropsShapes(t *testing.T) {
 	s, _, _, gen := testStack()
-	var lastDS, lastChunk, lastFile string
+	var lastDS, lastFile string
+	var lastChunk chunk.ID
 	for i := range 100 {
 		ds := fmt.Sprintf("ds%03d", i)
 		files := writeFiles(t, s, gen, ds, 6, 300, 500) // 3 chunks
@@ -179,7 +181,7 @@ func TestDeleteDatasetDropsShapes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lastDS, lastChunk, lastFile = ds, snap.Chunks[0].ID.String(), names[0]
+		lastDS, lastChunk, lastFile = ds, snap.Chunks[0].ID, names[0]
 		if err := s.DeleteDataset(ds); err != nil {
 			t.Fatal(err)
 		}
@@ -187,10 +189,10 @@ func TestDeleteDatasetDropsShapes(t *testing.T) {
 			t.Fatalf("%s: %d shapes still cached after DeleteDataset", ds, got)
 		}
 	}
-	if _, _, err := s.GetChunkPooled(context.Background(), lastDS, lastChunk); !errors.Is(err, objstore.ErrNotFound) {
+	if _, _, err := s.GetChunkPooled(context.Background(), lastDS, lastChunk.String()); !errors.Is(err, objstore.ErrNotFound) {
 		t.Errorf("chunk of a deleted dataset: %v, want objstore.ErrNotFound", err)
 	}
-	if _, _, err := s.shapeOf(context.Background(), lastDS, lastChunk); !errors.Is(err, kvstore.ErrNotFound) {
+	if _, err := s.shapeOf(context.Background(), lastDS, lastChunk); !errors.Is(err, kvstore.ErrNotFound) {
 		t.Errorf("shape of a deleted chunk: %v, want kvstore.ErrNotFound", err)
 	}
 	if _, err := getFile(s, lastDS, lastFile); !errors.Is(err, ErrNoSuchFile) {
@@ -232,7 +234,7 @@ func TestShapeCacheIsBounded(t *testing.T) {
 	files := writeFiles(t, s, gen, "ds", 2, 100, 1<<20)
 	s.shapeMu.Lock()
 	for i := range maxChunkShapes {
-		s.shapes[fmt.Sprintf("gone/%d", i)] = chunkShape{}
+		s.shapes[shapeKey{"gone", chunk.ID{byte(i >> 8), byte(i)}}] = chunkShape{}
 	}
 	s.shapeMu.Unlock()
 	for n, want := range files {

@@ -34,6 +34,10 @@ type groupWriter struct {
 	w   io.Writer
 	bw  *bufio.Writer
 	err error
+	// hdr is where a buffered frame's header is encoded, under mu. A local
+	// array would escape through bw.Write's io.Writer and cost an
+	// allocation per frame.
+	hdr [headerSize]byte
 }
 
 func newGroupWriter(w io.Writer) *groupWriter {
@@ -85,7 +89,7 @@ func (g *groupWriter) writeFrame(f *Frame) error {
 			return err
 		}
 	}
-	if err := writeFrameBuffered(g.bw, f); err != nil {
+	if err := g.writeBuffered(f); err != nil {
 		g.err = err
 		return err
 	}

@@ -53,6 +53,10 @@ type Client struct {
 	readErr error
 
 	seq atomic.Uint64
+
+	// beforeDeliver, when set (tests only), runs in the read loop between
+	// taking a call's channel out of pending and sending on it.
+	beforeDeliver func()
 }
 
 // pendingCall is one request awaiting its response.
@@ -62,6 +66,14 @@ type pendingCall struct {
 	// an allocation of its own instead of the frame's pooled buffer.
 	own bool
 }
+
+// callChans recycles pending-call channels. A channel goes back only once
+// it has delivered its response, so it is empty and nothing else holds it.
+// After a deadline it is dropped instead: the read loop sends after it
+// has let go of c.mu, so a call that gave up may still get a late frame,
+// and a recycled channel would hand that frame to the next caller. A
+// channel failAll closed is dropped too.
+var callChans = sync.Pool{New: func() any { return make(chan *Frame, 1) }}
 
 // Dial connects to a wire server at addr.
 func Dial(addr string, opts ...Option) (*Client, error) {
@@ -123,6 +135,9 @@ func (c *Client) readLoop() {
 		delete(c.pending, f.Seq)
 		c.mu.Unlock()
 		if ch != nil {
+			if c.beforeDeliver != nil {
+				c.beforeDeliver()
+			}
 			ch <- f
 		} else {
 			// No waiter (the caller timed out, perhaps while the body was
@@ -236,7 +251,7 @@ func (c *Client) roundTrip(ctx context.Context, method string, payload, lent []b
 		}
 	}()
 	seq := c.seq.Add(1)
-	ch := make(chan *Frame, 1)
+	ch := callChans.Get().(chan *Frame)
 
 	c.mu.Lock()
 	if c.closed {
@@ -264,17 +279,18 @@ func (c *Client) roundTrip(ctx context.Context, method string, payload, lent []b
 
 	select {
 	case f, ok := <-ch:
-		return c.finish(method, f, ok)
+		return c.finish(method, ch, f, ok)
 	case <-ctx.Done():
 		c.mu.Lock()
 		delete(c.pending, seq)
 		c.mu.Unlock()
 		// The response may have been matched between the read loop's
 		// delete and ours; both run under c.mu, so a non-blocking receive
-		// settles it.
+		// settles it. If it finds nothing, the read loop may still hold
+		// ch and send on it later: ch is not recycled (see callChans).
 		select {
 		case f, ok := <-ch:
-			return c.finish(method, f, ok)
+			return c.finish(method, ch, f, ok)
 		default:
 		}
 		if metricsOn() {
@@ -284,10 +300,13 @@ func (c *Client) roundTrip(ctx context.Context, method string, payload, lent []b
 	}
 }
 
-func (c *Client) finish(method string, f *Frame, ok bool) (*Frame, error) {
+// finish turns what a call's channel ch delivered into its result. A
+// channel that delivered a frame has done its one job and is recycled.
+func (c *Client) finish(method string, ch chan *Frame, f *Frame, ok bool) (*Frame, error) {
 	if !ok {
 		return nil, fmt.Errorf("wire: call %s: %w", method, ErrClientClosed)
 	}
+	callChans.Put(ch)
 	if f.Kind == KindError {
 		err := &RemoteError{Msg: string(f.Payload)}
 		f.Release() // message copied into the error; recycle the frame

@@ -305,6 +305,49 @@ func TestLateResponseIsDropped(t *testing.T) {
 	}
 }
 
+// TestLateResponseOnATakenChannel: the read loop has taken a call's channel
+// out of pending and not yet sent on it when the call's deadline fires. The
+// caller returns its deadline error; the frame then lands on the channel it
+// left behind. Pending-call channels are recycled, so that channel must not
+// be among them: 1 000 calls on the same client afterwards each get their
+// own payload back, never the abandoned frame.
+func TestLateResponseOnATakenChannel(t *testing.T) {
+	c, stop := benchServer(t)
+	defer stop()
+	taken, resume := make(chan struct{}), make(chan struct{})
+	var first atomic.Bool
+	// Set before the first call; the read loop reads it after taking c.mu,
+	// which that call's registration released.
+	c.beforeDeliver = func() {
+		if first.CompareAndSwap(false, true) {
+			close(taken)
+			<-resume
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() {
+		_, err := c.CallContext(ctx, "echo", []byte("the abandoned call's answer"))
+		errc <- err
+	}()
+	<-taken
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("abandoned call returned %v, want its context's error", err)
+	}
+	close(resume)
+	for i := range 1000 {
+		want := pattern(byte(i), 64+i%64)
+		got, err := c.CallContext(context.Background(), "echo", want)
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("call %d got %q, not its own payload", i, got)
+		}
+	}
+}
+
 // rawPeer is the far end of one connection, played by hand: it reads the
 // next n bytes when told to and answers request seq with an empty response.
 type rawPeer struct {

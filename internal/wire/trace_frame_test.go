@@ -168,8 +168,14 @@ func TestTracePropagationAcrossRPC(t *testing.T) {
 	}
 
 	// Both local traces (client root + server serve) share the ID; the
-	// serve root's parent must be the client's "call echo" span.
+	// serve root's parent must be the client's "call echo" span. The serve
+	// span ends after the response is written, so it may reach the
+	// collector a moment after the call has returned.
 	tds := tracing.ByID(root.TraceID())
+	for deadline := time.Now().Add(2 * time.Second); len(tds) < 2 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		tds = tracing.ByID(root.TraceID())
+	}
 	if len(tds) != 2 {
 		t.Fatalf("collector has %d traces for the ID, want 2 (client+server)", len(tds))
 	}

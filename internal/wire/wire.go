@@ -30,7 +30,6 @@
 package wire
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -222,13 +221,13 @@ func WriteFrame(w io.Writer, f *Frame) error {
 	return err
 }
 
-// writeFrameBuffered encodes f into bw piecewise. The caller (groupWriter)
-// guarantees bw has room for the whole frame, so bufio never splits it
+// writeBuffered encodes f into g.bw piecewise. g.mu is held and bw has
+// room for the whole frame (writeFrame checks), so bufio never splits it
 // across socket writes.
-func writeFrameBuffered(bw *bufio.Writer, f *Frame) error {
-	var hdr [headerSize]byte
-	encodeFrameHeader(hdr[:], f)
-	if _, err := bw.Write(hdr[:]); err != nil {
+func (g *groupWriter) writeBuffered(f *Frame) error {
+	bw := g.bw
+	encodeFrameHeader(g.hdr[:], f)
+	if _, err := bw.Write(g.hdr[:]); err != nil {
 		return err
 	}
 	if _, err := bw.WriteString(f.Method); err != nil {
