@@ -45,6 +45,7 @@ import (
 	"diesel/internal/dcache"
 	"diesel/internal/epoch"
 	"diesel/internal/shuffle"
+	"diesel/internal/spill"
 	"diesel/internal/trace"
 )
 
@@ -81,9 +82,10 @@ func main() {
 
 	// One node, one client, cache capped at ~3 chunks' payload.
 	const capacity = 3*64*1024 + 4096
+	cache := dcache.NewSharedCache(capacity, 0, nil)
 	task, err := dep.StartTask(core.TaskConfig{
 		Dataset: spec.Name, Nodes: 1, ClientsPerNode: 1,
-		Policy: dcache.OnDemand, CapacityBytes: capacity,
+		Policy: dcache.OnDemand, Shared: cache,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -141,6 +143,7 @@ func main() {
 		noSpillLoads = report("full dataset shuffle:", before, start)
 	}
 	task.Close()
+	cache.Close()
 
 	fmt.Println("\nsame files, same cache — only the order differs (§4.3's point).")
 
@@ -167,10 +170,18 @@ func main() {
 	// Same RAM budget, worst-case order, spill enabled. Epoch 1 pulls every
 	// chunk from the server once and demotes evictions to local disk; epoch
 	// 2's RAM misses land in the spill tier instead of going back out.
+	spillCache := func() (*dcache.SharedCache, spill.Recovered) {
+		c := dcache.NewSharedCache(capacity, 0, nil)
+		rec, err := c.EnableSpill(spillDir, 0)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return c, rec
+	}
+	scache, _ := spillCache()
 	spilled, err := dep.StartTask(core.TaskConfig{
 		Dataset: spec.Name, Nodes: 1, ClientsPerNode: 1,
-		Policy: dcache.OnDemand, CapacityBytes: capacity,
-		JobID: "mc-spill", SpillDir: spillDir,
+		Policy: dcache.OnDemand, JobID: "mc-spill", Shared: scache,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -190,9 +201,9 @@ func main() {
 
 	fmt.Println("\nwith a local-SSD spill tier under the same RAM budget:")
 	loads1, dur1, _ := epochReads(scl, speer, 42)
-	pre := speer.SpillStats()
+	pre := scache.SpillStats()
 	loads2, dur2, _ := epochReads(scl, speer, 43)
-	post := speer.SpillStats()
+	post := scache.SpillStats()
 	hits, misses := post.Hits-pre.Hits, post.Misses-pre.Misses
 	hitRate := 0.0
 	if hits+misses > 0 {
@@ -207,21 +218,22 @@ func main() {
 	// rejoin over the same spill directory. The manifest rewarms the cache
 	// from local disk; the first epoch after restart should barely touch
 	// the server at all.
-	speer.DemoteAll()
+	scache.DemoteAll()
 	spilled.Close()
+	scache.Close()
+	rcache, rewarmed := spillCache()
+	defer rcache.Close()
 	restarted, err := dep.StartTask(core.TaskConfig{
 		Dataset: spec.Name, Nodes: 1, ClientsPerNode: 1,
-		Policy: dcache.OnDemand, CapacityBytes: capacity,
-		JobID: "mc-warm", SpillDir: spillDir,
+		Policy: dcache.OnDemand, JobID: "mc-warm", Shared: rcache,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer restarted.Close()
 	rcl, rpeer := restarted.Clients[0].DefaultDataset(), restarted.Peers[0]
-	chunks, bytes := rpeer.Rewarmed()
 	fmt.Printf("\nrestarted over the same spill dir: rewarmed %d chunks (%.1f MB) from local disk\n",
-		chunks, float64(bytes)/1e6)
+		rewarmed.Entries, float64(rewarmed.Bytes)/1e6)
 	rloads, rdur, rreads := epochReads(rcl, rpeer, 44)
 	localFrac := 1 - float64(rloads)/float64(rreads)
 	fmt.Printf("%-22s %5d backend chunk loads  epoch took %v  (%.1f%% of reads served locally)\n",

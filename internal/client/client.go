@@ -130,15 +130,12 @@ type Client struct {
 	Stats ClientStats
 }
 
-// ClientStats are monotonic operation counters. The fields are obs
-// counters (same Add/Load shape as atomic.Uint64), so they double as the
-// per-context view of the process-wide aggregates in metrics.go.
+// ClientStats are monotonic operation counters (obs counters: the same
+// Add/Load shape as atomic.Uint64). Retries are the process-wide
+// diesel_client_retries_total (metrics.go).
 type ClientStats struct {
-	Puts, Gets, Stats, Lists obs.Counter
-	LocalMetaHits            obs.Counter // metadata ops served by the snapshot
-	ServerMetaOps            obs.Counter // metadata ops that hit the server
-	Retries                  obs.Counter // idempotent RPCs retried after transport failures
-	Heartbeats               obs.Counter // job lease heartbeats sent
+	Gets          obs.Counter // files read
+	ServerMetaOps obs.Counter // metadata ops that hit the server, not the snapshot
 }
 
 // ErrNoSnapshot is returned by operations that need a loaded snapshot.
@@ -298,7 +295,6 @@ func (c *Client) heartbeatLoop() {
 			e := wire.NewEncoder(32)
 			e.String(c.opts.JobID)
 			_, err := c.callIdem(context.Background(), server.MethodJobHeartbeat, e.Bytes())
-			c.Stats.Heartbeats.Add(1)
 			if err != nil && wire.IsRemote(err) && strings.Contains(err.Error(), "unknown job") {
 				_, _ = c.registerJob()
 			}
@@ -366,17 +362,12 @@ func (c *Client) nextPool() *wire.Pool {
 // is the caller's for good (wire's CallContext): an allocation of its exact
 // size that the read paths hand out windows into.
 func (c *Client) callIdem(ctx context.Context, method string, payload []byte) ([]byte, error) {
-	resp, attempts, err := wire.Retry(ctx, c.opts.MaxRetries, c.opts.RetryBackoff, c.noteRetry,
+	resp, attempts, err := wire.Retry(ctx, c.opts.MaxRetries, c.opts.RetryBackoff, mRetries.Inc,
 		func() ([]byte, error) { return c.nextPool().CallContext(ctx, method, payload) })
 	if err != nil && !wire.IsRemote(err) {
 		err = fmt.Errorf("client: %s failed after %d attempts: %w", method, attempts, err)
 	}
 	return resp, err
-}
-
-func (c *Client) noteRetry() {
-	c.Stats.Retries.Add(1)
-	mRetries.Inc()
 }
 
 // Rank returns the client's rank among the task's I/O workers.

@@ -169,7 +169,7 @@ func TestStatAndLs(t *testing.T) {
 	if _, err := c.DefaultDataset().DownloadSnapshot(); err != nil {
 		t.Fatal(err)
 	}
-	before := c.Stats.LocalMetaHits.Load()
+	before := c.Stats.ServerMetaOps.Load()
 	si2, err := c.DefaultDataset().Stat("train/cls03/img0003.jpg")
 	if err != nil || si2.Size != 100 {
 		t.Fatalf("snapshot Stat: %+v, %v", si2, err)
@@ -178,8 +178,8 @@ func TestStatAndLs(t *testing.T) {
 	if err != nil || len(ents2) != len(ents) {
 		t.Fatalf("snapshot Ls: %d entries, %v", len(ents2), err)
 	}
-	if c.Stats.LocalMetaHits.Load() != before+2 {
-		t.Error("snapshot ops did not count as local")
+	if c.Stats.ServerMetaOps.Load() != before {
+		t.Error("snapshot ops went to the server")
 	}
 }
 

@@ -73,7 +73,6 @@ func (d *Dataset) Put(path string, data []byte) error {
 		return err
 	}
 	d.pending++
-	d.c.Stats.Puts.Add(1)
 	if full {
 		return d.flushLocked()
 	}
@@ -248,7 +247,6 @@ func (d *Dataset) GetChunk(ctx context.Context, chunkID string) (out []byte, err
 // Stat returns a file's metadata (DL_stat). With a snapshot loaded it is
 // a local hashmap probe; otherwise one server RPC.
 func (d *Dataset) Stat(path string) (StatInfo, error) {
-	d.c.Stats.Stats.Add(1)
 	d.smu.RLock()
 	snap := d.snap
 	d.smu.RUnlock()
@@ -257,7 +255,6 @@ func (d *Dataset) Stat(path string) (StatInfo, error) {
 		if err != nil {
 			return StatInfo{}, err
 		}
-		d.c.Stats.LocalMetaHits.Add(1)
 		return StatInfo{
 			Size:      m.Length,
 			UpdatedNS: snap.UpdatedNS,
@@ -283,7 +280,6 @@ func (d *Dataset) Stat(path string) (StatInfo, error) {
 // Ls lists a directory (DL_ls): snapshot-local when loaded, otherwise two
 // prefix scans on the metadata database via the server.
 func (d *Dataset) Ls(dir string) ([]Entry, error) {
-	d.c.Stats.Lists.Add(1)
 	d.smu.RLock()
 	snap := d.snap
 	d.smu.RUnlock()
@@ -292,7 +288,6 @@ func (d *Dataset) Ls(dir string) ([]Entry, error) {
 		if err != nil {
 			return nil, err
 		}
-		d.c.Stats.LocalMetaHits.Add(1)
 		out := make([]Entry, len(des))
 		for i, de := range des {
 			out[i] = Entry{Name: de.Name, IsDir: de.IsDir, Size: de.Size}

@@ -3,9 +3,9 @@ package client
 import "diesel/internal/obs"
 
 // Process-wide client metrics on the default registry. Per-connection
-// counts (gets, metadata ops by answering source, retries) stay in
-// ClientStats; the two below sum over every libDIESEL connection in the
-// process, which is what a scrape wants. Batched and whole-chunk reads
+// counts (gets, server metadata ops) stay in ClientStats; the two below
+// sum over every libDIESEL connection in the process, which is what a
+// scrape wants. Batched and whole-chunk reads
 // are one RPC each, so their latency is the wire layer's
 // diesel_wire_call_seconds{method="dsl.getBatch"|"dsl.getChunk"}.
 //

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"path/filepath"
 	"time"
 
 	"diesel/internal/client"
@@ -189,7 +188,6 @@ type TaskConfig struct {
 	Nodes          int // simulated physical nodes
 	ClientsPerNode int // I/O processes per node
 	Policy         dcache.Policy
-	CapacityBytes  int64 // per-master cache bound (0 = unlimited)
 	// JobID registers the task as a training job in the server's job
 	// registry (every client connection carries the identity, rank 0
 	// heartbeats the lease). Empty means anonymous. It also keys the
@@ -197,17 +195,11 @@ type TaskConfig struct {
 	JobID string
 	// Tenant attributes the task's traffic for per-tenant quotas.
 	Tenant string
-	// SpillDir, when non-empty, gives each node's cache master a
-	// local-SSD spill tier rooted at SpillDir/<node>: RAM eviction
-	// victims demote into an append-only spill log there, spilled chunks
-	// are served back by pread, and a restarted task over the same
-	// directory rewarms its cache without refetching from the servers.
-	// Ignored when Shared is set — enable spill on the SharedCache.
-	SpillDir string
-	// Shared, when non-nil, joins this task's cache masters to a
-	// process-wide shared chunk cache instead of private per-master
-	// stores; see dcache.SharedCache. The deployment's job registry is
-	// installed as the cache's refcount source.
+	// Shared, when non-nil, is the chunk cache this task's masters cache
+	// into — its capacity bounds them, its EnableSpill gives them a
+	// local-SSD spill tier — and the deployment's job registry becomes its
+	// refcount source; see dcache.SharedCache. Nil gives each master an
+	// unbounded cache of its own.
 	Shared *dcache.SharedCache
 	// Dialer, when non-nil, replaces the TCP dialer of every task
 	// client's server connections (fault injection).
@@ -262,22 +254,14 @@ func (d *Deployment) StartTask(cfg TaskConfig) (*Task, error) {
 		}
 		t.Clients = append(t.Clients, cl)
 		node := fmt.Sprintf("node%03d", rank/cfg.ClientsPerNode)
-		var spillDir string
-		if cfg.SpillDir != "" && cfg.Shared == nil {
-			// One spill log per simulated node, shared by nothing else:
-			// the node's elected master owns it exclusively.
-			spillDir = filepath.Join(cfg.SpillDir, node)
-		}
 		go func(rank int, cl *client.Client) {
 			p, err := dcache.Join(cl.DefaultDataset(), reg, dcache.Config{
-				TaskID:        taskID,
-				NodeID:        node,
-				Rank:          rank,
-				TotalClients:  total,
-				Policy:        cfg.Policy,
-				CapacityBytes: cfg.CapacityBytes,
-				SpillDir:      spillDir,
-				Shared:        cfg.Shared,
+				TaskID:       taskID,
+				NodeID:       node,
+				Rank:         rank,
+				TotalClients: total,
+				Policy:       cfg.Policy,
+				Shared:       cfg.Shared,
 			})
 			results <- result{rank: rank, peer: p, err: err}
 		}(rank, cl)

@@ -36,7 +36,6 @@ import (
 	"diesel/internal/etcd"
 	"diesel/internal/meta"
 	"diesel/internal/obs"
-	"diesel/internal/spill"
 	"diesel/internal/tier"
 	"diesel/internal/tracing"
 	"diesel/internal/wire"
@@ -61,28 +60,13 @@ type Config struct {
 	Rank         int    // global rank of this I/O process
 	TotalClients int    // barrier size: peers in the task
 	Policy       Policy
-	// CapacityBytes bounds this master's cached payload bytes; 0 means
-	// unlimited. In memory-constrained scenarios the chunk-wise shuffle
-	// keeps the working set within this bound.
-	CapacityBytes int64
-	// Shared, when non-nil, replaces this task's private master stores
-	// with a process-wide cache shared across tasks and jobs, keyed by
-	// (dataset, chunk). Two jobs training on the same dataset then share
-	// one cached copy of every chunk, and datasets with no live jobs
-	// become eviction-preferred after the shared cache's grace period.
-	// CapacityBytes is ignored in favour of the shared cache's budget.
+	// Shared is the chunk cache this peer's master caches into, keyed by
+	// (dataset, chunk): its capacity bounds the cached payload bytes, and
+	// its EnableSpill adds the local-SSD spill tier. Two jobs training on
+	// the same dataset through one SharedCache share one cached copy of
+	// every chunk. Nil gives the peer an unbounded cache of its own, closed
+	// with the peer.
 	Shared *SharedCache
-	// SpillDir, when set on a master with a private store, enables the
-	// local-SSD spill tier: LRU-evicted chunks demote their payload to an
-	// append-friendly file set under this directory instead of being
-	// dropped, later reads are served from it by pread (or promoted back
-	// to RAM), and a crash-safe manifest lets a restarted trainer rewarm
-	// from local disk instead of refetching from the servers. The
-	// directory must be private to one live master (use a per-node/per-
-	// task subdirectory). Ignored when Shared is set — a shared cache's
-	// spill tier is enabled once via SharedCache.EnableSpill. The tier's
-	// disk use is unbounded.
-	SpillDir string
 
 	// The cache's fixed settings, fields only so that this package's tests
 	// can shrink them: Join fills each zero with the constant of its name.
@@ -126,8 +110,8 @@ type Registrar interface {
 }
 
 // Stats counts cache behaviour. The fields are obs counters (same
-// Add/Load shape as atomic.Uint64); process-wide aggregates of the same
-// events live on the default registry (see metrics.go).
+// Add/Load shape as atomic.Uint64); the process-wide diesel_dcache_*
+// families are sums of them over every peer (see metrics.go).
 type Stats struct {
 	LocalHits      obs.Counter // served from this peer's own master cache
 	PeerReads      obs.Counter // served by a remote master
@@ -173,10 +157,8 @@ type Peer struct {
 	// peerCallTimeout; a field so tests can stand in a black hole.
 	dialMaster func(addr string) (net.Conn, error)
 
-	store  *tier.Store  // non-nil on masters; the shared cache's store when Config.Shared is set
-	shared *SharedCache // non-nil when this peer joined a shared cache
-
-	rewarmed spill.Recovered // what the private store's spill manifest replayed at Join
+	shared *SharedCache // Config.Shared, or the cache this peer owns
+	store  *tier.Store  // shared.store on masters, nil on workers
 
 	// pulled buffers the remote chunks a sweep is reading (pull.go): a few
 	// whole payloads, bounded in chunks, on masters and workers alike. It
@@ -185,16 +167,6 @@ type Peer struct {
 	pulled  *tier.Store
 	sweep   sweepRing
 	pullKey string // inflight key prefix of this peer's pulls
-
-	// inflight deduplicates concurrent loads of the same chunk: the
-	// Oneshot prefetch, peer requests and local reads may race on a chunk,
-	// and it must be fetched from the server exactly once. Waiters receive
-	// the fetcher's result — including its error — so a failed fetch does
-	// not turn coalesced waiters into a thundering herd of fresh fetchers.
-	// On a shared cache the table is process-wide, so the dedup spans jobs.
-	// Whole-chunk pulls from a remote master coalesce through it as well,
-	// under a per-peer key.
-	inflight *inflightTable
 
 	// health tracks remote-master liveness, parallel to masters.
 	health []masterHealth
@@ -417,31 +389,16 @@ func Join(ds *client.Dataset, reg Registrar, cfg Config) (*Peer, error) {
 
 	p.health = make([]masterHealth, len(p.masters))
 
-	if cfg.Shared != nil {
-		p.shared = cfg.Shared
-		p.inflight = cfg.Shared.inflight
-		p.shared.acquire(p.dataset)
-	} else {
-		p.inflight = newInflightTable()
+	p.shared = cfg.Shared
+	if p.shared == nil {
+		p.shared = NewSharedCache(0, 0, nil)
 	}
+	p.shared.acquire(p.dataset)
 
 	if p.IsMaster() {
-		if p.shared != nil {
-			p.store = p.shared.store
-		} else {
-			p.store = newStore(cfg.CapacityBytes)
-			if cfg.SpillDir != "" {
-				rec, err := p.store.EnableSpill(cfg.SpillDir, 0)
-				if err != nil {
-					p.store.Close()
-					p.srv.Close()
-					return nil, fmt.Errorf("dcache: spill: %w", err)
-				}
-				p.rewarmed = rec
-			}
-		}
+		p.store = p.shared.store
 		p.srv.HandleReply(methodCacheGet, p.handleCacheGet)
-		p.srv.HandleContext(methodCacheGetChunk, p.handleCacheGetChunk)
+		p.srv.HandleReply(methodCacheGetChunk, p.handleCacheGetChunk)
 		if cfg.Policy == Oneshot {
 			go func() {
 				if err := p.LoadOwned(); err != nil {
@@ -518,7 +475,7 @@ func (p *Peer) loadChunk(ctx context.Context, ci int) ([]byte, error) {
 	if payload, ok := p.store.Get(key); ok {
 		return payload, nil
 	}
-	return p.inflight.do(ctx, key, func() ([]byte, error) {
+	return p.shared.inflight.do(ctx, key, func() ([]byte, error) {
 		id := p.chunkIDs[ci]
 		fctx := ctx
 		sp := tracing.ChildOf(ctx, "dcache.loadChunk")
@@ -561,7 +518,6 @@ func (p *Peer) fetchChunk(ctx context.Context, key, id string) ([]byte, error) {
 	}
 	p.Stats.ChunkLoads.Add(1)
 	p.Stats.BytesLoaded.Add(uint64(len(blob)))
-	mChunkLoads.Inc()
 	p.cache(key, payload)
 	return payload, nil
 }
@@ -569,14 +525,9 @@ func (p *Peer) fetchChunk(ctx context.Context, key, id string) ([]byte, error) {
 // cache inserts a loaded or promoted payload into the RAM store; one
 // larger than the capacity is served read-through and not kept. The store
 // never invalidates chunk keys (chunks are immutable), so the insert
-// carries the key's current generation. On a shared cache, eviction
-// prefers cold datasets.
+// carries the key's current generation. Eviction prefers cold datasets.
 func (p *Peer) cache(key string, payload []byte) {
-	var prefer func(string) bool
-	if p.shared != nil {
-		prefer = p.shared.coldMemo()
-	}
-	evicted, _ := p.store.Put(key, payload, p.store.Gen(key), prefer)
+	evicted, _ := p.store.Put(key, payload, p.store.Gen(key), p.shared.cold)
 	p.Stats.Evictions.Add(evicted)
 }
 
@@ -587,7 +538,6 @@ func (p *Peer) notePrefetchError(err error) {
 	p.perr = err
 	p.perrMu.Unlock()
 	p.Stats.PrefetchErrors.Add(1)
-	mPrefetchErrors.Inc()
 }
 
 // PrefetchErr returns the most recent background prefetch failure, or nil.
@@ -705,7 +655,6 @@ func (p *Peer) readFile(ctx context.Context, path string, view bool) (b []byte, 
 		b, err := p.readLocal(ctx, m, view)
 		if err == nil {
 			p.Stats.LocalHits.Add(1)
-			mLocalHits.Inc()
 			sp.SetAttr("branch", "local")
 			return b, nil
 		}
@@ -752,7 +701,6 @@ func (p *Peer) readFile(ctx context.Context, path string, view bool) (b []byte, 
 		}
 	}
 	p.Stats.ServerFallback.Add(1)
-	mFallbacks.Inc()
 	sp.SetAttr("branch", "server-fallback")
 	return p.ds.GetDirect(ctx, path)
 }
@@ -763,7 +711,6 @@ func (p *Peer) readFile(ctx context.Context, path string, view bool) (b []byte, 
 // is the remote master's cache either way.
 func (p *Peer) peerServed(sp *tracing.Span, branch string, owner int) {
 	p.Stats.PeerReads.Add(1)
-	mPeerReads.Inc()
 	sp.SetAttr("branch", branch)
 	sp.SetAttr("owner", strconv.Itoa(owner))
 }
@@ -786,7 +733,6 @@ func (p *Peer) noteMaster(ctx context.Context, owner int, err error) {
 	default:
 		if h.failed(time.Now(), p.cfg.deadAfter, p.cfg.deadCooldown) {
 			p.Stats.MasterDeaths.Add(1)
-			mMasterDeaths.Inc()
 			obs.Publish("breaker-trip",
 				"cache master marked dead after consecutive transport failures",
 				"addr", p.masters[owner].addr, "owner", strconv.Itoa(owner))
@@ -937,11 +883,9 @@ func (p *Peer) Close() error {
 		return nil
 	}
 	untrackPeer(p)
-	if p.shared != nil {
-		p.shared.release(p.dataset)
-	}
-	if p.store != nil && p.shared == nil {
-		p.store.Close()
+	p.shared.release(p.dataset)
+	if p.cfg.Shared == nil {
+		p.shared.Close()
 	}
 	var first error
 	if p.srv != nil {

@@ -24,8 +24,9 @@ type fixture struct {
 }
 
 // newFixture writes nFiles files and joins peers: layout[i] is the node ID
-// of rank i.
-func newFixture(t *testing.T, nFiles, fileSize int, layout []string, policy Policy, capacity int64) *fixture {
+// of rank i. The peers cache into shared, which the fixture closes; nil
+// gives each master an unbounded cache of its own.
+func newFixture(t *testing.T, nFiles, fileSize int, layout []string, policy Policy, shared *SharedCache) *fixture {
 	t.Helper()
 	core := server.NewLocalStack()
 	rpc, err := server.NewRPC(core, "127.0.0.1:0")
@@ -55,6 +56,9 @@ func newFixture(t *testing.T, nFiles, fileSize int, layout []string, policy Poli
 	}
 
 	f := &fixture{addrs: addrs, reg: etcd.InProcess{R: etcd.NewRegistry()}, files: files}
+	if shared != nil {
+		t.Cleanup(shared.Close)
+	}
 
 	var wg sync.WaitGroup
 	f.peers = make([]*Peer, len(layout))
@@ -75,7 +79,7 @@ func newFixture(t *testing.T, nFiles, fileSize int, layout []string, policy Poli
 			defer wg.Done()
 			p, err := Join(cl.DefaultDataset(), f.reg, Config{
 				TaskID: "task1", NodeID: node, Rank: rank,
-				TotalClients: len(layout), Policy: policy, CapacityBytes: capacity,
+				TotalClients: len(layout), Policy: policy, Shared: shared,
 			})
 			if err != nil {
 				errs[rank] = err
@@ -110,7 +114,7 @@ func newFixture(t *testing.T, nFiles, fileSize int, layout []string, policy Poli
 // call); the race detector, which drops pooled items at random, gets a
 // margin.
 func TestPeerFileReadAllocations(t *testing.T) {
-	f := newFixture(t, 40, 2048, []string{"nodeA", "nodeB"}, OnDemand, 0)
+	f := newFixture(t, 40, 2048, []string{"nodeA", "nodeB"}, OnDemand, nil)
 	p := f.peers[0]
 	var path string
 	for name := range f.files {
@@ -138,7 +142,7 @@ func TestPeerFileReadAllocations(t *testing.T) {
 
 func TestMasterElectionSmallestRankPerNode(t *testing.T) {
 	// 2 nodes × 2 clients: ranks 0,1 on nodeA; 2,3 on nodeB.
-	f := newFixture(t, 40, 128, []string{"nodeA", "nodeA", "nodeB", "nodeB"}, OnDemand, 0)
+	f := newFixture(t, 40, 128, []string{"nodeA", "nodeA", "nodeB", "nodeB"}, OnDemand, nil)
 	if !f.peers[0].IsMaster() {
 		t.Error("rank 0 should be master of nodeA")
 	}
@@ -159,7 +163,7 @@ func TestMasterElectionSmallestRankPerNode(t *testing.T) {
 }
 
 func TestPartitionCoversAllChunksOnce(t *testing.T) {
-	f := newFixture(t, 60, 200, []string{"a", "b", "c"}, OnDemand, 0)
+	f := newFixture(t, 60, 200, []string{"a", "b", "c"}, OnDemand, nil)
 	total := len(f.peers[0].snap.Chunks)
 	seen := make(map[int]int)
 	for _, p := range f.peers {
@@ -178,7 +182,7 @@ func TestPartitionCoversAllChunksOnce(t *testing.T) {
 }
 
 func TestReadThroughCacheCorrectness(t *testing.T) {
-	f := newFixture(t, 100, 256, []string{"nodeA", "nodeA", "nodeB"}, OnDemand, 0)
+	f := newFixture(t, 100, 256, []string{"nodeA", "nodeA", "nodeB"}, OnDemand, nil)
 	for name, want := range f.files {
 		for rank := range f.peers {
 			got, err := f.cls[rank].DefaultDataset().Get(context.Background(), name)
@@ -206,7 +210,7 @@ func TestReadThroughCacheCorrectness(t *testing.T) {
 }
 
 func TestOneshotPrefetch(t *testing.T) {
-	f := newFixture(t, 60, 300, []string{"a", "b"}, Oneshot, 0)
+	f := newFixture(t, 60, 300, []string{"a", "b"}, Oneshot, nil)
 	// Wait for background prefetch to finish.
 	for _, p := range f.peers {
 		if p.IsMaster() {
@@ -232,7 +236,7 @@ func TestOneshotPrefetch(t *testing.T) {
 }
 
 func TestMasterFailureContained(t *testing.T) {
-	f := newFixture(t, 80, 200, []string{"a", "b"}, Oneshot, 0)
+	f := newFixture(t, 80, 200, []string{"a", "b"}, Oneshot, nil)
 	for _, p := range f.peers {
 		if p.IsMaster() {
 			p.LoadOwned()
@@ -261,7 +265,7 @@ func TestMasterFailureContained(t *testing.T) {
 }
 
 func TestCacheRecoveryByChunkReload(t *testing.T) {
-	f := newFixture(t, 60, 200, []string{"a"}, Oneshot, 0)
+	f := newFixture(t, 60, 200, []string{"a"}, Oneshot, nil)
 	p := f.peers[0]
 	p.LoadOwned()
 	chunksBefore := p.CachedChunks()
@@ -286,7 +290,7 @@ func TestCacheRecoveryByChunkReload(t *testing.T) {
 
 func TestCapacityEviction(t *testing.T) {
 	// Capacity of ~2 chunks: reads must still be correct, with evictions.
-	f := newFixture(t, 100, 256, []string{"a"}, OnDemand, 2*4096+100)
+	f := newFixture(t, 100, 256, []string{"a"}, OnDemand, NewSharedCache(2*4096+100, 0, nil))
 	for name, want := range f.files {
 		got, err := f.cls[0].DefaultDataset().Get(context.Background(), name)
 		if err != nil || !bytes.Equal(got, want) {
@@ -338,7 +342,7 @@ func TestJoinBarrierTimeout(t *testing.T) {
 }
 
 func TestConcurrentReadersThroughCache(t *testing.T) {
-	f := newFixture(t, 60, 128, []string{"a", "a", "b", "b"}, OnDemand, 0)
+	f := newFixture(t, 60, 128, []string{"a", "a", "b", "b"}, OnDemand, nil)
 	var names []string
 	for n := range f.files {
 		names = append(names, n)
@@ -367,7 +371,7 @@ func TestConcurrentReadersThroughCache(t *testing.T) {
 // below the n×(n−1) full mesh.
 func TestTopologyPeersDialOnlyMasters(t *testing.T) {
 	layout := []string{"a", "a", "a", "b", "b", "b", "c", "c", "c"} // p=3, n=9
-	f := newFixture(t, 90, 128, layout, OnDemand, 0)
+	f := newFixture(t, 90, 128, layout, OnDemand, nil)
 	for name := range f.files {
 		for rank := range f.peers {
 			if _, err := f.cls[rank].DefaultDataset().Get(context.Background(), name); err != nil {

@@ -21,7 +21,7 @@ import (
 // never exceeds its capacity, and nothing is pointlessly evicted.
 func TestOversizedChunkReadThrough(t *testing.T) {
 	// ~4096-byte chunks against a 1000-byte cache.
-	f := newFixture(t, 60, 256, []string{"a"}, OnDemand, 1000)
+	f := newFixture(t, 60, 256, []string{"a"}, OnDemand, NewSharedCache(1000, 0, nil))
 	for name, want := range f.files {
 		got, err := f.cls[0].DefaultDataset().Get(context.Background(), name)
 		if err != nil || !bytes.Equal(got, want) {
@@ -275,7 +275,7 @@ func TestDeadMasterFallbackAndRevival(t *testing.T) {
 
 	// Full epoch with the master dead: zero errors, fallback serves the
 	// dead master's chunks, local hits continue.
-	fallbackGlobalBefore := mFallbacks.Load()
+	fallbackGlobalBefore := familyValue("diesel_dcache_reads_total", "server")
 	localBefore := p0.Stats.LocalHits.Load()
 	for name, want := range f.files {
 		got, err := f.cls[0].DefaultDataset().Get(context.Background(), name)
@@ -289,7 +289,7 @@ func TestDeadMasterFallbackAndRevival(t *testing.T) {
 	if p0.Stats.ServerFallback.Load() == 0 {
 		t.Error("no server fallbacks with a dead master")
 	}
-	if mFallbacks.Load() == fallbackGlobalBefore {
+	if familyValue("diesel_dcache_reads_total", "server") == fallbackGlobalBefore {
 		t.Error(`diesel_dcache_reads_total{source="server"} did not increase`)
 	}
 	if p0.Stats.LocalHits.Load() == localBefore {

@@ -62,7 +62,7 @@ func (r *sweepRing) seen(ci int) bool {
 // the fetcher's result and, on failure, carry on per file.
 func (p *Peer) pullChunk(ctx context.Context, owner, ci int) ([]byte, error) {
 	key := p.storeKeys[ci]
-	return p.inflight.do(ctx, p.pullKey+key, func() ([]byte, error) {
+	return p.shared.inflight.do(ctx, p.pullKey+key, func() ([]byte, error) {
 		// A pull that finished between the caller's buffer miss and here
 		// put its payload before it left the table. Not for a dead master:
 		// this caller is then its revival probe and owes the breaker an
@@ -95,14 +95,19 @@ func (p *Peer) chunkFromMaster(ctx context.Context, addr string, ci int) ([]byte
 // cache, loading it on demand like handleCacheGet. The response is the
 // cached payload itself: read-only, lent to the wire and sent from where it
 // lies.
-func (p *Peer) handleCacheGetChunk(ctx context.Context, payload []byte) ([]byte, error) {
+func (p *Peer) handleCacheGetChunk(ctx context.Context, payload []byte, r *wire.Reply) error {
 	d := wire.NewDecoder(payload)
 	ci := int(d.Uint32())
 	if err := d.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	if ci >= len(p.snap.Chunks) {
-		return nil, fmt.Errorf("dcache: chunk index %d outside the snapshot's %d chunks", ci, len(p.snap.Chunks))
+		return fmt.Errorf("dcache: chunk index %d outside the snapshot's %d chunks", ci, len(p.snap.Chunks))
 	}
-	return p.loadChunk(ctx, ci)
+	b, err := p.loadChunk(ctx, ci)
+	if err != nil {
+		return err
+	}
+	r.Lend(b, nil)
+	return nil
 }

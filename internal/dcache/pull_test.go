@@ -61,11 +61,7 @@ func filesOf(p *Peer, ci int) []string {
 func served(m *Peer, method string, before func()) *atomic.Int64 {
 	h := m.handleCacheGet
 	if method == methodCacheGetChunk {
-		h = func(ctx context.Context, payload []byte, r *wire.Reply) error {
-			b, err := m.handleCacheGetChunk(ctx, payload)
-			r.Lend(b, nil)
-			return err
-		}
+		h = m.handleCacheGetChunk
 	}
 	var n atomic.Int64
 	m.srv.HandleReply(method, func(ctx context.Context, payload []byte, r *wire.Reply) error {

@@ -2,6 +2,7 @@ package dcache
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"time"
 
@@ -23,20 +24,25 @@ type RefSource interface {
 // cached) without letting dead datasets squat on capacity forever.
 const DefaultGrace = 30 * time.Second
 
-// SharedCache is a chunk cache shared across tasks and jobs, keyed by
-// (dataset, chunk). Two jobs training on the same dataset hit one cached
-// copy of every chunk — the multi-job amplification the serving plane is
-// for — while per-dataset refcounts (local acquire/release from
-// in-process peers, plus an optional RefSource such as the server's job
-// registry) steer eviction: a dataset with zero live jobs becomes
-// eviction-preferred once its grace period lapses, so abandoned working
-// sets are reclaimed before anything a live job still needs.
-//
-// Pass one SharedCache to every task's Config.Shared; the zero of
-// everything else in Config still applies per task.
+// SharedCache is a node's chunk cache, keyed by (dataset, chunk): what a
+// master caches into. A peer joined without one owns an unbounded cache
+// of its own; passing one SharedCache to several tasks' Config.Shared
+// shares it across tasks and jobs. Two jobs training on the same dataset
+// then hit one cached copy of every chunk — the multi-job amplification
+// the serving plane is for — while per-dataset refcounts (local
+// acquire/release from in-process peers, plus an optional RefSource such
+// as the server's job registry) steer eviction: a dataset with zero live
+// jobs becomes eviction-preferred once its grace period lapses, so
+// abandoned working sets are reclaimed before anything a live job still
+// needs.
 type SharedCache struct {
-	store    *tier.Store
-	inflight *inflightTable // cross-job fetch coalescing: one server fetch per (dataset, chunk)
+	store *tier.Store
+	// inflight deduplicates concurrent loads of the same (dataset, chunk)
+	// across every peer of the cache: the Oneshot prefetch, peer requests
+	// and local reads of one or several jobs may race on a chunk, and it
+	// is fetched from the server exactly once. Whole-chunk pulls from a
+	// remote master coalesce through it as well, under a per-peer key.
+	inflight *inflightTable
 
 	mu       sync.Mutex
 	local    map[string]int   // dataset → acquire/release count from in-process peers
@@ -47,9 +53,13 @@ type SharedCache struct {
 	nowNS    func() int64
 }
 
-// NewSharedCache builds a shared cache bounded to capacityBytes (0 =
-// unlimited). grace <= 0 uses DefaultGrace; nowNS nil uses the wall
+// NewSharedCache builds a cache bounded to capacityBytes of chunk payload
+// (0 = unlimited). grace <= 0 uses DefaultGrace; nowNS nil uses the wall
 // clock (tests inject a fake clock to step through the grace window).
+//
+// The store underneath is internal/tier over whole chunk payloads, keyed
+// and accounted by dataset ("dataset\x00chunkID", see Peer.storeKeys),
+// reporting into the diesel_tier_*{site="dcache"} series.
 func NewSharedCache(capacityBytes int64, grace time.Duration, nowNS func() int64) *SharedCache {
 	if grace <= 0 {
 		grace = DefaultGrace
@@ -57,9 +67,14 @@ func NewSharedCache(capacityBytes int64, grace time.Duration, nowNS func() int64
 	if nowNS == nil {
 		nowNS = func() int64 { return time.Now().UnixNano() }
 	}
+	store := tier.New(capacityBytes, func(key string) string {
+		ds, _, _ := strings.Cut(key, "\x00")
+		return ds
+	})
+	tierSite.Add(store)
 	return &SharedCache{
-		store:    newStore(capacityBytes),
-		inflight: newInflightTable(),
+		store:    store,
+		inflight: &inflightTable{m: make(map[string]*inflightLoad)},
 		local:    make(map[string]int),
 		lastLive: make(map[string]int64),
 		wasLive:  make(map[string]bool),
@@ -120,7 +135,8 @@ func (s *SharedCache) refcount(dataset string) int {
 // is first *observed* — a lease that expired while nobody looked is only
 // discovered here, and the grace window must run from that discovery so
 // a restarting trainer still finds its working set cached.
-func (s *SharedCache) cold(dataset string, nowNS int64) bool {
+func (s *SharedCache) cold(dataset string) bool {
+	nowNS := s.nowNS()
 	if s.refcount(dataset) > 0 {
 		s.mu.Lock()
 		s.lastLive[dataset] = nowNS
@@ -141,21 +157,6 @@ func (s *SharedCache) cold(dataset string, nowNS int64) bool {
 	return nowNS-last > s.grace.Nanoseconds()
 }
 
-// coldMemo returns a coldness predicate memoised for one eviction pass.
-// Coldness costs a refcount lookup (potentially a registry List); one
-// eviction pass should pay it once per dataset, not once per candidate.
-func (s *SharedCache) coldMemo() func(string) bool {
-	memo := make(map[string]bool)
-	return func(ds string) bool {
-		c, ok := memo[ds]
-		if !ok {
-			c = s.cold(ds, s.nowNS())
-			memo[ds] = c
-		}
-		return c
-	}
-}
-
 // Bytes reports the cached payload bytes across all datasets.
 func (s *SharedCache) Bytes() int64 { return s.store.Bytes() }
 
@@ -163,15 +164,11 @@ func (s *SharedCache) Bytes() int64 { return s.store.Bytes() }
 func (s *SharedCache) Chunks() int { return s.store.Count() }
 
 // inflightTable deduplicates concurrent loads of the same (dataset,
-// chunk) key. On a SharedCache it is process-wide, so two jobs missing on
-// the same chunk at the same moment still cost exactly one server fetch.
+// chunk) key, so two jobs missing on the same chunk of one SharedCache at
+// the same moment still cost exactly one server fetch.
 type inflightTable struct {
 	mu sync.Mutex
 	m  map[string]*inflightLoad
-}
-
-func newInflightTable() *inflightTable {
-	return &inflightTable{m: make(map[string]*inflightLoad)}
 }
 
 // do runs fn unless a call for key is already running, in which case it

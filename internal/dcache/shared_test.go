@@ -21,7 +21,7 @@ func (c *fakeClock) now() int64 { return c.ns }
 func putTestChunk(t *testing.T, sc *SharedCache, dataset, id string, size int) {
 	t.Helper()
 	key := dataset + "\x00" + id
-	if _, cached := sc.store.Put(key, make([]byte, size), sc.store.Gen(key), sc.coldMemo()); !cached {
+	if _, cached := sc.store.Put(key, make([]byte, size), sc.store.Gen(key), sc.cold); !cached {
 		t.Fatalf("chunk %s/%s not cached", dataset, id)
 	}
 }
@@ -44,7 +44,7 @@ func TestSharedCacheRefcountGrace(t *testing.T) {
 		t.Fatalf("Chunks = %d, want 2", got)
 	}
 
-	if sc.cold("ds", clk.now()) {
+	if sc.cold("ds") {
 		t.Fatal("acquired dataset reported cold")
 	}
 	sc.release("ds")
@@ -60,19 +60,19 @@ func TestSharedCacheRefcountGrace(t *testing.T) {
 	// eviction does not prefer the chunks (a restarting job should find
 	// its working set).
 	clk.ns += (grace / 2).Nanoseconds()
-	if sc.cold("ds", clk.now()) {
+	if sc.cold("ds") {
 		t.Fatal("dataset cold inside grace window")
 	}
 
 	// Grace lapsed: cold.
 	clk.ns += grace.Nanoseconds()
-	if !sc.cold("ds", clk.now()) {
+	if !sc.cold("ds") {
 		t.Fatal("dataset not cold after grace")
 	}
 
 	// Re-acquiring resurrects the dataset's liveness.
 	sc.acquire("ds")
-	if sc.cold("ds", clk.now()) {
+	if sc.cold("ds") {
 		t.Fatal("re-acquired dataset reported cold")
 	}
 }
@@ -90,7 +90,7 @@ func TestSharedCacheEvictionPrefersCold(t *testing.T) {
 	// observation, so step past it before applying pressure.
 	putTestChunk(t, sc, "cold", "c1", 4096)
 	putTestChunk(t, sc, "live", "c2", 4096)
-	if sc.cold("cold", clk.now()) {
+	if sc.cold("cold") {
 		t.Fatal("first observation at zero refcount must start the grace clock, not evict")
 	}
 	clk.ns += (2 * grace).Nanoseconds()
@@ -106,6 +106,36 @@ func TestSharedCacheEvictionPrefersCold(t *testing.T) {
 	}
 	if _, ok := sc.store.Get("cold\x00c1"); ok {
 		t.Fatal("cold dataset's chunk survived; a live chunk was evicted instead")
+	}
+}
+
+// TestColdPreferenceAllocatesNothing: a chunk load's insert that evicts
+// allocates its entry and LRU element, and nothing for the cold-dataset
+// preference — Peer.cache hands the store a method value that does not
+// escape, and the store asks it once per group from a memo on its own
+// stack — so neither a bounded cache nor an unbounded one, which never
+// asks, pays for it per chunk load.
+func TestColdPreferenceAllocatesNothing(t *testing.T) {
+	sc := NewSharedCache(2*4096, 0, nil) // every insert evicts one chunk
+	sc.acquire("ds")
+	p := &Peer{shared: sc, store: sc.store}
+	keys := make([]string, 300)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("ds\x00c%d", i)
+	}
+	payload := make([]byte, 4096)
+	p.cache(keys[0], payload) // fill the cache
+	p.cache(keys[1], payload)
+	next := 2
+	allocs := testing.AllocsPerRun(200, func() {
+		p.cache(keys[next], payload)
+		next++
+	})
+	if got := p.Stats.Evictions.Load(); got != uint64(next-2) {
+		t.Fatalf("%d inserts evicted %d chunks, want one each", next-2, got)
+	}
+	if allocs > 2 {
+		t.Errorf("an evicting insert allocates %.1f times, want 2 (entry and LRU element)", allocs)
 	}
 }
 
@@ -128,7 +158,7 @@ func TestSharedCacheJobRegistryRefSource(t *testing.T) {
 	if got := sc.refcount("ds"); got != 1 {
 		t.Fatalf("Refcount = %d, want 1", got)
 	}
-	if sc.cold("ds", clk.now()) {
+	if sc.cold("ds") {
 		t.Fatal("dataset with a registered job reported cold")
 	}
 
@@ -139,7 +169,7 @@ func TestSharedCacheJobRegistryRefSource(t *testing.T) {
 	}
 	// The expiry is discovered now; grace runs from this observation, so
 	// the chunks survive the immediate aftermath of the crash.
-	if sc.cold("ds", clk.now()) {
+	if sc.cold("ds") {
 		t.Fatal("dataset cold immediately after lease expiry; grace must apply")
 	}
 
@@ -147,7 +177,7 @@ func TestSharedCacheJobRegistryRefSource(t *testing.T) {
 	if err := reg.Register(server.JobInfo{ID: "trainer", Dataset: "ds"}); err != nil {
 		t.Fatal(err)
 	}
-	if sc.cold("ds", clk.now()) {
+	if sc.cold("ds") {
 		t.Fatal("re-registered dataset reported cold")
 	}
 	if err := reg.Unregister("trainer"); err != nil {
@@ -157,11 +187,11 @@ func TestSharedCacheJobRegistryRefSource(t *testing.T) {
 	// No restart this time. The next observation discovers the zero
 	// refcount (starting the grace clock); one a grace later finds it cold.
 	clk.ns += (2 * grace).Nanoseconds()
-	if sc.cold("ds", clk.now()) {
+	if sc.cold("ds") {
 		t.Fatal("dataset cold at the observation that discovered the unregister")
 	}
 	clk.ns += (2 * grace).Nanoseconds()
-	if !sc.cold("ds", clk.now()) {
+	if !sc.cold("ds") {
 		t.Fatal("dataset not cold a grace after its zero refcount was discovered")
 	}
 }

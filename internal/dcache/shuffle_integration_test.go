@@ -15,7 +15,7 @@ import (
 // shuffle hops chunks randomly and thrashes the same cache.
 func TestChunkWiseOrderBoundsCacheThrash(t *testing.T) {
 	// ~25 chunks of 4 KiB; cache capacity of ~3 chunks.
-	f := newFixture(t, 400, 256, []string{"solo"}, OnDemand, 3*4096+512)
+	f := newFixture(t, 400, 256, []string{"solo"}, OnDemand, NewSharedCache(3*4096+512, 0, nil))
 	p := f.peers[0]
 	cl := f.cls[0]
 	snap := cl.DefaultDataset().Snapshot()
@@ -60,7 +60,7 @@ func TestChunkWiseOrderBoundsCacheThrash(t *testing.T) {
 // orders are pure cache hits after the first epoch — the "88.12% of the
 // fully cached speed" observation degenerates to equality.
 func TestChunkWiseOrderFullyCachedEquivalence(t *testing.T) {
-	f := newFixture(t, 200, 128, []string{"solo"}, Oneshot, 0)
+	f := newFixture(t, 200, 128, []string{"solo"}, Oneshot, nil)
 	p := f.peers[0]
 	p.LoadOwned()
 	cl := f.cls[0]

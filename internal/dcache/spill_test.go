@@ -12,11 +12,11 @@ import (
 	"diesel/internal/server"
 )
 
-// spillPeer builds a single-node master over an in-memory server stack
-// with a spill tier, returning the peer, the file names and their
-// contents. cfg mutations run before Join; reJoin starts a fresh peer
-// over the same (still written) dataset and registry-independent task —
-// the restart path.
+// spillPeer builds a single-node master over an in-memory server stack,
+// returning the peer, the file names and their contents. cfg mutations
+// run before Join (the spill tier comes with the Config.Shared a mutation
+// sets); reJoin starts a fresh peer over the same (still written) dataset
+// and registry-independent task — the restart path.
 func spillPeer(t testing.TB, nFiles, fileSize, chunkTarget int, mut func(*Config)) (p *Peer, names []string, contents [][]byte, reJoin func(mut func(*Config)) *Peer) {
 	t.Helper()
 	core := server.NewLocalStack()
@@ -75,44 +75,69 @@ func spillPeer(t testing.TB, nFiles, fileSize, chunkTarget int, mut func(*Config
 	return join(mut), names, contents, join
 }
 
-// TestSpillServesEvictedChunks pins the tentpole behaviour: with RAM far
+// spillCache builds a cache bounded to capacity (0 = unbounded) with its
+// spill tier in dir, closed when the test ends.
+func spillCache(t testing.TB, capacity int64, dir string) *SharedCache {
+	t.Helper()
+	sc := NewSharedCache(capacity, 0, nil)
+	if _, err := sc.EnableSpill(dir, 0); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sc.Close)
+	return sc
+}
+
+// TestSpillServesEvictedChunks pins the two-level cache: with RAM far
 // smaller than the dataset, a second epoch is served from the spill tier
-// — not refetched from the servers — and every byte comes back right.
+// — not refetched from the servers — and every byte comes back right,
+// whether reads stay on the pread path or promote chunks back to RAM.
 func TestSpillServesEvictedChunks(t *testing.T) {
 	const nFiles, fileSize, chunkTarget = 64, 4 << 10, 16 << 10
-	dir := t.TempDir()
-	p, names, contents, _ := spillPeer(t, nFiles, fileSize, chunkTarget, func(c *Config) {
-		c.CapacityBytes = 2 * chunkTarget // RAM holds ~2 of ~16 chunks
-		c.SpillDir = dir
-		c.spillPromoteAfter = -1 // keep reads on the pread path for this test
-	})
-	readAll := func() {
-		t.Helper()
-		for i, n := range names {
-			b, err := p.ReadFileContext(context.Background(), n)
-			if err != nil {
-				t.Fatalf("read %s: %v", n, err)
+	for _, tc := range []struct {
+		name         string
+		promoteAfter int
+	}{
+		{"pread", -1},
+		{"promote", 0}, // the default, spillPromoteAfter
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := spillCache(t, 2*chunkTarget, t.TempDir()) // RAM holds ~2 of ~16 chunks
+			if _, err := sc.EnableSpill(t.TempDir(), 0); err == nil {
+				t.Fatal("second EnableSpill succeeded")
 			}
-			if !bytes.Equal(b, contents[i]) {
-				t.Fatalf("%s corrupt after spill round trip", n)
+			p, names, contents, _ := spillPeer(t, nFiles, fileSize, chunkTarget, func(c *Config) {
+				c.Shared = sc
+				c.spillPromoteAfter = tc.promoteAfter
+			})
+			readAll := func() {
+				t.Helper()
+				for i, n := range names {
+					b, err := p.ReadFileContext(context.Background(), n)
+					if err != nil {
+						t.Fatalf("read %s: %v", n, err)
+					}
+					if !bytes.Equal(b, contents[i]) {
+						t.Fatalf("%s corrupt after spill round trip", n)
+					}
+				}
 			}
-		}
-	}
-	readAll() // epoch 1: server loads + demotions
-	loadsAfterFirst := p.Stats.ChunkLoads.Load()
-	if loadsAfterFirst == 0 {
-		t.Fatal("first epoch loaded nothing from the servers")
-	}
-	st := p.SpillStats()
-	if !st.Enabled || st.Demotions == 0 || st.Entries == 0 {
-		t.Fatalf("nothing demoted: %+v", st)
-	}
-	readAll() // epoch 2: spill hits
-	if got := p.Stats.ChunkLoads.Load(); got != loadsAfterFirst {
-		t.Fatalf("second epoch refetched from servers: %d -> %d chunk loads", loadsAfterFirst, got)
-	}
-	if st := p.SpillStats(); st.Hits == 0 {
-		t.Fatalf("second epoch recorded no spill hits: %+v", st)
+			readAll() // epoch 1: server loads + demotions
+			loadsAfterFirst := p.Stats.ChunkLoads.Load()
+			if loadsAfterFirst == 0 {
+				t.Fatal("first epoch loaded nothing from the servers")
+			}
+			st := sc.SpillStats()
+			if !st.Enabled || st.Demotions == 0 || st.Entries == 0 {
+				t.Fatalf("nothing demoted: %+v", st)
+			}
+			readAll() // epoch 2: spill hits
+			if got := p.Stats.ChunkLoads.Load(); got != loadsAfterFirst {
+				t.Fatalf("second epoch refetched from servers: %d -> %d chunk loads", loadsAfterFirst, got)
+			}
+			if st := sc.SpillStats(); st.Hits == 0 {
+				t.Fatalf("second epoch recorded no spill hits: %+v", st)
+			}
+		})
 	}
 }
 
@@ -121,14 +146,15 @@ func TestSpillServesEvictedChunks(t *testing.T) {
 // promoted back and further reads are RAM hits.
 func TestSpillPromotionReturnsChunkToRAM(t *testing.T) {
 	const nFiles, fileSize, chunkTarget = 16, 4 << 10, 64 << 10
+	sc := spillCache(t, 0, t.TempDir())
 	p, names, contents, _ := spillPeer(t, nFiles, fileSize, chunkTarget, func(c *Config) {
-		c.SpillDir = t.TempDir()
+		c.Shared = sc
 		c.spillPromoteAfter = 2
 	})
 	if err := p.LoadOwned(); err != nil {
 		t.Fatal(err)
 	}
-	p.DemoteAll()
+	sc.DemoteAll()
 	if p.CachedChunks() != 0 {
 		t.Fatalf("DemoteAll left %d chunks in RAM", p.CachedChunks())
 	}
@@ -138,7 +164,7 @@ func TestSpillPromotionReturnsChunkToRAM(t *testing.T) {
 			t.Fatalf("read %d: %v", i, err)
 		}
 	}
-	st := p.SpillStats()
+	st := sc.SpillStats()
 	if st.Promotions == 0 {
 		t.Fatalf("no promotion after repeated spill reads: %+v", st)
 	}
@@ -151,32 +177,45 @@ func TestSpillPromotionReturnsChunkToRAM(t *testing.T) {
 }
 
 // TestSpillRewarmAcrossRestart is the Fig. 11b recovery story at the
-// cache layer: a restarted trainer (new peer, same spill directory)
-// serves its whole working set from local disk — zero server chunk
-// loads — and views taken after the rewarm are correct.
+// cache layer: a restarted trainer (new cache and peer, same spill
+// directory) serves its whole working set from local disk — zero server
+// chunk loads — and views taken after the rewarm are correct.
 func TestSpillRewarmAcrossRestart(t *testing.T) {
 	const nFiles, fileSize, chunkTarget = 64, 4 << 10, 16 << 10
 	dir := t.TempDir()
+	sc := NewSharedCache(0, 0, nil)
+	if _, err := sc.EnableSpill(dir, 0); err != nil {
+		t.Fatal(err)
+	}
 	p, names, contents, reJoin := spillPeer(t, nFiles, fileSize, chunkTarget, func(c *Config) {
-		c.SpillDir = dir
+		c.Shared = sc
 	})
 	if err := p.LoadOwned(); err != nil {
 		t.Fatal(err)
 	}
-	p.DemoteAll() // graceful stop: push the whole working set to SSD
-	wantChunks := p.SpillStats().Entries
+	sc.DemoteAll() // graceful stop: push the whole working set to SSD
+	wantChunks := sc.SpillStats().Entries
 	if wantChunks == 0 {
 		t.Fatal("nothing spilled before restart")
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
+	sc.Close()
 
-	p2 := reJoin(func(c *Config) { c.SpillDir = dir })
-	chunks, bytesRewarmed := p2.Rewarmed()
-	if chunks != wantChunks || bytesRewarmed == 0 {
-		t.Fatalf("rewarmed %d chunks (%d bytes), want %d", chunks, bytesRewarmed, wantChunks)
+	sc2 := NewSharedCache(0, 0, nil)
+	rec, err := sc2.EnableSpill(dir, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(sc2.Close)
+	if rec.Entries != wantChunks || rec.Bytes == 0 {
+		t.Fatalf("rewarmed %d chunks (%d bytes), want %d", rec.Entries, rec.Bytes, wantChunks)
+	}
+	if st := sc2.SpillStats(); st.RewarmEntries != rec.Entries || st.RewarmBytes != rec.Bytes {
+		t.Fatalf("SpillStats rewarm %d / %d bytes, EnableSpill said %d / %d", st.RewarmEntries, st.RewarmBytes, rec.Entries, rec.Bytes)
+	}
+	p2 := reJoin(func(c *Config) { c.Shared = sc2 })
 	for i, n := range names {
 		b, err := p2.ReadFileContext(context.Background(), n)
 		if err != nil || !bytes.Equal(b, contents[i]) {
@@ -186,43 +225,8 @@ func TestSpillRewarmAcrossRestart(t *testing.T) {
 	if loads := p2.Stats.ChunkLoads.Load(); loads != 0 {
 		t.Fatalf("restarted peer refetched %d chunks from the servers", loads)
 	}
-	if st := p2.SpillStats(); st.Hits == 0 {
+	if st := sc2.SpillStats(); st.Hits == 0 {
 		t.Fatalf("restarted peer recorded no spill hits: %+v", st)
-	}
-}
-
-// TestSharedCacheSpill wires the spill tier under a SharedCache: chunks
-// evicted by the shared store's pressure come back from SSD for any job
-// reading through it.
-func TestSharedCacheSpill(t *testing.T) {
-	const nFiles, fileSize, chunkTarget = 64, 4 << 10, 16 << 10
-	shared := NewSharedCache(2*chunkTarget, 0, nil)
-	if _, err := shared.EnableSpill(t.TempDir(), 0); err != nil {
-		t.Fatal(err)
-	}
-	defer shared.Close()
-	if _, err := shared.EnableSpill(t.TempDir(), 0); err == nil {
-		t.Fatal("second EnableSpill succeeded")
-	}
-	p, names, contents, _ := spillPeer(t, nFiles, fileSize, chunkTarget, func(c *Config) {
-		c.Shared = shared
-	})
-	for i, n := range names {
-		if b, err := p.ReadFileContext(context.Background(), n); err != nil || !bytes.Equal(b, contents[i]) {
-			t.Fatalf("read %s: %v", n, err)
-		}
-	}
-	loadsAfterFirst := p.Stats.ChunkLoads.Load()
-	for i, n := range names {
-		if b, err := p.ReadFileContext(context.Background(), n); err != nil || !bytes.Equal(b, contents[i]) {
-			t.Fatalf("re-read %s: %v", n, err)
-		}
-	}
-	if got := p.Stats.ChunkLoads.Load(); got != loadsAfterFirst {
-		t.Fatalf("shared spill did not absorb the re-read: %d -> %d loads", loadsAfterFirst, got)
-	}
-	if st := shared.SpillStats(); !st.Enabled || st.Demotions == 0 || st.Hits == 0 {
-		t.Fatalf("shared spill idle: %+v", st)
 	}
 }
 
@@ -232,14 +236,15 @@ func TestSharedCacheSpill(t *testing.T) {
 // ≤ 2 allocs/op (today: the result buffer, 1).
 func BenchmarkDcacheSpillRead(b *testing.B) {
 	const nFiles, fileSize, chunkTarget = 256, 4 << 10, 64 << 10
+	sc := spillCache(b, 0, b.TempDir())
 	p, names, _, _ := spillPeer(b, nFiles, fileSize, chunkTarget, func(c *Config) {
-		c.SpillDir = b.TempDir()
+		c.Shared = sc
 		c.spillPromoteAfter = -1 // hold every read on the pread path
 	})
 	if err := p.LoadOwned(); err != nil {
 		b.Fatal(err)
 	}
-	p.DemoteAll()
+	sc.DemoteAll()
 	ctx := context.Background()
 	b.Run("view", func(b *testing.B) {
 		b.SetBytes(fileSize)

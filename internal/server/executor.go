@@ -48,10 +48,9 @@ const (
 // ExecutorStats counts backend traffic. All fields are atomics so
 // experiments can read them while a workload runs.
 type ExecutorStats struct {
-	ChunkReads   atomic.Uint64 // whole-chunk fetches
-	RangeReads   atomic.Uint64 // per-file range fetches
-	BackendBytes atomic.Uint64 // total bytes pulled from the object store
-	FilesServed  atomic.Uint64
+	ChunkReads  atomic.Uint64 // whole-chunk fetches
+	RangeReads  atomic.Uint64 // per-file range fetches
+	FilesServed atomic.Uint64
 }
 
 // GetFilesContext serves a batch of file reads. The result is parallel to
@@ -219,7 +218,6 @@ func (s *Server) serveGroup(ctx context.Context, dataset string, grp []fileReq, 
 		}
 		defer release()
 		s.Exec.Stats.ChunkReads.Add(1)
-		s.Exec.Stats.BackendBytes.Add(uint64(len(blob)))
 		for _, r := range grp {
 			start := uint64(shape.headerLen) + r.fr.Offset
 			if start > uint64(len(blob)) || r.fr.Length > uint64(len(blob))-start {
@@ -236,7 +234,6 @@ func (s *Server) serveGroup(ctx context.Context, dataset string, grp []fileReq, 
 			return err
 		}
 		s.Exec.Stats.RangeReads.Add(1)
-		s.Exec.Stats.BackendBytes.Add(uint64(len(b)))
 		copy(out[r.idx], b)
 		release()
 	}

@@ -112,8 +112,8 @@ func TestExecutorStatsAccounting(t *testing.T) {
 	if got := s.Exec.Stats.FilesServed.Load(); got != 64 {
 		t.Errorf("FilesServed = %d", got)
 	}
-	if s.Exec.Stats.BackendBytes.Load() == 0 {
-		t.Error("BackendBytes not counted")
+	if s.Exec.Stats.ChunkReads.Load()+s.Exec.Stats.RangeReads.Load() == 0 {
+		t.Error("backend reads not counted")
 	}
 }
 

@@ -204,18 +204,19 @@ func (r *RPCServer) register() {
 	r.registerJobs()
 	r.registerAdmin()
 
-	r.rpc.HandleContext(MethodStat, func(ctx context.Context, p []byte) ([]byte, error) {
+	r.rpc.HandleReply(MethodStat, func(ctx context.Context, p []byte, reply *wire.Reply) error {
 		d := wire.NewDecoder(p)
 		dataset := d.String()
 		path := d.String()
 		if err := d.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		fr, err := r.S.StatContext(ctx, dataset, path)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return fr.Encode(), nil
+		reply.Lend(fr.Encode(), nil)
+		return nil
 	})
 
 	r.rpc.Handle(MethodList, func(p []byte) ([]byte, error) {
@@ -409,10 +410,10 @@ func (r *RPCServer) jobRegistry() (*JobRegistry, error) {
 
 // registerJobs installs the dsl.job* methods of the multi-job plane.
 func (r *RPCServer) registerJobs() {
-	r.rpc.HandleContext(MethodJobRegister, func(ctx context.Context, p []byte) ([]byte, error) {
+	r.rpc.HandleReply(MethodJobRegister, func(ctx context.Context, p []byte, reply *wire.Reply) error {
 		reg, err := r.jobRegistry()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		d := wire.NewDecoder(p)
 		j := JobInfo{
@@ -422,7 +423,7 @@ func (r *RPCServer) registerJobs() {
 			Rank:    int(d.Uint32()),
 		}
 		if err := d.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		if j.ID == "" {
 			// Fall back to the connection identity so bare tools can
@@ -432,11 +433,10 @@ func (r *RPCServer) registerJobs() {
 			}
 		}
 		if err := reg.Register(j); err != nil {
-			return nil, err
+			return err
 		}
-		e := wire.NewEncoder(8)
-		e.Int64(reg.ttl.Nanoseconds())
-		return e.Bytes(), nil
+		reply.Head.Int64(reg.ttl.Nanoseconds())
+		return nil
 	})
 
 	r.rpc.Handle(MethodJobHeartbeat, func(p []byte) ([]byte, error) {

@@ -199,8 +199,25 @@ func (s *Store) Remove(key string) {
 // Victim order: among the shard tails, an entry of a preferred (cold)
 // group beats any entry of a live one, oldest-first within each class —
 // cold groups see no reads, so their entries sink to the tails on their
-// own and the preference finds them there.
+// own and the preference finds them there. prefer may be costly (dcache
+// asks a job registry), so one pass asks it once per group; the answers
+// stay on the stack.
 func (s *Store) evictOver(capacity int64, keep string, prefer func(string) bool) (evicted uint64) {
+	type answer struct {
+		group     string
+		preferred bool
+	}
+	asked := make([]answer, 0, shardCount)
+	preferred := func(group string) bool {
+		for _, a := range asked {
+			if a.group == group {
+				return a.preferred
+			}
+		}
+		a := answer{group, prefer(group)}
+		asked = append(asked, a)
+		return a.preferred
+	}
 	for s.used.Load() > capacity {
 		victim, coldVictim := -1, -1
 		var oldest, coldOldest uint64
@@ -222,7 +239,7 @@ func (s *Store) evictOver(capacity int64, keep string, prefer func(string) bool)
 				victim, oldest = i, tick
 			}
 			// Coldness may consult a registry; never judged under a shard lock.
-			if prefer != nil && prefer(group) && (coldVictim < 0 || tick < coldOldest) {
+			if prefer != nil && preferred(group) && (coldVictim < 0 || tick < coldOldest) {
 				coldVictim, coldOldest = i, tick
 			}
 		}

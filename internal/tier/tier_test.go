@@ -208,7 +208,8 @@ func TestContract(t *testing.T) {
 			}
 		}},
 		{"cold group goes first", 300, true, func(t *testing.T, s *Store, _ string) {
-			cold := func(g string) bool { return g == "cold" }
+			asked := map[string]int{}
+			cold := func(g string) bool { asked[g]++; return g == "cold" }
 			// These four hash to four shards: the preference looks at shard
 			// tails, and the cold entry is about to be the most recent.
 			put(s, "live\x00a", val(1, 100), nil)
@@ -220,6 +221,9 @@ func TestContract(t *testing.T) {
 			}
 			if resident(s, "cold\x00c1") || !resident(s, "live\x00a") {
 				t.Fatal("eviction took a live entry while a cold one was resident")
+			}
+			if asked["live"] != 1 || asked["cold"] != 1 { // two live tails, one cold
+				t.Fatalf("one pass asked the preference %v, want once per group", asked)
 			}
 		}},
 	} {

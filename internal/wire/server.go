@@ -32,14 +32,6 @@ import (
 // connection's writer.
 type Handler func(payload []byte) ([]byte, error)
 
-// ContextHandler is a Handler that also receives a per-request context.
-// The context carries the rehydrated trace span when the request frame
-// had a sampled trace block, so everything the handler calls through it
-// lands in the caller's cross-process span tree. The context is not
-// cancelled when the client disconnects (the protocol has no cancel
-// frames); it exists for trace propagation and future deadline plumbing.
-type ContextHandler func(ctx context.Context, payload []byte) ([]byte, error)
-
 // Reply is the response a handler builds: Head, a few bytes the handler
 // encodes (a length prefix, a flag), followed on the wire by the body it
 // lends. The client sees the two as one payload.
@@ -71,8 +63,14 @@ func (r *Reply) done() {
 }
 
 // ReplyHandler is the one shape the server stores: it answers into r and
-// returns an error for an error response. Handle and HandleContext adapt
-// the slice-returning forms to it.
+// returns an error for an error response. Handle and HandleOwned adapt the
+// slice-returning form to it.
+//
+// The context carries the rehydrated trace span when the request frame
+// had a sampled trace block, so everything the handler calls through it
+// lands in the caller's cross-process span tree, and the job identity the
+// connection announced. It is not cancelled when the client disconnects
+// (the protocol has no cancel frames).
 type ReplyHandler func(ctx context.Context, payload []byte, r *Reply) error
 
 // Server is a multiplexed RPC server: many in-flight requests per
@@ -104,7 +102,6 @@ type handlerEntry struct {
 // the server runs.
 type ServerStats struct {
 	Requests atomic.Uint64
-	BytesIn  atomic.Uint64
 	BytesOut atomic.Uint64
 }
 
@@ -119,13 +116,6 @@ func NewServer() *Server {
 // Handle registers fn for the given method name, replacing any previous
 // registration. Registration after Serve has started is allowed.
 func (s *Server) Handle(method string, fn Handler) {
-	s.handle(method, lendResult(withoutContext(fn)), false)
-}
-
-// HandleContext registers a context-aware handler, replacing any previous
-// registration for the method. Handlers that fan out further RPCs should
-// prefer this form so trace context propagates through them.
-func (s *Server) HandleContext(method string, fn ContextHandler) {
 	s.handle(method, lendResult(fn), false)
 }
 
@@ -136,24 +126,21 @@ func (s *Server) HandleContext(method string, fn ContextHandler) {
 // such as a chunk on its way into a store, which would otherwise be read
 // into a pooled buffer and copied out of it.
 func (s *Server) HandleOwned(method string, fn Handler) {
-	s.handle(method, lendResult(withoutContext(fn)), true)
+	s.handle(method, lendResult(fn), true)
 }
 
 // HandleReply registers a handler in the server's own shape, replacing any
-// previous registration for the method — for responses that carry bytes
-// the handler does not own (see Reply.Lend).
+// previous registration for the method — for handlers that need the
+// request context (trace propagation, the connection's job identity) or
+// answer with bytes they do not own (see Reply.Lend).
 func (s *Server) HandleReply(method string, fn ReplyHandler) {
 	s.handle(method, fn, false)
 }
 
-func withoutContext(fn Handler) ContextHandler {
-	return func(_ context.Context, payload []byte) ([]byte, error) { return fn(payload) }
-}
-
 // lendResult adapts a slice-returning handler to the server's shape.
-func lendResult(fn ContextHandler) ReplyHandler {
-	return func(ctx context.Context, payload []byte, r *Reply) error {
-		out, err := fn(ctx, payload)
+func lendResult(fn Handler) ReplyHandler {
+	return func(_ context.Context, payload []byte, r *Reply) error {
+		out, err := fn(payload)
 		r.Lend(out, nil)
 		return err
 	}
@@ -239,7 +226,6 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			return
 		}
-		s.Stats.BytesIn.Add(uint64(len(f.Payload)))
 		switch f.Kind {
 		case KindOneway:
 			if f.Method == jobMethod {

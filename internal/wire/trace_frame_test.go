@@ -133,11 +133,12 @@ func TestTracePropagationAcrossRPC(t *testing.T) {
 	enableTracing(t)
 	srv := NewServer()
 	handlerTrace := make(chan uint64, 1)
-	srv.HandleContext("echo", func(ctx context.Context, p []byte) ([]byte, error) {
+	srv.HandleReply("echo", func(ctx context.Context, p []byte, r *Reply) error {
 		_, inner := tracing.StartSpan(ctx, "handler.work")
 		inner.End()
 		handlerTrace <- tracing.FromContext(ctx).TraceID()
-		return p, nil
+		r.Lend(p, nil)
+		return nil
 	})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {

@@ -363,3 +363,108 @@ func TestExportedOptionsHaveSetters(t *testing.T) {
 		}
 	}
 }
+
+// statsAllow lists the counters of exported …Stats structs that nothing
+// reads, each with the reason it stays. A key is "pkg.Type.Field".
+var statsAllow = map[string]string{}
+
+// TestStatsCountersAreRead: a counter (an exported obs.Counter or
+// atomic.Uint64 field of an exported …Stats struct) must be read by non-test
+// code or by another package's tests, or be on statsAllow with its reason —
+// one nobody reads is an increment on every event for nothing. A field
+// counts as read by an `x.Field.Load()` call under the import rule of a
+// method call, or by `&x.Field` in its own package's non-test code, which
+// hands the counter to code that reads it (dcache's metric families).
+func TestStatsCountersAreRead(t *testing.T) {
+	files := parseTree(t)
+	var counters []string              // "pkg.Type.Field"
+	declarers := map[string][]string{} // field name → packages declaring such a counter
+	for _, g := range files {
+		pkg := g.surfacePkg()
+		if pkg == "" {
+			continue
+		}
+		for _, d := range g.f.Decls {
+			gd, ok := d.(*ast.GenDecl)
+			if !ok || gd.Tok != token.TYPE {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				ts := spec.(*ast.TypeSpec)
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok || !ts.Name.IsExported() || !strings.HasSuffix(ts.Name.Name, "Stats") {
+					continue
+				}
+				for _, f := range st.Fields.List {
+					sel, ok := f.Type.(*ast.SelectorExpr)
+					if !ok {
+						continue
+					}
+					typ := g.local[sel.X.(*ast.Ident).Name] + "." + sel.Sel.Name
+					if typ != internalPath+"obs.Counter" && typ != "sync/atomic.Uint64" {
+						continue
+					}
+					for _, id := range f.Names {
+						if id.IsExported() {
+							counters = append(counters, pkg+"."+ts.Name.Name+"."+id.Name)
+							declarers[id.Name] = append(declarers[id.Name], pkg)
+						}
+					}
+				}
+			}
+		}
+	}
+
+	read := map[string]bool{} // "pkg.Field", read outside pkg's own tests
+	for _, g := range files {
+		test := strings.HasSuffix(g.path, "_test.go")
+		note := func(field string, ownOnly bool) {
+			imported := false
+			for _, pkg := range declarers[field] {
+				imported = imported || g.imports[internalPath+pkg]
+			}
+			for _, pkg := range declarers[field] {
+				own := g.dir == "internal/"+pkg
+				if (g.imports[internalPath+pkg] || !imported) && !(test && own) && (own || !ownOnly) {
+					read[pkg+"."+field] = true
+				}
+			}
+		}
+		ast.Inspect(g.f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if inner, ok := n.X.(*ast.SelectorExpr); ok && n.Sel.Name == "Load" {
+					note(inner.Sel.Name, false)
+				}
+			case *ast.UnaryExpr:
+				if sel, ok := n.X.(*ast.SelectorExpr); ok && n.Op == token.AND {
+					note(sel.Sel.Name, true)
+				}
+			}
+			return true
+		})
+	}
+
+	used := map[string]bool{}
+	var unread []string
+	for _, c := range counters {
+		pkg, rest, _ := strings.Cut(c, ".")
+		_, field, _ := strings.Cut(rest, ".")
+		switch {
+		case read[pkg+"."+field]:
+		case statsAllow[c] != "":
+			used[c] = true
+		default:
+			unread = append(unread, c)
+		}
+	}
+	sort.Strings(unread)
+	for _, c := range unread {
+		t.Errorf("%s: a counter nothing reads but its own package's tests — delete it, or add it to statsAllow with the reason", c)
+	}
+	for key := range statsAllow {
+		if !used[key] {
+			t.Errorf("statsAllow[%q] is stale: the counter is gone or is read now", key)
+		}
+	}
+}
