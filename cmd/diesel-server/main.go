@@ -102,7 +102,7 @@ func main() {
 			logger.Info("diesel-server cache spill tier on", "dir", *cacheSpillDir,
 				"budget", *cacheSpillBytes, "rewarmed_objects", rec.Entries, "rewarmed_bytes", rec.Bytes)
 		}
-		defer tiered.Close() // leaves the spill manifest for the next start
+		defer tiered.Close() // leaves the spill segments for the next start
 		objects = tiered
 	} else if *cacheSpillDir != "" {
 		logger.Warn("diesel-server: -cache-spill-dir ignored without -ssd-cache")
@@ -183,7 +183,7 @@ func main() {
 		core.RegisterMetrics(obs.Default())
 		mux := obs.NewMux(obs.Default())
 		mux.Handle("/debug/jobs", core.JobsHandler())
-		// Tier occupancy and spill-manifest summary; 404 JSON without a
+		// Tier occupancy and spill-segment summary; 404 JSON without a
 		// -ssd-cache tier, so probes can tell "off" from "gone".
 		mux.Handle("/debug/cache", core.CacheHandler())
 		// Mounted even with the watchdog off: it answers 503 JSON then,

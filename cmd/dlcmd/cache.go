@@ -14,7 +14,8 @@ import (
 // runCache scrapes one or more /debug/cache endpoints (diesel-server
 // started with -metrics and -ssd-cache) and pretty-prints each server's
 // tier occupancy: fast-tier bytes and hit rate, the spill tier's
-// manifest summary, and per-dataset resident bytes across both tiers.
+// entries, segments and traffic, and per-dataset resident bytes across
+// both tiers.
 // Like stats/trace/diag it talks HTTP to the metrics address, so it
 // needs neither -dataset nor a DIESEL connection.
 func runCache(args []string) error {

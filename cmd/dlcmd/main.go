@@ -35,7 +35,7 @@
 //	                                 server in -servers; no -dataset needed)
 //	stats [-watch 2s] <host:port | url> scrape a -metrics endpoint (watch: print deltas/rates)
 //	cache <host:port | url>...       scrape /debug/cache endpoints: tier
-//	                                 occupancy, spill-manifest summary and
+//	                                 occupancy, spill-segment summary and
 //	                                 per-dataset resident bytes
 
 //	trace [-id hex] <endpoint>...    scrape /debug/traces from one or more

@@ -215,9 +215,9 @@ func main() {
 	gate("spill-hit-rate", hitRate, minSpillHitRate)
 
 	// Warm restart: flush the RAM residents down, close the task, and
-	// rejoin over the same spill directory. The manifest rewarms the cache
-	// from local disk; the first epoch after restart should barely touch
-	// the server at all.
+	// rejoin over the same spill directory. A scan of its segments rewarms
+	// the cache from local disk; the first epoch after restart should
+	// barely touch the server at all.
 	scache.DemoteAll()
 	spilled.Close()
 	scache.Close()

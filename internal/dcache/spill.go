@@ -12,12 +12,12 @@ type SpillStats = tier.Stats
 // EnableSpill opens the local-SSD spill tier under the cache: chunks
 // evicted under capacity pressure demote their payload to dir instead of
 // being dropped, later reads are served from it by pread (or promoted back
-// to RAM), and a process restarted over the same dir rewarms from the
-// manifest — the returned Recovered says how much came back. The dir must
-// be private to this cache. capacityBytes bounds the tier's on-disk bytes
-// (0 = unlimited); the budget is the cache's, that is one per node
-// process. Call once, before (or while) tasks use the cache; a second call
-// fails.
+// to RAM), and a process restarted over the same dir rewarms by scanning
+// its segments — the returned Recovered says how much came back. The dir
+// must be private to this cache. capacityBytes bounds the tier's on-disk
+// bytes (0 = unlimited); the budget is the cache's, that is one per node
+// process. Call once, before (or while) tasks use the cache; a second
+// call fails.
 func (s *SharedCache) EnableSpill(dir string, capacityBytes int64) (spill.Recovered, error) {
 	return s.store.EnableSpill(dir, capacityBytes)
 }

@@ -231,7 +231,7 @@ func TestSpillRewarmAcrossRestart(t *testing.T) {
 }
 
 // BenchmarkDcacheSpillRead measures the spill-hit fast path the
-// BENCH_baseline.json alloc gate watches: RAM miss → manifest lookup →
+// BENCH_baseline.json alloc gate watches: RAM miss → spill index lookup →
 // one pread of the file's exact range into a fresh buffer. Budget:
 // ≤ 2 allocs/op (today: the result buffer, 1).
 func BenchmarkDcacheSpillRead(b *testing.B) {

@@ -138,8 +138,9 @@ func (t *Tiered) List(prefix string) ([]string, error) { return t.slow.List(pref
 func (t *Tiered) Size(key string) (int64, error) { return t.slow.Size(key) }
 
 // EnableSpill opens the spill level under the fast tier in dir, bounded
-// to capacityBytes on disk (0 = unlimited), replaying any manifest a
-// previous server process left there. Call once, at deploy time.
+// to capacityBytes on disk (0 = unlimited), rebuilding its index from the
+// segments a previous server process left there. Call once, at deploy
+// time.
 func (t *Tiered) EnableSpill(dir string, capacityBytes int64) (spill.Recovered, error) {
 	return t.fast.EnableSpill(dir, capacityBytes)
 }

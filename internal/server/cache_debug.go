@@ -20,9 +20,10 @@ type CacheDebug struct {
 
 // CacheHandler serves the tiered store's occupancy as JSON on
 // /debug/cache: fast-tier bytes and hit counters, the spill tier's
-// manifest summary, and per-dataset resident bytes in each tier —
-// what `dlcmd cache` pretty-prints. Without a tiered store it answers
-// 404 JSON, so probes can tell "no cache tier" from "endpoint gone".
+// entries, segments and traffic, and per-dataset resident bytes in each
+// tier — what `dlcmd cache` pretty-prints. Without a tiered store it
+// answers 404 JSON, so probes can tell "no cache tier" from "endpoint
+// gone".
 func (s *Server) CacheHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		t, ok := s.objects.(*objstore.Tiered)

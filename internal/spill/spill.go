@@ -1,12 +1,16 @@
 // Package spill implements the local-SSD tier under an in-RAM cache: an
-// append-friendly log of immutable byte payloads keyed by string, with a
-// crash-safe manifest so a restarted process rewarms from local disk at
+// append-friendly log of immutable byte payloads keyed by string. Every
+// record carries its own key and checksums, so a restarted process
+// rebuilds the index by scanning the segments — the way DIESEL rebuilds
+// its metadata from self-contained chunks — and rewarms from local disk at
 // disk bandwidth instead of refetching over the network.
 //
-// Layout on disk (all inside Config.Dir):
+// Config.Dir holds segment files seg-%08d.spill and nothing else. A
+// segment is a run of records (little-endian):
 //
-//	seg-%08d.spill   append-only segment files holding raw payloads
-//	MANIFEST         append-only index: key → (segment, offset, length, CRC)
+//	hdrCRC u32 | flags u8 | keyLen u16 | payloadLen u64 | payloadCRC u32 | key | payload
+//
+// where hdrCRC is the CRC32-C of flags through the end of key.
 //
 // Writes go to the tail of the active segment; when it reaches the
 // segment target size it is sealed and a new one starts. Capacity is
@@ -16,17 +20,21 @@
 // itself roughly LRU-ordered, so FIFO retirement approximates LRU without
 // any rewrite traffic.
 //
-// The manifest is append-only with a per-record CRC. Nothing is fsynced:
-// the log is a cache, not a source of truth, so a torn tail after a crash
-// is detected by the record CRC and cut off, and a payload whose segment
-// write never completed fails its payload CRC on first full read. Replay
-// additionally drops records whose segment file is missing or too short.
-// The manifest is compacted (rewritten from the live index via a temp
-// file + rename) on open and whenever dead records dominate.
+// Add writes the payload, then its header, so a header that checks out
+// was written after its payload. Remove rewrites the header in place with
+// the dead flag set and the CRC recomputed; if that write fails, the
+// record's segment retires, so a removed key never comes back. Nothing is
+// fsynced: the log is a cache, not a source of truth. Open walks the
+// segments oldest first, one pread per header: a header that fails its
+// CRC, or whose payload runs past the end of the file, ends that
+// segment's scan (a torn tail); dead records are skipped, a later live
+// record for a key replaces an earlier one, and a segment left with no
+// live record is unlinked. A payload that no longer matches its CRC is
+// dropped on its first full read.
 //
-// Concurrency: an internal mutex guards the index and manifest; payload
-// reads and writes (pread/pwrite) run outside it, so demotion writes do
-// not block spill reads.
+// Concurrency: an internal mutex guards the index; Add's writes and all
+// payload reads (pwrite/pread) run outside it, so demotion writes do not
+// block spill reads.
 package spill
 
 import (
@@ -34,10 +42,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -54,26 +62,18 @@ var errCorrupt = errors.New("spill: payload corrupt")
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 const (
-	manifestName    = "MANIFEST"
-	manifestMagic   = uint32(0x4453504c) // "DSPL"
-	manifestVersion = uint32(1)
-	headerLen       = 8
-
-	opAdd = byte(1)
-	opDel = byte(2)
+	// hdrFixed is the length of a record header without its key.
+	hdrFixed = 19
+	flagDead = byte(1)
 
 	defaultSegmentBytes = int64(64 << 20)
 	minSegmentBytes     = int64(64 << 10)
-
-	// Compaction fires when dead manifest records dominate live ones.
-	compactMinRecords = 1024
-	compactDeadFactor = 4
 )
 
 // Config parameterises Open.
 type Config struct {
-	// Dir holds the segment files and manifest; created if missing. One
-	// Log may own a directory at a time.
+	// Dir holds the segment files; created if missing. One Log may own a
+	// directory at a time.
 	Dir string
 	// CapacityBytes bounds total on-disk segment bytes (0 = unlimited).
 	// Enforced by FIFO retirement of whole sealed segments, so transient
@@ -85,28 +85,26 @@ type Config struct {
 	segmentBytes int64
 }
 
-// Recovered reports what Open replayed from a previous incarnation.
+// Recovered reports what Open rebuilt from a previous incarnation.
 type Recovered struct {
-	Entries   int   // live entries rewarmed from the manifest
-	Bytes     int64 // payload bytes those entries cover
-	dropped   int   // manifest records dropped (missing/short segments)
-	truncated bool  // the manifest had a torn tail that was cut off
+	Entries int   // live entries rewarmed from the segments
+	Bytes   int64 // payload bytes those entries cover
+	dropped int   // records that ended a segment's scan (torn header or short payload)
 }
 
 // Stats is a point-in-time snapshot of the log.
 type Stats struct {
-	Entries         int   `json:"entries"`
-	LiveBytes       int64 `json:"live_bytes"` // payload bytes reachable via the index
-	DiskBytes       int64 `json:"disk_bytes"` // segment file bytes on disk (incl. dead space)
-	Segments        int   `json:"segments"`
-	ManifestRecords int   `json:"manifest_records"`
-	DroppedEntries  uint64
-	droppedBytes    uint64
+	Entries        int   `json:"entries"`
+	LiveBytes      int64 `json:"live_bytes"` // payload bytes reachable via the index
+	DiskBytes      int64 `json:"disk_bytes"` // segment file bytes on disk (incl. headers and dead space)
+	Segments       int   `json:"segments"`
+	DroppedEntries uint64
+	droppedBytes   uint64
 }
 
 type entry struct {
 	seg    uint64
-	off    int64
+	off    int64 // of the payload; its header ends here
 	length int64
 	crc    uint32
 	hits   uint32
@@ -117,7 +115,6 @@ type segment struct {
 	f       *os.File
 	size    int64 // bytes reserved in the file (== file size once writes land)
 	live    int64 // payload bytes still reachable via the index
-	sealed  bool
 	retired bool
 }
 
@@ -132,22 +129,18 @@ type Log struct {
 	entries   map[string]*entry
 	segs      map[uint64]*segment
 	order     []uint64 // segment ids, oldest first (last may be active)
-	active    *segment
+	active    *segment // the one segment Add appends to; every other is sealed
 	nextID    uint64
 	liveBytes int64
 	diskBytes int64
 
-	mf       *os.File // manifest, positioned at its end
-	records  int      // records in the manifest file
-	recBuf   []byte   // scratch for record encoding, reused under mu
-	mfErr    error    // first manifest append failure (rewarm degraded, log still serves)
-	dropped  uint64   // entries dropped by segment retirement
+	dropped  uint64 // entries dropped by segment retirement
 	droppedB uint64
 	rewarmed Recovered
 }
 
-// Open opens (or creates) the spill log in cfg.Dir, replaying any
-// manifest a previous incarnation left behind.
+// Open opens (or creates) the spill log in cfg.Dir, rebuilding the index
+// from any segments a previous incarnation left behind.
 func Open(cfg Config) (*Log, Recovered, error) {
 	if cfg.Dir == "" {
 		return nil, Recovered{}, errors.New("spill: Dir required")
@@ -179,268 +172,126 @@ func Open(cfg Config) (*Log, Recovered, error) {
 	return l, l.rewarmed, nil
 }
 
-func (l *Log) manifestPath() string { return filepath.Join(l.dir, manifestName) }
-
 func (l *Log) segPath(id uint64) string {
 	return filepath.Join(l.dir, fmt.Sprintf("seg-%08d.spill", id))
 }
 
-// replay rebuilds the index from the manifest and the segment files on
-// disk, then rewrites a compacted manifest. Any inconsistency resolves
-// toward dropping entries — the log is a cache.
+// replay rebuilds the index by scanning the segment files on disk, oldest
+// first. Any inconsistency resolves toward dropping entries — the log is
+// a cache.
 func (l *Log) replay() error {
-	type rec struct {
-		seg    uint64
-		off    int64
-		length int64
-		crc    uint32
-	}
-	pending := make(map[string]rec)
-	data, err := os.ReadFile(l.manifestPath())
-	switch {
-	case errors.Is(err, fs.ErrNotExist):
-		// Fresh directory (or manifest lost): any orphaned segment files
-		// are unreadable without an index; remove them below.
-	case err != nil:
-		return fmt.Errorf("spill: read manifest: %w", err)
-	default:
-		pos := 0
-		if len(data) >= headerLen &&
-			binary.LittleEndian.Uint32(data) == manifestMagic &&
-			binary.LittleEndian.Uint32(data[4:]) == manifestVersion {
-			pos = headerLen
-		} else {
-			// Unknown header: treat as empty (version bump or garbage).
-			l.rewarmed.truncated = len(data) > 0
-			pos = len(data)
-		}
-		for pos < len(data) {
-			r, key, n, ok := parseRecord(data[pos:])
-			if !ok {
-				l.rewarmed.truncated = true
-				break
-			}
-			pos += n
-			switch r.op {
-			case opAdd:
-				pending[key] = rec{seg: r.seg, off: r.off, length: r.length, crc: r.crc}
-			case opDel:
-				delete(pending, key)
-			}
-		}
-	}
-
-	// Inventory the segment files actually on disk.
 	names, err := filepath.Glob(filepath.Join(l.dir, "seg-*.spill"))
 	if err != nil {
 		return fmt.Errorf("spill: scan segments: %w", err)
 	}
-	sizes := make(map[uint64]int64)
+	var ids []uint64
 	for _, name := range names {
 		var id uint64
-		if _, err := fmt.Sscanf(filepath.Base(name), "seg-%d.spill", &id); err != nil {
-			continue
+		if _, err := fmt.Sscanf(filepath.Base(name), "seg-%d.spill", &id); err == nil {
+			ids = append(ids, id)
 		}
-		st, err := os.Stat(name)
+	}
+	slices.Sort(ids)
+	buf := make([]byte, 256)
+	for _, id := range ids {
+		l.nextID = id + 1
+		// Read-write: Remove marks records dead in sealed segments too.
+		f, err := os.OpenFile(l.segPath(id), os.O_RDWR, 0)
 		if err != nil {
 			continue
 		}
-		sizes[id] = st.Size()
-		if id >= l.nextID {
-			l.nextID = id + 1
-		}
-	}
-
-	// Keep entries whose bytes verifiably exist; count the rest as dropped.
-	live := make(map[uint64]int64)
-	for key, r := range pending {
-		size, ok := sizes[r.seg]
-		if !ok || r.off < 0 || r.length < 0 || r.off+r.length > size {
-			l.rewarmed.dropped++
-			continue
-		}
-		l.entries[key] = &entry{seg: r.seg, off: r.off, length: r.length, crc: r.crc}
-		live[r.seg] += r.length
-		l.liveBytes += r.length
-	}
-
-	// Open segments with live data read-only (they are sealed forever);
-	// unlink the rest — without index entries their bytes are garbage.
-	for id, size := range sizes {
-		if live[id] == 0 {
-			os.Remove(l.segPath(id))
-			continue
-		}
-		f, err := os.Open(l.segPath(id))
+		st, err := f.Stat()
 		if err != nil {
-			// Lost between stat and open: drop its entries.
-			for key, e := range l.entries {
-				if e.seg == id {
-					delete(l.entries, key)
-					l.liveBytes -= e.length
-					l.rewarmed.dropped++
-				}
-			}
+			f.Close()
 			continue
 		}
-		l.segs[id] = &segment{id: id, f: f, size: size, live: live[id], sealed: true}
-		l.diskBytes += size
-	}
-	l.order = make([]uint64, 0, len(l.segs))
-	for id := range l.segs {
+		seg := &segment{id: id, f: f, size: st.Size()}
+		l.segs[id] = seg
 		l.order = append(l.order, id)
+		buf = l.scan(seg, buf)
 	}
-	sort.Slice(l.order, func(i, j int) bool { return l.order[i] < l.order[j] })
-
+	for _, e := range l.entries {
+		l.segs[e.seg].live += e.length
+		l.liveBytes += e.length
+	}
+	// Without a live record a segment's bytes are garbage: unlink it.
+	l.order = slices.DeleteFunc(l.order, func(id uint64) bool {
+		seg := l.segs[id]
+		if seg.live > 0 {
+			l.diskBytes += seg.size
+			return false
+		}
+		seg.f.Close()
+		os.Remove(l.segPath(id))
+		delete(l.segs, id)
+		return true
+	})
 	l.rewarmed.Entries = len(l.entries)
 	l.rewarmed.Bytes = l.liveBytes
-
-	// Start from a compacted manifest: replay is the natural moment, and
-	// it also truncates any torn tail for good.
-	if err := l.compactLocked(); err != nil {
-		l.closeFilesLocked()
-		return err
-	}
 	return nil
 }
 
-type rawRec struct {
-	op     byte
-	seg    uint64
-	off    int64
-	length int64
-	crc    uint32
-}
-
-// Record layout (little-endian), CRC-terminated so replay can detect a
-// torn tail:
-//
-//	op u8 | keyLen u16 | key | [seg u64 | off u64 | len u64 | payloadCRC u32] | recCRC u32
-//
-// The bracketed fields are present only for opAdd.
-func parseRecord(b []byte) (r rawRec, key string, n int, ok bool) {
-	if len(b) < 3 {
-		return r, "", 0, false
-	}
-	r.op = b[0]
-	kl := int(binary.LittleEndian.Uint16(b[1:]))
-	n = 3 + kl
-	switch r.op {
-	case opAdd:
-		n += 32 // seg u64 + off u64 + len u64 + payloadCRC u32 + recCRC u32
-	case opDel:
-		n += 4 // recCRC u32
-	default:
-		return r, "", 0, false
-	}
-	if len(b) < n {
-		return r, "", 0, false
-	}
-	sum := crc32.Checksum(b[:n-4], castagnoli)
-	if sum != binary.LittleEndian.Uint32(b[n-4:]) {
-		return r, "", 0, false
-	}
-	key = string(b[3 : 3+kl])
-	if r.op == opAdd {
-		p := b[3+kl:]
-		r.seg = binary.LittleEndian.Uint64(p)
-		r.off = int64(binary.LittleEndian.Uint64(p[8:]))
-		r.length = int64(binary.LittleEndian.Uint64(p[16:]))
-		r.crc = binary.LittleEndian.Uint32(p[24:])
-	}
-	return r, key, n, true
-}
-
-// appendRecordLocked appends one manifest record. A failed append leaves
-// the in-memory index authoritative (the log keeps serving) and is
-// remembered in mfErr; the next successful compaction clears it.
-func (l *Log) appendRecordLocked(op byte, key string, e *entry) {
-	if l.mf == nil {
-		return
-	}
-	b := l.recBuf[:0]
-	b = append(b, op)
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(key)))
-	b = append(b, key...)
-	if op == opAdd {
-		b = binary.LittleEndian.AppendUint64(b, e.seg)
-		b = binary.LittleEndian.AppendUint64(b, uint64(e.off))
-		b = binary.LittleEndian.AppendUint64(b, uint64(e.length))
-		b = binary.LittleEndian.AppendUint32(b, e.crc)
-	}
-	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
-	l.recBuf = b[:0]
-	if _, err := l.mf.Write(b); err != nil {
-		if l.mfErr == nil {
-			l.mfErr = err
+// scan indexes seg's records in file order, one pread per
+// header (two for a key longer than buf holds), and returns the read
+// buffer, grown if it had to be. A header that fails its CRC, or whose
+// payload runs past the end of the file, ends the scan: that is where the
+// previous incarnation's writes stopped.
+func (l *Log) scan(seg *segment, buf []byte) []byte {
+	for off := int64(0); off < seg.size; {
+		// A short read, at EOF or on an I/O error, is judged by n alone: a
+		// header it cuts fails the checks below and ends the scan.
+		n, _ := seg.f.ReadAt(buf, off)
+		if n >= hdrFixed && keyEnd(buf) > len(buf) {
+			buf = make([]byte, keyEnd(buf))
+			n, _ = seg.f.ReadAt(buf, off)
 		}
-		return
-	}
-	l.records++
-}
-
-// compactLocked rewrites the manifest from the live index via temp file +
-// rename, so a crash mid-compaction leaves the old manifest intact.
-func (l *Log) compactLocked() error {
-	tmp := l.manifestPath() + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("spill: compact manifest: %w", err)
-	}
-	var hdr [headerLen]byte
-	binary.LittleEndian.PutUint32(hdr[:], manifestMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], manifestVersion)
-	buf := make([]byte, 0, 4096)
-	buf = append(buf, hdr[:]...)
-	for key, e := range l.entries {
-		rec := make([]byte, 0, 31+len(key))
-		rec = append(rec, opAdd)
-		rec = binary.LittleEndian.AppendUint16(rec, uint16(len(key)))
-		rec = append(rec, key...)
-		rec = binary.LittleEndian.AppendUint64(rec, e.seg)
-		rec = binary.LittleEndian.AppendUint64(rec, uint64(e.off))
-		rec = binary.LittleEndian.AppendUint64(rec, uint64(e.length))
-		rec = binary.LittleEndian.AppendUint32(rec, e.crc)
-		rec = binary.LittleEndian.AppendUint32(rec, crc32.Checksum(rec, castagnoli))
-		buf = append(buf, rec...)
-		if len(buf) >= 1<<16 {
-			if _, err := f.Write(buf); err != nil {
-				f.Close()
-				os.Remove(tmp)
-				return fmt.Errorf("spill: compact manifest: %w", err)
-			}
-			buf = buf[:0]
+		h := buf[:n]
+		if n < hdrFixed || keyEnd(h) > n || crc32.Checksum(h[4:keyEnd(h)], castagnoli) != binary.LittleEndian.Uint32(h) {
+			l.rewarmed.dropped++
+			return buf
 		}
+		h = h[:keyEnd(h)]
+		length := int64(binary.LittleEndian.Uint64(h[7:]))
+		if length < 0 || length > seg.size-off-int64(len(h)) {
+			l.rewarmed.dropped++
+			return buf
+		}
+		// A dead record says nothing about the key's other records: the
+		// loser of two racing Adds kills its copy, wherever it landed.
+		if h[4]&flagDead == 0 {
+			l.entries[string(h[hdrFixed:])] = &entry{seg: seg.id, off: off + int64(len(h)), length: length, crc: binary.LittleEndian.Uint32(h[15:])}
+		}
+		off += int64(len(h)) + length
 	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("spill: compact manifest: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("spill: compact manifest: %w", err)
-	}
-	if err := os.Rename(tmp, l.manifestPath()); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("spill: compact manifest: %w", err)
-	}
-	if l.mf != nil {
-		l.mf.Close()
-	}
-	mf, err := os.OpenFile(l.manifestPath(), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("spill: reopen manifest: %w", err)
-	}
-	l.mf = mf
-	l.records = len(l.entries)
-	l.mfErr = nil
-	return nil
+	return buf
 }
 
-func (l *Log) maybeCompactLocked() {
-	if l.records >= compactMinRecords && l.records > compactDeadFactor*len(l.entries) {
-		l.compactLocked() // best-effort; a failure keeps the old manifest
+// keyEnd is where the key of the record header at the start of h ends.
+func keyEnd(h []byte) int { return hdrFixed + int(binary.LittleEndian.Uint16(h[5:])) }
+
+// header encodes the record header of key's entry e.
+func header(flags byte, key string, e *entry) []byte {
+	h := make([]byte, hdrFixed+len(key))
+	h[4] = flags
+	binary.LittleEndian.PutUint16(h[5:], uint16(len(key)))
+	binary.LittleEndian.PutUint64(h[7:], uint64(e.length))
+	binary.LittleEndian.PutUint32(h[15:], e.crc)
+	copy(h[hdrFixed:], key)
+	binary.LittleEndian.PutUint32(h, crc32.Checksum(h[4:], castagnoli))
+	return h
+}
+
+// killLocked rewrites the header of key's record e in seg with the dead
+// flag set, so no later Open indexes it. If that write fails the segment
+// retires instead, sealed first if it is the active one: the key must
+// not come back.
+func (l *Log) killLocked(seg *segment, key string, e *entry) {
+	h := header(flagDead, key, e)
+	if _, err := seg.f.WriteAt(h, e.off-int64(len(h))); err != nil {
+		if seg == l.active {
+			l.active = nil
+		}
+		l.retireLocked(seg)
 	}
 }
 
@@ -448,9 +299,6 @@ func (l *Log) maybeCompactLocked() {
 // rotating first when the active segment is full (or absent).
 func (l *Log) reserveLocked(length int64) (*segment, int64, error) {
 	if l.active == nil || (l.active.size > 0 && l.active.size+length > l.segBytes) {
-		if l.active != nil {
-			l.active.sealed = true
-		}
 		id := l.nextID
 		l.nextID++
 		f, err := os.OpenFile(l.segPath(id), os.O_CREATE|os.O_RDWR|os.O_EXCL, 0o644)
@@ -503,26 +351,20 @@ func (l *Log) retireLocked(victim *segment) {
 	victim.f.Close()
 	os.Remove(l.segPath(victim.id))
 	delete(l.segs, victim.id)
-	for i, id := range l.order {
-		if id == victim.id {
-			l.order = append(l.order[:i], l.order[i+1:]...)
-			break
-		}
-	}
+	l.order = slices.DeleteFunc(l.order, func(id uint64) bool { return id == victim.id })
 	l.diskBytes -= victim.size
 	l.liveBytes -= droppedBytes
 	l.dropped += uint64(dropped)
 	l.droppedB += uint64(droppedBytes)
-	// The dropped entries' add-records are now dead weight in the
-	// manifest; replay drops them anyway (segment file gone), so no del
-	// records are written — compaction trims them eventually.
-	l.maybeCompactLocked()
 }
 
 // Add stores payload under key. A key already present is left untouched
 // (payloads are immutable): Add reports written=false and writes nothing,
 // which makes re-demotion of a previously spilled entry free.
 func (l *Log) Add(key string, payload []byte) (written bool, err error) {
+	if len(key) > math.MaxUint16 {
+		return false, errors.New("spill: key longer than 64 KiB")
+	}
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
@@ -532,7 +374,8 @@ func (l *Log) Add(key string, payload []byte) (written bool, err error) {
 		l.mu.Unlock()
 		return false, nil
 	}
-	seg, off, err := l.reserveLocked(int64(len(payload)))
+	hlen := int64(hdrFixed + len(key))
+	seg, off, err := l.reserveLocked(hlen + int64(len(payload)))
 	if err != nil {
 		l.mu.Unlock()
 		return false, err
@@ -540,12 +383,17 @@ func (l *Log) Add(key string, payload []byte) (written bool, err error) {
 	f := seg.f
 	l.mu.Unlock()
 
-	// The payload write happens outside the lock: a concurrent spill read
-	// never waits behind a demotion's disk write.
-	if _, err := f.WriteAt(payload, off); err != nil {
+	// Both writes happen outside the lock: a concurrent spill read never
+	// waits behind a demotion's disk write. The payload goes first, so a
+	// crash between the two leaves a header that fails its CRC, never one
+	// that vouches for bytes that did not land.
+	e := &entry{seg: seg.id, off: off + hlen, length: int64(len(payload)), crc: crc32.Checksum(payload, castagnoli)}
+	if _, err := f.WriteAt(payload, e.off); err != nil {
 		return false, fmt.Errorf("spill: write segment: %w", err)
 	}
-	crc := crc32.Checksum(payload, castagnoli)
+	if _, err := f.WriteAt(header(0, key, e), off); err != nil {
+		return false, fmt.Errorf("spill: write segment: %w", err)
+	}
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -557,15 +405,15 @@ func (l *Log) Add(key string, payload []byte) (written bool, err error) {
 		return false, nil
 	}
 	if _, dup := l.entries[key]; dup {
-		return false, nil // a concurrent Add of the same key won
+		// A concurrent Add of the same key won; this copy must not outlive
+		// a later Remove of the key into the next Open.
+		l.killLocked(seg, key, e)
+		return false, nil
 	}
-	e := &entry{seg: seg.id, off: off, length: int64(len(payload)), crc: crc}
 	l.entries[key] = e
 	seg.live += e.length
 	l.liveBytes += e.length
-	l.appendRecordLocked(opAdd, key, e)
 	l.retireOverLocked()
-	l.maybeCompactLocked()
 	return true, nil
 }
 
@@ -641,17 +489,13 @@ func (l *Log) Size(key string) (int64, bool) {
 	return e.length, true
 }
 
-// Remove drops key from the log (persisted, so a restart does not
-// resurrect it — required when the caller overwrites or deletes the
-// underlying object). Disk space is reclaimed when the segment retires;
-// a sealed segment whose last entry goes is unlinked immediately.
+// Remove drops key from the log and marks its record dead on disk, so a
+// restart does not resurrect it — required when the caller overwrites or
+// deletes the underlying object. Disk space is reclaimed when the segment
+// retires; a sealed segment whose last entry goes is unlinked immediately.
 func (l *Log) Remove(key string) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.removeLocked(key)
-}
-
-func (l *Log) removeLocked(key string) bool {
 	if l.closed {
 		return false
 	}
@@ -661,14 +505,12 @@ func (l *Log) removeLocked(key string) bool {
 	}
 	delete(l.entries, key)
 	l.liveBytes -= e.length
-	l.appendRecordLocked(opDel, key, nil)
-	if seg, ok := l.segs[e.seg]; ok {
-		seg.live -= e.length
-		if seg.live <= 0 && seg.sealed {
-			l.retireLocked(seg)
-		}
+	seg := l.segs[e.seg]
+	seg.live -= e.length
+	l.killLocked(seg, key, e)
+	if !seg.retired && seg.live <= 0 && seg != l.active {
+		l.retireLocked(seg)
 	}
-	l.maybeCompactLocked()
 	return true
 }
 
@@ -694,18 +536,17 @@ func (l *Log) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return Stats{
-		Entries:         len(l.entries),
-		LiveBytes:       l.liveBytes,
-		DiskBytes:       l.diskBytes,
-		Segments:        len(l.segs),
-		ManifestRecords: l.records,
-		DroppedEntries:  l.dropped,
-		droppedBytes:    l.droppedB,
+		Entries:        len(l.entries),
+		LiveBytes:      l.liveBytes,
+		DiskBytes:      l.diskBytes,
+		Segments:       len(l.segs),
+		DroppedEntries: l.dropped,
+		droppedBytes:   l.droppedB,
 	}
 }
 
-// Close closes the manifest and segment handles. The on-disk state stays
-// behind for the next Open to rewarm from.
+// Close closes the segment handles. The segments stay behind for the
+// next Open to rewarm from.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -713,16 +554,8 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
-	l.closeFilesLocked()
-	return nil
-}
-
-func (l *Log) closeFilesLocked() {
-	if l.mf != nil {
-		l.mf.Close()
-		l.mf = nil
-	}
 	for _, s := range l.segs {
 		s.f.Close()
 	}
+	return nil
 }

@@ -12,17 +12,16 @@ import (
 type Stats struct {
 	Enabled       bool   `json:"enabled"`
 	Entries       int    `json:"entries"`    // values resident in the spill level
-	Bytes         int64  `json:"bytes"`      // value bytes reachable via the manifest index
-	DiskBytes     int64  `json:"disk_bytes"` // segment bytes on disk (dead space included)
+	Bytes         int64  `json:"bytes"`      // value bytes reachable via the spill index
+	DiskBytes     int64  `json:"disk_bytes"` // segment bytes on disk (headers and dead space included)
 	Segments      int    `json:"segments"`
-	ManifestRecs  int    `json:"manifest_records"`
 	Hits          uint64 `json:"hits"`   // reads answered by the spill level (preads + promotions)
 	Misses        uint64 `json:"misses"` // whole-value loads that missed both levels and went to the origin
 	Demotions     uint64 `json:"demotions"`
 	DemotedBytes  uint64 `json:"demoted_bytes"` // bytes physically written (re-demotions are free)
 	Promotions    uint64 `json:"promotions"`
 	Dropped       uint64 `json:"dropped"`        // entries lost to segment retirement (disk budget)
-	RewarmEntries int    `json:"rewarm_entries"` // manifest entries replayed at EnableSpill
+	RewarmEntries int    `json:"rewarm_entries"` // entries the segment scan rebuilt at EnableSpill
 	RewarmBytes   int64  `json:"rewarm_bytes"`
 }
 
@@ -39,8 +38,7 @@ func (s *Store) Stats() Stats {
 		ls := sp.log.Stats()
 		st.Enabled = true
 		st.Entries, st.Bytes, st.DiskBytes = ls.Entries, ls.LiveBytes, ls.DiskBytes
-		st.Segments, st.ManifestRecs = ls.Segments, ls.ManifestRecords
-		st.Dropped = ls.DroppedEntries
+		st.Segments, st.Dropped = ls.Segments, ls.DroppedEntries
 		st.RewarmEntries, st.RewarmBytes = sp.rewarmed.Entries, sp.rewarmed.Bytes
 	}
 	return st
@@ -76,7 +74,7 @@ func NewSite(reg *obs.Registry, name string) *Site {
 			true, func(st Stats) float64 { return float64(st.Misses) }},
 		{"diesel_tier_dropped_total", "Spilled values dropped by segment retirement under the spill disk budget.",
 			true, func(st Stats) float64 { return float64(st.Dropped) }},
-		{"diesel_tier_rewarmed_total", "Values rewarmed from a spill manifest at start (restart recovery at disk bandwidth).",
+		{"diesel_tier_rewarmed_total", "Values rewarmed from the spill segments at start (restart recovery at disk bandwidth).",
 			true, func(st Stats) float64 { return float64(st.RewarmEntries) }},
 		{"diesel_tier_spill_bytes", "Value bytes resident in the spill level (open stores).",
 			false, func(st Stats) float64 { return float64(st.Bytes) }},

@@ -311,8 +311,8 @@ func (s *Store) DemoteAll() {
 }
 
 // EnableSpill opens the local-disk level in dir, bounded to capacityBytes
-// on disk (0 = unlimited), replaying any manifest a previous incarnation
-// left there. Call once; a second call fails.
+// on disk (0 = unlimited), rebuilding its index from the segments a
+// previous incarnation left there. Call once; a second call fails.
 func (s *Store) EnableSpill(dir string, capacityBytes int64) (spill.Recovered, error) {
 	if s.spill.Load() != nil {
 		return spill.Recovered{}, errSpillEnabled
