@@ -818,8 +818,8 @@ func BenchmarkClientIngest(b *testing.B) {
 			b.StartTimer()
 		}
 	}
-	if rec, err := s.DatasetRecord("ingest"); err == nil && rec.FileCount == 0 {
-		b.Fatalf("nothing was stored: %+v", rec)
+	if snap, err := s.BuildSnapshot("ingest"); err == nil && snap.NumFiles() == 0 {
+		b.Fatalf("nothing was stored: %v", snap)
 	}
 }
 

@@ -278,13 +278,13 @@ func run(c *client.Client, cmd string, args []string) error {
 		return ds.Delete(args[0])
 
 	case "info":
-		rec, err := ds.DatasetRecord()
+		snap, err := ds.DownloadSnapshot()
 		if err != nil {
 			return err
 		}
 		fmt.Printf("dataset: %s\nfiles:   %d\nchunks:  %d\nbytes:   %d\nupdated: %s\n",
-			ds.Name(), rec.FileCount, rec.ChunkCount, rec.TotalBytes,
-			time.Unix(0, rec.UpdatedNS).Format(time.RFC3339))
+			ds.Name(), snap.NumFiles(), len(snap.Chunks), snap.TotalBytes(),
+			time.Unix(0, snap.UpdatedNS).Format(time.RFC3339))
 		return nil
 
 	case "save-meta":

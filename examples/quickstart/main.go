@@ -49,19 +49,17 @@ func main() {
 	if err := wds.Flush(); err != nil {
 		log.Fatal(err)
 	}
-	rec, err := wds.DatasetRecord()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("wrote dataset: %d files in %d chunks (%d bytes)\n",
-		rec.FileCount, rec.ChunkCount, rec.TotalBytes)
 
 	// 3. Save the metadata snapshot to disk (DL_save_meta), then load it
 	//    in a fresh client (DL_load_meta): all metadata ops become local.
+	//    The snapshot is where a dataset's counts come from.
 	snapPath := filepath.Join(mustTempDir(), "demo.snap")
 	if err := wds.SaveMeta(snapPath); err != nil {
 		log.Fatal(err)
 	}
+	snap := wds.Snapshot()
+	fmt.Printf("wrote dataset: %d files in %d chunks (%d bytes)\n",
+		snap.NumFiles(), len(snap.Chunks), snap.TotalBytes())
 	w.Close()
 
 	r, err := dep.NewClient("demo", 1)

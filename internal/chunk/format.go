@@ -68,18 +68,6 @@ func (h *Header) EncodedHeaderLen() int {
 	return n
 }
 
-// LiveBytes returns the total length of non-deleted files, used by the
-// housekeeping purge to decide which chunks are worth rewriting.
-func (h *Header) LiveBytes() uint64 {
-	var n uint64
-	for i, e := range h.Entries {
-		if !h.Deleted.Get(i) {
-			n += e.Length
-		}
-	}
-	return n
-}
-
 // Errors returned by Parse and related functions.
 var (
 	ErrBadMagic    = errors.New("chunk: bad magic")

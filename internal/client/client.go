@@ -116,9 +116,9 @@ type Client struct {
 	pools []*wire.Pool
 	next  atomic.Uint64
 
-	dsMu    sync.Mutex
-	handles map[string]*Dataset
-	def     *Dataset // handle on Options.Dataset
+	handlesMu sync.Mutex
+	handles   map[string]*Dataset
+	def       *Dataset // handle on Options.Dataset
 
 	// Job lease machinery (nil/zero when Options.JobID is empty or the
 	// server runs without a job registry).
@@ -216,8 +216,8 @@ func (c *Client) Dataset(name string) (*Dataset, error) {
 	if err := meta.ValidDataset(name); err != nil {
 		return nil, err
 	}
-	c.dsMu.Lock()
-	defer c.dsMu.Unlock()
+	c.handlesMu.Lock()
+	defer c.handlesMu.Unlock()
 	if d, ok := c.handles[name]; ok {
 		return d, nil
 	}
@@ -399,12 +399,12 @@ type Entry struct {
 func (c *Client) Close() error {
 	c.stopJob()
 	var first error
-	c.dsMu.Lock()
+	c.handlesMu.Lock()
 	handles := make([]*Dataset, 0, len(c.handles))
 	for _, d := range c.handles {
 		handles = append(handles, d)
 	}
-	c.dsMu.Unlock()
+	c.handlesMu.Unlock()
 	for _, d := range handles {
 		if err := d.Flush(); err != nil && first == nil {
 			first = err

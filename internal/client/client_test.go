@@ -299,7 +299,7 @@ func TestDeleteDataset(t *testing.T) {
 	if err := c.DefaultDataset().DeleteDataset(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.DefaultDataset().DatasetRecord(); err == nil {
+	if _, err := c.DefaultDataset().datasetRecord(); err == nil {
 		t.Error("dataset record survived DeleteDataset")
 	}
 }
@@ -409,9 +409,9 @@ func TestConcurrentWriters(t *testing.T) {
 	if err := c.DefaultDataset().Flush(); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := c.DefaultDataset().DatasetRecord()
-	if err != nil || rec.FileCount != workers*per {
-		t.Fatalf("record = %+v, %v", rec, err)
+	snap, err := c.DefaultDataset().DownloadSnapshot()
+	if err != nil || snap.NumFiles() != workers*per {
+		t.Fatalf("snapshot = %v, %v", snap, err)
 	}
 	for w := range workers {
 		for i := range per {
@@ -451,9 +451,9 @@ func TestSameRankClientsDoNotCollide(t *testing.T) {
 	if err != nil || string(gb) != "BBBB" {
 		t.Fatalf("from-b = %q, %v", gb, err)
 	}
-	rec, _ := a.DefaultDataset().DatasetRecord()
-	if rec.ChunkCount != 2 {
-		t.Errorf("ChunkCount = %d, want 2 distinct chunks", rec.ChunkCount)
+	snap, err := a.DefaultDataset().DownloadSnapshot()
+	if err != nil || len(snap.Chunks) != 2 {
+		t.Errorf("snapshot = %v, %v; want 2 distinct chunks", snap, err)
 	}
 }
 

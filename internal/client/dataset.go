@@ -320,8 +320,8 @@ func (d *Dataset) Delete(path string) error {
 	return err
 }
 
-// DatasetRecord fetches the dataset summary from a server.
-func (d *Dataset) DatasetRecord() (meta.DatasetRecord, error) {
+// datasetRecord fetches the dataset's record, its update stamp, from a server.
+func (d *Dataset) datasetRecord() (meta.DatasetRecord, error) {
 	e := wire.NewEncoder(32)
 	e.String(d.name)
 	resp, err := d.c.callIdem(context.Background(), server.MethodDatasetRecord, e.Bytes())
@@ -372,7 +372,7 @@ func (d *Dataset) LoadMeta(path string) error {
 	if snap.Dataset != d.name {
 		return fmt.Errorf("client: snapshot is for dataset %q, handle is %q", snap.Dataset, d.name)
 	}
-	rec, err := d.DatasetRecord()
+	rec, err := d.datasetRecord()
 	if err != nil {
 		return err
 	}

@@ -68,9 +68,9 @@ func TestEndToEndWriteReadThroughDeployment(t *testing.T) {
 	if err := trace.ReadOrder(spec, func(int) (trace.Getter, error) { return reader.DefaultDataset(), nil }, 3, order); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := reader.DefaultDataset().DatasetRecord()
-	if err != nil || rec.FileCount != uint64(spec.NumFiles) {
-		t.Fatalf("record = %+v, %v", rec, err)
+	snap, err := reader.DefaultDataset().DownloadSnapshot()
+	if err != nil || snap.NumFiles() != spec.NumFiles {
+		t.Fatalf("snapshot = %v, %v", snap, err)
 	}
 }
 

@@ -56,12 +56,12 @@ func TestPurgeAfterFullyDeletedChunk(t *testing.T) {
 	if err := c.DefaultDataset().Purge(); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := c.DefaultDataset().DatasetRecord()
+	snap, err := c.DefaultDataset().DownloadSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.FileCount != 500 || rec.ChunkCount != 1 {
-		t.Fatalf("after purge: %+v", rec)
+	if snap.NumFiles() != 500 || len(snap.Chunks) != 1 {
+		t.Fatalf("after purge: %v", snap)
 	}
 	if _, err := c.DefaultDataset().Get(context.Background(), "train/c07/f0007.bin"); err != nil {
 		t.Fatalf("read after purge: %v", err)
@@ -71,9 +71,9 @@ func TestPurgeAfterFullyDeletedChunk(t *testing.T) {
 	if err := c.DefaultDataset().Delete("train/c01/f0011.bin"); err != nil {
 		t.Fatal(err)
 	}
-	rec, _ = c.DefaultDataset().DatasetRecord()
-	if rec.FileCount != 499 || rec.ChunkCount != 1 {
-		t.Fatalf("after rm: %+v", rec)
+	snap, err = c.DefaultDataset().DownloadSnapshot()
+	if err != nil || snap.NumFiles() != 499 || len(snap.Chunks) != 1 {
+		t.Fatalf("after rm: %v, %v", snap, err)
 	}
 	if _, err := c.DefaultDataset().Get(context.Background(), "train/c07/f0007.bin"); err != nil {
 		t.Fatalf("read after rm: %v", err)

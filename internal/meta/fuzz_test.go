@@ -36,7 +36,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 // FuzzDecodeRecords covers the three KV record decoders on arbitrary
 // input: never panic.
 func FuzzDecodeRecords(f *testing.F) {
-	dr := DatasetRecord{UpdatedNS: 1, ChunkCount: 2, FileCount: 3, TotalBytes: 4}
+	dr := DatasetRecord{UpdatedNS: 1}
 	fr := FileRecord{Index: 1, Offset: 2, Length: 3, FullName: "a/b"}
 	cr := ChunkRecord{UpdatedNS: 1, Size: 2, HeaderLen: 3, NumFiles: 4}
 	f.Add(dr.Encode())

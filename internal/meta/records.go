@@ -5,57 +5,47 @@ import (
 	"diesel/internal/wire"
 )
 
-// DatasetRecord summarises one dataset in the KV database. Clients compare
-// UpdatedNS against their local snapshot's timestamp to decide whether the
-// snapshot is stale (§4.1.3).
+// DatasetRecord is a dataset's entry in the KV database: only the time of
+// its last mutation. Clients compare UpdatedNS against their local
+// snapshot's timestamp to decide whether the snapshot is stale (§4.1.3).
+// Counts are not kept here: a snapshot derives them from the chunk and file
+// records it is built from, which are their only owners.
 type DatasetRecord struct {
-	UpdatedNS  int64  // time of the last mutation to the dataset
-	ChunkCount uint64 // number of live chunks
-	FileCount  uint64 // number of live files
-	TotalBytes uint64 // sum of live file lengths
+	UpdatedNS int64 // time of the last mutation to the dataset
 }
 
 // Encode serialises the record.
 func (r *DatasetRecord) Encode() []byte {
-	e := wire.NewEncoder(32)
+	e := wire.NewEncoder(8)
 	e.Int64(r.UpdatedNS)
-	e.Uint64(r.ChunkCount)
-	e.Uint64(r.FileCount)
-	e.Uint64(r.TotalBytes)
 	return e.Bytes()
 }
 
 // DecodeDatasetRecord parses a record encoded by Encode.
 func DecodeDatasetRecord(b []byte) (DatasetRecord, error) {
 	d := wire.NewDecoder(b)
-	r := DatasetRecord{
-		UpdatedNS:  d.Int64(),
-		ChunkCount: d.Uint64(),
-		FileCount:  d.Uint64(),
-		TotalBytes: d.Uint64(),
-	}
+	r := DatasetRecord{UpdatedNS: d.Int64()}
 	return r, d.Err()
 }
 
 // ChunkRecord is the per-chunk metadata of Figure 5b: update timestamp,
-// size, file counts and the deletion bitmap.
+// size, file count and the deletion bitmap (whose Count is the number of
+// deleted entries).
 type ChunkRecord struct {
-	UpdatedNS  int64
-	Size       uint64 // encoded chunk size in the object store
-	HeaderLen  uint32 // serialised header length; payload begins here
-	NumFiles   uint32
-	NumDeleted uint32
-	Deleted    chunk.Bitmap
+	UpdatedNS int64
+	Size      uint64 // encoded chunk size in the object store
+	HeaderLen uint32 // serialised header length; payload begins here
+	NumFiles  uint32
+	Deleted   chunk.Bitmap
 }
 
 // Encode serialises the record.
 func (r *ChunkRecord) Encode() []byte {
-	e := wire.NewEncoder(36 + len(r.Deleted))
+	e := wire.NewEncoder(32 + len(r.Deleted))
 	e.Int64(r.UpdatedNS)
 	e.Uint64(r.Size)
 	e.Uint32(r.HeaderLen)
 	e.Uint32(r.NumFiles)
-	e.Uint32(r.NumDeleted)
 	e.Bytes32(r.Deleted)
 	return e.Bytes()
 }
@@ -64,11 +54,10 @@ func (r *ChunkRecord) Encode() []byte {
 func DecodeChunkRecord(b []byte) (ChunkRecord, error) {
 	d := wire.NewDecoder(b)
 	r := ChunkRecord{
-		UpdatedNS:  d.Int64(),
-		Size:       d.Uint64(),
-		HeaderLen:  d.Uint32(),
-		NumFiles:   d.Uint32(),
-		NumDeleted: d.Uint32(),
+		UpdatedNS: d.Int64(),
+		Size:      d.Uint64(),
+		HeaderLen: d.Uint32(),
+		NumFiles:  d.Uint32(),
 	}
 	r.Deleted = chunk.Bitmap(append([]byte(nil), d.Bytes32()...))
 	return r, d.Err()
@@ -118,12 +107,11 @@ func PairsForChunk(dataset string, h *chunk.Header, encodedSize uint64) []KV {
 	pairs := make([]KV, 0, 2*len(h.Entries)+1)
 
 	cr := ChunkRecord{
-		UpdatedNS:  h.UpdatedNS,
-		Size:       encodedSize,
-		HeaderLen:  uint32(h.EncodedHeaderLen()),
-		NumFiles:   uint32(len(h.Entries)),
-		NumDeleted: uint32(h.Deleted.Count()),
-		Deleted:    h.Deleted,
+		UpdatedNS: h.UpdatedNS,
+		Size:      encodedSize,
+		HeaderLen: uint32(h.EncodedHeaderLen()),
+		NumFiles:  uint32(len(h.Entries)),
+		Deleted:   h.Deleted,
 	}
 	pairs = append(pairs, KV{Key: ChunkKey(dataset, idStr), Value: cr.Encode()})
 

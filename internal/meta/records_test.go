@@ -9,8 +9,8 @@ import (
 )
 
 func TestDatasetRecordRoundTrip(t *testing.T) {
-	f := func(up int64, cc, fc, tb uint64) bool {
-		r := DatasetRecord{UpdatedNS: up, ChunkCount: cc, FileCount: fc, TotalBytes: tb}
+	f := func(up int64) bool {
+		r := DatasetRecord{UpdatedNS: up}
 		got, err := DecodeDatasetRecord(r.Encode())
 		return err == nil && got == r
 	}
@@ -23,12 +23,12 @@ func TestChunkRecordRoundTrip(t *testing.T) {
 	bm := chunk.NewBitmap(10)
 	bm.Set(3)
 	bm.Set(7)
-	r := ChunkRecord{UpdatedNS: 99, Size: 4 << 20, NumFiles: 10, NumDeleted: 2, Deleted: bm}
+	r := ChunkRecord{UpdatedNS: 99, Size: 4 << 20, NumFiles: 10, Deleted: bm}
 	got, err := DecodeChunkRecord(r.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.UpdatedNS != 99 || got.Size != 4<<20 || got.NumFiles != 10 || got.NumDeleted != 2 {
+	if got.UpdatedNS != 99 || got.Size != 4<<20 || got.NumFiles != 10 || got.Deleted.Count() != 2 {
 		t.Errorf("got %+v", got)
 	}
 	if !got.Deleted.Get(3) || !got.Deleted.Get(7) || got.Deleted.Get(4) {
@@ -145,8 +145,8 @@ func TestPairsForChunkSkipsDeleted(t *testing.T) {
 	for _, kv := range pairs {
 		if kv.Key == ChunkKey("ds", h.ID.String()) {
 			cr, _ := DecodeChunkRecord(kv.Value)
-			if cr.NumDeleted != 1 {
-				t.Errorf("NumDeleted = %d", cr.NumDeleted)
+			if cr.Deleted.Count() != 1 || !cr.Deleted.Get(0) {
+				t.Errorf("deleted entries = %d", cr.Deleted.Count())
 			}
 		}
 	}

@@ -21,8 +21,15 @@ type PurgeStats struct {
 // re-packed into fresh chunks through the normal ingest path, and the old
 // chunk objects and records are removed.
 //
+// The bitmap only chooses which chunks to rewrite. Which entries are live
+// is the file records' to say, as they alone own a file's location: an
+// entry is carried only while its path's record still names this chunk and
+// index, checked with one MGet per chunk. So a path written again since (its
+// record names a newer chunk) or deleted (no record, even when a racing
+// delete lost its bit) is left behind, never brought back.
+//
 // purge also makes deletions durable against total metadata loss: before
-// a purge, a deletion exists only in the KV chunk record; after it, the
+// a purge, a deletion exists only in the KV database; after it, the
 // surviving chunks' headers are authoritative again.
 func (s *Server) purge(dataset string, gen *chunk.IDGenerator) (PurgeStats, error) {
 	var st PurgeStats
@@ -56,10 +63,14 @@ func (s *Server) purge(dataset string, gen *chunk.IDGenerator) (PurgeStats, erro
 		if err != nil {
 			return st, err
 		}
-		if cr.NumDeleted == 0 {
+		if cr.Deleted.Count() == 0 {
 			continue
 		}
 		idStr := kv.Key[len(meta.ChunkScanPrefix(dataset)):]
+		id, err := chunk.ParseID(idStr)
+		if err != nil {
+			return st, fmt.Errorf("server: purge: bad chunk key %q: %w", kv.Key, err)
+		}
 		blob, err := s.objects.Get(ObjectKey(dataset, idStr))
 		if err != nil {
 			return st, fmt.Errorf("server: purge read %s: %w", idStr, err)
@@ -68,10 +79,12 @@ func (s *Server) purge(dataset string, gen *chunk.IDGenerator) (PurgeStats, erro
 		if err != nil {
 			return st, fmt.Errorf("server: purge parse %s: %w", idStr, err)
 		}
-		// The KV bitmap is authoritative (deletes update it first, and may
-		// be newer than the bitmap frozen in the chunk header).
+		live, err := s.liveEntries(dataset, ck.Header)
+		if err != nil {
+			return st, fmt.Errorf("server: purge %s: %w", idStr, err)
+		}
 		for i, e := range ck.Header.Entries {
-			if cr.Deleted.Get(i) || ck.Header.Deleted.Get(i) {
+			if !live[i] {
 				st.BytesReclaimed += e.Length
 				continue
 			}
@@ -89,10 +102,6 @@ func (s *Server) purge(dataset string, gen *chunk.IDGenerator) (PurgeStats, erro
 					return st, err
 				}
 			}
-		}
-		id, err := chunk.ParseID(idStr)
-		if err != nil {
-			return st, fmt.Errorf("server: purge: bad chunk key %q: %w", kv.Key, err)
 		}
 		holed = append(holed, id)
 	}
@@ -116,17 +125,34 @@ func (s *Server) purge(dataset string, gen *chunk.IDGenerator) (PurgeStats, erro
 		st.ChunksDeleted++
 	}
 	if st.ChunksRewritten > 0 {
-		cc, fc, tb, err := s.recountFromChunkRecords(dataset)
-		if err != nil {
-			return st, fmt.Errorf("server: purge recount: %w", err)
-		}
-		if err := s.bumpDataset(dataset, func(r *meta.DatasetRecord) {
-			r.ChunkCount, r.FileCount, r.TotalBytes = cc, fc, tb
-		}); err != nil {
-			return st, err
-		}
+		return st, s.stamp(dataset)
 	}
 	return st, nil
+}
+
+// liveEntries reports, per entry of chunk h, whether its path's file record
+// still names h and that entry: one MGet for the whole chunk.
+func (s *Server) liveEntries(dataset string, h *chunk.Header) ([]bool, error) {
+	keys := make([]string, len(h.Entries))
+	for i, e := range h.Entries {
+		keys[i] = meta.FileKey(dataset, meta.CleanPath(e.Name))
+	}
+	vals, err := s.kv.MGet(keys)
+	if err != nil {
+		return nil, err
+	}
+	live := make([]bool, len(vals))
+	for i, v := range vals {
+		if v == nil {
+			continue
+		}
+		fr, err := meta.DecodeFileRecord(v)
+		if err != nil {
+			return nil, err
+		}
+		live[i] = fr.ChunkID == h.ID && fr.Index == uint32(i)
+	}
+	return live, nil
 }
 
 // DeleteDataset removes a dataset entirely: every chunk object and every

@@ -13,8 +13,6 @@ type RecoveryStats struct {
 	ChunksScanned int
 	ChunksSkipped int // older than the requested timestamp (scenario a)
 	PairsWritten  int
-	FilesLive     uint64
-	BytesLive     uint64
 }
 
 // RecoverMetadata rebuilds the key-value metadata of a dataset by scanning
@@ -25,22 +23,17 @@ type RecoveryStats struct {
 //   - Scenario (b), total loss: pass fromSec == 0 to rescan everything.
 //
 // Chunk object keys embed the order-preserving chunk ID, so the object
-// store's sorted listing visits chunks in write order, and the timestamp
-// filter needs only the ID — no chunk data is read for skipped chunks.
-// The dataset summary record is rebuilt from the authoritative scan in
-// scenario (b); in scenario (a) only the scanned chunks' contributions are
-// re-applied on top of whatever survived.
+// store's sorted listing visits chunks in write order (a path written twice
+// ends up naming its later chunk), and the timestamp filter needs only the
+// ID — no chunk data is read for skipped chunks. Both scenarios end with one
+// stamp of the dataset record, after the last pairs, and only when a chunk
+// was scanned: a name with no chunks stays a dataset that does not exist.
 func (s *Server) RecoverMetadata(dataset string, fromSec uint32) (RecoveryStats, error) {
 	var st RecoveryStats
 	keys, err := s.objects.List(dataset + "/")
 	if err != nil {
 		return st, fmt.Errorf("server: recovery list: %w", err)
 	}
-
-	full := fromSec == 0
-	var total meta.DatasetRecord
-	var lastUpdated int64
-
 	for _, key := range keys {
 		idStr := key[len(dataset)+1:]
 		id, err := chunk.ParseID(idStr)
@@ -61,65 +54,11 @@ func (s *Server) RecoverMetadata(dataset string, fromSec uint32) (RecoveryStats,
 		}
 		st.ChunksScanned++
 		st.PairsWritten += len(pairs)
-		live := uint64(len(h.Entries) - h.Deleted.Count())
-		st.FilesLive += live
-		st.BytesLive += h.LiveBytes()
-		total.ChunkCount++
-		total.FileCount += live
-		total.TotalBytes += h.LiveBytes()
-		if h.UpdatedNS > lastUpdated {
-			lastUpdated = h.UpdatedNS
-		}
 	}
-
-	if full {
-		total.UpdatedNS = lastUpdated
-		if err := s.kv.Set(meta.DatasetKey(dataset), total.Encode()); err != nil {
-			return st, err
-		}
-	} else if st.ChunksScanned > 0 {
-		// Counts may have partially survived; recompute from the full
-		// chunk-record scan, which is now complete again.
-		cc, fc, tb, err := s.recountFromChunkRecords(dataset)
-		if err != nil {
-			return st, fmt.Errorf("server: recovery recount: %w", err)
-		}
-		if err := s.bumpDataset(dataset, func(r *meta.DatasetRecord) {
-			r.ChunkCount, r.FileCount, r.TotalBytes = cc, fc, tb
-		}); err != nil {
-			return st, err
-		}
+	if st.ChunksScanned == 0 {
+		return st, nil
 	}
-	return st, nil
-}
-
-// recountFromChunkRecords derives dataset totals from chunk records.
-func (s *Server) recountFromChunkRecords(dataset string) (chunks, files, bytes uint64, err error) {
-	kvs, err := s.kv.ScanPrefix(meta.ChunkScanPrefix(dataset))
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	for _, kv := range kvs {
-		cr, err := meta.DecodeChunkRecord(kv.Value)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		chunks++
-		files += uint64(cr.NumFiles - cr.NumDeleted)
-	}
-	// Bytes need file records; a prefix scan over the dataset's files.
-	frs, err := s.kv.ScanPrefix("f|" + dataset + "|")
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	for _, kv := range frs {
-		fr, err := meta.DecodeFileRecord(kv.Value)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		bytes += fr.Length
-	}
-	return chunks, files, bytes, nil
+	return st, s.stamp(dataset)
 }
 
 // readHeader fetches just enough of a chunk object to decode its header,

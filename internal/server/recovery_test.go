@@ -29,9 +29,6 @@ func TestRecoveryFullWipe(t *testing.T) {
 	if st.ChunksScanned == 0 || st.ChunksSkipped != 0 {
 		t.Errorf("stats = %+v", st)
 	}
-	if st.FilesLive != 80 {
-		t.Errorf("FilesLive = %d", st.FilesLive)
-	}
 	after, _ := kv.DBSize()
 	if after != before {
 		t.Errorf("recovered %d keys, originally %d", after, before)
@@ -42,12 +39,9 @@ func TestRecoveryFullWipe(t *testing.T) {
 			t.Fatalf("post-recovery read %q: %v", name, err)
 		}
 	}
-	rec, err := s.DatasetRecord("ds")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.FileCount != 80 || rec.TotalBytes != 80*256 {
-		t.Errorf("rebuilt record = %+v", rec)
+	snap := snapshotOf(t, s, "ds")
+	if snap.NumFiles() != 80 || snap.TotalBytes() != 80*256 {
+		t.Errorf("rebuilt snapshot = %v", snap)
 	}
 }
 
@@ -97,9 +91,8 @@ func TestRecoveryFromTimestamp(t *testing.T) {
 	if _, err := getFile(s, "ds", "class00/img00000.jpg"); err != nil {
 		t.Errorf("old file broken by partial recovery: %v", err)
 	}
-	rec, _ := s.DatasetRecord("ds")
-	if rec.FileCount != 22 {
-		t.Errorf("recounted FileCount = %d, want 22", rec.FileCount)
+	if n := snapshotOf(t, s, "ds").NumFiles(); n != 22 {
+		t.Errorf("files after recovery = %d, want 22", n)
 	}
 }
 
@@ -108,15 +101,16 @@ func TestRecoveryIgnoresForeignObjects(t *testing.T) {
 	writeFiles(t, s, gen, "ds", 10, 64, 512)
 	obj.Put("ds/not-a-chunk", []byte("junk"))
 	kv.FlushAll()
-	st, err := s.RecoverMetadata("ds", 0)
-	if err != nil {
+	if _, err := s.RecoverMetadata("ds", 0); err != nil {
 		t.Fatal(err)
 	}
-	if st.FilesLive != 10 {
-		t.Errorf("FilesLive = %d", st.FilesLive)
+	if n := snapshotOf(t, s, "ds").NumFiles(); n != 10 {
+		t.Errorf("files after recovery = %d", n)
 	}
 }
 
+// TestRecoveryEmptyDataset: recovering a name with no chunks scans nothing
+// and creates nothing — a typo does not become a dataset.
 func TestRecoveryEmptyDataset(t *testing.T) {
 	s, _, _, _ := testStack()
 	st, err := s.RecoverMetadata("empty", 0)
@@ -125,6 +119,12 @@ func TestRecoveryEmptyDataset(t *testing.T) {
 	}
 	if st.ChunksScanned != 0 {
 		t.Errorf("scanned %d chunks in empty dataset", st.ChunksScanned)
+	}
+	if _, err := s.datasetRecord("empty"); !errors.Is(err, ErrNoSuchDataset) {
+		t.Errorf("record after recovering nothing: %v", err)
+	}
+	if _, err := s.BuildSnapshot("empty"); !errors.Is(err, ErrNoSuchDataset) {
+		t.Errorf("snapshot after recovering nothing: %v", err)
 	}
 }
 
@@ -171,10 +171,8 @@ func TestPurgeReclaimsHoles(t *testing.T) {
 			t.Fatalf("live file %q after purge: %v", name, err)
 		}
 	}
-	// Accounting rebuilt.
-	rec, _ := s.DatasetRecord("ds")
-	if rec.FileCount != uint64(40-len(deleted)) {
-		t.Errorf("FileCount = %d", rec.FileCount)
+	if n := snapshotOf(t, s, "ds").NumFiles(); n != 40-len(deleted) {
+		t.Errorf("files after purge = %d", n)
 	}
 	// purge should not grow the object count (holes merged).
 	if obj.Len() > objectsBefore {
@@ -201,9 +199,8 @@ func TestPurgeMakesDeletesDurable(t *testing.T) {
 	if _, err := getFile(s, "ds", victim); !errors.Is(err, ErrNoSuchFile) {
 		t.Errorf("deleted file resurrected by recovery: %v", err)
 	}
-	rec, _ := s.DatasetRecord("ds")
-	if rec.FileCount != 19 {
-		t.Errorf("FileCount = %d", rec.FileCount)
+	if n := snapshotOf(t, s, "ds").NumFiles(); n != 19 {
+		t.Errorf("files after purge and recovery = %d", n)
 	}
 }
 
@@ -228,7 +225,7 @@ func TestDeleteDataset(t *testing.T) {
 	if err := s.DeleteDataset("ds"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.DatasetRecord("ds"); !errors.Is(err, ErrNoSuchDataset) {
+	if _, err := s.datasetRecord("ds"); !errors.Is(err, ErrNoSuchDataset) {
 		t.Errorf("dataset record survived: %v", err)
 	}
 	keys, _ := obj.List("ds/")

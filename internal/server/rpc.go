@@ -246,7 +246,7 @@ func (r *RPCServer) register() {
 		if err := d.Err(); err != nil {
 			return nil, err
 		}
-		rec, err := r.S.DatasetRecord(dataset)
+		rec, err := r.S.datasetRecord(dataset)
 		if err != nil {
 			return nil, err
 		}

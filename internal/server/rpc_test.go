@@ -120,7 +120,7 @@ func TestRPCGetBatch(t *testing.T) {
 }
 
 func TestRPCListAndRecord(t *testing.T) {
-	_, c, _, _ := startRPC(t)
+	rpc, c, _, _ := startRPC(t)
 	resp, err := c.Call(MethodList, encStrings("ds", ""))
 	if err != nil {
 		t.Fatal(err)
@@ -144,8 +144,8 @@ func TestRPCListAndRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec, err := meta.DecodeDatasetRecord(resp)
-	if err != nil || rec.FileCount != 40 {
-		t.Errorf("record = %+v, %v", rec, err)
+	if want, _ := rpc.S.datasetRecord("ds"); err != nil || rec.UpdatedNS == 0 || rec != want {
+		t.Errorf("record = %+v, %v; the server holds %+v", rec, err, want)
 	}
 }
 
@@ -309,12 +309,11 @@ func TestReadHeaderLargeHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	kv.FlushAll()
-	st, err := s.RecoverMetadata("ds", 0)
-	if err != nil {
+	if _, err := s.RecoverMetadata("ds", 0); err != nil {
 		t.Fatal(err)
 	}
-	if st.FilesLive != 2000 {
-		t.Errorf("recovered %d files", st.FilesLive)
+	if n := snapshotOf(t, s, "ds").NumFiles(); n != 2000 {
+		t.Errorf("recovered %d files", n)
 	}
 }
 

@@ -60,8 +60,6 @@ type Server struct {
 	objects objstore.Store
 	nowNS   func() int64
 
-	dsMu sync.Mutex // serialises read-modify-write of dataset records
-
 	shapeMu sync.RWMutex
 	shapes  map[shapeKey]chunkShape // the chunks' immutable shapes
 
@@ -104,9 +102,9 @@ func (s *Server) JobRegistry() *JobRegistry { return s.jobs.Load() }
 // prefix listing returns chunks in write order.
 func ObjectKey(dataset, chunkID string) string { return dataset + "/" + chunkID }
 
-// Ingest stores one encoded chunk: the chunk goes to object storage and
-// the key-value pairs derived from its header go to the metadata database.
-// This is the server side of the write flow in Figure 3. Both checksums
+// Ingest stores one encoded chunk: the chunk goes to object storage, the
+// key-value pairs derived from its header go to the metadata database, and
+// then the dataset record is stamped. This is the server side of the write flow in Figure 3. Both checksums
 // are verified before anything is stored, so a chunk damaged on its way
 // here is rejected (chunk.ErrHeaderCRC, chunk.ErrPayloadCRC) with no
 // object and no metadata left behind. encoded becomes the object store's
@@ -143,38 +141,24 @@ func (s *Server) Ingest(dataset string, encoded []byte) (*chunk.Header, error) {
 	if err := s.kv.MSet(toKVStore(pairs)); err != nil {
 		return nil, fmt.Errorf("server: store metadata: %w", err)
 	}
-	live := uint64(len(h.Entries) - h.Deleted.Count())
-	if err := s.bumpDataset(dataset, func(r *meta.DatasetRecord) {
-		r.ChunkCount++
-		r.FileCount += live
-		r.TotalBytes += h.LiveBytes()
-	}); err != nil {
+	if err := s.stamp(dataset); err != nil {
 		return nil, err
 	}
 	return h, nil
 }
 
-// bumpDataset applies fn to the dataset record under the server's record
-// mutex and stamps the update time.
-func (s *Server) bumpDataset(dataset string, fn func(*meta.DatasetRecord)) error {
-	s.dsMu.Lock()
-	defer s.dsMu.Unlock()
-	var rec meta.DatasetRecord
-	if b, err := s.kv.Get(meta.DatasetKey(dataset)); err == nil {
-		if rec, err = meta.DecodeDatasetRecord(b); err != nil {
-			return err
-		}
-	} else if !errors.Is(err, kvstore.ErrNotFound) {
-		// Starting from an empty record here would overwrite the real one.
-		return fmt.Errorf("server: dataset record %q: %w", dataset, err)
-	}
-	fn(&rec)
-	rec.UpdatedNS = s.nowNS()
+// stamp records that dataset changed: one blind write of its record,
+// issued after the data writes it covers. A snapshot built before it
+// carries the older stamp, so it is stale once the write lands; folding the
+// stamp into the data's MSet would let a half-landed MSet carry a fresh one.
+func (s *Server) stamp(dataset string) error {
+	rec := meta.DatasetRecord{UpdatedNS: s.nowNS()}
 	return s.kv.Set(meta.DatasetKey(dataset), rec.Encode())
 }
 
-// DatasetRecord returns the summary record of a dataset.
-func (s *Server) DatasetRecord(dataset string) (meta.DatasetRecord, error) {
+// datasetRecord returns a dataset's record, its update stamp;
+// ErrNoSuchDataset when it has none.
+func (s *Server) datasetRecord(dataset string) (meta.DatasetRecord, error) {
 	b, err := s.kv.Get(meta.DatasetKey(dataset))
 	if errors.Is(err, kvstore.ErrNotFound) {
 		return meta.DatasetRecord{}, fmt.Errorf("%w: %q", ErrNoSuchDataset, dataset)
@@ -384,7 +368,7 @@ func (s *Server) List(dataset, dir string) ([]ListEntry, error) {
 // BuildSnapshot materialises the dataset's current metadata into a
 // snapshot clients can download (§4.1.3).
 func (s *Server) BuildSnapshot(dataset string) (*meta.Snapshot, error) {
-	rec, err := s.DatasetRecord(dataset)
+	rec, err := s.datasetRecord(dataset)
 	if err != nil {
 		return nil, err
 	}
@@ -447,7 +431,6 @@ func (s *Server) deleteFile(dataset, path string) error {
 	}
 	if !cr.Deleted.Get(int(fr.Index)) {
 		cr.Deleted.Set(int(fr.Index))
-		cr.NumDeleted++
 		cr.UpdatedNS = s.nowNS()
 		if err := s.kv.Set(meta.ChunkKey(dataset, idStr), cr.Encode()); err != nil {
 			return err
@@ -456,14 +439,7 @@ func (s *Server) deleteFile(dataset, path string) error {
 	if _, err := s.kv.Del(meta.FileKey(dataset, path)); err != nil {
 		return err
 	}
-	return s.bumpDataset(dataset, func(r *meta.DatasetRecord) {
-		if r.FileCount > 0 {
-			r.FileCount--
-		}
-		if r.TotalBytes >= fr.Length {
-			r.TotalBytes -= fr.Length
-		}
-	})
+	return s.stamp(dataset)
 }
 
 // KVSize reports the metadata database's total key count, used by tests

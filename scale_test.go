@@ -44,17 +44,6 @@ func TestScaleSixtyThousandFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	rec, err := cl.DefaultDataset().DatasetRecord()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.FileCount != uint64(spec.NumFiles) {
-		t.Fatalf("FileCount = %d, want %d", rec.FileCount, spec.NumFiles)
-	}
-	if rec.ChunkCount < 40 { // ~184 MB / 4 MB
-		t.Errorf("ChunkCount = %d; chunking suspicious", rec.ChunkCount)
-	}
-
 	start = time.Now()
 	snap, err := cl.DefaultDataset().DownloadSnapshot()
 	if err != nil {
@@ -62,7 +51,10 @@ func TestScaleSixtyThousandFiles(t *testing.T) {
 	}
 	snapTime := time.Since(start)
 	if snap.NumFiles() != spec.NumFiles {
-		t.Fatalf("snapshot has %d files", snap.NumFiles())
+		t.Fatalf("snapshot has %d files, want %d", snap.NumFiles(), spec.NumFiles)
+	}
+	if len(snap.Chunks) < 40 { // ~184 MB / 4 MB
+		t.Errorf("%d chunks; chunking suspicious", len(snap.Chunks))
 	}
 
 	// Chunk-wise shuffle over the full dataset: permutation + group bound.
@@ -88,7 +80,7 @@ func TestScaleSixtyThousandFiles(t *testing.T) {
 	readTime := time.Since(start)
 
 	t.Logf("60k files: write=%v snapshot=%v (%d chunks) shuffle=%v sampled-reads(%d)=%v",
-		writeTime, snapTime, rec.ChunkCount, shuffleTime, len(order), readTime)
+		writeTime, snapTime, len(snap.Chunks), shuffleTime, len(order), readTime)
 	if writeTime > 2*time.Minute || snapTime > 30*time.Second {
 		t.Errorf("scale regression: write=%v snapshot=%v", writeTime, snapTime)
 	}
