@@ -12,6 +12,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -29,7 +30,7 @@ func runDiag(args []string) error {
 	out := fs.String("o", "diag.tar.gz", "output tarball path")
 	trigger := fs.String("trigger", "", "capture a fresh bundle on every endpoint with this reason before collecting")
 	spool := fs.String("spool", "", "collect from this local spool directory instead of HTTP endpoints")
-	verify := fs.Bool("verify", false, "fail unless the collection holds metrics, a slow trace and pprof profiles (CI smoke gate)")
+	verify := fs.Bool("verify", false, "fail unless the collection holds metrics, a slow trace, pprof profiles and, if it has slo-breach bundles, a breached objective in one (CI smoke gate)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -301,10 +302,19 @@ func printDiagSummary(w io.Writer, out string, bundles []*diagBundle) {
 
 // verifyBundles enforces the CI acceptance bar: somewhere in the
 // collection there must be a non-empty metrics export, at least one
-// slow trace, and goroutine+heap+CPU profiles.
+// slow trace, and goroutine+heap+CPU profiles; and when the collection
+// holds slo-breach bundles, one of their manifests must show the breach
+// that fired it.
 func verifyBundles(bundles []*diagBundle) error {
 	var haveMetrics, haveSlow, haveGoroutine, haveHeap, haveCPU bool
+	var breachBundles, breachShown int
 	for _, b := range bundles {
+		if b.manifest.Reason == "slo-breach" {
+			breachBundles++
+			if slices.ContainsFunc(b.manifest.SLO, func(s slo.ObjectiveStatus) bool { return s.Breached }) {
+				breachShown++
+			}
+		}
 		var metrics []json.RawMessage
 		if json.Unmarshal(b.files["metrics.json"], &metrics) == nil && len(metrics) > 0 {
 			haveMetrics = true
@@ -332,6 +342,7 @@ func verifyBundles(bundles []*diagBundle) error {
 		{haveGoroutine, "a goroutine profile"},
 		{haveHeap, "a heap profile"},
 		{haveCPU, "a CPU profile"},
+		{breachBundles == 0 || breachShown > 0, "a breached objective in an slo-breach manifest"},
 	} {
 		if !c.ok {
 			missing = append(missing, c.what)

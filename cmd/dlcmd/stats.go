@@ -3,7 +3,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
+	"os"
 	"sort"
 	"strings"
 	"time"
@@ -125,7 +127,7 @@ func watchStats(url string, interval time.Duration) error {
 			fmt.Printf("-- scrape failed: %v\n", err)
 			continue
 		}
-		printDelta(prev, cur, interval)
+		printDelta(os.Stdout, prev, cur, interval)
 		prev = cur
 	}
 }
@@ -134,9 +136,12 @@ func sampleKey(name string, labels map[string]string) string {
 	return name + fmtLabels(labels)
 }
 
-func printDelta(prev, cur *obs.Scrape, interval time.Duration) {
+// printDelta writes what moved between two scrapes. A counter or a
+// histogram whose count went down was reset (the process restarted):
+// its previous value counts as zero, as Prometheus's rate() does.
+func printDelta(w io.Writer, prev, cur *obs.Scrape, interval time.Duration) {
 	secs := interval.Seconds()
-	fmt.Printf("-- %s\n", time.Now().Format("15:04:05"))
+	fmt.Fprintf(w, "-- %s\n", time.Now().Format("15:04:05"))
 
 	prevSamples := make(map[string]obs.Sample, len(prev.Samples))
 	for _, s := range prev.Samples {
@@ -155,10 +160,13 @@ func printDelta(prev, cur *obs.Scrape, interval time.Duration) {
 		}
 		if cur.Types[s.Name] == "counter" {
 			d := s.Value - p.Value
-			fmt.Printf("%-64s +%-12g %8.1f/s\n", key, d, d/secs)
+			if d < 0 {
+				d = s.Value
+			}
+			fmt.Fprintf(w, "%-64s +%-12g %8.1f/s\n", key, d, d/secs)
 		} else {
 			// Gauges show the new level, not a rate.
-			fmt.Printf("%-64s %-13g (was %g)\n", key, s.Value, p.Value)
+			fmt.Fprintf(w, "%-64s %-13g (was %g)\n", key, s.Value, p.Value)
 		}
 		lines++
 	}
@@ -170,11 +178,11 @@ func printDelta(prev, cur *obs.Scrape, interval time.Duration) {
 	for _, h := range cur.Histograms {
 		key := sampleKey(h.Name, h.Labels)
 		p := prevHists[key]
-		if p == nil {
+		if p == nil || h.Count < p.Count {
 			p = &obs.ScrapedHistogram{}
 		}
 		dn := h.Count - p.Count
-		if dn <= 0 {
+		if dn == 0 {
 			continue
 		}
 		iv := intervalHistogram(p, h)
@@ -182,7 +190,7 @@ func printDelta(prev, cur *obs.Scrape, interval time.Duration) {
 		if iv.Count > 0 {
 			mean = iv.Sum / iv.Count
 		}
-		fmt.Printf("%-64s n+=%-10g %8.1f/s mean=%-11s p50=%-11s p99=%s\n",
+		fmt.Fprintf(w, "%-64s n+=%-10g %8.1f/s mean=%-11s p50=%-11s p99=%s\n",
 			key, dn, dn/secs,
 			fmtQuantity(h.Name, mean),
 			fmtQuantity(h.Name, iv.Quantile(0.50)),
@@ -190,16 +198,16 @@ func printDelta(prev, cur *obs.Scrape, interval time.Duration) {
 		lines++
 	}
 	if lines == 0 {
-		fmt.Println("(no change)")
+		fmt.Fprintln(w, "(no change)")
 	}
 }
 
 // intervalHistogram subtracts the previous scrape's cumulative buckets
 // from the current ones, yielding the histogram of just the interval's
-// observations. A missing or reset previous histogram (count went down —
-// e.g. the process restarted) degrades to the current cumulative state.
+// observations. An empty previous histogram (none, or reset) or one with
+// other bucket bounds degrades to the current cumulative state.
 func intervalHistogram(prev, cur *obs.ScrapedHistogram) *obs.ScrapedHistogram {
-	if prev.Count == 0 || prev.Count > cur.Count || len(prev.Buckets) != len(cur.Buckets) {
+	if prev.Count == 0 || len(prev.Buckets) != len(cur.Buckets) {
 		return cur
 	}
 	iv := &obs.ScrapedHistogram{

@@ -210,3 +210,24 @@ func TestObserveDuration(t *testing.T) {
 		t.Errorf("mean = %v", got)
 	}
 }
+
+func TestFractionAbove(t *testing.T) {
+	var h Histogram
+	// 90 obs at ~1µs, 10 at ~100ms.
+	for i := 0; i < 90; i++ {
+		h.Observe(1000)
+	}
+	for i := 0; i < 10; i++ {
+		h.Observe(100_000_000)
+	}
+	s := h.Snapshot()
+	if got := s.FractionAbove(1_000_000); got < 0.09 || got > 0.11 {
+		t.Fatalf("FractionAbove(1ms) = %v, want ~0.1", got)
+	}
+	if got := s.FractionAbove(1 << 39); got != 0 {
+		t.Fatalf("FractionAbove(max) = %v, want 0", got)
+	}
+	if got := (HistSnapshot{}).FractionAbove(5); got != 0 {
+		t.Fatalf("FractionAbove on empty = %v, want 0", got)
+	}
+}

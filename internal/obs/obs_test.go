@@ -119,3 +119,21 @@ func TestExport(t *testing.T) {
 		t.Errorf("lat_seconds sum = %v", m.Sum)
 	}
 }
+
+func TestFamilies(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("z_total", "Z help.")
+	r.Counter("a_total", "A help.", L("k", "1"))
+	r.Counter("a_total", "A help.", L("k", "2"))
+	r.Duration("lat_seconds", "Latency.")
+	fams := r.Families()
+	if len(fams) != 3 {
+		t.Fatalf("Families() = %d families, want 3", len(fams))
+	}
+	if fams[0].Name != "a_total" || fams[0].Members != 2 || fams[0].Type != "counter" {
+		t.Fatalf("unexpected first family: %+v", fams[0])
+	}
+	if fams[1].Name != "lat_seconds" || fams[1].Type != "histogram" {
+		t.Fatalf("unexpected second family: %+v", fams[1])
+	}
+}

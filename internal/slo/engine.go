@@ -58,22 +58,72 @@ func (c *EngineConfig) defaults() {
 	}
 }
 
-// objState is one objective plus its window samplers and breach latch.
+// objState is one objective plus its readings and breach latch.
 type objState struct {
 	o        Objective
-	hists    []*obs.HistWindow
-	bad      *obs.CounterWindow
-	good     *obs.CounterWindow
+	readings readings
 	breached bool
 	lastFire time.Time
 	fires    *obs.Counter
+}
+
+// reading is one timestamped sample of an objective's cumulative counts.
+type reading struct {
+	t     time.Time
+	bad   float64
+	total uint64
+}
+
+// readings are an objective's most recent readings, oldest first. Their
+// capacity is the retention: add drops the oldest once it is reached.
+type readings []reading
+
+func (rs *readings) add(x reading) {
+	if len(*rs) == cap(*rs) {
+		*rs = append((*rs)[:0], (*rs)[1:]...)
+	}
+	*rs = append(*rs, x)
+}
+
+// over returns the events across roughly the trailing d: the newest
+// reading minus the newest reading at least d older. When the readings
+// do not span d yet (process younger than the window, or capacity too
+// small) it falls back to the oldest reading, so early answers cover a
+// shorter span. With fewer than two readings there are no events.
+func (rs readings) over(d time.Duration) (bad float64, total uint64) {
+	if len(rs) < 2 {
+		return 0, 0
+	}
+	newest, base := rs[len(rs)-1], rs[0]
+	for i := len(rs) - 2; i >= 0; i-- {
+		if newest.t.Sub(rs[i].t) >= d {
+			base = rs[i]
+			break
+		}
+	}
+	if newest.total <= base.total {
+		return 0, 0
+	}
+	total = newest.total - base.total
+	// Rounding in the interpolated bad counts must not push the fraction
+	// outside [0, 1].
+	bad = min(max(newest.bad-base.bad, 0), float64(total))
+	return bad, total
+}
+
+// burn is a window's bad fraction divided by the budget. A window with
+// fewer than MinCount events burns nothing.
+func burn(o Objective, bad float64, total uint64) float64 {
+	if total == 0 || total < o.MinCount || o.Budget <= 0 {
+		return 0
+	}
+	return bad / float64(total) / o.Budget
 }
 
 // ObjectiveStatus is the point-in-time evaluation of one objective, as
 // shown in /debug/diag and embedded in bundle manifests.
 type ObjectiveStatus struct {
 	Name      string  `json:"name"`
-	Kind      string  `json:"kind"` // "latency" or "ratio"
 	Budget    float64 `json:"budget"`
 	FastBurn  float64 `json:"fast_burn"`
 	SlowBurn  float64 `json:"slow_burn"`
@@ -101,27 +151,22 @@ type Engine struct {
 // NewEngine builds an engine; Start begins evaluation.
 func NewEngine(cfg EngineConfig) *Engine {
 	cfg.defaults()
-	// Ring capacity to span the slow window at the tick rate, capped so
-	// a pathological tick/window pair cannot balloon memory.
+	// Readings kept per objective: enough to span the slow window at the
+	// tick rate, capped so a pathological tick/window pair cannot
+	// balloon memory.
 	capacity := int(cfg.SlowWindow/cfg.Tick) + 2
 	if capacity > 8192 {
 		capacity = 8192
 	}
 	e := &Engine{cfg: cfg}
 	for _, o := range cfg.Objectives {
-		st := &objState{o: o}
-		if o.latency() {
-			for _, h := range o.Hists {
-				st.hists = append(st.hists, obs.NewHistWindow(h, capacity))
-			}
-		} else {
-			st.bad = obs.NewCounterWindow(capacity, o.Bad...)
-			st.good = obs.NewCounterWindow(capacity, o.Good...)
-		}
-		st.fires = cfg.Registry.Counter("diesel_slo_breaches_total",
-			"SLO breach events fired by the slo engine, by objective.",
-			obs.L("objective", o.Name))
-		e.objs = append(e.objs, st)
+		e.objs = append(e.objs, &objState{
+			o:        o,
+			readings: make(readings, 0, capacity),
+			fires: cfg.Registry.Counter("diesel_slo_breaches_total",
+				"SLO breach events fired by the slo engine, by objective.",
+				obs.L("objective", o.Name)),
+		})
 	}
 	return e
 }
@@ -165,76 +210,61 @@ func (e *Engine) loop(stop <-chan struct{}, done chan<- struct{}) {
 }
 
 // Evaluate runs one sampling+evaluation pass stamped now. Exposed so
-// tests can drive the engine without real time.
+// tests can drive the engine without real time; once Start has run, the
+// loop is its only caller. Breach events go out after the pass's status
+// is stored, so a subscriber that reads Status (the watchdog's bundle
+// manifest) sees the breach that woke it.
 func (e *Engine) Evaluate(now time.Time) {
 	status := make([]ObjectiveStatus, 0, len(e.objs))
-	for _, st := range e.objs {
-		status = append(status, e.evalObjective(st, now))
+	var fired []int
+	for i, st := range e.objs {
+		s, fire := e.evalObjective(st, now)
+		status = append(status, s)
+		if fire {
+			fired = append(fired, i)
+		}
 	}
 	e.mu.Lock()
 	e.status = status
 	e.mu.Unlock()
-}
-
-// evalObjective ticks st's windows, computes both burns, and fires a
-// breach event on the rising edge (or after Cooldown while still
-// breached).
-func (e *Engine) evalObjective(st *objState, now time.Time) ObjectiveStatus {
-	s := ObjectiveStatus{Name: st.o.Name, Kind: "ratio", Budget: st.o.Budget}
-	if st.o.latency() {
-		s.Kind = "latency"
-		var fast, slow obs.HistSnapshot
-		for _, w := range st.hists {
-			w.Tick(now)
-			fast.Merge(w.Over(e.cfg.FastWindow))
-			slow.Merge(w.Over(e.cfg.SlowWindow))
-		}
-		s.FastCount, s.SlowCount = fast.Count, slow.Count
-		s.FastBurn = e.burnLatency(st.o, fast)
-		s.SlowBurn = e.burnLatency(st.o, slow)
-	} else {
-		st.bad.Tick(now)
-		st.good.Tick(now)
-		fb := st.bad.Over(e.cfg.FastWindow)
-		fg := st.good.Over(e.cfg.FastWindow)
-		sb := st.bad.Over(e.cfg.SlowWindow)
-		sg := st.good.Over(e.cfg.SlowWindow)
-		s.FastCount, s.SlowCount = fb+fg, sb+sg
-		s.FastBurn = e.burnRatio(st.o, fb, fg)
-		s.SlowBurn = e.burnRatio(st.o, sb, sg)
-	}
-
-	breach := s.FastBurn >= fastBurn && s.SlowBurn >= slowBurn
-	if breach && (!st.breached || now.Sub(st.lastFire) >= e.cfg.Cooldown) {
-		st.lastFire = now
-		st.fires.Inc()
+	for _, i := range fired {
+		s := status[i]
+		e.objs[i].fires.Inc()
 		obs.Publish("slo-breach", fmt.Sprintf("objective %s burning: fast %.1fx, slow %.1fx (budget %.3g)",
-			st.o.Name, s.FastBurn, s.SlowBurn, st.o.Budget),
-			"objective", st.o.Name,
+			s.Name, s.FastBurn, s.SlowBurn, s.Budget),
+			"objective", s.Name,
 			"fast_burn", fmt.Sprintf("%.2f", s.FastBurn),
 			"slow_burn", fmt.Sprintf("%.2f", s.SlowBurn))
+	}
+}
+
+// evalObjective takes a reading of st's counts, computes both burns, and
+// reports whether a breach fires: on the rising edge, or after Cooldown
+// while still breached.
+func (e *Engine) evalObjective(st *objState, now time.Time) (ObjectiveStatus, bool) {
+	r := reading{t: now}
+	if st.o.counts != nil {
+		r.bad, r.total = st.o.counts()
+	}
+	st.readings.add(r)
+	s := ObjectiveStatus{Name: st.o.Name, Budget: st.o.Budget}
+	fastBad, fastTotal := st.readings.over(e.cfg.FastWindow)
+	slowBad, slowTotal := st.readings.over(e.cfg.SlowWindow)
+	s.FastCount, s.SlowCount = fastTotal, slowTotal
+	s.FastBurn = burn(st.o, fastBad, fastTotal)
+	s.SlowBurn = burn(st.o, slowBad, slowTotal)
+
+	breach := s.FastBurn >= fastBurn && s.SlowBurn >= slowBurn
+	fire := breach && (!st.breached || now.Sub(st.lastFire) >= e.cfg.Cooldown)
+	if fire {
+		st.lastFire = now
 	}
 	st.breached = breach
 	s.Breached = breach
 	if !st.lastFire.IsZero() {
 		s.LastFireNS = st.lastFire.UnixNano()
 	}
-	return s
-}
-
-func (e *Engine) burnLatency(o Objective, s obs.HistSnapshot) float64 {
-	if s.Count < o.MinCount || o.Budget <= 0 {
-		return 0
-	}
-	return s.FractionAbove(o.ThresholdNS) / o.Budget
-}
-
-func (e *Engine) burnRatio(o Objective, bad, good uint64) float64 {
-	total := bad + good
-	if total < o.MinCount || total == 0 || o.Budget <= 0 {
-		return 0
-	}
-	return (float64(bad) / float64(total)) / o.Budget
+	return s, fire
 }
 
 // Status returns the most recent evaluation of every objective.

@@ -79,7 +79,10 @@ func Handler(w *Watchdog) http.Handler {
 			return
 		}
 		if reason := q.Get("trigger"); reason != "" {
-			if r.Method != http.MethodPost && r.Method != http.MethodGet {
+			// A capture runs a CPU profile: a link prefetcher or a
+			// browser's GET must not start one.
+			if r.Method != http.MethodPost {
+				rw.Header().Set("Allow", http.MethodPost)
 				httpError(rw, http.StatusMethodNotAllowed, "trigger wants POST")
 				return
 			}

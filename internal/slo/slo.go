@@ -5,9 +5,9 @@
 //
 //   - Engine evaluates Objectives — "read p99 under X", "epoch stall p99
 //     under Y", "quota rejections under W" — as multi-window burn rates
-//     (fast ~1m, slow ~30m) over the cumulative histograms and counters
-//     the rest of the repo already maintains in internal/obs. It polls;
-//     it never touches a hot path.
+//     (fast ~1m, slow ~30m) of bad events over all events, read from the
+//     cumulative histograms and counters the rest of the repo already
+//     maintains in internal/obs. It polls; it never touches a hot path.
 //
 //   - Watchdog turns trouble into a diagnostic bundle: a tar.gz of the
 //     metrics export, recent+slow traces, goroutine/heap/CPU profiles,
@@ -29,26 +29,19 @@ import (
 	"diesel/internal/obs"
 )
 
-// Objective is one SLO: either a latency objective (observations above
-// ThresholdNS are bad) over one or more histograms, or a ratio objective
-// (Bad events / (Bad+Good) events) over counters. Budget is the error
-// budget — the bad fraction the objective tolerates; the burn rate is
-// the measured bad fraction divided by Budget, so burn 1.0 means
+// Objective is one SLO: a fraction of events that may go bad. Every
+// objective reads the same two cumulative counts, bad events and all
+// events; a latency objective's bad events are the observations above
+// its threshold, the quota objective's are its rejections. Budget is the
+// error budget — the bad fraction the objective tolerates; the burn rate
+// is the measured bad fraction divided by Budget, so burn 1.0 means
 // "spending budget exactly as fast as allowed" and burn 10 means
-// "10× too fast".
+// "10× too fast". Build objectives with the constructors below: a
+// literal has no events to read and never burns.
 type Objective struct {
 	// Name identifies the objective in events, bundle manifests and
 	// status output ("read-p99", "epoch-stall-p99", ...).
 	Name string
-
-	// Latency form: observations above ThresholdNS (raw histogram
-	// units, i.e. nanoseconds for Duration histograms) are bad.
-	Hists       []*obs.Histogram
-	ThresholdNS uint64
-
-	// Ratio form: bad fraction = ΔBad / (ΔBad + ΔGood) over the window.
-	Bad  []*obs.Counter
-	Good []*obs.Counter
 
 	// Budget is the tolerated bad fraction in (0, 1].
 	Budget float64
@@ -56,10 +49,27 @@ type Objective struct {
 	// MinCount suppresses evaluation of windows with fewer total
 	// events, so an idle process never pages on one unlucky sample.
 	MinCount uint64
+
+	// counts reads the cumulative bad and total event counts. bad is
+	// fractional for a latency objective: the histogram bucket holding
+	// the threshold counts its interpolated share above it.
+	counts func() (bad float64, total uint64)
 }
 
-// latency reports whether o is the latency form.
-func (o Objective) latency() bool { return len(o.Hists) > 0 }
+// latencyCounts counts the observations above threshold (histogram
+// units, nanoseconds for Duration histograms) as bad, over the sum of
+// hs. A bad count is linear in the bucket counts, so the difference of
+// two readings is the bad count of the observations between them.
+func latencyCounts(threshold time.Duration, hs ...*obs.Histogram) func() (float64, uint64) {
+	return func() (bad float64, total uint64) {
+		for _, h := range hs {
+			s := h.Snapshot()
+			bad += s.FractionAbove(uint64(threshold)) * float64(s.Count)
+			total += s.Count
+		}
+		return bad, total
+	}
+}
 
 // ReadLatencyObjective builds the per-read latency SLO over the server's
 // read-path handler histograms (diesel_wire_served_seconds for dsl.get /
@@ -72,13 +82,7 @@ func ReadLatencyObjective(reg *obs.Registry, threshold time.Duration, budget flo
 	for _, m := range methods {
 		hs = append(hs, reg.Duration("diesel_wire_served_seconds", help, obs.L("method", m)))
 	}
-	return Objective{
-		Name:        "read-p99",
-		Hists:       hs,
-		ThresholdNS: uint64(threshold),
-		Budget:      budget,
-		MinCount:    20,
-	}
+	return Objective{Name: "read-p99", Budget: budget, MinCount: 20, counts: latencyCounts(threshold, hs...)}
 }
 
 // EpochStallObjective builds the epoch-reader stall SLO over
@@ -87,25 +91,28 @@ func ReadLatencyObjective(reg *obs.Registry, threshold time.Duration, budget flo
 func EpochStallObjective(reg *obs.Registry, threshold time.Duration, budget float64) Objective {
 	h := reg.Duration("diesel_epoch_stall_seconds",
 		"Time Next blocked waiting for a group fetch.")
-	return Objective{
-		Name:        "epoch-stall-p99",
-		Hists:       []*obs.Histogram{h},
-		ThresholdNS: uint64(threshold),
-		Budget:      budget,
-		MinCount:    20,
-	}
+	return Objective{Name: "epoch-stall-p99", Budget: budget, MinCount: 20, counts: latencyCounts(threshold, h)}
 }
 
 // QuotaRejectionObjective builds the quota-rejection SLO for the given
-// tenants over diesel_tenant_rejected/admitted_total. budget is the
+// tenants over diesel_tenant_rejected/admitted_total: rejections are
+// the bad events, rejections plus admissions all events. budget is the
 // tolerated rejected fraction of admission decisions.
 func QuotaRejectionObjective(reg *obs.Registry, budget float64, tenants ...string) Objective {
-	o := Objective{Name: "quota-rejections", Budget: budget, MinCount: 50}
+	var rejected, admitted []*obs.Counter
 	for _, t := range tenants {
-		o.Bad = append(o.Bad, reg.Counter("diesel_tenant_rejected_total",
+		rejected = append(rejected, reg.Counter("diesel_tenant_rejected_total",
 			"Read requests rejected by the tenant quota gate.", obs.L("tenant", t)))
-		o.Good = append(o.Good, reg.Counter("diesel_tenant_admitted_total",
+		admitted = append(admitted, reg.Counter("diesel_tenant_admitted_total",
 			"Read requests admitted past the tenant quota gate.", obs.L("tenant", t)))
 	}
-	return o
+	return Objective{Name: "quota-rejections", Budget: budget, MinCount: 50, counts: func() (float64, uint64) {
+		var bad, all uint64
+		for i := range rejected {
+			r := rejected[i].Load()
+			bad += r
+			all += r + admitted[i].Load()
+		}
+		return float64(bad), all
+	}}
 }

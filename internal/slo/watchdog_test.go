@@ -72,7 +72,7 @@ func TestWatchdogBundleContents(t *testing.T) {
 			return []map[string]string{{"job": "j1", "tenant": "alice"}}
 		},
 		Status: func() []ObjectiveStatus {
-			return []ObjectiveStatus{{Name: "read-p99", Kind: "latency"}}
+			return []ObjectiveStatus{{Name: "read-p99"}}
 		},
 	})
 
@@ -283,5 +283,22 @@ func TestDiagHandler(t *testing.T) {
 	Handler(nil).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/diag", nil))
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("nil watchdog: code=%d want 503", rec.Code)
+	}
+}
+
+// TestDiagTriggerWantsPost: a capture runs a CPU profile, so only POST
+// triggers one; a GET (a browser, a link prefetcher) is refused and
+// leaves the spool empty.
+func TestDiagTriggerWantsPost(t *testing.T) {
+	w := newTestWatchdog(t, WatchdogConfig{CPUProfile: -1, Cooldown: time.Nanosecond})
+	for _, method := range []string{http.MethodGet, http.MethodHead, http.MethodPut} {
+		rec := httptest.NewRecorder()
+		Handler(w).ServeHTTP(rec, httptest.NewRequest(method, "/debug/diag?trigger=prefetch", nil))
+		if rec.Code != http.StatusMethodNotAllowed || rec.Header().Get("Allow") != http.MethodPost {
+			t.Errorf("%s trigger: code=%d Allow=%q, want 405 and POST", method, rec.Code, rec.Header().Get("Allow"))
+		}
+	}
+	if got := w.List(); len(got) != 0 {
+		t.Fatalf("refused triggers captured bundles: %v", got)
 	}
 }
