@@ -14,7 +14,9 @@
 // bandwidth rather than file rate (Figure 11b). The remote branch is
 // chunk-granular too once the access pattern is a sweep: the second read of
 // a remote chunk pulls it whole from its master (pull.go), so a chunk-wise
-// epoch costs about two RPCs per remote chunk, not one per file. Failures
+// epoch costs about two RPCs per remote chunk, not one per file; a spilled
+// local chunk is swept by the same rule, one verified whole-chunk read from
+// local disk that leaves a full RAM LRU alone. Failures
 // are contained to the task: a dead master only makes its peers fall back
 // to reading from the DIESEL servers directly.
 package dcache
@@ -70,11 +72,10 @@ type Config struct {
 
 	// The cache's fixed settings, fields only so that this package's tests
 	// can shrink them: Join fills each zero with the constant of its name.
-	joinTimeout       time.Duration
-	deadAfter         int
-	deadCooldown      time.Duration
-	peerCallTimeout   time.Duration
-	spillPromoteAfter int // negative: reads never promote
+	joinTimeout     time.Duration
+	deadAfter       int
+	deadCooldown    time.Duration
+	peerCallTimeout time.Duration
 }
 
 // The cache's fixed settings.
@@ -94,12 +95,6 @@ const (
 	// master degrades to server fallback instead of stalling the training
 	// loop.
 	peerCallTimeout = 2 * time.Second
-	// spillPromoteAfter is how many spill reads a chunk absorbs before it
-	// is promoted back into RAM (whole-chunk, checksum-verified): a chunk
-	// touched twice since demotion is likely hot again (an epoch reader
-	// sweeping it file by file), while one-off random reads stay on the
-	// cheap pread path.
-	spillPromoteAfter = 2
 )
 
 // Registrar is the registry interface Join needs; both *etcd.Registry
@@ -160,10 +155,11 @@ type Peer struct {
 	shared *SharedCache // Config.Shared, or the cache this peer owns
 	store  *tier.Store  // shared.store on masters, nil on workers
 
-	// pulled buffers the remote chunks a sweep is reading (pull.go): a few
-	// whole payloads, bounded in chunks, on masters and workers alike. It
-	// is not the owned-partition store — CachedBytes, CachedChunks and the
-	// diesel_tier_* series do not see it.
+	// pulled buffers the chunks a sweep is reading (pull.go): remote ones
+	// pulled from their master, and spilled local ones RAM had no room
+	// for. A few whole payloads, bounded in chunks, on masters and workers
+	// alike. It is not the owned-partition store — CachedBytes,
+	// CachedChunks and the diesel_tier_* series do not see it.
 	pulled  *tier.Store
 	sweep   sweepRing
 	pullKey string // inflight key prefix of this peer's pulls
@@ -287,9 +283,6 @@ func Join(ds *client.Dataset, reg Registrar, cfg Config) (*Peer, error) {
 	if cfg.peerCallTimeout <= 0 {
 		cfg.peerCallTimeout = peerCallTimeout
 	}
-	if cfg.spillPromoteAfter == 0 {
-		cfg.spillPromoteAfter = spillPromoteAfter
-	}
 
 	p := &Peer{
 		cfg:     cfg,
@@ -314,7 +307,6 @@ func Join(ds *client.Dataset, reg Registrar, cfg Config) (*Peer, error) {
 			largest = max(largest, c.Size-uint64(c.HeaderLen))
 		}
 	}
-	p.pulled = tier.New(pulledChunks*int64(largest), func(string) string { return "" })
 
 	// Every peer listens before registering; non-masters close their
 	// listener after the election (mastership is unknown until everyone
@@ -394,6 +386,15 @@ func Join(ds *client.Dataset, reg Registrar, cfg Config) (*Peer, error) {
 		p.shared = NewSharedCache(0, 0, nil)
 	}
 	p.shared.acquire(p.dataset)
+
+	// The pulled buffer holds no more than the cache's RAM budget (and
+	// at least one chunk): spilled chunks a sweep reads whole wait there,
+	// and they must not hold more of the dataset beside RAM than RAM does.
+	pulledBytes := pulledChunks * int64(largest)
+	if c := p.shared.store.Capacity(); c > 0 {
+		pulledBytes = min(pulledBytes, max(c, int64(largest)))
+	}
+	p.pulled = tier.New(pulledBytes, func(string) string { return "" })
 
 	if p.IsMaster() {
 		p.store = p.shared.store
@@ -484,12 +485,17 @@ func (p *Peer) loadChunk(ctx context.Context, ci int) ([]byte, error) {
 			fctx = tracing.ContextWith(ctx, sp)
 		}
 		defer sp.End()
-		// Promotion beats a server fetch: a chunk demoted to the spill tier
-		// (or left there by a previous incarnation of this trainer) comes
-		// back checksum-verified at local-disk bandwidth.
+		// The spill tier beats a server fetch: a chunk demoted there (or
+		// left there by a previous incarnation of this trainer) comes back
+		// checksum-verified at local-disk bandwidth. It returns to RAM only
+		// into free room — a full LRU under a scan would evict the chunks
+		// the reader needs next for one it has just consumed — and
+		// otherwise waits in the pulled buffer while its sweep lasts.
 		if payload, ok := p.store.LoadSpill(key); ok {
 			sp.SetAttr("source", "spill")
-			p.cache(key, payload)
+			if !p.store.PutIfRoom(key, payload, p.store.Gen(key)) {
+				p.pulled.Put(key, payload, p.pulled.Gen(key), nil)
+			}
 			return payload, nil
 		}
 		payload, err := p.fetchChunk(fctx, key, id)
@@ -522,7 +528,7 @@ func (p *Peer) fetchChunk(ctx context.Context, key, id string) ([]byte, error) {
 	return payload, nil
 }
 
-// cache inserts a loaded or promoted payload into the RAM store; one
+// cache inserts a payload fetched from a server into the RAM store; one
 // larger than the capacity is served read-through and not kept. The store
 // never invalidates chunk keys (chunks are immutable), so the insert
 // carries the key's current generation. Eviction prefers cold datasets.
@@ -564,9 +570,9 @@ func (p *Peer) handleCacheGet(ctx context.Context, payload []byte, r *wire.Reply
 		return err
 	}
 	// The answer is laid out as Encoder.Bytes32 would lay it out, with the
-	// file lent: a view of a cached payload or a spill pread, both GC-owned
-	// and never pooled or written again, so it goes to the wire from where
-	// it lies.
+	// file lent: a view of a cached or pulled payload, or a spill pread,
+	// all GC-owned and never pooled or written again, so it goes to the
+	// wire from where it lies.
 	b, err := p.readLocal(ctx, m, true)
 	if err != nil {
 		return err
@@ -580,24 +586,26 @@ func (p *Peer) handleCacheGet(ctx context.Context, payload []byte, r *wire.Reply
 // this master's own cache. With view set the returned slice is a read-only
 // window into the cached chunk; otherwise it is an owned copy.
 //
-// Tier order: RAM hit → spill tier → chunk load (spill promotion or
-// server fetch). A spill hit is one pread of exactly the file's range
-// into a fresh GC-owned buffer — owned, so it satisfies both the view
-// and the copy contract without another allocation — and after
-// spillPromoteAfter such reads the whole chunk is promoted back
-// to RAM so a sweeping epoch reader returns to memory bandwidth.
+// Tier order: RAM → pulled buffer → spill → chunk load. A spilled chunk
+// is read the way a remote one is (pull.go): while sweepRing has not seen
+// it, one pread of exactly the file's range into a fresh GC-owned buffer
+// — owned, so it satisfies both the view and the copy contract without
+// another allocation; once it says the chunk is being swept, one
+// checksum-verified load of the whole chunk (loadChunk), whose later
+// files are views. A chunk that fails verification then comes from the
+// server, never from an unverified pread.
 func (p *Peer) readLocal(ctx context.Context, m meta.FileMeta, view bool) ([]byte, error) {
 	key := p.storeKeys[m.ChunkIdx]
 	if payload, ok := p.store.Get(key); ok {
 		return fileOf(payload, m, view)
 	}
-	if b, hits, ok := p.store.ReadSpill(key, int64(m.Offset), int64(m.Length)); ok {
-		if p.cfg.spillPromoteAfter > 0 && hits >= p.cfg.spillPromoteAfter {
-			if payload, err := p.loadChunk(ctx, m.ChunkIdx); err == nil {
-				return fileOf(payload, m, view)
-			}
+	if payload, ok := p.pulled.Get(key); ok {
+		return fileOf(payload, m, view)
+	}
+	if !p.sweep.seen(m.ChunkIdx) {
+		if b, ok := p.store.ReadSpill(key, int64(m.Offset), int64(m.Length)); ok {
+			return b, nil
 		}
-		return b, nil
 	}
 	payload, err := p.loadChunk(ctx, m.ChunkIdx)
 	if err != nil {
@@ -628,10 +636,10 @@ func (p *Peer) ReadFileContext(ctx context.Context, path string) ([]byte, error)
 // ReadFileViewContext is ReadFileContext minus the defensive copy on the
 // local-hit path: when the file's chunk is cached on this peer, the
 // returned slice is a read-only window into the cached chunk payload; the
-// same holds for a remote chunk this peer has pulled whole. Views are
-// GC-safe — chunk buffers are never pooled, so a view stays readable even
-// after its chunk is evicted — but callers must not write through them
-// and must copy anything they mutate. On the first-touch peer-master and
+// same holds for a remote or spilled chunk this peer has read whole.
+// Views are GC-safe — chunk buffers are never pooled, so a view stays
+// readable even after its chunk is evicted — but callers must not write
+// through them and must copy anything they mutate. On the first-touch peer-master and
 // server-fallback paths the returned bytes are an owned copy, so the
 // caller-side contract is uniformly "treat as read-only". The epoch
 // reader's CacheSource rides this to make a cache-hit epoch copy-free.
@@ -868,12 +876,13 @@ func (p *Peer) CachedChunks() int {
 	return p.store.Count()
 }
 
-// DropAll empties this master's cache (failure injection for recovery
-// experiments).
+// DropAll empties this master's cache and its pulled buffer (failure
+// injection for recovery experiments).
 func (p *Peer) DropAll() {
 	if p.store != nil {
 		p.store.Clear()
 	}
+	p.pulled.Clear()
 }
 
 // Close stops serving and closes peer connections. A closed master makes

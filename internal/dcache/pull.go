@@ -12,35 +12,42 @@ import (
 // the data is stored in (§4.2–4.3).
 //
 // The first read of a remotely-owned chunk is a per-file cache.get. A
-// second read of the same chunk among this peer's last sweepWindow remote
-// chunks means a reader is sweeping it — the rule spillPromoteAfter uses
-// for promotion — and pulls the whole payload from the owning master with
-// one cache.getChunk into the pulled buffer; every later file of that
-// chunk is a view out of the buffer. A chunk-wise epoch therefore costs
-// about two RPCs per remote chunk, while random access, which does not
-// revisit a chunk within the window, keeps paying exactly one small RPC
-// per file and moves no chunk it will not read.
+// second read of the same chunk among this peer's last sweepWindow
+// chunks means a reader is sweeping it, and pulls the whole payload from
+// the owning master with one cache.getChunk into the pulled buffer; every
+// later file of that chunk is a view out of the buffer. A chunk-wise epoch
+// therefore costs about two RPCs per remote chunk, while random access,
+// which does not revisit a chunk within the window, keeps paying exactly
+// one small RPC per file and moves no chunk it will not read.
+//
+// A spilled local chunk is read by the same rule (readLocal): a pread per
+// file at first touch, one checksum-verified load of the whole chunk once
+// it is being swept — into RAM while RAM has room, else into the pulled
+// buffer, so a scan never churns the RAM LRU.
 const (
-	// sweepWindow is how many distinct remote chunks the detector
-	// remembers. It is below pulledChunks so a chunk the buffer evicted
-	// needs two fresh per-file reads before it is pulled again.
+	// sweepWindow is how many distinct chunks — remote, or local and not
+	// in RAM — the detector remembers. It is below pulledChunks so a
+	// chunk the buffer evicted needs two fresh per-file reads before it
+	// is loaded again.
 	sweepWindow = 8
 	// pulledChunks bounds the pulled buffer in chunks, not bytes: what a
-	// sweep has in flight is reader window × remote chunks per group, a
+	// sweep has in flight is reader window × chunks per group, a
 	// count, whatever the dataset's chunk size. The byte budget is this
-	// many of the snapshot's largest chunk.
+	// many of the snapshot's largest chunk, capped at the cache's RAM
+	// budget (Join).
 	pulledChunks = 16
 )
 
-// sweepRing remembers the last sweepWindow distinct remote chunks read
-// per file, as chunk index + 1 so the zero value is an empty ring.
+// sweepRing remembers the last sweepWindow distinct chunks read per file
+// — remote ones, and local ones RAM did not hold — as chunk index + 1 so
+// the zero value is an empty ring.
 type sweepRing struct {
 	mu     sync.Mutex
 	recent [sweepWindow]int
 	next   int
 }
 
-// seen reports whether chunk ci is among the recently read remote chunks,
+// seen reports whether chunk ci is among the recently read chunks,
 // remembering it if not.
 func (r *sweepRing) seen(ci int) bool {
 	r.mu.Lock()

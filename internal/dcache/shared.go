@@ -117,27 +117,22 @@ func (s *SharedCache) release(dataset string) {
 	s.mu.Unlock()
 }
 
-// refcount reports the dataset's live references: in-process peers plus
-// whatever the RefSource (job registry) says.
-func (s *SharedCache) refcount(dataset string) int {
-	s.mu.Lock()
-	n := s.local[dataset]
-	src := s.src
-	s.mu.Unlock()
-	if src != nil {
-		n += src.Refcount(dataset)
-	}
-	return n
-}
-
 // cold reports whether the dataset is eviction-preferred: refcount zero
 // for longer than the grace period. The grace clock starts when the zero
 // is first *observed* — a lease that expired while nobody looked is only
 // discovered here, and the grace window must run from that discovery so
 // a restarting trainer still finds its working set cached.
+//
+// Only "is anyone live" matters, so a peer of the dataset joined in this
+// process settles it, and the RefSource — a registry List and a decode of
+// every job record — is asked only when none is.
 func (s *SharedCache) cold(dataset string) bool {
 	nowNS := s.nowNS()
-	if s.refcount(dataset) > 0 {
+	s.mu.Lock()
+	live := s.local[dataset] > 0
+	src := s.src
+	s.mu.Unlock()
+	if live || (src != nil && src.Refcount(dataset) > 0) {
 		s.mu.Lock()
 		s.lastLive[dataset] = nowNS
 		s.wasLive[dataset] = true

@@ -3,6 +3,7 @@ package dcache
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,6 +24,51 @@ func putTestChunk(t *testing.T, sc *SharedCache, dataset, id string, size int) {
 	key := dataset + "\x00" + id
 	if _, cached := sc.store.Put(key, make([]byte, size), sc.store.Gen(key), sc.cold); !cached {
 		t.Fatalf("chunk %s/%s not cached", dataset, id)
+	}
+}
+
+// refcount reports the dataset's live references: in-process peers plus
+// whatever the RefSource (job registry) says.
+func (s *SharedCache) refcount(dataset string) int {
+	s.mu.Lock()
+	n := s.local[dataset]
+	src := s.src
+	s.mu.Unlock()
+	if src != nil {
+		n += src.Refcount(dataset)
+	}
+	return n
+}
+
+// countingRefs is a RefSource that reports no jobs and counts how often
+// it is asked.
+type countingRefs struct{ calls atomic.Int64 }
+
+func (c *countingRefs) Refcount(string) int { c.calls.Add(1); return 0 }
+
+// TestColdAsksRefSourceOnlyWithoutLocalPeer pins the eviction
+// preference's cost: while a peer of the dataset is joined in this
+// process, an eviction pass decides "live" without asking the RefSource
+// (a job registry List and a decode of every job record); once the last
+// peer leaves, the RefSource is asked again.
+func TestColdAsksRefSourceOnlyWithoutLocalPeer(t *testing.T) {
+	refs := &countingRefs{}
+	sc := NewSharedCache(10000, time.Minute, nil) // fits 2 of 4096-byte chunks
+	sc.SetRefSource(refs)
+	sc.acquire("ds") // what Join does for each peer of the dataset
+	for i := range 4 {
+		putTestChunk(t, sc, "ds", fmt.Sprintf("c%d", i), 4096)
+	}
+	if got := sc.Chunks(); got != 2 {
+		t.Fatalf("Chunks = %d, want 2 (the puts must have evicted)", got)
+	}
+	if n := refs.calls.Load(); n != 0 {
+		t.Fatalf("eviction asked the RefSource %d times while a peer was joined", n)
+	}
+	sc.release("ds")
+	putTestChunk(t, sc, "ds", "c4", 4096)
+	if refs.calls.Load() == 0 {
+		t.Fatal("eviction without a joined peer never asked the RefSource")
 	}
 }
 

@@ -11,8 +11,9 @@ type SpillStats = tier.Stats
 
 // EnableSpill opens the local-SSD spill tier under the cache: chunks
 // evicted under capacity pressure demote their payload to dir instead of
-// being dropped, later reads are served from it by pread (or promoted back
-// to RAM), and a process restarted over the same dir rewarms by scanning
+// being dropped, later reads are served from it by pread (or, for a chunk
+// being swept, one verified whole-chunk read), and a process restarted
+// over the same dir rewarms by scanning
 // its segments — the returned Recovered says how much came back. The dir
 // must be private to this cache. capacityBytes bounds the tier's on-disk
 // bytes (0 = unlimited); the budget is the cache's, that is one per node

@@ -119,8 +119,7 @@ func (t *Tiered) spillRange(key string, off, n int64) ([]byte, bool) {
 	if err != nil {
 		return nil, false
 	}
-	b, _, ok := t.fast.ReadSpill(key, start, end-start)
-	return b, ok
+	return t.fast.ReadSpill(key, start, end-start)
 }
 
 // Delete implements Store: removes from the slow tier, then invalidates

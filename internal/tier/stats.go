@@ -15,11 +15,11 @@ type Stats struct {
 	Bytes         int64  `json:"bytes"`      // value bytes reachable via the spill index
 	DiskBytes     int64  `json:"disk_bytes"` // segment bytes on disk (headers and dead space included)
 	Segments      int    `json:"segments"`
-	Hits          uint64 `json:"hits"`   // reads answered by the spill level (preads + promotions)
+	Hits          uint64 `json:"hits"`   // reads answered by the spill level (preads + whole-value loads)
 	Misses        uint64 `json:"misses"` // whole-value loads that missed both levels and went to the origin
 	Demotions     uint64 `json:"demotions"`
-	DemotedBytes  uint64 `json:"demoted_bytes"` // bytes physically written (re-demotions are free)
-	Promotions    uint64 `json:"promotions"`
+	DemotedBytes  uint64 `json:"demoted_bytes"`  // bytes physically written (re-demotions are free)
+	Promotions    uint64 `json:"promotions"`     // whole values read back from spill, checksum-verified
 	Dropped       uint64 `json:"dropped"`        // entries lost to segment retirement (disk budget)
 	RewarmEntries int    `json:"rewarm_entries"` // entries the segment scan rebuilt at EnableSpill
 	RewarmBytes   int64  `json:"rewarm_bytes"`
@@ -66,9 +66,9 @@ func NewSite(reg *obs.Registry, name string) *Site {
 	}{
 		{"diesel_tier_demotions_total", "RAM eviction victims demoted to the local-disk spill level instead of dropped.",
 			true, func(st Stats) float64 { return float64(st.Demotions) }},
-		{"diesel_tier_promotions_total", "Values promoted from the spill level back into RAM, checksum-verified.",
+		{"diesel_tier_promotions_total", "Whole values read back from spill, checksum-verified.",
 			true, func(st Stats) float64 { return float64(st.Promotions) }},
-		{"diesel_tier_spill_hits_total", "Reads answered by the spill level (preads and promotions).",
+		{"diesel_tier_spill_hits_total", "Reads answered by the spill level (preads and whole-value loads).",
 			true, func(st Stats) float64 { return float64(st.Hits) }},
 		{"diesel_tier_spill_misses_total", "Whole-value loads that missed RAM and spill and went to the origin.",
 			true, func(st Stats) float64 { return float64(st.Misses) }},

@@ -150,24 +150,51 @@ func (s *Store) Put(key string, val []byte, gen uint64, prefer func(group string
 	if s.capacity > 0 && size > s.capacity {
 		return 0, false
 	}
+	added, cached := s.insert(key, val, gen)
+	if added {
+		s.used.Add(size)
+		if s.capacity > 0 {
+			evicted = s.evictOver(s.capacity, key, prefer)
+		}
+	}
+	return evicted, cached
+}
+
+// PutIfRoom is Put without eviction: val is cached only into room the
+// budget has left, so it never displaces another entry.
+func (s *Store) PutIfRoom(key string, val []byte, gen uint64) (cached bool) {
+	size := int64(len(val))
+	for {
+		u := s.used.Load()
+		if s.capacity > 0 && u+size > s.capacity {
+			return false
+		}
+		if s.used.CompareAndSwap(u, u+size) {
+			break
+		}
+	}
+	added, cached := s.insert(key, val, gen)
+	if !added {
+		s.used.Add(-size)
+	}
+	return cached
+}
+
+// insert links val under key into its shard unless key was invalidated
+// since gen; a key already cached counts as cached, not added.
+func (s *Store) insert(key string, val []byte, gen uint64) (added, cached bool) {
 	group := s.groupOf(key)
 	sh, g := s.slot(key)
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	if g.Load() != gen {
-		sh.mu.Unlock()
-		return 0, false
+		return false, false
 	}
 	if _, dup := sh.items[key]; dup {
-		sh.mu.Unlock()
-		return 0, true
+		return false, true
 	}
 	sh.items[key] = sh.lru.PushFront(&entry{key: key, group: group, val: val, tick: s.clock.Add(1)})
-	sh.mu.Unlock()
-	s.used.Add(size)
-	if s.capacity > 0 {
-		evicted = s.evictOver(s.capacity, key, prefer)
-	}
-	return evicted, true
+	return true, true
 }
 
 // Remove invalidates key in both levels — persisted in the spill log, so
@@ -343,19 +370,18 @@ func (s *Store) Close() error {
 
 // ReadSpill serves one range of a spilled value by a single pread into a
 // fresh GC-owned buffer, unverified (the range is a window, not the whole
-// value). hits is the entry's spill read count since it was spilled —
-// the input to a caller's promote-after-N policy.
-func (s *Store) ReadSpill(key string, off, length int64) (b []byte, hits int, ok bool) {
+// value).
+func (s *Store) ReadSpill(key string, off, length int64) (b []byte, ok bool) {
 	sp := s.spill.Load()
 	if sp == nil {
-		return nil, 0, false
+		return nil, false
 	}
-	b, hits, err := sp.log.ReadAt(key, off, length)
+	b, _, err := sp.log.ReadAt(key, off, length)
 	if err != nil {
-		return nil, 0, false
+		return nil, false
 	}
 	s.hits.Add(1)
-	return b, hits, true
+	return b, true
 }
 
 // SpillSize reports a spilled value's length.
@@ -368,8 +394,8 @@ func (s *Store) SpillSize(key string) (int64, bool) {
 }
 
 // LoadSpill reads a whole value back out of the spill level, checksum-
-// verified — the promotion read; the caller Puts it. The spill entry
-// stays behind, so evicting the promoted copy again costs no write.
+// verified; whether it goes back into RAM is the caller's Put. The spill
+// entry stays behind, so evicting a copy put back costs no write.
 // Failing while a spill level is on counts as a miss of both levels: the
 // caller goes to its origin next.
 func (s *Store) LoadSpill(key string) ([]byte, bool) {
@@ -386,6 +412,9 @@ func (s *Store) LoadSpill(key string) ([]byte, bool) {
 	s.hits.Add(1)
 	return b, true
 }
+
+// Capacity reports the RAM level's byte budget (0 = unlimited).
+func (s *Store) Capacity() int64 { return s.capacity }
 
 // Bytes reports the RAM-resident value bytes.
 func (s *Store) Bytes() int64 { return s.used.Load() }

@@ -125,11 +125,11 @@ func TestContract(t *testing.T) {
 			if n, ok := s.SpillSize("g\x00a"); !ok || n != 100 {
 				t.Fatalf("a not spilled: size=%d ok=%v", n, ok)
 			}
-			b, hits, ok := s.ReadSpill("g\x00a", 40, 20)
-			if !ok || hits != 1 || !bytes.Equal(b, want[40:60]) {
-				t.Fatalf("ReadSpill = %v hits=%d ok=%v", b, hits, ok)
+			b, ok := s.ReadSpill("g\x00a", 40, 20)
+			if !ok || !bytes.Equal(b, want[40:60]) {
+				t.Fatalf("ReadSpill = %v ok=%v", b, ok)
 			}
-			if _, _, ok := s.ReadSpill("g\x00a", 90, 20); ok {
+			if _, ok := s.ReadSpill("g\x00a", 90, 20); ok {
 				t.Error("range past the value's end served")
 			}
 			whole, ok := s.LoadSpill("g\x00a")
@@ -242,6 +242,37 @@ func TestContract(t *testing.T) {
 	}
 }
 
+// TestPutIfRoomNeverEvicts pins the no-churn insert: a value is cached
+// while the budget has room for it and refused — evicting nothing — once
+// it has not; a stale generation is refused and a resident key counts as
+// cached, both without moving the byte count.
+func TestPutIfRoomNeverEvicts(t *testing.T) {
+	s := New(250, groupOfTest)
+	if !s.PutIfRoom("g\x00a", val(1, 100), s.Gen("g\x00a")) {
+		t.Fatal("refused with room left")
+	}
+	if !s.PutIfRoom("g\x00a", val(1, 100), s.Gen("g\x00a")) || s.Bytes() != 100 {
+		t.Fatalf("resident key: bytes %d, want 100", s.Bytes())
+	}
+	if !s.PutIfRoom("g\x00b", val(2, 100), s.Gen("g\x00b")) {
+		t.Fatal("refused with room left")
+	}
+	if s.PutIfRoom("g\x00c", val(3, 100), s.Gen("g\x00c")) {
+		t.Fatal("cached past the budget")
+	}
+	if s.Count() != 2 || s.Bytes() != 200 || !resident(s, "g\x00a") || !resident(s, "g\x00b") {
+		t.Fatalf("refusal moved the store: %d entries, %d bytes", s.Count(), s.Bytes())
+	}
+	gen := s.Gen("g\x00d")
+	s.Remove("g\x00d")
+	if s.PutIfRoom("g\x00d", val(4, 10), gen) || s.Bytes() != 200 {
+		t.Fatalf("stale generation cached or counted: bytes %d", s.Bytes())
+	}
+	if !s.PutIfRoom("g\x00e", val(5, 50), s.Gen("g\x00e")) || s.Bytes() != 250 {
+		t.Fatalf("exact fit refused: bytes %d", s.Bytes())
+	}
+}
+
 // TestConcurrentChurn hammers every mutating entry point from many
 // goroutines over a key space wide enough to hit every shard, with a
 // capacity tight enough that evictions and demotions run beside hits and
@@ -283,7 +314,11 @@ func TestConcurrentChurn(t *testing.T) {
 					v := versions[i].v
 					versions[i].mu.Unlock()
 					runtime.Gosched() // the origin read takes a while: let an overwrite in
-					s.Put(k, val(v, size), gen, nil)
+					if op == 0 {
+						s.PutIfRoom(k, val(v, size), gen)
+					} else {
+						s.Put(k, val(v, size), gen, nil)
+					}
 				case op == 2:
 					if b, ok := s.Get(k); ok && len(b) != size {
 						t.Errorf("Get(%s) returned %d bytes", k, len(b))
