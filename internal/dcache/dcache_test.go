@@ -109,10 +109,10 @@ func newFixture(t *testing.T, nFiles, fileSize int, layout []string, policy Poli
 // the owning master, whose answer lends the cached file to the connection
 // writer instead of copying it into a fresh response. What the read
 // allocates is the response its caller keeps, the request frame's handler
-// goroutine, the per-call deadline and the decoded path: 8 in all (9 when
-// the master copied the file out, 13 with a fresh channel and header per
-// call); the race detector, which drops pooled items at random, gets a
-// margin.
+// goroutine and the decoded path: 3 in all. The per-call deadline is the
+// connection's one reaper timer, which allocates nothing per call (a
+// context.WithTimeout per call made it 8). The race detector, which drops
+// pooled items at random, gets a margin.
 func TestPeerFileReadAllocations(t *testing.T) {
 	f := newFixture(t, 40, 2048, []string{"nodeA", "nodeB"}, OnDemand, nil)
 	p := f.peers[0]
@@ -131,7 +131,7 @@ func TestPeerFileReadAllocations(t *testing.T) {
 		}
 	}
 	read() // warm: the master loads the chunk, this peer dials it
-	budget := 8.0
+	budget := 3.0
 	if raceEnabled {
 		budget += 2
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"diesel/internal/chunk"
 	"diesel/internal/meta"
@@ -212,47 +213,28 @@ func NewCacheSource(fr FileReader, snap *meta.Snapshot, parallel int) *CacheSour
 // reports; past it the joined error just counts the rest.
 const maxJoinedReadErrors = 8
 
-// ReadGroup implements Source. A fixed pool of min(parallel, n) workers
-// drains the group's files from a channel, so a large group never holds
-// more goroutines than parallel — the previous shape spawned one
-// goroutine per file and only then queued on the semaphore, bursting
-// thousands of goroutines for chunk-sized groups. Every file is
-// attempted even after a failure, and all failures are joined so the
-// caller sees each broken file, not just the first.
+// ReadGroup implements Source. min(parallel, n) workers, the calling
+// goroutine the last of them, take the group's positions from one atomic
+// index, so a large group never holds more goroutines than parallel.
+// Every file is attempted even after a failure, and all failures are
+// joined so the caller sees each broken file, not just the first.
 func (s *CacheSource) ReadGroup(ctx context.Context, plan *shuffle.Plan, g int) ([][]byte, error) {
 	span := plan.Groups[g]
-	n := span.End - span.Start
-	out := make([][]byte, n)
-	errs := make([]error, n)
-	jobs := make(chan int)
-	workers := s.parallel
-	if n < workers {
-		workers = n
+	r := &groupRead{s: s, ctx: ctx, plan: plan, start: span.Start, out: make([][]byte, span.End-span.Start)}
+	workers := max(1, min(s.parallel, len(r.out)))
+	r.wg.Add(workers)
+	for range workers - 1 {
+		go r.work()
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for pos := range jobs {
-				if err := ctx.Err(); err != nil {
-					errs[pos-span.Start] = err
-					continue
-				}
-				path := s.snap.FileName(int(plan.Files[pos]))
-				out[pos-span.Start], errs[pos-span.Start] = s.read(ctx, path)
-			}
-		}()
+	r.work()
+	r.wg.Wait()
+	if r.errs == nil {
+		return r.out, nil
 	}
-	for pos := span.Start; pos < span.End; pos++ {
-		jobs <- pos
-	}
-	close(jobs)
-	wg.Wait()
 
 	var joined []error
 	extra := 0
-	for i, err := range errs {
+	for i, err := range r.errs {
 		if err == nil {
 			continue
 		}
@@ -266,8 +248,43 @@ func (s *CacheSource) ReadGroup(ctx context.Context, plan *shuffle.Plan, g int) 
 	if extra > 0 {
 		joined = append(joined, fmt.Errorf("epoch: %d more file reads failed", extra))
 	}
-	if len(joined) > 0 {
-		return nil, errors.Join(joined...)
+	return nil, errors.Join(joined...)
+}
+
+// groupRead is one CacheSource.ReadGroup in progress: everything its
+// workers share, in one allocation.
+type groupRead struct {
+	s     *CacheSource
+	ctx   context.Context
+	plan  *shuffle.Plan
+	start int          // the group's first plan position
+	out   [][]byte     // payloads by position within the group
+	next  atomic.Int64 // positions handed out so far
+	wg    sync.WaitGroup
+
+	mu   sync.Mutex
+	errs []error // by position within the group; made by the first failure
+}
+
+// work reads positions until none are left.
+func (r *groupRead) work() {
+	defer r.wg.Done()
+	for {
+		i := int(r.next.Add(1) - 1)
+		if i >= len(r.out) {
+			return
+		}
+		err := r.ctx.Err()
+		if err == nil {
+			r.out[i], err = r.s.read(r.ctx, r.s.snap.FileName(int(r.plan.Files[r.start+i])))
+		}
+		if err != nil {
+			r.mu.Lock()
+			if r.errs == nil {
+				r.errs = make([]error, len(r.out))
+			}
+			r.errs[i] = err
+			r.mu.Unlock()
+		}
 	}
-	return out, nil
 }

@@ -191,6 +191,30 @@ func TestCacheSourceBoundsWorkers(t *testing.T) {
 	}
 }
 
+// viewReader returns the same bytes for every path, allocating nothing.
+type viewReader []byte
+
+func (v viewReader) ReadFileContext(context.Context, string) ([]byte, error) { return v, nil }
+
+// TestCacheSourceGroupAllocations: a group read allocates its result, one
+// state for its workers, and one goroutine closure per worker beyond the
+// calling goroutine, which reads too — no channel, WaitGroup or error
+// slice while every read succeeds.
+func TestCacheSourceGroupAllocations(t *testing.T) {
+	snap := buildSnap(4, 16) // one group of 64 files at groupSize=4
+	plan := shuffle.ChunkWisePlan(snap, 5, 4)
+	const parallel = 8
+	src := NewCacheSource(viewReader("x"), snap, parallel)
+	n := testing.AllocsPerRun(200, func() {
+		if _, err := src.ReadGroup(context.Background(), plan, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := float64(parallel + 1); n > want {
+		t.Errorf("a group read on %d workers allocates %.1f times, want %.0f", parallel, n, want)
+	}
+}
+
 // TestCacheSourceJoinsErrors: every failing file is named in the returned
 // error (capped), not just the first one encountered.
 func TestCacheSourceJoinsErrors(t *testing.T) {

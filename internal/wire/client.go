@@ -51,6 +51,11 @@ type Client struct {
 	pending map[uint64]pendingCall
 	closed  bool
 	readErr error
+	// reaper enforces callTimeout for every pending call: one timer, made
+	// by the first call with a deadline and armed at reapAt, the earliest
+	// deadline it knows of (0: not armed). See reap.
+	reaper *time.Timer
+	reapAt time.Duration
 
 	seq atomic.Uint64
 
@@ -65,15 +70,29 @@ type pendingCall struct {
 	// own: the caller keeps the response payload, so the read loop gives it
 	// an allocation of its own instead of the frame's pooled buffer.
 	own bool
+	// deadline is when the reaper expires the call, on the clock of
+	// sinceBase; 0 means never.
+	deadline time.Duration
 }
 
-// callChans recycles pending-call channels. A channel goes back only once
-// it has delivered its response, so it is empty and nothing else holds it.
-// After a deadline it is dropped instead: the read loop sends after it
-// has let go of c.mu, so a call that gave up may still get a late frame,
-// and a recycled channel would hand that frame to the next caller. A
-// channel failAll closed is dropped too.
+// callChans recycles pending-call channels. A channel goes back once it
+// has delivered its response or the reaper's expiredFrame: whoever took
+// the call out of pending sent on it, so it is empty and nothing else
+// holds it. After the caller's own context gave up it is dropped instead:
+// the read loop sends after it has let go of c.mu, so that call may still
+// get a late frame, and a recycled channel would hand that frame to the
+// next caller. A channel failAll closed is dropped too.
 var callChans = sync.Pool{New: func() any { return make(chan *Frame, 1) }}
+
+// expiredFrame is what the reaper sends a call whose deadline passed. It
+// is never read, written or released.
+var expiredFrame = new(Frame)
+
+// clockBase anchors call deadlines to the monotonic clock.
+var clockBase = time.Now()
+
+// sinceBase is t on the clock of pendingCall.deadline.
+func sinceBase(t time.Time) time.Duration { return t.Sub(clockBase) }
 
 // Dial connects to a wire server at addr.
 func Dial(addr string, opts ...Option) (*Client, error) {
@@ -169,25 +188,68 @@ func (c *Client) failAll(err error) {
 		delete(c.pending, seq)
 	}
 	c.closed = true
+	if c.reaper != nil {
+		c.reaper.Stop()
+		c.reapAt = 0
+	}
 }
 
-// Call sends a request and blocks for its response, bounded by the
-// client's CallTimeout option if one was set. It returns the response
-// payload, a *RemoteError if the server's handler failed, or a transport
-// error if the connection broke or the deadline fired.
-func (c *Client) Call(method string, payload []byte) ([]byte, error) {
-	if c.callTimeout > 0 {
-		ctx, cancel := context.WithTimeout(context.Background(), c.callTimeout)
-		defer cancel()
-		return c.CallContext(ctx, method, payload)
+// arm makes sure the reaper fires by deadline, d from now. Only a call
+// that is now the earliest deadline resets the timer. Called with c.mu
+// held.
+func (c *Client) arm(deadline, d time.Duration) {
+	if c.reapAt != 0 && c.reapAt <= deadline {
+		return
 	}
+	c.reapAt = deadline
+	if c.reaper == nil {
+		c.reaper = time.AfterFunc(d, c.reap)
+	} else {
+		c.reaper.Reset(d)
+	}
+}
+
+// reap runs when the reaper's timer fires: it takes every overdue call
+// out of pending, sends it expiredFrame, and re-arms at the earliest
+// deadline left, if any. The send never blocks: the channel holds one
+// frame and is empty, because only whoever removes a call from pending
+// sends on its channel. With a constant timeout it fires about once per
+// timeout per connection, however many calls it covers.
+func (c *Client) reap() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	now := sinceBase(time.Now())
+	c.reapAt = 0
+	var next time.Duration
+	for seq, p := range c.pending {
+		switch {
+		case p.deadline == 0:
+		case p.deadline <= now:
+			delete(c.pending, seq)
+			p.ch <- expiredFrame
+		case next == 0 || p.deadline < next:
+			next = p.deadline
+		}
+	}
+	if next != 0 {
+		c.arm(next, next-now)
+	}
+}
+
+// Call sends a request and blocks for its response. It returns the
+// response payload, a *RemoteError if the server's handler failed, or a
+// transport error if the connection broke or the connection's
+// CallTimeout fired.
+func (c *Client) Call(method string, payload []byte) ([]byte, error) {
 	return c.CallContext(context.Background(), method, payload)
 }
 
-// CallContext is Call with an explicit deadline/cancellation. When ctx
-// expires the call returns an error wrapping ctx.Err() without waiting for
-// the server; the request may still execute remotely, so callers must only
-// retry idempotent operations after a deadline.
+// CallContext is Call with an explicit deadline/cancellation; the
+// connection's CallTimeout, if it was dialed with one, bounds it as well,
+// and whichever comes first ends the call. When either expires the call
+// returns an error wrapping ctx.Err() or context.DeadlineExceeded without
+// waiting for the server; the request may still execute remotely, so
+// callers must only retry idempotent operations after a deadline.
 //
 // The returned payload is owned by the caller: it is one allocation of
 // exactly the response's size, filled by the socket read, that no pool
@@ -252,13 +314,20 @@ func (c *Client) roundTrip(ctx context.Context, method string, payload, lent []b
 	}()
 	seq := c.seq.Add(1)
 	ch := callChans.Get().(chan *Frame)
+	var deadline time.Duration
+	if c.callTimeout > 0 {
+		deadline = sinceBase(start) + c.callTimeout
+	}
 
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return nil, fmt.Errorf("wire: call %s: %w", method, errors.Join(ErrClientClosed, ErrNotSent))
 	}
-	c.pending[seq] = pendingCall{ch: ch, own: own}
+	c.pending[seq] = pendingCall{ch: ch, own: own, deadline: deadline}
+	if deadline != 0 {
+		c.arm(deadline, c.callTimeout)
+	}
 	c.mu.Unlock()
 
 	req := newFrame()
@@ -284,10 +353,11 @@ func (c *Client) roundTrip(ctx context.Context, method string, payload, lent []b
 		c.mu.Lock()
 		delete(c.pending, seq)
 		c.mu.Unlock()
-		// The response may have been matched between the read loop's
-		// delete and ours; both run under c.mu, so a non-blocking receive
-		// settles it. If it finds nothing, the read loop may still hold
-		// ch and send on it later: ch is not recycled (see callChans).
+		// The response (or the reaper's expiry) may have been matched
+		// between the read loop's delete and ours; both run under c.mu,
+		// so a non-blocking receive settles it. If it finds nothing, the
+		// read loop may still hold ch and send on it later: ch is not
+		// recycled (see callChans).
 		select {
 		case f, ok := <-ch:
 			return c.finish(method, ch, f, ok)
@@ -307,6 +377,12 @@ func (c *Client) finish(method string, ch chan *Frame, f *Frame, ok bool) (*Fram
 		return nil, fmt.Errorf("wire: call %s: %w", method, ErrClientClosed)
 	}
 	callChans.Put(ch)
+	if f == expiredFrame {
+		if metricsOn() {
+			mCallTimeouts.Inc()
+		}
+		return nil, fmt.Errorf("wire: call %s: %w", method, context.DeadlineExceeded)
+	}
 	if f.Kind == KindError {
 		err := &RemoteError{Msg: string(f.Payload)}
 		f.Release() // message copied into the error; recycle the frame
@@ -388,9 +464,9 @@ func (p *Pool) Call(method string, payload []byte) ([]byte, error) {
 
 // CallContext is Call with an explicit deadline/cancellation, so callers
 // (the epoch reader, the distributed cache) can bound a whole read rather
-// than each RPC individually. The pool's WithCallTimeout option still
-// applies per attempt: each attempt's effective deadline is the earlier of
-// the caller's deadline and the per-call timeout.
+// than each RPC individually. The pool's connections are dialed with its
+// options, so its WithCallTimeout still bounds each attempt: an attempt
+// ends at the earlier of the caller's deadline and the per-call timeout.
 func (p *Pool) CallContext(ctx context.Context, method string, payload []byte) ([]byte, error) {
 	return owned(p.roundTrip(ctx, method, payload, nil))
 }
@@ -425,7 +501,7 @@ func (p *Pool) roundTrip(ctx context.Context, method string, payload, lent []byt
 			}
 			continue
 		}
-		resp, err := p.callOne(ctx, c, method, payload, lent)
+		resp, err := c.roundTrip(ctx, method, payload, lent, true)
 		if err == nil || IsRemote(err) {
 			return resp, err
 		}
@@ -446,18 +522,6 @@ func (p *Pool) roundTrip(ctx context.Context, method string, payload, lent []byt
 		firstErr = fmt.Errorf("wire: pool %s: %w", p.addr, ErrNotSent)
 	}
 	return nil, firstErr
-}
-
-// callOne performs one attempt on one pooled connection, bounding it with
-// the pool's per-call timeout (if configured) on top of the caller's
-// context.
-func (p *Pool) callOne(ctx context.Context, c *Client, method string, payload, lent []byte) (*Frame, error) {
-	if p.o.callTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, p.o.callTimeout)
-		defer cancel()
-	}
-	return c.roundTrip(ctx, method, payload, lent, true)
 }
 
 // acquire returns the slot's live client, redialing if the previous one

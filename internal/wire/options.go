@@ -30,9 +30,13 @@ const (
 // Option configures Dial or DialPool.
 type Option func(*options)
 
-// WithCallTimeout sets a per-call deadline applied by Call (and by every
-// pooled call). Zero means calls block until the connection breaks — the
-// pre-deadline behaviour, only safe against servers that always answer.
+// WithCallTimeout bounds every call made on the connection — Call,
+// CallContext, CallLendContext and CallBorrowContext, and every attempt
+// of a Pool's calls, whose connections are dialed with its options. A
+// call that outlives it fails with an error wrapping
+// context.DeadlineExceeded. Zero means calls block until the connection
+// breaks or their context ends — only safe against servers that always
+// answer.
 func WithCallTimeout(d time.Duration) Option {
 	return func(o *options) { o.callTimeout = d }
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // benchServer starts an echo server and a client for round-trip benchmarks.
-func benchServer(b testing.TB) (*Client, func()) {
+func benchServer(b testing.TB, opts ...Option) (*Client, func()) {
 	b.Helper()
 	srv := NewServer()
 	srv.Handle("echo", func(p []byte) ([]byte, error) { return p, nil })
@@ -17,7 +17,7 @@ func benchServer(b testing.TB) (*Client, func()) {
 	if err != nil {
 		b.Fatalf("listen: %v", err)
 	}
-	c, err := Dial(addr)
+	c, err := Dial(addr, opts...)
 	if err != nil {
 		srv.Close()
 		b.Fatalf("dial: %v", err)

@@ -185,14 +185,18 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
+		// Close sets closed before it takes connsMu to close what is in
+		// connsSet and wait for it, so under connsMu a connection is
+		// either refused here or closed and waited for by Close.
+		s.connsMu.Lock()
 		if s.closed.Load() {
+			s.connsMu.Unlock()
 			conn.Close()
 			return
 		}
-		s.connsMu.Lock()
 		s.connsSet[conn] = struct{}{}
-		s.connsMu.Unlock()
 		s.conns.Add(1)
+		s.connsMu.Unlock()
 		go s.serveConn(conn)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"testing"
+	"time"
 )
 
 // The BenchmarkWireFrame* family is the allocation budget of the frame
@@ -75,16 +76,22 @@ func BenchmarkWireFrameRead(b *testing.B) {
 
 // BenchmarkWireFrameRoundTrip measures one echo RPC over loopback TCP —
 // the end-to-end per-call allocation cost of the transport, request and
-// response included.
+// response included. 1KB-deadline is the 1KB call on a connection dialed
+// WithCallTimeout, which must cost no more.
 func BenchmarkWireFrameRoundTrip(b *testing.B) {
-	for _, size := range []int{1 << 10, 64 << 10} {
-		name := "1KB"
-		if size > 1<<10 {
-			name = "64KB"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		size int
+		opts []Option
+	}{
+		{"1KB", 1 << 10, nil},
+		{"1KB-deadline", 1 << 10, []Option{WithCallTimeout(time.Second)}},
+		{"64KB", 64 << 10, nil},
+	} {
+		size := bc.size
+		b.Run(bc.name, func(b *testing.B) {
 			payload := bytes.Repeat([]byte("x"), size)
-			c, stop := benchServer(b)
+			c, stop := benchServer(b, bc.opts...)
 			defer stop()
 			// One call before the timer: Dial returns before the server has
 			// set its side of the connection up (two 64 KiB bufio buffers),
