@@ -4,10 +4,12 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"diesel/internal/client"
 	"diesel/internal/core"
+	"diesel/internal/meta"
 )
 
 func testClient(t *testing.T) *client.Client {
@@ -49,6 +51,9 @@ func TestDlcmdPutGetStatLsRm(t *testing.T) {
 	}
 	if err := run(c, "ls", []string{"docs"}); err != nil {
 		t.Fatal(err)
+	}
+	if err := run(c, "ls", []string{"no/such/dir"}); err == nil || !strings.Contains(err.Error(), meta.ErrNotExist.Error()) {
+		t.Errorf("ls of a missing directory: %v, want %q", err, meta.ErrNotExist)
 	}
 	if err := run(c, "info", nil); err != nil {
 		t.Fatal(err)
@@ -112,6 +117,7 @@ func TestDlcmdErrors(t *testing.T) {
 		{"rm", nil},
 		{"save-meta", nil},
 		{"gen", []string{"x", "y"}},
+		{"ls", []string{"no/such/dir"}},
 		{"no-such-command", nil},
 	} {
 		if err := run(c, tc.cmd, tc.args); err == nil {

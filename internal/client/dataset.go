@@ -277,8 +277,10 @@ func (d *Dataset) Stat(path string) (StatInfo, error) {
 	return StatInfo{Size: fr.Length, ChunkID: fr.ChunkID.String()}, nil
 }
 
-// Ls lists a directory (DL_ls): snapshot-local when loaded, otherwise two
-// prefix scans on the metadata database via the server.
+// Ls lists a directory (DL_ls): snapshot-local when loaded, otherwise one
+// server RPC, answered from the same committed view a snapshot is built
+// from. A directory that does not exist fails with meta.ErrNotExist from
+// a snapshot, and with its message from the server.
 func (d *Dataset) Ls(dir string) ([]Entry, error) {
 	d.smu.RLock()
 	snap := d.snap

@@ -3,8 +3,8 @@
 // paper. It provides:
 //
 //   - Store: a single node's in-memory ordered map (skiplist-backed) with
-//     GET/SET/DEL and prefix scans, the operation DIESEL translates
-//     readdir into ("pscan hash(dir)/d ∪ pscan hash(dir)/f", §4.1.1).
+//     GET/SET/DEL and prefix scans, which the DIESEL server reads a
+//     dataset's chunk and file records with.
 //   - Server: a Store exposed over the wire RPC protocol.
 //   - Cluster: a client that shards keys across servers by hash slot,
 //     like Redis cluster's 16384-slot scheme, with batched MSET and

@@ -15,14 +15,15 @@ import (
 	"strings"
 )
 
-// Key prefixes. The schema follows §4.1.1: listing a directory is two
-// prefix scans (one for child directories, one for files), and stat of a
-// full path is a single get on a key derived from hash(dir) + basename.
+// Key prefixes. Stat of a full path is a single get on a key derived from
+// hash(dir) + basename, as in §4.1.1. Figure 5b's directory records are
+// not kept: a directory exists while a committed file lies under it, so
+// a listing is read from the committed view of the chunk and file records
+// (server.BuildSnapshot), never from a record of its own.
 const (
 	prefixDataset = "ds|" // ds|<dataset> → DatasetRecord
 	prefixChunk   = "ck|" // ck|<dataset>|<chunkID> → ChunkRecord
 	prefixFile    = "f|"  // f|<dataset>|<hash(dir)>|<base> → FileRecord
-	prefixDir     = "d|"  // d|<dataset>|<hash(parent)>|<base> → empty
 )
 
 // ErrInvalidName is returned for dataset names and file paths that embed
@@ -44,8 +45,7 @@ func ValidDataset(name string) error {
 }
 
 // ValidFilePath checks that a dataset-relative path is usable in metadata
-// keys: '|' is reserved as the key separator (it would corrupt readdir
-// results and scan-key parsing).
+// keys: '|' is reserved as the key separator.
 func ValidFilePath(path string) error {
 	if strings.ContainsRune(path, '|') {
 		return fmt.Errorf("%w: path %q may not contain '|'", ErrInvalidName, path)
@@ -107,10 +107,10 @@ func SplitPath(p string) (dir, base string) {
 }
 
 // dirHash is the 16 lower-case hex digits of the FNV-1a 64-bit hash of a
-// directory path — the form it takes in file and directory keys. It is
-// computed inline and returned by value so the key builders below cost
-// the one allocation of the key itself; keys are persisted, so the digits
-// must stay exactly what hash/fnv and "%016x" produce.
+// directory path — the form it takes in file keys. It is computed inline
+// and returned by value so FileKey costs the one allocation of the key
+// itself; keys are persisted, so the digits must stay exactly what
+// hash/fnv and "%016x" produce.
 func dirHash(dir string) (hex [16]byte) {
 	dir = CleanPath(dir)
 	h := uint64(14695981039346656037)
@@ -145,55 +145,6 @@ func FileKey(dataset, path string) string {
 	return prefixFile + dataset + "|" + string(h[:]) + "|" + base
 }
 
-// dirEntryKey is the key marking that directory dir contains child
-// directory base.
-func dirEntryKey(dataset, parent, base string) string {
-	h := dirHash(parent)
-	return prefixDir + dataset + "|" + string(h[:]) + "|" + base
-}
-
-// FileScanPrefix returns the pscan prefix listing the files of one
-// directory ("pscan hash(dir)/f" in the paper).
-func FileScanPrefix(dataset, dir string) string {
-	h := dirHash(dir)
-	return prefixFile + dataset + "|" + string(h[:]) + "|"
-}
-
-// DirScanPrefix returns the pscan prefix listing the child directories of
-// one directory ("pscan hash(dir)/d" in the paper).
-func DirScanPrefix(dataset, dir string) string {
-	h := dirHash(dir)
-	return prefixDir + dataset + "|" + string(h[:]) + "|"
-}
-
 // FileDatasetPrefix returns the pscan prefix covering the file records of
 // every directory of a dataset.
 func FileDatasetPrefix(dataset string) string { return prefixFile + dataset + "|" }
-
-// DirDatasetPrefix returns the pscan prefix covering the directory-entry
-// records of every directory of a dataset.
-func DirDatasetPrefix(dataset string) string { return prefixDir + dataset + "|" }
-
-// BaseFromScanKey extracts the basename from a key returned by a scan with
-// FileScanPrefix or DirScanPrefix.
-func BaseFromScanKey(key string) string {
-	i := strings.LastIndexByte(key, '|')
-	if i < 0 {
-		return key
-	}
-	return key[i+1:]
-}
-
-// ancestors returns every ancestor directory of a cleaned path, from the
-// root-most ("a") down to the immediate parent, excluding the root itself.
-// For "a/b/c/file" it returns ["a", "a/b", "a/b/c"].
-func ancestors(path string) []string {
-	path = CleanPath(path)
-	var out []string
-	for i, r := range path {
-		if r == '/' {
-			out = append(out, path[:i])
-		}
-	}
-	return out
-}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -43,17 +42,6 @@ func TestSplitPath(t *testing.T) {
 	}
 }
 
-func TestAncestors(t *testing.T) {
-	got := ancestors("a/b/c/file.jpg")
-	want := []string{"a", "a/b", "a/b/c"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Ancestors = %v, want %v", got, want)
-	}
-	if got := ancestors("file.jpg"); len(got) != 0 {
-		t.Errorf("root file Ancestors = %v", got)
-	}
-}
-
 // dirHashString is dirHash as the string the key builders embed.
 func dirHashString(dir string) string {
 	h := dirHash(dir)
@@ -77,33 +65,16 @@ func TestDirHashStable(t *testing.T) {
 func TestKeySchemaRoundTrip(t *testing.T) {
 	ds := "imagenet"
 	fk := FileKey(ds, "train/n01/x.jpg")
-	if !strings.HasPrefix(fk, FileScanPrefix(ds, "train/n01")) {
-		t.Error("file key not under its directory's scan prefix")
+	if !strings.HasPrefix(fk, FileDatasetPrefix(ds)) || !strings.HasSuffix(fk, "|x.jpg") {
+		t.Errorf("file key %q not under its dataset-wide scan prefix, or not ending in its basename", fk)
 	}
-	if BaseFromScanKey(fk) != "x.jpg" {
-		t.Errorf("BaseFromScanKey = %q", BaseFromScanKey(fk))
-	}
-	dk := dirEntryKey(ds, "train", "n01")
-	if !strings.HasPrefix(dk, DirScanPrefix(ds, "train")) {
-		t.Error("dir key not under parent's scan prefix")
-	}
-	if BaseFromScanKey(dk) != "n01" {
-		t.Errorf("dir BaseFromScanKey = %q", BaseFromScanKey(dk))
-	}
-	if !strings.HasPrefix(fk, FileDatasetPrefix(ds)) || !strings.HasPrefix(dk, DirDatasetPrefix(ds)) {
-		t.Error("file or dir key not under its dataset-wide scan prefix")
-	}
-	if strings.HasPrefix(FileKey(ds+"x", "a"), FileDatasetPrefix(ds)) || strings.HasPrefix(dirEntryKey(ds+"x", "", "a"), DirDatasetPrefix(ds)) {
+	if strings.HasPrefix(FileKey(ds+"x", "a"), FileDatasetPrefix(ds)) {
 		t.Error("a dataset-wide scan prefix covers a dataset whose name extends it")
 	}
 }
 
 func TestKeyNamespacesDisjoint(t *testing.T) {
-	// A file and a directory with identical names must produce distinct
-	// keys, and datasets must not collide.
-	if FileKey("ds", "a/x") == dirEntryKey("ds", "a", "x") {
-		t.Error("file and dir keys collide")
-	}
+	// Datasets must not collide.
 	if FileKey("ds1", "x") == FileKey("ds2", "x") {
 		t.Error("dataset namespaces collide")
 	}
@@ -164,20 +135,12 @@ func oldFileKey(dataset, path string) string {
 	return "f|" + dataset + "|" + oldDirHash(dir) + "|" + base
 }
 
-func oldDirEntryKey(dataset, parent, base string) string {
-	return "d|" + dataset + "|" + oldDirHash(parent) + "|" + base
-}
-
 func TestKeysMatchTheOldBuilders(t *testing.T) {
 	check := func(dataset, path string) {
 		t.Helper()
-		dir, base := SplitPath(path)
 		for _, c := range [][2]string{
 			{dirHashString(path), oldDirHash(path)},
 			{FileKey(dataset, path), oldFileKey(dataset, path)},
-			{dirEntryKey(dataset, dir, base), oldDirEntryKey(dataset, dir, base)},
-			{FileScanPrefix(dataset, path), "f|" + dataset + "|" + oldDirHash(path) + "|"},
-			{DirScanPrefix(dataset, path), "d|" + dataset + "|" + oldDirHash(path) + "|"},
 		} {
 			if c[0] != c[1] {
 				t.Fatalf("dataset %q path %q: key %q, the old builder made %q", dataset, path, c[0], c[1])
@@ -212,14 +175,11 @@ func TestKeysMatchTheOldBuilders(t *testing.T) {
 // TestKeyBuildersAllocateOnce: a key costs the allocation of the key.
 func TestKeyBuildersAllocateOnce(t *testing.T) {
 	ds, path := "imagenet", "train/n01440764/img_0001.jpg"
-	dir, base := SplitPath(path)
+	dir, _ := SplitPath(path)
 	var sink string
 	for name, f := range map[string]func(){
-		"FileKey":        func() { sink = FileKey(ds, path) },
-		"DirEntryKey":    func() { sink = dirEntryKey(ds, dir, base) },
-		"DirHash":        func() { sink = dirHashString(dir) },
-		"FileScanPrefix": func() { sink = FileScanPrefix(ds, dir) },
-		"DirScanPrefix":  func() { sink = DirScanPrefix(ds, dir) },
+		"FileKey": func() { sink = FileKey(ds, path) },
+		"DirHash": func() { sink = dirHashString(dir) },
 	} {
 		if n := testing.AllocsPerRun(200, f); n != 1 {
 			t.Errorf("%s: %v allocations, want 1", name, n)

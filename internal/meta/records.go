@@ -108,12 +108,11 @@ func DecodeFileRecord(b []byte) (FileRecord, error) {
 // PairsForChunk converts one chunk header into the full set of key-value
 // pairs the DIESEL server writes on ingest — and equally, the pairs a
 // recovery scan re-derives from stored chunks. It returns the chunk record
-// pair first, then one file record pair per entry and directory-entry
-// pairs for every ancestor directory; the server writes the first after
-// the rest, as the chunk's commit record.
+// pair first, then one file record pair per entry; the server writes the
+// first after the rest, as the chunk's commit record.
 func PairsForChunk(dataset string, h *chunk.Header, encodedSize uint64) []KV {
 	idStr := h.ID.String()
-	pairs := make([]KV, 0, 2*len(h.Entries)+1)
+	pairs := make([]KV, 0, len(h.Entries)+1)
 
 	cr := ChunkRecord{
 		Size:      encodedSize,
@@ -122,7 +121,6 @@ func PairsForChunk(dataset string, h *chunk.Header, encodedSize uint64) []KV {
 	}
 	pairs = append(pairs, KV{Key: ChunkKey(dataset, idStr), Value: cr.Encode()})
 
-	seenDirs := make(map[string]bool)
 	for i, fe := range h.Entries {
 		fr := FileRecord{
 			ChunkID:  h.ID,
@@ -132,14 +130,6 @@ func PairsForChunk(dataset string, h *chunk.Header, encodedSize uint64) []KV {
 			FullName: CleanPath(fe.Name),
 		}
 		pairs = append(pairs, KV{Key: FileKey(dataset, fr.FullName), Value: fr.Encode()})
-		for _, anc := range ancestors(fr.FullName) {
-			if seenDirs[anc] {
-				continue
-			}
-			seenDirs[anc] = true
-			parent, base := SplitPath(anc)
-			pairs = append(pairs, KV{Key: dirEntryKey(dataset, parent, base), Value: nil})
-		}
 	}
 	return pairs
 }

@@ -85,15 +85,13 @@ func TestPairsForChunk(t *testing.T) {
 
 	pairs := PairsForChunk("imagenet", h, uint64(len(enc)))
 
-	var chunkKeys, fileKeys, dirKeys []string
+	var chunkKeys, fileKeys []string
 	for _, kv := range pairs {
 		switch {
 		case strings.HasPrefix(kv.Key, "ck|"):
 			chunkKeys = append(chunkKeys, kv.Key)
 		case strings.HasPrefix(kv.Key, "f|"):
 			fileKeys = append(fileKeys, kv.Key)
-		case strings.HasPrefix(kv.Key, "d|"):
-			dirKeys = append(dirKeys, kv.Key)
 		default:
 			t.Errorf("unexpected key %q", kv.Key)
 		}
@@ -104,9 +102,8 @@ func TestPairsForChunk(t *testing.T) {
 	if len(fileKeys) != 3 {
 		t.Errorf("file keys = %d", len(fileKeys))
 	}
-	// Directories: train, train/n01, val → 3 entries.
-	if len(dirKeys) != 3 {
-		t.Errorf("dir keys = %d: %v", len(dirKeys), dirKeys)
+	if len(pairs) != 4 {
+		t.Errorf("%d pairs, want the chunk record and 3 file records: directories have no records", len(pairs))
 	}
 
 	// The chunk record decodes back to the header's facts.

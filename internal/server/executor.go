@@ -3,6 +3,7 @@ package server
 import (
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"strconv"
@@ -54,7 +55,8 @@ type ExecutorStats struct {
 }
 
 // GetFilesContext serves a batch of file reads. The result is parallel to
-// paths; entries for missing files are nil. The executor sorts the
+// paths; entries for missing files are nil, and a file whose chunk has not
+// committed is missing, as one with no record is. The executor sorts the
 // requests by chunk and offset once, takes each chunk's run of them as a
 // group, and chooses per group between one whole-chunk read and per-file
 // range reads. The request context is threaded through the batch stat and
@@ -104,10 +106,20 @@ func (s *Server) getFiles(ctx context.Context, dataset string, paths []string) (
 		if err != nil {
 			return nil, nil, err
 		}
+		// The commit check, before the file takes room in the buffer; a
+		// file of the chunk the file before it is in takes that one's shape.
+		var shape chunkShape
+		if n := len(reqs); n > 0 && reqs[n-1].fr.ChunkID == fr.ChunkID {
+			shape = reqs[n-1].shape
+		} else if shape, err = s.shapeOf(ctx, dataset, fr.ChunkID); errors.Is(err, ErrNoSuchFile) {
+			continue // its chunk has not committed: missing too
+		} else if err != nil {
+			return nil, nil, err
+		}
 		if fr.Length > wire.MaxFrame || total+fr.Length > wire.MaxFrame {
 			return nil, nil, fmt.Errorf("server: batch of %d files exceeds %d bytes", len(paths), wire.MaxFrame)
 		}
-		reqs = append(reqs, fileReq{idx: i, fr: fr})
+		reqs = append(reqs, fileReq{idx: i, fr: fr, shape: shape})
 		total += fr.Length
 	}
 	buf := make([]byte, total)
@@ -151,7 +163,7 @@ func (s *Server) getFiles(ctx context.Context, dataset string, paths []string) (
 		}
 		grp := rest[:n]
 		if rest = rest[n:]; len(rest) == 0 {
-			if err := s.serveGroup(ctx, dataset, grp, out); err != nil {
+			if err := s.serveGroup(ctx, grp, out); err != nil {
 				fail(err)
 			}
 			break
@@ -163,7 +175,7 @@ func (s *Server) getFiles(ctx context.Context, dataset string, paths []string) (
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := s.serveGroup(ctx, dataset, grp, out); err != nil {
+			if err := s.serveGroup(ctx, grp, out); err != nil {
 				fail(err)
 			}
 			<-sem
@@ -177,15 +189,17 @@ func (s *Server) getFiles(ctx context.Context, dataset string, paths []string) (
 	return out, buf, nil
 }
 
-// fileReq pairs one requested path's position with its metadata record.
+// fileReq pairs one requested path's position with its metadata record
+// and its chunk's shape.
 type fileReq struct {
-	idx int // position in the request batch
-	fr  meta.FileRecord
+	idx   int // position in the request batch
+	fr    meta.FileRecord
+	shape chunkShape
 }
 
 // serveGroup serves all requests that fall in one chunk, copying each
 // file into its window out[idx].
-func (s *Server) serveGroup(ctx context.Context, dataset string, grp []fileReq, out [][]byte) (err error) {
+func (s *Server) serveGroup(ctx context.Context, grp []fileReq, out [][]byte) (err error) {
 	id := grp[0].fr.ChunkID
 	sp := tracing.ChildOf(ctx, "exec.group")
 	if sp != nil {
@@ -200,10 +214,7 @@ func (s *Server) serveGroup(ctx context.Context, dataset string, grp []fileReq, 
 		wantBytes += r.fr.Length
 	}
 
-	shape, err := s.shapeOf(ctx, dataset, id)
-	if err != nil {
-		return err
-	}
+	shape := grp[0].shape
 	merge := s.Exec.Merge && (len(grp) >= s.Exec.minFiles ||
 		(shape.size > 0 && float64(wantBytes) >= s.Exec.minSpan*float64(shape.size)))
 	sp.SetAttr("merge", strconv.FormatBool(merge))

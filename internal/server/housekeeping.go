@@ -22,10 +22,11 @@ type PurgeStats struct {
 // removed.
 //
 // Whether an entry is live is the file records' to say, as they alone own
-// a file's location. A chunk is holed when fewer file records name it than
-// it has entries — a file deleted, or written again into a later chunk —
-// and an entry is carried only while its path's record still names this
-// chunk and index, checked again with one MGet per chunk when it is read.
+// a file's location. A chunk is holed when it holds fewer of the committed
+// view's files than it has entries — a file deleted, or written again into
+// a later chunk — and an entry is carried only while its path's record
+// still names this chunk and index, checked again with one MGet per chunk
+// when it is read.
 // So a path written again since or deleted since is left behind, never
 // brought back.
 //
@@ -118,45 +119,21 @@ func (s *Server) purge(dataset string, gen *chunk.IDGenerator) (PurgeStats, erro
 	return st, nil
 }
 
-// holedChunks returns, in write order, the chunks of dataset that fewer
-// file records name than they have entries: one scan of the chunk records
-// for the entry counts, then one of the file records for the names. The
-// order matters: a chunk record is written only after all its file records
-// have landed (putChunkMeta), so every chunk the first scan sees has all
-// its records in place before the second begins, and a record missing
-// from the second scan is a real hole, not an ingest still in flight.
-//
-// The file scan reads and decodes every file record of the dataset, as
-// BuildSnapshot does: purge costs O(files), not O(chunks).
+// holedChunks returns, in write order, the chunks of dataset that hold
+// fewer of the committed view's files than they have entries.
 func (s *Server) holedChunks(dataset string) ([]chunk.ID, error) {
-	prefix := meta.ChunkScanPrefix(dataset)
-	recs, err := s.kv.ScanPrefix(prefix)
+	var ids []chunk.ID
+	var holes []int64 // per chunk: its entries less the view's files in it
+	err := s.view(dataset, func(id chunk.ID, cr meta.ChunkRecord) {
+		ids = append(ids, id)
+		holes = append(holes, int64(cr.NumFiles))
+	}, func(ci int, _ meta.FileRecord) { holes[ci]-- })
 	if err != nil {
 		return nil, err
-	}
-	files, err := s.kv.ScanPrefix(meta.FileDatasetPrefix(dataset))
-	if err != nil {
-		return nil, err
-	}
-	named := make(map[chunk.ID]uint32)
-	for _, kv := range files {
-		fr, err := meta.DecodeFileRecord(kv.Value)
-		if err != nil {
-			return nil, err
-		}
-		named[fr.ChunkID]++
 	}
 	var holed []chunk.ID
-	for _, kv := range recs {
-		id, err := chunk.ParseID(kv.Key[len(prefix):])
-		if err != nil {
-			return nil, fmt.Errorf("server: purge: bad chunk key %q: %w", kv.Key, err)
-		}
-		cr, err := meta.DecodeChunkRecord(kv.Value)
-		if err != nil {
-			return nil, err
-		}
-		if named[id] < cr.NumFiles {
+	for ci, id := range ids {
+		if holes[ci] > 0 {
 			holed = append(holed, id)
 		}
 	}
@@ -200,11 +177,7 @@ func (s *Server) DeleteDataset(dataset string) error {
 			return err
 		}
 	}
-	for _, prefix := range []string{
-		meta.ChunkScanPrefix(dataset),
-		meta.FileDatasetPrefix(dataset),
-		meta.DirDatasetPrefix(dataset),
-	} {
+	for _, prefix := range []string{meta.ChunkScanPrefix(dataset), meta.FileDatasetPrefix(dataset)} {
 		kvs, err := s.kv.ScanPrefix(prefix)
 		if err != nil {
 			return err

@@ -219,6 +219,8 @@ func (r *RPCServer) register() {
 		return nil
 	})
 
+	// A listing is one directory of the committed view, read whole:
+	// O(files), like the snapshot it is taken from.
 	r.rpc.Handle(MethodList, func(p []byte) ([]byte, error) {
 		d := wire.NewDecoder(p)
 		dataset := d.String()
@@ -226,7 +228,11 @@ func (r *RPCServer) register() {
 		if err := d.Err(); err != nil {
 			return nil, err
 		}
-		ents, err := r.S.List(dataset, dir)
+		snap, err := r.S.BuildSnapshot(dataset)
+		if err != nil {
+			return nil, err
+		}
+		ents, err := snap.List(dir)
 		if err != nil {
 			return nil, err
 		}

@@ -40,6 +40,14 @@ func startRPC(t *testing.T) (*RPCServer, *wire.Client, map[string][]byte, *chunk
 		}
 	}
 
+	rpc, c := serveRPC(t, s)
+	return rpc, c, files, gen
+}
+
+// serveRPC exposes s over the wire protocol and returns the server and a
+// client of it.
+func serveRPC(t *testing.T, s *Server) (*RPCServer, *wire.Client) {
+	t.Helper()
 	rpc, err := NewRPC(s, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +58,7 @@ func startRPC(t *testing.T) (*RPCServer, *wire.Client, map[string][]byte, *chunk
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	return rpc, c, files, gen
+	return rpc, c
 }
 
 func encStrings(ss ...string) []byte {

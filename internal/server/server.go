@@ -16,7 +16,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -104,11 +103,12 @@ func ObjectKey(dataset, chunkID string) string { return dataset + "/" + chunkID 
 
 // Ingest stores one encoded chunk: the chunk goes to object storage, the
 // key-value pairs derived from its header go to the metadata database, and
-// then the dataset record is stamped. This is the server side of the write flow in Figure 3. Both checksums
-// are verified before anything is stored, so a chunk damaged on its way
-// here is rejected (chunk.ErrHeaderCRC, chunk.ErrPayloadCRC) with no
-// object and no metadata left behind. encoded becomes the object store's
-// (objstore.Store.Put): the caller must not modify it afterwards.
+// then the dataset record is stamped. This is the server side of the write
+// flow in Figure 3. Both checksums are verified before anything is stored,
+// so a chunk damaged on its way here is rejected (chunk.ErrHeaderCRC,
+// chunk.ErrPayloadCRC) with no object and no metadata left behind. encoded
+// becomes the object store's (objstore.Store.Put): the caller must not
+// modify it afterwards.
 func (s *Server) Ingest(dataset string, encoded []byte) (*chunk.Header, error) {
 	if err := meta.ValidDataset(dataset); err != nil {
 		return nil, err
@@ -147,14 +147,14 @@ func (s *Server) Ingest(dataset string, encoded []byte) (*chunk.Header, error) {
 }
 
 // putChunkMeta writes the metadata pairs of one stored chunk and returns
-// how many: its file and directory records in one MSet, then its chunk
-// record. The chunk record is written last because it commits the chunk:
-// once it is visible, every file record the chunk wrote has landed. An MSet
-// lands key by key (across KV nodes in parallel), so the chunk record
-// inside it could be seen beside only some of its file records, and purge
-// would take the missing ones for holes and retire a chunk whose remaining
-// records were still on their way. Until its chunk record lands, a chunk
-// is in no snapshot and no purge.
+// how many: its file records in one MSet, then its chunk record. The chunk
+// record is written last because it commits the chunk: once it is
+// visible, every file record the chunk wrote has landed. An MSet lands key
+// by key (across KV nodes in parallel), so the chunk record inside it
+// could be seen beside only some of its file records, and purge would take
+// the missing ones for holes and retire a chunk whose remaining records
+// were still on their way. Until its chunk record lands, no reader sees
+// the chunk's files (see view and shapeOf).
 func (s *Server) putChunkMeta(dataset string, h *chunk.Header, size uint64) (int, error) {
 	pairs := meta.PairsForChunk(dataset, h, size) // the chunk record first
 	if err := s.kv.MSet(toKVStore(pairs[1:])); err != nil {
@@ -189,16 +189,28 @@ func (s *Server) datasetRecord(dataset string) (meta.DatasetRecord, error) {
 }
 
 // StatContext returns the metadata record of one file, with the request
-// context threaded to the metadata backend.
+// context threaded to the metadata backend. A file whose chunk has not
+// committed is ErrNoSuchFile, as one with no record is.
 func (s *Server) StatContext(ctx context.Context, dataset, path string) (meta.FileRecord, error) {
+	fr, _, err := s.stat(ctx, dataset, path)
+	return fr, err
+}
+
+// stat is StatContext that also returns the shape of the file's chunk,
+// which the commit check looked up: the read path needs it next.
+func (s *Server) stat(ctx context.Context, dataset, path string) (fr meta.FileRecord, shape chunkShape, err error) {
 	b, err := s.kv.GetContext(ctx, meta.FileKey(dataset, path))
 	if errors.Is(err, kvstore.ErrNotFound) {
-		return meta.FileRecord{}, fmt.Errorf("%w: %s/%s", ErrNoSuchFile, dataset, path)
+		return fr, shape, fmt.Errorf("%w: %s/%s", ErrNoSuchFile, dataset, path)
 	}
 	if err != nil {
-		return meta.FileRecord{}, err
+		return fr, shape, err
 	}
-	return meta.DecodeFileRecord(b)
+	if fr, err = meta.DecodeFileRecord(b); err != nil {
+		return fr, shape, err
+	}
+	shape, err = s.shapeOf(ctx, dataset, fr.ChunkID)
+	return fr, shape, err
 }
 
 // chunkShape is what the read path needs to read a chunk: its object key,
@@ -225,10 +237,13 @@ type shapeKey struct {
 // When full it is reset wholesale: a miss costs one metadata Get.
 const maxChunkShapes = 1 << 16
 
-// shapeOf returns a chunk's shape — with the object key the caller reads
-// the object store with next — from the cache or, once per chunk, from its
-// chunk record. It is the read path's only use of that record, so a warm
-// batch read costs its one batch stat and nothing more.
+// shapeOf is the point readers' commit check: it returns a chunk's shape —
+// with the object key the caller reads the object store with next — from
+// the cache or, once per chunk, from its chunk record. A chunk with no
+// record has not committed (an ingest still in flight) or is gone, and its
+// files do not exist: that is ErrNoSuchFile, wrapping kvstore.ErrNotFound.
+// It is the read path's only use of that record, so a warm batch read
+// costs its one batch stat and nothing more.
 func (s *Server) shapeOf(ctx context.Context, dataset string, id chunk.ID) (chunkShape, error) {
 	k := shapeKey{dataset, id}
 	s.shapeMu.RLock()
@@ -239,6 +254,9 @@ func (s *Server) shapeOf(ctx context.Context, dataset string, id chunk.ID) (chun
 	}
 	idStr := id.String()
 	b, err := s.kv.GetContext(ctx, meta.ChunkKey(dataset, idStr))
+	if errors.Is(err, kvstore.ErrNotFound) {
+		return chunkShape{}, fmt.Errorf("%w: chunk %s/%s has no record: %w", ErrNoSuchFile, dataset, idStr, err)
+	}
 	if err != nil {
 		return chunkShape{}, fmt.Errorf("server: chunk record %s: %w", idStr, err)
 	}
@@ -288,13 +306,9 @@ func (s *Server) GetFilePooled(ctx context.Context, dataset, path string) ([]byt
 	if sp != nil {
 		statCtx = tracing.ContextWith(ctx, sp)
 	}
-	fr, err := s.StatContext(statCtx, dataset, path)
+	fr, shape, err := s.stat(statCtx, dataset, path)
 	sp.SetError(err)
 	sp.End()
-	if err != nil {
-		return nil, nil, err
-	}
-	shape, err := s.shapeOf(ctx, dataset, fr.ChunkID)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -346,91 +360,75 @@ func (s *Server) GetChunkPooled(ctx context.Context, dataset, chunkID string) ([
 	return b, release, err
 }
 
-// ListEntry is one row of a directory listing.
-type ListEntry struct {
-	Name  string
-	IsDir bool
-	Size  uint64
-}
-
-// List performs readdir against the metadata database: two prefix scans
-// (child directories and files), exactly as §4.1.1 describes.
-func (s *Server) List(dataset, dir string) ([]ListEntry, error) {
-	dirs, err := s.kv.ScanPrefix(meta.DirScanPrefix(dataset, dir))
-	if err != nil {
-		return nil, err
-	}
-	files, err := s.kv.ScanPrefix(meta.FileScanPrefix(dataset, dir))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]ListEntry, 0, len(dirs)+len(files))
-	for _, kv := range dirs {
-		out = append(out, ListEntry{Name: meta.BaseFromScanKey(kv.Key), IsDir: true})
-	}
-	for _, kv := range files {
-		fr, err := meta.DecodeFileRecord(kv.Value)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ListEntry{Name: meta.BaseFromScanKey(kv.Key), Size: fr.Length})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].IsDir != out[j].IsDir {
-			return out[i].IsDir
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out, nil
-}
-
-// BuildSnapshot materialises the dataset's current metadata into a
-// snapshot clients can download (§4.1.3).
+// BuildSnapshot materialises the dataset's committed view into a snapshot
+// clients can download (§4.1.3); dsl.ls lists a directory of it.
 func (s *Server) BuildSnapshot(dataset string) (*meta.Snapshot, error) {
 	rec, err := s.datasetRecord(dataset)
 	if err != nil {
 		return nil, err
 	}
 	b := meta.NewSnapshotBuilder(dataset, rec.UpdatedNS)
-
-	chunks, err := s.kv.ScanPrefix(meta.ChunkScanPrefix(dataset))
+	err = s.view(dataset, func(id chunk.ID, cr meta.ChunkRecord) {
+		b.AddChunk(id, cr.Size, cr.HeaderLen) // IDs are unique: its index is the view's
+	}, func(ci int, fr meta.FileRecord) {
+		b.AddFile(fr.FullName, meta.FileMeta{ChunkIdx: ci, Offset: fr.Offset, Length: fr.Length})
+	})
 	if err != nil {
 		return nil, err
+	}
+	return b.Build(), nil
+}
+
+// view reads dataset's committed view. It calls onChunk for each committed
+// chunk, in write order, then onFile for each file of the view with its
+// chunk's position in that order. It is the one place the rule is
+// written: a file exists iff its record names a chunk whose record has
+// landed, and a directory exists iff such a file lies under it. Every
+// listing reader (BuildSnapshot, dsl.ls, purge) answers from it; the point
+// readers check the same rule through shapeOf.
+//
+// The chunk records are scanned before the file records. A chunk record is
+// written only after all its file records have landed (putChunkMeta), so
+// every chunk the first scan sees has all its records in place before the
+// second begins: a file of it missing from the second scan is a real hole,
+// and a file whose chunk the first scan did not see belongs to an ingest
+// that has not committed, and is left out.
+//
+// It reads and decodes every file record of the dataset: O(files).
+func (s *Server) view(dataset string, onChunk func(chunk.ID, meta.ChunkRecord), onFile func(int, meta.FileRecord)) error {
+	prefix := meta.ChunkScanPrefix(dataset)
+	chunks, err := s.kv.ScanPrefix(prefix)
+	if err != nil {
+		return err
 	}
 	idx := make(map[chunk.ID]int, len(chunks))
 	for _, kv := range chunks {
-		idStr := kv.Key[len(meta.ChunkScanPrefix(dataset)):]
-		id, err := chunk.ParseID(idStr)
+		id, err := chunk.ParseID(kv.Key[len(prefix):])
 		if err != nil {
-			return nil, fmt.Errorf("server: bad chunk key %q: %w", kv.Key, err)
+			return fmt.Errorf("server: bad chunk key %q: %w", kv.Key, err)
 		}
 		cr, err := meta.DecodeChunkRecord(kv.Value)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		idx[id] = b.AddChunk(id, cr.Size, cr.HeaderLen)
+		idx[id] = len(idx)
+		onChunk(id, cr)
 	}
 
-	// Scanned after the chunk records, so a file whose chunk record was
-	// not there yet belongs to an ingest that has not committed: it is
-	// left out, and the stamp that ingest writes next makes this snapshot
-	// stale.
 	files, err := s.kv.ScanPrefix(meta.FileDatasetPrefix(dataset))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for _, kv := range files {
 		fr, err := meta.DecodeFileRecord(kv.Value)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		ci, ok := idx[fr.ChunkID]
-		if !ok {
-			continue
+		if ci, ok := idx[fr.ChunkID]; ok {
+			onFile(ci, fr)
 		}
-		b.AddFile(fr.FullName, meta.FileMeta{ChunkIdx: ci, Offset: fr.Offset, Length: fr.Length})
 	}
-	return b.Build(), nil
+	return nil
 }
 
 // deleteFile removes one file: one Del of its file record, then the stamp.

@@ -186,10 +186,13 @@ func TestStat(t *testing.T) {
 	}
 }
 
+// TestList: a directory listing is read from the committed view, as
+// dsl.ls reads it.
 func TestList(t *testing.T) {
 	s, _, _, gen := testStack()
 	writeFiles(t, s, gen, "ds", 20, 64, 4096)
-	root, err := s.List("ds", "")
+	snap := snapshotOf(t, s, "ds")
+	root, err := snap.List("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +204,7 @@ func TestList(t *testing.T) {
 			t.Errorf("unexpected file %q at root", e.Name)
 		}
 	}
-	sub, err := s.List("ds", "class04")
+	sub, err := snap.List("class04")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,4 +459,49 @@ func TestIngestFailsOnMetadataLookupError(t *testing.T) {
 	if _, err := s.Ingest("ds", seal("a")); err != nil {
 		t.Fatalf("ingest once the lookup answers: %v", err)
 	}
+}
+
+// BenchmarkCommittedView reads the committed view of 100 000 files in 500
+// chunks on kvstore.Local, as each of its O(files) readers does: a purge
+// with nothing to do (purge's scan) and a dsl.ls of one directory of 1 000
+// files (the view built into a snapshot, then listed).
+func BenchmarkCommittedView(b *testing.B) {
+	const chunks, perChunk = 500, 200
+	s, _, _, gen := testStack()
+	for c := range chunks {
+		cb := chunk.NewBuilder(1<<16, gen, s.nowNS)
+		for f := range perChunk {
+			i := c*perChunk + f
+			if _, err := cb.Add(fmt.Sprintf("class%03d/img%06d.jpg", i%100, i), []byte{byte(i)}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		_, enc, err := cb.Seal()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.Ingest("ds", enc); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("purge", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if holed, err := s.holedChunks("ds"); err != nil || len(holed) != 0 {
+				b.Fatalf("%d holed chunks, %v", len(holed), err)
+			}
+		}
+	})
+	b.Run("ls", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			snap, err := s.BuildSnapshot("ds")
+			if err != nil {
+				b.Fatal(err)
+			}
+			if ents, err := snap.List("class007"); err != nil || len(ents) != chunks*perChunk/100 {
+				b.Fatalf("%d entries, %v", len(ents), err)
+			}
+		}
+	})
 }

@@ -84,8 +84,8 @@ func sealOne(t testing.TB, gen *chunk.IDGenerator, nowNS func() int64, files ...
 }
 
 // TestIngestKVRoundTrips: ingesting a chunk costs the KV database exactly
-// the collision Get, the file and directory records' MSet, the chunk
-// record's Set after it, and the dataset record's blind Set.
+// the collision Get, the file records' MSet, the chunk record's Set after
+// it, and the dataset record's blind Set.
 func TestIngestKVRoundTrips(t *testing.T) {
 	var mu sync.Mutex
 	calls := map[string]int{}
