@@ -14,7 +14,7 @@ import (
 )
 
 // startCluster launches n KV nodes and a connected client.
-func startCluster(t *testing.T, n int) (*Cluster, []*Server) {
+func startCluster(t testing.TB, n int) (*Cluster, []*Server) {
 	t.Helper()
 	servers := make([]*Server, n)
 	addrs := make([]string, n)

@@ -87,14 +87,15 @@ func (s *Server) register() {
 
 	// The answer is laid out as Encoder.Bool + Encoder.Bytes32 would lay it
 	// out, with the stored value lent: stored values are never mutated (see
-	// Store), so it goes to the wire from where it lies.
+	// Store), so it goes to the wire from where it lies. The key is read
+	// where it lies in the request.
 	s.rpc.HandleReply(methodGet, func(_ context.Context, p []byte, r *wire.Reply) error {
 		d := wire.NewDecoder(p)
-		key := d.String()
+		key := d.Bytes32()
 		if err := d.Err(); err != nil {
 			return err
 		}
-		v, ok := s.store.Get(key)
+		v, ok := s.store.lookup(key)
 		r.Head.Bool(ok)
 		r.Head.Uint32(uint32(len(v)))
 		r.Lend(v, nil)
@@ -126,28 +127,7 @@ func (s *Server) register() {
 		return nil, nil
 	})
 
-	s.rpc.Handle(methodMGet, func(p []byte) ([]byte, error) {
-		d := wire.NewDecoder(p)
-		keys := d.StringSlice()
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-		// Sized from a first pass, so the response is one allocation. A
-		// value replaced in between only makes the encoder grow.
-		size := 4
-		for _, k := range keys {
-			v, _ := s.store.Get(k)
-			size += 5 + len(v)
-		}
-		e := wire.NewEncoder(size)
-		e.Uint32(uint32(len(keys)))
-		for _, k := range keys {
-			v, ok := s.store.Get(k)
-			e.Bool(ok)
-			e.Bytes32(v)
-		}
-		return e.Bytes(), nil
-	})
+	s.rpc.Handle(methodMGet, s.mget)
 
 	s.rpc.Handle(methodDel, func(p []byte) ([]byte, error) {
 		d := wire.NewDecoder(p)
@@ -187,4 +167,49 @@ func (s *Server) register() {
 		e.Uint64(uint64(s.store.Len()))
 		return e.Bytes(), nil
 	})
+}
+
+// mgetOnStack is how many keys' answers kv.mget holds on its stack; a
+// larger request allocates room for them.
+const mgetOnStack = 16
+
+// hit is one key's answer to kv.mget.
+type hit struct {
+	v  []byte
+	ok bool
+}
+
+// mget answers kv.mget: the count, then each key's found flag and value,
+// laid out as Encoder.Bool + Encoder.Bytes32 lay them out. Each key is
+// read where it lies in the request and looked up once, and the answer is
+// one allocation of exactly its size.
+func (s *Server) mget(p []byte) ([]byte, error) {
+	d := wire.NewDecoder(p)
+	n := int(d.Uint32())
+	// Each key takes at least its 4-byte length, so a larger count is a
+	// malformed request, refused before it sizes anything.
+	if n > len(p)/4 {
+		return nil, wire.ErrShortPayload
+	}
+	var onStack [mgetOnStack]hit
+	hits := onStack[:0]
+	if n > len(onStack) {
+		hits = make([]hit, 0, n)
+	}
+	size := 4
+	for range n {
+		v, ok := s.store.lookup(d.Bytes32())
+		hits = append(hits, hit{v, ok})
+		size += 5 + len(v)
+	}
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	e := wire.NewEncoder(size)
+	e.Uint32(uint32(n))
+	for _, h := range hits {
+		e.Bool(h.ok)
+		e.Bytes32(h.v)
+	}
+	return e.Bytes(), nil
 }

@@ -2,9 +2,11 @@
 // DIESEL stores its metadata in — the role a Redis cluster plays in the
 // paper. It provides:
 //
-//   - Store: a single node's in-memory ordered map (skiplist-backed) with
-//     GET/SET/DEL and prefix scans, which the DIESEL server reads a
-//     dataset's chunk and file records with.
+//   - Store: a single node's in-memory map with GET/SET/DEL and prefix
+//     scans, which the DIESEL server reads a dataset's chunk and file
+//     records with. Point reads and writes find a key in a hash index, as
+//     Redis answers GET from its hash table; a skiplist keeps the keys in
+//     order for the scans.
 //   - Server: a Store exposed over the wire RPC protocol.
 //   - Cluster: a client that shards keys across servers by hash slot,
 //     like Redis cluster's 16384-slot scheme, with batched MSET and
@@ -37,7 +39,6 @@ type node struct {
 type skiplist struct {
 	head  *node
 	level int
-	size  int
 	rng   *rand.Rand
 }
 
@@ -70,14 +71,10 @@ func (s *skiplist) findPredecessors(key string, prev *[maxLevel]*node) *node {
 	return x.next[0]
 }
 
-// set inserts or replaces key. It reports whether the key was new.
-func (s *skiplist) set(key string, value []byte) bool {
+// insert adds key, which must not be in the list, and returns its node.
+func (s *skiplist) insert(key string, value []byte) *node {
 	var prev [maxLevel]*node
-	n := s.findPredecessors(key, &prev)
-	if n != nil && n.key == key {
-		n.value = value
-		return false
-	}
+	s.findPredecessors(key, &prev)
 	lvl := s.randomLevel()
 	if lvl > s.level {
 		for i := s.level; i < lvl; i++ {
@@ -90,32 +87,13 @@ func (s *skiplist) set(key string, value []byte) bool {
 		nn.next[i] = prev[i].next[i]
 		prev[i].next[i] = nn
 	}
-	s.size++
-	return true
+	return nn
 }
 
-// get returns the value for key, and whether it exists.
-func (s *skiplist) get(key string) ([]byte, bool) {
-	x := s.head
-	for i := s.level - 1; i >= 0; i-- {
-		for x.next[i] != nil && x.next[i].key < key {
-			x = x.next[i]
-		}
-	}
-	n := x.next[0]
-	if n != nil && n.key == key {
-		return n.value, true
-	}
-	return nil, false
-}
-
-// del removes key, reporting whether it existed.
-func (s *skiplist) del(key string) bool {
+// del unlinks n, which must be in the list.
+func (s *skiplist) del(n *node) {
 	var prev [maxLevel]*node
-	n := s.findPredecessors(key, &prev)
-	if n == nil || n.key != key {
-		return false
-	}
+	s.findPredecessors(n.key, &prev)
 	for i := 0; i < s.level; i++ {
 		if prev[i].next[i] == n {
 			prev[i].next[i] = n.next[i]
@@ -124,8 +102,6 @@ func (s *skiplist) del(key string) bool {
 	for s.level > 1 && s.head.next[s.level-1] == nil {
 		s.level--
 	}
-	s.size--
-	return true
 }
 
 // scanPrefix calls fn for each key with the given prefix in ascending key
@@ -144,9 +120,11 @@ func (s *skiplist) scanPrefix(prefix string, fn func(key string, value []byte) b
 	}
 }
 
-// Store is one KV node's data: a skiplist guarded by a RWMutex. Reads run
-// concurrently; writes serialise, matching the single-threaded command
-// execution of the system it stands in for.
+// Store is one KV node's data: a hash index of its keys for point reads
+// and writes, beside a skiplist that keeps them in order for prefix scans,
+// both guarded by a RWMutex. Reads run concurrently; writes serialise,
+// matching the single-threaded command execution of the system it stands
+// in for.
 //
 // Stored values are immutable. Set keeps the caller's slice, and a later
 // Set of the same key replaces that slice with another, never writes into
@@ -155,43 +133,66 @@ func (s *skiplist) scanPrefix(prefix string, fn func(key string, value []byte) b
 // writer without a copy, and the bytes it lent stay what they were while
 // the same key is set or deleted.
 type Store struct {
-	mu sync.RWMutex
-	sl *skiplist
+	mu  sync.RWMutex
+	idx map[string]*node // every key's skiplist node
+	sl  *skiplist
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{sl: newSkiplist(1)}
+	return &Store{idx: make(map[string]*node), sl: newSkiplist(1)}
 }
 
 // Set stores value under key, copying neither; value becomes the store's
 // (see Store) and the caller must not modify it afterwards.
 func (st *Store) Set(key string, value []byte) {
 	st.mu.Lock()
-	st.sl.set(key, value)
+	if n := st.idx[key]; n != nil {
+		n.value = value
+	} else {
+		st.idx[key] = st.sl.insert(key, value)
+	}
 	st.mu.Unlock()
 }
 
 // Get returns the value stored under key: the stored slice, read-only.
 func (st *Store) Get(key string) ([]byte, bool) {
 	st.mu.RLock()
-	v, ok := st.sl.get(key)
-	st.mu.RUnlock()
-	return v, ok
+	defer st.mu.RUnlock()
+	if n := st.idx[key]; n != nil {
+		return n.value, true
+	}
+	return nil, false
+}
+
+// lookup is Get for a key that lies in a request payload: the index is
+// read with the bytes in place, not with a string made of them.
+func (st *Store) lookup(key []byte) ([]byte, bool) {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	if n := st.idx[string(key)]; n != nil {
+		return n.value, true
+	}
+	return nil, false
 }
 
 // Del removes key, reporting whether it existed.
 func (st *Store) Del(key string) bool {
 	st.mu.Lock()
-	ok := st.sl.del(key)
-	st.mu.Unlock()
-	return ok
+	defer st.mu.Unlock()
+	n := st.idx[key]
+	if n == nil {
+		return false
+	}
+	delete(st.idx, key)
+	st.sl.del(n)
+	return true
 }
 
 // Len returns the number of keys.
 func (st *Store) Len() int {
 	st.mu.RLock()
-	n := st.sl.size
+	n := len(st.idx)
 	st.mu.RUnlock()
 	return n
 }
@@ -212,6 +213,7 @@ func (st *Store) ScanPrefix(prefix string) (keys []string, values [][]byte) {
 // Flush discards all keys (scenario b: total in-memory data loss).
 func (st *Store) Flush() {
 	st.mu.Lock()
+	st.idx = make(map[string]*node)
 	st.sl = newSkiplist(2)
 	st.mu.Unlock()
 }

@@ -35,12 +35,16 @@ type PurgeStats struct {
 // surviving chunks' headers are authoritative again.
 func (s *Server) purge(dataset string, gen *chunk.IDGenerator) (PurgeStats, error) {
 	var st PurgeStats
-	holed, err := s.holedChunks(dataset)
+	holed, carry, err := s.holedChunks(dataset)
 	if err != nil {
 		return st, err
 	}
 
-	builder := chunk.NewBuilder(chunk.DefaultTargetSize, gen, s.nowNS)
+	// A builder presizes its buffer for a whole chunk of its target, so a
+	// purge that carries less than a chunk seals at what it carries. A file
+	// the view did not count (written back into a holed chunk since) only
+	// seals a chunk sooner.
+	builder := chunk.NewBuilder(int(min(carry, chunk.DefaultTargetSize)), gen, s.nowNS)
 	flush := func() error {
 		if builder.Count() == 0 {
 			return nil
@@ -120,24 +124,30 @@ func (s *Server) purge(dataset string, gen *chunk.IDGenerator) (PurgeStats, erro
 }
 
 // holedChunks returns, in write order, the chunks of dataset that hold
-// fewer of the committed view's files than they have entries.
-func (s *Server) holedChunks(dataset string) ([]chunk.ID, error) {
+// fewer of the committed view's files than they have entries, and the
+// bytes of the view's files in them: what purge will carry.
+func (s *Server) holedChunks(dataset string) (holed []chunk.ID, carry uint64, err error) {
 	var ids []chunk.ID
 	var holes []int64 // per chunk: its entries less the view's files in it
-	err := s.view(dataset, func(id chunk.ID, cr meta.ChunkRecord) {
+	var live []uint64 // per chunk: the bytes of the view's files in it
+	err = s.view(dataset, func(id chunk.ID, cr meta.ChunkRecord) {
 		ids = append(ids, id)
 		holes = append(holes, int64(cr.NumFiles))
-	}, func(ci int, _ meta.FileRecord) { holes[ci]-- })
+		live = append(live, 0)
+	}, func(ci int, fr meta.FileRecord) {
+		holes[ci]--
+		live[ci] += fr.Length
+	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	var holed []chunk.ID
 	for ci, id := range ids {
 		if holes[ci] > 0 {
 			holed = append(holed, id)
+			carry += live[ci]
 		}
 	}
-	return holed, nil
+	return holed, carry, nil
 }
 
 // liveEntries reports, per entry of chunk h, whether its path's file record

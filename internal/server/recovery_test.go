@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 
 	"diesel/internal/chunk"
@@ -201,6 +202,37 @@ func TestPurgeMakesDeletesDurable(t *testing.T) {
 	}
 	if n := snapshotOf(t, s, "ds").NumFiles(); n != 19 {
 		t.Errorf("files after purge and recovery = %d", n)
+	}
+}
+
+// TestPurgeAllocatesWhatItCarries: a purge that carries two small files
+// builds a chunk of their size. A builder presized for a whole default
+// chunk allocated 5 MiB here.
+func TestPurgeAllocatesWhatItCarries(t *testing.T) {
+	s, _, _, gen := testStack()
+	files := writeFiles(t, s, gen, "ds", 4, 80, 1<<20)
+	for _, name := range []string{"class00/img00000.jpg", "class01/img00001.jpg"} {
+		if err := s.deleteFile("ds", name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	st, err := s.purge("ds", gen)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.FilesCarried != 2 || st.ChunksRewritten != 1 {
+		t.Fatalf("purge carried %d files out of %d chunks, want 2 out of 1", st.FilesCarried, st.ChunksRewritten)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 256<<10 {
+		t.Errorf("a purge carrying two 80-byte files allocated %d bytes", n)
+	}
+	for _, name := range []string{"class02/img00002.jpg", "class03/img00003.jpg"} {
+		if got, err := getFile(s, "ds", name); err != nil || !bytes.Equal(got, files[name]) {
+			t.Errorf("%s after purge: %v", name, err)
+		}
 	}
 }
 

@@ -487,7 +487,7 @@ func BenchmarkCommittedView(b *testing.B) {
 	b.Run("purge", func(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
-			if holed, err := s.holedChunks("ds"); err != nil || len(holed) != 0 {
+			if holed, _, err := s.holedChunks("ds"); err != nil || len(holed) != 0 {
 				b.Fatalf("%d holed chunks, %v", len(holed), err)
 			}
 		}
