@@ -326,10 +326,10 @@ var clientInstances atomic.Uint32
 // context: two rank bytes for debuggability plus four bytes of fresh
 // randomness. Rank alone is NOT unique — separate processes (separate
 // DLCMD invocations, separate training jobs) routinely share rank 0, and
-// colliding chunk IDs silently overwrite each other's chunks in the
-// object store. The random bytes make every context's ID space disjoint
-// with overwhelming probability, mirroring how the paper's MAC-address
-// field separates physical machines.
+// the object store refuses a chunk whose ID is taken (objstore.ErrExists),
+// failing the later writer's flush. The random bytes make every context's
+// ID space disjoint with overwhelming probability, mirroring how the
+// paper's MAC-address field separates physical machines.
 func clientMachineID(rank int) [6]byte {
 	var m [6]byte
 	m[0] = byte(rank >> 8)

@@ -15,6 +15,7 @@ package objstore
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -27,14 +28,20 @@ import (
 // ErrNotFound is returned when an object does not exist.
 var ErrNotFound = errors.New("objstore: object not found")
 
+// ErrExists is returned by a Put of a key that is taken.
+var ErrExists = errors.New("objstore: object already exists")
+
 // Store is a flat object store keyed by string. Keys are chunk IDs (22
 // printable characters) possibly namespaced by dataset, e.g.
 // "imagenet/0G2xk…". List returns keys in ascending order, which for chunk
 // IDs is write-time order — the property metadata recovery scans rely on.
 type Store interface {
-	// Put stores data under key, overwriting any existing object. The store
-	// takes ownership of data — an in-memory store keeps the slice itself
-	// instead of copying it — so the caller must not modify it afterwards.
+	// Put creates the object key holding data. It fails with ErrExists,
+	// storing nothing, when the key is taken — an object's bytes never
+	// change while it exists, and a key is free again only once Delete
+	// has returned. The store takes ownership of data — an in-memory
+	// store keeps the slice itself instead of copying it — so the caller
+	// must not modify it afterwards.
 	Put(key string, data []byte) error
 	// Get returns the full object.
 	Get(key string) ([]byte, error)
@@ -75,10 +82,13 @@ func NewMemory() *Memory {
 // allocation it arrived in.
 func (m *Memory) Put(key string, data []byte) error {
 	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.data[key]; ok {
+		return fmt.Errorf("%w: %q", ErrExists, key)
+	}
 	m.data[key] = data
 	m.Ops.Puts++
 	m.Ops.BytesIn += uint64(len(data))
-	m.mu.Unlock()
 	return nil
 }
 
@@ -105,9 +115,9 @@ func clampRange(size, off, n int64) (start, end int64, err error) {
 
 // GetPooled implements PooledReader by lending the stored slice itself:
 // stored slices are immutable once inserted (Put takes ownership of its
-// argument and replaces, never rewrites; Delete only drops the map entry),
-// so the bytes a caller holds stay what they were whatever happens to the
-// key, and there is nothing to hand back.
+// argument and never touches a key that is taken; Delete only drops the
+// map entry), so the bytes a caller holds stay what they were whatever
+// happens to the key, and there is nothing to hand back.
 func (m *Memory) GetPooled(key string) ([]byte, func(), error) {
 	m.mu.Lock()
 	b, ok := m.data[key]
@@ -189,12 +199,12 @@ func (m *Memory) Len() int {
 // --- Disk ---
 
 // Disk stores each object as one file under a root directory. Key path
-// separators become directories. Writes are atomic (temp file + rename) so
-// a crash never leaves a torn object visible.
+// separators become directories. Put writes a temp file and hard-links it
+// into place, which never replaces a file: a crash never leaves a torn
+// object visible, and of racing Puts of one key — from this process or
+// another sharing the directory — exactly one lands.
 type Disk struct {
 	root string
-	mu   sync.Mutex // guards temp-name counter only; file ops are parallel
-	tmpN int
 }
 
 // NewDisk creates (if needed) and uses root as the storage directory.
@@ -222,14 +232,21 @@ func (d *Disk) Put(key string, data []byte) error {
 	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 		return err
 	}
-	d.mu.Lock()
-	d.tmpN++
-	tmp := fmt.Sprintf("%s.tmp%d", p, d.tmpN)
-	d.mu.Unlock()
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	f, err := os.CreateTemp(filepath.Dir(p), filepath.Base(p)+".tmp*") // List skips ".tmp"
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, p)
+	defer os.Remove(f.Name())
+	// An object keeps the mode a plain file gets, not CreateTemp's 0600.
+	_, err = f.Write(data)
+	if err := errors.Join(err, f.Chmod(0o644), f.Close()); err != nil {
+		return err
+	}
+	err = os.Link(f.Name(), p)
+	if errors.Is(err, fs.ErrExist) {
+		return fmt.Errorf("%w: %q", ErrExists, key)
+	}
+	return err
 }
 
 // Get implements Store.

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -37,19 +40,28 @@ func storeContract(t *testing.T, s Store) {
 		t.Fatalf("Size = %d, %v", n, err)
 	}
 
-	// Overwrite.
+	// Create-only: a taken key keeps its object; Delete frees it.
+	if err := s.Put("ds/c1", []byte("short")); !errors.Is(err, ErrExists) {
+		t.Fatalf("Put of a taken key: %v, want ErrExists", err)
+	}
+	if got, _ := s.Get("ds/c1"); !bytes.Equal(got, data) {
+		t.Fatalf("a refused Put changed the object: %q", got)
+	}
+	if err := s.Delete("ds/c1"); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Put("ds/c1", []byte("short")); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := s.Get("ds/c1"); string(got) != "short" {
-		t.Fatalf("overwrite failed: %q", got)
+		t.Fatalf("Put after Delete: %q", got)
 	}
 
 	// Ownership: Put takes data over (the caller never writes to it again),
 	// and in return the object stays what was put — a reader's copy is its
-	// own, and a later Put of the key replaces the object instead of
-	// writing into the slice an earlier Put handed over, which a reader may
-	// still hold on loan.
+	// own, and the key's next object, created after a Delete, is a new
+	// one, never written into the slice an earlier Put handed over, which
+	// a reader may still hold on loan.
 	owned := []byte("the store's now")
 	if err := s.Put("ds/own", owned); err != nil {
 		t.Fatal(err)
@@ -58,6 +70,9 @@ func storeContract(t *testing.T, s Store) {
 	got[0] ^= 0xFF
 	if got, _ := s.Get("ds/own"); string(got) != "the store's now" {
 		t.Errorf("a reader's write to its copy reached the store: %q", got)
+	}
+	if err := s.Delete("ds/own"); err != nil {
+		t.Fatal(err)
 	}
 	if err := s.Put("ds/own", []byte("a second object")); err != nil { // same length
 		t.Fatal(err)
@@ -168,8 +183,9 @@ func ownedEqualsLent(t *testing.T, s Store) {
 		}
 	}
 
-	// Whole objects, from the same starting state: a fresh Put (which
-	// drops any cached copy), then the miss that fills and the read after.
+	// Whole objects, from the same starting state: a Put after a Delete
+	// (which drops any cached copy), then the miss that fills and the read
+	// after.
 	var ownedB, lentB [2][]byte
 	var ownedErr, lentErr [2]error
 	if err := s.Put(key, []byte(obj)); err != nil {
@@ -180,6 +196,9 @@ func ownedEqualsLent(t *testing.T, s Store) {
 			ownedB[i], ownedErr[i] = s.Get(key)
 		}
 	})
+	if err := s.Delete(key); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Put(key, []byte(obj)); err != nil {
 		t.Fatal(err)
 	}
@@ -252,12 +271,13 @@ func ownedEqualsLent(t *testing.T, s Store) {
 
 // lendingContract is storeContract's PooledReader clause (through the
 // package's GetPooled/GetRangePooled, so a Store without the extension is
-// held to it too): pooled reads return the object's bytes, and bytes on loan stay what they were until
-// release whatever happens to their key in the meantime — overwritten by
-// Put, Deleted, Put again, and (under a cache) evicted or demoted to spill
-// by reads of other keys. Memory and Tiered lend the slice they hold, so
-// an overwrite must replace it, never rewrite it. The writer runs beside
-// the checks so -race sees any store that writes into bytes it has lent.
+// held to it too): pooled reads return the object's bytes, and bytes on
+// loan stay what they were until release whatever happens to their key in
+// the meantime — Deleted, Put again, and (under a cache) evicted or
+// demoted to spill by reads of other keys. Memory and Tiered lend the
+// slice they hold, so the key's next object must be a new one, never
+// written into the old. The writer runs beside the checks so -race sees
+// any store that writes into bytes it has lent.
 func lendingContract(t *testing.T, s Store) {
 	t.Helper()
 	if _, _, err := GetPooled(s, "lend/nope"); !errors.Is(err, ErrNotFound) {
@@ -325,21 +345,24 @@ func lendingContract(t *testing.T, s Store) {
 	go func() {
 		defer wg.Done()
 		for i := range 20 {
+			s.Delete("lend/k")
 			s.Put("lend/k", bytes.Repeat([]byte{byte('a' + i)}, len(want))) // same size: an in-place store would reuse the slice
 			for j := range 4 {                                              // a cache evicts (and demotes) lend/k for these
 				GetPooled(s, fmt.Sprintf("lend/o%d", j))
 			}
 			GetPooled(s, "lend/k")
-			s.Delete("lend/k")
 		}
 	}()
 	for range 20 {
-		if !intact("under Put, eviction and Delete of their key") {
+		if !intact("under Delete, Put and eviction of their key") {
 			break
 		}
 	}
 	wg.Wait()
-	intact("after Put, eviction and Delete of their key")
+	intact("after Delete, Put and eviction of their key")
+	if err := s.Delete("lend/k"); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Put("lend/k", bytes.Repeat([]byte{'z'}, len(want))); err != nil {
 		t.Fatal(err)
 	}
@@ -402,6 +425,165 @@ func TestThrottledContract(t *testing.T) {
 	storeContract(t, &Throttled{Base: NewMemory()})
 }
 
+// TestPutIsCreateOnly: on every store, a Put of a taken key fails with
+// ErrExists and leaves the object as it was; of racing Puts of one key
+// exactly one lands and is what a Get returns; and a key is free again
+// once Delete has returned — its next object is what is read, also after
+// a restart over the same directories, never the one before.
+func TestPutIsCreateOnly(t *testing.T) {
+	type opened struct {
+		s      Store
+		reopen func(t *testing.T) Store // nil: nothing outlives the process
+	}
+	const size = 64
+	for _, tc := range []struct {
+		name string
+		open func(t *testing.T) opened
+	}{
+		{"Memory", func(t *testing.T) opened { return opened{s: NewMemory()} }},
+		{"Disk", func(t *testing.T) opened {
+			dir := t.TempDir()
+			d, err := NewDisk(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return opened{d, func(t *testing.T) Store {
+				d, err := NewDisk(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return d
+			}}
+		}},
+		{"Throttled", func(t *testing.T) opened { return opened{s: &Throttled{Base: NewMemory()}} }},
+		{"Tiered", func(t *testing.T) opened { return opened{s: NewTiered(nil, NewMemory(), 1<<20)} }},
+		{"Tiered/spill", func(t *testing.T) opened {
+			// Room for one object: reading a second demotes the first.
+			slow, dir := NewMemory(), t.TempDir()
+			open := func(t *testing.T) (*Tiered, int) {
+				tr := NewTiered(nil, slow, size+size/2)
+				rec, err := tr.EnableSpill(dir, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { tr.Close() })
+				return tr, rec.Entries
+			}
+			tr, _ := open(t)
+			return opened{tr, func(t *testing.T) Store {
+				tr.Close()
+				again, rewarmed := open(t)
+				if rewarmed == 0 {
+					t.Error("the restart rewarmed nothing from the spill level")
+				}
+				return again
+			}}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := tc.open(t)
+			s := o.s
+			obj := func(b byte) []byte { return bytes.Repeat([]byte{b}, size) }
+			read := func(s Store, key string, want []byte, when string) {
+				t.Helper()
+				if got, err := s.Get(key); err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("Get(%s) %s = %.8q…, %v; want %.8q…", key, when, got, err, want)
+				}
+			}
+
+			if err := s.Put("k", obj('1')); err != nil {
+				t.Fatal(err)
+			}
+			read(s, "k", obj('1'), "after its Put") // and cached, under a cache
+			if err := s.Put("k", obj('2')); !errors.Is(err, ErrExists) {
+				t.Fatalf("second Put: %v, want ErrExists", err)
+			}
+			read(s, "k", obj('1'), "after a refused Put")
+			if n, err := s.Size("k"); err != nil || n != size {
+				t.Fatalf("Size after a refused Put = %d, %v", n, err)
+			}
+
+			const racers = 8
+			var wg sync.WaitGroup
+			errs := make([]error, racers)
+			for i := range racers {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					errs[i] = s.Put("race", obj(byte('a'+i)))
+				}()
+			}
+			wg.Wait()
+			winner := -1
+			for i, err := range errs {
+				switch {
+				case err == nil && winner >= 0:
+					t.Fatalf("racers %d and %d both created the key", winner, i)
+				case err == nil:
+					winner = i
+				case !errors.Is(err, ErrExists):
+					t.Fatalf("racer %d: %v, want ErrExists", i, err)
+				}
+			}
+			if winner < 0 {
+				t.Fatal("no racing Put created the key")
+			}
+			read(s, "race", obj(byte('a'+winner)), "after the race") // demotes k under a one-object cache
+
+			if err := s.Delete("k"); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Put("k", obj('3')); err != nil {
+				t.Fatalf("Put after Delete: %v", err)
+			}
+			read(s, "k", obj('3'), "after Delete and Put")
+			if o.reopen != nil {
+				s = o.reopen(t)
+				read(s, "k", obj('3'), "after a restart")
+				read(s, "race", obj(byte('a'+winner)), "after a restart")
+				if err := s.Put("k", obj('4')); !errors.Is(err, ErrExists) {
+					t.Fatalf("Put after a restart: %v, want ErrExists", err)
+				}
+			}
+		})
+	}
+}
+
+// TestDiskPutLeavesNoTempFiles: Put writes through a temp file of its
+// own, which it removes whether the object landed or not — also when the
+// key's path is taken by a directory, which is ErrExists too.
+func TestDiskPutLeavesNoTempFiles(t *testing.T) {
+	root := t.TempDir()
+	d, err := NewDisk(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Put("a/b", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"a", "a/b"} {
+		if err := d.Put(k, []byte("y")); !errors.Is(err, ErrExists) {
+			t.Errorf("Put(%q) over a taken path: %v, want ErrExists", k, err)
+		}
+	}
+	if err := d.Put("a/b/c", []byte("z")); err == nil || errors.Is(err, ErrExists) {
+		t.Errorf("Put under a file: %v, want a plain failure", err)
+	}
+	var left []string
+	filepath.WalkDir(root, func(p string, de os.DirEntry, err error) error {
+		if err == nil && strings.Contains(de.Name(), ".tmp") {
+			left = append(left, p)
+		}
+		return err
+	})
+	if len(left) > 0 {
+		t.Errorf("temp files left behind: %v", left)
+	}
+	if got, err := d.Get("a/b"); err != nil || string(got) != "x" {
+		t.Errorf("Get(a/b) = %q, %v; want the first object", got, err)
+	}
+}
+
 func TestDiskRejectsEscapingKeys(t *testing.T) {
 	d, err := NewDisk(t.TempDir())
 	if err != nil {
@@ -428,6 +610,7 @@ func TestDiskPersistsAcrossReopen(t *testing.T) {
 func TestMemoryQuickRoundTrip(t *testing.T) {
 	m := NewMemory()
 	f := func(key string, val []byte) bool {
+		m.Delete("q/" + key) // quick draws some keys twice
 		if err := m.Put("q/"+key, val); err != nil {
 			return false
 		}
@@ -529,17 +712,6 @@ func TestTieredOversizeObjectNotCached(t *testing.T) {
 	}
 	if tr.FastBytes() != 0 {
 		t.Error("oversize object cached")
-	}
-}
-
-func TestTieredPutInvalidatesFastCopy(t *testing.T) {
-	tr := NewTiered(nil, NewMemory(), 1000)
-	tr.Put("k", []byte("v1"))
-	tr.Get("k") // promote v1
-	tr.Put("k", []byte("v2"))
-	got, err := tr.Get("k")
-	if err != nil || string(got) != "v2" {
-		t.Fatalf("stale read after overwrite: %q, %v", got, err)
 	}
 }
 

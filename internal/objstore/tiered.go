@@ -42,16 +42,10 @@ func datasetOf(key string) string {
 	return ds
 }
 
-// Put implements Store: writes land in the slow tier, then any cached
-// copy is invalidated — persisted in the spill log, so an overwrite is
-// never resurrected by a later rewarm. Invalidating after the write is
-// what lets it win over a concurrent Get that read the old object (see
-// tier.Store.Gen).
-func (t *Tiered) Put(key string, data []byte) error {
-	err := t.slow.Put(key, data)
-	t.fast.Remove(key)
-	return err
-}
+// Put implements Store: objects are created in the slow tier only. No
+// cached copy can stand in the way: a key is free only once Delete has
+// returned, and Delete invalidates the fast tier and the spill level.
+func (t *Tiered) Put(key string, data []byte) error { return t.slow.Put(key, data) }
 
 // Get implements Store: the caller gets a copy of its own, since the fast
 // tier keeps what GetPooled lends.
@@ -123,7 +117,10 @@ func (t *Tiered) spillRange(key string, off, n int64) ([]byte, bool) {
 }
 
 // Delete implements Store: removes from the slow tier, then invalidates
-// the cached copies (the same order as Put, for the same reason).
+// the cached copies — persisted in the spill log, so a deleted object is
+// never resurrected by a later rewarm. Invalidating after the removal is
+// what lets it win over a concurrent Get that read the old object (see
+// tier.Store.Gen).
 func (t *Tiered) Delete(key string) error {
 	err := t.slow.Delete(key)
 	t.fast.Remove(key)

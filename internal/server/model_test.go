@@ -174,6 +174,7 @@ func (m *model) list(dir string) []meta.DirEntry {
 type modelRig struct {
 	s      *Server
 	kv     *kvstore.Local
+	obj    *objstore.Memory
 	c      *wire.Client
 	gen    *chunk.IDGenerator
 	sec    uint32 // the ID generator's clock
@@ -183,23 +184,23 @@ type modelRig struct {
 }
 
 func newModelRig(t *testing.T) *modelRig {
-	r := &modelRig{kv: kvstore.NewLocal(), sec: 100, held: make(chan struct{}), resume: make(chan struct{})}
+	r := &modelRig{kv: kvstore.NewLocal(), obj: objstore.NewMemory(), sec: 100, held: make(chan struct{}), resume: make(chan struct{})}
 	var now atomic.Int64
 	r.s = New(splitMSetKV{Local: r.kv, between: func() {
 		if r.hold.CompareAndSwap(true, false) {
 			r.held <- struct{}{}
 			<-r.resume
 		}
-	}}, objstore.NewMemory(), func() int64 { return now.Add(1) })
+	}}, r.obj, func() int64 { return now.Add(1) })
 	r.gen = chunk.NewIDGeneratorAt([6]byte{3}, 1, func() uint32 { return r.sec })
 	_, r.c = serveRPC(t, r.s)
 	return r
 }
 
-// seal builds one chunk of the given files, stamped with the rig's clock.
-func (r *modelRig) seal(t *testing.T, c *modelChunk) (chunk.ID, []byte) {
+// seal builds one chunk of the given files under gen's next ID.
+func (r *modelRig) seal(t *testing.T, gen *chunk.IDGenerator, c *modelChunk) (chunk.ID, []byte) {
 	t.Helper()
-	b := chunk.NewBuilder(1<<10, r.gen, r.s.nowNS) // never full: ≤ 4 small files
+	b := chunk.NewBuilder(1<<10, gen, r.s.nowNS) // never full: ≤ 4 small files
 	for i, n := range c.names {
 		if _, err := b.Add(n, c.data[i]); err != nil {
 			t.Fatal(err)
@@ -210,6 +211,18 @@ func (r *modelRig) seal(t *testing.T, c *modelChunk) (chunk.ID, []byte) {
 		t.Fatal(err)
 	}
 	return h.ID, enc
+}
+
+// mintingNext returns a generator whose next ID is id: id's machine and
+// process fields, a clock stopped at id's second, and the counter run up
+// to id's.
+func mintingNext(id chunk.ID) *chunk.IDGenerator {
+	pid := uint32(id[10])<<16 | uint32(id[11])<<8 | uint32(id[12])
+	g := chunk.NewIDGeneratorAt([6]byte(id[4:10]), pid, id.Timestamp)
+	for range uint32(id[13])<<16 | uint32(id[14])<<8 | uint32(id[15]) {
+		g.Next()
+	}
+	return g
 }
 
 // lsRPC lists dir of dataset through dsl.ls.
@@ -352,10 +365,10 @@ func runModel(t *testing.T, seed int64) {
 		r.sec += uint32(rng.Intn(3))
 		var what string
 		switch op := rng.Intn(100); {
-		case op < 35: // ingest, overwriting what it draws
+		case op < 30: // ingest, overwriting what it draws
 			c := modelChunkOf(rng, r.sec, &version)
 			what = fmt.Sprintf("ingest %v", c.names)
-			_, enc := r.seal(t, c)
+			_, enc := r.seal(t, r.gen, c)
 			if _, err := r.s.Ingest(modelDataset, enc); err != nil {
 				t.Fatalf("%s: %v", what, err)
 			}
@@ -363,10 +376,30 @@ func runModel(t *testing.T, seed int64) {
 			m.chunks = append(m.chunks, c)
 			m.put(c)
 
-		case op < 47: // an ingest held with its file records half landed
+		case op < 38: // an ingest under the ID of a stored chunk: refused
+			keys, _ := r.obj.List(modelDataset + "/")
+			if len(keys) == 0 {
+				what = "no chunk to collide with"
+				break
+			}
+			taken, err := chunk.ParseID(strings.TrimPrefix(keys[rng.Intn(len(keys))], modelDataset+"/"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := modelChunkOf(rng, r.sec, &version)
+			what = fmt.Sprintf("ingest %v under the taken ID %v", c.names, taken)
+			id, enc := r.seal(t, mintingNext(taken), c)
+			if id != taken {
+				t.Fatalf("%s: sealed under %v", what, id)
+			}
+			if _, err := r.s.Ingest(modelDataset, enc); !errors.Is(err, objstore.ErrExists) {
+				t.Fatalf("%s: %v, want objstore.ErrExists", what, err)
+			}
+
+		case op < 48: // an ingest held with its file records half landed
 			c := modelChunkOf(rng, r.sec, &version)
 			what = fmt.Sprintf("held ingest %v", c.names)
-			id, enc := r.seal(t, c)
+			id, enc := r.seal(t, r.gen, c)
 			r.hold.Store(true)
 			done := make(chan error, 1)
 			go func() { _, err := r.s.Ingest(modelDataset, enc); done <- err }()

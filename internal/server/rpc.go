@@ -51,15 +51,21 @@ type RPCServer struct {
 	mu   sync.Mutex // guards rpc across Restart
 	rpc  *wire.Server
 	addr string
-	gen  *chunk.IDGenerator
 }
+
+// purgeIDs mints the chunk IDs of every purge in this process. A
+// generator's IDs are unique only among its own (its machine and process
+// fields are this process's), so in-process servers that purge one
+// dataset in the same second must share one.
+var purgeIDs = sync.OnceValue(func() *chunk.IDGenerator {
+	return chunk.NewIDGenerator(func() uint32 { return uint32(time.Now().Unix()) })
+})
 
 // NewRPC wraps s and binds it to addr.
 func NewRPC(s *Server, addr string) (*RPCServer, error) {
 	r := &RPCServer{
 		S:   s,
 		rpc: wire.NewServer(),
-		gen: chunk.NewIDGenerator(func() uint32 { return uint32(time.Now().Unix()) }),
 	}
 	r.register()
 	bound, err := r.rpc.Listen(addr)
@@ -288,7 +294,7 @@ func (r *RPCServer) register() {
 		if err := d.Err(); err != nil {
 			return nil, err
 		}
-		st, err := r.S.purge(dataset, r.gen)
+		st, err := r.S.purge(dataset, purgeIDs())
 		if err != nil {
 			return nil, err
 		}

@@ -6,9 +6,12 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"diesel/internal/chunk"
+	"diesel/internal/kvstore"
 	"diesel/internal/meta"
+	"diesel/internal/objstore"
 	"diesel/internal/wire"
 )
 
@@ -370,5 +373,38 @@ func TestRPCIngestStoresTheRequestBody(t *testing.T) {
 	}
 	if !bytes.Equal(stored, enc) {
 		t.Error("the stored chunk changed under later requests: its buffer was recycled")
+	}
+}
+
+// TestTwoRPCServersMintDistinctIDs: two RPC servers in one process, over
+// one KV database and one object store, purge one dataset one after the
+// other. The chunks the purges write get distinct IDs, so both land.
+func TestTwoRPCServersMintDistinctIDs(t *testing.T) {
+	kv, obj := kvstore.NewLocal(), objstore.NewMemory()
+	clock := func() int64 { return time.Now().UnixNano() }
+	gen := chunk.NewIDGeneratorAt([6]byte{7}, 1, func() uint32 { return 100 })
+	servers := [2]*Server{New(kv, obj, clock), New(kv, obj, clock)}
+	var kept []string
+	for i, s := range servers {
+		_, c := serveRPC(t, s)
+		gone, keep := fmt.Sprintf("gone%d", i), fmt.Sprintf("kept%d", i)
+		if _, err := s.Ingest("ds", sealOne(t, gen, clock, gone, gone, keep, keep)); err != nil {
+			t.Fatal(err)
+		}
+		kept = append(kept, keep)
+		if err := s.deleteFile("ds", gone); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Call(MethodPurge, encStrings("ds")); err != nil {
+			t.Fatalf("purge through server %d: %v", i, err)
+		}
+	}
+	if keys, _ := obj.List("ds/"); len(keys) != 2 {
+		t.Errorf("the two purges left %d chunks, want 2: %v", len(keys), keys)
+	}
+	for _, name := range kept {
+		if got, err := getFile(servers[0], "ds", name); err != nil || string(got) != name {
+			t.Errorf("%s reads %q, %v", name, got, err)
+		}
 	}
 }

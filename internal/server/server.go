@@ -106,8 +106,11 @@ func ObjectKey(dataset, chunkID string) string { return dataset + "/" + chunkID 
 // then the dataset record is stamped. This is the server side of the write
 // flow in Figure 3. Both checksums are verified before anything is stored,
 // so a chunk damaged on its way here is rejected (chunk.ErrHeaderCRC,
-// chunk.ErrPayloadCRC) with no object and no metadata left behind. encoded
-// becomes the object store's (objstore.Store.Put): the caller must not
+// chunk.ErrPayloadCRC) with no object and no metadata left behind. The
+// stored object claims the chunk ID — objstore.Store.Put is create-only —
+// so of two ingests under one ID, which only a misconfigured client mints,
+// exactly one lands and the other fails with objstore.ErrExists, writing
+// no metadata. encoded becomes the object store's: the caller must not
 // modify it afterwards.
 func (s *Server) Ingest(dataset string, encoded []byte) (*chunk.Header, error) {
 	if err := meta.ValidDataset(dataset); err != nil {
@@ -123,18 +126,7 @@ func (s *Server) Ingest(dataset string, encoded []byte) (*chunk.Header, error) {
 			return nil, fmt.Errorf("server: ingest rejected: %w", err)
 		}
 	}
-	idStr := h.ID.String()
-	// Chunk IDs are globally unique by construction; an existing record
-	// under the same ID means a client is misconfigured (colliding ID
-	// fields) and proceeding would silently overwrite another chunk's
-	// data. Fail loudly instead. Only "not found" says the ID is free: a
-	// lookup that failed says nothing, and storing on it could overwrite.
-	if _, err := s.kv.Get(meta.ChunkKey(dataset, idStr)); err == nil {
-		return nil, fmt.Errorf("server: chunk ID collision on %s/%s: refusing to overwrite", dataset, idStr)
-	} else if !errors.Is(err, kvstore.ErrNotFound) {
-		return nil, fmt.Errorf("server: ingest %s/%s: chunk ID lookup: %w", dataset, idStr, err)
-	}
-	if err := s.objects.Put(ObjectKey(dataset, idStr), encoded); err != nil {
+	if err := s.objects.Put(ObjectKey(dataset, h.ID.String()), encoded); err != nil {
 		return nil, fmt.Errorf("server: store chunk: %w", err)
 	}
 	if _, err := s.putChunkMeta(dataset, h, uint64(len(encoded))); err != nil {

@@ -6,7 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
+	"sync/atomic"
 	"testing"
 
 	"diesel/internal/chunk"
@@ -386,78 +386,133 @@ func TestUpdateFileViaDeleteAndRewrite(t *testing.T) {
 	}
 }
 
+// sameIDs returns a generator that mints the same IDs as every other one
+// it returns: one machine, one process, one stopped clock.
+func sameIDs() *chunk.IDGenerator {
+	return chunk.NewIDGeneratorAt([6]byte{1, 2, 3, 4, 5, 6}, 42, func() uint32 { return 7 })
+}
+
 func TestIngestRejectsChunkIDCollision(t *testing.T) {
-	s, _, _, gen := testStack()
-	b := chunk.NewBuilder(0, gen, s.nowNS)
+	s, _, _, _ := testStack()
+	b := chunk.NewBuilder(0, sameIDs(), s.nowNS)
 	b.Add("first", []byte("original"))
 	h, enc, _ := b.Seal()
 	if _, err := s.Ingest("ds", enc); err != nil {
 		t.Fatal(err)
 	}
-	// A second chunk reusing the same ID (misconfigured client) must be
+	// A second chunk under the same ID (a misconfigured client) must be
 	// rejected, not silently overwrite the first chunk's data.
-	b2 := chunk.NewBuilder(0, chunk.NewIDGeneratorAt([6]byte{1, 2, 3, 4, 5, 6}, 42, func() uint32 { return h.ID.Timestamp() }), s.nowNS)
+	b2 := chunk.NewBuilder(0, sameIDs(), s.nowNS)
 	b2.Add("second", []byte("impostor"))
 	h2, enc2, _ := b2.Seal()
 	if h2.ID != h.ID {
-		t.Skip("generator did not produce a colliding ID in this configuration")
+		t.Fatalf("the two generators minted %v and %v", h.ID, h2.ID)
 	}
-	if _, err := s.Ingest("ds", enc2); err == nil {
-		t.Fatal("colliding ingest accepted")
+	if _, err := s.Ingest("ds", enc2); !errors.Is(err, objstore.ErrExists) {
+		t.Fatalf("colliding ingest: %v, want objstore.ErrExists", err)
 	}
 	got, err := getFile(s, "ds", "first")
 	if err != nil || string(got) != "original" {
 		t.Fatalf("original chunk damaged: %q, %v", got, err)
 	}
-}
-
-// flakyGets is a Backend whose point reads of the chosen keys fail the way
-// a timed-out or downed metadata node's do.
-type flakyGets struct {
-	*kvstore.Local
-	down func(key string) bool
-}
-
-var errKVDown = errors.New("kv node down")
-
-func (f flakyGets) Get(key string) ([]byte, error) {
-	if f.down(key) {
-		return nil, errKVDown
+	if _, err := getFile(s, "ds", "second"); !errors.Is(err, ErrNoSuchFile) {
+		t.Errorf("a file of the rejected chunk: %v, want ErrNoSuchFile", err)
 	}
-	return f.Local.Get(key)
 }
 
-// TestIngestFailsOnMetadataLookupError: only "not found" means a chunk ID
-// is free. A collision check that failed fails the ingest before the
-// object is stored.
-func TestIngestFailsOnMetadataLookupError(t *testing.T) {
-	obj := objstore.NewMemory()
-	var downPrefix string
-	kv := flakyGets{Local: kvstore.NewLocal(), down: func(key string) bool {
-		return downPrefix != "" && strings.HasPrefix(key, downPrefix)
-	}}
-	s := New(kv, obj, func() int64 { return 1 })
-	gen := chunk.NewIDGeneratorAt([6]byte{1, 2, 3, 4, 5, 6}, 42, func() uint32 { return 7 })
-	seal := func(names ...string) []byte {
-		b := chunk.NewBuilder(0, gen, s.nowNS)
-		for _, n := range names {
-			b.Add(n, []byte(n))
+// heldPuts is a Memory whose next Put, once armed, parks before it stores
+// anything, until released.
+type heldPuts struct {
+	*objstore.Memory
+	armed            atomic.Bool
+	reached, release chan struct{}
+}
+
+func (h *heldPuts) Put(key string, data []byte) error {
+	if h.armed.CompareAndSwap(true, false) {
+		close(h.reached)
+		<-h.release
+	}
+	return h.Memory.Put(key, data)
+}
+
+// TestSameIDIngestsOneWins: two ingests under one chunk ID, the first
+// held inside its object Put while the second runs. Exactly one lands; the
+// other fails with objstore.ErrExists and writes no file record, no chunk
+// record and no stamp, and every file of the winner reads its own bytes.
+func TestSameIDIngestsOneWins(t *testing.T) {
+	obj := &heldPuts{Memory: objstore.NewMemory(), reached: make(chan struct{}), release: make(chan struct{})}
+	kv := kvstore.NewLocal()
+	var now atomic.Int64
+	s := New(kv, obj, func() int64 { return now.Add(1) })
+	encs := [][]byte{
+		sealOne(t, sameIDs(), s.nowNS, "a1", "bytes-of-a1", "a2", "bytes-of-a2"),
+		sealOne(t, sameIDs(), s.nowNS, "b1", "bytes-of-b1", "b2", "bytes-of-b2"),
+	}
+	files := [][]string{{"a1", "a2"}, {"b1", "b2"}}
+
+	var errs [2]error
+	obj.armed.Store(true)
+	done := make(chan struct{})
+	go func() { defer close(done); _, errs[0] = s.Ingest("ds", encs[0]) }()
+	<-obj.reached
+	_, errs[1] = s.Ingest("ds", encs[1])
+	stamp, _ := kv.Get(meta.DatasetKey("ds"))
+	close(obj.release)
+	<-done
+
+	if (errs[0] == nil) == (errs[1] == nil) {
+		t.Fatalf("ingest errors %v and %v: want exactly one to land", errs[0], errs[1])
+	}
+	win, lose := 0, 1
+	if errs[0] != nil {
+		win, lose = 1, 0
+	}
+	if !errors.Is(errs[lose], objstore.ErrExists) {
+		t.Errorf("the losing ingest failed with %v, want objstore.ErrExists", errs[lose])
+	}
+	for _, name := range files[lose] {
+		if _, err := kv.Get(meta.FileKey("ds", name)); !errors.Is(err, kvstore.ErrNotFound) {
+			t.Errorf("the losing ingest's %s has a record (%v)", name, err)
 		}
-		_, enc, _ := b.Seal()
-		return enc
 	}
+	h, _, err := chunk.ParseHeader(encs[win])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := meta.PairsForChunk("ds", h, uint64(len(encs[win])))[0]
+	if got, err := kv.Get(want.Key); err != nil || !bytes.Equal(got, want.Value) {
+		t.Errorf("chunk record = %x, %v; want the winner's %x", got, err, want.Value)
+	}
+	if after, _ := kv.Get(meta.DatasetKey("ds")); stamp == nil || !bytes.Equal(after, stamp) {
+		t.Errorf("dataset record %x once the loser returned, %x when the winner had: the loser stamped", after, stamp)
+	}
+	for _, name := range files[win] {
+		if got, err := getFile(s, "ds", name); err != nil || string(got) != "bytes-of-"+name {
+			t.Errorf("the winner's %s reads %q, %v", name, got, err)
+		}
+	}
+}
 
-	downPrefix = meta.ChunkScanPrefix("ds")
-	if _, err := s.Ingest("ds", seal("a")); !errors.Is(err, errKVDown) {
-		t.Fatalf("ingest with the chunk-ID lookup failing returned %v", err)
-	}
-	if n, _ := s.KVSize(); n != 0 || obj.Len() != 0 {
-		t.Fatalf("an ingest that could not check for a collision stored %d objects and %d keys", obj.Len(), n)
-	}
+// errDiskFull is how failingPuts fails.
+var errDiskFull = errors.New("disk full")
 
-	downPrefix = ""
-	if _, err := s.Ingest("ds", seal("a")); err != nil {
-		t.Fatalf("ingest once the lookup answers: %v", err)
+// failingPuts is a Memory whose Put fails, as a full or broken disk's does.
+type failingPuts struct{ *objstore.Memory }
+
+func (failingPuts) Put(string, []byte) error { return errDiskFull }
+
+// TestIngestFailedPutWritesNoMetadata: the object is stored first, so an
+// ingest whose object store refuses the chunk writes no file record, no
+// chunk record and no stamp.
+func TestIngestFailedPutWritesNoMetadata(t *testing.T) {
+	kv := kvstore.NewLocal()
+	s := New(kv, failingPuts{objstore.NewMemory()}, func() int64 { return 1 })
+	if _, err := s.Ingest("ds", sealOne(t, sameIDs(), s.nowNS, "a", "aa", "b", "bb")); !errors.Is(err, errDiskFull) {
+		t.Fatalf("ingest over a failing object store: %v, want its error", err)
+	}
+	if n, err := kv.DBSize(); err != nil || n != 0 {
+		t.Errorf("a failed ingest left %d keys (%v)", n, err)
 	}
 }
 
