@@ -215,6 +215,34 @@ func TestSaveLoadMeta(t *testing.T) {
 	}
 }
 
+// TestLoadMetaStaleUnderFrozenClock: a snapshot saved before a delete is
+// stale afterwards even when the server's clock has not moved between the
+// two, so a client cannot go on listing the deleted file.
+func TestLoadMetaStaleUnderFrozenClock(t *testing.T) {
+	core := server.New(kvstore.NewLocal(), objstore.NewMemory(), func() int64 { return 1 })
+	rpc, err := server.NewRPC(core, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rpc.Close() })
+	c := connect(t, []string{rpc.Addr()}, "ds")
+	files := writeDataset(t, c, 4, 10)
+	snapPath := filepath.Join(t.TempDir(), "ds.snap")
+	if err := c.DefaultDataset().SaveMeta(snapPath); err != nil {
+		t.Fatal(err)
+	}
+	for name := range files {
+		if err := c.DefaultDataset().Delete(name); err != nil {
+			t.Fatal(err)
+		}
+		break
+	}
+	c2 := connect(t, []string{rpc.Addr()}, "ds")
+	if err := c2.DefaultDataset().LoadMeta(snapPath); !errors.Is(err, meta.ErrStaleSnapshot) {
+		t.Fatalf("a snapshot saved before a delete loads: %v; want %v", err, meta.ErrStaleSnapshot)
+	}
+}
+
 func TestLoadMetaWrongDataset(t *testing.T) {
 	addrs := startServers(t, 1)
 	c := connect(t, addrs, "ds")

@@ -23,8 +23,10 @@ import (
 // one dataset — path → bytes, and the chunks the object store holds in
 // write order — runs beside a Server on kvstore.Local and objstore.Memory.
 // After every operation each reader must give the model's answer: stat,
-// get and one batch over every path; ls (over the wire, as dsl.ls serves
-// it) of every directory; and a fresh snapshot's Stat and List.
+// get and one batch over every path; ls and the snapshot download (over
+// the wire, as dsl.ls and dsl.snapshot serve them from the server's cached
+// view) of every directory; and a fresh snapshot's Stat and List, which
+// the downloaded one must equal byte for byte.
 
 // modelDirs and modelNames span the paths the operations touch: three
 // directory levels (the root, a/ and b/, and their a/ and b/), three files
@@ -85,6 +87,10 @@ func (m *model) put(c *modelChunk) {
 		m.files[n] = c.data[i]
 		m.loc[n] = modelLoc{c, i}
 	}
+}
+
+func (m *model) clone() *model {
+	return &model{exists: m.exists, files: maps.Clone(m.files), loc: maps.Clone(m.loc), chunks: slices.Clone(m.chunks)}
 }
 
 // purge re-packs the live entries of every holed chunk into one new chunk
@@ -169,32 +175,72 @@ func (m *model) list(dir string) []meta.DirEntry {
 	return append(out, files...)
 }
 
-// modelRig is the server side of the test: a server over a KV backend whose
-// MSet can be held half landed, and a wire client of it.
+// modelRig is the server side of the test: a server over a KV backend that
+// can hold a change with its MSet half landed, or with its data written
+// and its stamp not, and a wire client of it.
 type modelRig struct {
-	s      *Server
-	kv     *kvstore.Local
-	obj    *objstore.Memory
-	c      *wire.Client
-	gen    *chunk.IDGenerator
-	sec    uint32 // the ID generator's clock
-	hold   atomic.Bool
-	held   chan struct{}
-	resume chan struct{}
+	s         *Server
+	kv        *kvstore.Local
+	obj       *objstore.Memory
+	c         *wire.Client
+	gen       *chunk.IDGenerator
+	sec       uint32 // the ID generator's clock
+	holdMSet  atomic.Bool
+	holdStamp atomic.Bool
+	held      chan struct{}
+	resume    chan struct{}
+}
+
+// modelKV is splitMSetKV that also calls beforeStamp before it writes the
+// dataset record: a change's data writes have landed, its stamp has not.
+type modelKV struct {
+	splitMSetKV
+	beforeStamp func()
+}
+
+func (k modelKV) Set(key string, value []byte) error {
+	if key == meta.DatasetKey(modelDataset) {
+		k.beforeStamp()
+	}
+	return k.splitMSetKV.Set(key, value)
 }
 
 func newModelRig(t *testing.T) *modelRig {
 	r := &modelRig{kv: kvstore.NewLocal(), obj: objstore.NewMemory(), sec: 100, held: make(chan struct{}), resume: make(chan struct{})}
-	var now atomic.Int64
-	r.s = New(splitMSetKV{Local: r.kv, between: func() {
-		if r.hold.CompareAndSwap(true, false) {
-			r.held <- struct{}{}
-			<-r.resume
+	wait := func(hold *atomic.Bool) func() {
+		return func() {
+			if hold.CompareAndSwap(true, false) {
+				r.held <- struct{}{}
+				<-r.resume
+			}
 		}
-	}}, r.obj, func() int64 { return now.Add(1) })
+	}
+	var now atomic.Int64
+	kv := modelKV{splitMSetKV{Local: r.kv, between: wait(&r.holdMSet)}, wait(&r.holdStamp)}
+	r.s = New(kv, r.obj, func() int64 { return now.Add(1) })
 	r.gen = chunk.NewIDGeneratorAt([6]byte{3}, 1, func() uint32 { return r.sec })
 	_, r.c = serveRPC(t, r.s)
 	return r
+}
+
+// holding runs op with hold armed and calls during while op is held. An op
+// that returns without reaching the hold disarms it, and during is not
+// called.
+func (r *modelRig) holding(hold *atomic.Bool, op func() error, during func()) error {
+	hold.Store(true)
+	done := make(chan error, 1)
+	go func() { done <- op() }()
+	select {
+	case <-r.held:
+		func() {
+			defer func() { r.resume <- struct{}{} }() // also when the check fails
+			during()
+		}()
+		return <-done
+	case err := <-done:
+		hold.Store(false)
+		return err
+	}
 }
 
 // seal builds one chunk of the given files under gen's next ID.
@@ -246,8 +292,14 @@ func remoteIs(err, want error) bool {
 
 const modelDataset = "ds"
 
-// check compares every reader with m.
-func (r *modelRig) check(t *testing.T, step string, m *model) {
+// check compares every reader with the models. The point readers (stat,
+// get, batch) and a fresh snapshot give m, the committed view; dsl.ls and
+// dsl.snapshot, which answer from the view cached at the dataset's stamp,
+// give listed, the view as of the last stamp. The two differ only while a
+// change is held before its stamp; otherwise they are one model, and the
+// downloaded snapshot is the fresh one's encoding. The dataset record is
+// the last stamp, so whether the dataset exists is listed's to say.
+func (r *modelRig) check(t *testing.T, step string, listed, m *model) {
 	t.Helper()
 	ctx := context.Background()
 	fail := func(format string, args ...any) {
@@ -287,7 +339,7 @@ func (r *modelRig) check(t *testing.T, step string, m *model) {
 	}
 
 	snap, err := r.s.BuildSnapshot(modelDataset)
-	if !m.exists {
+	if !listed.exists {
 		if !errors.Is(err, ErrNoSuchDataset) {
 			fail("snapshot of a dataset that does not exist: %v", err)
 		}
@@ -312,30 +364,57 @@ func (r *modelRig) check(t *testing.T, step string, m *model) {
 		}
 	}
 
+	enc, err := snapshotRPC(r.c, modelDataset)
+	var cached *meta.Snapshot
+	switch {
+	case !listed.exists:
+		if !remoteIs(err, ErrNoSuchDataset) {
+			fail("dsl.snapshot of a dataset that does not exist: %v", err)
+		}
+	case err != nil:
+		fail("dsl.snapshot: %v", err)
+	case listed == m && !bytes.Equal(enc, snap.Encode()):
+		fail("dsl.snapshot answers %d bytes that are not a fresh snapshot's %d", len(enc), len(snap.Encode()))
+	default:
+		if cached, err = meta.DecodeSnapshot(enc); err != nil {
+			fail("dsl.snapshot: %v", err)
+		}
+		if cached.NumFiles() != len(listed.files) {
+			fail("dsl.snapshot holds %d files, want %d", cached.NumFiles(), len(listed.files))
+		}
+	}
+
 	for _, dir := range append(slices.Clone(modelDirs), modelMissingDirs...) {
 		got, err := lsRPC(r.c, modelDataset, dir)
-		var sgot []meta.DirEntry
-		var serr error
-		if snap != nil {
-			sgot, serr = snap.List(dir)
-		}
 		switch {
-		case !m.exists:
+		case !listed.exists:
 			if !remoteIs(err, ErrNoSuchDataset) {
 				fail("ls %q of a dataset that does not exist: %v, %v", dir, got, err)
 			}
-		case !m.dirExists(dir):
-			if !remoteIs(err, meta.ErrNotExist) || !errors.Is(serr, meta.ErrNotExist) {
-				fail("ls %q of a missing directory: %v, %v; snapshot %v, %v", dir, got, err, sgot, serr)
+			continue
+		case !listed.dirExists(dir):
+			if !remoteIs(err, meta.ErrNotExist) {
+				fail("ls %q of a missing directory: %v, %v", dir, got, err)
+			}
+			if cgot, cerr := cached.List(dir); !errors.Is(cerr, meta.ErrNotExist) {
+				fail("dsl.snapshot list %q of a missing directory: %v, %v", dir, cgot, cerr)
 			}
 		default:
-			want := m.list(dir)
+			want := listed.list(dir)
 			if err != nil || !slices.Equal(got, want) {
 				fail("ls %q = %v, %v; want %v", dir, got, err, want)
 			}
-			if serr != nil || !slices.Equal(sgot, want) {
-				fail("snapshot list %q = %v, %v; want %v", dir, sgot, serr, want)
+			if cgot, cerr := cached.List(dir); cerr != nil || !slices.Equal(cgot, want) {
+				fail("dsl.snapshot list %q = %v, %v; want %v", dir, cgot, cerr, want)
 			}
+		}
+		sgot, serr := snap.List(dir)
+		if !m.dirExists(dir) {
+			if !errors.Is(serr, meta.ErrNotExist) {
+				fail("snapshot list %q of a missing directory: %v, %v", dir, sgot, serr)
+			}
+		} else if want := m.list(dir); serr != nil || !slices.Equal(sgot, want) {
+			fail("snapshot list %q = %v, %v; want %v", dir, sgot, serr, want)
 		}
 	}
 }
@@ -354,29 +433,36 @@ func modelChunkOf(rng *rand.Rand, sec uint32, version *int) *modelChunk {
 }
 
 // runModel applies a seeded random sequence of operations to the model and
-// the server, checking every reader after each.
+// the server, checking every reader after each. A seeded share of the
+// changes is held between its data writes and its stamp, and checked
+// there: a listing is as of the last stamp, a point read as of the last
+// record.
 func runModel(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	r := newModelRig(t)
 	m := newModel()
 	version := 0
-	r.check(t, "empty", m)
+	r.check(t, "empty", m, m)
 	for step := range 14 {
 		r.sec += uint32(rng.Intn(3))
+		prev := m.clone()
+		listed := prev // the listing while the change is held before its stamp
 		var what string
-		switch op := rng.Intn(100); {
-		case op < 30: // ingest, overwriting what it draws
+		var op func() error // the step's server call, checked against m
+		hold, during := &r.holdStamp, func() {
+			r.check(t, fmt.Sprintf("step %d, %s held before its stamp", step, what), listed, m)
+		}
+		switch roll := rng.Intn(100); {
+		case roll < 30: // ingest, overwriting what it draws
 			c := modelChunkOf(rng, r.sec, &version)
 			what = fmt.Sprintf("ingest %v", c.names)
 			_, enc := r.seal(t, r.gen, c)
-			if _, err := r.s.Ingest(modelDataset, enc); err != nil {
-				t.Fatalf("%s: %v", what, err)
-			}
+			op = func() error { _, err := r.s.Ingest(modelDataset, enc); return err }
 			m.exists = true
 			m.chunks = append(m.chunks, c)
 			m.put(c)
 
-		case op < 38: // an ingest under the ID of a stored chunk: refused
+		case roll < 38: // an ingest under the ID of a stored chunk: refused
 			keys, _ := r.obj.List(modelDataset + "/")
 			if len(keys) == 0 {
 				what = "no chunk to collide with"
@@ -392,70 +478,64 @@ func runModel(t *testing.T, seed int64) {
 			if id != taken {
 				t.Fatalf("%s: sealed under %v", what, id)
 			}
-			if _, err := r.s.Ingest(modelDataset, enc); !errors.Is(err, objstore.ErrExists) {
-				t.Fatalf("%s: %v, want objstore.ErrExists", what, err)
+			op = func() error {
+				if _, err := r.s.Ingest(modelDataset, enc); !errors.Is(err, objstore.ErrExists) {
+					return fmt.Errorf("%v, want objstore.ErrExists", err)
+				}
+				return nil
 			}
 
-		case op < 48: // an ingest held with its file records half landed
+		case roll < 48: // an ingest held with its file records half landed
 			c := modelChunkOf(rng, r.sec, &version)
 			what = fmt.Sprintf("held ingest %v", c.names)
 			id, enc := r.seal(t, r.gen, c)
-			r.hold.Store(true)
-			done := make(chan error, 1)
-			go func() { _, err := r.s.Ingest(modelDataset, enc); done <- err }()
-			select {
-			case <-r.held:
-			case err := <-done:
-				t.Fatalf("%s returned before its file records landed: %v", what, err)
-			}
-			// The committed view: the model before the ingest, less the
-			// paths whose records now name the uncommitted chunk.
-			during := &model{exists: m.exists, files: maps.Clone(m.files)}
-			for _, n := range c.names {
-				b, err := r.kv.Get(meta.FileKey(modelDataset, n))
-				if err != nil {
-					continue
+			op = func() error { _, err := r.s.Ingest(modelDataset, enc); return err }
+			hold, during = &r.holdMSet, func() {
+				// The committed view: the model before the ingest, less the
+				// paths whose records now name the uncommitted chunk.
+				view := prev.clone()
+				for _, n := range c.names {
+					b, err := r.kv.Get(meta.FileKey(modelDataset, n))
+					if err != nil {
+						continue
+					}
+					if fr, err := meta.DecodeFileRecord(b); err == nil && fr.ChunkID == id {
+						delete(view.files, n)
+					}
 				}
-				if fr, err := meta.DecodeFileRecord(b); err == nil && fr.ChunkID == id {
-					delete(during.files, n)
-				}
-			}
-			func() {
-				defer func() { r.resume <- struct{}{} }() // also when the check fails
-				r.check(t, fmt.Sprintf("step %d, during %s", step, what), during)
-			}()
-			if err := <-done; err != nil {
-				t.Fatalf("%s: %v", what, err)
+				r.check(t, fmt.Sprintf("step %d, during %s", step, what), prev, view)
 			}
 			m.exists = true
 			m.chunks = append(m.chunks, c)
 			m.put(c)
 
-		case op < 67: // delete, of a live path or a missing one
+		case roll < 67: // delete, of a live path or a missing one
 			p := modelPaths[rng.Intn(len(modelPaths))]
 			what = "delete " + p
-			err := r.s.deleteFile(modelDataset, p)
-			if _, live := m.files[p]; live {
-				if err != nil {
-					t.Fatalf("%s: %v", what, err)
+			_, live := m.files[p]
+			op = func() error {
+				switch err := r.s.deleteFile(modelDataset, p); {
+				case live:
+					return err
+				case !errors.Is(err, ErrNoSuchFile):
+					return fmt.Errorf("of a missing file: %v, want ErrNoSuchFile", err)
 				}
-				delete(m.files, p)
-				delete(m.loc, p)
-			} else if !errors.Is(err, ErrNoSuchFile) {
-				t.Fatalf("%s of a missing file: %v, want ErrNoSuchFile", what, err)
+				return nil
 			}
+			delete(m.files, p)
+			delete(m.loc, p)
 
-		case op < 79:
+		case roll < 79:
 			what = "purge"
-			st, err := r.s.purge(modelDataset, r.gen)
-			if err != nil {
-				t.Fatalf("%s: %v", what, err)
-			}
-			if want := m.purge(r.sec); st != want {
-				t.Fatalf("step %d: purge = %+v, want %+v", step, st, want)
+			want := m.purge(r.sec)
+			op = func() error {
+				if st, err := r.s.purge(modelDataset, r.gen); err != nil || st != want {
+					return fmt.Errorf("%+v, %v; want %+v", st, err, want)
+				}
+				return nil
 			}
 
-		case op < 87: // recovery (a): the records of recent chunks are lost
+		case roll < 87: // recovery (a): the records of recent chunks are lost
 			from := r.sec + 1
 			if len(m.chunks) > 0 {
 				from = m.chunks[rng.Intn(len(m.chunks))].sec
@@ -470,24 +550,23 @@ func runModel(t *testing.T, seed int64) {
 				for _, n := range c.names {
 					r.kv.Del(meta.FileKey(modelDataset, n))
 				}
+				m.put(c)
 			}
-			st, err := r.s.RecoverMetadata(modelDataset, from)
-			if err != nil || st.ChunksScanned != scanned || st.ChunksSkipped != len(m.chunks)-scanned {
-				t.Fatalf("step %d: %s = %+v, %v; want %d scanned of %d", step, what, st, err, scanned, len(m.chunks))
-			}
-			for _, c := range m.chunks {
-				if c.sec >= from {
-					m.put(c)
+			skipped := len(m.chunks) - scanned
+			op = func() error {
+				st, err := r.s.RecoverMetadata(modelDataset, from)
+				if err != nil || st.ChunksScanned != scanned || st.ChunksSkipped != skipped {
+					return fmt.Errorf("%+v, %v; want %d scanned, %d skipped", st, err, scanned, skipped)
 				}
+				return nil
 			}
 			m.exists = m.exists || scanned > 0
 
-		case op < 95: // recovery (b): every record is lost
+		case roll < 95: // recovery (b): every record is lost
 			what = "recover (b)"
 			r.kv.FlushAll()
-			if _, err := r.s.RecoverMetadata(modelDataset, 0); err != nil {
-				t.Fatalf("%s: %v", what, err)
-			}
+			op = func() error { _, err := r.s.RecoverMetadata(modelDataset, 0); return err }
+			listed = newModel() // the dataset record is lost too
 			chunks := m.chunks
 			m = newModel()
 			m.chunks = chunks
@@ -498,12 +577,21 @@ func runModel(t *testing.T, seed int64) {
 
 		default:
 			what = "delete dataset"
-			if err := r.s.DeleteDataset(modelDataset); err != nil {
-				t.Fatalf("%s: %v", what, err)
-			}
+			op = func() error { return r.s.DeleteDataset(modelDataset) }
 			m = newModel()
 		}
-		r.check(t, fmt.Sprintf("step %d, after %s", step, what), m)
+		if op != nil {
+			var err error
+			if hold == &r.holdMSet || rng.Intn(4) == 0 {
+				err = r.holding(hold, op, during)
+			} else {
+				err = op()
+			}
+			if err != nil {
+				t.Fatalf("step %d: %s: %v", step, what, err)
+			}
+		}
+		r.check(t, fmt.Sprintf("step %d, after %s", step, what), m, m)
 	}
 }
 

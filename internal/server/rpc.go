@@ -225,8 +225,9 @@ func (r *RPCServer) register() {
 		return nil
 	})
 
-	// A listing is one directory of the committed view, read whole:
-	// O(files), like the snapshot it is taken from.
+	// A listing is one directory of the committed view at the dataset's
+	// current stamp: the cached view while the stamp holds, else one
+	// rebuilt, O(files).
 	r.rpc.Handle(MethodList, func(p []byte) ([]byte, error) {
 		d := wire.NewDecoder(p)
 		dataset := d.String()
@@ -234,11 +235,11 @@ func (r *RPCServer) register() {
 		if err := d.Err(); err != nil {
 			return nil, err
 		}
-		snap, err := r.S.BuildSnapshot(dataset)
+		v, err := r.S.viewOf(dataset)
 		if err != nil {
 			return nil, err
 		}
-		ents, err := snap.List(dir)
+		ents, err := v.snap.List(dir)
 		if err != nil {
 			return nil, err
 		}
@@ -265,17 +266,19 @@ func (r *RPCServer) register() {
 		return rec.Encode(), nil
 	})
 
+	// Every response lends the view's one encoding: Handle's result goes
+	// out uncopied (Reply.Lend), and the encoding never changes.
 	r.rpc.Handle(MethodSnapshot, func(p []byte) ([]byte, error) {
 		d := wire.NewDecoder(p)
 		dataset := d.String()
 		if err := d.Err(); err != nil {
 			return nil, err
 		}
-		snap, err := r.S.BuildSnapshot(dataset)
+		v, err := r.S.viewOf(dataset)
 		if err != nil {
 			return nil, err
 		}
-		return snap.Encode(), nil
+		return v.encode(), nil
 	})
 
 	r.rpc.Handle(MethodDelete, func(p []byte) ([]byte, error) {

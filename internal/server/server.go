@@ -52,15 +52,20 @@ var (
 
 // Server is one DIESEL server instance. Multiple servers may share the
 // same Backend and object store (the paper runs 1, 3 or 5); the server is
-// stateless apart from a chunk-shape cache, so any instance can serve
-// any request.
+// stateless apart from two caches that check what they hold before they
+// answer — chunk shapes, and per dataset the committed view at its last
+// stamp — so any instance can serve any request.
 type Server struct {
 	kv      Backend
 	objects objstore.Store
 	nowNS   func() int64
+	stamped atomic.Int64 // the last stamp this server wrote
 
 	shapeMu sync.RWMutex
 	shapes  map[shapeKey]chunkShape // the chunks' immutable shapes
+
+	viewMu sync.Mutex
+	views  map[string]*committedView // per dataset: the view last built
 
 	// Exec holds the request executor's merge switch and statistics.
 	Exec ExecutorConfig
@@ -79,6 +84,7 @@ func New(kv Backend, objects objstore.Store, nowNS func() int64) *Server {
 		objects: objects,
 		nowNS:   nowNS,
 		shapes:  make(map[shapeKey]chunkShape),
+		views:   make(map[string]*committedView),
 		Exec:    ExecutorConfig{Merge: true, minFiles: mergeMinFiles, minSpan: mergeMinSpanFraction},
 	}
 }
@@ -162,8 +168,17 @@ func (s *Server) putChunkMeta(dataset string, h *chunk.Header, size uint64) (int
 // issued after the data writes it covers. A snapshot built before it
 // carries the older stamp, so it is stale once the write lands; folding the
 // stamp into the data's MSet would let a half-landed MSet carry a fresh one.
+// The stamp is the clock, or one past this server's last stamp when the
+// clock has not passed it, so no two of one server's changes carry the same
+// stamp, and a snapshot or cached view at an equal stamp has seen them all.
 func (s *Server) stamp(dataset string) error {
-	rec := meta.DatasetRecord{UpdatedNS: s.nowNS()}
+	last := s.stamped.Load()
+	ns := max(s.nowNS(), last+1)
+	for !s.stamped.CompareAndSwap(last, ns) {
+		last = s.stamped.Load()
+		ns = max(ns, last+1)
+	}
+	rec := meta.DatasetRecord{UpdatedNS: ns}
 	return s.kv.Set(meta.DatasetKey(dataset), rec.Encode())
 }
 
@@ -273,7 +288,8 @@ func (s *Server) forgetShape(dataset string, id chunk.ID) {
 	s.shapeMu.Unlock()
 }
 
-// forgetDataset drops the cached shapes of every chunk of dataset.
+// forgetDataset drops the cached shapes of every chunk of dataset, and its
+// cached view.
 func (s *Server) forgetDataset(dataset string) {
 	s.shapeMu.Lock()
 	for k := range s.shapes {
@@ -282,6 +298,9 @@ func (s *Server) forgetDataset(dataset string) {
 		}
 	}
 	s.shapeMu.Unlock()
+	s.viewMu.Lock()
+	delete(s.views, dataset)
+	s.viewMu.Unlock()
 }
 
 // GetFilePooled reads one file's content via a metadata lookup plus an
@@ -352,8 +371,46 @@ func (s *Server) GetChunkPooled(ctx context.Context, dataset, chunkID string) ([
 	return b, release, err
 }
 
+// committedView is one dataset's committed view, built into a snapshot,
+// and the snapshot's encoding, made by its first dsl.snapshot. The
+// snapshot's UpdatedNS is the stamp read before the scan that built it: a
+// change whose data the scan missed stamps the dataset after, with another
+// stamp.
+type committedView struct {
+	snap   *meta.Snapshot
+	encode func() []byte
+}
+
+// viewOf returns dataset's committed view at its current stamp: the view
+// last built while the dataset record still holds that view's stamp —
+// one Get — and otherwise one built now, which replaces it. dsl.ls and
+// dsl.snapshot answer from it. Two callers that miss at once each build;
+// the last one stored stays, and the stamp check keeps either right.
+func (s *Server) viewOf(dataset string) (*committedView, error) {
+	rec, err := s.datasetRecord(dataset)
+	if err != nil {
+		return nil, err
+	}
+	s.viewMu.Lock()
+	v := s.views[dataset]
+	s.viewMu.Unlock()
+	if v != nil && v.snap.UpdatedNS == rec.UpdatedNS {
+		return v, nil
+	}
+	snap, err := s.BuildSnapshot(dataset)
+	if err != nil {
+		return nil, err
+	}
+	v = &committedView{snap: snap, encode: sync.OnceValue(snap.Encode)}
+	s.viewMu.Lock()
+	s.views[dataset] = v
+	s.viewMu.Unlock()
+	return v, nil
+}
+
 // BuildSnapshot materialises the dataset's committed view into a snapshot
-// clients can download (§4.1.3); dsl.ls lists a directory of it.
+// clients can download (§4.1.3). It reads the dataset record before the
+// view, so the snapshot carries the stamp of a moment before its scan.
 func (s *Server) BuildSnapshot(dataset string) (*meta.Snapshot, error) {
 	rec, err := s.datasetRecord(dataset)
 	if err != nil {
@@ -376,8 +433,9 @@ func (s *Server) BuildSnapshot(dataset string) (*meta.Snapshot, error) {
 // chunk's position in that order. It is the one place the rule is
 // written: a file exists iff its record names a chunk whose record has
 // landed, and a directory exists iff such a file lies under it. Every
-// listing reader (BuildSnapshot, dsl.ls, purge) answers from it; the point
-// readers check the same rule through shapeOf.
+// listing reader (BuildSnapshot, and through viewOf dsl.ls and
+// dsl.snapshot; purge) answers from it; the point readers check the same
+// rule through shapeOf.
 //
 // The chunk records are scanned before the file records. A chunk record is
 // written only after all its file records have landed (putChunkMeta), so

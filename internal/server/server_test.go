@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -516,12 +517,9 @@ func TestIngestFailedPutWritesNoMetadata(t *testing.T) {
 	}
 }
 
-// BenchmarkCommittedView reads the committed view of 100 000 files in 500
-// chunks on kvstore.Local, as each of its O(files) readers does: a purge
-// with nothing to do (purge's scan) and a dsl.ls of one directory of 1 000
-// files (the view built into a snapshot, then listed).
-func BenchmarkCommittedView(b *testing.B) {
-	const chunks, perChunk = 500, 200
+// viewStack is a server holding one dataset "ds" of chunks × perChunk
+// one-byte files spread over 100 directories, class000 … class099.
+func viewStack(b *testing.B, chunks, perChunk int) *Server {
 	s, _, _, gen := testStack()
 	for c := range chunks {
 		cb := chunk.NewBuilder(1<<16, gen, s.nowNS)
@@ -539,6 +537,41 @@ func BenchmarkCommittedView(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	return s
+}
+
+// lsView lists class007 of the view dsl.ls answers from, as its handler
+// does, and returns how many entries it holds.
+func lsView(b *testing.B, s *Server) int {
+	v, err := s.viewOf("ds")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ents, err := v.snap.List("class007")
+	if err != nil {
+		b.Fatal(err)
+	}
+	return len(ents)
+}
+
+// liveHeap returns the bytes of the heap that are still reachable.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// BenchmarkCommittedView reads the committed view of 100 000 files in 500
+// chunks on kvstore.Local, as each of its readers does: a purge with
+// nothing to do (purge's scan); a dsl.ls of one directory of 1 000 files
+// from a fresh build (ls), from the view cached at the dataset's stamp
+// (ls-warm), and right after a change has moved the stamp
+// (ls-after-change); and dsl.snapshot's cached encoding (snapshot-warm).
+func BenchmarkCommittedView(b *testing.B) {
+	const chunks, perChunk = 500, 200
+	const perDir = chunks * perChunk / 100
+	s := viewStack(b, chunks, perChunk)
 	b.Run("purge", func(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
@@ -554,9 +587,61 @@ func BenchmarkCommittedView(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if ents, err := snap.List("class007"); err != nil || len(ents) != chunks*perChunk/100 {
+			if ents, err := snap.List("class007"); err != nil || len(ents) != perDir {
 				b.Fatalf("%d entries, %v", len(ents), err)
 			}
 		}
 	})
+	benchWarmView(b, s)
+	b.Run("ls-after-change", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if err := s.stamp("ds"); err != nil {
+				b.Fatal(err)
+			}
+			if n := lsView(b, s); n != perDir {
+				b.Fatalf("%d entries, want %d", n, perDir)
+			}
+		}
+	})
+}
+
+// benchWarmView runs the ls-warm and snapshot-warm rows: dsl.ls and
+// dsl.snapshot while the dataset's stamp holds. The heap that the first
+// call's build and the first dsl.snapshot's encoding leave reachable is
+// the cached entry's size, reported as entry-MiB.
+func benchWarmView(b *testing.B, s *Server) {
+	before := liveHeap()
+	want := lsView(b, s)
+	v, err := s.viewOf("ds")
+	if err != nil {
+		b.Fatal(err)
+	}
+	v.encode()
+	entryMiB := float64(liveHeap()-before) / (1 << 20)
+	b.Run("ls-warm", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if n := lsView(b, s); n != want {
+				b.Fatalf("%d entries, want %d", n, want)
+			}
+		}
+		b.ReportMetric(entryMiB, "entry-MiB")
+	})
+	b.Run("snapshot-warm", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			v, err := s.viewOf("ds")
+			if err != nil || len(v.encode()) == 0 {
+				b.Fatalf("no encoding, %v", err)
+			}
+		}
+	})
+}
+
+// BenchmarkServerWarmView is the allocation guard's pin on the cached
+// view: dsl.ls and dsl.snapshot of 16 384 files while the stamp holds. A
+// call that rebuilt the view would allocate ≈ 2 per file.
+func BenchmarkServerWarmView(b *testing.B) {
+	benchWarmView(b, viewStack(b, 128, 128))
 }
