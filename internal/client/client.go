@@ -84,11 +84,12 @@ type Options struct {
 	// CallTimeout bounds every RPC round trip; 0 disables deadlines. A
 	// hung server then fails calls instead of wedging the training loop.
 	CallTimeout time.Duration
-	// MaxRetries is how many extra attempts idempotent read operations
-	// (Get, GetBatch, GetChunk, Stat, Ls, DatasetRecord, snapshot
-	// download) make after a transport failure, each against the next
-	// server in the round-robin. Writes (Put/Flush ingest) never retry:
-	// a retried ingest that actually landed would duplicate a chunk.
+	// MaxRetries is how many extra attempts every call makes after a
+	// transport failure, each against the next server in the round-robin.
+	// Writes retry too: each server operation is finished by running it
+	// again (a flush re-sends its chunk under the same ID), so an attempt
+	// that landed before its answer was lost is not applied twice. A
+	// retried Delete whose first attempt landed answers ErrNoSuchFile.
 	// Default 2; negative disables retries.
 	MaxRetries int
 	// RetryBackoff is the base delay between attempts, doubled per retry
@@ -260,7 +261,7 @@ func (c *Client) registerJob() (time.Duration, error) {
 	e.String(c.opts.Dataset)
 	e.String(c.opts.Tenant)
 	e.Uint32(uint32(c.opts.Rank))
-	resp, err := c.callIdem(context.Background(), server.MethodJobRegister, e.Bytes())
+	resp, err := c.callIdem(context.Background(), server.MethodJobRegister, e.Bytes(), nil)
 	if err != nil {
 		return 0, err
 	}
@@ -294,7 +295,7 @@ func (c *Client) heartbeatLoop() {
 		case <-t.C:
 			e := wire.NewEncoder(32)
 			e.String(c.opts.JobID)
-			_, err := c.callIdem(context.Background(), server.MethodJobHeartbeat, e.Bytes())
+			_, err := c.callIdem(context.Background(), server.MethodJobHeartbeat, e.Bytes(), nil)
 			if err != nil && wire.IsRemote(err) && strings.Contains(err.Error(), "unknown job") {
 				_, _ = c.registerJob()
 			}
@@ -314,7 +315,7 @@ func (c *Client) stopJob() {
 	c.hbStop = nil
 	e := wire.NewEncoder(32)
 	e.String(c.opts.JobID)
-	_, _ = c.call(context.Background(), server.MethodJobUnregister, e.Bytes())
+	_, _ = c.callIdem(context.Background(), server.MethodJobUnregister, e.Bytes(), nil)
 }
 
 // clientInstances numbers every Client created in this process; the
@@ -344,26 +345,22 @@ func clientPID() uint32 {
 	return uint32(os.Getpid()&0xFFFF)<<8 | (clientInstances.Add(1) & 0xFF)
 }
 
-// call invokes an RPC on one of the servers, round-robin. It is the write
-// path's call and never retries: a retried ingest that actually landed
-// would duplicate a chunk.
-func (c *Client) call(ctx context.Context, method string, payload []byte) ([]byte, error) {
-	return c.nextPool().CallContext(ctx, method, payload)
-}
-
 // nextPool picks the next server's pool, round-robin.
 func (c *Client) nextPool() *wire.Pool {
 	return c.pools[c.next.Add(1)%uint64(len(c.pools))]
 }
 
-// callIdem is the read path's call: wire.Retry around a round-robin pick,
-// so each retry lands on the next server — the paper's interchangeable-
-// servers property is what makes this safe and useful. The response payload
-// is the caller's for good (wire's CallContext): an allocation of its exact
-// size that the read paths hand out windows into.
-func (c *Client) callIdem(ctx context.Context, method string, payload []byte) ([]byte, error) {
+// callIdem is every call's path: wire.Retry around a round-robin pick, so
+// each retry lands on the next server — the paper's interchangeable-
+// servers property is what makes this safe and useful, and every server
+// operation is idempotent in the sense that matters: run again, it
+// finishes what an earlier run started. The request is payload followed
+// by lent, which goes to the socket from where it lies (wire's
+// CallLendContext). The response payload is the caller's for good: an
+// allocation of its exact size that the read paths hand out windows into.
+func (c *Client) callIdem(ctx context.Context, method string, payload, lent []byte) ([]byte, error) {
 	resp, attempts, err := wire.Retry(ctx, c.opts.MaxRetries, c.opts.RetryBackoff, mRetries.Inc,
-		func() ([]byte, error) { return c.nextPool().CallContext(ctx, method, payload) })
+		func() ([]byte, error) { return c.nextPool().CallLendContext(ctx, method, payload, lent) })
 	if err != nil && !wire.IsRemote(err) {
 		err = fmt.Errorf("client: %s failed after %d attempts: %w", method, attempts, err)
 	}

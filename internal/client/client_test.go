@@ -696,3 +696,119 @@ func TestFlushRejectsPayloadDamagedInFlight(t *testing.T) {
 		t.Fatalf("read back after the rejection: %d bytes, %v", len(got), err)
 	}
 }
+
+// gate stands between a client and its servers. While down it refuses
+// dials and fails every write; cut lets the next chunk-sized write out,
+// and its connection reads nothing more and closes: the server gets the
+// frame and the client never gets its answer.
+type gate struct {
+	down, cut atomic.Bool
+}
+
+func (g *gate) dial(addr string) (net.Conn, error) {
+	if g.down.Load() {
+		return nil, errors.New("gate: connection refused")
+	}
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	return &gatedConn{Conn: c, g: g}, nil
+}
+
+type gatedConn struct {
+	net.Conn
+	g    *gate
+	deaf atomic.Bool // cut: whatever arrives now is lost
+}
+
+func (c *gatedConn) Read(b []byte) (int, error) {
+	n, err := c.Conn.Read(b)
+	if c.deaf.Load() {
+		return 0, errors.New("gate: connection cut")
+	}
+	return n, err
+}
+
+func (c *gatedConn) Write(b []byte) (int, error) {
+	if c.g.down.Load() {
+		c.Conn.Close()
+		return 0, errors.New("gate: connection reset")
+	}
+	cut := len(b) > 1000 && c.g.cut.CompareAndSwap(true, false)
+	if cut {
+		c.deaf.Store(true) // before the frame leaves, so its answer is lost
+		defer c.Conn.Close()
+	}
+	return c.Conn.Write(b)
+}
+
+// TestFlushSendsItsChunkUntilItLands: a flush whose answer is lost lands
+// through the call's retry, on the next server, which finds the chunk
+// stored and finishes it; a flush that fails with every server down
+// returns the error, and the next Flush sends the same chunk, under the
+// same ID, once they are back: no Flush answers nil for files that did
+// not land.
+func TestFlushSendsItsChunkUntilItLands(t *testing.T) {
+	g := &gate{}
+	c, err := Connect(Options{
+		Servers: startServers(t, 2), Dataset: "ds", ChunkTarget: 1 << 20,
+		// Past the pool's redial back-off once the servers are back.
+		RetryBackoff: 100 * time.Millisecond, Dialer: g.dial,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ds := c.DefaultDataset()
+	files := map[string][]byte{}
+	put := func(dir string) {
+		for i := range 4 {
+			name := fmt.Sprintf("%s/f%d", dir, i)
+			files[name] = bytes.Repeat([]byte(name), 300)
+			if err := ds.Put(name, files[name]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	put("severed")
+	g.cut.Store(true)
+	retries := mRetries.Load()
+	if err := ds.Flush(); err != nil {
+		t.Fatalf("Flush whose answer was lost: %v", err)
+	}
+	if g.cut.Load() {
+		t.Fatal("the flush's connection was not severed")
+	}
+	if mRetries.Load() == retries {
+		t.Fatal("the flush was not retried")
+	}
+
+	put("down")
+	g.down.Store(true)
+	if err := ds.Flush(); err == nil {
+		t.Fatal("Flush with every server down returned nil")
+	}
+	sealed, _, err := chunk.ParseHeader(ds.sealedHead)
+	if err != nil {
+		t.Fatalf("the failed flush kept no sealed chunk: %v", err)
+	}
+	g.down.Store(false)
+	if err := ds.Flush(); err != nil {
+		t.Fatalf("Flush once the servers are back: %v", err)
+	}
+
+	snap, err := ds.DownloadSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(snap.Chunks); n != 2 || snap.Chunks[1].ID != sealed.ID {
+		t.Errorf("chunks %v, want 2, the second %v", snap.Chunks, sealed.ID)
+	}
+	for name, want := range files {
+		if got, err := ds.Get(context.Background(), name); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("read %s: %d bytes, %v", name, len(got), err)
+		}
+	}
+}

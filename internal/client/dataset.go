@@ -30,7 +30,10 @@ type Dataset struct {
 
 	wmu     sync.Mutex
 	builder *chunk.Builder
-	pending int // files buffered but not flushed
+	// A sealed chunk no server has acknowledged: its header and the
+	// builder's payload buffer (chunk.Builder.SealParts), sent again,
+	// under the same ID, before the builder takes another file.
+	sealedHead, sealedPayload []byte
 
 	smu    sync.RWMutex
 	snap   *meta.Snapshot
@@ -61,25 +64,32 @@ func (d *Dataset) Snapshot() *meta.Snapshot {
 // --- write path ---
 
 // Put buffers one file for writing (DL_put). When the chunk builder
-// reaches its target size the chunk is sealed and shipped to a server.
+// reaches its target size the chunk is sealed and shipped to a server. A
+// chunk an earlier flush failed to land is sent again first.
 func (d *Dataset) Put(path string, data []byte) error {
 	if err := meta.ValidFilePath(path); err != nil {
 		return err
 	}
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
+	if d.sealedHead != nil {
+		if err := d.flushLocked(); err != nil {
+			return err
+		}
+	}
 	full, err := d.builder.Add(meta.CleanPath(path), data)
 	if err != nil {
 		return err
 	}
-	d.pending++
 	if full {
 		return d.flushLocked()
 	}
 	return nil
 }
 
-// Flush seals and ships any buffered files (DL_flush).
+// Flush seals and ships any buffered files (DL_flush). A flush that fails
+// keeps its sealed chunk, and the next Put or Flush sends it again, under
+// the same ID: Flush answers nil only once every file put has landed.
 func (d *Dataset) Flush() error {
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
@@ -87,26 +97,28 @@ func (d *Dataset) Flush() error {
 }
 
 func (d *Dataset) flushLocked() error {
-	if d.builder == nil || d.builder.Count() == 0 {
-		return nil // nothing buffered
-	}
-	hdr, payload, err := d.builder.SealParts()
-	if err != nil {
-		return err
+	var err error
+	if d.sealedHead == nil {
+		if d.builder.Count() == 0 {
+			return nil // nothing buffered
+		}
+		if d.sealedHead, d.sealedPayload, err = d.builder.SealParts(); err != nil {
+			return err
+		}
 	}
 	// The request is String(dataset) + Bytes32(encoded chunk) with the
 	// chunk's payload lent: it goes to the socket out of the builder's
-	// buffer, which is the builder's again when the call returns.
-	e := wire.AcquireEncoder(len(d.name) + 8 + len(hdr))
+	// buffer, which stays untouched until the chunk has landed.
+	e := wire.AcquireEncoder(len(d.name) + 8 + len(d.sealedHead))
 	e.String(d.name)
-	e.Uint32(uint32(len(hdr) + len(payload)))
-	head := append(e.Bytes(), hdr...)
-	_, err = d.c.nextPool().CallLendContext(context.Background(), server.MethodIngest, head, payload)
+	e.Uint32(uint32(len(d.sealedHead) + len(d.sealedPayload)))
+	head := append(e.Bytes(), d.sealedHead...)
+	_, err = d.c.callIdem(context.Background(), server.MethodIngest, head, d.sealedPayload)
 	e.Release()
 	if err != nil {
 		return fmt.Errorf("client: flush: %w", err)
 	}
-	d.pending = 0
+	d.sealedHead, d.sealedPayload = nil, nil
 	return nil
 }
 
@@ -145,7 +157,7 @@ func (d *Dataset) GetDirect(ctx context.Context, path string) (out []byte, err e
 	e := wire.AcquireEncoder(len(path) + len(d.name) + 16)
 	e.String(d.name)
 	e.String(meta.CleanPath(path))
-	resp, err := d.c.callIdem(ctx, server.MethodGet, e.Bytes())
+	resp, err := d.c.callIdem(ctx, server.MethodGet, e.Bytes(), nil)
 	e.Release()
 	if err != nil {
 		return nil, err
@@ -171,7 +183,7 @@ func (d *Dataset) GetBatch(ctx context.Context, paths []string) (out [][]byte, e
 	for _, p := range paths {
 		e.String(meta.CleanPath(p))
 	}
-	resp, err := d.c.callIdem(ctx, server.MethodGetBatch, e.Bytes())
+	resp, err := d.c.callIdem(ctx, server.MethodGetBatch, e.Bytes(), nil)
 	e.Release()
 	if err != nil {
 		return nil, err
@@ -230,7 +242,7 @@ func (d *Dataset) GetChunk(ctx context.Context, chunkID string) (out []byte, err
 	e := wire.AcquireEncoder(len(chunkID) + len(d.name) + 16)
 	e.String(d.name)
 	e.String(chunkID)
-	resp, err := d.c.callIdem(ctx, server.MethodGetChunk, e.Bytes())
+	resp, err := d.c.callIdem(ctx, server.MethodGetChunk, e.Bytes(), nil)
 	e.Release()
 	if err != nil {
 		return nil, err
@@ -265,7 +277,7 @@ func (d *Dataset) Stat(path string) (StatInfo, error) {
 	e := wire.AcquireEncoder(len(d.name) + len(path) + 8)
 	e.String(d.name)
 	e.String(meta.CleanPath(path))
-	resp, err := d.c.callIdem(context.Background(), server.MethodStat, e.Bytes())
+	resp, err := d.c.callIdem(context.Background(), server.MethodStat, e.Bytes(), nil)
 	e.Release()
 	if err != nil {
 		return StatInfo{}, err
@@ -300,7 +312,7 @@ func (d *Dataset) Ls(dir string) ([]Entry, error) {
 	e := wire.NewEncoder(64)
 	e.String(d.name)
 	e.String(meta.CleanPath(dir))
-	resp, err := d.c.callIdem(context.Background(), server.MethodList, e.Bytes())
+	resp, err := d.c.callIdem(context.Background(), server.MethodList, e.Bytes(), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -318,7 +330,7 @@ func (d *Dataset) Delete(path string) error {
 	e := wire.NewEncoder(64)
 	e.String(d.name)
 	e.String(meta.CleanPath(path))
-	_, err := d.c.call(context.Background(), server.MethodDelete, e.Bytes())
+	_, err := d.c.callIdem(context.Background(), server.MethodDelete, e.Bytes(), nil)
 	return err
 }
 
@@ -326,7 +338,7 @@ func (d *Dataset) Delete(path string) error {
 func (d *Dataset) datasetRecord() (meta.DatasetRecord, error) {
 	e := wire.NewEncoder(32)
 	e.String(d.name)
-	resp, err := d.c.callIdem(context.Background(), server.MethodDatasetRecord, e.Bytes())
+	resp, err := d.c.callIdem(context.Background(), server.MethodDatasetRecord, e.Bytes(), nil)
 	if err != nil {
 		return meta.DatasetRecord{}, err
 	}
@@ -338,7 +350,7 @@ func (d *Dataset) datasetRecord() (meta.DatasetRecord, error) {
 func (d *Dataset) DownloadSnapshot() (*meta.Snapshot, error) {
 	e := wire.NewEncoder(32)
 	e.String(d.name)
-	resp, err := d.c.callIdem(context.Background(), server.MethodSnapshot, e.Bytes())
+	resp, err := d.c.callIdem(context.Background(), server.MethodSnapshot, e.Bytes(), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -409,7 +421,7 @@ func (d *Dataset) Recover(fromSec uint32) (scanned, skipped, pairs uint64, err e
 	e := wire.NewEncoder(32)
 	e.String(d.name)
 	e.Uint32(fromSec)
-	resp, err := d.c.call(context.Background(), server.MethodRecover, e.Bytes())
+	resp, err := d.c.callIdem(context.Background(), server.MethodRecover, e.Bytes(), nil)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -422,7 +434,7 @@ func (d *Dataset) Recover(fromSec uint32) (scanned, skipped, pairs uint64, err e
 func (d *Dataset) Purge() error {
 	e := wire.NewEncoder(32)
 	e.String(d.name)
-	_, err := d.c.call(context.Background(), server.MethodPurge, e.Bytes())
+	_, err := d.c.callIdem(context.Background(), server.MethodPurge, e.Bytes(), nil)
 	return err
 }
 
@@ -430,6 +442,6 @@ func (d *Dataset) Purge() error {
 func (d *Dataset) DeleteDataset() error {
 	e := wire.NewEncoder(32)
 	e.String(d.name)
-	_, err := d.c.call(context.Background(), server.MethodDeleteDataset, e.Bytes())
+	_, err := d.c.callIdem(context.Background(), server.MethodDeleteDataset, e.Bytes(), nil)
 	return err
 }

@@ -22,7 +22,7 @@ type JobStatus struct {
 // sharing one metadata cluster answers with the same roster, so the call
 // goes to whichever connection round-robin picks.
 func (c *Client) Jobs(ctx context.Context) ([]JobStatus, error) {
-	resp, err := c.callIdem(ctx, server.MethodJobs, nil)
+	resp, err := c.callIdem(ctx, server.MethodJobs, nil, nil)
 	if err != nil {
 		return nil, err
 	}

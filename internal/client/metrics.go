@@ -9,12 +9,12 @@ import "diesel/internal/obs"
 // are one RPC each, so their latency is the wire layer's
 // diesel_wire_call_seconds{method="dsl.getBatch"|"dsl.getChunk"}.
 //
-//	diesel_client_retries_total   idempotent reads retried after
-//	                              transport failures
+//	diesel_client_retries_total   calls, reads and writes, retried
+//	                              after transport failures
 //	diesel_client_get_seconds     DL_get latency (cache reader or server)
 var (
 	mRetries = obs.Default().Counter("diesel_client_retries_total",
-		"Idempotent client reads retried after a transport failure.")
+		"Client calls, reads and writes alike, retried after a transport failure.")
 
 	mGetLat = obs.Default().Duration("diesel_client_get_seconds",
 		"DL_get latency (cache reader or direct server read).")

@@ -123,10 +123,17 @@ func aliases(view, payload []byte) bool {
 // revive them as that peer sees it: kill severs every open connection and
 // refuses new ones — a master process dying — and revive accepts dials
 // again — its replacement coming up on the same address.
+//
+// The kill is atomic: once down is set no frame leaves on any of the
+// link's connections, although kill closes them one at a time. Without
+// that, a request sent on a connection kill has not closed yet reaches the
+// dead master (TestLinkKillIsAtomic).
 type link struct {
 	mu    sync.Mutex
 	down  bool
 	conns []net.Conn
+	// betweenCloses, when set, runs in kill after each close but the last.
+	betweenCloses func()
 }
 
 func (l *link) dial(addr string) (net.Conn, error) {
@@ -136,26 +143,83 @@ func (l *link) dial(addr string) (net.Conn, error) {
 		return nil, errors.New("link: connection refused")
 	}
 	c, err := net.Dial("tcp", addr)
-	if err == nil {
-		l.conns = append(l.conns, c)
+	if err != nil {
+		return nil, err
 	}
-	return c, err
+	l.conns = append(l.conns, c)
+	return linkConn{c, l}, nil
 }
 
 func (l *link) kill() {
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	l.down = true
-	for _, c := range l.conns {
-		c.Close()
-	}
+	conns := l.conns
 	l.conns = nil
+	l.mu.Unlock()
+	for i, c := range conns {
+		c.Close()
+		if l.betweenCloses != nil && i < len(conns)-1 {
+			l.betweenCloses()
+		}
+	}
+}
+
+// linkConn is one of a link's connections: a write fails once the link is
+// down, checked under the link's lock.
+type linkConn struct {
+	net.Conn
+	l *link
+}
+
+func (c linkConn) Write(b []byte) (int, error) {
+	c.l.mu.Lock()
+	defer c.l.mu.Unlock()
+	if c.l.down {
+		return 0, errors.New("link: connection reset")
+	}
+	return c.Conn.Write(b)
 }
 
 func (l *link) revive() {
 	l.mu.Lock()
 	l.down = false
 	l.mu.Unlock()
+}
+
+// TestLinkKillIsAtomic: between kill's closes, a connection it has not
+// closed yet already refuses to send; otherwise a second pull can reach a
+// killed master in TestPullMasterKilledMidPull.
+func TestLinkKillIsAtomic(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go io.Copy(io.Discard, c)
+		}
+	}()
+	l := &link{}
+	var conns []net.Conn
+	for range 2 {
+		c, err := l.dial(ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		conns = append(conns, c)
+	}
+	l.betweenCloses = func() {
+		if _, err := conns[1].Write([]byte("frame")); err == nil {
+			t.Error("a write on a connection kill had not closed yet was sent after the kill began")
+		}
+	}
+	l.kill()
 }
 
 // (a) A chunk-wise epoch through the pipelined reader costs at most two

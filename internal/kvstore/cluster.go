@@ -49,11 +49,13 @@ type Options struct {
 	// CallTimeout bounds every RPC round trip; 0 disables deadlines. A
 	// hung node then fails calls instead of wedging the caller.
 	CallTimeout time.Duration
-	// MaxRetries is how many extra attempts idempotent operations (Get,
-	// MGet, ScanPrefix, DBSize) make after a transport failure.
-	// Writes (Set, MSet, Del, FlushAll) never retry: a retried write that
-	// actually landed would be a silent double-apply. Default 2; negative
-	// disables retries.
+	// MaxRetries is how many extra attempts reads (Get, MGetContext,
+	// ScanPrefix, DBSize) make after a transport failure. Writes (Set,
+	// MSet, Del, FlushAll) never retry here: a blind Set of a dataset's
+	// stamp retried after a later stamp landed would move the stamp
+	// backwards. A server operation cut short by a failed write is run
+	// again whole instead, which writes a fresh stamp. Default 2;
+	// negative disables retries.
 	MaxRetries int
 	// RetryBackoff is the base delay between attempts, doubled per retry
 	// with ±50% jitter (default 5ms, capped at 100×base).
@@ -216,15 +218,11 @@ func (c *Cluster) MSet(pairs []KV) error {
 	return errors.Join(errs...)
 }
 
-// MGet fetches many keys, grouped by node. The result preserves input
-// order; missing keys yield nil entries.
-func (c *Cluster) MGet(keys []string) ([][]byte, error) {
-	return c.MGetContext(context.Background(), keys)
-}
-
-// MGetContext is MGet under the caller's context. The per-node fan-out is
-// traced as sibling kv.mget spans — the paper's batched-stat path — so a
-// sampled slow batch shows which node the caller actually waited on.
+// MGetContext fetches many keys, grouped by node, under the caller's
+// context. The result preserves input order; missing keys yield nil
+// entries. The per-node fan-out is traced as sibling kv.mget spans — the
+// paper's batched-stat path — so a sampled slow batch shows which node
+// the caller actually waited on.
 //
 // Values are windows into the per-node responses, which are the caller's,
 // each capped so that an append to it reallocates. The last node's call

@@ -168,7 +168,7 @@ func TestClusterMGetPreservesOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys := []string{"mk007", "missing-a", "mk099", "mk000", "missing-b"}
-	vals, err := c.MGet(keys)
+	vals, err := c.MGetContext(context.Background(), keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestClusterMGetAfterNodeFailure(t *testing.T) {
 	}
 	servers[0].Close()
 	// MGet spanning a dead node must fail loudly, not silently drop keys.
-	if _, err := c.MGet(keys); err == nil {
+	if _, err := c.MGetContext(context.Background(), keys); err == nil {
 		t.Error("MGet over a dead node succeeded silently")
 	}
 }

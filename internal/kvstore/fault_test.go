@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -64,7 +65,7 @@ func TestClusterReadsRetryAndReportAttempts(t *testing.T) {
 	if _, err := c.Get(key); err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("Get against a dead node: %v, want %q", err, want)
 	}
-	if _, err := c.MGet([]string{key}); err == nil || !strings.Contains(err.Error(), "kv.mget failed after 2 attempts") {
+	if _, err := c.MGetContext(context.Background(), []string{key}); err == nil || !strings.Contains(err.Error(), "kv.mget failed after 2 attempts") {
 		t.Errorf("MGet against a dead node: %v", err)
 	}
 	if _, err := c.DBSize(); err == nil || !strings.Contains(err.Error(), "kv.dbsize failed after 2 attempts") {

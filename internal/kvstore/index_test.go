@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -162,7 +163,7 @@ func BenchmarkKVNodeMGet(b *testing.B) {
 		}
 	}
 	mget := func() {
-		vals, err := c.MGet(keys)
+		vals, err := c.MGetContext(context.Background(), keys)
 		if err != nil || len(vals) != len(keys) || len(vals[7]) != 64 {
 			b.Fatalf("MGet: %d values, %v", len(vals), err)
 		}

@@ -47,8 +47,11 @@ func (l *Local) MSet(pairs []KV) error {
 	return nil
 }
 
-// MGet implements Backend.
-func (l *Local) MGet(keys []string) ([][]byte, error) {
+// MGetContext implements Backend, refusing work nobody waits for.
+func (l *Local) MGetContext(ctx context.Context, keys []string) ([][]byte, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	out := make([][]byte, len(keys))
 	for i, k := range keys {
 		if v, ok := l.st.Get(k); ok {
@@ -56,14 +59,6 @@ func (l *Local) MGet(keys []string) ([][]byte, error) {
 		}
 	}
 	return out, nil
-}
-
-// MGetContext implements Backend: MGet, refusing work nobody waits for.
-func (l *Local) MGetContext(ctx context.Context, keys []string) ([][]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return l.MGet(keys)
 }
 
 // Del implements Backend.

@@ -16,7 +16,6 @@ type backend interface {
 	Get(key string) ([]byte, error)
 	GetContext(ctx context.Context, key string) ([]byte, error)
 	MSet(pairs []KV) error
-	MGet(keys []string) ([][]byte, error)
 	MGetContext(ctx context.Context, keys []string) ([][]byte, error)
 	Del(key string) (bool, error)
 	ScanPrefix(prefix string) ([]KV, error)
@@ -52,7 +51,7 @@ func backendContract(t *testing.T, b backend) {
 	if err := b.MSet(pairs); err != nil {
 		t.Fatal(err)
 	}
-	vals, err := b.MGet([]string{"p/007", "absent", "p/049"})
+	vals, err := b.MGetContext(context.Background(), []string{"p/007", "absent", "p/049"})
 	if err != nil {
 		t.Fatal(err)
 	}

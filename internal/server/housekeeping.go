@@ -1,10 +1,14 @@
 package server
 
 import (
+	"bytes"
+	"context"
+	"errors"
 	"fmt"
 
 	"diesel/internal/chunk"
 	"diesel/internal/meta"
+	"diesel/internal/objstore"
 )
 
 // PurgeStats summarises a purge run.
@@ -33,9 +37,15 @@ type PurgeStats struct {
 // purge also makes deletions durable against total metadata loss: before
 // a purge, a deletion exists only in the KV database; after it, the
 // surviving chunks' headers are authoritative again.
+//
+// A purge cut short is finished by the next one, on any server: a holed
+// chunk whose object is already gone had its files carried before the
+// object was deleted, so only its chunk record is left to retire; an
+// entry a cut-short carry left half moved is carried again (liveEntries);
+// and every purge ends with a restamp, whatever it found.
 func (s *Server) purge(dataset string, gen *chunk.IDGenerator) (PurgeStats, error) {
 	var st PurgeStats
-	holed, carry, err := s.holedChunks(dataset)
+	holed, committed, carry, err := s.holedChunks(dataset)
 	if err != nil {
 		return st, err
 	}
@@ -64,18 +74,16 @@ func (s *Server) purge(dataset string, gen *chunk.IDGenerator) (PurgeStats, erro
 	// new ones are durably ingested, so there is no window in which a file
 	// record points at a missing object.
 	for _, id := range holed {
-		idStr := id.String()
-		blob, err := s.objects.Get(ObjectKey(dataset, idStr))
+		ck, err := s.readChunk(dataset, id)
 		if err != nil {
-			return st, fmt.Errorf("server: purge read %s: %w", idStr, err)
+			return st, fmt.Errorf("server: purge read %s: %w", id, err)
 		}
-		ck, err := chunk.Parse(blob)
-		if err != nil {
-			return st, fmt.Errorf("server: purge parse %s: %w", idStr, err)
+		if ck == nil {
+			continue // retired but for its record: nothing to carry
 		}
-		live, err := s.liveEntries(dataset, ck.Header)
+		live, err := s.liveEntries(dataset, ck, committed)
 		if err != nil {
-			return st, fmt.Errorf("server: purge %s: %w", idStr, err)
+			return st, fmt.Errorf("server: purge %s: %w", id, err)
 		}
 		for i, e := range ck.Header.Entries {
 			if !live[i] {
@@ -117,16 +125,14 @@ func (s *Server) purge(dataset string, gen *chunk.IDGenerator) (PurgeStats, erro
 		st.ChunksRewritten++
 		st.ChunksDeleted++
 	}
-	if st.ChunksRewritten > 0 {
-		return st, s.stamp(dataset)
-	}
-	return st, nil
+	return st, s.restamp(dataset)
 }
 
 // holedChunks returns, in write order, the chunks of dataset that hold
-// fewer of the committed view's files than they have entries, and the
-// bytes of the view's files in them: what purge will carry.
-func (s *Server) holedChunks(dataset string) (holed []chunk.ID, carry uint64, err error) {
+// fewer of the committed view's files than they have entries, the view's
+// chunks, and the bytes of the view's files in the holed ones: what purge
+// will carry.
+func (s *Server) holedChunks(dataset string) (holed []chunk.ID, committed map[chunk.ID]bool, carry uint64, err error) {
 	var ids []chunk.ID
 	var holes []int64 // per chunk: its entries less the view's files in it
 	var live []uint64 // per chunk: the bytes of the view's files in it
@@ -139,29 +145,50 @@ func (s *Server) holedChunks(dataset string) (holed []chunk.ID, carry uint64, er
 		live[ci] += fr.Length
 	})
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
+	committed = make(map[chunk.ID]bool, len(ids))
 	for ci, id := range ids {
+		committed[id] = true
 		if holes[ci] > 0 {
 			holed = append(holed, id)
 			carry += live[ci]
 		}
 	}
-	return holed, carry, nil
+	return holed, committed, carry, nil
 }
 
-// liveEntries reports, per entry of chunk h, whether its path's file record
-// still names h and that entry: one MGet for the whole chunk.
-func (s *Server) liveEntries(dataset string, h *chunk.Header) ([]bool, error) {
+// readChunk reads one stored chunk; nil when its object is gone.
+func (s *Server) readChunk(dataset string, id chunk.ID) (*chunk.Chunk, error) {
+	blob, err := s.objects.Get(ObjectKey(dataset, id.String()))
+	if errors.Is(err, objstore.ErrNotFound) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	return chunk.Parse(blob)
+}
+
+// liveEntries reports, per entry of chunk ck, whether purge carries it: its
+// path's file record names ck and that entry, or names an entry with the
+// same bytes in a chunk that is not committed. A purge cut short between
+// its carried chunk's file records and its chunk record leaves the second,
+// and carrying the entry again finishes that purge without changing the
+// bytes the path reads. One MGet for the whole chunk, and one object read
+// per uncommitted chunk named.
+func (s *Server) liveEntries(dataset string, ck *chunk.Chunk, committed map[chunk.ID]bool) ([]bool, error) {
+	h := ck.Header
 	keys := make([]string, len(h.Entries))
 	for i, e := range h.Entries {
 		keys[i] = meta.FileKey(dataset, meta.CleanPath(e.Name))
 	}
-	vals, err := s.kv.MGet(keys)
+	vals, err := s.kv.MGetContext(context.Background(), keys)
 	if err != nil {
 		return nil, err
 	}
 	live := make([]bool, len(vals))
+	uncommitted := map[chunk.ID]*chunk.Chunk{}
 	for i, v := range vals {
 		if v == nil {
 			continue
@@ -170,7 +197,22 @@ func (s *Server) liveEntries(dataset string, h *chunk.Header) ([]bool, error) {
 		if err != nil {
 			return nil, err
 		}
-		live[i] = fr.ChunkID == h.ID && fr.Index == uint32(i)
+		if committed[fr.ChunkID] { // ck among them
+			live[i] = fr.ChunkID == h.ID && fr.Index == uint32(i)
+			continue
+		}
+		other, seen := uncommitted[fr.ChunkID]
+		if !seen {
+			if other, err = s.readChunk(dataset, fr.ChunkID); err != nil {
+				return nil, err
+			}
+			uncommitted[fr.ChunkID] = other
+		}
+		if other != nil {
+			mine, _ := ck.FileAt(i)
+			theirs, err := other.FileAt(int(fr.Index))
+			live[i] = err == nil && bytes.Equal(mine, theirs)
+		}
 	}
 	return live, nil
 }

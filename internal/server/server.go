@@ -13,6 +13,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -30,14 +31,12 @@ import (
 
 // Backend is the key-value database interface the server stores metadata
 // in. Both kvstore.Cluster (networked) and kvstore.Local (in-process)
-// satisfy it. The read path uses the context forms, so trace spans and
-// deadlines reach the metadata cluster's RPCs.
+// satisfy it. Reads take a context, so trace spans and deadlines reach the
+// metadata cluster's RPCs.
 type Backend interface {
 	Set(key string, value []byte) error
-	Get(key string) ([]byte, error)
 	GetContext(ctx context.Context, key string) ([]byte, error)
 	MSet(pairs []kvstore.KV) error
-	MGet(keys []string) ([][]byte, error)
 	MGetContext(ctx context.Context, keys []string) ([][]byte, error)
 	Del(key string) (bool, error)
 	ScanPrefix(prefix string) ([]kvstore.KV, error)
@@ -114,10 +113,13 @@ func ObjectKey(dataset, chunkID string) string { return dataset + "/" + chunkID 
 // so a chunk damaged on its way here is rejected (chunk.ErrHeaderCRC,
 // chunk.ErrPayloadCRC) with no object and no metadata left behind. The
 // stored object claims the chunk ID — objstore.Store.Put is create-only —
-// so of two ingests under one ID, which only a misconfigured client mints,
-// exactly one lands and the other fails with objstore.ErrExists, writing
-// no metadata. encoded becomes the object store's: the caller must not
-// modify it afterwards.
+// so of two ingests under one ID with different bytes, which only a
+// misconfigured client mints, exactly one lands and the other fails with
+// objstore.ErrExists, writing no metadata. The same bytes sent again —
+// the client's retry of an ingest whose answer it lost, on any server —
+// find their object stored and finish the metadata and the stamp: a crash
+// at any step is repaired by sending the chunk again. encoded becomes the
+// object store's: the caller must not modify it afterwards.
 func (s *Server) Ingest(dataset string, encoded []byte) (*chunk.Header, error) {
 	if err := meta.ValidDataset(dataset); err != nil {
 		return nil, err
@@ -132,7 +134,8 @@ func (s *Server) Ingest(dataset string, encoded []byte) (*chunk.Header, error) {
 			return nil, fmt.Errorf("server: ingest rejected: %w", err)
 		}
 	}
-	if err := s.objects.Put(ObjectKey(dataset, h.ID.String()), encoded); err != nil {
+	key := ObjectKey(dataset, h.ID.String())
+	if err := s.objects.Put(key, encoded); err != nil && !(errors.Is(err, objstore.ErrExists) && s.stored(key, encoded)) {
 		return nil, fmt.Errorf("server: store chunk: %w", err)
 	}
 	if _, err := s.putChunkMeta(dataset, h, uint64(len(encoded))); err != nil {
@@ -142,6 +145,12 @@ func (s *Server) Ingest(dataset string, encoded []byte) (*chunk.Header, error) {
 		return nil, err
 	}
 	return h, nil
+}
+
+// stored reports whether the object at key holds exactly encoded.
+func (s *Server) stored(key string, encoded []byte) bool {
+	b, err := s.objects.Get(key)
+	return err == nil && bytes.Equal(b, encoded)
 }
 
 // putChunkMeta writes the metadata pairs of one stored chunk and returns
@@ -162,6 +171,20 @@ func (s *Server) putChunkMeta(dataset string, h *chunk.Header, size uint64) (int
 		return 0, err
 	}
 	return len(pairs), nil
+}
+
+// restamp stamps dataset if it exists. A write that found nothing to do
+// ends with it: run again after a crash before its stamp, it writes the
+// stamp the crash lost, and it creates no record for a dataset that does
+// not exist.
+func (s *Server) restamp(dataset string) error {
+	_, err := s.datasetRecord(dataset)
+	if err == nil {
+		err = s.stamp(dataset)
+	} else if errors.Is(err, ErrNoSuchDataset) {
+		err = nil
+	}
+	return err
 }
 
 // stamp records that dataset changed: one blind write of its record,
@@ -185,7 +208,7 @@ func (s *Server) stamp(dataset string) error {
 // datasetRecord returns a dataset's record, its update stamp;
 // ErrNoSuchDataset when it has none.
 func (s *Server) datasetRecord(dataset string) (meta.DatasetRecord, error) {
-	b, err := s.kv.Get(meta.DatasetKey(dataset))
+	b, err := s.kv.GetContext(context.Background(), meta.DatasetKey(dataset))
 	if errors.Is(err, kvstore.ErrNotFound) {
 		return meta.DatasetRecord{}, fmt.Errorf("%w: %q", ErrNoSuchDataset, dataset)
 	}
@@ -484,13 +507,18 @@ func (s *Server) view(dataset string, onChunk func(chunk.ID, meta.ChunkRecord), 
 // deleteFile removes one file: one Del of its file record, then the stamp.
 // The bytes stay in the chunk until purge rewrites it (§4.1.1's
 // delete-then-rewrite model); purge finds the hole because fewer file
-// records name the chunk than it has entries.
+// records name the chunk than it has entries. A file with no record is
+// ErrNoSuchFile after a restamp: the delete run again after a crash
+// between its Del and its stamp is what writes that stamp.
 func (s *Server) deleteFile(dataset, path string) error {
 	existed, err := s.kv.Del(meta.FileKey(dataset, path))
 	if err != nil {
 		return err
 	}
 	if !existed {
+		if err := s.restamp(dataset); err != nil {
+			return err
+		}
 		return fmt.Errorf("%w: %s/%s", ErrNoSuchFile, dataset, path)
 	}
 	return s.stamp(dataset)

@@ -24,19 +24,9 @@ type countingBackend struct {
 	gets, mgets atomic.Int64
 }
 
-func (c *countingBackend) Get(key string) ([]byte, error) {
-	c.gets.Add(1)
-	return c.Local.Get(key)
-}
-
 func (c *countingBackend) GetContext(ctx context.Context, key string) ([]byte, error) {
 	c.gets.Add(1)
 	return c.Local.GetContext(ctx, key)
-}
-
-func (c *countingBackend) MGet(keys []string) ([][]byte, error) {
-	c.mgets.Add(1)
-	return c.Local.MGet(keys)
 }
 
 func (c *countingBackend) MGetContext(ctx context.Context, keys []string) ([][]byte, error) {

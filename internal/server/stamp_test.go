@@ -25,12 +25,6 @@ type hookedKV struct {
 	hook func(op, key string)
 }
 
-func (h hookedKV) Get(key string) ([]byte, error) {
-	v, err := h.Local.Get(key)
-	h.hook("get", key)
-	return v, err
-}
-
 func (h hookedKV) GetContext(ctx context.Context, key string) ([]byte, error) {
 	v, err := h.Local.GetContext(ctx, key)
 	h.hook("get", key)
@@ -49,8 +43,8 @@ func (h hookedKV) MSet(pairs []kvstore.KV) error {
 	return err
 }
 
-func (h hookedKV) MGet(keys []string) ([][]byte, error) {
-	v, err := h.Local.MGet(keys)
+func (h hookedKV) MGetContext(ctx context.Context, keys []string) ([][]byte, error) {
+	v, err := h.Local.MGetContext(ctx, keys)
 	h.hook("mget", "")
 	return v, err
 }
@@ -111,7 +105,9 @@ func TestIngestKVRoundTrips(t *testing.T) {
 
 // TestDeleteKVRoundTrips: deleting a file costs the KV database one Del of
 // its record and the stamp's Set — no read, no chunk record write. A file
-// that is not there costs the Del alone and fails with ErrNoSuchFile.
+// that is not there fails with ErrNoSuchFile after the stamp, which a
+// delete run again after a crash before its stamp must still write; the
+// dataset record is read first, so a dataset that does not exist gets none.
 func TestDeleteKVRoundTrips(t *testing.T) {
 	var mu sync.Mutex
 	var calls []string
@@ -137,8 +133,15 @@ func TestDeleteKVRoundTrips(t *testing.T) {
 	if err := s.deleteFile("ds", "d/a"); !errors.Is(err, ErrNoSuchFile) {
 		t.Errorf("deleting a deleted file: %v, want ErrNoSuchFile", err)
 	}
-	if want := []string{"del f|"}; fmt.Sprint(calls) != fmt.Sprint(want) {
+	if want := []string{"del f|", "get ds|", "set ds|"}; fmt.Sprint(calls) != fmt.Sprint(want) {
 		t.Errorf("KV calls for a delete of nothing = %q, want %q", calls, want)
+	}
+	calls = nil
+	if err := s.deleteFile("nods", "d/a"); !errors.Is(err, ErrNoSuchFile) {
+		t.Errorf("deleting in a dataset that does not exist: %v, want ErrNoSuchFile", err)
+	}
+	if want := []string{"del f|", "get ds|"}; fmt.Sprint(calls) != fmt.Sprint(want) {
+		t.Errorf("KV calls for a delete in a dataset that does not exist = %q, want %q", calls, want)
 	}
 }
 
