@@ -29,6 +29,7 @@ import (
 	"diesel/internal/objstore"
 	"diesel/internal/server"
 	"diesel/internal/shuffle"
+	"diesel/internal/testkit"
 	"diesel/internal/train"
 )
 
@@ -634,33 +635,37 @@ func BenchmarkSnapshotDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkEpochRead streams one chunk-wise shuffled epoch through the
-// real stack — libDIESEL RPCs against a deployment whose object store
-// models 2 ms of request latency — comparing the synchronous reader
-// (window=0, every group fetch exposed) with the pipelined reader
-// (window>=2, fetches overlap consumption). The acceptance bar is the
-// pipelined configuration sustaining at least 2x the samples/s.
-func BenchmarkEpochRead(b *testing.B) {
+// epochStack is BenchmarkEpochRead's stack: a deployment whose object
+// store models 2 ms of request latency, holding 256 files of 2 KiB in
+// chunks of about four, and a reader client with the snapshot.
+type epochStack struct {
+	cl   *client.Client
+	snap *meta.Snapshot
+}
+
+const epochFiles, epochFileSize = 256, 2048
+
+func newEpochStack(tb testing.TB) *epochStack {
+	tb.Helper()
 	dep, err := core.Deploy(core.Config{
 		Throttle: &objstore.Throttled{Latency: 2 * time.Millisecond},
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer dep.Close()
+	tb.Cleanup(dep.Close)
 	w, err := client.Connect(client.Options{
 		User: "bench", Key: "bench",
 		Servers: dep.ServerAddrs(), Dataset: "epoch",
 		ChunkTarget: 8 << 10, // ~4 files per chunk: many chunks, many groups
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	const files, fileSize = 256, 2048
-	data := randBytes(fileSize, 12)
-	for i := range files {
+	data := randBytes(epochFileSize, 12)
+	for i := range epochFiles {
 		if err := w.DefaultDataset().Put(fmt.Sprintf("c%02d/f%05d", i%8, i), data); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	w.Close()
@@ -669,39 +674,107 @@ func BenchmarkEpochRead(b *testing.B) {
 		Servers: dep.ServerAddrs(), Dataset: "epoch",
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer cl.Close()
+	tb.Cleanup(func() { cl.Close() })
 	snap, err := cl.DefaultDataset().DownloadSnapshot()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return &epochStack{cl: cl, snap: snap}
+}
+
+// read streams one chunk-wise shuffled epoch, groups of 4 chunks, through
+// a reader with the given window, and fails tb unless every file came.
+func (e *epochStack) read(tb testing.TB, seed int64, window int) {
+	plan, err := e.cl.DefaultDataset().ShufflePlan(seed, 4)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r := epoch.NewReader(plan, e.snap, epoch.NewClientSource(e.cl.DefaultDataset(), e.snap, 4),
+		epoch.WithWindow(window))
+	n := 0
+	for {
+		if _, err := r.Next(); err != nil {
+			break
+		}
+		n++
+	}
+	r.Close()
+	if r.Err() != nil {
+		tb.Fatal(r.Err())
+	}
+	if n != epochFiles {
+		tb.Fatalf("epoch served %d of %d files", n, epochFiles)
+	}
+}
+
+// BenchmarkEpochRead streams one chunk-wise shuffled epoch through the
+// real stack — libDIESEL RPCs against a deployment whose object store
+// models 2 ms of request latency — comparing the synchronous reader
+// (window=0, every group fetch exposed) with the pipelined reader
+// (window>=2, fetches overlap consumption). The acceptance bar is the
+// pipelined configuration sustaining at least 2x the samples/s.
+func BenchmarkEpochRead(b *testing.B) {
+	e := newEpochStack(b)
 	for _, window := range []int{0, 2, 4} {
 		b.Run(fmt.Sprintf("window=%d", window), func(b *testing.B) {
-			b.SetBytes(files * fileSize)
+			b.SetBytes(epochFiles * epochFileSize)
 			for i := 0; b.Loop(); i++ {
-				plan, err := cl.DefaultDataset().ShufflePlan(int64(i), 4)
-				if err != nil {
-					b.Fatal(err)
-				}
-				r := epoch.NewReader(plan, snap, epoch.NewClientSource(cl.DefaultDataset(), snap, 4),
-					epoch.WithWindow(window))
-				n := 0
-				for {
-					if _, err := r.Next(); err != nil {
-						break
-					}
-					n++
-				}
-				r.Close()
-				if r.Err() != nil {
-					b.Fatal(r.Err())
-				}
-				if n != files {
-					b.Fatalf("epoch served %d of %d files", n, files)
-				}
+				e.read(b, int64(i), window)
 			}
-			b.ReportMetric(float64(files)*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
+			b.ReportMetric(float64(epochFiles)*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
+		})
+	}
+}
+
+// epochTables hold what one warm epoch of 256 files in 64 chunks
+// allocates, by window. Per chunk: the reader's share of its group, its
+// ID's string form on both sides of the call, the server's object key and
+// the chunk the reader keeps. The pipelined reader adds its fetch workers
+// and its reorder state. "other" is mostly goroutine descriptors and
+// sudogs that the epoch's GC cycles took.
+var epochTables = map[int]testkit.Table{
+	0: {Sites: epochSites(0, 0), Other: 16, Allocs: 592, Bytes: 705000},
+	2: {Sites: epochSites(7, 2), Other: 15, Allocs: 600, Bytes: 705000},
+	4: {Sites: epochSites(9, 4), Other: 15, Allocs: 606, Bytes: 705000},
+}
+
+func epochSites(start, advance float64) map[string]float64 {
+	sites := map[string]float64{
+		"epoch.(*ClientSource).ReadGroup ← epoch.(*Reader).readGroup": 273,
+		"chunk.ID.String ← epoch.(*ClientSource).ReadGroup.func1":     64,
+		"wire.(*Decoder).String ← server.(*RPCServer).register.func4": 64,
+		"server.ObjectKey ← server.(*Server).GetChunkPooled":          64,
+		"wire.readFrame ← wire.(*Client).readLoop":                    64,
+		"shuffle.ChunkWisePlan ← client.(*Dataset).ShufflePlan":       33,
+		"epoch.NewReader":       5,
+		"epoch.NewClientSource": 1,
+	}
+	if start > 0 {
+		sites["epoch.(*Reader).start ← epoch.NewReader"] = start
+		sites["epoch.(*Reader).advance ← epoch.(*Reader).Next"] = advance
+		// The reader context's done channel, made by whichever of the
+		// consumer and a fetch worker asks for it first.
+		sites["epoch.(*Reader).start.func1"] = 1
+	}
+	return sites
+}
+
+// TestEpochAllocations holds one warm epoch at windows 0, 2 and 4 to
+// its table.
+func TestEpochAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loopback stack")
+	}
+	e := newEpochStack(t)
+	for _, window := range []int{0, 2, 4} {
+		t.Run(fmt.Sprintf("window=%d", window), func(t *testing.T) {
+			seed := int64(0)
+			testkit.Check(t, epochTables[window], testkit.Sites(40, func() {
+				e.read(t, seed, window)
+				seed++
+			}))
 		})
 	}
 }
@@ -709,9 +782,10 @@ func BenchmarkEpochRead(b *testing.B) {
 // BenchmarkClientGetChunk is one whole-chunk read through the RPC stack —
 // server.NewRPC over loopback TCP to client.Dataset.GetChunk, an in-memory
 // object store behind it — the fetch unit of the epoch reader and of a
-// cache master's load. Its B/op is the gate on staging copies: one chunk
-// crossing the process boundary should allocate about one chunk (the
-// response payload the caller keeps), and nothing per chunk on the server.
+// cache master's load. One chunk crossing the process boundary allocates
+// about one chunk (the response payload the caller keeps) and nothing per
+// chunk on the server: getChunkTable holds the same read on the small-read
+// stack.
 func BenchmarkClientGetChunk(b *testing.B) {
 	const chunkSize = 256 << 10
 	s, _ := localServer(b, "getchunk", 64, chunkSize/64, chunkSize)
@@ -744,12 +818,11 @@ func BenchmarkClientGetChunk(b *testing.B) {
 
 // BenchmarkServerBatchRead is one warm batch read on the path every
 // snapshot-less client uses — client.Dataset.GetBatch of 8 files that lie
-// in 8 different chunks, on smallReadStack. Its allocs/op is the gate on
-// per-member work: the batch should cost its one batch stat (one call per
-// KV node) and eight range reads of cached chunks, not a metadata round
-// trip per chunk; its B/op is about two copies of the 72 KiB asked for (the
-// server's one buffer, lent to the socket, and the response the caller's
-// files are windows into), not a chunk.
+// in 8 different chunks, on smallReadStack. The batch costs its one batch
+// stat (one call per KV node) and eight range reads of cached chunks, not
+// a metadata round trip per chunk, and about two copies of the 72 KiB
+// asked for (the server's one buffer, lent to the socket, and the response
+// the caller's files are windows into), not a chunk: getBatchTable.
 func BenchmarkServerBatchRead(b *testing.B) {
 	st := newSmallReadStack(b)
 	ctx := context.Background()
@@ -765,62 +838,120 @@ func BenchmarkServerBatchRead(b *testing.B) {
 			}
 		}
 	}
-	if st := &st.s.Exec.Stats; st.ChunkReads.Load() != 0 || st.RangeReads.Load() == 0 {
+	if st := &st.dep.Server().Exec.Stats; st.ChunkReads.Load() != 0 || st.RangeReads.Load() == 0 {
 		b.Fatalf("%d chunk reads, %d range reads: want one range read per file", st.ChunkReads.Load(), st.RangeReads.Load())
 	}
 }
 
-// BenchmarkClientIngest is one chunk's trip down the write path of
-// Figure 3 — 29 files of 9 KiB through Dataset.Put until the 256 KiB
-// builder fills and ships them, server.NewRPC over loopback TCP, an
-// in-memory object store behind it. Its B/op is the gate on copies in that
-// direction: the client builds in one reused buffer and lends it to the
-// socket, the server stores the request body it read, so a chunk crossing
-// the process boundary should allocate about one chunk (the stored
-// object) on the two sides together.
-func BenchmarkClientIngest(b *testing.B) {
+// ingestStack is BenchmarkClientIngest's stack: server.NewRPC over
+// loopback TCP, an in-memory KV store and object store behind it, and a
+// writer whose 256 KiB builder ships one chunk per 29 files of 9 KiB.
+type ingestStack struct {
+	s     *server.Server
+	ds    *client.Dataset
+	data  []byte
+	names []string
+}
+
+func newIngestStack(tb testing.TB) *ingestStack {
+	tb.Helper()
 	const fileSize, files = 9 << 10, 29 // the 29th file takes the payload past 256 KiB
 	s := server.New(kvstore.NewLocal(), objstore.NewMemory(), func() int64 { return time.Now().UnixNano() })
 	rpc, err := server.NewRPC(s, "127.0.0.1:0")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer rpc.Close()
+	tb.Cleanup(func() { rpc.Close() })
 	cl, err := client.Connect(client.Options{
 		User: "bench", Key: "bench", Servers: []string{rpc.Addr()}, Dataset: "ingest",
 		ChunkTarget: 256 << 10,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer cl.Close()
-	ds := cl.DefaultDataset()
-	data := randBytes(fileSize, 5)
-	names := make([]string, files)
-	for i := range names {
-		names[i] = fmt.Sprintf("c%03d/f%06d.bin", i%100, i)
+	tb.Cleanup(func() { cl.Close() })
+	st := &ingestStack{s: s, ds: cl.DefaultDataset(), data: randBytes(fileSize, 5), names: make([]string, files)}
+	for i := range st.names {
+		st.names[i] = fmt.Sprintf("c%03d/f%06d.bin", i%100, i)
 	}
-	b.SetBytes(fileSize * files)
+	return st
+}
+
+// ingest writes the 29 files, which ship one chunk.
+func (st *ingestStack) ingest(tb testing.TB) {
+	for _, name := range st.names {
+		if err := st.ds.Put(name, st.data); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := st.ds.Flush(); err != nil { // nothing left to ship: the last Put did
+		tb.Fatal(err)
+	}
+}
+
+// BenchmarkClientIngest is one chunk's trip down the write path of
+// Figure 3 — 29 files of 9 KiB through Dataset.Put until the 256 KiB
+// builder fills and ships them, on ingestStack. The client builds in one
+// reused buffer and lends it to the socket, the server stores the request
+// body it read, so a chunk crossing the process boundary should allocate
+// about one chunk (the stored object) on the two sides together
+// (ingestTable).
+func BenchmarkClientIngest(b *testing.B) {
+	st := newIngestStack(b)
+	b.SetBytes(int64(len(st.data) * len(st.names)))
 	for i := 0; b.Loop(); i++ {
-		for _, name := range names {
-			if err := ds.Put(name, data); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := ds.Flush(); err != nil { // nothing left to ship: the last Put did
-			b.Fatal(err)
-		}
+		st.ingest(b)
 		if i%512 == 511 { // a long run must not pile its chunks up in the store
 			b.StopTimer()
-			if err := ds.DeleteDataset(); err != nil {
+			if err := st.ds.DeleteDataset(); err != nil {
 				b.Fatal(err)
 			}
 			b.StartTimer()
 		}
 	}
-	if snap, err := s.BuildSnapshot("ingest"); err == nil && snap.NumFiles() == 0 {
+	if snap, err := st.s.BuildSnapshot("ingest"); err == nil && snap.NumFiles() == 0 {
 		b.Fatalf("nothing was stored: %v", snap)
 	}
+}
+
+// ingestTable is what one chunk's ingest allocates: the stored object
+// (the request frame the server read), per file its record, key and KV
+// entry, and the chunk's parse, keys and records.
+var ingestTable = testkit.Table{
+	Sites: map[string]float64{
+		"chunk.ParseHeader ← chunk.Parse":                             31,
+		"wire.NewEncoder ← meta.(*FileRecord).Encode":                 29,
+		"meta.FileKey ← meta.PairsForChunk":                           29,
+		"kvstore.(*Local).MSet ← server.(*Server).putChunkMeta":       29,
+		"kvstore.(*skiplist).insert ← kvstore.(*Store).Set":           2,
+		"wire.readFrame ← wire.(*Server).serveConn":                   1, // the stored object
+		"wire.readFrame ← wire.(*Client).readLoop":                    1,
+		"wire.(*Decoder).String ← server.(*RPCServer).register.func1": 1,
+		"chunk.ID.String ← server.(*RPCServer).register.func1":        1,
+		"wire.NewEncoder ← server.(*RPCServer).register.func1":        1,
+		"chunk.Parse ← server.(*Server).Ingest":                       1,
+		"chunk.ID.String ← server.(*Server).Ingest":                   1,
+		"server.ObjectKey ← server.(*Server).Ingest":                  1,
+		"meta.PairsForChunk ← server.(*Server).putChunkMeta":          1,
+		"chunk.ID.String ← meta.PairsForChunk":                        1,
+		"meta.ChunkKey ← meta.PairsForChunk":                          1,
+		"server.toKVStore ← server.(*Server).putChunkMeta":            1,
+		"kvstore.(*Local).Set ← server.(*Server).putChunkMeta":        1,
+		"wire.NewEncoder ← meta.(*ChunkRecord).Encode":                1,
+		"wire.NewEncoder ← meta.(*DatasetRecord).Encode":              1,
+	},
+	Other:  1,
+	Allocs: 140,
+	Bytes:  309000,
+}
+
+// TestIngestAllocations holds one chunk's ingest to ingestTable.
+func TestIngestAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loopback stack")
+	}
+	st := newIngestStack(t)
+	testkit.Check(t, ingestTable, testkit.Sites(100, func() { st.ingest(t) }))
 }
 
 // BenchmarkLoaderEpoch measures the pipelined data loader (Figure 1's

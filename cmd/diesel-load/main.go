@@ -19,7 +19,7 @@
 //	  -faults "5s+3s:server-kill:0; 12s+3s:disk-slow:10ms; 20s+3s:net-drop:0.3"
 //
 // The JSON report (-json) is the machine-readable contract:
-// cmd/benchguard -capacity gates achieved rate and open-loop p99 against
+// cmd/benchguard gates achieved rate and open-loop p99 against
 // a committed baseline in CI, and EXPERIMENTS.md records soak runs.
 package main
 

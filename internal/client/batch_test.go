@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"diesel/internal/server"
+	"diesel/internal/testkit"
 	"diesel/internal/wire"
 )
 
@@ -107,13 +108,31 @@ func TestGetBatchRejectsDoctoredResponses(t *testing.T) {
 	}
 }
 
-// TestGetBatchAllocations: unpacking a warm 8-file batch allocates the
-// result slice and nothing per file. The budget covers the whole in-process
-// round trip (client, wire, server): 55 allocations, 57 under the race
-// detector (which drops sync.Pool items at random); 56 and 58 when each
-// request ran on a goroutine of its own, 111 when every layer copied the
-// files on, and 118 when GetBatch also copied each file out of a pooled
-// frame.
+// getBatchTable is what a warm 8-file GetBatch of two files in each of
+// four chunks allocates over the whole in-process round trip (client,
+// wire, server): on the client, the result slice and the response and
+// nothing per file. It read 56 when each request ran on a goroutine of its own, 111 when
+// every layer copied the files on, and 118 when GetBatch also copied each
+// file out of a pooled frame.
+var getBatchTable = testkit.Table{
+	Sites: map[string]float64{
+		"server.(*Server).getFiles ← server.(*RPCServer).register.func3":   16.25,
+		"kvstore.(*Local).MGetContext ← server.(*Server).getFiles":         9,
+		"wire.(*Decoder).String ← meta.DecodeFileRecord":                   8,
+		"wire.(*Decoder).String ← wire.(*Decoder).StringSlice":             8,
+		"meta.FileKey ← server.(*Server).getFiles":                         8,
+		"client.splitBatch ← client.(*Dataset).GetBatch":                   1,
+		"wire.readFrame ← wire.(*Client).readLoop":                         1,
+		"wire.(*Encoder).Uint32 ← server.(*RPCServer).register.func3":      1,
+		"wire.(*Decoder).StringSlice ← server.(*RPCServer).register.func3": 1,
+		"wire.(*Decoder).String ← server.(*RPCServer).register.func3":      1,
+	},
+	Other:  0.5,
+	Allocs: 56,
+	Bytes:  24000,
+}
+
+// TestGetBatchAllocations holds a warm 8-file GetBatch to getBatchTable.
 func TestGetBatchAllocations(t *testing.T) {
 	c := connect(t, startServers(t, 1), "ds")
 	files := writeDataset(t, c, 64, 1024)
@@ -124,13 +143,9 @@ func TestGetBatchAllocations(t *testing.T) {
 	sort.Strings(paths)
 	paths = paths[:8] // two files in each of four chunks: eight range reads
 	ds := c.DefaultDataset()
-	read := func() {
+	testkit.Check(t, getBatchTable, testkit.Sites(2000, func() {
 		if _, err := ds.GetBatch(context.Background(), paths); err != nil {
 			t.Fatal(err)
 		}
-	}
-	read() // warm: connections, pools, the server's chunk shapes
-	if allocs := testing.AllocsPerRun(200, read); allocs > 57 {
-		t.Errorf("a warm 8-file GetBatch: %.0f allocs, budget 57", allocs)
-	}
+	}))
 }

@@ -144,9 +144,6 @@ func (d *Deployment) ServerAddrs() []string {
 // RegistryAddr returns the configuration registry's address.
 func (d *Deployment) RegistryAddr() string { return d.registry.Addr() }
 
-// Registry returns the in-process registry (for task setup).
-func (d *Deployment) Registry() *etcd.Registry { return d.registry.Registry() }
-
 // Server returns the first DIESEL server's core, for administrative
 // operations in tests and tools.
 func (d *Deployment) Server() *server.Server { return d.servers[0].S }

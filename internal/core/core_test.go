@@ -33,7 +33,7 @@ func TestDeployDefaults(t *testing.T) {
 	if d.RegistryAddr() == "" {
 		t.Error("registry not started")
 	}
-	if d.Registry() == nil || d.Server() == nil || d.KVCluster() == nil {
+	if d.Server() == nil || d.KVCluster() == nil {
 		t.Error("component accessors returned nil")
 	}
 	if n := d.KVCluster().NodeCount(); n != 2 {

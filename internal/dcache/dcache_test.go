@@ -11,6 +11,7 @@ import (
 	"diesel/internal/client"
 	"diesel/internal/etcd"
 	"diesel/internal/server"
+	"diesel/internal/testkit"
 )
 
 // fixture: one DIESEL server stack, a dataset, and a set of cache peers
@@ -105,14 +106,24 @@ func newFixture(t *testing.T, nFiles, fileSize int, layout []string, policy Poli
 	return f
 }
 
-// TestPeerFileReadAllocations: a first-touch peer read is one cache.get to
-// the owning master, whose answer lends the cached file to the connection
-// writer instead of copying it into a fresh response. What the read
-// allocates is the response its caller keeps, the request frame's handler
-// goroutine and the decoded path: 3 in all. The per-call deadline is the
-// connection's one reaper timer, which allocates nothing per call (a
-// context.WithTimeout per call made it 8). The race detector, which drops
-// pooled items at random, gets a margin.
+// peerFileTable: a first-touch peer read is one cache.get to the owning
+// master, whose answer lends the cached file to the connection writer
+// instead of copying it into a fresh response. What the read allocates is
+// the response its caller keeps and the decoded path (3 while each
+// request ran on a goroutine of its own). The per-call deadline is the connection's one reaper timer, which
+// allocates nothing per call (a context.WithTimeout per call made it 8).
+var peerFileTable = testkit.Table{
+	Sites: map[string]float64{
+		"wire.readFrame ← wire.(*Client).readLoop":               1, // the file the caller keeps
+		"wire.(*Decoder).String ← dcache.(*Peer).handleCacheGet": 1, // the path
+	},
+	Other:  0.25,
+	Allocs: 2.25,
+	Bytes:  2600,
+}
+
+// TestPeerFileReadAllocations holds a first-touch peer read to
+// peerFileTable.
 func TestPeerFileReadAllocations(t *testing.T) {
 	f := newFixture(t, 40, 2048, []string{"nodeA", "nodeB"}, OnDemand, nil)
 	p := f.peers[0]
@@ -125,19 +136,11 @@ func TestPeerFileReadAllocations(t *testing.T) {
 	}
 	addr := p.masters[1-p.selfIdx].addr
 	ctx := context.Background()
-	read := func() {
+	testkit.Check(t, peerFileTable, testkit.Sites(2000, func() {
 		if b, err := p.readFromMaster(ctx, addr, path); err != nil || !bytes.Equal(b, f.files[path]) {
 			t.Fatalf("peer read of %s: %d bytes, %v", path, len(b), err)
 		}
-	}
-	read() // warm: the master loads the chunk, this peer dials it
-	budget := 3.0
-	if raceEnabled {
-		budget += 2
-	}
-	if n := testing.AllocsPerRun(200, read); n > budget {
-		t.Errorf("a first-touch peer read allocates %.1f times, budget %.0f", n, budget)
-	}
+	}))
 }
 
 func TestMasterElectionSmallestRankPerNode(t *testing.T) {

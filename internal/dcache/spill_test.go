@@ -14,6 +14,7 @@ import (
 	"diesel/internal/etcd"
 	"diesel/internal/server"
 	"diesel/internal/shuffle"
+	"diesel/internal/testkit"
 )
 
 // spillPeer builds a single-node master over an in-memory server stack,
@@ -430,96 +431,133 @@ func TestSpillRewarmAcrossRestart(t *testing.T) {
 	}
 }
 
-// BenchmarkDcacheSpillRead measures the spill-hit fast path the
-// BENCH_baseline.json alloc gate watches: RAM miss → spill index lookup →
+// spillRead returns a spill-hit read: RAM miss → spill index lookup →
 // one pread of the file's exact range into a fresh buffer. The files are
 // read strided across the chunks, so no chunk is revisited within
-// sweepWindow and every read stays a pread. Budget: ≤ 2 allocs/op (today:
-// the result buffer, 1).
-func BenchmarkDcacheSpillRead(b *testing.B) {
+// sweepWindow and every read stays a pread. One cursor serves every read
+// of the peer: restarting the order would revisit its first chunks
+// within the sweep window.
+func spillRead(tb testing.TB) (read func(tb testing.TB, view bool) func()) {
 	const nFiles, fileSize, chunkTarget = 256, 4 << 10, 64 << 10
-	sc := spillCache(b, 0, b.TempDir())
-	p, names, _, _ := spillPeer(b, nFiles, fileSize, chunkTarget, func(c *Config) { c.Shared = sc })
+	sc := spillCache(tb, 0, tb.TempDir())
+	p, names, _, _ := spillPeer(tb, nFiles, fileSize, chunkTarget, func(c *Config) { c.Shared = sc })
 	if err := p.LoadOwned(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	sc.DemoteAll()
-	// One cursor across both variants and every round: restarting the
-	// order would revisit its first chunks within the sweep window.
-	order, next := strided(b, chunkFiles(b, p, names)), 0
-	file := func() string {
-		next++
-		return names[order[(next-1)%len(order)]]
+	order, next := strided(tb, chunkFiles(tb, p, names)), 0
+	return func(tb testing.TB, view bool) func() {
+		read := p.ReadFileContext
+		if view {
+			read = p.ReadFileViewContext
+		}
+		return func() {
+			buf, err := read(context.Background(), names[order[next%len(order)]])
+			if err != nil {
+				tb.Fatal(err)
+			}
+			if len(buf) != fileSize {
+				tb.Fatalf("short read: %d", len(buf))
+			}
+			next++
+		}
 	}
-	ctx := context.Background()
-	b.Run("view", func(b *testing.B) {
-		b.SetBytes(fileSize)
-		b.ReportAllocs()
-		for b.Loop() {
-			buf, err := p.ReadFileViewContext(ctx, file())
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(buf) != fileSize {
-				b.Fatalf("short read: %d", len(buf))
-			}
-		}
-	})
-	b.Run("copy", func(b *testing.B) {
-		b.SetBytes(fileSize)
-		b.ReportAllocs()
-		for b.Loop() {
-			buf, err := p.ReadFileContext(context.Background(), file())
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(buf) != fileSize {
-				b.Fatalf("short read: %d", len(buf))
-			}
-		}
-	})
 }
 
-// BenchmarkDcacheSpillSweep measures a chunk-wise epoch over a master
-// whose RAM is full: one op is one sample of the plan, over 40 chunks of
-// 16 files of which RAM holds 10 and the spill tier the rest. A spilled
-// chunk costs one pread and one verified whole-chunk load into the pulled
-// buffer, which the 30 spilled chunks outnumber, so every pass loads
-// every spilled chunk again — the steady state, after one untimed pass.
-//
-// loads/op is whole-chunk spill loads per sample (≈ 30 per 640-sample
-// pass); evictions/op must stay 0: a sweep that promotes into the full
-// LRU evicts a chunk per load. The CI allocation guard runs 50 ops, the
-// first 50 samples of a group of four chunks: 0 allocs/op there. A sweep
-// gone back to a pread per file is at least 1.
-func BenchmarkDcacheSpillSweep(b *testing.B) {
+// BenchmarkDcacheSpillRead times spillRead, view and copy.
+func BenchmarkDcacheSpillRead(b *testing.B) {
+	read := spillRead(b)
+	for _, kind := range []string{"view", "copy"} {
+		b.Run(kind, func(b *testing.B) {
+			op := read(b, kind == "view")
+			b.SetBytes(4 << 10)
+			b.ReportAllocs()
+			for b.Loop() {
+				op()
+			}
+		})
+	}
+}
+
+// spillReadTable: a spill hit, view or copy, allocates the pread buffer.
+var spillReadTable = testkit.Table{
+	Sites:  map[string]float64{"spill.(*Log).ReadAt ← tier.(*Store).ReadSpill": 1},
+	Other:  0.1,
+	Allocs: 1.1,
+	Bytes:  4505,
+}
+
+// TestSpillReadAllocations holds a spill hit, view and copy, to
+// spillReadTable.
+func TestSpillReadAllocations(t *testing.T) {
+	read := spillRead(t)
+	for _, kind := range []string{"view", "copy"} {
+		t.Run(kind, func(t *testing.T) {
+			testkit.Check(t, spillReadTable, testkit.Sites(2000, read(t, kind == "view")))
+		})
+	}
+}
+
+// spillSweep returns one sample of a chunk-wise epoch over a master whose
+// RAM is full, over 40 chunks of 16 files of which RAM holds 10 and the
+// spill tier the rest. A spilled chunk costs one pread and one verified
+// whole-chunk load into the pulled buffer, which the 30 spilled chunks
+// outnumber, so every pass loads every spilled chunk again — the steady
+// state, after one pass that comes first. It also returns the cache's
+// whole-chunk spill loads and the peer's evictions so far.
+func spillSweep(tb testing.TB) (read func(), loads, evictions func() uint64) {
 	const nFiles, fileSize, chunkTarget = 640, 4 << 10, 64 << 10
-	sc := spillCache(b, 10*chunkTarget, b.TempDir())
-	p, _, _, _ := spillPeer(b, nFiles, fileSize, chunkTarget, func(c *Config) { c.Shared = sc })
+	sc := spillCache(tb, 10*chunkTarget, tb.TempDir())
+	p, _, _, _ := spillPeer(tb, nFiles, fileSize, chunkTarget, func(c *Config) { c.Shared = sc })
 	if err := p.LoadOwned(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	plan := shuffle.ChunkWisePlan(p.snap, 1, 4).Files
-	ctx := context.Background()
-	read := func(i int) {
-		buf, err := p.ReadFileViewContext(ctx, p.snap.FileName(int(plan[i%len(plan)])))
+	i := 0
+	read = func() {
+		buf, err := p.ReadFileViewContext(context.Background(), p.snap.FileName(int(plan[i%len(plan)])))
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if len(buf) != fileSize {
-			b.Fatalf("short read: %d", len(buf))
+			tb.Fatalf("short read: %d", len(buf))
 		}
+		i++
 	}
-	for i := range plan {
-		read(i)
+	for range len(plan) - 2 { // and testkit.Sites' two warm calls end the pass
+		read()
 	}
-	b.SetBytes(fileSize)
+	return read, func() uint64 { return sc.SpillStats().Promotions }, p.Stats.Evictions.Load
+}
+
+// BenchmarkDcacheSpillSweep times spillSweep. loads/op is whole-chunk
+// spill loads per sample (≈ 30 per 640-sample pass); evictions/op must
+// stay 0: a sweep that promotes into the full LRU evicts a chunk per load.
+func BenchmarkDcacheSpillSweep(b *testing.B) {
+	read, loads, evictions := spillSweep(b)
+	b.SetBytes(4 << 10)
 	b.ReportAllocs()
-	b.ResetTimer()
-	loads, evictions := sc.SpillStats().Promotions, p.Stats.Evictions.Load()
-	for i := 0; b.Loop(); i++ {
-		read(i)
+	l0, e0 := loads(), evictions()
+	for b.Loop() {
+		read()
 	}
-	b.ReportMetric(float64(sc.SpillStats().Promotions-loads)/float64(b.N), "loads/op")
-	b.ReportMetric(float64(p.Stats.Evictions.Load()-evictions)/float64(b.N), "evictions/op")
+	b.ReportMetric(float64(loads()-l0)/float64(b.N), "loads/op")
+	b.ReportMetric(float64(evictions()-e0)/float64(b.N), "evictions/op")
+}
+
+// spillSweepTable: 50 samples from the start of a pass, the first of a
+// group of four chunks, whose loads allocate no site's share of 0.25 per
+// sample. A sweep gone back to a pread per file is at least 1 allocation
+// per sample.
+var spillSweepTable = testkit.Table{
+	Other:  0.9,
+	Allocs: 0.9,
+	Bytes:  6150,
+}
+
+// TestSpillSweepAllocations holds 50 samples of spillSweep to
+// spillSweepTable.
+func TestSpillSweepAllocations(t *testing.T) {
+	read, _, _ := spillSweep(t)
+	testkit.Check(t, spillSweepTable, testkit.Sites(50, read))
 }

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 
+	"diesel/internal/testkit"
 	"diesel/internal/wire"
 )
 
@@ -149,28 +150,52 @@ func TestMGetRefusesAnOverstatedCount(t *testing.T) {
 	}
 }
 
-// BenchmarkKVNodeMGet: one warm 8-key MGet over loopback to two nodes.
-// Each node reads its keys in place, and its answer is one allocation.
-// The keys are as long as a file record's: longer than the 32 bytes a
-// string conversion may make on the stack.
-func BenchmarkKVNodeMGet(b *testing.B) {
-	c, _ := startCluster(b, 2)
+// kvMGet returns one warm 8-key MGet over loopback to two nodes. The keys
+// are as long as a file record's: longer than the 32 bytes a string
+// conversion may make on the stack.
+func kvMGet(tb testing.TB) func() {
+	c, _ := startCluster(tb, 2)
 	keys := make([]string, 8)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("f|bench|%016x|img%06d.jpg", i, i) // a file record's key
 		if err := c.Set(keys[i], bytes.Repeat([]byte{byte(i)}, 64)); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	mget := func() {
 		vals, err := c.MGetContext(context.Background(), keys)
 		if err != nil || len(vals) != len(keys) || len(vals[7]) != 64 {
-			b.Fatalf("MGet: %d values, %v", len(vals), err)
+			tb.Fatalf("MGet: %d values, %v", len(vals), err)
 		}
 	}
 	mget() // warm: connections, pools, the nodes' workers
+	return mget
+}
+
+// BenchmarkKVNodeMGet times kvMGet.
+func BenchmarkKVNodeMGet(b *testing.B) {
+	mget := kvMGet(b)
 	b.ReportAllocs()
 	for b.Loop() {
 		mget()
 	}
+}
+
+// mgetTable: each node reads its keys in place, and its answer is one
+// allocation. A node that decodes the keys into strings again reads 8
+// more (12 more when each request also ran on a goroutine of its own).
+var mgetTable = testkit.Table{
+	Sites: map[string]float64{
+		"kvstore.(*Cluster).MGetContext":           6, // per node its keys and calls, and the result
+		"wire.NewEncoder ← kvstore.(*Server).mget": 2,
+		"wire.readFrame ← wire.(*Client).readLoop": 2,
+	},
+	Other:  0.25,
+	Allocs: 10.25,
+	Bytes:  1850,
+}
+
+// TestKVNodeMGetAllocations holds kvMGet to mgetTable.
+func TestKVNodeMGetAllocations(t *testing.T) {
+	testkit.Check(t, mgetTable, testkit.Sites(2000, kvMGet(t)))
 }

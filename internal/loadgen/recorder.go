@@ -15,7 +15,8 @@
 //   - StartStack/RunEmbedded: a real diesel-server+kvnode deployment on
 //     loopback TCP with workload mixes over the existing client, driven
 //     by run and summarised into a machine-readable capacity Report
-//     that cmd/benchguard gates in CI.
+//     that cmd/benchguard gates in CI (its only gate: allocation
+//     budgets are tier-1 tests, internal/testkit).
 package loadgen
 
 import (

@@ -70,7 +70,7 @@ type RuntimeReport struct {
 }
 
 // Report is the machine-readable capacity report: what cmd/diesel-load
-// emits, EXPERIMENTS.md records, and cmd/benchguard -capacity gates.
+// emits, EXPERIMENTS.md records, and cmd/benchguard gates.
 type Report struct {
 	Harness string  `json:"harness"` // "open-loop" or "closed-loop"
 	Arrival Arrival `json:"arrival,omitempty"`

@@ -108,8 +108,8 @@ func (r *RPCServer) Restart() error {
 }
 
 // NewLocalStack builds a complete single-process DIESEL server over an
-// in-memory KV backend and object store — the fixture tests, benchmarks
-// and the quickstart example share. Jobs are enabled over an embedded
+// in-memory KV backend and object store — the fixture tests and
+// benchmarks share. Jobs are enabled over an embedded
 // registry so clients can register/heartbeat out of the box.
 func NewLocalStack() *Server {
 	s := New(kvstore.NewLocal(), objstore.NewMemory(), func() int64 { return time.Now().UnixNano() })

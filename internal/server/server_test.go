@@ -14,6 +14,7 @@ import (
 	"diesel/internal/kvstore"
 	"diesel/internal/meta"
 	"diesel/internal/objstore"
+	"diesel/internal/testkit"
 )
 
 // testStack is an in-process server over memory KV and object stores with
@@ -519,7 +520,7 @@ func TestIngestFailedPutWritesNoMetadata(t *testing.T) {
 
 // viewStack is a server holding one dataset "ds" of chunks × perChunk
 // one-byte files spread over 100 directories, class000 … class099.
-func viewStack(b *testing.B, chunks, perChunk int) *Server {
+func viewStack(b testing.TB, chunks, perChunk int) *Server {
 	s, _, _, gen := testStack()
 	for c := range chunks {
 		cb := chunk.NewBuilder(1<<16, gen, s.nowNS)
@@ -542,7 +543,7 @@ func viewStack(b *testing.B, chunks, perChunk int) *Server {
 
 // lsView lists class007 of the view dsl.ls answers from, as its handler
 // does, and returns how many entries it holds.
-func lsView(b *testing.B, s *Server) int {
+func lsView(b testing.TB, s *Server) int {
 	v, err := s.viewOf("ds")
 	if err != nil {
 		b.Fatal(err)
@@ -639,9 +640,55 @@ func benchWarmView(b *testing.B, s *Server) {
 	})
 }
 
-// BenchmarkServerWarmView is the allocation guard's pin on the cached
-// view: dsl.ls and dsl.snapshot of 16 384 files while the stamp holds. A
-// call that rebuilt the view would allocate ≈ 2 per file.
+// BenchmarkServerWarmView times dsl.ls and dsl.snapshot of 16 384 files
+// while the stamp holds (TestWarmViewAllocations).
 func BenchmarkServerWarmView(b *testing.B) {
 	benchWarmView(b, viewStack(b, 128, 128))
+}
+
+// warmViewTables: dsl.ls and dsl.snapshot of 16 384 files while the
+// stamp holds. A call that rebuilt the view would allocate ≈ 2 per file.
+var warmViewTables = map[string]testkit.Table{
+	"ls": {
+		Sites: map[string]float64{
+			"meta.DatasetKey ← server.(*Server).datasetRecord":   1,
+			"kvstore.(*Local).Get ← kvstore.(*Local).GetContext": 1, // the stamp
+			"meta.(*Snapshot).List":                              1, // the listing
+		},
+		Other:  0.25,
+		Allocs: 3.25,
+		Bytes:  5900,
+	},
+	"snapshot": {
+		Sites: map[string]float64{
+			"meta.DatasetKey ← server.(*Server).datasetRecord":   1,
+			"kvstore.(*Local).Get ← kvstore.(*Local).GetContext": 1,
+		},
+		Other:  0.25,
+		Allocs: 2.2,
+		Bytes:  17,
+	},
+}
+
+// TestWarmViewAllocations holds a warm dsl.ls and dsl.snapshot to their
+// tables.
+func TestWarmViewAllocations(t *testing.T) {
+	s := viewStack(t, 128, 128)
+	want := lsView(t, s)
+	for name, op := range map[string]func(*testing.T){
+		"ls": func(t *testing.T) {
+			if n := lsView(t, s); n != want {
+				t.Fatalf("%d entries, want %d", n, want)
+			}
+		},
+		"snapshot": func(t *testing.T) {
+			if v, err := s.viewOf("ds"); err != nil || len(v.encode()) == 0 {
+				t.Fatalf("no encoding, %v", err)
+			}
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			testkit.Check(t, warmViewTables[name], testkit.Sites(2000, func() { op(t) }))
+		})
+	}
 }

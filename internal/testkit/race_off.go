@@ -1,5 +1,5 @@
 //go:build !race
 
-package diesel
+package testkit
 
 const raceEnabled = false
